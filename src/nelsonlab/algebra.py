@@ -222,11 +222,9 @@ def run_algebra_suite(n_modes: int = 4, n_max: int = 3, draws: int = 100,
 
     # cap-dependent norm diagnostics for the identification map
     i_norms = {}
+    Nl, Nr = tb.pair_numbers().T
     for kk in (1, 2):
-        Nr = tb.right.total_numbers()
-        Nl = tb.left.total_numbers()
-        wts = np.array([(1.0 + Nl[i]) ** (-kk) if Nr[j] <= kk else 0.0
-                        for (i, j) in tb.pairs])
+        wts = np.where(Nr <= kk, (1.0 + Nl) ** (-kk), 0.0)
         I_op = split.scattering_ident(tb, basis)
         i_norms[f"I_weight_k{kk}"] = float(np.linalg.norm(
             I_op.mat.toarray() * wts[None, :], 2))

@@ -73,7 +73,6 @@ SCHEMA = {
     "basis.n_max": (int, 2),
     "basis.e_cap": (_parse_optfloat, None),
     "solver.tol": (float, 1e-10),
-    "solver.k": (int, 2),
     "scan.p_min": (float, 0.0),
     "scan.p_max": (float, 0.8),
     "scan.n_points": (int, 20),

@@ -16,6 +16,16 @@ projects out of the top shell (Galerkin truncation).  Operator identities that
 involve a creation operator therefore hold exactly only on the guarded sector
 N <= n_max - 1; number-conserving identities hold on the whole basis.
 
+Every second-quantized operator is derived from one ladder table stored on
+the basis: ``occ[c, j]`` is the occupation of mode j in state c, and
+``up[c, j]`` is the index of the state c + e_j, or -1 when that state lies
+outside N <= n_max or the energy cap.  A truncated basis is closed under
+removing a boson (removal lowers both N and the energy), so every state c with
+n_j(c) > 0 has its parent c - e_j in the basis and is reached as
+c = up[c - e_j, j].  Hopping terms a*_i a_j, the sector recursions behind
+Gamma and dGamma2, and the tensor and fusion maps of ``split`` are therefore
+index gathers on ``occ`` and ``up``, exact on capped bases as well.
+
 The field operator follows the symmetric normalization
 
     phi(h) = (a(h) + a*(h)) / sqrt(2) .
@@ -257,35 +267,33 @@ def _occupations(n_modes: int, total: int):
 
 @dataclass(frozen=True, eq=False)
 class OccupationBasis:
-    """Graded-lexicographic occupation basis with a perfect reverse index."""
+    """Graded-lexicographic occupation basis with a perfect reverse index.
+
+    ``occ`` (size x M) holds the occupation numbers and ``up`` (size x M) the
+    ladder table: ``up[c, j]`` is the index of c + e_j, or -1 if truncated.
+    """
 
     grid: ModeGrid
     n_max: int
     e_cap: float | None
     states: tuple
     index: dict = field(repr=False)
+    occ: np.ndarray = field(repr=False)
+    up: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:
         return len(self.states)
 
     def total_numbers(self) -> np.ndarray:
-        return np.array([sum(s) for s in self.states], dtype=int)
+        return self.occ.sum(axis=1)
 
     def energies(self) -> np.ndarray:
-        occ = np.array(self.states, dtype=float)
-        return occ @ self.grid.omega_mod
+        return self.occ @ self.grid.omega_mod
 
     def boson_momenta(self) -> np.ndarray:
         """(size, d) array of total boson momentum per state."""
-        occ = np.array(self.states, dtype=float)
-        return occ @ np.atleast_2d(self.grid.points)
-
-    def sector_slices(self) -> dict:
-        out: dict[int, list[int]] = {}
-        for i, s in enumerate(self.states):
-            out.setdefault(sum(s), []).append(i)
-        return out
+        return self.occ @ np.atleast_2d(self.grid.points)
 
     def to_csv(self) -> str:
         """Basis dump: index, occupation (semicolon-joined), total N, energy."""
@@ -294,6 +302,29 @@ class OccupationBasis:
         for i, s in enumerate(self.states):
             lines.append(f"{i},{';'.join(str(n) for n in s)},{sum(s)},{en[i]:.17g}")
         return "\n".join(lines) + "\n"
+
+
+def _row_index(table: np.ndarray):
+    """Exact lookup of integer rows in ``table``.
+
+    Returns a function mapping an (n, k) integer array to the index of each
+    row in ``table``, or -1 where the row is absent.  Rows are compared as raw
+    bytes, so the match is exact.
+    """
+    def keys(rows):
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
+
+    table_keys = keys(table)
+    order = np.argsort(table_keys)
+    sorted_keys = table_keys[order]
+
+    def lookup(rows):
+        q = keys(rows)
+        pos = np.minimum(np.searchsorted(sorted_keys, q), len(sorted_keys) - 1)
+        return np.where(sorted_keys[pos] == q, order[pos], -1)
+
+    return lookup
 
 
 def build_basis(grid: ModeGrid, n_max: int, e_cap: float | None = None) -> OccupationBasis:
@@ -312,8 +343,14 @@ def build_basis(grid: ModeGrid, n_max: int, e_cap: float | None = None) -> Occup
     if states[0] != (0,) * grid.n_modes:
         raise BasisError("vacuum missing from basis")
     index = {s: i for i, s in enumerate(states)}
+    occ = np.array(states, dtype=np.int64).reshape(len(states), grid.n_modes)
+    lookup = _row_index(occ)
+    up = np.stack([lookup(occ + e) for e in np.eye(grid.n_modes, dtype=np.int64)], axis=1)
+    # shared by every operator built on this basis
+    occ.flags.writeable = False
+    up.flags.writeable = False
     return OccupationBasis(grid=grid, n_max=n_max, e_cap=e_cap,
-                           states=tuple(states), index=index)
+                           states=tuple(states), index=index, occ=occ, up=up)
 
 
 @dataclass
@@ -437,19 +474,12 @@ def creation_op(basis: OccupationBasis, h) -> SparseOperator:
     """
     h = _check_modes(basis, h)
     amp = np.sqrt(basis.grid.weights) * h
-    rows, cols, data = [], [], []
-    for i, state in enumerate(basis.states):
-        if sum(state) >= basis.n_max:
-            continue
-        for j in np.nonzero(amp)[0]:
-            target = state[:j] + (state[j] + 1,) + state[j + 1:]
-            t = basis.index.get(target)
-            if t is None:
-                continue
-            rows.append(t)
-            cols.append(i)
-            data.append(math.sqrt(state[j] + 1) * amp[j])
-    return _coo(basis, basis, rows, cols, data)
+    modes = np.flatnonzero(amp)
+    up = basis.up[:, modes]
+    src, k = np.nonzero(up >= 0)
+    j = modes[k]
+    data = np.sqrt(basis.occ[src, j] + 1) * amp[j]
+    return _coo(basis, basis, up[src, k], src, data)
 
 
 def annihilation_op(basis: OccupationBasis, h) -> SparseOperator:
@@ -494,70 +524,74 @@ def dGamma(basis: OccupationBasis, b) -> SparseOperator:
     herm = defect <= 1e-13 * max(scale, 1.0)
     if herm and defect > 0.0:
         bo = (bo + bo.conj().T) / 2.0
-    rows, cols, data = [], [], []
-    offdiag = [(i, j) for i in range(bo.shape[0]) for j in range(bo.shape[1])
-               if i != j and bo[i, j] != 0]
-    for c, state in enumerate(basis.states):
-        diag = sum(n * bo[j, j] for j, n in enumerate(state) if n)
-        if diag != 0:
-            rows.append(c)
-            cols.append(c)
-            data.append(diag)
-        for (i, j) in offdiag:
-            nj = state[j]
-            if nj == 0:
-                continue
-            target = list(state)
-            target[j] -= 1
-            target[i] += 1
-            t = basis.index.get(tuple(target))
-            if t is None:
-                continue
-            rows.append(t)
-            cols.append(c)
-            data.append(bo[i, j] * math.sqrt(nj * (state[i] + 1)))
-    return _coo(basis, basis, rows, cols, data, hermitian=bool(herm))
+    occ, up = basis.occ, basis.up
+    diag = np.zeros(basis.size, dtype=complex)
+    for j in range(bo.shape[0]):
+        diag += occ[:, j] * bo[j, j]
+    c = np.flatnonzero(diag)
+    rows, cols, data = [c], [c], [diag[c]]
+    # b_ij a*_i a_j maps the child c = up[p, j] to up[p, i]
+    for j in range(bo.shape[1]):
+        i = np.flatnonzero(bo[:, j])
+        i = i[i != j]
+        p = np.flatnonzero(up[:, j] >= 0)
+        t = up[p[:, None], i[None, :]]
+        pk, ik = np.nonzero(t >= 0)
+        p, i = p[pk], i[ik]
+        c = up[p, j]
+        rows.append(t[pk, ik])
+        cols.append(c)
+        data.append(bo[i, j] * np.sqrt(occ[c, j] * (occ[p, i] + 1)))
+    return _coo(basis, basis, np.concatenate(rows), np.concatenate(cols),
+                np.concatenate(data), hermitian=bool(herm))
 
 
-def elementary_ladders(basis: OccupationBasis) -> list:
-    """Orthonormal-mode creation matrices a*_i as CSR, cached on the basis."""
-    cached = getattr(basis, "_ladders", None)
-    if cached is not None:
-        return cached
-    M = basis.grid.n_modes
-    ladders = []
-    for i in range(M):
-        rows, cols, data = [], [], []
-        for c, state in enumerate(basis.states):
-            if sum(state) >= basis.n_max:
-                continue
-            target = state[:i] + (state[i] + 1,) + state[i + 1:]
-            t = basis.index.get(target)
-            if t is None:
-                continue
-            rows.append(t)
-            cols.append(c)
-            data.append(math.sqrt(state[i] + 1))
-        ladders.append(sp.coo_matrix((data, (rows, cols)),
-                                     shape=(basis.size, basis.size), dtype=complex).tocsr())
-    object.__setattr__(basis, "_ladders", ladders)
-    return ladders
+def _down(basis: OccupationBasis) -> np.ndarray:
+    """Index of c - e_j per (c, j), or -1 where n_j(c) = 0; the inverse of ``up``."""
+    down = np.full_like(basis.up, -1)
+    p, j = np.nonzero(basis.up >= 0)
+    down[basis.up[p, j], j] = p
+    return down
 
 
-def _ladder_stack(basis: OccupationBasis) -> np.ndarray:
-    """(M, n, n) dense stack of the orthonormal-mode creators, cached."""
-    cached = getattr(basis, "_ladder_stack", None)
-    if cached is not None:
-        return cached
-    stack = np.stack([L.toarray() for L in elementary_ladders(basis)])
-    object.__setattr__(basis, "_ladder_stack", stack)
-    return stack
+def _create_columns(basis: OccupationBasis, down: np.ndarray, coef: np.ndarray,
+                    V: np.ndarray) -> np.ndarray:
+    """Column k of the result is a*(coef[:, k]) V[:, k], coef in the orthonormal gauge."""
+    out = np.zeros_like(V)
+    for i in range(basis.grid.n_modes):
+        t = np.flatnonzero(down[:, i] >= 0)
+        out[t] += np.sqrt(basis.occ[t, i])[:, None] * V[down[t, i]] * coef[i]
+    return out
 
 
-def _combined_creators(basis_out: OccupationBasis, bo: np.ndarray) -> np.ndarray:
-    """(M_in, n, n) dense matrices of a*(bo[:, j]) on basis_out."""
-    stack = _ladder_stack(basis_out)
-    return np.tensordot(bo.T, stack, axes=(1, 0))
+def _sector_recursion(basis_in: OccupationBasis, basis_out: OccupationBasis,
+                      ao: np.ndarray, bo: np.ndarray | None = None):
+    """Dense Gamma(ao) and, if ``bo`` is given, dGamma2(ao, bo), sector by sector.
+
+    Each state c of sector n is a*_j |p> / sqrt(n_j(c)) for its parent p in
+    sector n - 1 (j = first occupied mode of c), and
+
+        Gamma(a) a*_j = a*(a e_j) Gamma(a),
+        dGamma2(a, b) a*_j = a*(b e_j) Gamma(a) + a*(a e_j) dGamma2(a, b).
+
+    The projections onto the target caps commute with this recursion
+    because a capped basis is closed under removing a boson.
+    """
+    down_in, down_out = _down(basis_in), _down(basis_out)
+    G = np.zeros((basis_out.size, basis_in.size), dtype=complex)
+    G[0, 0] = 1.0
+    D = np.zeros_like(G) if bo is not None else None
+    N = basis_in.total_numbers()
+    for n in range(1, basis_in.n_max + 1):
+        c = np.flatnonzero(N == n)
+        j = np.argmax(basis_in.occ[c] > 0, axis=1)
+        p = down_in[c, j]
+        scale = 1.0 / np.sqrt(basis_in.occ[c, j])
+        G[:, c] = _create_columns(basis_out, down_out, ao[:, j], G[:, p]) * scale
+        if bo is not None:
+            D[:, c] = (_create_columns(basis_out, down_out, bo[:, j], G[:, p])
+                       + _create_columns(basis_out, down_out, ao[:, j], D[:, p])) * scale
+    return G, D
 
 
 def Gamma(basis_in: OccupationBasis, b, basis_out: OccupationBasis | None = None) -> SparseOperator:
@@ -572,19 +606,8 @@ def Gamma(basis_in: OccupationBasis, b, basis_out: OccupationBasis | None = None
         b = np.diag(b)
     if b.shape != (basis_out.grid.n_modes, basis_in.grid.n_modes):
         raise DimensionMismatchError("Gamma: operator shape does not match grids")
-    bo = to_ortho(basis_out.grid, basis_in.grid, b)
-    B = _combined_creators(basis_out, bo)
-    out = np.zeros((basis_out.size, basis_in.size), dtype=complex)
-    for c, state in enumerate(basis_in.states):
-        vec = np.zeros(basis_out.size, dtype=complex)
-        vec[0] = 1.0
-        norm = 1.0
-        for j, nj in enumerate(state):
-            for _ in range(nj):
-                vec = B[j] @ vec
-            norm *= math.factorial(nj)
-        out[:, c] = vec / math.sqrt(norm)
-    return SparseOperator(sp.csr_matrix(out), False, basis_out, basis_in)
+    G, _ = _sector_recursion(basis_in, basis_out, to_ortho(basis_out.grid, basis_in.grid, b))
+    return SparseOperator(sp.csr_matrix(G), False, basis_out, basis_in)
 
 
 def dGamma2(basis_in: OccupationBasis, a, b, basis_out: OccupationBasis | None = None) -> SparseOperator:
@@ -599,29 +622,10 @@ def dGamma2(basis_in: OccupationBasis, a, b, basis_out: OccupationBasis | None =
     shape = (basis_out.grid.n_modes, basis_in.grid.n_modes)
     if a.shape != shape or b.shape != shape:
         raise DimensionMismatchError("dGamma2: operator shapes do not match grids")
-    ao = to_ortho(basis_out.grid, basis_in.grid, a)
-    bo = to_ortho(basis_out.grid, basis_in.grid, b)
-    A = _combined_creators(basis_out, ao)
-    B = _combined_creators(basis_out, bo)
-    out = np.zeros((basis_out.size, basis_in.size), dtype=complex)
-    for c, state in enumerate(basis_in.states):
-        norm = 1.0
-        for nj in state:
-            norm *= math.factorial(nj)
-        total = np.zeros(basis_out.size, dtype=complex)
-        for j, nj in enumerate(state):
-            if nj == 0:
-                continue
-            vec = np.zeros(basis_out.size, dtype=complex)
-            vec[0] = 1.0
-            vec = B[j] @ vec
-            for l, nl in enumerate(state):
-                reps = nl - (1 if l == j else 0)
-                for _ in range(reps):
-                    vec = A[l] @ vec
-            total += nj * vec
-        out[:, c] = total / math.sqrt(norm)
-    return SparseOperator(sp.csr_matrix(out), False, basis_out, basis_in)
+    _, D = _sector_recursion(basis_in, basis_out,
+                             to_ortho(basis_out.grid, basis_in.grid, a),
+                             to_ortho(basis_out.grid, basis_in.grid, b))
+    return SparseOperator(sp.csr_matrix(D), False, basis_out, basis_in)
 
 
 def guarded_projector(basis: OccupationBasis, margin: int = 1) -> SparseOperator:
@@ -633,6 +637,5 @@ def guarded_projector(basis: OccupationBasis, margin: int = 1) -> SparseOperator
 def interacting_projector(basis: OccupationBasis, sigma: float | None = None) -> SparseOperator:
     """Gamma(chi_i): projection onto states with zero soft-mode occupancy."""
     soft = basis.grid.soft_mask(sigma)
-    keep = np.array([all(n == 0 for n, s in zip(state, soft) if s)
-                     for state in basis.states], dtype=complex)
-    return SparseOperator(sp.diags(keep, format="csr"), True, basis, basis)
+    keep = ~np.any(basis.occ[:, soft] > 0, axis=1)
+    return SparseOperator(sp.diags(keep.astype(complex), format="csr"), True, basis, basis)

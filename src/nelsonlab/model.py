@@ -235,8 +235,7 @@ def fiber_diagonal(ms: ModelSpec, P, basis: OccupationBasis,
     P = np.atleast_1d(np.asarray(P, dtype=float))
     K = basis.boson_momenta()
     pe = _wrap(P[None, :] - K, bz_width)
-    occ = np.array(basis.states, dtype=float)
-    return ms.disp.omega(pe) + occ @ ms.boson_omega()
+    return ms.disp.omega(pe) + basis.occ @ ms.boson_omega()
 
 
 def build_fiber_H(ms: ModelSpec, P, basis: OccupationBasis,
@@ -315,32 +314,19 @@ def build_full_H(ms: ModelSpec, fb: FullBasis) -> SparseOperator:
     """
     L = fb.n_sites
     nb = fb.boson.size
+    occ, up = fb.boson.occ, fb.boson.up
     om_e = ms.disp.omega(fb.momenta[:, None])
-    om_b = np.array(fb.boson.states, dtype=float) @ ms.boson_omega()
+    om_b = occ @ ms.boson_omega()
     diag = (om_e[:, None] + om_b[None, :]).ravel().astype(complex)
-    rows, cols, data = [], [], []
-    if ms.g != 0.0:
-        amp = np.sqrt(ms.grid.weights) * ms.coupling_samples() * ms.g / math.sqrt(2.0)
-        m_e = np.rint(fb.momenta * L / (2 * np.pi)).astype(int)
-        idx_of_m = {mm: i for i, mm in enumerate(m_e)}
-        for b_idx, state in enumerate(fb.boson.states):
-            if sum(state) >= fb.boson.n_max:
-                continue
-            for j in np.nonzero(amp)[0]:
-                target = state[:j] + (state[j] + 1,) + state[j + 1:]
-                t_idx = fb.boson.index.get(target)
-                if t_idx is None:
-                    continue
-                val = amp[j] * math.sqrt(state[j] + 1)
-                dm = int(fb.mode_m[j])
-                for e_idx in range(L):
-                    # e^{-i k x}: electron momentum p -> p - k (wrapped)
-                    e_t = idx_of_m[((m_e[e_idx] - dm) + L // 2) % L - L // 2]
-                    r = e_t * nb + t_idx
-                    c = e_idx * nb + b_idx
-                    rows.append(r)
-                    cols.append(c)
-                    data.append(val)
+    amp = np.sqrt(ms.grid.weights) * ms.coupling_samples() * ms.g / math.sqrt(2.0)
+    modes = np.flatnonzero(amp)
+    b, k = np.nonzero(up[:, modes] >= 0)
+    j = modes[k]
+    e = np.arange(L)[:, None]
+    # e^{-i k_j x}: electron momentum index e -> e - m_j (mod L), see FullBasis
+    rows = ((e - fb.mode_m[j]) % L * nb + up[b, j]).ravel()
+    cols = (e * nb + b).ravel()
+    data = np.tile(amp[j] * np.sqrt(occ[b, j] + 1), L)
     mat = sp.coo_matrix((data, (rows, cols)), shape=(fb.size, fb.size), dtype=complex)
     mat = (sp.diags(diag) + mat + mat.conj().T).tocsr()
     return SparseOperator(mat, True, None, None,
@@ -348,29 +334,24 @@ def build_full_H(ms: ModelSpec, fb: FullBasis) -> SparseOperator:
                                 "omega_samples": ms.boson_omega()})
 
 
-def total_momentum_op(fb: FullBasis, wrapped: bool = True) -> SparseOperator:
-    """Diagonal total momentum p + dGamma(k), reduced to the zone when wrapped."""
+def _total_m(fb: FullBasis, wrapped: bool) -> np.ndarray:
+    """Flat total momentum index m_e + sum_j n_j m_j per product-basis state."""
     L = fb.n_sites
     m_e = np.rint(fb.momenta * L / (2 * np.pi)).astype(int)
-    m_b = np.array(fb.boson.states, dtype=int) @ fb.mode_m
-    tot = m_e[:, None] + m_b[None, :]
-    if wrapped:
-        tot = (tot + L // 2) % L - L // 2
-    vals = (2.0 * np.pi / L) * tot.ravel()
+    tot = (m_e[:, None] + (fb.boson.occ @ fb.mode_m)[None, :]).ravel()
+    return (tot + L // 2) % L - L // 2 if wrapped else tot
+
+
+def total_momentum_op(fb: FullBasis, wrapped: bool = True) -> SparseOperator:
+    """Diagonal total momentum p + dGamma(k), reduced to the zone when wrapped."""
+    vals = (2.0 * np.pi / fb.n_sites) * _total_m(fb, wrapped)
     return SparseOperator(sp.diags(vals.astype(complex), format="csr"), True)
 
 
 def momentum_blocks(fb: FullBasis) -> dict:
     """Indices of the product basis grouped by wrapped total momentum index."""
-    L = fb.n_sites
-    m_e = np.rint(fb.momenta * L / (2 * np.pi)).astype(int)
-    m_b = np.array(fb.boson.states, dtype=int) @ fb.mode_m
-    blocks: dict[int, list[int]] = {}
-    for e_idx in range(L):
-        for b_idx in range(fb.boson.size):
-            tot = ((m_e[e_idx] + m_b[b_idx]) + L // 2) % L - L // 2
-            blocks.setdefault(int(tot), []).append(e_idx * fb.boson.size + b_idx)
-    return blocks
+    tot = _total_m(fb, wrapped=True)
+    return {int(m): np.flatnonzero(tot == m) for m in np.unique(tot)}
 
 
 # ---------------------------------------------------------------------------

@@ -162,8 +162,7 @@ def commutator_iHA(ms: ModelSpec, P, basis: OccupationBasis,
     # term 2: -grad Omega(P - K(n)) . dGamma(v), diagonal in occupation
     K = basis.boson_momenta()
     gradO = ms.disp.grad(P[None, :] - K)
-    occ = np.array(basis.states, dtype=float)
-    dgv = occ @ vel
+    dgv = basis.occ @ vel
     diag2 = -np.sum(gradO * dgv, axis=1)
     t2 = SparseOperator(sp.diags(diag2.astype(complex), format="csr"), True, basis, basis)
     # term 3: -g phi(i a kappa_sigma)

@@ -191,11 +191,9 @@ def soft_boson_occupancy(psi: FockVector, sigma: float | None = None) -> float:
     soft = basis.grid.soft_mask(sigma)
     if not np.any(soft):
         return 0.0
-    mass = 0.0
     nrm2 = float(np.vdot(psi.amps, psi.amps).real)
-    for i, state in enumerate(basis.states):
-        if any(n > 0 for n, s in zip(state, soft) if s):
-            mass += abs(psi.amps[i]) ** 2
+    hit = np.any(basis.occ[:, soft] > 0, axis=1)
+    mass = float(np.sum(np.abs(psi.amps[hit]) ** 2))
     return mass / nrm2 if nrm2 > 0 else 0.0
 
 
@@ -268,9 +266,9 @@ def dispersion_scan(ms: ModelSpec, momenta, basis: OccupationBasis,
                          ms.g, use_modified=not ms.use_modified)
 
     def solve_point(P):
-        H = build_fiber_H(ms, P, basis)
         try:
-            res = ground_state(H, k=2, tol=tol)
+            res = ground_state(build_fiber_H(ms, P, basis), k=2, tol=tol)
+            eg2 = ground_state(build_fiber_H(ms_other, P, basis), k=1, tol=tol).ground_energy
         except ConvergenceError:
             return None
         e0 = float(np.min(fiber_diagonal(ms_free, P, basis)))
@@ -279,8 +277,6 @@ def dispersion_scan(ms: ModelSpec, momenta, basis: OccupationBasis,
         lower = min(eg - ((1 - a) * e0 - (ms.g ** 2 / a) * C) for a in alphas) \
             if alphas else math.inf
         soft = soft_boson_occupancy(res.ground_vector, ms.ff.sigma)
-        H2 = build_fiber_H(ms_other, P, basis)
-        eg2 = ground_state(H2, k=1, tol=tol).ground_energy
         return (eg, e0, upper, lower, res.gap, soft, abs(eg - eg2))
 
     results = _parallel_map(solve_point, momenta, workers)

@@ -27,6 +27,7 @@ from .fock import (
     ModeGrid,
     OccupationBasis,
     SparseOperator,
+    _row_index,
     dGamma2,
     weighted_adjoint,
 )
@@ -84,12 +85,16 @@ class SplitPair:
 
 @dataclass(frozen=True, eq=False)
 class TensorBasis:
-    """Pairs of occupation states with independent caps and a joint total cap."""
+    """Pairs of occupation states with independent caps and a joint total cap.
+
+    ``pairs`` is an (n_pairs, 2) array of (left index, right index) rows;
+    ``index`` maps each pair tuple back to its row.
+    """
 
     left: OccupationBasis
     right: OccupationBasis
     joint_cap: int
-    pairs: tuple
+    pairs: np.ndarray
     index: dict = field(repr=False)
 
     @property
@@ -97,9 +102,8 @@ class TensorBasis:
         return len(self.pairs)
 
     def pair_numbers(self) -> np.ndarray:
-        nl = self.left.total_numbers()
-        nr = self.right.total_numbers()
-        return np.array([(nl[i], nr[j]) for i, j in self.pairs], dtype=int)
+        pi, pj = self.pairs.T
+        return np.stack([self.left.total_numbers()[pi], self.right.total_numbers()[pj]], axis=1)
 
     def to_csv(self) -> str:
         lines = ["index,left_occupation,right_occupation"]
@@ -114,23 +118,12 @@ def build_tensor_basis(left: OccupationBasis, right: OccupationBasis,
                        joint_cap: int | None = None) -> TensorBasis:
     """Deterministic pair ordering: ascending (total N, left index, right index)."""
     cap = joint_cap if joint_cap is not None else left.n_max + right.n_max
-    nl = left.total_numbers()
-    nr = right.total_numbers()
-    pairs = []
-    for total in range(cap + 1):
-        for i in range(left.size):
-            if nl[i] > total:
-                continue
-            for j in range(right.size):
-                if nl[i] + nr[j] == total:
-                    pairs.append((i, j))
-    index = {p: n for n, p in enumerate(pairs)}
-    return TensorBasis(left=left, right=right, joint_cap=cap,
-                       pairs=tuple(pairs), index=index)
-
-
-def _split_state(state: tuple, M: int) -> tuple[tuple, tuple]:
-    return state[:M], state[M:]
+    total = left.total_numbers()[:, None] + right.total_numbers()[None, :]
+    i, j = np.nonzero(total <= cap)
+    order = np.argsort(total[i, j], kind="stable")
+    pairs = np.stack([i[order], j[order]], axis=1)
+    index = {p: n for n, p in enumerate(map(tuple, pairs.tolist()))}
+    return TensorBasis(left=left, right=right, joint_cap=cap, pairs=pairs, index=index)
 
 
 def tensor_iso_U(basis_sum: OccupationBasis, tb: TensorBasis) -> SparseOperator:
@@ -144,35 +137,18 @@ def tensor_iso_U(basis_sum: OccupationBasis, tb: TensorBasis) -> SparseOperator:
     M = tb.left.grid.n_modes
     if basis_sum.grid.n_modes != 2 * M:
         raise DimensionMismatchError("source basis must live on the doubled grid")
-    rows, cols, data = [], [], []
-    for c, state in enumerate(basis_sum.states):
-        sl, sr = _split_state(state, M)
-        il = tb.left.index.get(sl)
-        ir = tb.right.index.get(sr)
-        if il is None or ir is None:
-            raise IncompatibleCapsError(
-                "tensor caps cannot represent a source state; "
-                "need left/right caps >= source n_max and matching energy caps")
-        t = tb.index.get((il, ir))
-        if t is None:
-            raise IncompatibleCapsError("joint cap below source n_max")
-        rows.append(t)
-        cols.append(c)
-        data.append(1.0)
-    mat = sp.coo_matrix((data, (rows, cols)), shape=(tb.size, basis_sum.size),
-                        dtype=complex).tocsr()
+    il = _row_index(tb.left.occ)(basis_sum.occ[:, :M])
+    ir = _row_index(tb.right.occ)(basis_sum.occ[:, M:])
+    if np.any(il < 0) or np.any(ir < 0):
+        raise IncompatibleCapsError(
+            "tensor caps cannot represent a source state; "
+            "need left/right caps >= source n_max and matching energy caps")
+    t = _row_index(tb.pairs)(np.stack([il, ir], axis=1))
+    if np.any(t < 0):
+        raise IncompatibleCapsError("joint cap below source n_max")
+    mat = sp.coo_matrix((np.ones(basis_sum.size), (t, np.arange(basis_sum.size))),
+                        shape=(tb.size, basis_sum.size), dtype=complex).tocsr()
     return SparseOperator(mat, False, None, basis_sum)
-
-
-def _cached_U(basis_sum: OccupationBasis, tb: TensorBasis) -> SparseOperator:
-    cache = getattr(tb, "_u_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(tb, "_u_cache", cache)
-    key = id(basis_sum)
-    if key not in cache:
-        cache[key] = tensor_iso_U(basis_sum, tb)
-    return cache[key]
 
 
 def breve_gamma(sp_pair: SplitPair, source: OccupationBasis, tb: TensorBasis,
@@ -183,7 +159,7 @@ def breve_gamma(sp_pair: SplitPair, source: OccupationBasis, tb: TensorBasis,
     if basis_sum is None:
         basis_sum = build_basis(doubled_grid(source.grid), source.n_max, source.e_cap)
     G = Gamma(source, sp_pair.stacked(), basis_out=basis_sum)
-    out = _cached_U(basis_sum, tb) @ G
+    out = tensor_iso_U(basis_sum, tb) @ G
     out.basis_in = source
     return out
 
@@ -197,7 +173,7 @@ def dbreve_gamma2(sp_pair: SplitPair, b0: np.ndarray, binf: np.ndarray,
     if basis_sum is None:
         basis_sum = build_basis(doubled_grid(source.grid), source.n_max, source.e_cap)
     K = dGamma2(source, sp_pair.stacked(), stack_pair(b0, binf), basis_out=basis_sum)
-    out = _cached_U(basis_sum, tb) @ K
+    out = tensor_iso_U(basis_sum, tb) @ K
     out.basis_in = source
     return out
 
@@ -211,66 +187,25 @@ def scattering_ident(tb: TensorBasis, target: OccupationBasis) -> SparseOperator
     """
     if target.grid.n_modes != tb.left.grid.n_modes:
         raise DimensionMismatchError("target grid must match the tensor factors")
-    rows, cols, data = [], [], []
-    projected = 0
-    for c, (il, ir) in enumerate(tb.pairs):
-        nl = tb.left.states[il]
-        nr = tb.right.states[ir]
-        fused = tuple(a + b for a, b in zip(nl, nr))
-        t = target.index.get(fused)
-        if t is None:
-            projected += 1
-            continue
-        amp = 1.0
-        for a, b in zip(nl, nr):
-            if a and b:
-                amp *= math.comb(a + b, a)
-        rows.append(t)
-        cols.append(c)
-        data.append(math.sqrt(amp))
-    mat = sp.coo_matrix((data, (rows, cols)), shape=(target.size, tb.size),
+    pi, pj = tb.pairs.T
+    nl, nr = tb.left.occ[pi], tb.right.occ[pj]
+    fused = nl + nr
+    t = _row_index(target.occ)(fused)
+    keep = np.flatnonzero(t >= 0)
+    # Pascal table of exact binomials (fixed-width factorials overflow past 20!)
+    top = fused.max(initial=0) + 1
+    binom = np.array([[math.comb(n, k) for k in range(top)] for n in range(top)], dtype=float)
+    amp = np.prod(binom[fused, nl], axis=1)
+    mat = sp.coo_matrix((np.sqrt(amp[keep]), (t[keep], keep)), shape=(target.size, tb.size),
                         dtype=complex).tocsr()
     return SparseOperator(mat, False, target, None,
-                          info={"projected_pairs": projected, "total_pairs": tb.size})
+                          info={"projected_pairs": tb.size - keep.size, "total_pairs": tb.size})
 
 
 def tensor_vector(tb: TensorBasis, left: FockVector, right: FockVector) -> np.ndarray:
     """Amplitudes of left x right in the tensor basis (joint cap projected)."""
-    out = np.zeros(tb.size, dtype=complex)
-    for n, (i, j) in enumerate(tb.pairs):
-        out[n] = left.amps[i] * right.amps[j]
-    return out
-
-
-def _pair_index_matrix(tb: TensorBasis) -> np.ndarray:
-    cached = getattr(tb, "_pair_matrix", None)
-    if cached is not None:
-        return cached
-    mat = np.full((tb.left.size, tb.right.size), -1, dtype=np.int64)
-    for n, (i, j) in enumerate(tb.pairs):
-        mat[i, j] = n
-    object.__setattr__(tb, "_pair_matrix", mat)
-    return mat
-
-
-def _leg_groups(tb: TensorBasis):
-    """Pair indices grouped by the spectator leg index, cached."""
-    cached = getattr(tb, "_leg_groups", None)
-    if cached is not None:
-        return cached
-    by_right: dict[int, tuple] = {}
-    by_left: dict[int, tuple] = {}
-    tmp_r: dict[int, list] = {}
-    tmp_l: dict[int, list] = {}
-    for n, (i, j) in enumerate(tb.pairs):
-        tmp_r.setdefault(j, []).append((n, i))
-        tmp_l.setdefault(i, []).append((n, j))
-    for j, lst in tmp_r.items():
-        by_right[j] = (np.array([n for n, _ in lst]), np.array([i for _, i in lst]))
-    for i, lst in tmp_l.items():
-        by_left[i] = (np.array([n for n, _ in lst]), np.array([j for _, j in lst]))
-    object.__setattr__(tb, "_leg_groups", (by_right, by_left))
-    return by_right, by_left
+    pi, pj = tb.pairs.T
+    return left.amps[pi] * right.amps[pj]
 
 
 def tensor_factor_ops(tb: TensorBasis, op_left: SparseOperator | None = None,
@@ -278,26 +213,13 @@ def tensor_factor_ops(tb: TensorBasis, op_left: SparseOperator | None = None,
     """Lift op_left x op_right (identity when None) onto the pair basis.
 
     Pairs pushed outside the joint cap are projected out (Galerkin)."""
-    by_right, by_left = _leg_groups(tb)
-    if op_left is not None and op_right is not None:
-        # exact Galerkin compression of the product operator
-        Ld = op_left.mat.toarray()
-        Rd = op_right.mat.toarray()
-        pi = np.array([i for i, _ in tb.pairs])
-        pj = np.array([j for _, j in tb.pairs])
-        out = Ld[pi[:, None], pi[None, :]] * Rd[pj[:, None], pj[None, :]]
-    elif op_left is not None:
-        Ld = op_left.mat.toarray()
-        out = np.zeros((tb.size, tb.size), dtype=complex)
-        for _, (pidx, lidx) in by_right.items():
-            out[np.ix_(pidx, pidx)] = Ld[np.ix_(lidx, lidx)]
-    elif op_right is not None:
-        Rd = op_right.mat.toarray()
-        out = np.zeros((tb.size, tb.size), dtype=complex)
-        for _, (pidx, ridx) in by_left.items():
-            out[np.ix_(pidx, pidx)] = Rd[np.ix_(ridx, ridx)]
-    else:
-        out = np.eye(tb.size, dtype=complex)
+    def leg(op, idx):
+        if op is None:
+            return idx[:, None] == idx[None, :]
+        return op.mat.toarray()[idx[:, None], idx[None, :]]
+
+    pi, pj = tb.pairs.T
+    out = np.asarray(leg(op_left, pi) * leg(op_right, pj), dtype=complex)
     herm = bool((op_left is None or op_left.hermitian) and
                 (op_right is None or op_right.hermitian))
     return SparseOperator(sp.csr_matrix(out), herm)
@@ -305,6 +227,5 @@ def tensor_factor_ops(tb: TensorBasis, op_left: SparseOperator | None = None,
 
 def outer_number_projector(tb: TensorBasis, n: int = 0) -> SparseOperator:
     """Projection 1 x chi(N = n) on the pair basis."""
-    nr = tb.right.total_numbers()
-    keep = np.array([1.0 if nr[j] == n else 0.0 for (_, j) in tb.pairs], dtype=complex)
-    return SparseOperator(sp.diags(keep, format="csr"), True)
+    keep = tb.right.total_numbers()[tb.pairs[:, 1]] == n
+    return SparseOperator(sp.diags(keep.astype(complex), format="csr"), True)

@@ -1,0 +1,277 @@
+"""Per-state loop builders kept as independent references.
+
+These are the occupation-loop constructions that the package's ladder-table
+builders replaced.  They look every target state up in ``basis.index`` one
+state (or pair) at a time and never read ``basis.occ`` or ``basis.up``, so
+``tests/test_ladder_table.py`` can compare the vectorized builders against
+them.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import scipy.sparse as sp
+
+from nelsonlab.fock import (
+    SparseOperator,
+    _as_mode_matrix,
+    _check_modes,
+    _coo,
+    to_ortho,
+)
+from nelsonlab.split import IncompatibleCapsError
+
+
+def creation_op(basis, h) -> SparseOperator:
+    h = _check_modes(basis, h)
+    amp = np.sqrt(basis.grid.weights) * h
+    rows, cols, data = [], [], []
+    for i, state in enumerate(basis.states):
+        if sum(state) >= basis.n_max:
+            continue
+        for j in np.nonzero(amp)[0]:
+            target = state[:j] + (state[j] + 1,) + state[j + 1:]
+            t = basis.index.get(target)
+            if t is None:
+                continue
+            rows.append(t)
+            cols.append(i)
+            data.append(math.sqrt(state[j] + 1) * amp[j])
+    return _coo(basis, basis, rows, cols, data)
+
+
+def dGamma(basis, b) -> SparseOperator:
+    b = _as_mode_matrix(basis, b)
+    bo = to_ortho(basis.grid, basis.grid, b)
+    defect = float(np.abs(bo - bo.conj().T).max()) if bo.size else 0.0
+    scale = float(np.abs(bo).max()) if bo.size else 0.0
+    herm = defect <= 1e-13 * max(scale, 1.0)
+    if herm and defect > 0.0:
+        bo = (bo + bo.conj().T) / 2.0
+    rows, cols, data = [], [], []
+    offdiag = [(i, j) for i in range(bo.shape[0]) for j in range(bo.shape[1])
+               if i != j and bo[i, j] != 0]
+    for c, state in enumerate(basis.states):
+        diag = sum(n * bo[j, j] for j, n in enumerate(state) if n)
+        if diag != 0:
+            rows.append(c)
+            cols.append(c)
+            data.append(diag)
+        for (i, j) in offdiag:
+            nj = state[j]
+            if nj == 0:
+                continue
+            target = list(state)
+            target[j] -= 1
+            target[i] += 1
+            t = basis.index.get(tuple(target))
+            if t is None:
+                continue
+            rows.append(t)
+            cols.append(c)
+            data.append(bo[i, j] * math.sqrt(nj * (state[i] + 1)))
+    return _coo(basis, basis, rows, cols, data, hermitian=bool(herm))
+
+
+def elementary_ladders(basis) -> list:
+    M = basis.grid.n_modes
+    ladders = []
+    for i in range(M):
+        rows, cols, data = [], [], []
+        for c, state in enumerate(basis.states):
+            if sum(state) >= basis.n_max:
+                continue
+            target = state[:i] + (state[i] + 1,) + state[i + 1:]
+            t = basis.index.get(target)
+            if t is None:
+                continue
+            rows.append(t)
+            cols.append(c)
+            data.append(math.sqrt(state[i] + 1))
+        ladders.append(sp.coo_matrix((data, (rows, cols)),
+                                     shape=(basis.size, basis.size), dtype=complex).tocsr())
+    return ladders
+
+
+def _combined_creators(basis_out, bo: np.ndarray) -> np.ndarray:
+    stack = np.stack([L.toarray() for L in elementary_ladders(basis_out)])
+    return np.tensordot(bo.T, stack, axes=(1, 0))
+
+
+def Gamma(basis_in, b, basis_out=None) -> SparseOperator:
+    basis_out = basis_out or basis_in
+    b = np.asarray(b, dtype=complex)
+    if b.ndim == 1:
+        b = np.diag(b)
+    bo = to_ortho(basis_out.grid, basis_in.grid, b)
+    B = _combined_creators(basis_out, bo)
+    out = np.zeros((basis_out.size, basis_in.size), dtype=complex)
+    for c, state in enumerate(basis_in.states):
+        vec = np.zeros(basis_out.size, dtype=complex)
+        vec[0] = 1.0
+        norm = 1.0
+        for j, nj in enumerate(state):
+            for _ in range(nj):
+                vec = B[j] @ vec
+            norm *= math.factorial(nj)
+        out[:, c] = vec / math.sqrt(norm)
+    return SparseOperator(sp.csr_matrix(out), False, basis_out, basis_in)
+
+
+def dGamma2(basis_in, a, b, basis_out=None) -> SparseOperator:
+    basis_out = basis_out or basis_in
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.ndim == 1:
+        a = np.diag(a)
+    if b.ndim == 1:
+        b = np.diag(b)
+    ao = to_ortho(basis_out.grid, basis_in.grid, a)
+    bo = to_ortho(basis_out.grid, basis_in.grid, b)
+    A = _combined_creators(basis_out, ao)
+    B = _combined_creators(basis_out, bo)
+    out = np.zeros((basis_out.size, basis_in.size), dtype=complex)
+    for c, state in enumerate(basis_in.states):
+        norm = 1.0
+        for nj in state:
+            norm *= math.factorial(nj)
+        total = np.zeros(basis_out.size, dtype=complex)
+        for j, nj in enumerate(state):
+            if nj == 0:
+                continue
+            vec = np.zeros(basis_out.size, dtype=complex)
+            vec[0] = 1.0
+            vec = B[j] @ vec
+            for l, nl in enumerate(state):
+                reps = nl - (1 if l == j else 0)
+                for _ in range(reps):
+                    vec = A[l] @ vec
+            total += nj * vec
+        out[:, c] = total / math.sqrt(norm)
+    return SparseOperator(sp.csr_matrix(out), False, basis_out, basis_in)
+
+
+def full_H_coupling(ms, fb) -> sp.coo_matrix:
+    """Creation half of the full-chain interaction g phi(G_x)."""
+    L = fb.n_sites
+    nb = fb.boson.size
+    rows, cols, data = [], [], []
+    amp = np.sqrt(ms.grid.weights) * ms.coupling_samples() * ms.g / math.sqrt(2.0)
+    m_e = np.rint(fb.momenta * L / (2 * np.pi)).astype(int)
+    idx_of_m = {mm: i for i, mm in enumerate(m_e)}
+    for b_idx, state in enumerate(fb.boson.states):
+        if sum(state) >= fb.boson.n_max:
+            continue
+        for j in np.nonzero(amp)[0]:
+            target = state[:j] + (state[j] + 1,) + state[j + 1:]
+            t_idx = fb.boson.index.get(target)
+            if t_idx is None:
+                continue
+            val = amp[j] * math.sqrt(state[j] + 1)
+            dm = int(fb.mode_m[j])
+            for e_idx in range(L):
+                e_t = idx_of_m[((m_e[e_idx] - dm) + L // 2) % L - L // 2]
+                rows.append(e_t * nb + t_idx)
+                cols.append(e_idx * nb + b_idx)
+                data.append(val)
+    return sp.coo_matrix((data, (rows, cols)), shape=(fb.size, fb.size), dtype=complex)
+
+
+def build_tensor_basis(left, right, joint_cap=None) -> tuple:
+    """Pair list in ascending (total N, left index, right index) order."""
+    cap = joint_cap if joint_cap is not None else left.n_max + right.n_max
+    nl = left.total_numbers()
+    nr = right.total_numbers()
+    pairs = []
+    for total in range(cap + 1):
+        for i in range(left.size):
+            if nl[i] > total:
+                continue
+            for j in range(right.size):
+                if nl[i] + nr[j] == total:
+                    pairs.append((i, j))
+    return tuple(pairs)
+
+
+def tensor_iso_U(basis_sum, tb) -> SparseOperator:
+    M = tb.left.grid.n_modes
+    rows, cols, data = [], [], []
+    for c, state in enumerate(basis_sum.states):
+        sl, sr = state[:M], state[M:]
+        il = tb.left.index.get(sl)
+        ir = tb.right.index.get(sr)
+        if il is None or ir is None:
+            raise IncompatibleCapsError("tensor caps cannot represent a source state")
+        t = tb.index.get((il, ir))
+        if t is None:
+            raise IncompatibleCapsError("joint cap below source n_max")
+        rows.append(t)
+        cols.append(c)
+        data.append(1.0)
+    mat = sp.coo_matrix((data, (rows, cols)), shape=(tb.size, basis_sum.size),
+                        dtype=complex).tocsr()
+    return SparseOperator(mat, False, None, basis_sum)
+
+
+def scattering_ident(tb, target) -> SparseOperator:
+    rows, cols, data = [], [], []
+    projected = 0
+    for c, (il, ir) in enumerate(tb.pairs):
+        nl = tb.left.states[il]
+        nr = tb.right.states[ir]
+        fused = tuple(a + b for a, b in zip(nl, nr))
+        t = target.index.get(fused)
+        if t is None:
+            projected += 1
+            continue
+        amp = 1.0
+        for a, b in zip(nl, nr):
+            if a and b:
+                amp *= math.comb(a + b, a)
+        rows.append(t)
+        cols.append(c)
+        data.append(math.sqrt(amp))
+    mat = sp.coo_matrix((data, (rows, cols)), shape=(target.size, tb.size),
+                        dtype=complex).tocsr()
+    return SparseOperator(mat, False, target, None,
+                          info={"projected_pairs": projected, "total_pairs": tb.size})
+
+
+def _leg_groups(tb):
+    tmp_r: dict[int, list] = {}
+    tmp_l: dict[int, list] = {}
+    for n, (i, j) in enumerate(tb.pairs):
+        tmp_r.setdefault(j, []).append((n, i))
+        tmp_l.setdefault(i, []).append((n, j))
+    by_right = {j: (np.array([n for n, _ in lst]), np.array([i for _, i in lst]))
+                for j, lst in tmp_r.items()}
+    by_left = {i: (np.array([n for n, _ in lst]), np.array([j for _, j in lst]))
+               for i, lst in tmp_l.items()}
+    return by_right, by_left
+
+
+def tensor_factor_ops(tb, op_left=None, op_right=None) -> SparseOperator:
+    by_right, by_left = _leg_groups(tb)
+    if op_left is not None and op_right is not None:
+        Ld = op_left.mat.toarray()
+        Rd = op_right.mat.toarray()
+        pi = np.array([i for i, _ in tb.pairs])
+        pj = np.array([j for _, j in tb.pairs])
+        out = Ld[pi[:, None], pi[None, :]] * Rd[pj[:, None], pj[None, :]]
+    elif op_left is not None:
+        Ld = op_left.mat.toarray()
+        out = np.zeros((tb.size, tb.size), dtype=complex)
+        for _, (pidx, lidx) in by_right.items():
+            out[np.ix_(pidx, pidx)] = Ld[np.ix_(lidx, lidx)]
+    elif op_right is not None:
+        Rd = op_right.mat.toarray()
+        out = np.zeros((tb.size, tb.size), dtype=complex)
+        for _, (pidx, ridx) in by_left.items():
+            out[np.ix_(pidx, pidx)] = Rd[np.ix_(ridx, ridx)]
+    else:
+        out = np.eye(tb.size, dtype=complex)
+    herm = bool((op_left is None or op_left.hermitian) and
+                (op_right is None or op_right.hermitian))
+    return SparseOperator(sp.csr_matrix(out), herm)

@@ -40,6 +40,10 @@ class TestConfig:
         path = write_cfg(tmp_path, "nope.key = 1\n")
         assert run(["algebra", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
 
+    def test_removed_solver_k_key_exit_code(self, tmp_path):
+        path = write_cfg(tmp_path, "solver.k = 2\n")
+        assert run(["algebra", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+
     def test_config_hash_covers_seed(self, tmp_path):
         values = cli.parse_config(None)
         a = cli.RunConfig(values, seed=1, out_dir=tmp_path).hash()

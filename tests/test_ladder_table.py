@@ -1,0 +1,213 @@
+"""Ladder-table builders against the per-state loop oracles in ``oracles.py``.
+
+Every builder that does no floating-point rounding beyond the loop version's
+must agree exactly: equal values, equal sparsity and no stored zeros.  The
+sector recursions behind ``Gamma`` and ``dGamma2`` multiply in another order
+than the oracle, so they get a 1e-13 relative tolerance.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+import oracles
+from nelsonlab import fock, model, split
+
+GRIDS = {
+    1: fock.lattice_grid(8, [1], 0.2),
+    4: fock.line_grid(4, 1.0, 0.2),
+    8: fock.line_grid(8, 1.6, 0.2),
+}
+# energy caps that cut through boson-number sectors (M = 4, 8) or drop the top
+# sectors (M = 1, one state per sector)
+CAPS = {1: 1.2, 4: 0.9, 8: 1.3}
+BASES = ([(M, n, None) for M in (1, 4, 8) for n in range(4)]
+         + [(M, 3, CAPS[M]) for M in (1, 4, 8)])
+
+
+def basis_id(spec):
+    M, n, cap = spec
+    return f"M{M}-n{n}" + ("" if cap is None else f"-cap{cap}")
+
+
+@pytest.fixture(scope="module", params=BASES, ids=basis_id)
+def basis(request):
+    M, n, cap = request.param
+    return fock.build_basis(GRIDS[M], n, cap)
+
+
+def assert_exact(a, b):
+    a = a.tocsr(copy=True)
+    b = b.tocsr(copy=True)
+    a.sum_duplicates()
+    b.sum_duplicates()
+    assert a.shape == b.shape
+    assert np.all(a.data != 0) and np.all(b.data != 0)
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data, b.data)
+
+
+def assert_close(a, b, rel=1e-13):
+    a, b = a.toarray(), b.toarray()
+    assert a.shape == b.shape
+    assert np.abs(a - b).max(initial=0.0) <= rel * max(1.0, np.abs(b).max(initial=0.0))
+
+
+def rand_mat(rng, M, N=None):
+    N = M if N is None else N
+    return rng.normal(size=(M, N)) + 1j * rng.normal(size=(M, N))
+
+
+def test_ladder_table_matches_states(basis):
+    assert basis.occ.shape == basis.up.shape == (basis.size, basis.grid.n_modes)
+    assert [tuple(r) for r in basis.occ.tolist()] == list(basis.states)
+    for c, state in enumerate(basis.states):
+        for j in range(basis.grid.n_modes):
+            target = state[:j] + (state[j] + 1,) + state[j + 1:]
+            assert basis.up[c, j] == basis.index.get(target, -1)
+
+
+def test_creation_op_exact(basis):
+    rng = np.random.default_rng(1)
+    M = basis.grid.n_modes
+    h = rng.normal(size=M) + 1j * rng.normal(size=M)
+    h[0] = 0.0
+    assert_exact(fock.creation_op(basis, h).mat, oracles.creation_op(basis, h).mat)
+
+
+def test_dGamma_exact(basis):
+    rng = np.random.default_rng(2)
+    grid = basis.grid
+    M = grid.n_modes
+    b = rand_mat(rng, M)
+    herm = (b + fock.weighted_adjoint(grid, grid, b)) / 2.0
+    for op in (b, herm, grid.omega_mod, np.zeros(M)):
+        new, old = fock.dGamma(basis, op), oracles.dGamma(basis, op)
+        assert_exact(new.mat, old.mat)
+        assert new.hermitian == old.hermitian
+
+
+@pytest.mark.parametrize("M", [1, 4, 8])
+def test_dGamma_capped_is_compressed_uncapped(M):
+    full = fock.build_basis(GRIDS[M], 3)
+    capped = fock.build_basis(GRIDS[M], 3, CAPS[M])
+    assert 0 < capped.size < full.size
+    b = rand_mat(np.random.default_rng(3), M)
+    keep = [full.index[s] for s in capped.states]
+    compressed = fock.dGamma(full, b).mat[keep][:, keep]
+    assert_exact(fock.dGamma(capped, b).mat, compressed)
+
+
+def test_gamma_and_dgamma2_square(basis):
+    rng = np.random.default_rng(4)
+    M = basis.grid.n_modes
+    a, b = rand_mat(rng, M), rand_mat(rng, M)
+    assert_close(fock.Gamma(basis, a).mat, oracles.Gamma(basis, a).mat)
+    assert_close(fock.dGamma2(basis, a, b).mat, oracles.dGamma2(basis, a, b).mat)
+
+
+@pytest.mark.parametrize("spec", [(1, 3, None), (4, 2, None), (4, 3, None), (4, 3, 0.9)],
+                         ids=basis_id)
+def test_gamma_and_dgamma2_onto_doubled_grid(spec):
+    M, n, cap = spec
+    source = fock.build_basis(GRIDS[M], n, cap)
+    target = fock.build_basis(split.doubled_grid(GRIDS[M]), n, cap)
+    rng = np.random.default_rng(5)
+    a, b = rand_mat(rng, 2 * M, M), rand_mat(rng, 2 * M, M)
+    assert_close(fock.Gamma(source, a, basis_out=target).mat,
+                 oracles.Gamma(source, a, basis_out=target).mat)
+    assert_close(fock.dGamma2(source, a, b, basis_out=target).mat,
+                 oracles.dGamma2(source, a, b, basis_out=target).mat)
+
+
+def test_gamma_projects_onto_smaller_target():
+    source = fock.build_basis(GRIDS[4], 3)
+    target = fock.build_basis(GRIDS[4], 2, CAPS[4])
+    a = rand_mat(np.random.default_rng(6), 4)
+    assert_close(fock.Gamma(source, a, basis_out=target).mat,
+                 oracles.Gamma(source, a, basis_out=target).mat)
+
+
+# (1, 11, 22): fused occupations up to 22, past the int64 range of 22!
+TENSOR_SPECS = [(1, 3, 3, None), (1, 11, 22, None), (4, 2, 2, None), (4, 3, 3, None),
+                (4, 3, 2, None), (4, 3, 3, 0.9), (8, 2, 2, None)]
+
+
+def tensor_id(spec):
+    M, n, cap, e_cap = spec
+    return f"M{M}-n{n}-joint{cap}" + ("" if e_cap is None else f"-cap{e_cap}")
+
+
+@pytest.fixture(scope="module", params=TENSOR_SPECS, ids=tensor_id)
+def tensor(request):
+    M, n, cap, e_cap = request.param
+    left = fock.build_basis(GRIDS[M], n, e_cap)
+    right = fock.build_basis(GRIDS[M], n, e_cap)
+    return left, right, split.build_tensor_basis(left, right, joint_cap=cap), e_cap
+
+
+def test_tensor_basis_order(tensor):
+    left, right, tb, _ = tensor
+    pairs = oracles.build_tensor_basis(left, right, tb.joint_cap)
+    assert [tuple(p) for p in tb.pairs.tolist()] == list(pairs)
+    assert tb.index == {p: n for n, p in enumerate(pairs)}
+
+
+def test_tensor_iso_U_exact(tensor):
+    left, _, tb, e_cap = tensor
+    n_max = min(tb.joint_cap, left.n_max)
+    basis_sum = fock.build_basis(split.doubled_grid(left.grid), n_max, e_cap)
+    assert_exact(split.tensor_iso_U(basis_sum, tb).mat,
+                 oracles.tensor_iso_U(basis_sum, tb).mat)
+
+
+def test_tensor_iso_U_rejects_small_joint_cap():
+    grid = GRIDS[4]
+    left = fock.build_basis(grid, 3)
+    tb = split.build_tensor_basis(left, left, joint_cap=2)
+    basis_sum = fock.build_basis(split.doubled_grid(grid), 3)
+    for builder in (split.tensor_iso_U, oracles.tensor_iso_U):
+        with pytest.raises(split.IncompatibleCapsError):
+            builder(basis_sum, tb)
+
+
+def test_scattering_ident_exact(tensor):
+    left, _, tb, _ = tensor
+    for n_max in (tb.joint_cap, 1):
+        target = fock.build_basis(left.grid, n_max, left.e_cap)
+        new, old = split.scattering_ident(tb, target), oracles.scattering_ident(tb, target)
+        assert_exact(new.mat, old.mat)
+        assert new.info == old.info
+
+
+def test_tensor_factor_ops_exact(tensor):
+    left, right, tb, _ = tensor
+    rng = np.random.default_rng(7)
+    M = left.grid.n_modes
+    opl = fock.creation_op(left, rng.normal(size=M))
+    opr = fock.dGamma(right, rand_mat(rng, M))
+    for l, r in ((opl, opr), (opl, None), (None, opr), (None, None)):
+        new = split.tensor_factor_ops(tb, op_left=l, op_right=r)
+        old = oracles.tensor_factor_ops(tb, op_left=l, op_right=r)
+        assert_exact(new.mat, old.mat)
+        assert new.hermitian == old.hermitian
+
+
+@pytest.mark.parametrize("L, modes, n_max, e_cap", [
+    (32, [-16, -12, -8, -5, 5, 8, 12, 16], 1, None),
+    (12, [-3, -1, 2, 4], 2, None),
+    (12, [-3, -1, 2, 4], 2, 2.0),
+])
+def test_full_H_exact(L, modes, n_max, e_cap):
+    grid = fock.lattice_grid(L, modes, 0.2)
+    ms = model.ModelSpec(model.DispersionLaw("nonrel", 1.0), model.FormFactor(1.0, 1.0, 0.2),
+                         grid, 0.05)
+    fb = model.full_basis(ms, L, n_max, e_cap)
+    om_e = ms.disp.omega(fb.momenta[:, None])
+    om_b = np.array(fb.boson.states, dtype=float) @ ms.boson_omega()
+    diag = (om_e[:, None] + om_b[None, :]).ravel().astype(complex)
+    c = oracles.full_H_coupling(ms, fb)
+    assert c.nnz > 0
+    assert_exact(model.build_full_H(ms, fb).mat, (sp.diags(diag) + c + c.conj().T).tocsr())
+

@@ -140,6 +140,20 @@ class TestScan:
         c2 = spectral.dispersion_scan(ms_default, momenta, basis12, workers=3)
         assert np.array_equal(c1.energies, c2.energies)
 
+    def test_other_dispersion_nonconvergence_gives_nan_row(self, ms_default, basis12,
+                                                           monkeypatch):
+        real = spectral.ground_state
+
+        def failing_on_other(H, k=2, **kw):
+            if H.info["use_modified"] != ms_default.use_modified:
+                raise spectral.ConvergenceError("forced")
+            return real(H, k=k, **kw)
+
+        monkeypatch.setattr(spectral, "ground_state", failing_on_other)
+        curve = spectral.dispersion_scan(ms_default, [np.array([0.2])], basis12)
+        assert not curve.converged[0]
+        assert np.isnan(curve.energies[0]) and np.isnan(curve.free_mod_agree[0])
+
     def test_curve_csv_format(self, ms_default, basis12):
         curve = spectral.dispersion_scan(ms_default, [np.array([0.2])], basis12)
         lines = curve.to_csv().strip().split("\n")
