@@ -50,10 +50,6 @@ def _parse_optfloat(s: str):
     return None if s.lower() in ("none", "") else float(s)
 
 
-def _parse_intlist(s: str):
-    return tuple(int(x) for x in s.split(";") if x.strip())
-
-
 def _parse_floatlist(s: str):
     return tuple(float(x) for x in s.split(";") if x.strip())
 
@@ -89,12 +85,6 @@ SCHEMA = {
     "dynamics.ratio": (float, 1.5),
     "dynamics.krylov_dim": (int, 40),
     "dynamics.step_tol": (float, 1e-11),
-    "dynamics.lattice_sites": (int, 128),
-    "dynamics.mode_indices": (_parse_intlist, (-16, -12, -8, -5, 5, 8, 12, 16)),
-    "dynamics.p0": (float, 0.05),
-    "dynamics.dp": (float, 0.06),
-    "dynamics.sigma_top": (float, 0.045),
-    "dynamics.filter_width": (float, 0.6),
     "cutoffs.beta": (float, 0.3),
     "cutoffs.beta0": (float, 0.34),
     "cutoffs.beta1": (float, 0.38),
@@ -340,8 +330,10 @@ def cmd_mourre(cfg: RunConfig) -> int:
     cfg_hash = cfg.hash()
     write_csv(cfg.out_dir / "mourre_sweep.csv", ["g", "min_r", "fitted_C"],
               [(r[0], r[1], r[2]) for r in sweep["rows"]], cfg_hash)
+    ok = bool(sweep["min_r0"] >= -1e-10)
     report = {
         "min_r_g0": sweep["min_r0"],
+        "min_r0_nonnegative": ok,
         "fitted_C": [r[2] for r in sweep["rows"]],
         "per_sample_g0": scan0["per_sample"],
         "loglog_slope": sweep["loglog_slope"],
@@ -352,8 +344,7 @@ def cmd_mourre(cfg: RunConfig) -> int:
         "config_hash": cfg_hash,
     }
     write_json(cfg.out_dir / "mourre_report.json", report)
-    ok = sweep["min_r0"] >= -1e-10
-    write_manifest(cfg, "mourre", {"min_r0_nonnegative": bool(ok)})
+    write_manifest(cfg, "mourre", {"min_r0_nonnegative": ok})
     return EXIT_PASS if ok else EXIT_VERDICT
 
 
@@ -475,10 +466,13 @@ def cmd_report(cfg: RunConfig) -> int:
         if path.exists():
             payload = json.loads(path.read_text(encoding="utf-8"))
             collected[name] = payload
-            for key in ("passed", "sandwich_ok", "conservation",
-                        "dressed_w_vanishes", "outer_vacuum_small"):
+            for key in ("passed", "sandwich_ok", "min_r0_nonnegative", "conservation",
+                        "dressed_w_vanishes", "outer_vacuum_small", "bounded"):
                 if key in payload and payload[key] is False:
                     ok = False
+    if not collected:
+        sys.stderr.write(f"no report found in {cfg.out_dir}\n")
+        ok = False
     summary = {"reports": sorted(collected), "all_pass": ok, "config_hash": cfg.hash()}
     write_json(cfg.out_dir / "report.json", summary)
     write_manifest(cfg, "report", {"all_pass": ok})

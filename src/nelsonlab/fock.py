@@ -29,6 +29,9 @@ index gathers on ``occ`` and ``up``, exact on capped bases as well.
 The field operator follows the symmetric normalization
 
     phi(h) = (a(h) + a*(h)) / sqrt(2) .
+
+Ladder, field, number and ``dGamma`` operators take the dtype of their
+coefficients: real mode data give float64 matrices, complex data complex ones.
 """
 
 from __future__ import annotations
@@ -436,9 +439,6 @@ class SparseOperator:
         d = self.mat - self.mat.conj().T
         return float(np.abs(d.toarray()).max()) if d.nnz else 0.0
 
-    def norm2(self) -> float:
-        return float(np.linalg.norm(self.dense(), 2))
-
     def to_csv(self) -> str:
         """Coordinate-triplet dump: row, col, re, im."""
         coo = self.mat.tocoo()
@@ -450,18 +450,16 @@ class SparseOperator:
 
 
 def _coo(basis_out, basis_in, rows, cols, data, hermitian=False) -> SparseOperator:
-    mat = sp.coo_matrix((data, (rows, cols)),
-                        shape=(basis_out.size, basis_in.size), dtype=complex).tocsr()
+    mat = sp.coo_matrix((data, (rows, cols)), shape=(basis_out.size, basis_in.size)).tocsr()
     return SparseOperator(mat, hermitian, basis_out, basis_in)
 
 
 def identity_op(basis: OccupationBasis) -> SparseOperator:
-    return SparseOperator(sp.identity(basis.size, dtype=complex, format="csr"),
-                          True, basis, basis)
+    return SparseOperator(sp.identity(basis.size, format="csr"), True, basis, basis)
 
 
 def _check_modes(basis: OccupationBasis, h) -> np.ndarray:
-    h = np.asarray(h, dtype=complex)
+    h = np.asarray(h)
     if h.shape != (basis.grid.n_modes,):
         raise DimensionMismatchError("mode coefficient length != mode count")
     return h
@@ -495,13 +493,13 @@ def field_op(basis: OccupationBasis, h) -> SparseOperator:
 
 
 def number_op(basis: OccupationBasis) -> SparseOperator:
-    n = basis.total_numbers().astype(complex)
+    n = basis.total_numbers().astype(float)
     return SparseOperator(sp.diags(n, format="csr"), True, basis, basis)
 
 
 def _as_mode_matrix(basis: OccupationBasis, b) -> np.ndarray:
     M = basis.grid.n_modes
-    b = np.asarray(b, dtype=complex)
+    b = np.asarray(b)
     if b.ndim == 1:
         if b.shape != (M,):
             raise DimensionMismatchError("diagonal mode operator length != mode count")
@@ -525,7 +523,7 @@ def dGamma(basis: OccupationBasis, b) -> SparseOperator:
     if herm and defect > 0.0:
         bo = (bo + bo.conj().T) / 2.0
     occ, up = basis.occ, basis.up
-    diag = np.zeros(basis.size, dtype=complex)
+    diag = np.zeros(basis.size, dtype=bo.dtype)
     for j in range(bo.shape[0]):
         diag += occ[:, j] * bo[j, j]
     c = np.flatnonzero(diag)
@@ -630,7 +628,7 @@ def dGamma2(basis_in: OccupationBasis, a, b, basis_out: OccupationBasis | None =
 
 def guarded_projector(basis: OccupationBasis, margin: int = 1) -> SparseOperator:
     """Projection onto the sector N <= n_max - margin."""
-    keep = (basis.total_numbers() <= basis.n_max - margin).astype(complex)
+    keep = (basis.total_numbers() <= basis.n_max - margin).astype(float)
     return SparseOperator(sp.diags(keep, format="csr"), True, basis, basis)
 
 
@@ -638,4 +636,4 @@ def interacting_projector(basis: OccupationBasis, sigma: float | None = None) ->
     """Gamma(chi_i): projection onto states with zero soft-mode occupancy."""
     soft = basis.grid.soft_mask(sigma)
     keep = ~np.any(basis.occ[:, soft] > 0, axis=1)
-    return SparseOperator(sp.diags(keep.astype(complex), format="csr"), True, basis, basis)
+    return SparseOperator(sp.diags(keep.astype(float), format="csr"), True, basis, basis)

@@ -242,7 +242,7 @@ def build_fiber_H(ms: ModelSpec, P, basis: OccupationBasis,
                   bz_width: float | None = None) -> SparseOperator:
     """Fiber Hamiltonian at total momentum P on the occupation basis."""
     diag = fiber_diagonal(ms, P, basis, bz_width)
-    H = sp.diags(diag.astype(complex), format="csr")
+    H = sp.diags(diag, format="csr")
     if ms.g != 0.0:
         H = H + ms.g * field_op(basis, ms.coupling_samples()).mat
     op = SparseOperator(H.tocsr(), True, basis, basis)
@@ -317,7 +317,7 @@ def build_full_H(ms: ModelSpec, fb: FullBasis) -> SparseOperator:
     occ, up = fb.boson.occ, fb.boson.up
     om_e = ms.disp.omega(fb.momenta[:, None])
     om_b = occ @ ms.boson_omega()
-    diag = (om_e[:, None] + om_b[None, :]).ravel().astype(complex)
+    diag = (om_e[:, None] + om_b[None, :]).ravel()
     amp = np.sqrt(ms.grid.weights) * ms.coupling_samples() * ms.g / math.sqrt(2.0)
     modes = np.flatnonzero(amp)
     b, k = np.nonzero(up[:, modes] >= 0)
@@ -327,7 +327,7 @@ def build_full_H(ms: ModelSpec, fb: FullBasis) -> SparseOperator:
     rows = ((e - fb.mode_m[j]) % L * nb + up[b, j]).ravel()
     cols = (e * nb + b).ravel()
     data = np.tile(amp[j] * np.sqrt(occ[b, j] + 1), L)
-    mat = sp.coo_matrix((data, (rows, cols)), shape=(fb.size, fb.size), dtype=complex)
+    mat = sp.coo_matrix((data, (rows, cols)), shape=(fb.size, fb.size))
     mat = (sp.diags(diag) + mat + mat.conj().T).tocsr()
     return SparseOperator(mat, True, None, None,
                           info={"n_sites": L, "use_modified": ms.use_modified,
@@ -345,7 +345,7 @@ def _total_m(fb: FullBasis, wrapped: bool) -> np.ndarray:
 def total_momentum_op(fb: FullBasis, wrapped: bool = True) -> SparseOperator:
     """Diagonal total momentum p + dGamma(k), reduced to the zone when wrapped."""
     vals = (2.0 * np.pi / fb.n_sites) * _total_m(fb, wrapped)
-    return SparseOperator(sp.diags(vals.astype(complex), format="csr"), True)
+    return SparseOperator(sp.diags(vals, format="csr"), True)
 
 
 def momentum_blocks(fb: FullBasis) -> dict:

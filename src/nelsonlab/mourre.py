@@ -164,12 +164,11 @@ def commutator_iHA(ms: ModelSpec, P, basis: OccupationBasis,
     gradO = ms.disp.grad(P[None, :] - K)
     dgv = basis.occ @ vel
     diag2 = -np.sum(gradO * dgv, axis=1)
-    t2 = SparseOperator(sp.diags(diag2.astype(complex), format="csr"), True, basis, basis)
+    t2 = SparseOperator(sp.diags(diag2, format="csr"), True, basis, basis)
     # term 3: -g phi(i a kappa_sigma)
     out = t1 + t2
     if ms.g != 0.0:
-        kap = ms.coupling_samples().astype(complex)
-        t3 = field_op(basis, 1j * (conj.a_op @ kap))
+        t3 = field_op(basis, 1j * (conj.a_op @ ms.coupling_samples()))
         out = out - (ms.g * t3)
     mat = (out.mat + out.mat.conj().T) / 2.0
     return SparseOperator(mat.tocsr(), True, basis, basis)

@@ -228,4 +228,4 @@ def tensor_factor_ops(tb: TensorBasis, op_left: SparseOperator | None = None,
 def outer_number_projector(tb: TensorBasis, n: int = 0) -> SparseOperator:
     """Projection 1 x chi(N = n) on the pair basis."""
     keep = tb.right.total_numbers()[tb.pairs[:, 1]] == n
-    return SparseOperator(sp.diags(keep.astype(complex), format="csr"), True)
+    return SparseOperator(sp.diags(keep.astype(float), format="csr"), True)

@@ -40,8 +40,11 @@ class TestConfig:
         path = write_cfg(tmp_path, "nope.key = 1\n")
         assert run(["algebra", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
 
-    def test_removed_solver_k_key_exit_code(self, tmp_path):
-        path = write_cfg(tmp_path, "solver.k = 2\n")
+    @pytest.mark.parametrize("key", ["solver.k", "dynamics.lattice_sites",
+                                     "dynamics.mode_indices", "dynamics.p0", "dynamics.dp",
+                                     "dynamics.sigma_top", "dynamics.filter_width"])
+    def test_removed_key_exit_code(self, tmp_path, key):
+        path = write_cfg(tmp_path, f"{key} = 2\n")
         assert run(["algebra", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
 
     def test_config_hash_covers_seed(self, tmp_path):
@@ -99,6 +102,27 @@ class TestCommands:
         assert run(["report", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_PASS
         rep = json.loads((tmp_path / "report.json").read_text())
         assert rep["all_pass"]
+
+    def test_report_without_reports_fails(self, tmp_path):
+        assert run(["report", "--out", str(tmp_path)]) == cli.EXIT_VERDICT
+        assert not json.loads((tmp_path / "report.json").read_text())["all_pass"]
+
+    def test_report_ands_mourre_verdict(self, tmp_path):
+        path = write_cfg(tmp_path, "mourre.samples = 4\nmourre.g_sweep = 0.01;0.02\n")
+        assert run(["mourre", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_PASS
+        rep_path = tmp_path / "mourre_report.json"
+        rep = json.loads(rep_path.read_text())
+        assert rep["min_r0_nonnegative"] is True
+        assert run(["report", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_PASS
+        rep["min_r0_nonnegative"] = False
+        rep_path.write_text(json.dumps(rep))
+        assert run(["report", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_VERDICT
+
+    def test_report_ands_wplus_bounded(self, tmp_path):
+        (tmp_path / "wplus_report.json").write_text(json.dumps(
+            {"outer_vacuum_small": True, "bounded": False}))
+        assert run(["report", "--out", str(tmp_path)]) == cli.EXIT_VERDICT
+        assert not json.loads((tmp_path / "report.json").read_text())["all_pass"]
 
     def test_manifest_written_with_hash(self, tmp_path):
         path = write_cfg(tmp_path, "algebra.draws = 2\nalgebra.n_max = 1\n")

@@ -209,5 +209,7 @@ def test_full_H_exact(L, modes, n_max, e_cap):
     diag = (om_e[:, None] + om_b[None, :]).ravel().astype(complex)
     c = oracles.full_H_coupling(ms, fb)
     assert c.nnz > 0
-    assert_exact(model.build_full_H(ms, fb).mat, (sp.diags(diag) + c + c.conj().T).tocsr())
+    H = model.build_full_H(ms, fb).mat
+    assert H.dtype == np.float64
+    assert_exact(H, (sp.diags(diag) + c + c.conj().T).tocsr())
 

@@ -4,12 +4,26 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import oracles
 from nelsonlab import fock, model, spectral
 from nelsonlab.fock import SparseOperator
 
 
 def fiber(ms, P, basis):
     return model.build_fiber_H(ms, np.atleast_1d(P), basis)
+
+
+class TestRealHamiltonians:
+    """The default model's fiber H is float64 and equals the loop oracle
+    (the chain H is checked in ``test_ladder_table.test_full_H_exact``)."""
+
+    def test_fiber_H_is_real(self, ms_default, basis12):
+        H = fiber(ms_default, 0.25, basis12).mat
+        assert H.dtype == np.float64
+        c = oracles.creation_op(basis12, ms_default.coupling_samples()).mat
+        ref = (sp.diags(model.fiber_diagonal(ms_default, [0.25], basis12))
+               + ms_default.g * ((c + c.conj().T) / math.sqrt(2.0)))
+        assert np.array_equal(H.toarray(), ref.toarray())
 
 
 class TestGroundState:
@@ -53,6 +67,26 @@ class TestGroundState:
         assert np.abs(vals - dense.eigenvalues).max() < 1e-10
         for i in range(3):
             overlap = abs(np.vdot(vecs[:, i], dense.eigenvectors[i].amps))
+            assert overlap == pytest.approx(1.0, abs=1e-8)
+
+    def test_lanczos_nonconvergence_reports_matvecs(self, ms_default, basis12):
+        H = fiber(ms_default, 0.25, basis12)
+        with pytest.raises(spectral.ConvergenceError) as info:
+            spectral.lanczos_lowest(H.mat, 2, 1e-15, max_iter=1)
+        assert info.value.diagnostics["iterations"] > 0
+
+    def test_iterative_path_matches_dense_oracle(self, ms_default):
+        grid = fock.line_grid(22, 1.5, 0.2)
+        basis = fock.build_basis(grid, 3)
+        assert basis.size == 2300 > spectral.DENSE_CUTOFF
+        ms = model.ModelSpec(ms_default.disp, ms_default.ff, grid, ms_default.g)
+        H = fiber(ms, 0.25, basis)
+        res = spectral.ground_state(H, k=2, tol=1e-11)
+        assert res.meta["method"] == "eigsh" and res.meta["iterations"] > 0
+        vals, vecs = np.linalg.eigh(H.dense())
+        assert np.abs(res.eigenvalues - vals[:2]).max() < 1e-10
+        for i in range(2):
+            overlap = abs(np.vdot(vecs[:, i], res.eigenvectors[i].amps))
             assert overlap == pytest.approx(1.0, abs=1e-8)
 
     def test_residuals_and_orthonormality(self, ms_default, basis12):
