@@ -358,24 +358,21 @@ def cmd_evolve(cfg: RunConfig) -> int:
     psi /= np.linalg.norm(psi)
     times = dynamics.geometric_times(v["dynamics.t0"], v["dynamics.t_max"], v["dynamics.ratio"])
     prop = dynamics.Propagation(H, psi, times, v["dynamics.krylov_dim"], v["dynamics.step_tol"])
-    try:
-        track = dynamics._track_snapshots(prop, lambda p, t: float(np.vdot(p, H.mat @ p).real))
-    except dynamics.KrylovBreakdownError:
-        return EXIT_NUMERICS
+    track = dynamics._track_snapshots(prop, lambda p, t: float(np.vdot(p, H.mat @ p).real))
     conserved = dynamics.check_conservation(track)
     # dense oracle on small problems
     mismatch = math.nan
     if basis.size <= 400:
         from scipy.linalg import expm as dense_expm
         t_ref = float(times[min(3, len(times) - 1)])
-        u_k = dynamics.krylov_expm_apply(H.mat, psi, t_ref, tol=v["dynamics.step_tol"])
+        u_k = dynamics.krylov_expm_apply(H.mat, psi, t_ref, tol=prop.step_tol, m=prop.krylov_dim)
         u_d = dense_expm(-1j * t_ref * H.dense()) @ psi
         mismatch = float(np.linalg.norm(u_k - u_d))
     # g=0 phase exactness
     ms0 = model.ModelSpec(ms.disp, ms.ff, ms.grid, 0.0, ms.use_modified)
     H0 = model.build_fiber_H(ms0, P0, basis)
     d0 = np.real(np.asarray(H0.mat.diagonal()))
-    u = dynamics.krylov_expm_apply(H0.mat, psi, 5.0, tol=v["dynamics.step_tol"])
+    u = dynamics.krylov_expm_apply(H0.mat, psi, 5.0, tol=prop.step_tol, m=prop.krylov_dim)
     phase_defect = float(np.linalg.norm(u - np.exp(-1j * d0 * 5.0) * psi))
     cfg_hash = cfg.hash()
     write_csv(cfg.out_dir / "evolve_track.csv",
@@ -385,14 +382,18 @@ def cmd_evolve(cfg: RunConfig) -> int:
               cfg_hash)
     verdicts = {
         "conservation": bool(conserved),
+        "phase_exact": bool(phase_defect < 1e-8),
         "dense_mismatch": mismatch,
         "phase_defect_g0": phase_defect,
         "config_hash": cfg_hash,
     }
+    if not math.isnan(mismatch):
+        verdicts["dense_agrees"] = bool(mismatch < 1e-8)
     write_json(cfg.out_dir / "evolve_report.json", verdicts)
-    write_manifest(cfg, "evolve", {"conservation": bool(conserved)})
-    ok = conserved and phase_defect < 1e-8 and (math.isnan(mismatch) or mismatch < 1e-8)
-    return EXIT_PASS if ok else EXIT_VERDICT
+    passed = {k: verdicts[k] for k in ("conservation", "phase_exact", "dense_agrees")
+              if k in verdicts}
+    write_manifest(cfg, "evolve", passed)
+    return EXIT_PASS if all(passed.values()) else EXIT_VERDICT
 
 
 def cmd_w(cfg: RunConfig) -> int:
@@ -467,7 +468,8 @@ def cmd_report(cfg: RunConfig) -> int:
             payload = json.loads(path.read_text(encoding="utf-8"))
             collected[name] = payload
             for key in ("passed", "sandwich_ok", "min_r0_nonnegative", "conservation",
-                        "dressed_w_vanishes", "outer_vacuum_small", "bounded"):
+                        "phase_exact", "dense_agrees", "dressed_w_vanishes",
+                        "outer_vacuum_small", "bounded"):
                 if key in payload and payload[key] is False:
                     ok = False
     if not collected:
@@ -517,7 +519,7 @@ def main(argv=None) -> int:
     except (ConfigError, fock.GridError, fock.BasisError, ValueError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
-    except ConvergenceError as exc:
+    except (ConvergenceError, dynamics.KrylovBreakdownError) as exc:
         sys.stderr.write(f"numerical non-convergence: {exc}\n")
         return EXIT_NUMERICS
 

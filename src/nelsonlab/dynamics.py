@@ -111,73 +111,84 @@ def geometric_times(t0: float, t_max: float, ratio: float = 1.5) -> np.ndarray:
 
 def krylov_expm_apply(mat: sp.csr_matrix, v: np.ndarray, dt: float,
                       tol: float = 1e-10, m: int = 40) -> np.ndarray:
-    """exp(-i dt H) v for Hermitian H by Lanczos with adaptive substeps."""
+    """exp(-i dt H) v for Hermitian H by Lanczos with adaptive substeps.
+
+    Each accepted substep costs one m-step Lanczos block.  The block does not
+    depend on the step size, so a rejected substep halves h and reuses it.
+    """
     nrm = np.linalg.norm(v)
     if nrm == 0 or dt == 0:
         return v.copy()
     sign = 1.0 if dt > 0 else -1.0
     total = abs(dt)
     remaining = total
-    # warm-start cap: keep the phase range per step within the Krylov degree
-    rho = _spectral_range_estimate(mat, v, m)
-    h = min(total, m / max(rho, 1e-12))
     out = v.copy()
+    h = None
     guard = 0
     while remaining > 1e-15 * total:
+        V, nrm, T = _lanczos_block(mat, out, m)
+        if h is None:
+            # warm-start cap: keep the phase range per step within the Krylov degree
+            h = min(total, m / max(_spectral_range_estimate(T), 1e-12))
         h = min(h, remaining)
-        step, err = _krylov_step(mat, out, sign * h, m)
-        if err > tol * max(h / total, 1e-3):
+        step, err = _krylov_step(V, nrm, T, sign * h)
+        while err > tol * max(h / total, 1e-3):
             h /= 2.0
             guard += 1
             if guard > 60:
                 raise KrylovBreakdownError("substep refinement exhausted")
-            continue
+            step, err = _krylov_step(V, nrm, T, sign * h)
         out = step
         remaining -= h
-        if err < 0.01 * tol:
+        if err <= 0.01 * tol:
             h *= 1.5
     return out
 
 
-def _spectral_range_estimate(mat, v, m) -> float:
-    """Gershgorin bound on the Ritz values of a pilot Krylov block."""
-    _, _, alpha, beta, k = _lanczos_block(mat, v, min(m, 12))
-    if k == 0:
-        return 0.0
-    return float(np.abs(alpha[:k]).max() + 2.0 * (np.abs(beta[:k]).max() if k > 1 else 0.0))
+def _spectral_range_estimate(T) -> float:
+    """Gershgorin bound on the Ritz values of the leading 12 x 12 section of
+    the first block's tridiagonal T (its first 12 Lanczos steps)."""
+    T = T[:12, :12]
+    off = np.abs(np.diag(T, 1))
+    return float(np.abs(np.diag(T)).max() + 2.0 * (off.max() if off.size else 0.0))
 
 
 def _lanczos_block(mat, v, m):
+    """Orthonormal Krylov basis as rows V (k, n), the norm of v, and the
+    k x k tridiagonal projection T of mat, with full reorthogonalization."""
     n = mat.shape[0]
     nrm = np.linalg.norm(v)
     m = min(m, n)
-    V = np.zeros((n, m), dtype=complex)
+    V = np.zeros((m, n), dtype=complex)
     alpha = np.zeros(m)
     beta = np.zeros(m)
-    V[:, 0] = v / nrm
+    V[0] = v / nrm
     k = m
     for j in range(m):
-        w = mat @ V[:, j]
-        a = float(np.real(np.vdot(V[:, j], w)))
+        w = mat @ V[j]
+        a = float(np.real(np.vdot(V[j], w)))
         alpha[j] = a
-        w = w - a * V[:, j]
+        w -= a * V[j]
         if j > 0:
-            w = w - beta[j - 1] * V[:, j - 1]
-        w = w - V[:, :j + 1] @ (V[:, :j + 1].conj().T @ w)
+            w -= beta[j - 1] * V[j - 1]
+        # projections <V_i, w> without copying or conjugating the basis
+        w -= (V[:j + 1] @ w.conj()).conj() @ V[:j + 1]
         b = float(np.linalg.norm(w))
         if j == m - 1 or b < 1e-14:
             k = j + 1
             break
         beta[j] = b
-        V[:, j + 1] = w / b
-    return V, nrm, alpha, beta, k
-
-
-def _krylov_step(mat, v, h, m):
-    V, nrm, alpha, beta, k = _lanczos_block(mat, v, m)
+        V[j + 1] = w / b
     T = np.diag(alpha[:k]) + np.diag(beta[:k - 1], 1) + np.diag(beta[:k - 1], -1)
+    return V[:k], nrm, T
+
+
+def _krylov_step(V, nrm, T, h):
+    """exp(-i h H) applied to the block's start vector, with the
+    order-difference error estimate."""
+    k = T.shape[0]
     eT = dense_expm(-1j * h * T)
-    u = nrm * (V[:, :k] @ eT[:, 0])
+    u = nrm * (eT[:, 0] @ V)
     if k < 3:
         return u, 0.0
     # order-difference estimate: compare against the (k-2)-dimensional solution

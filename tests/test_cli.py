@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from nelsonlab import cli
+from nelsonlab import cli, dynamics
 
 
 def run(args):
@@ -123,6 +123,38 @@ class TestCommands:
             {"outer_vacuum_small": True, "bounded": False}))
         assert run(["report", "--out", str(tmp_path)]) == cli.EXIT_VERDICT
         assert not json.loads((tmp_path / "report.json").read_text())["all_pass"]
+
+    @pytest.mark.parametrize("key", ["phase_exact", "dense_agrees"])
+    def test_report_ands_evolve_verdicts(self, tmp_path, key):
+        rep = {"conservation": True, "phase_exact": True, "dense_agrees": True}
+        (tmp_path / "evolve_report.json").write_text(json.dumps(rep))
+        assert run(["report", "--out", str(tmp_path)]) == cli.EXIT_PASS
+        rep[key] = False
+        (tmp_path / "evolve_report.json").write_text(json.dumps(rep))
+        assert run(["report", "--out", str(tmp_path)]) == cli.EXIT_VERDICT
+
+    def test_evolve_checks_use_configured_krylov_dim(self, tmp_path, monkeypatch):
+        seen = []
+
+        def spy(mat, v, dt, tol=1e-10, m=40):
+            seen.append(m)
+            return v.copy()
+
+        monkeypatch.setattr(dynamics, "krylov_expm_apply", spy)
+        path = write_cfg(tmp_path, "dynamics.krylov_dim = 8\ndynamics.t_max = 4\n")
+        run(["evolve", "--config", path, "--out", str(tmp_path)])
+        n_times = len(dynamics.geometric_times(1.0, 4.0, 1.5))
+        # the snapshots, the dense oracle and the g=0 phase check
+        assert seen == [8] * (n_times + 2)
+
+    @pytest.mark.parametrize("command", ["evolve", "w"])
+    def test_krylov_breakdown_exit_code(self, tmp_path, monkeypatch, command):
+        def breakdown(*args, **kwargs):
+            raise dynamics.KrylovBreakdownError("substep refinement exhausted")
+
+        monkeypatch.setattr(dynamics, "krylov_expm_apply", breakdown)
+        path = write_cfg(tmp_path, "grid.n_modes = 8\n")
+        assert run([command, "--config", path, "--out", str(tmp_path)]) == cli.EXIT_NUMERICS
 
     def test_manifest_written_with_hash(self, tmp_path):
         path = write_cfg(tmp_path, "algebra.draws = 2\nalgebra.n_max = 1\n")

@@ -76,6 +76,63 @@ class TestKrylov:
         track = dynamics._track_snapshots(prop, lambda p, t: 0.0)
         assert dynamics.check_conservation(track)
 
+    @staticmethod
+    def _counted_propagation(monkeypatch, H, v, t, tol, m=40):
+        """Propagate while counting matvecs and substep attempts.
+
+        An attempt is accepted when propagation continues from its result:
+        the result is the final state or the start vector of a later block.
+        """
+        inputs, attempts = [], []
+
+        class CountingH:
+            shape = H.mat.shape
+
+            def __matmul__(self, x):
+                inputs.append(x.copy())
+                return H.mat @ x
+
+        real = dynamics._krylov_step
+
+        def spy(*args):
+            u, err = real(*args)
+            attempts.append(u)
+            return u, err
+
+        monkeypatch.setattr(dynamics, "_krylov_step", spy)
+        out = dynamics.krylov_expm_apply(CountingH(), v, t, tol=tol, m=m)
+        accepted = sum(1 for u in attempts if u is out or any(
+            np.array_equal(x, u / np.linalg.norm(u)) for x in inputs))
+        return out, len(inputs), len(attempts), accepted
+
+    def test_one_block_per_accepted_substep(self, fiber_setup, rng, monkeypatch):
+        """No pilot block and no rebuild after a rejected substep: the
+        matvecs are m per accepted substep."""
+        _, basis, H = fiber_setup
+        v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+        v /= np.linalg.norm(v)
+        m = 40
+        _, matvecs, attempts, accepted = self._counted_propagation(
+            monkeypatch, H, v, 100.0, 1e-12, m)
+        assert attempts > accepted  # the rejection path ran
+        assert matvecs == m * accepted
+
+    def test_rejected_substeps_match_dense_expm(self, fiber_setup, rng, monkeypatch):
+        _, basis, H = fiber_setup
+        v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+        v /= np.linalg.norm(v)
+        t = 100.0
+        u_k, _, attempts, accepted = self._counted_propagation(monkeypatch, H, v, t, 1e-12)
+        assert attempts > accepted
+        u_d = dense_expm(-1j * t * H.dense()) @ v
+        assert np.linalg.norm(u_k - u_d) < 1e-8
+
+    def test_zero_tolerance_raises_breakdown(self, fiber_setup, rng):
+        _, basis, H = fiber_setup
+        v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+        with pytest.raises(dynamics.KrylovBreakdownError):
+            dynamics.krylov_expm_apply(H.mat, v, 1.0, tol=0.0)
+
 
 class TestCutoffs:
     def test_threshold_ordering_enforced(self):
