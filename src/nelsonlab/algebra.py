@@ -209,9 +209,8 @@ def run_algebra_suite(n_modes: int = 4, n_max: int = 3, draws: int = 100,
         vt = _rand_vec(rng, basis.size)
         dbg = split.dbreve_gamma2(jstack, k0, kinf, basis, tb, basis_sum=basis_sum)
         lhs_u = abs(complex(np.vdot(ut, dbg.mat @ vt)))
-        from .dynamics import weighted_abs
-        abs_k0 = weighted_abs(grid, k0)
-        abs_kinf = weighted_abs(grid, kinf)
+        abs_k0 = fock.weighted_abs(grid, k0)
+        abs_kinf = fock.weighted_abs(grid, kinf)
         t_l = split.tensor_factor_ops(tb, op_left=fock.dGamma(basis, abs_k0)).mat
         t_r = split.tensor_factor_ops(tb, op_right=fock.dGamma(basis, abs_kinf)).mat
         rhs_u = (np.sqrt(max(0.0, float(np.vdot(ut, t_l @ ut).real)))

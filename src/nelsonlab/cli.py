@@ -173,6 +173,12 @@ def write_csv(path: Path, header: list, rows: list, cfg_hash: str):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def write_track_csv(path: Path, track: dynamics.ObservableTrack, cfg_hash: str):
+    write_csv(path, ["t", "value", "running_integral", "norm_drift", "energy_drift"],
+              list(zip(track.times, track.values, track.running_integral,
+                       track.norm_drift, track.energy_drift)), cfg_hash)
+
+
 def write_json(path: Path, payload: dict):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n",
                     encoding="utf-8")
@@ -375,11 +381,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
     u = dynamics.krylov_expm_apply(H0.mat, psi, 5.0, tol=prop.step_tol, m=prop.krylov_dim)
     phase_defect = float(np.linalg.norm(u - np.exp(-1j * d0 * 5.0) * psi))
     cfg_hash = cfg.hash()
-    write_csv(cfg.out_dir / "evolve_track.csv",
-              ["t", "value", "running_integral", "norm_drift", "energy_drift"],
-              [(track.times[i], track.values[i], track.running_integral[i],
-                track.norm_drift[i], track.energy_drift[i]) for i in range(len(track.times))],
-              cfg_hash)
+    write_track_csv(cfg.out_dir / "evolve_track.csv", track, cfg_hash)
     verdicts = {
         "conservation": bool(conserved),
         "phase_exact": bool(phase_defect < 1e-8),
@@ -412,11 +414,7 @@ def cmd_w(cfg: RunConfig) -> int:
                                 v["dynamics.step_tol"])
     track = dynamics.W_estimate(prop, basis, cuts, ycalc)
     cfg_hash = cfg.hash()
-    write_csv(cfg.out_dir / "w_track.csv",
-              ["t", "value", "running_integral", "norm_drift", "energy_drift"],
-              [(track.times[i], track.values[i], track.running_integral[i],
-                track.norm_drift[i], track.energy_drift[i]) for i in range(len(track.times))],
-              cfg_hash)
+    write_track_csv(cfg.out_dir / "w_track.csv", track, cfg_hash)
     verdicts = {"dressed_w_final": track.final(),
                 "dressed_w_vanishes": bool(track.final() < 1e-6),
                 "config_hash": cfg_hash}
@@ -458,24 +456,31 @@ def cmd_wplus(cfg: RunConfig) -> int:
     return EXIT_PASS if all(track.verdicts.values()) else EXIT_VERDICT
 
 
+# one report per verdict-producing subcommand; report fails unless all are present
+EXPECTED_REPORTS = ("algebra_report", "dispersion_verdicts", "mourre_report",
+                    "evolve_report", "w_report", "wplus_report")
+
+
 def cmd_report(cfg: RunConfig) -> int:
-    collected = {}
+    collected, missing = {}, []
     ok = True
-    for name in ("algebra_report", "dispersion_verdicts", "mourre_report",
-                 "evolve_report", "w_report", "wplus_report"):
+    for name in EXPECTED_REPORTS:
         path = cfg.out_dir / f"{name}.json"
-        if path.exists():
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            collected[name] = payload
-            for key in ("passed", "sandwich_ok", "min_r0_nonnegative", "conservation",
-                        "phase_exact", "dense_agrees", "dressed_w_vanishes",
-                        "outer_vacuum_small", "bounded"):
-                if key in payload and payload[key] is False:
-                    ok = False
-    if not collected:
-        sys.stderr.write(f"no report found in {cfg.out_dir}\n")
+        if not path.exists():
+            missing.append(name)
+            continue
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        collected[name] = payload
+        for key in ("passed", "sandwich_ok", "min_r0_nonnegative", "conservation",
+                    "phase_exact", "dense_agrees", "dressed_w_vanishes",
+                    "outer_vacuum_small", "bounded"):
+            if key in payload and payload[key] is False:
+                ok = False
+    if missing:
+        sys.stderr.write(f"missing reports in {cfg.out_dir}: {', '.join(missing)}\n")
         ok = False
-    summary = {"reports": sorted(collected), "all_pass": ok, "config_hash": cfg.hash()}
+    summary = {"reports": sorted(collected), "missing": missing, "all_pass": ok,
+               "config_hash": cfg.hash()}
     write_json(cfg.out_dir / "report.json", summary)
     write_manifest(cfg, "report", {"all_pass": ok})
     return EXIT_PASS if ok else EXIT_VERDICT

@@ -10,13 +10,18 @@ Time grids are geometric, t_n = t0 * r^n: every convergence statement probed
 here is a large-time trend, and doubling-pair diagnostics need geometric
 spacing.  All probe verdicts are trend-based with explicit thresholds; none
 claims a proof.
+
+Every probe walks its time grid through one generator, ``snapshots``, which
+steps ``krylov_expm_apply`` from one grid time to the next and yields
+(t, psi_t).  On the chain a boson operator acts on the occupation leg of
+psi.reshape(L, nb); the Kronecker product 1 x op is never formed.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,9 +31,11 @@ from .fock import (
     FockVector,
     OccupationBasis,
     SparseOperator,
+    WeightedSpectrum,
     _switch,
     creation_op,
     dGamma,
+    weighted_abs,
 )
 from .model import FullBasis, ModelSpec, build_fiber_H, total_momentum_op
 from .mourre import build_position_op, group_velocity
@@ -220,10 +227,15 @@ class Propagation:
         self.times = ts
 
 
-def evolve(prop: Propagation, t: float) -> np.ndarray:
-    """State at time t (single shot from t = 0)."""
-    return krylov_expm_apply(prop.H.mat, prop.state, t,
-                             tol=prop.step_tol, m=prop.krylov_dim)
+def snapshots(prop: Propagation):
+    """Yield (t, psi_t) along prop.times, one Krylov call per grid interval."""
+    psi = prop.state
+    t_prev = 0.0
+    for t in prop.times:
+        psi = krylov_expm_apply(prop.H.mat, psi, t - t_prev, tol=prop.step_tol,
+                                m=prop.krylov_dim)
+        t_prev = t
+        yield t, psi
 
 
 @dataclass
@@ -241,13 +253,6 @@ class ObservableTrack:
     def final(self) -> float:
         return float(self.values[-1])
 
-    def to_csv(self) -> str:
-        lines = ["t,value,running_integral,norm_drift,energy_drift"]
-        for i, t in enumerate(self.times):
-            lines.append(f"{t:.17g},{self.values[i]:.17g},{self.running_integral[i]:.17g},"
-                         f"{self.norm_drift[i]:.17g},{self.energy_drift[i]:.17g}")
-        return "\n".join(lines) + "\n"
-
 
 def _track_snapshots(prop: Propagation, measure, weight_dt_over_t: bool = False):
     """Evolve along prop.times, measuring a scalar per snapshot.
@@ -256,21 +261,16 @@ def _track_snapshots(prop: Propagation, measure, weight_dt_over_t: bool = False)
     running integral accumulates value * dt / t when requested.
     """
     H = prop.H.mat
-    psi = prop.state.copy()
-    n0 = np.linalg.norm(psi)
-    e0 = float(np.vdot(psi, H @ psi).real)
+    n0 = np.linalg.norm(prop.state)
+    e0 = float(np.vdot(prop.state, H @ prop.state).real)
     t_prev = 0.0
     vals, nd, ed, run = [], [], [], []
     acc = 0.0
-    for t in prop.times:
-        psi = krylov_expm_apply(H, psi, t - t_prev, tol=prop.step_tol, m=prop.krylov_dim)
-        t_prev = t
+    for t, psi in snapshots(prop):
         v = float(measure(psi, t))
         vals.append(v)
-        if weight_dt_over_t:
-            acc += v * (prop.times[len(vals) - 1] - (prop.times[len(vals) - 2] if len(vals) > 1 else 0.0)) / t
-        else:
-            acc = v
+        acc = acc + v * (t - t_prev) / t if weight_dt_over_t else v
+        t_prev = t
         run.append(acc)
         nd.append(abs(np.linalg.norm(psi) - n0) / max(t, 1.0))
         ed.append(abs(float(np.vdot(psi, H @ psi).real) - e0) / max(t, 1.0))
@@ -291,46 +291,27 @@ def check_conservation(track: ObservableTrack, norm_tol: float = 1e-9,
 # Position calculus
 # ---------------------------------------------------------------------------
 
-class YCalc:
-    """Functions of the boson position operator via its weighted spectrum."""
+class YCalc(WeightedSpectrum):
+    """Functions f(y) of the boson position operator via its weighted spectrum."""
 
     def __init__(self, grid):
-        y = build_position_op(grid)[0]
-        w = np.sqrt(grid.weights)
-        y_ortho = w[:, None] * y / w[None, :]
-        y_ortho = (y_ortho + y_ortho.conj().T) / 2.0
-        self.evals, self.evecs = np.linalg.eigh(y_ortho)
-        self.w = w
-        self.grid = grid
-
-    def fn(self, f) -> np.ndarray:
-        """Coefficient-gauge matrix of f(y)."""
-        core = (self.evecs * f(self.evals)[None, :]) @ self.evecs.conj().T
-        return core / self.w[:, None] * self.w[None, :]
+        super().__init__(grid, build_position_op(grid)[0])
 
     @property
     def y_max(self) -> float:
         return float(np.abs(self.evals).max())
 
 
-def weighted_abs(grid, X: np.ndarray) -> np.ndarray:
-    """|X| for a weighted-Hermitian coefficient-gauge matrix."""
-    w = np.sqrt(grid.weights)
-    Xo = w[:, None] * X / w[None, :]
-    Xo = (Xo + Xo.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(Xo)
-    core = (vecs * np.abs(vals)[None, :]) @ vecs.conj().T
-    return core / w[:, None] * w[None, :]
-
-
 # ---------------------------------------------------------------------------
 # Full-model helpers
 # ---------------------------------------------------------------------------
 
-def lift_boson_op(fb: FullBasis, op: SparseOperator) -> sp.csr_matrix:
-    """1 x op on the electron-momentum x occupation product basis."""
-    return sp.kron(sp.identity(fb.n_sites, dtype=complex, format="csr"),
-                   op.mat, format="csr")
+def _on_bosons(op: SparseOperator, psi: np.ndarray, fb: FullBasis | None = None) -> np.ndarray:
+    """op applied to the boson leg of psi: op psi on a fiber, and (1 x op) psi
+    on the chain, acting on the rows of psi.reshape(L, nb)."""
+    if fb is None:
+        return op.mat @ psi
+    return (op.mat @ psi.reshape(fb.n_sites, -1).T).T.reshape(psi.shape)
 
 
 def gaussian_electron_state(fb: FullBasis, p0: float, dp: float) -> np.ndarray:
@@ -431,8 +412,8 @@ def photon_velocity_probe(prop: Propagation, basis: OccupationBasis,
         pos = fb.to_position(psi)
         x = np.abs(fb.positions())
         wts = f_electron(x / t) if f_electron is not None else np.ones_like(x)
-        dense_op = op.mat
-        return float(sum(wts[i] * np.vdot(pos[i], dense_op @ pos[i]).real
+        op_pos = _on_bosons(op, pos, fb)
+        return float(sum(wts[i] * np.vdot(pos[i], op_pos[i]).real
                          for i in range(fb.n_sites)))
 
     track = _track_snapshots(prop, measure, weight_dt_over_t=True)
@@ -450,22 +431,15 @@ def asymptotic_field_probe(prop: Propagation, basis: OccupationBasis, h,
     d(t, t') = || e^{iHt'} a*(h_{t'}) e^{-iHt'} phi - e^{iHt} a*(h_t) e^{-iHt} phi ||
     over consecutive geometric times; verdict: monotone decrease.
     """
-    H = prop.H.mat
     omega = prop.H.info.get("omega_samples")
     if omega is None:
         omega = basis.grid.omega_mod
     vecs = []
-    t_prev = 0.0
-    psi = prop.state.copy()
-    for t in prop.times:
-        psi = krylov_expm_apply(H, psi, t - t_prev, tol=prop.step_tol, m=prop.krylov_dim)
-        t_prev = t
+    for t, psi in snapshots(prop):
         h_t = np.exp(-1j * omega * t) * np.asarray(h, dtype=complex)
-        op = creation_op(basis, h_t)
-        mat = lift_boson_op(fb, op) if fb is not None else op.mat
-        chi = mat @ psi
-        back = krylov_expm_apply(H, chi, -t, tol=prop.step_tol, m=prop.krylov_dim)
-        vecs.append(back)
+        chi = _on_bosons(creation_op(basis, h_t), psi, fb)
+        vecs.append(krylov_expm_apply(prop.H.mat, chi, -t, tol=prop.step_tol,
+                                      m=prop.krylov_dim))
     diffs = np.array([np.linalg.norm(vecs[i + 1] - vecs[i]) for i in range(len(vecs) - 1)])
     track = ObservableTrack(
         times=prop.times[1:], values=diffs,
@@ -487,9 +461,7 @@ def annihilation_norm_track(prop: Propagation, basis: OccupationBasis, h,
 
     def measure(psi, t):
         h_t = np.exp(-1j * omega * t) * np.asarray(h, dtype=complex)
-        op = creation_op(basis, h_t).adjoint()
-        mat = lift_boson_op(fb, op) if fb is not None else op.mat
-        return float(np.linalg.norm(mat @ psi))
+        return float(np.linalg.norm(_on_bosons(creation_op(basis, h_t).adjoint(), psi, fb)))
 
     return _track_snapshots(prop, measure)
 
@@ -508,27 +480,28 @@ def W_estimate(prop: Propagation, basis: OccupationBasis, cuts: CutoffFamily,
             raise ConfigWindowError("positivity mode needs gamma in (beta, 1-2beta), beta < 1/3")
     elif not (cuts.beta < cuts.gamma):
         warnings.warn("gamma below beta: estimate runs, positivity not claimed")
-    psi0 = prop.state
     if f_window is not None:
-        calc = SpectralCalculus(prop.H)
-        f = energy_window(f_window)
-        psi0 = calc.fn(f) @ psi0
-        nrm = np.linalg.norm(psi0)
-        if nrm < 1e-10:
-            raise ProbePreconditionError("energy window annihilates the state")
-        psi0 = psi0 / nrm
-    prop2 = Propagation(prop.H, psi0, prop.times, prop.krylov_dim, prop.step_tol)
+        prop = _energy_filtered(prop, f_window)
 
     def measure(psi, t):
         op = dGamma(basis, ycalc.fn(lambda lam: cuts.chi_gamma(np.abs(lam) / t)))
         return float(np.vdot(psi, op.mat @ psi).real)
 
-    track = _track_snapshots(prop2, measure)
+    track = _track_snapshots(prop, measure)
     if len(track.values) >= 3:
         a, b = track.values[-2], track.values[-1]
         track.verdicts["plateau_within_20pct"] = bool(abs(a - b) <= 0.2 * max(abs(a), abs(b), 1e-12))
     track.extras["limiting_w"] = float(track.values[-1])
     return track
+
+
+def _energy_filtered(prop: Propagation, f_window: float) -> Propagation:
+    """prop restarted from f(H) psi / ||f(H) psi||, f the smooth window below f_window."""
+    psi0 = SpectralCalculus(prop.H).fn(energy_window(f_window)) @ prop.state
+    nrm = np.linalg.norm(psi0)
+    if nrm < 1e-10:
+        raise ProbePreconditionError("energy window annihilates the state")
+    return replace(prop, state=psi0 / nrm)
 
 
 def W_plus_probe(prop: Propagation, basis: OccupationBasis, cuts: CutoffFamily,
@@ -556,31 +529,14 @@ def W_plus_probe(prop: Propagation, basis: OccupationBasis, cuts: CutoffFamily,
     basis_sum = build_basis(doubled_grid(grid), cap)
     omega = basis.grid.omega_mod
     H_pair = tensor_factor_ops(tb, op_left=None, op_right=dGamma(right, omega))
-    # left leg carries the fiber Hamiltonian (projected to the cap basis)
-    H_left_full = prop.H
-    if left.size == basis.size:
-        H_left = H_left_full
-    else:
+    # left leg carries the fiber Hamiltonian, so the cap basis is the state basis
+    if left.size != basis.size:
         raise ConfigWindowError("joint cap must equal the state basis cap")
-    Hext = tensor_factor_ops(tb, op_left=H_left) + H_pair
-    calc_ext = SpectralCalculus(Hext, limit=extended_dim_cap)
-    calc = SpectralCalculus(prop.H)
-    f = energy_window(f_window)
-    f_ext = calc_ext.fn(f)
-    psi0 = calc.fn(f) @ prop.state
-    nrm = np.linalg.norm(psi0)
-    if nrm < 1e-10:
-        raise ProbePreconditionError("energy window annihilates the state")
-    psi0 = psi0 / nrm
+    Hext = tensor_factor_ops(tb, op_left=prop.H) + H_pair
+    f_ext = SpectralCalculus(Hext, limit=extended_dim_cap).fn(energy_window(f_window))
     Pvac = outer_number_projector(tb, 0).mat
-
-    H = prop.H.mat
-    psi = psi0.copy()
-    t_prev = 0.0
     full_norms, vac_norms = [], []
-    for t in prop.times:
-        psi = krylov_expm_apply(H, psi, t - t_prev, tol=prop.step_tol, m=prop.krylov_dim)
-        t_prev = t
+    for t, psi in snapshots(_energy_filtered(prop, f_window)):
         j0m = ycalc.fn(lambda lam: cuts.j0(np.abs(lam) / t))
         jim = ycalc.fn(lambda lam: cuts.jinf(np.abs(lam) / t))
         pair = SplitPair(grid, j0m, jim)
@@ -621,13 +577,8 @@ def momentum_conservation_track(fb: FullBasis, prop: Propagation) -> dict:
     """Constancy of <P_total> and <P_total^2> along the evolution."""
     Pt = total_momentum_op(fb).mat
     Pt2 = Pt @ Pt
-    H = prop.H.mat
-    psi = prop.state.copy()
-    t_prev = 0.0
     m1, m2 = [], []
-    for t in prop.times:
-        psi = krylov_expm_apply(H, psi, t - t_prev, tol=prop.step_tol, m=prop.krylov_dim)
-        t_prev = t
+    for _, psi in snapshots(prop):
         m1.append(float(np.vdot(psi, Pt @ psi).real))
         m2.append(float(np.vdot(psi, Pt2 @ psi).real))
     m1, m2 = np.array(m1), np.array(m2)

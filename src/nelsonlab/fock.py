@@ -148,6 +148,29 @@ def weighted_opnorm(grid_out: ModeGrid, grid_in: ModeGrid, b: np.ndarray) -> flo
     return float(np.linalg.norm(to_ortho(grid_out, grid_in, b), 2))
 
 
+class WeightedSpectrum:
+    """Functions of a weighted-Hermitian coefficient-gauge mode matrix X,
+    through one eigendecomposition of X symmetrized in the orthonormal gauge."""
+
+    def __init__(self, grid: ModeGrid, X: np.ndarray):
+        w = np.sqrt(grid.weights)
+        Xo = w[:, None] * X / w[None, :]
+        Xo = (Xo + Xo.conj().T) / 2.0
+        self.evals, self.evecs = np.linalg.eigh(Xo)
+        self.w = w
+        self.grid = grid
+
+    def fn(self, f) -> np.ndarray:
+        """Coefficient-gauge matrix of f(X)."""
+        core = (self.evecs * f(self.evals)[None, :]) @ self.evecs.conj().T
+        return core / self.w[:, None] * self.w[None, :]
+
+
+def weighted_abs(grid: ModeGrid, X: np.ndarray) -> np.ndarray:
+    """|X| for a weighted-Hermitian coefficient-gauge matrix."""
+    return WeightedSpectrum(grid, X).fn(np.abs)
+
+
 def weighted_norm_omega(grid: ModeGrid, h) -> float:
     """Interaction norm (sum_j w_j (1 + 1/|k_j|) |h_j|^2)^(1/2).
 

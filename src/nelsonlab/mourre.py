@@ -78,10 +78,7 @@ def build_position_op(grid: ModeGrid) -> list[np.ndarray]:
             raise UnsupportedGridError("non-uniform 1-d grid")
         h = float(k[order][1] - k[order][0])
         D = np.zeros((grid.n_modes, grid.n_modes), dtype=complex)
-        Dsub = _central_difference(grid.n_modes, h)
-        for a, ia in enumerate(order):
-            for b, ib in enumerate(order):
-                D[ia, ib] = Dsub[a, b]
+        D[np.ix_(order, order)] = _central_difference(grid.n_modes, h)
         A = 1j * D
         y = (A + A.conj().T) / 2.0
         return [y]
@@ -246,8 +243,7 @@ def _window_subspace(ms: ModelSpec, P, basis: OccupationBasis, sigma_win: float)
     """Orthonormal frame of Ran E_Sigma(H) within Ran Gamma(chi_i), with the
     ground state removed; also returns (H, ground energy)."""
     H = build_fiber_H(ms, P, basis)
-    keep = np.abs(np.diag(interacting_projector(basis).dense())) > 0.5
-    idx = np.nonzero(keep)[0]
+    idx = np.nonzero(interacting_projector(basis).mat.diagonal() > 0.5)[0]
     Hi = H.dense()[np.ix_(idx, idx)]
     vals, vecs = np.linalg.eigh(Hi)
     inside = vals <= sigma_win
@@ -263,8 +259,7 @@ def _window_subspace(ms: ModelSpec, P, basis: OccupationBasis, sigma_win: float)
 
 
 def mourre_scan(ms: ModelSpec, P, basis: OccupationBasis, sigma_win: float,
-                beta: float, sample_count: int = 64, seed: int = 11,
-                workers: int = 1) -> dict:
+                beta: float, sample_count: int = 64, seed: int = 11) -> dict:
     """Sample r(phi) = <phi,[iH,A]phi> - (1-beta) <phi,N phi> on the window.
 
     phi are seeded random unit vectors in Ran E_Sigma(H) (cap) Ran Gamma(chi_i),
@@ -346,8 +341,7 @@ def eigencount_probe(ms: ModelSpec, P, basis: OccupationBasis,
     """
     from .spectral import delta_gap
 
-    keep = np.abs(np.diag(interacting_projector(basis).dense())) > 0.5
-    idx = np.nonzero(keep)[0]
+    idx = np.nonzero(interacting_projector(basis).mat.diagonal() > 0.5)[0]
     H = build_fiber_H(ms, P, basis)
     vals = np.linalg.eigvalsh(H.dense()[np.ix_(idx, idx)])
     dg = delta_gap(ms, P, basis, tol=tol) if ms.use_modified else None

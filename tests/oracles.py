@@ -4,7 +4,8 @@ These are the occupation-loop constructions that the package's ladder-table
 builders replaced.  They look every target state up in ``basis.index`` one
 state (or pair) at a time and never read ``basis.occ`` or ``basis.up``, so
 ``tests/test_ladder_table.py`` can compare the vectorized builders against
-them.
+them.  ``lift_boson_op`` forms the Kronecker product 1 x op that the chain
+probes apply without forming it.
 """
 
 from __future__ import annotations
@@ -177,6 +178,12 @@ def full_H_coupling(ms, fb) -> sp.coo_matrix:
                 cols.append(e_idx * nb + b_idx)
                 data.append(val)
     return sp.coo_matrix((data, (rows, cols)), shape=(fb.size, fb.size), dtype=complex)
+
+
+def lift_boson_op(fb, op) -> sp.csr_matrix:
+    """1 x op on the electron-momentum x occupation product basis."""
+    return sp.kron(sp.identity(fb.n_sites, dtype=complex, format="csr"),
+                   op.mat, format="csr")
 
 
 def build_tensor_basis(left, right, joint_cap=None) -> tuple:

@@ -1,10 +1,13 @@
-"""The benchmark's span table names layers that exist in the package.
+"""The benchmark names only layers and functions that exist in the package.
 
-``perfbench/spans.py`` wraps package functions by module and attribute name;
-a renamed or deleted layer would otherwise surface only when the benchmark
-runs with tracing on.  The file is loaded by path without writing bytecode.
+``perfbench/spans.py`` wraps package functions by module and attribute name,
+and ``perfbench/workloads.py`` calls them (private ones included) as module
+attributes; a renamed or deleted name would otherwise surface only when the
+benchmark runs.  ``spans.py`` is loaded by path without writing bytecode;
+``workloads.py`` is parsed, not executed.
 """
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -15,7 +18,9 @@ import pytest
 
 from nelsonlab.spectral import SpectralCalculus
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
+PACKAGE_MODULES = ("algebra", "dynamics", "fock", "model", "mourre", "spectral")
 
 
 @pytest.fixture(scope="module")
@@ -35,3 +40,14 @@ def test_traced_functions_resolve(spans):
 def test_traced_methods_resolve(spans):
     for name, attr in spans.METHODS:
         assert callable(SpectralCalculus.__dict__.get(attr)), name
+
+
+def test_workload_references_resolve():
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    refs = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in PACKAGE_MODULES}
+    assert ("dynamics", "_track_snapshots") in refs
+    missing = [f"{mod}.{attr}" for mod, attr in sorted(refs)
+               if not hasattr(importlib.import_module(f"nelsonlab.{mod}"), attr)]
+    assert not missing

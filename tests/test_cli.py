@@ -15,6 +15,24 @@ def write_cfg(tmp_path, text):
     return str(p)
 
 
+# a passing payload for each report that `report` requires
+PASSING_REPORTS = {
+    "algebra_report": {"passed": True},
+    "dispersion_verdicts": {"sandwich_ok": True},
+    "mourre_report": {"min_r0_nonnegative": True},
+    "evolve_report": {"conservation": True, "phase_exact": True, "dense_agrees": True},
+    "w_report": {"dressed_w_vanishes": True},
+    "wplus_report": {"outer_vacuum_small": True, "bounded": True},
+}
+
+
+def write_passing_reports(out_dir, skip=()):
+    """Passing stubs for every expected report not named in skip."""
+    for name, payload in PASSING_REPORTS.items():
+        if name not in skip:
+            (out_dir / f"{name}.json").write_text(json.dumps(payload))
+
+
 class TestConfig:
     def test_defaults_complete(self):
         values = cli.parse_config(None)
@@ -99,17 +117,37 @@ class TestCommands:
     def test_w_and_report_chain(self, tmp_path):
         path = write_cfg(tmp_path, "grid.n_modes = 8\ndynamics.t_max = 30\n")
         assert run(["w", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_PASS
+        write_passing_reports(tmp_path, skip=("w_report",))
         assert run(["report", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_PASS
         rep = json.loads((tmp_path / "report.json").read_text())
         assert rep["all_pass"]
+        assert rep["reports"] == sorted(cli.EXPECTED_REPORTS) and rep["missing"] == []
 
     def test_report_without_reports_fails(self, tmp_path):
         assert run(["report", "--out", str(tmp_path)]) == cli.EXIT_VERDICT
         assert not json.loads((tmp_path / "report.json").read_text())["all_pass"]
 
+    def test_report_with_only_w_report_fails(self, tmp_path):
+        path = write_cfg(tmp_path, "grid.n_modes = 8\ndynamics.t_max = 30\n")
+        assert run(["w", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_PASS
+        assert run(["report", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_VERDICT
+        rep = json.loads((tmp_path / "report.json").read_text())
+        assert not rep["all_pass"]
+        assert rep["missing"] == [n for n in cli.EXPECTED_REPORTS if n != "w_report"]
+
+    @pytest.mark.parametrize("name", sorted(PASSING_REPORTS))
+    def test_report_requires_each_report(self, tmp_path, name):
+        assert set(PASSING_REPORTS) == set(cli.EXPECTED_REPORTS)
+        write_passing_reports(tmp_path)
+        assert run(["report", "--out", str(tmp_path)]) == cli.EXIT_PASS
+        (tmp_path / f"{name}.json").unlink()
+        assert run(["report", "--out", str(tmp_path)]) == cli.EXIT_VERDICT
+        assert json.loads((tmp_path / "report.json").read_text())["missing"] == [name]
+
     def test_report_ands_mourre_verdict(self, tmp_path):
         path = write_cfg(tmp_path, "mourre.samples = 4\nmourre.g_sweep = 0.01;0.02\n")
         assert run(["mourre", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_PASS
+        write_passing_reports(tmp_path, skip=("mourre_report",))
         rep_path = tmp_path / "mourre_report.json"
         rep = json.loads(rep_path.read_text())
         assert rep["min_r0_nonnegative"] is True
@@ -119,6 +157,8 @@ class TestCommands:
         assert run(["report", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_VERDICT
 
     def test_report_ands_wplus_bounded(self, tmp_path):
+        write_passing_reports(tmp_path)
+        assert run(["report", "--out", str(tmp_path)]) == cli.EXIT_PASS
         (tmp_path / "wplus_report.json").write_text(json.dumps(
             {"outer_vacuum_small": True, "bounded": False}))
         assert run(["report", "--out", str(tmp_path)]) == cli.EXIT_VERDICT
@@ -126,8 +166,8 @@ class TestCommands:
 
     @pytest.mark.parametrize("key", ["phase_exact", "dense_agrees"])
     def test_report_ands_evolve_verdicts(self, tmp_path, key):
-        rep = {"conservation": True, "phase_exact": True, "dense_agrees": True}
-        (tmp_path / "evolve_report.json").write_text(json.dumps(rep))
+        write_passing_reports(tmp_path)
+        rep = dict(PASSING_REPORTS["evolve_report"])
         assert run(["report", "--out", str(tmp_path)]) == cli.EXIT_PASS
         rep[key] = False
         (tmp_path / "evolve_report.json").write_text(json.dumps(rep))

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import expm as dense_expm
 
+import oracles
 from nelsonlab import dynamics, fock, model, spectral
 
 
@@ -58,14 +60,40 @@ class TestKrylov:
         u = dynamics.krylov_expm_apply(H0.mat, v, 5.0, tol=1e-12)
         assert np.linalg.norm(u - np.exp(-1j * d * 5.0) * v) < 1e-10
 
-    def test_evolve_single_shot(self, fiber_setup, rng):
+    def test_snapshots_match_dense_expm(self, fiber_setup, rng):
         _, basis, H = fiber_setup
         v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
         v /= np.linalg.norm(v)
-        prop = dynamics.Propagation(H, v, np.array([1.0, 2.0]))
-        u = dynamics.evolve(prop, 2.5)
-        u_d = dense_expm(-1j * 2.5 * H.dense()) @ v
-        assert np.linalg.norm(u - u_d) < 1e-9
+        prop = dynamics.Propagation(H, v, np.array([1.0, 2.5]))
+        for t, u in dynamics.snapshots(prop):
+            u_d = dense_expm(-1j * t * H.dense()) @ v
+            assert np.linalg.norm(u - u_d) < 1e-9
+
+    def test_snapshots_one_krylov_call_per_grid_time(self, fiber_setup, rng, monkeypatch):
+        """snapshots steps from one grid time to the next: one call per
+        interval, and the same arrays as calling krylov_expm_apply in turn."""
+        _, basis, H = fiber_setup
+        v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+        v /= np.linalg.norm(v)
+        times = dynamics.geometric_times(1.0, 20.0, 1.5)
+        prop = dynamics.Propagation(H, v, times, krylov_dim=30, step_tol=1e-10)
+        real = dynamics.krylov_expm_apply
+        calls = []
+
+        def spy(mat, u, dt, tol=1e-10, m=40):
+            calls.append((dt, tol, m))
+            return real(mat, u, dt, tol=tol, m=m)
+
+        monkeypatch.setattr(dynamics, "krylov_expm_apply", spy)
+        snaps = list(dynamics.snapshots(prop))
+        assert len(calls) == len(times)
+        assert [c[1:] for c in calls] == [(1e-10, 30)] * len(times)
+        assert [t for t, _ in snaps] == list(times)
+        u, t_prev = prop.state, 0.0
+        for t, psi in snaps:
+            u = real(H.mat, u, t - t_prev, tol=1e-10, m=30)
+            t_prev = t
+            assert np.array_equal(psi, u)
 
     def test_conservation_track(self, fiber_setup, rng):
         _, basis, H = fiber_setup
@@ -257,6 +285,39 @@ class TestPhotonProbe:
         track = dynamics.photon_velocity_probe(prop, basis, (1.1, 1.5), ycalc,
                                                mode="phase_space")
         assert np.all(track.values >= -1e-12)
+
+    def test_chain_branch_matches_kron_oracle(self, nonrel, ff, monkeypatch):
+        """With fb, the integrand is sum_x F(|x|/t) <psi_x, dGamma psi_x> over
+        the electron positions: <pos, (F x 1)(1 x dGamma) pos> with the
+        Kronecker product formed explicitly."""
+        L = 16
+        grid = fock.lattice_grid(L, [-5, -3, -1, 1, 3, 5], 0.2)
+        ms = model.ModelSpec(nonrel, ff, grid, 0.05)
+        fb = model.full_basis(ms, L, 2)
+        H = model.build_full_H(ms, fb)
+        rng = np.random.default_rng(12)
+        psi = rng.normal(size=fb.size) + 1j * rng.normal(size=fb.size)
+        prop = dynamics.Propagation(H, psi / np.linalg.norm(psi),
+                                    dynamics.geometric_times(1.0, 6.0, 1.5))
+        f_el = dynamics.rising_cutoff(0.1, 0.3)
+        ops = []
+        real = dynamics.dGamma
+
+        def recording_dGamma(b, x):
+            ops.append(real(b, x))
+            return ops[-1]
+
+        monkeypatch.setattr(dynamics, "dGamma", recording_dGamma)
+        track = dynamics.photon_velocity_probe(prop, fb.boson, (1.1, 1.5),
+                                               dynamics.YCalc(grid), fb=fb, f_electron=f_el)
+        assert len(ops) == len(track.values)
+        assert np.abs(track.values).max() > 1e-2
+        x = np.abs(fb.positions())
+        one = sp.identity(fb.boson.size, format="csr")
+        for (t, psi_t), op, value in zip(dynamics.snapshots(prop), ops, track.values):
+            pos = fb.to_position(psi_t).ravel()
+            lifted = sp.kron(sp.diags(f_el(x / t)), one) @ (oracles.lift_boson_op(fb, op) @ pos)
+            assert value == pytest.approx(np.vdot(pos, lifted).real, rel=1e-12, abs=1e-14)
 
     def test_window_below_bound_warns(self, fiber_setup):
         ms, basis, H = fiber_setup
@@ -464,7 +525,7 @@ class TestFiberFullConsistency:
         for pos, i in enumerate(idx):
             psi_fib[i % fb.boson.size] = psi_full[i]
         Nfib = fock.number_op(fb.boson)
-        Nfull = dynamics.lift_boson_op(fb, Nfib)
+        Nfull = oracles.lift_boson_op(fb, Nfib)
         for t in (2.0, 5.0):
             uf = dynamics.krylov_expm_apply(Hfull.mat, psi_full, t, tol=1e-12)
             ub = dynamics.krylov_expm_apply(Hfib.mat, psi_fib, t, tol=1e-12)
