@@ -329,8 +329,6 @@ def cmd_mourre(cfg: RunConfig) -> int:
     v = cfg.values
     mk, bf, basis, sw = _mourre_setup(cfg)
     P = [v["mourre.p"]]
-    scan0 = mourre.mourre_scan(mk(0.0), P, basis, sw, bf(0.0),
-                               sample_count=v["mourre.samples"], seed=cfg.seed or 11)
     sweep = mourre.mourre_sweep(mk, list(v["mourre.g_sweep"]), P, basis, sw, bf,
                                 sample_count=v["mourre.samples"], seed=cfg.seed or 11)
     cfg_hash = cfg.hash()
@@ -341,7 +339,7 @@ def cmd_mourre(cfg: RunConfig) -> int:
         "min_r_g0": sweep["min_r0"],
         "min_r0_nonnegative": ok,
         "fitted_C": [r[2] for r in sweep["rows"]],
-        "per_sample_g0": scan0["per_sample"],
+        "per_sample_g0": sweep["per_sample_g0"],
         "loglog_slope": sweep["loglog_slope"],
         "window_dim": sweep["window_dim"],
         "mesh": sweep["mesh"],
@@ -459,10 +457,14 @@ def cmd_wplus(cfg: RunConfig) -> int:
 # one report per verdict-producing subcommand; report fails unless all are present
 EXPECTED_REPORTS = ("algebra_report", "dispersion_verdicts", "mourre_report",
                     "evolve_report", "w_report", "wplus_report")
+# the boolean verdicts report ANDs; a report carrying none of them is unjudged
+VERDICT_KEYS = ("passed", "sandwich_ok", "all_converged", "min_r0_nonnegative",
+                "conservation", "phase_exact", "dense_agrees", "dressed_w_vanishes",
+                "outer_vacuum_small", "bounded")
 
 
 def cmd_report(cfg: RunConfig) -> int:
-    collected, missing = {}, []
+    collected, missing, unjudged = {}, [], []
     ok = True
     for name in EXPECTED_REPORTS:
         path = cfg.out_dir / f"{name}.json"
@@ -471,16 +473,19 @@ def cmd_report(cfg: RunConfig) -> int:
             continue
         payload = json.loads(path.read_text(encoding="utf-8"))
         collected[name] = payload
-        for key in ("passed", "sandwich_ok", "min_r0_nonnegative", "conservation",
-                    "phase_exact", "dense_agrees", "dressed_w_vanishes",
-                    "outer_vacuum_small", "bounded"):
-            if key in payload and payload[key] is False:
-                ok = False
+        present = [key for key in VERDICT_KEYS if key in payload]
+        if not present:
+            unjudged.append(name)
+        if any(payload[key] is False for key in present):
+            ok = False
     if missing:
         sys.stderr.write(f"missing reports in {cfg.out_dir}: {', '.join(missing)}\n")
         ok = False
-    summary = {"reports": sorted(collected), "missing": missing, "all_pass": ok,
-               "config_hash": cfg.hash()}
+    if unjudged:
+        sys.stderr.write(f"reports without a verdict: {', '.join(unjudged)}\n")
+        ok = False
+    summary = {"reports": sorted(collected), "missing": missing, "unjudged": unjudged,
+               "all_pass": ok, "config_hash": cfg.hash()}
     write_json(cfg.out_dir / "report.json", summary)
     write_manifest(cfg, "report", {"all_pass": ok})
     return EXIT_PASS if ok else EXIT_VERDICT

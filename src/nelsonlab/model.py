@@ -261,7 +261,8 @@ class FullBasis:
     """Electron-momentum x occupation product basis on an L-site chain.
 
     Index layout: i = e_idx * boson.size + b_idx.  Electron momenta are
-    2 pi m / L for m = -L/2 .. L/2 - 1; positions are -L/2 .. L/2 - 1.
+    2 pi m / L and positions are x = m for m = -(L//2) .. L - 1 - L//2
+    (L values, odd L included).
     """
 
     n_sites: int
@@ -275,15 +276,14 @@ class FullBasis:
 
     def positions(self) -> np.ndarray:
         L = self.n_sites
-        return np.arange(-L // 2, L - L // 2, dtype=float)
+        return np.arange(L, dtype=float) - L // 2
 
     def to_position(self, vec: np.ndarray) -> np.ndarray:
-        """(L, nb) position-basis amplitudes of the electron leg (unitary DFT)."""
-        L = self.n_sites
-        psi = vec.reshape(L, self.boson.size)
-        x = self.positions()
-        phase = np.exp(1j * np.outer(x, self.momenta)) / math.sqrt(L)
-        return phase @ psi
+        """(L, nb) position-basis amplitudes of the electron leg: the unitary
+        DFT sum_p e^{i p x} psi(p) / sqrt(L), as a centered inverse FFT."""
+        psi = vec.reshape(self.n_sites, self.boson.size)
+        return np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(psi, axes=0), axis=0, norm="ortho"),
+                               axes=0)
 
     def electron_position_density(self, vec: np.ndarray) -> np.ndarray:
         pos = self.to_position(vec)
@@ -301,7 +301,7 @@ def full_basis(ms: ModelSpec, n_sites: int, n_max: int,
     m_int = np.rint(m).astype(int)
     if ms.grid.dim != 1 or np.any(np.abs(m - m_int) > 1e-9):
         raise IncompatibleGridError("boson modes must be dual-lattice momenta 2 pi m / L")
-    momenta = 2.0 * np.pi * np.arange(-L // 2, L - L // 2) / L
+    momenta = 2.0 * np.pi * (np.arange(L) - L // 2) / L
     boson = build_basis(ms.grid, n_max, e_cap)
     return FullBasis(n_sites=L, momenta=momenta, mode_m=m_int, boson=boson)
 
@@ -367,10 +367,10 @@ def interaction_decay_report(ms: ModelSpec, n_positions: int,
     decay exponent on the requested R window.
     """
     L = n_positions
-    m = np.arange(-L // 2, L - L // 2)
+    m = np.arange(L) - L // 2
     k = 2.0 * np.pi * m / L
     kap = ms.ff.kappa_sigma(np.abs(k))
-    y = np.arange(-L // 2, L - L // 2, dtype=float)
+    y = m.astype(float)
     phase = np.exp(1j * np.outer(y, k))
     ghat = (phase @ kap) * (1.0 / L)
     dens = np.abs(ghat) ** 2

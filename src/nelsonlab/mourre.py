@@ -322,6 +322,7 @@ def mourre_sweep(ms_factory, g_values, P, basis: OccupationBasis,
         slope = float(np.polyfit(np.log(gs[good]), np.log(cs[good]), 1)[0])
     return {
         "min_r0": base["min_r"],
+        "per_sample_g0": base["per_sample"],
         "rows": rows,
         "loglog_slope": slope,
         "fitted_points": int(np.sum(good)),

@@ -7,7 +7,8 @@ eigendecomposition is used instead and doubles as the cross-check oracle
 for the iterative path.  Operators are real whenever their coefficients
 are (the default model's fiber and chain Hamiltonians are float64), so both
 paths then run in real arithmetic.  Functional calculus for energy cutoffs
-f(H) and spectral windows E_Sigma is spectral-projection based throughout.
+f(H) and spectral windows E_Sigma is spectral-projection based throughout,
+one connected component of H's sparsity pattern at a time.
 """
 
 from __future__ import annotations
@@ -144,24 +145,79 @@ def ground_state(H: SparseOperator, k: int = 2, tol: float = 1e-10,
 # ---------------------------------------------------------------------------
 
 class SpectralCalculus:
-    """Dense eigendecomposition of a Hermitian operator, reused for f(H)."""
+    """Eigendecomposition of a Hermitian operator block by block, reused for f(H).
+
+    The blocks are the connected components of H's stored sparsity pattern,
+    so the full chain splits into its total-momentum fibers without being
+    told about them.  Components of equal size are stacked and diagonalized
+    by one batched ``eigh``; ``groups`` holds one (index, eigenvalue,
+    eigenvector) triple per size, shaped (B, s), (B, s) and (B, s, s), and
+    ``vals`` all eigenvalues in group order.
+    """
 
     def __init__(self, H: SparseOperator, limit: int = DENSE_CUTOFF):
+        # imported here: only callers of the calculus pay for scipy.sparse.csgraph
+        from scipy.sparse.csgraph import connected_components
+
         if not H.hermitian:
             raise ValueError("functional calculus needs a Hermitian operator")
-        if H.shape[0] > limit:
+        n = H.shape[0]
+        if n > limit:
             raise ValueError(f"dense functional calculus capped at dimension {limit}")
-        self.vals, self.vecs = np.linalg.eigh(H.dense())
+        mat = H.mat.tocsr()
+        # the graph is the stored pattern: an imaginary or zero value is still an edge
+        pattern = sp.csr_matrix((np.ones(len(mat.indices), dtype=np.int8),
+                                 mat.indices, mat.indptr), shape=mat.shape)
+        _, label = connected_components(pattern, directed=False)
+        sizes = np.bincount(label)
+        order = np.argsort(label, kind="stable")
+        starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        pos = np.empty(n, dtype=np.intp)
+        pos[order] = np.arange(n) - starts[label[order]]
+        slot = np.empty(len(sizes), dtype=np.intp)
+        coo = mat.tocoo()
+        self.n = n
+        self.groups = []
+        for s in np.unique(sizes):
+            comps = np.flatnonzero(sizes == s)
+            slot[comps] = np.arange(len(comps))
+            idx = order[(starts[comps][:, None] + np.arange(s)).ravel()].reshape(-1, s)
+            hit = sizes[label[coo.row]] == s
+            r, c = coo.row[hit], coo.col[hit]
+            stack = np.zeros((len(comps), s, s), dtype=mat.dtype)
+            np.add.at(stack, (slot[label[r]], pos[r], pos[c]), coo.data[hit])
+            vals, vecs = np.linalg.eigh(stack)
+            self.groups.append((idx, vals, vecs))
+        self.vals = np.concatenate([vals.ravel() for _, vals, _ in self.groups])
+
+    def _split(self, values: np.ndarray) -> list:
+        """A flat per-eigenvalue array cut back into the groups' (B, s) shapes."""
+        cuts = np.cumsum([vals.size for _, vals, _ in self.groups])[:-1]
+        return [part.reshape(vals.shape)
+                for part, (_, vals, _) in zip(np.split(values, cuts), self.groups)]
 
     def fn(self, f) -> np.ndarray:
-        return (self.vecs * f(self.vals)[None, :]) @ self.vecs.conj().T
+        parts = [(idx, (vecs * fv[:, None, :]) @ vecs.conj().transpose(0, 2, 1))
+                 for (idx, _, vecs), fv in zip(self.groups, self._split(f(self.vals)))]
+        out = np.zeros((self.n, self.n), dtype=np.result_type(*(b for _, b in parts)))
+        for idx, blocks in parts:
+            out[idx[:, :, None], idx[:, None, :]] = blocks
+        return out
 
     def projector(self, sigma: float) -> np.ndarray:
-        keep = (self.vals <= sigma).astype(float)
-        return (self.vecs * keep[None, :]) @ self.vecs.conj().T
+        return self.fn(lambda lam: (lam <= sigma).astype(float))
 
     def window_vectors(self, sigma: float) -> np.ndarray:
-        return self.vecs[:, self.vals <= sigma]
+        """Eigenvectors with eigenvalue <= sigma as columns, in ascending energy."""
+        keep = np.flatnonzero(self.vals <= sigma)
+        column = np.full(len(self.vals), -1)
+        column[keep[np.argsort(self.vals[keep], kind="stable")]] = np.arange(len(keep))
+        dtype = np.result_type(*(vecs for _, _, vecs in self.groups))
+        out = np.zeros((self.n, len(keep)), dtype=dtype)
+        for (idx, _, vecs), col in zip(self.groups, self._split(column)):
+            b, j = np.nonzero(col >= 0)
+            out[idx[b], col[b, j][:, None]] = vecs[b, :, j]
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,10 @@ builders replaced.  They look every target state up in ``basis.index`` one
 state (or pair) at a time and never read ``basis.occ`` or ``basis.up``, so
 ``tests/test_ladder_table.py`` can compare the vectorized builders against
 them.  ``lift_boson_op`` forms the Kronecker product 1 x op that the chain
-probes apply without forming it.
+probes apply without forming it.  ``DenseCalculus`` is the one-``eigh``
+functional calculus that the block-wise ``SpectralCalculus`` replaced, and
+``to_position`` the phase-matrix DFT that ``FullBasis.to_position`` computes
+by FFT.
 """
 
 from __future__ import annotations
@@ -184,6 +187,26 @@ def lift_boson_op(fb, op) -> sp.csr_matrix:
     """1 x op on the electron-momentum x occupation product basis."""
     return sp.kron(sp.identity(fb.n_sites, dtype=complex, format="csr"),
                    op.mat, format="csr")
+
+
+def to_position(fb, vec) -> np.ndarray:
+    """(L, nb) position amplitudes sum_p e^{i p x} psi(p) / sqrt(L) by an explicit L x L matrix."""
+    L = fb.n_sites
+    phase = np.exp(1j * np.outer(fb.positions(), fb.momenta)) / math.sqrt(L)
+    return phase @ vec.reshape(L, fb.boson.size)
+
+
+class DenseCalculus:
+    """f(H) from one dense ``eigh`` of the whole matrix."""
+
+    def __init__(self, H):
+        self.vals, self.vecs = np.linalg.eigh(H.dense())
+
+    def fn(self, f) -> np.ndarray:
+        return (self.vecs * f(self.vals)[None, :]) @ self.vecs.conj().T
+
+    def projector(self, sigma: float) -> np.ndarray:
+        return self.fn(lambda lam: (lam <= sigma).astype(float))
 
 
 def build_tensor_basis(left, right, joint_cap=None) -> tuple:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from nelsonlab import cli, dynamics
+from nelsonlab import cli, dynamics, mourre
 
 
 def run(args):
@@ -155,6 +155,37 @@ class TestCommands:
         rep["min_r0_nonnegative"] = False
         rep_path.write_text(json.dumps(rep))
         assert run(["report", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_VERDICT
+
+    def test_mourre_scans_g_zero_once(self, tmp_path, monkeypatch):
+        seen = []
+        scan = mourre.mourre_scan
+
+        def spy(ms, *args, **kwargs):
+            seen.append(ms.g)
+            return scan(ms, *args, **kwargs)
+
+        monkeypatch.setattr(mourre, "mourre_scan", spy)
+        assert run(["mourre", "--out", str(tmp_path)]) == cli.EXIT_PASS
+        assert seen == [0.0, 0.01, 0.02, 0.04, 0.08]
+        rep = json.loads((tmp_path / "mourre_report.json").read_text())
+        assert len(rep["per_sample_g0"]) == cli.SCHEMA["mourre.samples"][1]
+        assert min(rep["per_sample_g0"]) == rep["min_r_g0"]
+
+    def test_report_fails_hollow_reports(self, tmp_path):
+        for name in cli.EXPECTED_REPORTS:
+            (tmp_path / f"{name}.json").write_text("{}")
+        assert run(["report", "--out", str(tmp_path)]) == cli.EXIT_VERDICT
+        rep = json.loads((tmp_path / "report.json").read_text())
+        assert not rep["all_pass"] and rep["missing"] == []
+        assert rep["unjudged"] == list(cli.EXPECTED_REPORTS)
+
+    def test_report_ands_dispersion_convergence(self, tmp_path):
+        write_passing_reports(tmp_path)
+        assert run(["report", "--out", str(tmp_path)]) == cli.EXIT_PASS
+        (tmp_path / "dispersion_verdicts.json").write_text(json.dumps(
+            {"sandwich_ok": True, "all_converged": False}))
+        assert run(["report", "--out", str(tmp_path)]) == cli.EXIT_VERDICT
+        assert not json.loads((tmp_path / "report.json").read_text())["all_pass"]
 
     def test_report_ands_wplus_bounded(self, tmp_path):
         write_passing_reports(tmp_path)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from nelsonlab import fock, model
 
 
@@ -221,6 +222,35 @@ class TestFullModel:
             Hf = model.build_fiber_H(ms, [P], fb.boson, bz_width=2 * np.pi)
             ev_fiber = np.linalg.eigvalsh(Hf.dense())
             assert np.abs(ev_block - ev_fiber).max() < 1e-10
+
+    @pytest.mark.parametrize("L", [7, 31])
+    def test_odd_chain(self, nonrel, ff, L):
+        grid = fock.lattice_grid(L, [-3, -2, 2, 3], 0.2)
+        ms = model.ModelSpec(nonrel, ff, grid, 0.3)
+        fb = model.full_basis(ms, L, 1)
+        assert np.array_equal(fb.positions(), np.arange(-(L // 2), L // 2 + 1))
+        H = model.build_full_H(ms, fb)
+        assert H.shape == (L * fb.boson.size,) * 2
+        Pt = model.total_momentum_op(fb)
+        assert np.abs((H.mat @ Pt.mat - Pt.mat @ H.mat).toarray()).max() == 0.0
+        Hd = H.dense()
+        blocks = model.momentum_blocks(fb)
+        assert sorted(blocks) == list(range(-(L // 2), L // 2 + 1))
+        for m_tot, idx in blocks.items():
+            Hf = model.build_fiber_H(ms, [2 * np.pi * m_tot / L], fb.boson, bz_width=2 * np.pi)
+            assert np.abs(np.linalg.eigvalsh(Hd[np.ix_(idx, idx)])
+                          - np.linalg.eigvalsh(Hf.dense())).max() < 1e-12
+
+    @pytest.mark.parametrize("L", [8, 9, 32, 33])
+    def test_to_position_fft_matches_phase_matrix(self, nonrel, ff, L):
+        grid = fock.lattice_grid(L, [-2, 3], 0.2)
+        fb = model.full_basis(model.ModelSpec(nonrel, ff, grid, 0.05), L, 2)
+        rng = np.random.default_rng(L)
+        vec = rng.normal(size=fb.size) + 1j * rng.normal(size=fb.size)
+        pos = fb.to_position(vec)
+        assert pos.shape == (L, fb.boson.size)
+        assert np.abs(pos - oracles.to_position(fb, vec)).max() < 1e-13
+        assert np.linalg.norm(pos) == pytest.approx(np.linalg.norm(vec), rel=1e-13)
 
     def test_off_lattice_mode_rejected(self, nonrel, ff):
         grid = fock.line_grid(4, 1.0, 0.2)  # midpoints are not dual-lattice points

@@ -1,11 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import oracles
-from nelsonlab import fock, model, spectral
+from nelsonlab import dynamics, fock, model, spectral
 from nelsonlab.fock import SparseOperator
 
 
@@ -145,6 +149,102 @@ class TestCalculus:
         calc = spectral.SpectralCalculus(H)
         Hd = H.dense()
         assert np.abs(calc.fn(lambda x: x ** 2) - Hd @ Hd).max() < 1e-10
+
+
+def component_sets(calc):
+    return {frozenset(row.tolist()) for idx, _, _ in calc.groups for row in idx}
+
+
+@pytest.fixture(scope="module")
+def chain128(nonrel, ff):
+    """The criterion-9 chain at L = 128 (dimension 1152)."""
+    L = 128
+    grid = fock.lattice_grid(L, [-16, -12, -8, -5, 5, 8, 12, 16], 0.2)
+    ms = model.ModelSpec(nonrel, ff, grid, 0.05)
+    fb = model.full_basis(ms, L, 1)
+    return fb, model.build_full_H(ms, fb)
+
+
+class TestBlockCalculus:
+    """The block-wise calculus against one dense ``eigh`` of the whole matrix."""
+
+    def test_chain_window_matches_dense(self, chain128):
+        _, H = chain128
+        calc = spectral.SpectralCalculus(H)
+        dense = oracles.DenseCalculus(H)
+        f = dynamics.energy_window(0.045, 0.6)
+        assert np.abs(calc.fn(f) - dense.fn(f)).max() < 1e-12
+        for sigma in (0.045, 0.2):
+            V = calc.window_vectors(sigma)
+            assert V.shape[1] == int(np.sum(dense.vals <= sigma))
+            assert np.abs(V @ V.conj().T - dense.projector(sigma)).max() < 1e-12
+            assert np.abs(calc.projector(sigma) - dense.projector(sigma)).max() < 1e-12
+
+    def test_chain_components_are_momentum_blocks(self, chain128):
+        fb, H = chain128
+        calc = spectral.SpectralCalculus(H)
+        assert [idx.shape for idx, _, _ in calc.groups] == [(fb.n_sites, fb.boson.size)]
+        blocks = model.momentum_blocks(fb)
+        assert component_sets(calc) == {frozenset(v.tolist()) for v in blocks.values()}
+
+    def test_imaginary_couplings_mixed_sizes_and_stored_zero(self):
+        n = 14
+        rows, cols, data = [], [], []
+        rng = np.random.default_rng(3)
+        # purely imaginary chains {0,1,2}, {3,4,5}, a complex pair {6,7},
+        # {8,9} and {10,11} joined only by a stored zero, isolated 12 and 13
+        for a, b, v in [(0, 1, 0.7j), (1, 2, -0.4j), (3, 4, 0.3j), (4, 5, 0.9j),
+                        (6, 7, 0.2 + 0.5j), (8, 9, 0.6j), (10, 11, -0.8j), (9, 10, 0.0)]:
+            rows += [a, b]
+            cols += [b, a]
+            data += [v, np.conj(v)]
+        rows += list(range(n))
+        cols += list(range(n))
+        data += rng.normal(size=n).tolist()
+        mat = sp.csr_matrix((np.array(data, dtype=complex), (rows, cols)), shape=(n, n))
+        assert mat.nnz == len(data)  # the zero coupling stays stored
+        H = SparseOperator(mat, True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            calc = spectral.SpectralCalculus(H)
+            F = calc.fn(np.exp)
+            V = calc.window_vectors(0.0)
+        assert component_sets(calc) == {frozenset(c) for c in (
+            {0, 1, 2}, {3, 4, 5}, {6, 7}, {8, 9, 10, 11}, {12}, {13})}
+        dense = oracles.DenseCalculus(H)
+        assert np.abs(np.sort(calc.vals) - dense.vals).max() < 1e-13
+        assert np.abs(F - dense.fn(np.exp)).max() < 1e-13
+        assert np.abs(V @ V.conj().T - dense.projector(0.0)).max() < 1e-13
+        energies = np.einsum("ik,ij,jk->k", V.conj(), H.dense(), V).real
+        assert np.abs(energies - dense.vals[dense.vals <= 0.0]).max() < 1e-13
+
+    def test_one_component_fiber(self, nonrel, ff):
+        grid = fock.line_grid(4, 0.9, 0.2)  # every mode couples: 0.2 < |k| < 1
+        basis = fock.build_basis(grid, 2)
+        H = fiber(model.ModelSpec(nonrel, ff, grid, 0.05), 0.25, basis)
+        calc = spectral.SpectralCalculus(H)
+        assert [idx.shape for idx, _, _ in calc.groups] == [(1, basis.size)]
+        E = calc.projector(0.5)
+        assert np.abs(E @ E - E).max() < 1e-12
+        assert np.abs(E - E.conj().T).max() < 1e-13
+        Hd = H.dense()
+        assert np.abs(calc.fn(lambda x: x ** 2) - Hd @ Hd).max() < 1e-10
+        assert np.abs(calc.fn(np.exp) - oracles.DenseCalculus(H).fn(np.exp)).max() < 1e-12
+
+    def test_limit_and_hermitian_checks_kept(self, chain128):
+        _, H = chain128
+        with pytest.raises(ValueError):
+            spectral.SpectralCalculus(H, limit=H.shape[0] - 1)
+        with pytest.raises(ValueError):
+            spectral.SpectralCalculus(SparseOperator(H.mat, False))
+
+
+def test_import_leaves_csgraph_unloaded():
+    """csgraph is imported by SpectralCalculus on first use, not at package import."""
+    code = ("import sys, nelsonlab, nelsonlab.cli; "
+            "sys.exit('scipy.sparse.csgraph' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestScan:
