@@ -6,8 +6,16 @@ config with its hash, and every CSV row carries the hash so artifacts are
 traceable.  Outputs are byte-identical across reruns with the same config
 and seed (timestamps live only in manifests).
 
-Exit codes: 0 pass, 1 verdict failure, 2 config error, 3 numerical
-non-convergence.
+Every verdict-producing subcommand ends in ``finish``: its report JSON holds
+the numbers at the top level and a ``verdicts`` block of booleans, its
+manifest carries the same block, and its exit code is read from that block
+alone.  ``report`` ANDs the blocks of the six reports named in ``REPORTS``
+and fails closed: a missing report, an absent or empty block, or a verdict
+that is not literally ``true`` is a failure.
+
+Exit codes: 0 pass, 1 verdict failure, 2 config error (a bad config value,
+or an input a probe rejects), 3 numerical non-convergence, 4 internal error
+(any other exception; its traceback is printed).
 """
 
 from __future__ import annotations
@@ -16,9 +24,10 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
+import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +41,7 @@ EXIT_PASS = 0
 EXIT_VERDICT = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICS = 3
+EXIT_INTERNAL = 4
 
 
 class ConfigError(ValueError):
@@ -54,6 +64,15 @@ def _parse_floatlist(s: str):
     return tuple(float(x) for x in s.split(";") if x.strip())
 
 
+def _positive(kind):
+    def parse(s: str):
+        x = kind(s)
+        if not x > 0:
+            raise ValueError("must be positive")
+        return x
+    return parse
+
+
 # key -> (parser, default)
 SCHEMA = {
     "model.dispersion": (str, "nonrel"),
@@ -71,16 +90,16 @@ SCHEMA = {
     "solver.tol": (float, 1e-10),
     "scan.p_min": (float, 0.0),
     "scan.p_max": (float, 0.8),
-    "scan.n_points": (int, 20),
+    "scan.n_points": (_positive(int), 20),
     "scan.beta": (float, 0.9),
-    "mourre.sigma_window": (float, 0.32),
+    "mourre.sigma_window": (_positive(float), 0.32),
     "mourre.p": (float, 0.25),
-    "mourre.samples": (int, 64),
+    "mourre.samples": (_positive(int), 64),
     "mourre.g_sweep": (_parse_floatlist, (0.01, 0.02, 0.04, 0.08)),
     "mourre.grid_n_modes": (int, 8),
     "mourre.grid_kmax": (float, 1.6),
     "mourre.sigma": (float, 0.1),
-    "dynamics.t0": (float, 1.0),
+    "dynamics.t0": (_positive(float), 1.0),
     "dynamics.t_max": (float, 100.0),
     "dynamics.ratio": (float, 1.5),
     "dynamics.krylov_dim": (int, 40),
@@ -97,8 +116,7 @@ SCHEMA = {
     "wplus.joint_cap": (int, 2),
     "algebra.n_modes": (int, 4),
     "algebra.n_max": (int, 3),
-    "algebra.draws": (int, 100),
-    "run.workers": (int, 1),
+    "algebra.draws": (_positive(int), 100),
     "debug.corrupt_algebra": (_parse_bool, False),
 }
 
@@ -110,7 +128,6 @@ class RunConfig:
     values: dict
     seed: int = 0
     out_dir: Path = Path(".")
-    threads: int = 1
 
     def __getitem__(self, key):
         return self.values[key]
@@ -194,23 +211,46 @@ def _json_default(x):
     raise TypeError(f"not JSON-serializable: {type(x)}")
 
 
-def write_manifest(cfg: RunConfig, command: str, verdicts: dict):
-    payload = {
+# the report each verdict-producing subcommand writes; `report` requires all six
+REPORTS = {"algebra": "algebra_report", "dispersion": "dispersion_verdicts",
+           "mourre": "mourre_report", "evolve": "evolve_report", "w": "w_report",
+           "wplus": "wplus_report"}
+
+
+def finish(cfg: RunConfig, command: str, numbers: dict, verdicts: dict) -> int:
+    """Write the command's report and manifest around one verdicts block; exit on it.
+
+    The report file is named in ``REPORTS``; ``report`` itself writes ``report.json``.
+    """
+    verdicts = {name: bool(ok) for name, ok in verdicts.items()}
+    cfg_hash = cfg.hash()
+    write_json(cfg.out_dir / f"{REPORTS.get(command, command)}.json",
+               {**numbers, "verdicts": verdicts, "config_hash": cfg_hash})
+    write_json(cfg.out_dir / f"{command}_manifest.json", {
         "command": command,
         "config": cfg.values,
-        "config_hash": cfg.hash(),
+        "config_hash": cfg_hash,
         "seed": cfg.seed,
-        "threads": cfg.threads,
         "verdicts": verdicts,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
-    write_json(cfg.out_dir / f"{command}_manifest.json", payload)
+    })
+    return EXIT_PASS if all(verdicts.values()) else EXIT_VERDICT
 
 
 # ---------------------------------------------------------------------------
 # Model assembly from config
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def _from_config():
+    """Re-raise a ValueError from objects built out of config values as ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+@_from_config()
 def build_model(cfg: RunConfig) -> tuple:
     v = cfg.values
     disp = model.DispersionLaw(v["model.dispersion"], v["model.mass"])
@@ -226,6 +266,7 @@ def build_model(cfg: RunConfig) -> tuple:
     return ms, basis
 
 
+@_from_config()
 def cutoffs_from(cfg: RunConfig) -> dynamics.CutoffFamily:
     v = cfg.values
     return dynamics.CutoffFamily(v["cutoffs.beta"], v["cutoffs.beta0"], v["cutoffs.beta1"],
@@ -242,16 +283,10 @@ def cmd_algebra(cfg: RunConfig) -> int:
         n_modes=v["algebra.n_modes"], n_max=v["algebra.n_max"],
         draws=v["algebra.draws"], sigma=v["ff.sigma"], seed=cfg.seed or 2024,
         corrupt=v["debug.corrupt_algebra"])
-    rep["config_hash"] = cfg.hash()
-    write_json(cfg.out_dir / "algebra_report.json", rep)
-    write_manifest(cfg, "algebra", {"passed": rep.get("passed", True),
-                                    "vacuous": rep.get("vacuous", False)})
-    if rep.get("vacuous"):
-        return EXIT_PASS
-    if not rep["passed"]:
+    verdicts = {} if rep["vacuous"] else {"identities": rep.pop("passed")}
+    if rep.get("failing"):
         sys.stderr.write("failing identities: " + ", ".join(rep["failing"]) + "\n")
-        return EXIT_VERDICT
-    return EXIT_PASS
+    return finish(cfg, "algebra", rep, verdicts)
 
 
 def cmd_dispersion(cfg: RunConfig) -> int:
@@ -260,12 +295,7 @@ def cmd_dispersion(cfg: RunConfig) -> int:
     momenta = [np.full(ms.grid.dim, p) if ms.grid.dim == 1 else
                np.array([p] + [0.0] * (ms.grid.dim - 1))
                for p in np.linspace(v["scan.p_min"], v["scan.p_max"], v["scan.n_points"])]
-    try:
-        curve = spectral.dispersion_scan(ms, momenta, basis, tol=v["solver.tol"],
-                                         beta=v["scan.beta"], workers=cfg.threads)
-    except ConvergenceError:
-        return EXIT_NUMERICS
-    cfg_hash = cfg.hash()
+    curve = spectral.dispersion_scan(ms, momenta, basis, tol=v["solver.tol"], beta=v["scan.beta"])
     rows = []
     for i, P in enumerate(curve.momenta):
         rows.append((";".join(f"{x:.17g}" for x in P), curve.energies[i],
@@ -273,7 +303,7 @@ def cmd_dispersion(cfg: RunConfig) -> int:
                      curve.lower_margins[i], curve.gaps[i], curve.soft_occupancies[i]))
     write_csv(cfg.out_dir / "dispersion_curve.csv",
               ["P", "E_g", "E_0", "upper_margin", "lower_margin", "gap", "soft_occupancy"],
-              rows, cfg_hash)
+              rows, cfg.hash())
     # perturbative residual scaling at P = 0
     gs = (0.01, 0.02, 0.04, 0.08)
     resid = []
@@ -285,25 +315,23 @@ def cmd_dispersion(cfg: RunConfig) -> int:
         resid.append(abs(eg - spectral.pt_ground_energy(msg, P0, basis)))
     pt_exponent = float(np.polyfit(np.log(gs), np.log(resid), 1)[0]) \
         if min(resid) > 0 else math.nan
-    verdicts = {
-        "sandwich_ok": bool(np.nanmin(curve.lower_margins) >= -1e-10
-                            and np.nanmin(curve.upper_margins) >= -1e-10),
+    numbers = {
         "soft_occupancy_max": float(np.nanmax(curve.soft_occupancies)),
         "gap_min": float(np.nanmin(curve.gaps)),
-        "all_converged": bool(np.all(curve.converged)),
         "free_mod_agree_max": float(np.nanmax(curve.free_mod_agree)),
         "pt_exponent": pt_exponent,
         "g_beta": model.g_beta(ms.disp, ms.ff, v["scan.beta"], ms.grid),
         "o_beta": model.o_beta(ms.disp, v["scan.beta"]),
-        "config_hash": cfg_hash,
     }
-    write_json(cfg.out_dir / "dispersion_verdicts.json", verdicts)
-    write_manifest(cfg, "dispersion", {"sandwich_ok": verdicts["sandwich_ok"]})
-    if not verdicts["all_converged"]:
-        return EXIT_NUMERICS
-    return EXIT_PASS if verdicts["sandwich_ok"] else EXIT_VERDICT
+    converged = np.all(curve.converged)
+    code = finish(cfg, "dispersion", numbers, {
+        "sandwich_ok": (np.nanmin(curve.lower_margins) >= -1e-10
+                        and np.nanmin(curve.upper_margins) >= -1e-10),
+        "all_converged": converged})
+    return code if converged else EXIT_NUMERICS
 
 
+@_from_config()
 def _mourre_setup(cfg: RunConfig):
     v = cfg.values
     disp = model.DispersionLaw(v["model.dispersion"], v["model.mass"])
@@ -331,13 +359,10 @@ def cmd_mourre(cfg: RunConfig) -> int:
     P = [v["mourre.p"]]
     sweep = mourre.mourre_sweep(mk, list(v["mourre.g_sweep"]), P, basis, sw, bf,
                                 sample_count=v["mourre.samples"], seed=cfg.seed or 11)
-    cfg_hash = cfg.hash()
     write_csv(cfg.out_dir / "mourre_sweep.csv", ["g", "min_r", "fitted_C"],
-              [(r[0], r[1], r[2]) for r in sweep["rows"]], cfg_hash)
-    ok = bool(sweep["min_r0"] >= -1e-10)
-    report = {
+              [(r[0], r[1], r[2]) for r in sweep["rows"]], cfg.hash())
+    return finish(cfg, "mourre", {
         "min_r_g0": sweep["min_r0"],
-        "min_r0_nonnegative": ok,
         "fitted_C": [r[2] for r in sweep["rows"]],
         "per_sample_g0": sweep["per_sample_g0"],
         "loglog_slope": sweep["loglog_slope"],
@@ -345,11 +370,7 @@ def cmd_mourre(cfg: RunConfig) -> int:
         "mesh": sweep["mesh"],
         "caps": {"n_max": basis.n_max, "e_cap": basis.e_cap},
         "rows": sweep["rows"],
-        "config_hash": cfg_hash,
-    }
-    write_json(cfg.out_dir / "mourre_report.json", report)
-    write_manifest(cfg, "mourre", {"min_r0_nonnegative": ok})
-    return EXIT_PASS if ok else EXIT_VERDICT
+    }, {"min_r0_nonnegative": sweep["min_r0"] >= -1e-10})
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
@@ -378,22 +399,12 @@ def cmd_evolve(cfg: RunConfig) -> int:
     d0 = np.real(np.asarray(H0.mat.diagonal()))
     u = dynamics.krylov_expm_apply(H0.mat, psi, 5.0, tol=prop.step_tol, m=prop.krylov_dim)
     phase_defect = float(np.linalg.norm(u - np.exp(-1j * d0 * 5.0) * psi))
-    cfg_hash = cfg.hash()
-    write_track_csv(cfg.out_dir / "evolve_track.csv", track, cfg_hash)
-    verdicts = {
-        "conservation": bool(conserved),
-        "phase_exact": bool(phase_defect < 1e-8),
-        "dense_mismatch": mismatch,
-        "phase_defect_g0": phase_defect,
-        "config_hash": cfg_hash,
-    }
+    write_track_csv(cfg.out_dir / "evolve_track.csv", track, cfg.hash())
+    verdicts = {"conservation": conserved, "phase_exact": phase_defect < 1e-8}
     if not math.isnan(mismatch):
-        verdicts["dense_agrees"] = bool(mismatch < 1e-8)
-    write_json(cfg.out_dir / "evolve_report.json", verdicts)
-    passed = {k: verdicts[k] for k in ("conservation", "phase_exact", "dense_agrees")
-              if k in verdicts}
-    write_manifest(cfg, "evolve", passed)
-    return EXIT_PASS if all(passed.values()) else EXIT_VERDICT
+        verdicts["dense_agrees"] = mismatch < 1e-8
+    return finish(cfg, "evolve", {"dense_mismatch": mismatch, "phase_defect_g0": phase_defect},
+                  verdicts)
 
 
 def cmd_w(cfg: RunConfig) -> int:
@@ -402,23 +413,15 @@ def cmd_w(cfg: RunConfig) -> int:
     cuts = cutoffs_from(cfg)
     P = np.full(ms.grid.dim, v["w.fiber_p"])
     H = model.build_fiber_H(ms, P, basis)
-    try:
-        psiP = dynamics.dressed_state(ms, P, basis, tol=v["solver.tol"])
-    except ConvergenceError:
-        return EXIT_NUMERICS
+    psiP = dynamics.dressed_state(ms, P, basis, tol=v["solver.tol"])
     ycalc = dynamics.YCalc(ms.grid)
     times = dynamics.geometric_times(v["dynamics.t0"], v["dynamics.t_max"], v["dynamics.ratio"])
     prop = dynamics.Propagation(H, psiP.amps, times, v["dynamics.krylov_dim"],
                                 v["dynamics.step_tol"])
     track = dynamics.W_estimate(prop, basis, cuts, ycalc)
-    cfg_hash = cfg.hash()
-    write_track_csv(cfg.out_dir / "w_track.csv", track, cfg_hash)
-    verdicts = {"dressed_w_final": track.final(),
-                "dressed_w_vanishes": bool(track.final() < 1e-6),
-                "config_hash": cfg_hash}
-    write_json(cfg.out_dir / "w_report.json", verdicts)
-    write_manifest(cfg, "w", {"dressed_w_vanishes": verdicts["dressed_w_vanishes"]})
-    return EXIT_PASS if verdicts["dressed_w_vanishes"] else EXIT_VERDICT
+    write_track_csv(cfg.out_dir / "w_track.csv", track, cfg.hash())
+    return finish(cfg, "w", {"dressed_w_final": track.final()},
+                  {"dressed_w_vanishes": track.final() < 1e-6})
 
 
 def cmd_wplus(cfg: RunConfig) -> int:
@@ -427,68 +430,46 @@ def cmd_wplus(cfg: RunConfig) -> int:
     cuts = cutoffs_from(cfg)
     P = np.full(ms.grid.dim, v["w.fiber_p"])
     H = model.build_fiber_H(ms, P, basis)
-    try:
-        psiP = dynamics.dressed_state(ms, P, basis, tol=v["solver.tol"])
-    except ConvergenceError:
-        return EXIT_NUMERICS
+    psiP = dynamics.dressed_state(ms, P, basis, tol=v["solver.tol"])
     ycalc = dynamics.YCalc(ms.grid)
     times = dynamics.geometric_times(v["dynamics.t0"], v["w.t_max"], v["dynamics.ratio"])
     prop = dynamics.Propagation(H, psiP.amps, times, v["dynamics.krylov_dim"],
                                 v["dynamics.step_tol"])
-    try:
-        track = dynamics.W_plus_probe(prop, basis, cuts, ycalc, f_window=v["w.f_window"],
-                                      joint_cap=v["wplus.joint_cap"])
-    except dynamics.ConfigWindowError as exc:
-        sys.stderr.write(str(exc) + "\n")
-        return EXIT_CONFIG
-    cfg_hash = cfg.hash()
+    track = dynamics.W_plus_probe(prop, basis, cuts, ycalc, f_window=v["w.f_window"],
+                                  joint_cap=v["wplus.joint_cap"])
     rows = [(track.times[i], track.values[i], track.extras["outer_vacuum_norms"][i])
             for i in range(len(track.times))]
     write_csv(cfg.out_dir / "wplus_track.csv", ["t", "wplus_norm", "outer_vacuum_norm"],
-              rows, cfg_hash)
-    verdicts = dict(track.verdicts)
-    verdicts["config_hash"] = cfg_hash
-    verdicts["extended_dim"] = track.extras["extended_dim"]
-    write_json(cfg.out_dir / "wplus_report.json", verdicts)
-    write_manifest(cfg, "wplus", {k: v for k, v in track.verdicts.items()})
-    return EXIT_PASS if all(track.verdicts.values()) else EXIT_VERDICT
+              rows, cfg.hash())
+    return finish(cfg, "wplus", {"extended_dim": track.extras["extended_dim"]}, track.verdicts)
 
 
-# one report per verdict-producing subcommand; report fails unless all are present
-EXPECTED_REPORTS = ("algebra_report", "dispersion_verdicts", "mourre_report",
-                    "evolve_report", "w_report", "wplus_report")
-# the boolean verdicts report ANDs; a report carrying none of them is unjudged
-VERDICT_KEYS = ("passed", "sandwich_ok", "all_converged", "min_r0_nonnegative",
-                "conservation", "phase_exact", "dense_agrees", "dressed_w_vanishes",
-                "outer_vacuum_small", "bounded")
+def _verdicts_block(path: Path) -> dict:
+    """A report's verdicts block; empty when absent or when the file holds no JSON object."""
+    try:
+        block = json.loads(path.read_text(encoding="utf-8")).get("verdicts")
+    except (ValueError, AttributeError):
+        return {}
+    return block if isinstance(block, dict) else {}
 
 
 def cmd_report(cfg: RunConfig) -> int:
-    collected, missing, unjudged = {}, [], []
-    ok = True
-    for name in EXPECTED_REPORTS:
+    verdicts, missing, unjudged = {}, [], []
+    for name in REPORTS.values():
         path = cfg.out_dir / f"{name}.json"
+        block = _verdicts_block(path) if path.exists() else {}
         if not path.exists():
             missing.append(name)
-            continue
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        collected[name] = payload
-        present = [key for key in VERDICT_KEYS if key in payload]
-        if not present:
+        elif not block:
             unjudged.append(name)
-        if any(payload[key] is False for key in present):
-            ok = False
+        verdicts[name] = bool(block) and all(ok is True for ok in block.values())
     if missing:
         sys.stderr.write(f"missing reports in {cfg.out_dir}: {', '.join(missing)}\n")
-        ok = False
     if unjudged:
         sys.stderr.write(f"reports without a verdict: {', '.join(unjudged)}\n")
-        ok = False
-    summary = {"reports": sorted(collected), "missing": missing, "unjudged": unjudged,
-               "all_pass": ok, "config_hash": cfg.hash()}
-    write_json(cfg.out_dir / "report.json", summary)
-    write_manifest(cfg, "report", {"all_pass": ok})
-    return EXIT_PASS if ok else EXIT_VERDICT
+    present = sorted(name for name in REPORTS.values() if name not in missing)
+    return finish(cfg, "report", {"reports": present, "missing": missing, "unjudged": unjudged,
+                                  "all_pass": all(verdicts.values())}, verdicts)
 
 
 COMMANDS = {
@@ -501,6 +482,12 @@ COMMANDS = {
     "report": cmd_report,
 }
 
+# exceptions that mean the config, or an input built from it, is unusable
+CONFIG_ERRORS = (ConfigError, fock.GridError, fock.BasisError, model.ConfigWindowError,
+                 dynamics.ProbePreconditionError, mourre.EmptySubspaceError,
+                 model.IncompatibleGridError, model.UnsupportedDispersionError)
+NUMERICS_ERRORS = (ConvergenceError, dynamics.KrylovBreakdownError)
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="nelsonlab",
@@ -509,29 +496,25 @@ def main(argv=None) -> int:
     parser.add_argument("--config", default=None, help="flat key=value config file")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
     try:
         values = parse_config(args.config)
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     except (ConfigError, OSError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
-    # precedence: --threads flag, then NELSONLAB_THREADS, then the config key
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("NELSONLAB_THREADS")
-        threads = int(env) if env is not None else int(values["run.workers"])
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = RunConfig(values=values, seed=args.seed, out_dir=out_dir, threads=threads)
+    cfg = RunConfig(values=values, seed=args.seed, out_dir=Path(args.out))
     try:
         return COMMANDS[args.command](cfg)
-    except (ConfigError, fock.GridError, fock.BasisError, ValueError) as exc:
+    except CONFIG_ERRORS as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
-    except (ConvergenceError, dynamics.KrylovBreakdownError) as exc:
+    except NUMERICS_ERRORS as exc:
         sys.stderr.write(f"numerical non-convergence: {exc}\n")
         return EXIT_NUMERICS
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -37,7 +37,7 @@ from .fock import (
     dGamma,
     weighted_abs,
 )
-from .model import FullBasis, ModelSpec, build_fiber_H, total_momentum_op
+from .model import ConfigWindowError, FullBasis, ModelSpec, build_fiber_H, total_momentum_op
 from .mourre import build_position_op, group_velocity
 from .spectral import SpectralCalculus, ground_state
 
@@ -48,10 +48,6 @@ class KrylovBreakdownError(RuntimeError):
 
 class ProbePreconditionError(ValueError):
     """Probe input violates its stated precondition."""
-
-
-class ConfigWindowError(ValueError):
-    """Cutoff thresholds outside the admissible window."""
 
 
 # ---------------------------------------------------------------------------
@@ -78,10 +74,6 @@ class CutoffFamily:
         seq = (self.beta, self.beta0, self.beta1, self.beta2, self.beta3, self.gamma)
         if not all(a < b for a, b in zip(seq, seq[1:])):
             raise ConfigWindowError("thresholds must be strictly ordered")
-
-    def f_electron_in(self, s):
-        """1 below beta0, 0 above beta1 (keeps the electron region)."""
-        return 1.0 - _switch((np.asarray(s, float) - self.beta0) / (self.beta1 - self.beta0))
 
     def chi_gamma(self, s):
         """0 below beta3, 1 above gamma."""

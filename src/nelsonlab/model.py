@@ -36,6 +36,10 @@ class IncompatibleGridError(ValueError):
     """Boson mode is not on the dual lattice of the electron chain."""
 
 
+class ConfigWindowError(ValueError):
+    """Thresholds or cutoffs outside the admissible window."""
+
+
 # ---------------------------------------------------------------------------
 # Dispersion laws
 # ---------------------------------------------------------------------------
@@ -101,13 +105,6 @@ class DispersionLaw:
         dp = self.table_p[1] - self.table_p[0]
         return float(np.abs(np.gradient(np.gradient(self.table_omega, dp), dp)).max())
 
-    def inf_omega(self) -> float:
-        if self.kind == "nonrel":
-            return 0.0
-        if self.kind == "rel":
-            return self.mass
-        return float(np.min(self.table_omega))
-
 
 def o_beta(disp: DispersionLaw, beta: float) -> float:
     """Largest energy threshold forcing |grad Omega| <= beta below it.
@@ -118,7 +115,7 @@ def o_beta(disp: DispersionLaw, beta: float) -> float:
     tends to inf Omega as beta -> 0+.
     """
     if beta <= 0:
-        raise ValueError("beta must be positive")
+        raise ConfigWindowError("beta must be positive")
     if disp.kind == "nonrel":
         return disp.mass * beta * beta / 2.0
     if disp.kind == "rel":
@@ -150,7 +147,7 @@ def quadrature_C(ff: "FormFactor", grid: ModeGrid) -> float:
 def g_beta(disp: DispersionLaw, ff: "FormFactor", beta: float, grid: ModeGrid) -> float:
     """Coupling threshold min(1, (1-b)^{3/2} / 3 sqrt(BC), (1-b)^2 / 3B(C + O_b))."""
     if beta >= 1:
-        raise ValueError("beta must be below 1")
+        raise ConfigWindowError("beta must be below 1")
     B = disp.hessian_sup()
     C = quadrature_C(ff, grid)
     Ob = o_beta(disp, beta)

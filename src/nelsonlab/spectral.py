@@ -20,7 +20,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fock import FockVector, OccupationBasis, SparseOperator
-from .model import ModelSpec, build_fiber_H, fiber_diagonal, o_beta, quadrature_C
+from .model import (
+    ConfigWindowError,
+    ModelSpec,
+    build_fiber_H,
+    fiber_diagonal,
+    o_beta,
+    quadrature_C,
+)
 
 DENSE_CUTOFF = 2000
 
@@ -282,8 +289,7 @@ class DispersionCurve:
 
 
 def dispersion_scan(ms: ModelSpec, momenta, basis: OccupationBasis,
-                    tol: float = 1e-10, beta: float | None = None,
-                    workers: int = 1) -> DispersionCurve:
+                    tol: float = 1e-10, beta: float | None = None) -> DispersionCurve:
     """Ground energies over a momentum list with sandwich-bound margins.
 
     Lower bounds (1 - a) E_0(P) - (g^2/a) C are evaluated at
@@ -296,7 +302,7 @@ def dispersion_scan(ms: ModelSpec, momenta, basis: OccupationBasis,
         ob = o_beta(ms.disp, beta)
         for P in momenta:
             if float(ms.disp.omega(P)) > ob:
-                raise ValueError(f"scan momentum {P} violates Omega(P) <= O_beta")
+                raise ConfigWindowError(f"scan momentum {P} violates Omega(P) <= O_beta")
     C = quadrature_C(ms.ff, ms.grid)
     alphas = tuple(a for a in (abs(ms.g), 0.5, 1.0) if a > 0)
     ms_free = ModelSpec(ms.disp, ms.ff, ms.grid,
@@ -318,10 +324,9 @@ def dispersion_scan(ms: ModelSpec, momenta, basis: OccupationBasis,
         soft = soft_boson_occupancy(res.ground_vector, ms.ff.sigma)
         return (eg, e0, upper, lower, res.gap, soft, abs(eg - eg2))
 
-    results = _parallel_map(solve_point, momenta, workers)
     rows = []
     conv = []
-    for r in results:
+    for r in map(solve_point, momenta):
         if r is None:
             rows.append((math.nan,) * 7)
             conv.append(False)
@@ -338,14 +343,6 @@ def dispersion_scan(ms: ModelSpec, momenta, basis: OccupationBasis,
         alphas=alphas,
         meta={"C": C, "n_max": basis.n_max, "tol": tol},
     )
-
-
-def _parallel_map(fn, items, workers: int):
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
 
 
 def lipschitz_gap(ms: ModelSpec, P, eps: float, basis: OccupationBasis,

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from nelsonlab import cli, dynamics, mourre
+from nelsonlab import cli, dynamics, mourre, spectral
 
 
 def run(args):
@@ -15,10 +15,10 @@ def write_cfg(tmp_path, text):
     return str(p)
 
 
-# a passing payload for each report that `report` requires
+# a passing verdicts block for each report that `report` requires
 PASSING_REPORTS = {
-    "algebra_report": {"passed": True},
-    "dispersion_verdicts": {"sandwich_ok": True},
+    "algebra_report": {"identities": True},
+    "dispersion_verdicts": {"sandwich_ok": True, "all_converged": True},
     "mourre_report": {"min_r0_nonnegative": True},
     "evolve_report": {"conservation": True, "phase_exact": True, "dense_agrees": True},
     "w_report": {"dressed_w_vanishes": True},
@@ -26,11 +26,15 @@ PASSING_REPORTS = {
 }
 
 
+def write_verdicts(out_dir, name, verdicts):
+    (out_dir / f"{name}.json").write_text(json.dumps({"verdicts": verdicts}))
+
+
 def write_passing_reports(out_dir, skip=()):
     """Passing stubs for every expected report not named in skip."""
-    for name, payload in PASSING_REPORTS.items():
+    for name, verdicts in PASSING_REPORTS.items():
         if name not in skip:
-            (out_dir / f"{name}.json").write_text(json.dumps(payload))
+            write_verdicts(out_dir, name, verdicts)
 
 
 class TestConfig:
@@ -60,10 +64,19 @@ class TestConfig:
 
     @pytest.mark.parametrize("key", ["solver.k", "dynamics.lattice_sites",
                                      "dynamics.mode_indices", "dynamics.p0", "dynamics.dp",
-                                     "dynamics.sigma_top", "dynamics.filter_width"])
+                                     "dynamics.sigma_top", "dynamics.filter_width",
+                                     "run.workers"])
     def test_removed_key_exit_code(self, tmp_path, key):
         path = write_cfg(tmp_path, f"{key} = 2\n")
         assert run(["algebra", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("key", ["scan.n_points", "mourre.samples", "algebra.draws",
+                                     "mourre.sigma_window", "dynamics.t0"])
+    def test_nonpositive_value_exit_code(self, tmp_path, key):
+        path = write_cfg(tmp_path, f"{key} = 0\n")
+        with pytest.raises(cli.ConfigError):
+            cli.parse_config(path)
+        assert run(["report", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
 
     def test_config_hash_covers_seed(self, tmp_path):
         values = cli.parse_config(None)
@@ -78,7 +91,7 @@ class TestCommands:
         code = run(["algebra", "--config", path, "--out", str(tmp_path), "--seed", "5"])
         assert code == cli.EXIT_PASS
         rep = json.loads((tmp_path / "algebra_report.json").read_text())
-        assert rep["passed"] and rep["max_defect"] < 1e-12
+        assert rep["verdicts"] == {"identities": True} and rep["max_defect"] < 1e-12
 
     def test_algebra_corrupt_fails_with_named_identity(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "algebra.draws = 2\nalgebra.n_max = 2\n"
@@ -92,7 +105,7 @@ class TestCommands:
         code = run(["algebra", "--config", path, "--out", str(tmp_path)])
         assert code == cli.EXIT_PASS
         rep = json.loads((tmp_path / "algebra_report.json").read_text())
-        assert rep["vacuous"]
+        assert rep["vacuous"] and rep["verdicts"] == {}
 
     def test_dispersion_outputs_and_verdicts(self, tmp_path):
         path = write_cfg(tmp_path, "scan.n_points = 4\ngrid.n_modes = 8\n")
@@ -102,7 +115,7 @@ class TestCommands:
         assert csv[0].endswith("config_hash")
         assert len(csv) == 5
         verd = json.loads((tmp_path / "dispersion_verdicts.json").read_text())
-        assert verd["sandwich_ok"]
+        assert verd["verdicts"] == {"sandwich_ok": True, "all_converged": True}
         assert 3.7 <= verd["pt_exponent"] <= 4.3
 
     def test_dispersion_g_zero_curve_matches_dispersion_law(self, tmp_path):
@@ -121,7 +134,7 @@ class TestCommands:
         assert run(["report", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_PASS
         rep = json.loads((tmp_path / "report.json").read_text())
         assert rep["all_pass"]
-        assert rep["reports"] == sorted(cli.EXPECTED_REPORTS) and rep["missing"] == []
+        assert rep["reports"] == sorted(cli.REPORTS.values()) and rep["missing"] == []
 
     def test_report_without_reports_fails(self, tmp_path):
         assert run(["report", "--out", str(tmp_path)]) == cli.EXIT_VERDICT
@@ -133,11 +146,11 @@ class TestCommands:
         assert run(["report", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_VERDICT
         rep = json.loads((tmp_path / "report.json").read_text())
         assert not rep["all_pass"]
-        assert rep["missing"] == [n for n in cli.EXPECTED_REPORTS if n != "w_report"]
+        assert rep["missing"] == [n for n in cli.REPORTS.values() if n != "w_report"]
 
     @pytest.mark.parametrize("name", sorted(PASSING_REPORTS))
     def test_report_requires_each_report(self, tmp_path, name):
-        assert set(PASSING_REPORTS) == set(cli.EXPECTED_REPORTS)
+        assert set(PASSING_REPORTS) == set(cli.REPORTS.values())
         write_passing_reports(tmp_path)
         assert run(["report", "--out", str(tmp_path)]) == cli.EXIT_PASS
         (tmp_path / f"{name}.json").unlink()
@@ -150,9 +163,9 @@ class TestCommands:
         write_passing_reports(tmp_path, skip=("mourre_report",))
         rep_path = tmp_path / "mourre_report.json"
         rep = json.loads(rep_path.read_text())
-        assert rep["min_r0_nonnegative"] is True
+        assert rep["verdicts"] == {"min_r0_nonnegative": True}
         assert run(["report", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_PASS
-        rep["min_r0_nonnegative"] = False
+        rep["verdicts"]["min_r0_nonnegative"] = False
         rep_path.write_text(json.dumps(rep))
         assert run(["report", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_VERDICT
 
@@ -172,37 +185,62 @@ class TestCommands:
         assert min(rep["per_sample_g0"]) == rep["min_r_g0"]
 
     def test_report_fails_hollow_reports(self, tmp_path):
-        for name in cli.EXPECTED_REPORTS:
-            (tmp_path / f"{name}.json").write_text("{}")
+        # no block, an empty block, a block that is not an object, and no JSON object at all
+        for text in ("{}", '{"verdicts": {}}', '{"verdicts": "yes"}', "[]", "not json"):
+            for name in cli.REPORTS.values():
+                (tmp_path / f"{name}.json").write_text(text)
+            assert run(["report", "--out", str(tmp_path)]) == cli.EXIT_VERDICT
+            rep = json.loads((tmp_path / "report.json").read_text())
+            assert not rep["all_pass"] and rep["missing"] == []
+            assert rep["unjudged"] == list(cli.REPORTS.values())
+
+    @pytest.mark.parametrize("name,value", [("algebra_report", None),
+                                            ("dispersion_verdicts", "no"),
+                                            ("mourre_report", 0), ("w_report", 1)])
+    def test_report_fails_verdict_not_literally_true(self, tmp_path, name, value):
+        write_passing_reports(tmp_path)
+        assert run(["report", "--out", str(tmp_path)]) == cli.EXIT_PASS
+        key = next(iter(PASSING_REPORTS[name]))
+        write_verdicts(tmp_path, name, {**PASSING_REPORTS[name], key: value})
         assert run(["report", "--out", str(tmp_path)]) == cli.EXIT_VERDICT
         rep = json.loads((tmp_path / "report.json").read_text())
-        assert not rep["all_pass"] and rep["missing"] == []
-        assert rep["unjudged"] == list(cli.EXPECTED_REPORTS)
+        assert not rep["all_pass"] and rep["unjudged"] == []
+        assert [n for n, ok in rep["verdicts"].items() if not ok] == [name]
 
     def test_report_ands_dispersion_convergence(self, tmp_path):
         write_passing_reports(tmp_path)
         assert run(["report", "--out", str(tmp_path)]) == cli.EXIT_PASS
-        (tmp_path / "dispersion_verdicts.json").write_text(json.dumps(
-            {"sandwich_ok": True, "all_converged": False}))
+        write_verdicts(tmp_path, "dispersion_verdicts",
+                       {"sandwich_ok": True, "all_converged": False})
         assert run(["report", "--out", str(tmp_path)]) == cli.EXIT_VERDICT
         assert not json.loads((tmp_path / "report.json").read_text())["all_pass"]
 
     def test_report_ands_wplus_bounded(self, tmp_path):
         write_passing_reports(tmp_path)
         assert run(["report", "--out", str(tmp_path)]) == cli.EXIT_PASS
-        (tmp_path / "wplus_report.json").write_text(json.dumps(
-            {"outer_vacuum_small": True, "bounded": False}))
+        write_verdicts(tmp_path, "wplus_report", {"outer_vacuum_small": True, "bounded": False})
         assert run(["report", "--out", str(tmp_path)]) == cli.EXIT_VERDICT
         assert not json.loads((tmp_path / "report.json").read_text())["all_pass"]
 
     @pytest.mark.parametrize("key", ["phase_exact", "dense_agrees"])
     def test_report_ands_evolve_verdicts(self, tmp_path, key):
         write_passing_reports(tmp_path)
-        rep = dict(PASSING_REPORTS["evolve_report"])
         assert run(["report", "--out", str(tmp_path)]) == cli.EXIT_PASS
-        rep[key] = False
-        (tmp_path / "evolve_report.json").write_text(json.dumps(rep))
+        write_verdicts(tmp_path, "evolve_report", {**PASSING_REPORTS["evolve_report"], key: False})
         assert run(["report", "--out", str(tmp_path)]) == cli.EXIT_VERDICT
+
+    @pytest.mark.parametrize("command,text", [
+        ("algebra", "algebra.draws = 2\nalgebra.n_max = 2\n"),
+        ("algebra", "algebra.draws = 2\nalgebra.n_max = 2\ndebug.corrupt_algebra = true\n"),
+        ("dispersion", ""), ("mourre", ""), ("evolve", ""), ("w", ""), ("wplus", "")],
+        ids=["algebra", "algebra-corrupt", "dispersion", "mourre", "evolve", "w", "wplus"])
+    def test_exit_code_read_from_shared_verdicts(self, tmp_path, command, text):
+        code = run([command, "--config", write_cfg(tmp_path, text), "--out", str(tmp_path)])
+        rep = json.loads((tmp_path / f"{cli.REPORTS[command]}.json").read_text())
+        man = json.loads((tmp_path / f"{command}_manifest.json").read_text())
+        assert rep["verdicts"] and rep["verdicts"] == man["verdicts"]
+        assert all(type(ok) is bool for ok in rep["verdicts"].values())
+        assert code == (cli.EXIT_PASS if all(rep["verdicts"].values()) else cli.EXIT_VERDICT)
 
     def test_evolve_checks_use_configured_krylov_dim(self, tmp_path, monkeypatch):
         seen = []
@@ -226,6 +264,45 @@ class TestCommands:
         monkeypatch.setattr(dynamics, "krylov_expm_apply", breakdown)
         path = write_cfg(tmp_path, "grid.n_modes = 8\n")
         assert run([command, "--config", path, "--out", str(tmp_path)]) == cli.EXIT_NUMERICS
+
+    @pytest.mark.parametrize("command,text", [
+        ("dispersion", "model.dispersion = foo\n"),
+        ("dispersion", "scan.beta = 1.5\n"),
+        ("dispersion", "scan.p_max = 5\n"),
+        ("mourre", "mourre.sigma_window = 1e-6\n"),
+        ("w", "cutoffs.beta = 0.9\n")],
+        ids=["dispersion-kind", "scan-beta", "scan-momentum", "mourre-window", "cutoff-order"])
+    def test_config_value_exit_code(self, tmp_path, capsys, command, text):
+        path = write_cfg(tmp_path, text)
+        assert run([command, "--config", path, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
+    def test_empty_subspace_exit_code(self, tmp_path, monkeypatch):
+        def empty(*args, **kwargs):
+            raise mourre.EmptySubspaceError("no spectrum in the requested window")
+
+        monkeypatch.setattr(mourre, "mourre_sweep", empty)
+        assert run(["mourre", "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("exc", [ValueError, IndexError])
+    def test_internal_error_exit_code(self, tmp_path, capsys, monkeypatch, exc):
+        def defect(*args, **kwargs):
+            raise exc("defect inside the scan")
+
+        monkeypatch.setattr(spectral, "dispersion_scan", defect)
+        assert run(["dispersion", "--out", str(tmp_path)]) == cli.EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "defect inside the scan" in err
+
+    @pytest.mark.parametrize("command,target", [("dispersion", (spectral, "dispersion_scan")),
+                                                ("w", (dynamics, "dressed_state")),
+                                                ("wplus", (dynamics, "dressed_state"))])
+    def test_convergence_error_exit_code(self, tmp_path, monkeypatch, command, target):
+        def stall(*args, **kwargs):
+            raise spectral.ConvergenceError("ARPACK did not converge")
+
+        monkeypatch.setattr(*target, stall)
+        assert run([command, "--out", str(tmp_path)]) == cli.EXIT_NUMERICS
 
     def test_manifest_written_with_hash(self, tmp_path):
         path = write_cfg(tmp_path, "algebra.draws = 2\nalgebra.n_max = 1\n")

@@ -268,12 +268,6 @@ class TestScan:
         for i, P in enumerate(momenta):
             assert curve.energies[i] == pytest.approx(float(P[0]) ** 2 / 2, abs=1e-12)
 
-    def test_scan_workers_agree(self, ms_default, basis12):
-        momenta = [np.array([p]) for p in np.linspace(0.0, 0.5, 4)]
-        c1 = spectral.dispersion_scan(ms_default, momenta, basis12, workers=1)
-        c2 = spectral.dispersion_scan(ms_default, momenta, basis12, workers=3)
-        assert np.array_equal(c1.energies, c2.energies)
-
     def test_other_dispersion_nonconvergence_gives_nan_row(self, ms_default, basis12,
                                                            monkeypatch):
         real = spectral.ground_state
