@@ -4,6 +4,17 @@ Each identity is evaluated as a worst-case matrix defect over seeded random
 draws; creation-type identities are restricted to the guarded sector
 N <= n_max - 1 where the truncated algebra is exact.  The suite is the
 engine behind the ``algebra`` subcommand and the first acceptance criterion.
+
+Every identity is evaluated on dense numpy arrays.  What does not depend on
+the draw is built once per suite: the one-leg generator stacks
+(``Generators``, from ``fock``'s own constructors), the nonzeros of a*(e_j)
+and the diagonals of dGamma(e_j) on the doubled grid, the tensor lift as an
+index gather (``split.tensor_lift``), U as its permutation
+(``split.tensor_iso_perm``), the fusion map I, the guards as column masks,
+and the checks that involve none of the draws.  A draw forms each operator
+that is linear in its coefficients with one ``tensordot`` and applies U as
+an index gather; only Gamma, dGamma2 and the splitting maps built on them
+are nonlinear in the draw and go through the sector recursion every draw.
 """
 
 from __future__ import annotations
@@ -32,10 +43,64 @@ def _wunitary(rng, grid):
     return Q / w[:, None] * w[None, :]
 
 
-def _norm(op) -> float:
-    mat = op.mat if hasattr(op, "mat") else op
-    arr = mat.toarray() if hasattr(mat, "toarray") else np.asarray(mat)
+def _norm(arr) -> float:
     return float(np.abs(arr).max())
+
+
+class Generators:
+    """Dense generator stacks on ``basis``, built by ``fock``'s constructors.
+
+    ``creation[j]`` is ``fock.creation_op(basis, e_j)``, ``field`` stacks
+    ``fock.field_op`` of e_j over that of i e_j, and ``hopping[i, j]`` is
+    ``fock.dGamma(basis, E_ij)`` for the unit mode matrix E_ij.  Each of these
+    operators is linear in its mode data (the field real-linear), so the
+    methods form it for any coefficients with one ``tensordot``.  The stacks
+    are stored complex, so the product with complex coefficients casts nothing.
+    """
+
+    def __init__(self, basis: fock.OccupationBasis):
+        M, n = basis.grid.n_modes, basis.size
+        eye = np.eye(M)
+        self.creation = np.stack([fock.creation_op(basis, e).dense() for e in eye]
+                                 ).astype(complex)
+        self.field = np.stack([fock.field_op(basis, c * e).dense()
+                               for c in (1.0, 1j) for e in eye]).astype(complex)
+        self.hopping = np.stack([fock.dGamma(basis, np.outer(ei, ej)).dense()
+                                 for ei in eye for ej in eye]
+                                ).astype(complex).reshape(M, M, n, n)
+
+    def creation_op(self, h) -> np.ndarray:
+        return np.tensordot(h, self.creation, 1)
+
+    def annihilation_op(self, h) -> np.ndarray:
+        return self.creation_op(h).conj().T
+
+    def field_op(self, h) -> np.ndarray:
+        h = np.asarray(h, dtype=complex)
+        return np.tensordot(np.concatenate([h.real, h.imag]), self.field, 1)
+
+    def dGamma(self, b) -> np.ndarray:
+        b = np.asarray(b)
+        return np.tensordot(np.diag(b) if b.ndim == 1 else b, self.hopping, 2)
+
+
+def _sparse_creation(basis: fock.OccupationBasis):
+    """a*(h) on ``basis`` as a scatter of the nonzeros of ``fock.creation_op(basis, e_j)``.
+
+    For the doubled grid, where a dense 2M x n x n stack would cost megabytes
+    per product; every entry belongs to one mode, since it adds one boson.
+    """
+    parts = [fock.creation_op(basis, e).mat.tocoo() for e in np.eye(basis.grid.n_modes)]
+    flat = np.concatenate([c.row * basis.size + c.col for c in parts])
+    value = np.concatenate([c.data for c in parts])
+    mode = np.repeat(np.arange(len(parts)), [c.nnz for c in parts])
+
+    def creation_op(h) -> np.ndarray:
+        out = np.zeros(basis.size * basis.size, dtype=complex)
+        out[flat] = value * h[mode]
+        return out.reshape(basis.size, basis.size)
+
+    return creation_op
 
 
 def run_algebra_suite(n_modes: int = 4, n_max: int = 3, draws: int = 100,
@@ -52,71 +117,85 @@ def run_algebra_suite(n_modes: int = 4, n_max: int = 3, draws: int = 100,
     if n_max == 0:
         return {"defects": {}, "vacuous": True, "draws": 0,
                 "note": "n_max=0: guarded sector empty, identities hold vacuously"}
-    M = grid.n_modes
-    guard = fock.guarded_projector(basis)
-    ident = fock.identity_op(basis)
+    M, n = grid.n_modes, basis.size
+    eye = np.eye(n)
+    guard = np.flatnonzero(basis.total_numbers() <= n_max - 1)
     N_op = fock.number_op(basis)
+    N = N_op.dense()
+    gen = Generators(basis)
 
-    dgrid = split.doubled_grid(grid)
-    basis_sum = fock.build_basis(dgrid, n_max)
-    left = fock.build_basis(grid, n_max)
-    right = fock.build_basis(grid, n_max)
-    tb = split.build_tensor_basis(left, right, joint_cap=n_max)
-    U = split.tensor_iso_U(basis_sum, tb)
-    guard_sum = fock.guarded_projector(basis_sum)
-    ntot_pairs = tb.pair_numbers().sum(axis=1)
-    guard_pairs = np.diag((ntot_pairs <= n_max - 1).astype(complex))
-    N_pair = (split.tensor_factor_ops(tb, op_left=N_op).mat
-              + split.tensor_factor_ops(tb, op_right=N_op).mat)
+    basis_sum = fock.build_basis(split.doubled_grid(grid), n_max)
+    tb = split.build_tensor_basis(basis, basis, joint_cap=n_max)
+    lift = split.tensor_lift(tb)
+    guard_pairs = np.flatnonzero(tb.pair_numbers().sum(axis=1) <= n_max - 1)
+    # U is a bijection here (joint cap = n_max): U X = X[s], X U = X[:, t]
+    t = split.tensor_iso_perm(basis_sum, tb)
+    s = np.argsort(t)
+    sum_creation = _sparse_creation(basis_sum)
+    sum_numbers = np.stack([fock.dGamma(basis_sum, e).mat.diagonal()
+                            for e in np.eye(2 * M)], axis=1)
+    # number operators are diagonal; their pair lifts are kept as diagonals
+    N_pair = (split.tensor_factor_ops(tb, op_left=N_op)
+              + split.tensor_factor_ops(tb, op_right=N_op)).mat.diagonal()
+    dG_om = gen.dGamma(grid.omega_mod)
+    dG_om_pair = np.diagonal(lift(dG_om) + lift(None, dG_om))
+    I_op = split.scattering_ident(tb, basis).dense()
 
     defects: dict[str, float] = {}
 
     def rec(name, value):
         defects[name] = max(defects.get(name, 0.0), float(value))
 
+    # the checks that involve no draw
+    U = split.tensor_iso_U(basis_sum, tb)
+    vac_sum = np.zeros(basis_sum.size)
+    vac_sum[0] = 1.0
+    target = np.zeros(tb.size)
+    target[tb.index[(0, 0)]] = 1.0
+    rec("ueq0_vacuum", np.abs(U.mat @ vac_sum - target).max())
+    rec("u_isometry", _norm((U.adjoint() @ U).dense() - np.eye(basis_sum.size)))
+
     for _ in range(draws):
         g1 = _rand_vec(rng, M)
         g2 = _rand_vec(rng, M)
-        a_dag1 = fock.creation_op(basis, g1)
+        c1 = gen.creation_op(g1)
+        a_dag1 = c1
         if corrupt:
-            bad = a_dag1.mat.tolil()
-            bad[0, min(1, basis.size - 1)] += 0.5
-            a_dag1 = fock.SparseOperator(bad.tocsr(), False, basis, basis)
-        a_dag2 = fock.creation_op(basis, g2)
-        a1 = a_dag1.adjoint()
+            a_dag1 = c1.copy()
+            a_dag1[0, min(1, n - 1)] += 0.5
+        a_dag2 = gen.creation_op(g2)
+        a1 = a_dag1.conj().T
+        ann1, ann2 = c1.conj().T, a_dag2.conj().T
 
         # CCR
         comm = (a1 @ a_dag2) - (a_dag2 @ a1)
-        rec("ccr", _norm((comm - fock.weighted_inner(grid, g1, g2) * ident) @ guard))
+        rec("ccr", _norm((comm - fock.weighted_inner(grid, g1, g2) * eye)[:, guard]))
         rec("ccr_same_type", max(_norm((a_dag1 @ a_dag2) - (a_dag2 @ a_dag1)),
-                                 _norm((a1 @ a_dag2.adjoint()) - (a_dag2.adjoint() @ a1))))
+                                 _norm((a1 @ ann2) - (ann2 @ a1))))
 
         # functor identities
         b = _rand_mat(rng, M)
-        G = fock.Gamma(basis, b)
-        rec("geq1", _norm(((G @ a_dag1) - (fock.creation_op(basis, b @ g1) @ G)) @ guard))
+        G = fock.Gamma(basis, b).dense()
+        rec("geq1", _norm(((G @ a_dag1) - (gen.creation_op(b @ g1) @ G))[:, guard]))
         bstar = fock.weighted_adjoint(grid, grid, b)
-        rec("geq2", _norm((G @ fock.annihilation_op(basis, bstar @ g1))
-                          - (fock.annihilation_op(basis, g1) @ G)))
+        rec("geq2", _norm((G @ gen.annihilation_op(bstar @ g1)) - (ann1 @ G)))
         q = _wunitary(rng, grid)
-        Gq = fock.Gamma(basis, q)
-        rec("geq3", _norm(((Gq @ fock.annihilation_op(basis, g1))
-                           - (fock.annihilation_op(basis, q @ g1) @ Gq)) @ guard))
-        rec("geq4", _norm(((Gq @ fock.field_op(basis, g1))
-                           - (fock.field_op(basis, q @ g1) @ Gq)) @ guard))
+        Gq = fock.Gamma(basis, q).dense()
+        rec("geq3", _norm(((Gq @ ann1) - (gen.annihilation_op(q @ g1) @ Gq))[:, guard]))
+        phi = gen.field_op(g1)
+        rec("geq4", _norm(((Gq @ phi) - (gen.field_op(q @ g1) @ Gq))[:, guard]))
 
         # dGamma and the mixed functor
         bh = _whermitian(grid, _rand_mat(rng, M))
-        dG = fock.dGamma(basis, bh)
-        phi = fock.field_op(basis, g1)
+        dG = gen.dGamma(bh)
         lhs = 1j * ((dG @ phi) - (phi @ dG))
-        rec("dgamma_phi", _norm((lhs - fock.field_op(basis, 1j * (bh @ g1))) @ guard))
+        rec("dgamma_phi", _norm((lhs - gen.field_op(1j * (bh @ g1)))[:, guard]))
         b2 = _rand_mat(rng, M)
-        rec("dgamma2_collapse", _norm(fock.dGamma2(basis, np.eye(M), b2) - fock.dGamma(basis, b2)))
-        rec("gamma_dgamma", _norm((G @ fock.dGamma(basis, b2)) - fock.dGamma2(basis, b, b @ b2)))
+        dG2 = gen.dGamma(b2)
+        rec("dgamma2_collapse", _norm(fock.dGamma2(basis, np.eye(M), b2).dense() - dG2))
+        rec("gamma_dgamma", _norm((G @ dG2) - fock.dGamma2(basis, b, b @ b2).dense()))
         rec("gamma_dgamma_comm",
-            _norm(((G @ fock.dGamma(basis, b2)) - (fock.dGamma(basis, b2) @ G))
-                  - fock.dGamma2(basis, b, b @ b2 - b2 @ b)))
+            _norm(((G @ dG2) - (dG2 @ G)) - fock.dGamma2(basis, b, b @ b2 - b2 @ b).dense()))
 
         # Schwarz bound for the mixed functor
         r1 = _rand_mat(rng, M)
@@ -124,33 +203,25 @@ def run_algebra_suite(n_modes: int = 4, n_max: int = 3, draws: int = 100,
         qm = _rand_mat(rng, M)
         qm = qm / max(1.0, fock.weighted_opnorm(grid, grid, qm))
         r2s = fock.weighted_adjoint(grid, grid, r2)
-        u = _rand_vec(rng, basis.size)
-        v = _rand_vec(rng, basis.size)
-        lhs_s = abs(complex(np.vdot(u, fock.dGamma2(basis, qm, r2s @ r1).mat @ v)))
-        rhs_s = (np.sqrt(max(0.0, float(np.vdot(u, fock.dGamma(basis, r2s @ r2).mat @ u).real)))
-                 * np.sqrt(max(0.0, float(np.vdot(v, fock.dGamma(basis, fock.weighted_adjoint(grid, grid, r1) @ r1).mat @ v).real))))
+        u = _rand_vec(rng, n)
+        v = _rand_vec(rng, n)
+        lhs_s = abs(complex(np.vdot(u, fock.dGamma2(basis, qm, r2s @ r1).dense() @ v)))
+        rhs_s = (np.sqrt(max(0.0, float(np.vdot(u, gen.dGamma(r2s @ r2) @ u).real)))
+                 * np.sqrt(max(0.0, float(np.vdot(v, gen.dGamma(fock.weighted_adjoint(grid, grid, r1) @ r1) @ v).real))))
         rec("lemma_dgamma_schwarz", max(0.0, lhs_s - rhs_s))
 
-        # tensor isomorphism
-        vac_sum = np.zeros(basis_sum.size); vac_sum[0] = 1.0
-        target = np.zeros(tb.size); target[tb.index[(0, 0)]] = 1.0
-        rec("ueq0_vacuum", np.abs(U.mat @ vac_sum - target).max())
-        h_pair = np.concatenate([g1, g2])
-        cs = fock.creation_op(basis_sum, np.concatenate([g1, np.zeros(M)]))
-        lhsU = (U @ cs @ U.adjoint()).mat.toarray()
-        rhsU = split.tensor_factor_ops(tb, op_left=a_dag1).mat.toarray()
-        rec("ueq0_creation", np.abs((lhsU - rhsU) @ guard_pairs).max())
-        an = fock.annihilation_op(basis_sum, h_pair)
-        rhs_a = (split.tensor_factor_ops(tb, op_left=fock.annihilation_op(basis, g1)).mat
-                 + split.tensor_factor_ops(tb, op_right=fock.annihilation_op(basis, g2)).mat)
-        rec("ueq1_annihilation", _norm((U @ an) - fock.SparseOperator((rhs_a @ U.mat).tocsr())))
+        # tensor isomorphism; lhs and rhs are reused and then dropped, so that
+        # at most one pair of pair-basis matrices is alive at a time
+        lhs = sum_creation(np.concatenate([g1, np.zeros(M)]))[np.ix_(s, s)]
+        rec("ueq0_creation", np.abs((lhs - lift(a_dag1))[:, guard_pairs]).max())
+        lhs = sum_creation(np.concatenate([g1, g2])).conj().T[s]
+        rhs = (lift(ann1) + lift(None, ann2))[:, t]
+        rec("ueq1_annihilation", _norm(lhs - rhs))
         d0 = rng.normal(size=M)
         dinf = rng.normal(size=M)
-        lhs3 = (U @ fock.dGamma(basis_sum, np.concatenate([d0, dinf])) @ U.adjoint()).mat.toarray()
-        rhs3 = (split.tensor_factor_ops(tb, op_left=fock.dGamma(basis, d0)).mat
-                + split.tensor_factor_ops(tb, op_right=fock.dGamma(basis, dinf)).mat).toarray()
-        rec("ueq3_dgamma", np.abs(lhs3 - rhs3).max())
-        rec("u_isometry", _norm((U.adjoint() @ U) - fock.identity_op(basis_sum)))
+        lhs = np.diag((sum_numbers @ np.concatenate([d0, dinf]))[s])
+        rhs = lift(gen.dGamma(d0)) + lift(None, gen.dGamma(dinf))
+        rec("ueq3_dgamma", np.abs(lhs - rhs).max())
 
         # binomial spot check (needs the two-boson sector): amplitude of
         # a*(v)^2 Omega with v = (e_i, e_j)
@@ -158,65 +229,54 @@ def run_algebra_suite(n_modes: int = 4, n_max: int = 3, draws: int = 100,
             i, j = rng.integers(0, M, size=2)
             vv = np.concatenate([np.eye(M)[i] / np.sqrt(grid.weights[i]),
                                  np.eye(M)[j] / np.sqrt(grid.weights[j])])
-            cv = fock.creation_op(basis_sum, vv)
-            two = U.mat @ (cv.mat @ (cv.mat @ vac_sum))
-            li = left.index[tuple(1 if t == i else 0 for t in range(M))]
-            ri = right.index[tuple(1 if t == j else 0 for t in range(M))]
+            lhs = sum_creation(vv)
+            two = (lhs @ lhs[:, 0])[s]
+            li = basis.index[tuple(1 if k == i else 0 for k in range(M))]
+            ri = basis.index[tuple(1 if k == j else 0 for k in range(M))]
             amp = two[tb.index[(li, ri)]]
             rec("ueq2_binomial", abs(amp - np.sqrt(2.0) * np.sqrt(2.0)))
+        del lhs, rhs
 
         # splitting map with an isometric pair
         th = rng.uniform(0.1, np.pi / 2 - 0.1, size=M)
         pair_iso = split.SplitPair(grid, np.diag(np.cos(th)), np.diag(np.sin(th)))
-        BG = split.breve_gamma(pair_iso, basis, tb, basis_sum=basis_sum)
-        rec("breve_isometry", _norm(fock.SparseOperator((BG.mat.conj().T @ BG.mat).tocsr())
-                                    - fock.identity_op(basis)))
-        lhs_a = BG.mat @ fock.creation_op(basis, g1).mat
-        rhs_ag = (split.tensor_factor_ops(tb, op_left=fock.creation_op(basis, pair_iso.j0 @ g1)).mat
-                  + split.tensor_factor_ops(tb, op_right=fock.creation_op(basis, pair_iso.jinf @ g1)).mat) @ BG.mat
-        rec("ugamma_a", np.abs((lhs_a - rhs_ag).toarray() @ np.diag(
-            (basis.total_numbers() <= n_max - 1).astype(complex))).max())
-        lhs_p = BG.mat @ fock.field_op(basis, g1).mat
-        rhs_p = (split.tensor_factor_ops(tb, op_left=fock.field_op(basis, pair_iso.j0 @ g1)).mat
-                 + split.tensor_factor_ops(tb, op_right=fock.field_op(basis, pair_iso.jinf @ g1)).mat) @ BG.mat
-        rec("ugamma_phi", np.abs((lhs_p - rhs_p).toarray() @ np.diag(
-            (basis.total_numbers() <= n_max - 1).astype(complex))).max())
-        rec("breve_number", _norm(fock.SparseOperator(((BG.mat @ N_op.mat) - (N_pair @ BG.mat)).tocsr())))
+        BG = split.breve_gamma(pair_iso, basis, tb, basis_sum=basis_sum).dense()
+        rec("breve_isometry", _norm(BG.conj().T @ BG - eye))
+        rhs_ag = (lift(gen.creation_op(pair_iso.j0 @ g1))
+                  + lift(None, gen.creation_op(pair_iso.jinf @ g1))) @ BG
+        rec("ugamma_a", _norm(((BG @ c1) - rhs_ag)[:, guard]))
+        rhs_p = (lift(gen.field_op(pair_iso.j0 @ g1))
+                 + lift(None, gen.field_op(pair_iso.jinf @ g1))) @ BG
+        rec("ugamma_phi", _norm(((BG @ phi) - rhs_p)[:, guard]))
+        rec("breve_number", _norm((BG @ N) - (N_pair[:, None] * BG)))
 
         # partition pair: ugamma-o and the right inverse
         um = rng.uniform(0.2, 0.8, size=M)
         Qs = 0.1 * rng.normal(size=(M, M))
         j0 = np.diag(um) + (Qs + Qs.T)
         pair_part = split.SplitPair(grid, j0, np.eye(M) - j0)
-        BGP = split.breve_gamma(pair_part, basis, tb, basis_sum=basis_sum)
-        om = grid.omega_mod
-        lhs_o = (BGP.mat @ fock.dGamma(basis, om).mat
-                 - (split.tensor_factor_ops(tb, op_left=fock.dGamma(basis, om)).mat
-                    + split.tensor_factor_ops(tb, op_right=fock.dGamma(basis, om)).mat) @ BGP.mat)
-        c0 = np.diag(om) @ pair_part.j0 - pair_part.j0 @ np.diag(om)
-        cinf = np.diag(om) @ pair_part.jinf - pair_part.jinf @ np.diag(om)
-        rhs_o = -split.dbreve_gamma2(pair_part, c0, cinf, basis, tb, basis_sum=basis_sum).mat
-        rec("ugamma_o", np.abs((lhs_o - rhs_o).toarray()).max())
-        I_op = split.scattering_ident(tb, basis)
-        rec("igamma", _norm(fock.SparseOperator((I_op.mat @ BGP.mat).tocsr())
-                            - fock.identity_op(basis)))
+        BGP = split.breve_gamma(pair_part, basis, tb, basis_sum=basis_sum).dense()
+        lhs_o = (BGP @ dG_om) - (dG_om_pair[:, None] * BGP)
+        om = np.diag(grid.omega_mod)
+        c0 = om @ pair_part.j0 - pair_part.j0 @ om
+        cinf = om @ pair_part.jinf - pair_part.jinf @ om
+        rhs_o = -split.dbreve_gamma2(pair_part, c0, cinf, basis, tb, basis_sum=basis_sum).dense()
+        rec("ugamma_o", np.abs(lhs_o - rhs_o).max())
+        rec("igamma", _norm((I_op @ BGP) - eye))
 
         # two-term Cauchy-Schwarz for the mixed splitting map
         k0 = _whermitian(grid, _rand_mat(rng, M))
         kinf = _whermitian(grid, _rand_mat(rng, M))
-        jstack = pair_iso
         ut = _rand_vec(rng, tb.size)
-        vt = _rand_vec(rng, basis.size)
-        dbg = split.dbreve_gamma2(jstack, k0, kinf, basis, tb, basis_sum=basis_sum)
-        lhs_u = abs(complex(np.vdot(ut, dbg.mat @ vt)))
-        abs_k0 = fock.weighted_abs(grid, k0)
-        abs_kinf = fock.weighted_abs(grid, kinf)
-        t_l = split.tensor_factor_ops(tb, op_left=fock.dGamma(basis, abs_k0)).mat
-        t_r = split.tensor_factor_ops(tb, op_right=fock.dGamma(basis, abs_kinf)).mat
-        rhs_u = (np.sqrt(max(0.0, float(np.vdot(ut, t_l @ ut).real)))
-                 * np.sqrt(max(0.0, float(np.vdot(vt, fock.dGamma(basis, abs_k0).mat @ vt).real)))
-                 + np.sqrt(max(0.0, float(np.vdot(ut, t_r @ ut).real)))
-                 * np.sqrt(max(0.0, float(np.vdot(vt, fock.dGamma(basis, abs_kinf).mat @ vt).real))))
+        vt = _rand_vec(rng, n)
+        dbg = split.dbreve_gamma2(pair_iso, k0, kinf, basis, tb, basis_sum=basis_sum).dense()
+        lhs_u = abs(complex(np.vdot(ut, dbg @ vt)))
+        dG_k0 = gen.dGamma(fock.weighted_abs(grid, k0))
+        dG_kinf = gen.dGamma(fock.weighted_abs(grid, kinf))
+        rhs_u = (np.sqrt(max(0.0, float(np.vdot(ut, lift(dG_k0) @ ut).real)))
+                 * np.sqrt(max(0.0, float(np.vdot(vt, dG_k0 @ vt).real)))
+                 + np.sqrt(max(0.0, float(np.vdot(ut, lift(None, dG_kinf) @ ut).real)))
+                 * np.sqrt(max(0.0, float(np.vdot(vt, dG_kinf @ vt).real))))
         rec("lemma_udgamma", max(0.0, lhs_u - rhs_u))
 
     # cap-dependent norm diagnostics for the identification map
@@ -224,9 +284,7 @@ def run_algebra_suite(n_modes: int = 4, n_max: int = 3, draws: int = 100,
     Nl, Nr = tb.pair_numbers().T
     for kk in (1, 2):
         wts = np.where(Nr <= kk, (1.0 + Nl) ** (-kk), 0.0)
-        I_op = split.scattering_ident(tb, basis)
-        i_norms[f"I_weight_k{kk}"] = float(np.linalg.norm(
-            I_op.mat.toarray() * wts[None, :], 2))
+        i_norms[f"I_weight_k{kk}"] = float(np.linalg.norm(I_op * wts[None, :], 2))
 
     tol = 1e-12
     failing = sorted(name for name, d in defects.items() if d > tol)

@@ -64,11 +64,11 @@ def _parse_floatlist(s: str):
     return tuple(float(x) for x in s.split(";") if x.strip())
 
 
-def _positive(kind):
+def _above(kind, bound=0):
     def parse(s: str):
         x = kind(s)
-        if not x > 0:
-            raise ValueError("must be positive")
+        if not x > bound:
+            raise ValueError(f"must be greater than {bound}")
         return x
     return parse
 
@@ -90,18 +90,18 @@ SCHEMA = {
     "solver.tol": (float, 1e-10),
     "scan.p_min": (float, 0.0),
     "scan.p_max": (float, 0.8),
-    "scan.n_points": (_positive(int), 20),
+    "scan.n_points": (_above(int), 20),
     "scan.beta": (float, 0.9),
-    "mourre.sigma_window": (_positive(float), 0.32),
+    "mourre.sigma_window": (_above(float), 0.32),
     "mourre.p": (float, 0.25),
-    "mourre.samples": (_positive(int), 64),
+    "mourre.samples": (_above(int), 64),
     "mourre.g_sweep": (_parse_floatlist, (0.01, 0.02, 0.04, 0.08)),
     "mourre.grid_n_modes": (int, 8),
     "mourre.grid_kmax": (float, 1.6),
     "mourre.sigma": (float, 0.1),
-    "dynamics.t0": (_positive(float), 1.0),
+    "dynamics.t0": (_above(float), 1.0),
     "dynamics.t_max": (float, 100.0),
-    "dynamics.ratio": (float, 1.5),
+    "dynamics.ratio": (_above(float, 1), 1.5),
     "dynamics.krylov_dim": (int, 40),
     "dynamics.step_tol": (float, 1e-11),
     "cutoffs.beta": (float, 0.3),
@@ -116,7 +116,7 @@ SCHEMA = {
     "wplus.joint_cap": (int, 2),
     "algebra.n_modes": (int, 4),
     "algebra.n_max": (int, 3),
-    "algebra.draws": (_positive(int), 100),
+    "algebra.draws": (_above(int), 100),
     "debug.corrupt_algebra": (_parse_bool, False),
 }
 
@@ -197,8 +197,14 @@ def write_track_csv(path: Path, track: dynamics.ObservableTrack, cfg_hash: str):
 
 
 def write_json(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n",
-                    encoding="utf-8")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
+                               default=_json_default) + "\n", encoding="utf-8")
+
+
+def _number(x):
+    """A report number, or None (JSON null) where it is undefined (NaN)."""
+    x = float(x)
+    return None if math.isnan(x) else x
 
 
 def _json_default(x):
@@ -295,6 +301,9 @@ def cmd_dispersion(cfg: RunConfig) -> int:
     momenta = [np.full(ms.grid.dim, p) if ms.grid.dim == 1 else
                np.array([p] + [0.0] * (ms.grid.dim - 1))
                for p in np.linspace(v["scan.p_min"], v["scan.p_max"], v["scan.n_points"])]
+    # the coupling window is checked before the scan, so a bad scan.beta leaves no CSV
+    g_beta = model.g_beta(ms.disp, ms.ff, v["scan.beta"], ms.grid)
+    o_beta = model.o_beta(ms.disp, v["scan.beta"])
     curve = spectral.dispersion_scan(ms, momenta, basis, tol=v["solver.tol"], beta=v["scan.beta"])
     rows = []
     for i, P in enumerate(curve.momenta):
@@ -316,12 +325,12 @@ def cmd_dispersion(cfg: RunConfig) -> int:
     pt_exponent = float(np.polyfit(np.log(gs), np.log(resid), 1)[0]) \
         if min(resid) > 0 else math.nan
     numbers = {
-        "soft_occupancy_max": float(np.nanmax(curve.soft_occupancies)),
-        "gap_min": float(np.nanmin(curve.gaps)),
-        "free_mod_agree_max": float(np.nanmax(curve.free_mod_agree)),
-        "pt_exponent": pt_exponent,
-        "g_beta": model.g_beta(ms.disp, ms.ff, v["scan.beta"], ms.grid),
-        "o_beta": model.o_beta(ms.disp, v["scan.beta"]),
+        "soft_occupancy_max": _number(np.nanmax(curve.soft_occupancies)),
+        "gap_min": _number(np.nanmin(curve.gaps)),
+        "free_mod_agree_max": _number(np.nanmax(curve.free_mod_agree)),
+        "pt_exponent": _number(pt_exponent),
+        "g_beta": g_beta,
+        "o_beta": o_beta,
     }
     converged = np.all(curve.converged)
     code = finish(cfg, "dispersion", numbers, {
@@ -365,7 +374,7 @@ def cmd_mourre(cfg: RunConfig) -> int:
         "min_r_g0": sweep["min_r0"],
         "fitted_C": [r[2] for r in sweep["rows"]],
         "per_sample_g0": sweep["per_sample_g0"],
-        "loglog_slope": sweep["loglog_slope"],
+        "loglog_slope": _number(sweep["loglog_slope"]),
         "window_dim": sweep["window_dim"],
         "mesh": sweep["mesh"],
         "caps": {"n_max": basis.n_max, "e_cap": basis.e_cap},
@@ -385,8 +394,8 @@ def cmd_evolve(cfg: RunConfig) -> int:
     prop = dynamics.Propagation(H, psi, times, v["dynamics.krylov_dim"], v["dynamics.step_tol"])
     track = dynamics._track_snapshots(prop, lambda p, t: float(np.vdot(p, H.mat @ p).real))
     conserved = dynamics.check_conservation(track)
-    # dense oracle on small problems
-    mismatch = math.nan
+    # dense oracle on small problems; null in the report when skipped
+    mismatch = None
     if basis.size <= 400:
         from scipy.linalg import expm as dense_expm
         t_ref = float(times[min(3, len(times) - 1)])
@@ -401,7 +410,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
     phase_defect = float(np.linalg.norm(u - np.exp(-1j * d0 * 5.0) * psi))
     write_track_csv(cfg.out_dir / "evolve_track.csv", track, cfg.hash())
     verdicts = {"conservation": conserved, "phase_exact": phase_defect < 1e-8}
-    if not math.isnan(mismatch):
+    if mismatch is not None:
         verdicts["dense_agrees"] = mismatch < 1e-8
     return finish(cfg, "evolve", {"dense_mismatch": mismatch, "phase_defect_g0": phase_defect},
                   verdicts)

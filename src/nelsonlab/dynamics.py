@@ -98,6 +98,9 @@ def energy_window(sigma_top: float, width_frac: float = 0.15):
 
 
 def geometric_times(t0: float, t_max: float, ratio: float = 1.5) -> np.ndarray:
+    if not (ratio > 1 and t0 > 0):
+        # otherwise the grid never passes t_max
+        raise ValueError(f"geometric_times needs ratio > 1 and t0 > 0, got {ratio}, {t0}")
     ts = [t0]
     while ts[-1] * ratio <= t_max * (1 + 1e-12):
         ts.append(ts[-1] * ratio)

@@ -575,16 +575,6 @@ def _down(basis: OccupationBasis) -> np.ndarray:
     return down
 
 
-def _create_columns(basis: OccupationBasis, down: np.ndarray, coef: np.ndarray,
-                    V: np.ndarray) -> np.ndarray:
-    """Column k of the result is a*(coef[:, k]) V[:, k], coef in the orthonormal gauge."""
-    out = np.zeros_like(V)
-    for i in range(basis.grid.n_modes):
-        t = np.flatnonzero(down[:, i] >= 0)
-        out[t] += np.sqrt(basis.occ[t, i])[:, None] * V[down[t, i]] * coef[i]
-    return out
-
-
 def _sector_recursion(basis_in: OccupationBasis, basis_out: OccupationBasis,
                       ao: np.ndarray, bo: np.ndarray | None = None):
     """Dense Gamma(ao) and, if ``bo`` is given, dGamma2(ao, bo), sector by sector.
@@ -599,6 +589,14 @@ def _sector_recursion(basis_in: OccupationBasis, basis_out: OccupationBasis,
     because a capped basis is closed under removing a boson.
     """
     down_in, down_out = _down(basis_in), _down(basis_out)
+    root_out = np.sqrt(basis_out.occ)
+
+    def create(coef, V):
+        # column k is a*(coef[:, k]) V[:, k]: one gather over the modes, row r
+        # collecting sqrt(n_i(r)) coef[i, k] V[r - e_i, k]; where n_i(r) = 0
+        # the gathered row (index -1) has weight 0
+        return np.einsum("ri,rik,ik->rk", root_out, V[down_out], coef)
+
     G = np.zeros((basis_out.size, basis_in.size), dtype=complex)
     G[0, 0] = 1.0
     D = np.zeros_like(G) if bo is not None else None
@@ -608,10 +606,9 @@ def _sector_recursion(basis_in: OccupationBasis, basis_out: OccupationBasis,
         j = np.argmax(basis_in.occ[c] > 0, axis=1)
         p = down_in[c, j]
         scale = 1.0 / np.sqrt(basis_in.occ[c, j])
-        G[:, c] = _create_columns(basis_out, down_out, ao[:, j], G[:, p]) * scale
+        G[:, c] = create(ao[:, j], G[:, p]) * scale
         if bo is not None:
-            D[:, c] = (_create_columns(basis_out, down_out, bo[:, j], G[:, p])
-                       + _create_columns(basis_out, down_out, ao[:, j], D[:, p])) * scale
+            D[:, c] = (create(bo[:, j], G[:, p]) + create(ao[:, j], D[:, p])) * scale
     return G, D
 
 

@@ -126,8 +126,8 @@ def build_tensor_basis(left: OccupationBasis, right: OccupationBasis,
     return TensorBasis(left=left, right=right, joint_cap=cap, pairs=pairs, index=index)
 
 
-def tensor_iso_U(basis_sum: OccupationBasis, tb: TensorBasis) -> SparseOperator:
-    """Unitary from the Fock space over h + h onto the tensor-product basis.
+def tensor_iso_perm(basis_sum: OccupationBasis, tb: TensorBasis) -> np.ndarray:
+    """U as its permutation: the tensor-basis row of each doubled-grid state.
 
     In occupation coordinates every doubled-grid state (n_0 | n_inf) maps to
     the pair state |n_0> x |n_inf| with unit amplitude; the sector formula's
@@ -146,6 +146,13 @@ def tensor_iso_U(basis_sum: OccupationBasis, tb: TensorBasis) -> SparseOperator:
     t = _row_index(tb.pairs)(np.stack([il, ir], axis=1))
     if np.any(t < 0):
         raise IncompatibleCapsError("joint cap below source n_max")
+    return t
+
+
+def tensor_iso_U(basis_sum: OccupationBasis, tb: TensorBasis) -> SparseOperator:
+    """Unitary from the Fock space over h + h onto the tensor-product basis:
+    one unit entry per column, in the row ``tensor_iso_perm`` gives."""
+    t = tensor_iso_perm(basis_sum, tb)
     mat = sp.coo_matrix((np.ones(basis_sum.size), (t, np.arange(basis_sum.size))),
                         shape=(tb.size, basis_sum.size), dtype=complex).tocsr()
     return SparseOperator(mat, False, None, basis_sum)
@@ -208,18 +215,33 @@ def tensor_vector(tb: TensorBasis, left: FockVector, right: FockVector) -> np.nd
     return left.amps[pi] * right.amps[pj]
 
 
+def tensor_lift(tb: TensorBasis):
+    """Lift of dense leg matrices onto the pair basis, as index gathers.
+
+    Returns ``lift(op_left=None, op_right=None)``, whose entry (p, q) for
+    pairs p = (i, j) and q = (i', j') is op_left[i, i'] op_right[j, j']: one
+    flat-index gather per leg, and for a leg left as None (the identity) the
+    Kronecker mask i == i'.  Pairs outside the joint cap are absent, which is
+    the Galerkin projection.
+    """
+    legs = [(idx[:, None] * size + idx[None, :], idx[:, None] == idx[None, :])
+            for idx, size in zip(tb.pairs.T, (tb.left.size, tb.right.size))]
+
+    def lift(op_left=None, op_right=None) -> np.ndarray:
+        left, right = (mask if op is None else np.take(op, gather)
+                       for op, (gather, mask) in zip((op_left, op_right), legs))
+        return left * right
+
+    return lift
+
+
 def tensor_factor_ops(tb: TensorBasis, op_left: SparseOperator | None = None,
                       op_right: SparseOperator | None = None) -> SparseOperator:
     """Lift op_left x op_right (identity when None) onto the pair basis.
 
     Pairs pushed outside the joint cap are projected out (Galerkin)."""
-    def leg(op, idx):
-        if op is None:
-            return idx[:, None] == idx[None, :]
-        return op.mat.toarray()[idx[:, None], idx[None, :]]
-
-    pi, pj = tb.pairs.T
-    out = np.asarray(leg(op_left, pi) * leg(op_right, pj), dtype=complex)
+    legs = (None if op is None else op.dense() for op in (op_left, op_right))
+    out = np.asarray(tensor_lift(tb)(*legs), dtype=complex)
     herm = bool((op_left is None or op_left.hermitian) and
                 (op_right is None or op_right.hermitian))
     return SparseOperator(sp.csr_matrix(out), herm)

@@ -1,0 +1,137 @@
+"""The algebra suite's dense building blocks against the loop oracles, and the suite itself.
+
+The generator stacks, the doubled-grid creation scatter, the tensor-lift
+gather and the permutation of U are built by the same arithmetic as the
+per-state loop builders in ``oracles.py``, so they must agree exactly.
+The operators a draw forms from them by ``tensordot`` sum in another order
+and get a 1e-14 relative tolerance.
+"""
+
+import numpy as np
+import pytest
+
+import oracles
+from nelsonlab import algebra, fock, split
+
+GRIDS = {1: fock.lattice_grid(8, [1], 0.2), 2: fock.line_grid(2, 1.0, 0.2),
+         4: fock.line_grid(4, 1.0, 0.2)}
+SPECS = [(M, n) for M in (1, 2, 4) for n in (1, 2, 3)]
+IDENTITIES = {
+    "ccr", "ccr_same_type", "geq1", "geq2", "geq3", "geq4", "dgamma_phi",
+    "dgamma2_collapse", "gamma_dgamma", "gamma_dgamma_comm", "lemma_dgamma_schwarz",
+    "ueq0_vacuum", "ueq0_creation", "ueq1_annihilation", "ueq2_binomial", "ueq3_dgamma",
+    "u_isometry", "breve_isometry", "ugamma_a", "ugamma_phi", "breve_number",
+    "ugamma_o", "igamma", "lemma_udgamma",
+}
+
+
+@pytest.fixture(scope="module", params=SPECS, ids=[f"M{M}-n{n}" for M, n in SPECS])
+def spaces(request):
+    M, n = request.param
+    basis = fock.build_basis(GRIDS[M], n)
+    basis_sum = fock.build_basis(split.doubled_grid(GRIDS[M]), n)
+    return basis, basis_sum, split.build_tensor_basis(basis, basis, joint_cap=n)
+
+
+def assert_close(a, b, rel=1e-14):
+    assert a.shape == b.shape
+    assert np.abs(a - b).max(initial=0.0) <= rel * max(1.0, np.abs(b).max(initial=0.0))
+
+
+def test_generator_stacks_exact(spaces):
+    basis = spaces[0]
+    M = basis.grid.n_modes
+    gen = algebra.Generators(basis)
+    eye = np.eye(M)
+    for j in range(M):
+        c = oracles.creation_op(basis, eye[j]).dense()
+        assert np.array_equal(gen.creation[j], c)
+        for k, coef in enumerate((1.0, 1j)):
+            cj = oracles.creation_op(basis, coef * eye[j]).mat
+            assert np.array_equal(gen.field[k * M + j],
+                                  ((cj + cj.conj().T) / np.sqrt(2.0)).toarray())
+        for i in range(M):
+            assert np.array_equal(gen.hopping[i, j],
+                                  oracles.dGamma(basis, np.outer(eye[i], eye[j])).dense())
+
+
+def test_generator_contractions_match_builders(spaces):
+    basis = spaces[0]
+    M = basis.grid.n_modes
+    gen = algebra.Generators(basis)
+    rng = np.random.default_rng(11)
+    h = rng.normal(size=M) + 1j * rng.normal(size=M)
+    b = rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M))
+    c = oracles.creation_op(basis, h).dense()
+    assert_close(gen.creation_op(h), c)
+    assert_close(gen.annihilation_op(h), c.conj().T)
+    assert_close(gen.field_op(h), (c + c.conj().T) / np.sqrt(2.0))
+    assert_close(gen.dGamma(b), oracles.dGamma(basis, b).dense())
+    assert_close(gen.dGamma(b[0].real), oracles.dGamma(basis, b[0].real).dense())
+
+
+def test_doubled_grid_creation_scatter_exact(spaces):
+    _, basis_sum, _ = spaces
+    creation = algebra._sparse_creation(basis_sum)
+    for e in np.eye(basis_sum.grid.n_modes):
+        assert np.array_equal(creation(e), oracles.creation_op(basis_sum, e).dense())
+    h = np.random.default_rng(12).normal(size=basis_sum.grid.n_modes) * (1 + 1j)
+    assert_close(creation(h), oracles.creation_op(basis_sum, h).dense())
+
+
+def test_tensor_lift_exact(spaces):
+    basis, _, tb = spaces
+    M = basis.grid.n_modes
+    rng = np.random.default_rng(13)
+    opl = fock.creation_op(basis, rng.normal(size=M) + 1j * rng.normal(size=M))
+    opr = fock.dGamma(basis, rng.normal(size=(M, M)))
+    lift = split.tensor_lift(tb)
+    for l, r in ((opl, opr), (opl, None), (None, opr)):
+        old = oracles.tensor_factor_ops(tb, op_left=l, op_right=r).dense()
+        new = lift(None if l is None else l.dense(), None if r is None else r.dense())
+        assert np.array_equal(new, old)
+
+
+def test_tensor_iso_perm_exact(spaces):
+    _, basis_sum, tb = spaces
+    t = split.tensor_iso_perm(basis_sum, tb)
+    U = np.zeros((tb.size, basis_sum.size), dtype=complex)
+    U[t, np.arange(basis_sum.size)] = 1.0
+    assert np.array_equal(U, oracles.tensor_iso_U(basis_sum, tb).dense())
+
+
+def test_draw_independent_builds_happen_once(monkeypatch):
+    names = {(fock, "creation_op"), (fock, "field_op"), (fock, "dGamma"),
+             (split, "tensor_factor_ops")}
+    counts = {}
+
+    def counting(mod, name):
+        original = getattr(mod, name)
+
+        def spy(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args, **kwargs)
+        return spy
+
+    for mod, name in names:
+        monkeypatch.setattr(mod, name, counting(mod, name))
+    per_draws = {}
+    for draws in (2, 5):
+        counts.clear()
+        algebra.run_algebra_suite(n_modes=4, n_max=2, draws=draws, seed=3)
+        per_draws[draws] = dict(counts)
+    assert per_draws[2] == per_draws[5]
+    assert set(per_draws[2]) == {name for _, name in names}
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_suite_passes_every_identity(seed):
+    rep = algebra.run_algebra_suite(n_modes=4, n_max=3, draws=10, sigma=0.2, seed=seed)
+    assert set(rep["defects"]) == IDENTITIES
+    assert rep["passed"] and rep["max_defect"] <= 1e-12
+    assert set(rep["i_norm_diagnostics"]) == {"I_weight_k1", "I_weight_k2"}
+
+
+def test_corrupt_fixture_fails_ccr():
+    rep = algebra.run_algebra_suite(n_modes=4, n_max=2, draws=2, seed=5, corrupt=True)
+    assert not rep["passed"] and "ccr" in rep["failing"]

@@ -242,6 +242,18 @@ class TestCommands:
         assert all(type(ok) is bool for ok in rep["verdicts"].values())
         assert code == (cli.EXIT_PASS if all(rep["verdicts"].values()) else cli.EXIT_VERDICT)
 
+    def test_evolve_report_is_strict_json_without_dense_oracle(self, tmp_path):
+        def no_constant(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        path = write_cfg(tmp_path, "basis.n_max = 3\ndynamics.t_max = 4\n")
+        run(["evolve", "--config", path, "--out", str(tmp_path)])
+        text = (tmp_path / "evolve_report.json").read_text()
+        rep = json.loads(text, parse_constant=no_constant)
+        assert rep["dense_mismatch"] is None and "dense_agrees" not in rep["verdicts"]
+        with pytest.raises(ValueError):
+            cli.write_json(tmp_path / "nan.json", {"x": float("nan")})
+
     def test_evolve_checks_use_configured_krylov_dim(self, tmp_path, monkeypatch):
         seen = []
 
@@ -270,12 +282,15 @@ class TestCommands:
         ("dispersion", "scan.beta = 1.5\n"),
         ("dispersion", "scan.p_max = 5\n"),
         ("mourre", "mourre.sigma_window = 1e-6\n"),
-        ("w", "cutoffs.beta = 0.9\n")],
-        ids=["dispersion-kind", "scan-beta", "scan-momentum", "mourre-window", "cutoff-order"])
+        ("w", "cutoffs.beta = 0.9\n"),
+        ("evolve", "dynamics.ratio = 1\n")],
+        ids=["dispersion-kind", "scan-beta", "scan-momentum", "mourre-window", "cutoff-order",
+             "dynamics-ratio"])
     def test_config_value_exit_code(self, tmp_path, capsys, command, text):
         path = write_cfg(tmp_path, text)
         assert run([command, "--config", path, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_empty_subspace_exit_code(self, tmp_path, monkeypatch):
         def empty(*args, **kwargs):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -160,6 +165,29 @@ class TestKrylov:
         v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
         with pytest.raises(dynamics.KrylovBreakdownError):
             dynamics.krylov_expm_apply(H.mat, v, 1.0, tol=0.0)
+
+
+class TestGeometricTimes:
+    def test_grid_that_never_reaches_t_max_is_rejected(self):
+        # in a child process with bounded address space and time, so a
+        # regressed guard fails the test instead of hanging or eating memory
+        code = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from nelsonlab.dynamics import geometric_times
+for args in [(1.0, 100.0, 1.0), (1.0, 100.0, 0.5), (0.0, 100.0, 1.5), (-1.0, 100.0, 1.5)]:
+    try:
+        geometric_times(*args)
+    except ValueError:
+        continue
+    sys.exit(f"no ValueError for {args}")
+"""
+        src = str(Path(dynamics.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=30)
+        assert done.returncode == 0, done.stderr
 
 
 class TestCutoffs:
