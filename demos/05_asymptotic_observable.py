@@ -48,7 +48,7 @@ v = fock.interacting_projector(basis).mat @ (rng.normal(size=basis.size)
 gsv = res.ground_vector.amps
 v -= gsv * np.vdot(gsv, v)
 calc = spectral.SpectralCalculus(H)
-v = calc.fn(dynamics.energy_window(1.2)) @ v
+v = calc.fn(dynamics.energy_window(1.2), v)
 v -= gsv * np.vdot(gsv, v)
 v /= np.linalg.norm(v)
 tmax = 0.8 * ycalc.y_max / cuts.gamma

@@ -14,7 +14,12 @@ claims a proof.
 Every probe walks its time grid through one generator, ``snapshots``, which
 steps ``krylov_expm_apply`` from one grid time to the next and yields
 (t, psi_t).  On the chain a boson operator acts on the occupation leg of
-psi.reshape(L, nb); the Kronecker product 1 x op is never formed.
+psi.reshape(L, nb); the Kronecker product 1 x op is never formed.  The
+w(t) and photon-flux probes need only <dGamma(b)> at each snapshot, which
+``fock.dGamma_expectation`` reads from the one-boson density matrix (on the
+chain, of the position rows weighted by F(|x|/t)), so no sparse dGamma(b) is
+assembled for them.  Energy filters f(H) psi are applied block by block
+through ``SpectralCalculus.fn(f, psi)``, never as an n x n matrix.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .fock import (
     _switch,
     creation_op,
     dGamma,
+    dGamma_expectation,
     weighted_abs,
 )
 from .model import ConfigWindowError, FullBasis, ModelSpec, build_fiber_H, total_momentum_op
@@ -335,12 +341,12 @@ def filtered_packet(fb: FullBasis, H: SparseOperator, p0: float, dp: float,
     calc = SpectralCalculus(H, limit=dense_limit)
     raw = gaussian_electron_state(fb, p0, dp)
     f = energy_window(sigma_top, width_frac)
-    psi = calc.fn(f) @ raw
+    psi = calc.fn(f, raw)
     nrm = np.linalg.norm(psi)
     if nrm < 1e-8:
         raise ProbePreconditionError("energy filter annihilates the packet")
     psi = psi / nrm
-    leak = np.linalg.norm(calc.fn(lambda lam: (lam > sigma_top).astype(float)) @ psi)
+    leak = np.linalg.norm(calc.fn(lambda lam: (lam > sigma_top).astype(float), psi))
     if leak > 1e-8:
         raise ProbePreconditionError("state has support above the Sigma window")
     return psi, calc
@@ -401,15 +407,11 @@ def photon_velocity_probe(prop: Propagation, basis: OccupationBasis,
         return weighted_abs(basis.grid, X) / t
 
     def measure(psi, t):
-        op = dGamma(basis, one_particle(t))
         if fb is None:
-            return float(np.vdot(psi, op.mat @ psi).real)
-        pos = fb.to_position(psi)
+            return dGamma_expectation(basis, one_particle(t), psi).real
         x = np.abs(fb.positions())
         wts = f_electron(x / t) if f_electron is not None else np.ones_like(x)
-        op_pos = _on_bosons(op, pos, fb)
-        return float(sum(wts[i] * np.vdot(pos[i], op_pos[i]).real
-                         for i in range(fb.n_sites)))
+        return dGamma_expectation(basis, one_particle(t), fb.to_position(psi), wts).real
 
     track = _track_snapshots(prop, measure, weight_dt_over_t=True)
     run = track.running_integral
@@ -479,8 +481,8 @@ def W_estimate(prop: Propagation, basis: OccupationBasis, cuts: CutoffFamily,
         prop = _energy_filtered(prop, f_window)
 
     def measure(psi, t):
-        op = dGamma(basis, ycalc.fn(lambda lam: cuts.chi_gamma(np.abs(lam) / t)))
-        return float(np.vdot(psi, op.mat @ psi).real)
+        chi = ycalc.fn(lambda lam: cuts.chi_gamma(np.abs(lam) / t))
+        return dGamma_expectation(basis, chi, psi).real
 
     track = _track_snapshots(prop, measure)
     if len(track.values) >= 3:
@@ -492,7 +494,7 @@ def W_estimate(prop: Propagation, basis: OccupationBasis, cuts: CutoffFamily,
 
 def _energy_filtered(prop: Propagation, f_window: float) -> Propagation:
     """prop restarted from f(H) psi / ||f(H) psi||, f the smooth window below f_window."""
-    psi0 = SpectralCalculus(prop.H).fn(energy_window(f_window)) @ prop.state
+    psi0 = SpectralCalculus(prop.H).fn(energy_window(f_window), prop.state)
     nrm = np.linalg.norm(psi0)
     if nrm < 1e-10:
         raise ProbePreconditionError("energy window annihilates the state")
@@ -528,7 +530,8 @@ def W_plus_probe(prop: Propagation, basis: OccupationBasis, cuts: CutoffFamily,
     if left.size != basis.size:
         raise ConfigWindowError("joint cap must equal the state basis cap")
     Hext = tensor_factor_ops(tb, op_left=prop.H) + H_pair
-    f_ext = SpectralCalculus(Hext, limit=extended_dim_cap).fn(energy_window(f_window))
+    calc_ext = SpectralCalculus(Hext, limit=extended_dim_cap)
+    f_ext = energy_window(f_window)
     Pvac = outer_number_projector(tb, 0).mat
     full_norms, vac_norms = [], []
     for t, psi in snapshots(_energy_filtered(prop, f_window)):
@@ -537,7 +540,7 @@ def W_plus_probe(prop: Propagation, basis: OccupationBasis, cuts: CutoffFamily,
         pair = SplitPair(grid, j0m, jim)
         BG = breve_gamma(pair, basis, tb, basis_sum=basis_sum)
         chi = dGamma(basis, ycalc.fn(lambda lam: cuts.chi_gamma(np.abs(lam) / t)))
-        vec = f_ext @ (BG.mat @ (chi.mat @ psi))
+        vec = calc_ext.fn(f_ext, BG.mat @ (chi.mat @ psi))
         full_norms.append(float(np.linalg.norm(vec)))
         vac_norms.append(float(np.linalg.norm(Pvac @ vec)))
     track = ObservableTrack(

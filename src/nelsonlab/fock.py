@@ -24,7 +24,10 @@ removing a boson (removal lowers both N and the energy), so every state c with
 n_j(c) > 0 has its parent c - e_j in the basis and is reached as
 c = up[c - e_j, j].  Hopping terms a*_i a_j, the sector recursions behind
 Gamma and dGamma2, and the tensor and fusion maps of ``split`` are therefore
-index gathers on ``occ`` and ``up``, exact on capped bases as well.
+index gathers on ``occ`` and ``up``, exact on capped bases as well.  So is
+``dGamma_expectation``, which reads <psi, dGamma(b) psi> from the M x M
+one-boson density matrix rho_ij = <a_i psi, a_j psi>, one gather on ``up``,
+without assembling dGamma(b).
 
 The field operator follows the symmetric normalization
 
@@ -565,6 +568,33 @@ def dGamma(basis: OccupationBasis, b) -> SparseOperator:
         data.append(bo[i, j] * np.sqrt(occ[c, j] * (occ[p, i] + 1)))
     return _coo(basis, basis, np.concatenate(rows), np.concatenate(cols),
                 np.concatenate(data), hermitian=bool(herm))
+
+
+def dGamma_expectation(basis: OccupationBasis, b, psi, weights=None) -> complex:
+    """sum_x w_x <psi_x, dGamma(b) psi_x> without assembling dGamma(b).
+
+    ``psi`` is one state (n,) or rows psi_x (L, n), with unit weights unless
+    ``weights`` (L,) is given.  With the one-boson density matrix
+    rho_ij = <a_i psi, a_j psi> the value is sum_ij bo_ij rho_ij, bo the
+    orthonormal-gauge b.  Column j of A = [a_j psi] is one gather on the
+    ladder table, (a_j psi)[p] = sqrt(n_j(p) + 1) psi[up[p, j]], and
+    rho = A^H A.  Exact on capped bases for the same reason as ``dGamma``.
+    """
+    bo = to_ortho(basis.grid, basis.grid, _as_mode_matrix(basis, b))
+    psi = np.asarray(psi)
+    if psi.ndim not in (1, 2) or psi.shape[-1] != basis.size:
+        raise DimensionMismatchError("state length != basis size")
+    up = basis.up
+    A = psi[..., up] * np.where(up >= 0, np.sqrt(basis.occ + 1), 0.0)
+    Ah = A.conj()
+    if weights is not None:
+        weights = np.asarray(weights)
+        if psi.ndim != 2 or weights.shape != psi.shape[:1]:
+            raise DimensionMismatchError("one weight per state row expected")
+        Ah = Ah * weights[:, None, None]
+    M = up.shape[1]
+    rho = Ah.reshape(-1, M).T @ A.reshape(-1, M)
+    return complex(np.sum(bo * rho))
 
 
 def _down(basis: OccupationBasis) -> np.ndarray:

@@ -8,7 +8,8 @@ for the iterative path.  Operators are real whenever their coefficients
 are (the default model's fiber and chain Hamiltonians are float64), so both
 paths then run in real arithmetic.  Functional calculus for energy cutoffs
 f(H) and spectral windows E_Sigma is spectral-projection based throughout,
-one connected component of H's sparsity pattern at a time.
+one connected component of H's sparsity pattern at a time; f(H) v is applied
+per component without forming the n x n matrix f(H).
 """
 
 from __future__ import annotations
@@ -203,9 +204,26 @@ class SpectralCalculus:
         return [part.reshape(vals.shape)
                 for part, (_, vals, _) in zip(np.split(values, cuts), self.groups)]
 
-    def fn(self, f) -> np.ndarray:
+    def fn(self, f, v=None) -> np.ndarray:
+        """The n x n matrix f(H), or f(H) v for v of shape (n,) or (n, k).
+
+        With v, each component applies its eigenbasis to its rows of v, so
+        no n x n array is formed.
+        """
+        fvals = self._split(f(self.vals))
+        if v is not None:
+            v = np.asarray(v)
+            if v.ndim not in (1, 2) or v.shape[0] != self.n:
+                raise ValueError(f"f(H) v needs v of shape ({self.n},) or ({self.n}, k)")
+            cols = v.reshape(self.n, -1)
+            out = np.zeros(cols.shape, dtype=np.result_type(
+                cols, *fvals, *(vecs for _, _, vecs in self.groups)))
+            for (idx, _, vecs), fv in zip(self.groups, fvals):
+                coef = vecs.conj().transpose(0, 2, 1) @ cols[idx]
+                out[idx] = vecs @ (fv[:, :, None] * coef)
+            return out.reshape(v.shape)
         parts = [(idx, (vecs * fv[:, None, :]) @ vecs.conj().transpose(0, 2, 1))
-                 for (idx, _, vecs), fv in zip(self.groups, self._split(f(self.vals)))]
+                 for (idx, _, vecs), fv in zip(self.groups, fvals)]
         out = np.zeros((self.n, self.n), dtype=np.result_type(*(b for _, b in parts)))
         for idx, blocks in parts:
             out[idx[:, :, None], idx[:, None, :]] = blocks

@@ -328,24 +328,57 @@ class TestPhotonProbe:
         prop = dynamics.Propagation(H, psi / np.linalg.norm(psi),
                                     dynamics.geometric_times(1.0, 6.0, 1.5))
         f_el = dynamics.rising_cutoff(0.1, 0.3)
-        ops = []
-        real = dynamics.dGamma
+        mode_mats = []
+        real = dynamics.dGamma_expectation
 
-        def recording_dGamma(b, x):
-            ops.append(real(b, x))
-            return ops[-1]
+        def recording(basis, b, psi, weights=None):
+            mode_mats.append(b)
+            return real(basis, b, psi, weights)
 
-        monkeypatch.setattr(dynamics, "dGamma", recording_dGamma)
+        monkeypatch.setattr(dynamics, "dGamma_expectation", recording)
         track = dynamics.photon_velocity_probe(prop, fb.boson, (1.1, 1.5),
                                                dynamics.YCalc(grid), fb=fb, f_electron=f_el)
-        assert len(ops) == len(track.values)
+        assert len(mode_mats) == len(track.values)
         assert np.abs(track.values).max() > 1e-2
         x = np.abs(fb.positions())
         one = sp.identity(fb.boson.size, format="csr")
-        for (t, psi_t), op, value in zip(dynamics.snapshots(prop), ops, track.values):
+        for (t, psi_t), b, value in zip(dynamics.snapshots(prop), mode_mats, track.values):
             pos = fb.to_position(psi_t).ravel()
+            op = oracles.dGamma(fb.boson, b)
             lifted = sp.kron(sp.diags(f_el(x / t)), one) @ (oracles.lift_boson_op(fb, op) @ pos)
             assert value == pytest.approx(np.vdot(pos, lifted).real, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("t_max", [6.0, 20.0])
+    def test_probes_assemble_no_dGamma(self, fiber_setup, nonrel, ff, monkeypatch, t_max):
+        """W(t) and the photon flux read <dGamma(b)> from the one-boson density
+        matrix: no sparse dGamma is built, however long the time grid."""
+        calls = []
+        real = fock.dGamma
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fock, "dGamma", counting)
+        monkeypatch.setattr(dynamics, "dGamma", counting)
+        ms, basis, H = fiber_setup
+        ycalc = dynamics.YCalc(ms.grid)
+        psi = dynamics.dressed_state(ms, [0.25], basis).amps
+        times = dynamics.geometric_times(1.0, t_max, 1.5)
+        prop = dynamics.Propagation(H, psi, times)
+        dynamics.W_estimate(prop, basis, CUTS, ycalc)
+        for mode in ("window", "phase_space"):
+            dynamics.photon_velocity_probe(prop, basis, (1.1, 1.5), ycalc, mode=mode)
+        L = 16
+        grid = fock.lattice_grid(L, [-5, -3, -1, 1, 3, 5], 0.2)
+        ms_c = model.ModelSpec(nonrel, ff, grid, 0.05)
+        fb = model.full_basis(ms_c, L, 2)
+        H_c = model.build_full_H(ms_c, fb)
+        psi_c = dynamics.gaussian_electron_state(fb, 0.1, 0.1)
+        dynamics.photon_velocity_probe(dynamics.Propagation(H_c, psi_c, times), fb.boson,
+                                       (1.1, 1.5), dynamics.YCalc(grid), fb=fb,
+                                       f_electron=dynamics.rising_cutoff(0.1, 0.3))
+        assert calls == []
 
     def test_window_below_bound_warns(self, fiber_setup):
         ms, basis, H = fiber_setup

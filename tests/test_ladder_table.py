@@ -3,7 +3,9 @@
 Every builder that does no floating-point rounding beyond the loop version's
 must agree exactly: equal values, equal sparsity and no stored zeros.  The
 sector recursions behind ``Gamma`` and ``dGamma2`` multiply in another order
-than the oracle, so they get a 1e-13 relative tolerance.
+than the oracle, so they get a 1e-13 relative tolerance, and
+``dGamma_expectation``, which sums <psi, dGamma(b) psi> through the one-boson
+density matrix, gets 1e-12.
 """
 
 import numpy as np
@@ -213,3 +215,62 @@ def test_full_H_exact(L, modes, n_max, e_cap):
     assert H.dtype == np.float64
     assert_exact(H, (sp.diags(diag) + c + c.conj().T).tocsr())
 
+
+EXPECTATION_BASES = {
+    **{f"line-M{M}-n{n}": (fock.line_grid(M, 1.0, 0.2), n, None)
+       for M in (2, 4, 6) for n in range(4)},
+    **{f"one-mode-n{n}": (GRIDS[1], n, None) for n in range(4)},
+    "line-M4-n3-cap0.9": (GRIDS[4], 3, CAPS[4]),
+    "lattice-M4-n2": (fock.lattice_grid(12, [-3, -1, 2, 4], 0.2), 2, None),
+    "radial-M12-n2": (fock.radial_grid(2, 1.0, 0.2), 2, None),
+}
+
+
+@pytest.fixture(scope="module", params=list(EXPECTATION_BASES), ids=str)
+def expectation_basis(request):
+    return fock.build_basis(*EXPECTATION_BASES[request.param])
+
+
+def mode_matrices(rng, grid):
+    """Complex non-Hermitian, weighted-Hermitian and 1-D diagonal mode operators."""
+    b = rand_mat(rng, grid.n_modes)
+    diag = rng.normal(size=grid.n_modes) + 1j * rng.normal(size=grid.n_modes)
+    return b, (b + fock.weighted_adjoint(grid, grid, b)) / 2.0, diag
+
+
+def oracle_expectation(basis, b, psi):
+    return complex(np.vdot(psi, oracles.dGamma(basis, b).mat @ psi))
+
+
+def assert_rel(got, want, rel=1e-12):
+    assert abs(got - want) <= rel * abs(want)
+
+
+def test_dGamma_expectation_matches_oracle(expectation_basis):
+    basis = expectation_basis
+    rng = np.random.default_rng(8)
+    psi = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+    for b in mode_matrices(rng, basis.grid):
+        assert_rel(fock.dGamma_expectation(basis, b, psi), oracle_expectation(basis, b, psi))
+
+
+def test_dGamma_expectation_weighted_rows(expectation_basis):
+    basis = expectation_basis
+    rng = np.random.default_rng(9)
+    rows = rng.normal(size=(5, basis.size)) + 1j * rng.normal(size=(5, basis.size))
+    wts = rng.normal(size=5)
+    for b in mode_matrices(rng, basis.grid):
+        per_row = [oracle_expectation(basis, b, row) for row in rows]
+        assert_rel(fock.dGamma_expectation(basis, b, rows, wts), np.dot(wts, per_row))
+        assert_rel(fock.dGamma_expectation(basis, b, rows), sum(per_row))
+
+
+def test_dGamma_expectation_rejects_wrong_shapes():
+    basis = fock.build_basis(GRIDS[4], 2)
+    psi = np.ones(basis.size)
+    bad = [(np.eye(5), psi, None), (np.ones(3), psi, None), (np.eye(4), psi[1:], None),
+           (np.eye(4), np.ones((2, basis.size)), np.ones(3)),
+           (np.eye(4), psi, np.ones(1)), (np.eye(4), np.ones((1, 1, basis.size)), None)]
+    for b, state, wts in bad:
+        with pytest.raises(fock.DimensionMismatchError):
+            fock.dGamma_expectation(basis, b, state, wts)

@@ -165,6 +165,19 @@ def chain128(nonrel, ff):
     return fb, model.build_full_H(ms, fb)
 
 
+def assert_applies_like_matrix(calc, f):
+    """fn(f, v) against the n x n fn(f) times v, for real and complex v of
+    shape (n,) and (n, k)."""
+    rng = np.random.default_rng(11)
+    F = calc.fn(f)
+    n = F.shape[0]
+    for shape in ((n,), (n, 3)):
+        for v in (rng.normal(size=shape), rng.normal(size=shape) + 1j * rng.normal(size=shape)):
+            got = calc.fn(f, v)
+            assert got.shape == v.shape
+            assert np.abs(got - F @ v).max() < 1e-13
+
+
 class TestBlockCalculus:
     """The block-wise calculus against one dense ``eigh`` of the whole matrix."""
 
@@ -174,6 +187,7 @@ class TestBlockCalculus:
         dense = oracles.DenseCalculus(H)
         f = dynamics.energy_window(0.045, 0.6)
         assert np.abs(calc.fn(f) - dense.fn(f)).max() < 1e-12
+        assert_applies_like_matrix(calc, f)
         for sigma in (0.045, 0.2):
             V = calc.window_vectors(sigma)
             assert V.shape[1] == int(np.sum(dense.vals <= sigma))
@@ -214,6 +228,7 @@ class TestBlockCalculus:
         dense = oracles.DenseCalculus(H)
         assert np.abs(np.sort(calc.vals) - dense.vals).max() < 1e-13
         assert np.abs(F - dense.fn(np.exp)).max() < 1e-13
+        assert_applies_like_matrix(calc, np.exp)
         assert np.abs(V @ V.conj().T - dense.projector(0.0)).max() < 1e-13
         energies = np.einsum("ik,ij,jk->k", V.conj(), H.dense(), V).real
         assert np.abs(energies - dense.vals[dense.vals <= 0.0]).max() < 1e-13
@@ -230,6 +245,7 @@ class TestBlockCalculus:
         Hd = H.dense()
         assert np.abs(calc.fn(lambda x: x ** 2) - Hd @ Hd).max() < 1e-10
         assert np.abs(calc.fn(np.exp) - oracles.DenseCalculus(H).fn(np.exp)).max() < 1e-12
+        assert_applies_like_matrix(calc, dynamics.energy_window(0.5))
 
     def test_limit_and_hermitian_checks_kept(self, chain128):
         _, H = chain128
@@ -237,6 +253,14 @@ class TestBlockCalculus:
             spectral.SpectralCalculus(H, limit=H.shape[0] - 1)
         with pytest.raises(ValueError):
             spectral.SpectralCalculus(SparseOperator(H.mat, False))
+
+    def test_apply_rejects_wrong_shapes(self, chain128):
+        _, H = chain128
+        calc = spectral.SpectralCalculus(H)
+        n = H.shape[0]
+        for v in (np.ones(n + 1), np.ones((n - 1, 2)), np.ones((n, 2, 2))):
+            with pytest.raises(ValueError):
+                calc.fn(np.exp, v)
 
 
 def test_import_leaves_csgraph_unloaded():
