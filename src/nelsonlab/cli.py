@@ -102,7 +102,6 @@ SCHEMA = {
     "dynamics.t0": (_above(float), 1.0),
     "dynamics.t_max": (float, 100.0),
     "dynamics.ratio": (_above(float, 1), 1.5),
-    "dynamics.krylov_dim": (int, 40),
     "dynamics.step_tol": (float, 1e-11),
     "cutoffs.beta": (float, 0.3),
     "cutoffs.beta0": (float, 0.34),
@@ -391,7 +390,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
     psi = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
     psi /= np.linalg.norm(psi)
     times = dynamics.geometric_times(v["dynamics.t0"], v["dynamics.t_max"], v["dynamics.ratio"])
-    prop = dynamics.Propagation(H, psi, times, v["dynamics.krylov_dim"], v["dynamics.step_tol"])
+    prop = dynamics.Propagation(H, psi, times, step_tol=v["dynamics.step_tol"])
     track = dynamics._track_snapshots(prop, lambda p, t: float(np.vdot(p, H.mat @ p).real))
     conserved = dynamics.check_conservation(track)
     # dense oracle on small problems; null in the report when skipped
@@ -399,14 +398,14 @@ def cmd_evolve(cfg: RunConfig) -> int:
     if basis.size <= 400:
         from scipy.linalg import expm as dense_expm
         t_ref = float(times[min(3, len(times) - 1)])
-        u_k = dynamics.krylov_expm_apply(H.mat, psi, t_ref, tol=prop.step_tol, m=prop.krylov_dim)
+        u_k = dynamics.krylov_expm_apply(H.mat, psi, t_ref, tol=prop.step_tol)
         u_d = dense_expm(-1j * t_ref * H.dense()) @ psi
         mismatch = float(np.linalg.norm(u_k - u_d))
     # g=0 phase exactness
     ms0 = model.ModelSpec(ms.disp, ms.ff, ms.grid, 0.0, ms.use_modified)
     H0 = model.build_fiber_H(ms0, P0, basis)
     d0 = np.real(np.asarray(H0.mat.diagonal()))
-    u = dynamics.krylov_expm_apply(H0.mat, psi, 5.0, tol=prop.step_tol, m=prop.krylov_dim)
+    u = dynamics.krylov_expm_apply(H0.mat, psi, 5.0, tol=prop.step_tol)
     phase_defect = float(np.linalg.norm(u - np.exp(-1j * d0 * 5.0) * psi))
     write_track_csv(cfg.out_dir / "evolve_track.csv", track, cfg.hash())
     verdicts = {"conservation": conserved, "phase_exact": phase_defect < 1e-8}
@@ -425,8 +424,7 @@ def cmd_w(cfg: RunConfig) -> int:
     psiP = dynamics.dressed_state(ms, P, basis, tol=v["solver.tol"])
     ycalc = dynamics.YCalc(ms.grid)
     times = dynamics.geometric_times(v["dynamics.t0"], v["dynamics.t_max"], v["dynamics.ratio"])
-    prop = dynamics.Propagation(H, psiP.amps, times, v["dynamics.krylov_dim"],
-                                v["dynamics.step_tol"])
+    prop = dynamics.Propagation(H, psiP.amps, times, step_tol=v["dynamics.step_tol"])
     track = dynamics.W_estimate(prop, basis, cuts, ycalc)
     write_track_csv(cfg.out_dir / "w_track.csv", track, cfg.hash())
     return finish(cfg, "w", {"dressed_w_final": track.final()},
@@ -442,8 +440,7 @@ def cmd_wplus(cfg: RunConfig) -> int:
     psiP = dynamics.dressed_state(ms, P, basis, tol=v["solver.tol"])
     ycalc = dynamics.YCalc(ms.grid)
     times = dynamics.geometric_times(v["dynamics.t0"], v["w.t_max"], v["dynamics.ratio"])
-    prop = dynamics.Propagation(H, psiP.amps, times, v["dynamics.krylov_dim"],
-                                v["dynamics.step_tol"])
+    prop = dynamics.Propagation(H, psiP.amps, times, step_tol=v["dynamics.step_tol"])
     track = dynamics.W_plus_probe(prop, basis, cuts, ycalc, f_window=v["w.f_window"],
                                   joint_cap=v["wplus.joint_cap"])
     rows = [(track.times[i], track.values[i], track.extras["outer_vacuum_norms"][i])
@@ -495,7 +492,6 @@ COMMANDS = {
 CONFIG_ERRORS = (ConfigError, fock.GridError, fock.BasisError, model.ConfigWindowError,
                  dynamics.ProbePreconditionError, mourre.EmptySubspaceError,
                  model.IncompatibleGridError, model.UnsupportedDispersionError)
-NUMERICS_ERRORS = (ConvergenceError, dynamics.KrylovBreakdownError)
 
 
 def main(argv=None) -> int:
@@ -518,7 +514,7 @@ def main(argv=None) -> int:
     except CONFIG_ERRORS as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
-    except NUMERICS_ERRORS as exc:
+    except ConvergenceError as exc:
         sys.stderr.write(f"numerical non-convergence: {exc}\n")
         return EXIT_NUMERICS
     except Exception:

@@ -1,4 +1,4 @@
-"""Krylov time evolution and numerical scattering probes.
+"""Chebyshev time evolution and numerical scattering probes.
 
 Time-dependent cutoffs F(|x|/t), chi_gamma(|y|/t), j(|y|/t) are realized by
 eigendecomposing the position operators once per run and applying scalar
@@ -13,7 +13,11 @@ claims a proof.
 
 Every probe walks its time grid through one generator, ``snapshots``, which
 steps ``krylov_expm_apply`` from one grid time to the next and yields
-(t, psi_t).  On the chain a boson operator acts on the occupation leg of
+(t, psi_t).  That propagator sums the Chebyshev series of exp(-i dt H) on the
+Gershgorin interval of the Hermitian H, which contains its spectrum, so the
+truncation error is bounded a priori and there is no step control.
+
+On the chain a boson operator acts on the occupation leg of
 psi.reshape(L, nb); the Kronecker product 1 x op is never formed.  The
 w(t) and photon-flux probes need only <dGamma(b)> at each snapshot, which
 ``fock.dGamma_expectation`` reads from the one-boson density matrix (on the
@@ -30,7 +34,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm as dense_expm
 
 from .fock import (
     FockVector,
@@ -49,7 +52,8 @@ from .spectral import SpectralCalculus, ground_state
 
 
 class KrylovBreakdownError(RuntimeError):
-    """Exponential stepping failed even after substep refinement."""
+    """Kept because the benchmark catches it; nothing raises it, since the
+    Chebyshev propagator has no failure mode."""
 
 
 class ProbePreconditionError(ValueError):
@@ -114,97 +118,63 @@ def geometric_times(t0: float, t_max: float, ratio: float = 1.5) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Krylov propagation
+# Chebyshev propagation
 # ---------------------------------------------------------------------------
 
 def krylov_expm_apply(mat: sp.csr_matrix, v: np.ndarray, dt: float,
-                      tol: float = 1e-10, m: int = 40) -> np.ndarray:
-    """exp(-i dt H) v for Hermitian H by Lanczos with adaptive substeps.
+                      tol: float = 1e-10) -> np.ndarray:
+    """exp(-i dt H) v for Hermitian H by a Chebyshev series on the Gershgorin
+    interval [a - b, a + b] of H (Tal-Ezer and Kosloff 1984):
 
-    Each accepted substep costs one m-step Lanczos block.  The block does not
-    depend on the step size, so a rejected substep halves h and reuses it.
+        exp(-i dt H) = exp(-i a dt) sum_k c_k T_k((H - a) / b),
+        c_k = (2 - delta_k0) (-i)^k J_k(b dt).
+
+    The interval contains the spectrum and |T_k| <= 1 on it, so dropping
+    terms whose |c_k| sum to at most ``tol`` errs by at most tol ||v||.  A
+    degree-N sum lies in the Krylov space K_{N+1}(H, v), hence the name.
     """
-    nrm = np.linalg.norm(v)
-    if nrm == 0 or dt == 0:
-        return v.copy()
-    sign = 1.0 if dt > 0 else -1.0
-    total = abs(dt)
-    remaining = total
-    out = v.copy()
-    h = None
-    guard = 0
-    while remaining > 1e-15 * total:
-        V, nrm, T = _lanczos_block(mat, out, m)
-        if h is None:
-            # warm-start cap: keep the phase range per step within the Krylov degree
-            h = min(total, m / max(_spectral_range_estimate(T), 1e-12))
-        h = min(h, remaining)
-        step, err = _krylov_step(V, nrm, T, sign * h)
-        while err > tol * max(h / total, 1e-3):
-            h /= 2.0
-            guard += 1
-            if guard > 60:
-                raise KrylovBreakdownError("substep refinement exhausted")
-            step, err = _krylov_step(V, nrm, T, sign * h)
-        out = step
-        remaining -= h
-        if err <= 0.01 * tol:
-            h *= 1.5
-    return out
+    a, b = _gershgorin_interval(mat)
+    phase = np.exp(-1j * a * dt)
+    if b == 0.0 or dt == 0:
+        return phase * v
+    c = _chebyshev_coefficients(b * dt, tol)
+    # three-term recurrence w_{k+1} = A w_k - w_{k-1} with A = 2 (H - a) / b
+    A = (mat - a * sp.identity(mat.shape[0], format="csr")) * (2.0 / b)
+    w_prev = np.asarray(v, dtype=complex)
+    w = 0.5 * (A @ w_prev)
+    out = c[0] * w_prev
+    for ck in c[1:]:
+        out += ck * w
+        w_prev, w = w, A @ w - w_prev
+    return phase * out
 
 
-def _spectral_range_estimate(T) -> float:
-    """Gershgorin bound on the Ritz values of the leading 12 x 12 section of
-    the first block's tridiagonal T (its first 12 Lanczos steps)."""
-    T = T[:12, :12]
-    off = np.abs(np.diag(T, 1))
-    return float(np.abs(np.diag(T)).max() + 2.0 * (off.max() if off.size else 0.0))
-
-
-def _lanczos_block(mat, v, m):
-    """Orthonormal Krylov basis as rows V (k, n), the norm of v, and the
-    k x k tridiagonal projection T of mat, with full reorthogonalization."""
+def _gershgorin_interval(mat: sp.csr_matrix) -> tuple[float, float]:
+    """Centre and half-width of the union of the Gershgorin discs of a
+    Hermitian CSR matrix, read off its nonzeros: diagonal +- off-diagonal
+    absolute row sums."""
     n = mat.shape[0]
-    nrm = np.linalg.norm(v)
-    m = min(m, n)
-    V = np.zeros((m, n), dtype=complex)
-    alpha = np.zeros(m)
-    beta = np.zeros(m)
-    V[0] = v / nrm
-    k = m
-    for j in range(m):
-        w = mat @ V[j]
-        a = float(np.real(np.vdot(V[j], w)))
-        alpha[j] = a
-        w -= a * V[j]
-        if j > 0:
-            w -= beta[j - 1] * V[j - 1]
-        # projections <V_i, w> without copying or conjugating the basis
-        w -= (V[:j + 1] @ w.conj()).conj() @ V[:j + 1]
-        b = float(np.linalg.norm(w))
-        if j == m - 1 or b < 1e-14:
-            k = j + 1
-            break
-        beta[j] = b
-        V[j + 1] = w / b
-    T = np.diag(alpha[:k]) + np.diag(beta[:k - 1], 1) + np.diag(beta[:k - 1], -1)
-    return V[:k], nrm, T
+    rows = np.repeat(np.arange(n), np.diff(mat.indptr))
+    d = np.real(mat.diagonal())
+    r = np.bincount(rows, weights=np.abs(mat.data), minlength=n) - np.abs(d)
+    lo, hi = float(np.min(d - r)), float(np.max(d + r))
+    return 0.5 * (hi + lo), 0.5 * (hi - lo)
 
 
-def _krylov_step(V, nrm, T, h):
-    """exp(-i h H) applied to the block's start vector, with the
-    order-difference error estimate."""
-    k = T.shape[0]
-    eT = dense_expm(-1j * h * T)
-    u = nrm * (eT[:, 0] @ V)
-    if k < 3:
-        return u, 0.0
-    # order-difference estimate: compare against the (k-2)-dimensional solution
-    Ts = T[:k - 2, :k - 2]
-    eTs = dense_expm(-1j * h * Ts)
-    diff = eT[:k - 2, 0] - eTs[:, 0]
-    err = nrm * math.hypot(float(np.linalg.norm(diff)), float(np.linalg.norm(eT[k - 2:, 0])))
-    return u, float(err)
+def _chebyshev_coefficients(x: float, tol: float) -> np.ndarray:
+    """Coefficients c_k of exp(-i x cos t) = sum_k c_k cos(k t), truncated
+    where the tail sum of |c_k| falls to ``tol``.
+
+    They are the cosine transform of exp(-i x cos t) on 2n equispaced nodes,
+    one FFT.  |c_k| = 2 |J_k(x)| decays faster than exponentially once
+    k > |x|, so n >= 2|x| + 64 leaves no visible aliasing.
+    """
+    n = 1 << int(math.ceil(math.log2(2.0 * abs(x) + 64.0)))
+    f = np.exp(-1j * x * np.cos(np.pi * np.arange(2 * n) / n))
+    c = np.fft.fft(f)[:n] / n
+    c[0] *= 0.5
+    tail = np.cumsum(np.abs(c[::-1]))[::-1]
+    return c[:max(int(np.count_nonzero(tail > tol)), 1)]
 
 
 @dataclass
@@ -214,7 +184,6 @@ class Propagation:
     H: SparseOperator
     state: np.ndarray
     times: np.ndarray
-    krylov_dim: int = 40
     step_tol: float = 1e-11
     label: str = ""
 
@@ -229,12 +198,11 @@ class Propagation:
 
 
 def snapshots(prop: Propagation):
-    """Yield (t, psi_t) along prop.times, one Krylov call per grid interval."""
+    """Yield (t, psi_t) along prop.times, one propagator call per grid interval."""
     psi = prop.state
     t_prev = 0.0
     for t in prop.times:
-        psi = krylov_expm_apply(prop.H.mat, psi, t - t_prev, tol=prop.step_tol,
-                                m=prop.krylov_dim)
+        psi = krylov_expm_apply(prop.H.mat, psi, t - t_prev, tol=prop.step_tol)
         t_prev = t
         yield t, psi
 
@@ -435,8 +403,7 @@ def asymptotic_field_probe(prop: Propagation, basis: OccupationBasis, h,
     for t, psi in snapshots(prop):
         h_t = np.exp(-1j * omega * t) * np.asarray(h, dtype=complex)
         chi = _on_bosons(creation_op(basis, h_t), psi, fb)
-        vecs.append(krylov_expm_apply(prop.H.mat, chi, -t, tol=prop.step_tol,
-                                      m=prop.krylov_dim))
+        vecs.append(krylov_expm_apply(prop.H.mat, chi, -t, tol=prop.step_tol))
     diffs = np.array([np.linalg.norm(vecs[i + 1] - vecs[i]) for i in range(len(vecs) - 1)])
     track = ObservableTrack(
         times=prop.times[1:], values=diffs,

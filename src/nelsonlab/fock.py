@@ -618,14 +618,22 @@ def _sector_recursion(basis_in: OccupationBasis, basis_out: OccupationBasis,
     The projections onto the target caps commute with this recursion
     because a capped basis is closed under removing a boson.
     """
-    down_in, down_out = _down(basis_in), _down(basis_out)
-    root_out = np.sqrt(basis_out.occ)
+    down_in = _down(basis_in)
+    # each output row has at most n_max occupied modes: slot s of row r holds
+    # one of them, its weight sqrt(n_i(r)) and the row r - e_i; a padding
+    # slot has weight 0 (and row -1)
+    n_slots = min(basis_out.n_max, basis_out.grid.n_modes)
+    modes = np.argsort(basis_out.occ == 0, axis=1, kind="stable")[:, :n_slots]
+    roots = np.sqrt(np.take_along_axis(basis_out.occ, modes, axis=1))
+    parents = np.take_along_axis(_down(basis_out), modes, axis=1)
 
     def create(coef, V):
-        # column k is a*(coef[:, k]) V[:, k]: one gather over the modes, row r
-        # collecting sqrt(n_i(r)) coef[i, k] V[r - e_i, k]; where n_i(r) = 0
-        # the gathered row (index -1) has weight 0
-        return np.einsum("ri,rik,ik->rk", root_out, V[down_out], coef)
+        # column k is a*(coef[:, k]) V[:, k]: row r collects
+        # sqrt(n_i(r)) coef[i, k] V[r - e_i, k] over its occupied modes i
+        out = np.zeros((basis_out.size, V.shape[1]), dtype=complex)
+        for s in range(n_slots):
+            out += roots[:, s, None] * coef[modes[:, s]] * V[parents[:, s]]
+        return out
 
     G = np.zeros((basis_out.size, basis_in.size), dtype=complex)
     G[0, 0] = 1.0

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -65,7 +69,7 @@ class TestConfig:
     @pytest.mark.parametrize("key", ["solver.k", "dynamics.lattice_sites",
                                      "dynamics.mode_indices", "dynamics.p0", "dynamics.dp",
                                      "dynamics.sigma_top", "dynamics.filter_width",
-                                     "run.workers"])
+                                     "dynamics.krylov_dim", "run.workers"])
     def test_removed_key_exit_code(self, tmp_path, key):
         path = write_cfg(tmp_path, f"{key} = 2\n")
         assert run(["algebra", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
@@ -254,29 +258,6 @@ class TestCommands:
         with pytest.raises(ValueError):
             cli.write_json(tmp_path / "nan.json", {"x": float("nan")})
 
-    def test_evolve_checks_use_configured_krylov_dim(self, tmp_path, monkeypatch):
-        seen = []
-
-        def spy(mat, v, dt, tol=1e-10, m=40):
-            seen.append(m)
-            return v.copy()
-
-        monkeypatch.setattr(dynamics, "krylov_expm_apply", spy)
-        path = write_cfg(tmp_path, "dynamics.krylov_dim = 8\ndynamics.t_max = 4\n")
-        run(["evolve", "--config", path, "--out", str(tmp_path)])
-        n_times = len(dynamics.geometric_times(1.0, 4.0, 1.5))
-        # the snapshots, the dense oracle and the g=0 phase check
-        assert seen == [8] * (n_times + 2)
-
-    @pytest.mark.parametrize("command", ["evolve", "w"])
-    def test_krylov_breakdown_exit_code(self, tmp_path, monkeypatch, command):
-        def breakdown(*args, **kwargs):
-            raise dynamics.KrylovBreakdownError("substep refinement exhausted")
-
-        monkeypatch.setattr(dynamics, "krylov_expm_apply", breakdown)
-        path = write_cfg(tmp_path, "grid.n_modes = 8\n")
-        assert run([command, "--config", path, "--out", str(tmp_path)]) == cli.EXIT_NUMERICS
-
     @pytest.mark.parametrize("command,text", [
         ("dispersion", "model.dispersion = foo\n"),
         ("dispersion", "scan.beta = 1.5\n"),
@@ -350,3 +331,18 @@ class TestDeterminism:
         m1.pop("timestamp")
         m2.pop("timestamp")
         assert m1 == m2
+
+
+class TestImports:
+    def test_cli_import_skips_dense_linalg_and_special(self):
+        # in a fresh interpreter, so modules imported by other tests do not count
+        code = ("import sys, nelsonlab.cli\n"
+                "print(sorted(m for m in sys.modules\n"
+                "             if m.split('.')[:2] in (['scipy', 'linalg'], ['scipy', 'special'])))")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"

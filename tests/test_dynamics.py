@@ -81,22 +81,22 @@ class TestKrylov:
         v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
         v /= np.linalg.norm(v)
         times = dynamics.geometric_times(1.0, 20.0, 1.5)
-        prop = dynamics.Propagation(H, v, times, krylov_dim=30, step_tol=1e-10)
+        prop = dynamics.Propagation(H, v, times, step_tol=1e-10)
         real = dynamics.krylov_expm_apply
         calls = []
 
-        def spy(mat, u, dt, tol=1e-10, m=40):
-            calls.append((dt, tol, m))
-            return real(mat, u, dt, tol=tol, m=m)
+        def spy(mat, u, dt, tol=1e-10):
+            calls.append((dt, tol))
+            return real(mat, u, dt, tol=tol)
 
         monkeypatch.setattr(dynamics, "krylov_expm_apply", spy)
         snaps = list(dynamics.snapshots(prop))
         assert len(calls) == len(times)
-        assert [c[1:] for c in calls] == [(1e-10, 30)] * len(times)
+        assert [c[1] for c in calls] == [1e-10] * len(times)
         assert [t for t, _ in snaps] == list(times)
         u, t_prev = prop.state, 0.0
         for t, psi in snaps:
-            u = real(H.mat, u, t - t_prev, tol=1e-10, m=30)
+            u = real(H.mat, u, t - t_prev, tol=1e-10)
             t_prev = t
             assert np.array_equal(psi, u)
 
@@ -109,62 +109,47 @@ class TestKrylov:
         track = dynamics._track_snapshots(prop, lambda p, t: 0.0)
         assert dynamics.check_conservation(track)
 
-    @staticmethod
-    def _counted_propagation(monkeypatch, H, v, t, tol, m=40):
-        """Propagate while counting matvecs and substep attempts.
-
-        An attempt is accepted when propagation continues from its result:
-        the result is the final state or the start vector of a later block.
-        """
-        inputs, attempts = [], []
-
-        class CountingH:
-            shape = H.mat.shape
-
-            def __matmul__(self, x):
-                inputs.append(x.copy())
-                return H.mat @ x
-
-        real = dynamics._krylov_step
-
-        def spy(*args):
-            u, err = real(*args)
-            attempts.append(u)
-            return u, err
-
-        monkeypatch.setattr(dynamics, "_krylov_step", spy)
-        out = dynamics.krylov_expm_apply(CountingH(), v, t, tol=tol, m=m)
-        accepted = sum(1 for u in attempts if u is out or any(
-            np.array_equal(x, u / np.linalg.norm(u)) for x in inputs))
-        return out, len(inputs), len(attempts), accepted
-
-    def test_one_block_per_accepted_substep(self, fiber_setup, rng, monkeypatch):
-        """No pilot block and no rebuild after a rejected substep: the
-        matvecs are m per accepted substep."""
-        _, basis, H = fiber_setup
-        v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
-        v /= np.linalg.norm(v)
-        m = 40
-        _, matvecs, attempts, accepted = self._counted_propagation(
-            monkeypatch, H, v, 100.0, 1e-12, m)
-        assert attempts > accepted  # the rejection path ran
-        assert matvecs == m * accepted
-
-    def test_rejected_substeps_match_dense_expm(self, fiber_setup, rng, monkeypatch):
+    def test_long_time_matches_dense_expm(self, fiber_setup, rng):
         _, basis, H = fiber_setup
         v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
         v /= np.linalg.norm(v)
         t = 100.0
-        u_k, _, attempts, accepted = self._counted_propagation(monkeypatch, H, v, t, 1e-12)
-        assert attempts > accepted
+        u_k = dynamics.krylov_expm_apply(H.mat, v, t, tol=1e-12)
         u_d = dense_expm(-1j * t * H.dense()) @ v
         assert np.linalg.norm(u_k - u_d) < 1e-8
 
-    def test_zero_tolerance_raises_breakdown(self, fiber_setup, rng):
+    def test_zero_tolerance_terminates_and_matches_dense_expm(self, fiber_setup, rng):
         _, basis, H = fiber_setup
         v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
-        with pytest.raises(dynamics.KrylovBreakdownError):
-            dynamics.krylov_expm_apply(H.mat, v, 1.0, tol=0.0)
+        v /= np.linalg.norm(v)
+        u_k = dynamics.krylov_expm_apply(H.mat, v, 1.0, tol=0.0)
+        u_d = dense_expm(-1j * H.dense()) @ v
+        assert np.linalg.norm(u_k - u_d) < 1e-8
+
+    def test_gershgorin_interval_contains_spectrum(self, fiber_setup, lattice_setup):
+        for H in (fiber_setup[2], lattice_setup[2]):
+            a, b = dynamics._gershgorin_interval(H.mat)
+            ev = np.linalg.eigvalsh(H.dense())
+            assert a - b <= ev[0] and ev[-1] <= a + b
+
+    def test_single_state_fiber_evolves_by_exact_phase(self, ms_default, grid12):
+        # n_max = 0: H is 1 x 1, so the Gershgorin interval has zero width
+        H = model.build_fiber_H(ms_default, [0.25], fock.build_basis(grid12, 0))
+        E = H.dense()[0, 0].real
+        v = np.array([0.6 - 0.8j])
+        for t in (3.0, -7.5):
+            u = dynamics.krylov_expm_apply(H.mat, v, t, tol=1e-12)
+            assert np.abs(u - np.exp(-1j * E * t) * v).max() < 1e-14
+
+    def test_chebyshev_coefficients_are_bessel(self):
+        from scipy.special import jv
+
+        for x in (0.3, -7.0, 250.0):
+            c = dynamics._chebyshev_coefficients(x, 1e-14)
+            k = np.arange(len(c))
+            ref = (2 - (k == 0)) * (-1j) ** k * jv(k, x)
+            assert np.abs(c - ref).max() < 1e-13
+            assert 2 * np.abs(jv(np.arange(len(c), len(c) + 200), x)).sum() <= 1e-14
 
 
 class TestGeometricTimes:

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,3 +243,31 @@ def test_tensor_basis_csv(setup):
     lines = tb.to_csv().strip().split("\n")
     assert lines[0] == "index,left_occupation,right_occupation"
     assert len(lines) == tb.size + 1
+
+
+def test_breve_gamma_at_48_modes_fits_in_2_gib():
+    """The pair basis at M=48, n_max=2 has 4753 states, under W_plus_probe's
+    extended_dim_cap; the splitting map must build in bounded memory.  It runs
+    in a child process whose address space is capped at 2 GiB."""
+    code = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+import numpy as np
+from nelsonlab import fock, split
+grid = fock.line_grid(48, 1.5, 0.2)
+basis = fock.build_basis(grid, 2)
+tb = split.build_tensor_basis(basis, basis, joint_cap=2)
+assert tb.size == 4753
+theta = np.linspace(0.0, np.pi / 2, grid.n_modes)
+pair = split.SplitPair(grid, np.diag(np.cos(theta)), np.diag(np.sin(theta)))
+assert pair.isometric
+BG = split.breve_gamma(pair, basis, tb)
+v = np.random.default_rng(0).normal(size=basis.size)
+assert abs(np.linalg.norm(BG.mat @ v) - np.linalg.norm(v)) < 1e-10
+"""
+    src = str(Path(split.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
