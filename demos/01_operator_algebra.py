@@ -34,11 +34,12 @@ ccr = ((a_g @ c_h) - (c_h @ a_g)
 print(f"\nCCR defect on the guarded sector: {abs(ccr.dense()).max():.2e}")
 
 # The multiplicative functor intertwines creation operators: Gb a*(h) = a*(bh) Gb.
+# Gamma fills every sector it maps and comes back as a dense array.
 b = rng.normal(size=(4, 4))
 Gb = fock.Gamma(basis, b)
-lhs = (Gb @ c_h) @ guard
-rhs = (fock.creation_op(basis, b @ h) @ Gb) @ guard
-print(f"Gamma intertwining defect: {abs((lhs - rhs).dense()).max():.2e}")
+lhs = (Gb @ c_h.dense()) @ guard.dense()
+rhs = (fock.creation_op(basis, b @ h).dense() @ Gb) @ guard.dense()
+print(f"Gamma intertwining defect: {abs(lhs - rhs).max():.2e}")
 
 # The additive functor recovers the number operator from the identity.
 N = fock.dGamma(basis, np.ones(4))

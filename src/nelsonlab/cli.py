@@ -112,7 +112,6 @@ SCHEMA = {
     "w.f_window": (float, 1.2),
     "w.fiber_p": (float, 0.25),
     "w.t_max": (float, 8.0),
-    "wplus.joint_cap": (int, 2),
     "algebra.n_modes": (int, 4),
     "algebra.n_max": (int, 3),
     "algebra.draws": (_above(int), 100),
@@ -415,16 +414,22 @@ def cmd_evolve(cfg: RunConfig) -> int:
                   verdicts)
 
 
-def cmd_w(cfg: RunConfig) -> int:
+def dressed_propagation(cfg: RunConfig, t_max: float) -> tuple:
+    """The dressed state psi_P at P = ``w.fiber_p`` and its evolution under the
+    fiber H(P) up to ``t_max``: (basis, propagation, y calculus)."""
     v = cfg.values
     ms, basis = build_model(cfg)
-    cuts = cutoffs_from(cfg)
     P = np.full(ms.grid.dim, v["w.fiber_p"])
     H = model.build_fiber_H(ms, P, basis)
     psiP = dynamics.dressed_state(ms, P, basis, tol=v["solver.tol"])
-    ycalc = dynamics.YCalc(ms.grid)
-    times = dynamics.geometric_times(v["dynamics.t0"], v["dynamics.t_max"], v["dynamics.ratio"])
+    times = dynamics.geometric_times(v["dynamics.t0"], t_max, v["dynamics.ratio"])
     prop = dynamics.Propagation(H, psiP.amps, times, step_tol=v["dynamics.step_tol"])
+    return basis, prop, dynamics.YCalc(ms.grid)
+
+
+def cmd_w(cfg: RunConfig) -> int:
+    cuts = cutoffs_from(cfg)
+    basis, prop, ycalc = dressed_propagation(cfg, cfg["dynamics.t_max"])
     track = dynamics.W_estimate(prop, basis, cuts, ycalc)
     write_track_csv(cfg.out_dir / "w_track.csv", track, cfg.hash())
     return finish(cfg, "w", {"dressed_w_final": track.final()},
@@ -432,17 +437,9 @@ def cmd_w(cfg: RunConfig) -> int:
 
 
 def cmd_wplus(cfg: RunConfig) -> int:
-    v = cfg.values
-    ms, basis = build_model(cfg)
     cuts = cutoffs_from(cfg)
-    P = np.full(ms.grid.dim, v["w.fiber_p"])
-    H = model.build_fiber_H(ms, P, basis)
-    psiP = dynamics.dressed_state(ms, P, basis, tol=v["solver.tol"])
-    ycalc = dynamics.YCalc(ms.grid)
-    times = dynamics.geometric_times(v["dynamics.t0"], v["w.t_max"], v["dynamics.ratio"])
-    prop = dynamics.Propagation(H, psiP.amps, times, step_tol=v["dynamics.step_tol"])
-    track = dynamics.W_plus_probe(prop, basis, cuts, ycalc, f_window=v["w.f_window"],
-                                  joint_cap=v["wplus.joint_cap"])
+    basis, prop, ycalc = dressed_propagation(cfg, cfg["w.t_max"])
+    track = dynamics.W_plus_probe(prop, basis, cuts, ycalc, f_window=cfg["w.f_window"])
     rows = [(track.times[i], track.values[i], track.extras["outer_vacuum_norms"][i])
             for i in range(len(track.times))]
     write_csv(cfg.out_dir / "wplus_track.csv", ["t", "wplus_norm", "outer_vacuum_norm"],

@@ -41,6 +41,7 @@ from .fock import (
     SparseOperator,
     WeightedSpectrum,
     _switch,
+    build_basis,
     creation_op,
     dGamma,
     dGamma_expectation,
@@ -167,13 +168,20 @@ def _chebyshev_coefficients(x: float, tol: float) -> np.ndarray:
 
     They are the cosine transform of exp(-i x cos t) on 2n equispaced nodes,
     one FFT.  |c_k| = 2 |J_k(x)| decays faster than exponentially once
-    k > |x|, so n >= 2|x| + 64 leaves no visible aliasing.
+    k > |x|, so n >= 2|x| + 64 leaves no visible aliasing.  The computed
+    ones level off at a rounding floor, from the first k > |x| where they stop
+    decreasing; the tail sum ends there, plus twice the largest |c_k| past it
+    for the cut-off terms and the noise near the cut.
     """
     n = 1 << int(math.ceil(math.log2(2.0 * abs(x) + 64.0)))
     f = np.exp(-1j * x * np.cos(np.pi * np.arange(2 * n) / n))
     c = np.fft.fft(f)[:n] / n
     c[0] *= 0.5
-    tail = np.cumsum(np.abs(c[::-1]))[::-1]
+    mag = np.abs(c)
+    k = int(abs(x)) + 1
+    floor = k + np.flatnonzero(mag[k + 1:] >= mag[k:-1])
+    last = floor[0] if floor.size else n - 1
+    tail = np.cumsum(mag[last::-1])[::-1] + 2.0 * mag[last:].max()
     return c[:max(int(np.count_nonzero(tail > tol)), 1)]
 
 
@@ -185,7 +193,6 @@ class Propagation:
     state: np.ndarray
     times: np.ndarray
     step_tol: float = 1e-11
-    label: str = ""
 
     def __post_init__(self):
         if not self.H.hermitian:
@@ -389,6 +396,12 @@ def photon_velocity_probe(prop: Propagation, basis: OccupationBasis,
     return track
 
 
+def _boson_omega(prop: Propagation, basis: OccupationBasis) -> np.ndarray:
+    """The boson dispersion H was built with, omega_mod when H does not record it."""
+    omega = prop.H.info.get("omega_samples")
+    return basis.grid.omega_mod if omega is None else omega
+
+
 def asymptotic_field_probe(prop: Propagation, basis: OccupationBasis, h,
                            fb: FullBasis | None = None) -> ObservableTrack:
     """Cauchy diagnostic for the asymptotic creation operator.
@@ -396,9 +409,7 @@ def asymptotic_field_probe(prop: Propagation, basis: OccupationBasis, h,
     d(t, t') = || e^{iHt'} a*(h_{t'}) e^{-iHt'} phi - e^{iHt} a*(h_t) e^{-iHt} phi ||
     over consecutive geometric times; verdict: monotone decrease.
     """
-    omega = prop.H.info.get("omega_samples")
-    if omega is None:
-        omega = basis.grid.omega_mod
+    omega = _boson_omega(prop, basis)
     vecs = []
     for t, psi in snapshots(prop):
         h_t = np.exp(-1j * omega * t) * np.asarray(h, dtype=complex)
@@ -419,9 +430,7 @@ def asymptotic_field_probe(prop: Propagation, basis: OccupationBasis, h,
 def annihilation_norm_track(prop: Propagation, basis: OccupationBasis, h,
                             fb: FullBasis | None = None) -> ObservableTrack:
     """|| a(h_t) psi_t || over the time grid (vacuum property diagnostic)."""
-    omega = prop.H.info.get("omega_samples")
-    if omega is None:
-        omega = basis.grid.omega_mod
+    omega = _boson_omega(prop, basis)
 
     def measure(psi, t):
         h_t = np.exp(-1j * omega * t) * np.asarray(h, dtype=complex)
@@ -470,46 +479,40 @@ def _energy_filtered(prop: Propagation, f_window: float) -> Propagation:
 
 def W_plus_probe(prop: Propagation, basis: OccupationBasis, cuts: CutoffFamily,
                  ycalc: YCalc, f_window: float,
-                 joint_cap: int | None = None,
                  extended_dim_cap: int = 5000) -> ObservableTrack:
     """Track ||W_+(t) phi|| and its outer-vacuum component.
 
     W_+(t) = f(H_ext) breve_Gamma(j_t) dGamma(chi_gamma,t) f(H) psi_t on the
-    capped pair basis; the left-/right-unitary prefactor is dropped since only
+    state basis paired with itself, H_ext = H x 1 + 1 x dGamma(omega) with
+    the boson dispersion of H; the unitary prefactor is dropped since only
     norms are tracked.  Verdicts: boundedness trend of the full norm and
     smallness of the outer-vacuum component (exact j0 chi_gamma = 0 routing).
     """
-    from .fock import build_basis
-    from .split import (SplitPair, build_tensor_basis, doubled_grid,
-                        breve_gamma, outer_number_projector, tensor_factor_ops)
+    from .split import SplitPair, breve_gamma, build_tensor_basis, doubled_grid, tensor_factor_ops
 
+    if basis.e_cap is not None:
+        raise ConfigWindowError(f"W_plus needs a basis without energy cap: e_cap = {basis.e_cap} "
+                                "cuts the hopping of dGamma(chi_gamma), so j0 chi_gamma = 0 "
+                                "no longer routes exactly")
     grid = basis.grid
-    cap = joint_cap if joint_cap is not None else basis.n_max
-    left = build_basis(grid, cap)
-    right = build_basis(grid, cap)
-    tb = build_tensor_basis(left, right, joint_cap=cap)
+    tb = build_tensor_basis(basis, basis, joint_cap=basis.n_max)
     if tb.size > extended_dim_cap:
         raise ConfigWindowError(f"extended dimension {tb.size} exceeds the cap {extended_dim_cap}")
-    basis_sum = build_basis(doubled_grid(grid), cap)
-    omega = basis.grid.omega_mod
-    H_pair = tensor_factor_ops(tb, op_left=None, op_right=dGamma(right, omega))
-    # left leg carries the fiber Hamiltonian, so the cap basis is the state basis
-    if left.size != basis.size:
-        raise ConfigWindowError("joint cap must equal the state basis cap")
-    Hext = tensor_factor_ops(tb, op_left=prop.H) + H_pair
+    basis_sum = build_basis(doubled_grid(grid), basis.n_max)
+    Hext = (tensor_factor_ops(tb, op_left=prop.H)
+            + tensor_factor_ops(tb, op_right=dGamma(basis, _boson_omega(prop, basis))))
     calc_ext = SpectralCalculus(Hext, limit=extended_dim_cap)
     f_ext = energy_window(f_window)
-    Pvac = outer_number_projector(tb, 0).mat
+    outer_vacuum = tb.pair_numbers()[:, 1] == 0
     full_norms, vac_norms = [], []
     for t, psi in snapshots(_energy_filtered(prop, f_window)):
         j0m = ycalc.fn(lambda lam: cuts.j0(np.abs(lam) / t))
         jim = ycalc.fn(lambda lam: cuts.jinf(np.abs(lam) / t))
-        pair = SplitPair(grid, j0m, jim)
-        BG = breve_gamma(pair, basis, tb, basis_sum=basis_sum)
+        BG = breve_gamma(SplitPair(grid, j0m, jim), basis, tb, basis_sum=basis_sum)
         chi = dGamma(basis, ycalc.fn(lambda lam: cuts.chi_gamma(np.abs(lam) / t)))
-        vec = calc_ext.fn(f_ext, BG.mat @ (chi.mat @ psi))
+        vec = calc_ext.fn(f_ext, BG @ (chi.mat @ psi))
         full_norms.append(float(np.linalg.norm(vec)))
-        vac_norms.append(float(np.linalg.norm(Pvac @ vec)))
+        vac_norms.append(float(np.linalg.norm(vec[outer_vacuum])))
     track = ObservableTrack(
         times=prop.times, values=np.array(full_norms),
         running_integral=np.cumsum(full_norms),

@@ -35,6 +35,8 @@ The field operator follows the symmetric normalization
 
 Ladder, field, number and ``dGamma`` operators take the dtype of their
 coefficients: real mode data give float64 matrices, complex data complex ones.
+They are sparse; ``Gamma`` and ``dGamma2`` fill every sector they map and
+return the dense complex array their recursion builds.
 """
 
 from __future__ import annotations
@@ -605,12 +607,13 @@ def _down(basis: OccupationBasis) -> np.ndarray:
     return down
 
 
-def _sector_recursion(basis_in: OccupationBasis, basis_out: OccupationBasis,
-                      ao: np.ndarray, bo: np.ndarray | None = None):
-    """Dense Gamma(ao) and, if ``bo`` is given, dGamma2(ao, bo), sector by sector.
+def _sector_recursion(basis_in: OccupationBasis, basis_out: OccupationBasis | None,
+                      a, b=None):
+    """Dense Gamma(a) and, if ``b`` is given, dGamma2(a, b), sector by sector.
 
-    Each state c of sector n is a*_j |p> / sqrt(n_j(c)) for its parent p in
-    sector n - 1 (j = first occupied mode of c), and
+    A 1-d map is diagonal; basis_out defaults to basis_in.  Each state c of
+    sector n is a*_j |p> / sqrt(n_j(c)) for its parent p in sector n - 1
+    (j = first occupied mode of c), and
 
         Gamma(a) a*_j = a*(a e_j) Gamma(a),
         dGamma2(a, b) a*_j = a*(b e_j) Gamma(a) + a*(a e_j) dGamma2(a, b).
@@ -618,6 +621,18 @@ def _sector_recursion(basis_in: OccupationBasis, basis_out: OccupationBasis,
     The projections onto the target caps commute with this recursion
     because a capped basis is closed under removing a boson.
     """
+    basis_out = basis_out or basis_in
+
+    def ortho(m):
+        m = np.asarray(m, dtype=complex)
+        if m.ndim == 1:
+            m = np.diag(m)
+        if m.shape != (basis_out.grid.n_modes, basis_in.grid.n_modes):
+            raise DimensionMismatchError("mode operator shape does not match the grids")
+        return to_ortho(basis_out.grid, basis_in.grid, m)
+
+    ao = ortho(a)
+    bo = None if b is None else ortho(b)
     down_in = _down(basis_in)
     # each output row has at most n_max occupied modes: slot s of row r holds
     # one of them, its weight sqrt(n_i(r)) and the row r - e_i; a padding
@@ -650,38 +665,18 @@ def _sector_recursion(basis_in: OccupationBasis, basis_out: OccupationBasis,
     return G, D
 
 
-def Gamma(basis_in: OccupationBasis, b, basis_out: OccupationBasis | None = None) -> SparseOperator:
-    """Multiplicative second quantization: b x ... x b per sector.
+def Gamma(basis_in: OccupationBasis, b, basis_out: OccupationBasis | None = None) -> np.ndarray:
+    """Multiplicative second quantization b x ... x b per sector, dense.
 
     ``b`` maps mode coefficients of basis_in.grid to those of basis_out.grid
     (rectangular allowed).  Sectors that exceed the target caps are projected.
     """
-    basis_out = basis_out or basis_in
-    b = np.asarray(b, dtype=complex)
-    if b.ndim == 1:
-        b = np.diag(b)
-    if b.shape != (basis_out.grid.n_modes, basis_in.grid.n_modes):
-        raise DimensionMismatchError("Gamma: operator shape does not match grids")
-    G, _ = _sector_recursion(basis_in, basis_out, to_ortho(basis_out.grid, basis_in.grid, b))
-    return SparseOperator(sp.csr_matrix(G), False, basis_out, basis_in)
+    return _sector_recursion(basis_in, basis_out, b)[0]
 
 
-def dGamma2(basis_in: OccupationBasis, a, b, basis_out: OccupationBasis | None = None) -> SparseOperator:
-    """Mixed second quantization sum_j a x ... b(j-th) ... x a per sector."""
-    basis_out = basis_out or basis_in
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim == 1:
-        a = np.diag(a)
-    if b.ndim == 1:
-        b = np.diag(b)
-    shape = (basis_out.grid.n_modes, basis_in.grid.n_modes)
-    if a.shape != shape or b.shape != shape:
-        raise DimensionMismatchError("dGamma2: operator shapes do not match grids")
-    _, D = _sector_recursion(basis_in, basis_out,
-                             to_ortho(basis_out.grid, basis_in.grid, a),
-                             to_ortho(basis_out.grid, basis_in.grid, b))
-    return SparseOperator(sp.csr_matrix(D), False, basis_out, basis_in)
+def dGamma2(basis_in: OccupationBasis, a, b, basis_out: OccupationBasis | None = None) -> np.ndarray:
+    """Mixed second quantization sum_j a x ... b(j-th) ... x a per sector, dense."""
+    return _sector_recursion(basis_in, basis_out, a, b)[1]
 
 
 def guarded_projector(basis: OccupationBasis, margin: int = 1) -> SparseOperator:

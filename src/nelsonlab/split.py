@@ -10,6 +10,8 @@ breve_gamma realizes the splitting map Gamma-breve(j) = U Gamma(j) routing each
 boson through the pair (j0, jinf), and scattering_ident the fusion map
 I = Gamma(iota) U* with iota(h0, hinf) = h0 + hinf.  All maps are Galerkin
 projected onto the configured caps; overflow under I is counted, not raised.
+breve_gamma and dbreve_gamma2 are dense, like the ``fock`` functors they are
+built from; U is never multiplied, its permutation places their rows.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .fock import (
     OccupationBasis,
     SparseOperator,
     _row_index,
+    build_basis,
     dGamma2,
     weighted_adjoint,
 )
@@ -158,31 +161,31 @@ def tensor_iso_U(basis_sum: OccupationBasis, tb: TensorBasis) -> SparseOperator:
     return SparseOperator(mat, False, None, basis_sum)
 
 
-def breve_gamma(sp_pair: SplitPair, source: OccupationBasis, tb: TensorBasis,
-                basis_sum: OccupationBasis | None = None) -> SparseOperator:
-    """Splitting map U Gamma(j): F -> F x F for the pair j = (j0, jinf)."""
-    from .fock import build_basis
-
+def _placed_by_U(functor, maps, source: OccupationBasis, tb: TensorBasis,
+                 basis_sum: OccupationBasis | None) -> np.ndarray:
+    """U functor(source, *maps, basis_out=basis_sum), basis_sum defaulting to
+    the source caps on the doubled grid.  U is a permutation isometry, so the
+    functor's rows are placed by ``tensor_iso_perm``; the other pairs get zero
+    rows."""
     if basis_sum is None:
         basis_sum = build_basis(doubled_grid(source.grid), source.n_max, source.e_cap)
-    G = Gamma(source, sp_pair.stacked(), basis_out=basis_sum)
-    out = tensor_iso_U(basis_sum, tb) @ G
-    out.basis_in = source
+    out = np.zeros((tb.size, source.size), dtype=complex)
+    out[tensor_iso_perm(basis_sum, tb)] = functor(source, *maps, basis_out=basis_sum)
     return out
+
+
+def breve_gamma(sp_pair: SplitPair, source: OccupationBasis, tb: TensorBasis,
+                basis_sum: OccupationBasis | None = None) -> np.ndarray:
+    """Splitting map U Gamma(j): F -> F x F for the pair j = (j0, jinf), dense."""
+    return _placed_by_U(Gamma, (sp_pair.stacked(),), source, tb, basis_sum)
 
 
 def dbreve_gamma2(sp_pair: SplitPair, b0: np.ndarray, binf: np.ndarray,
                   source: OccupationBasis, tb: TensorBasis,
-                  basis_sum: OccupationBasis | None = None) -> SparseOperator:
-    """Mixed splitting map U dGamma(j, (b0, binf)): F -> F x F."""
-    from .fock import build_basis
-
-    if basis_sum is None:
-        basis_sum = build_basis(doubled_grid(source.grid), source.n_max, source.e_cap)
-    K = dGamma2(source, sp_pair.stacked(), stack_pair(b0, binf), basis_out=basis_sum)
-    out = tensor_iso_U(basis_sum, tb) @ K
-    out.basis_in = source
-    return out
+                  basis_sum: OccupationBasis | None = None) -> np.ndarray:
+    """Mixed splitting map U dGamma(j, (b0, binf)): F -> F x F, dense."""
+    return _placed_by_U(dGamma2, (sp_pair.stacked(), stack_pair(b0, binf)),
+                        source, tb, basis_sum)
 
 
 def scattering_ident(tb: TensorBasis, target: OccupationBasis) -> SparseOperator:
@@ -246,8 +249,3 @@ def tensor_factor_ops(tb: TensorBasis, op_left: SparseOperator | None = None,
                 (op_right is None or op_right.hermitian))
     return SparseOperator(sp.csr_matrix(out), herm)
 
-
-def outer_number_projector(tb: TensorBasis, n: int = 0) -> SparseOperator:
-    """Projection 1 x chi(N = n) on the pair basis."""
-    keep = tb.right.total_numbers()[tb.pairs[:, 1]] == n
-    return SparseOperator(sp.diags(keep.astype(float), format="csr"), True)

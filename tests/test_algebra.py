@@ -102,7 +102,7 @@ def test_tensor_iso_perm_exact(spaces):
 
 def test_draw_independent_builds_happen_once(monkeypatch):
     names = {(fock, "creation_op"), (fock, "field_op"), (fock, "dGamma"),
-             (split, "tensor_factor_ops")}
+             (split, "tensor_factor_ops"), (split, "tensor_iso_U")}
     counts = {}
 
     def counting(mod, name):

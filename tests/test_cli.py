@@ -69,7 +69,7 @@ class TestConfig:
     @pytest.mark.parametrize("key", ["solver.k", "dynamics.lattice_sites",
                                      "dynamics.mode_indices", "dynamics.p0", "dynamics.dp",
                                      "dynamics.sigma_top", "dynamics.filter_width",
-                                     "dynamics.krylov_dim", "run.workers"])
+                                     "dynamics.krylov_dim", "run.workers", "wplus.joint_cap"])
     def test_removed_key_exit_code(self, tmp_path, key):
         path = write_cfg(tmp_path, f"{key} = 2\n")
         assert run(["algebra", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
@@ -271,6 +271,12 @@ class TestCommands:
         path = write_cfg(tmp_path, text)
         assert run([command, "--config", path, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_wplus_refuses_energy_capped_basis(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "basis.e_cap = 1.5\n")
+        assert run(["wplus", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert "energy cap" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
     def test_empty_subspace_exit_code(self, tmp_path, monkeypatch):

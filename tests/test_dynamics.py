@@ -151,6 +151,19 @@ class TestKrylov:
             assert np.abs(c - ref).max() < 1e-13
             assert 2 * np.abs(jv(np.arange(len(c), len(c) + 200), x)).sum() <= 1e-14
 
+    @pytest.mark.parametrize("tol", [1e-11, 1e-12, 1e-13])
+    def test_chebyshev_degree_follows_the_bessel_tail(self, tol):
+        """The series is as long as the exact tail sum of 2 |J_k(x)| needs, and
+        at most two terms longer: the rounding floor of the FFT coefficients
+        does not keep it running."""
+        from scipy.special import jv
+
+        for x in (0.5, 5.0, 50.0, 250.0, 750.0, 1500.0):
+            k = np.arange(int(2 * x) + 200)
+            exact = (2 - (k == 0)) * np.abs(jv(k, x))
+            needed = max(int(np.count_nonzero(np.cumsum(exact[::-1])[::-1] > tol)), 1)
+            assert needed <= len(dynamics._chebyshev_coefficients(x, tol)) <= needed + 2, x
+
 
 class TestGeometricTimes:
     def test_grid_that_never_reaches_t_max_is_rejected(self):
@@ -524,8 +537,7 @@ class TestWPlus:
         assert track.verdicts["bounded"]
 
     def test_jinf_zero_routes_outer_vacuum(self, small_fiber, rng):
-        from nelsonlab.split import (SplitPair, build_tensor_basis, breve_gamma,
-                                     outer_number_projector)
+        from nelsonlab.split import SplitPair, build_tensor_basis, breve_gamma
 
         ms, basis, H = small_fiber
         M = ms.grid.n_modes
@@ -535,9 +547,34 @@ class TestWPlus:
         pair = SplitPair(ms.grid, np.eye(M), np.zeros((M, M)))
         BG = breve_gamma(pair, basis, tb)
         v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
-        out = BG.mat @ v
-        Pv = outer_number_projector(tb, 0).mat
-        assert np.linalg.norm(Pv @ out) == pytest.approx(np.linalg.norm(out), abs=1e-14)
+        out = BG @ v
+        outer_vacuum = tb.pair_numbers()[:, 1] == 0
+        assert np.linalg.norm(out[outer_vacuum]) == pytest.approx(np.linalg.norm(out), abs=1e-14)
+
+    def test_outer_leg_moves_with_the_fiber_dispersion(self, nonrel, rng, monkeypatch):
+        """H_ext = H x 1 + 1 x dGamma(omega) takes omega from H: on a fiber
+        built with use_modified=False the outer photons move with |k|."""
+        sigma = 0.2
+        grid = fock.line_grid(8, 1.2, sigma)
+        ms = model.ModelSpec(nonrel, model.FormFactor(1.0, 1.0, sigma), grid, 0.05,
+                             use_modified=False)
+        basis = fock.build_basis(grid, 2)
+        H = model.build_fiber_H(ms, [0.25], basis)
+        assert not np.allclose(grid.omega_free, grid.omega_mod)
+        diagonal = []
+        original = dynamics.dGamma
+
+        def spy(b, data):
+            if np.ndim(data) == 1:
+                diagonal.append(np.asarray(data))
+            return original(b, data)
+
+        monkeypatch.setattr(dynamics, "dGamma", spy)
+        v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+        prop = dynamics.Propagation(H, v / np.linalg.norm(v),
+                                    dynamics.geometric_times(1.0, 2.0, 1.5))
+        dynamics.W_plus_probe(prop, basis, CUTS, dynamics.YCalc(grid), f_window=1.2)
+        assert len(diagonal) == 1 and np.array_equal(diagonal[0], grid.omega_free)
 
     def test_extended_dim_cap_enforced(self, small_fiber):
         ms, basis, H = small_fiber

@@ -101,9 +101,9 @@ def test_breve_gamma_isometry_and_vacuum(setup, grid4, rng):
     th = rng.uniform(0.1, 1.4, size=4)
     pair = split.SplitPair(grid4, np.diag(np.cos(th)), np.diag(np.sin(th)))
     BG = split.breve_gamma(pair, basis, tb, basis_sum=basis_sum)
-    GG = (BG.mat.conj().T @ BG.mat).toarray()
+    GG = BG.conj().T @ BG
     assert np.abs(GG - np.eye(basis.size)).max() < 1e-12
-    col = BG.mat[:, 0].toarray().ravel()
+    col = BG[:, 0]
     assert abs(col[tb.index[(0, 0)]] - 1.0) < 1e-14
     # non-isometric pair: breve* breve = Gamma(j*j)
     u = rng.uniform(0.2, 0.8, size=4)
@@ -111,8 +111,8 @@ def test_breve_gamma_isometry_and_vacuum(setup, grid4, rng):
     BG2 = split.breve_gamma(pair2, basis, tb, basis_sum=basis_sum)
     jj = (fock.weighted_adjoint(grid4, grid4, pair2.j0) @ pair2.j0
           + fock.weighted_adjoint(grid4, grid4, pair2.jinf) @ pair2.jinf)
-    G = fock.Gamma(basis, jj).dense()
-    assert np.abs((BG2.mat.conj().T @ BG2.mat).toarray() - G).max() < 1e-12
+    G = fock.Gamma(basis, jj)
+    assert np.abs(BG2.conj().T @ BG2 - G).max() < 1e-12
 
 
 def test_breve_gamma_number_intertwining(setup, grid4, rng):
@@ -122,8 +122,8 @@ def test_breve_gamma_number_intertwining(setup, grid4, rng):
     BG = split.breve_gamma(pair, basis, tb, basis_sum=basis_sum)
     Npair = (split.tensor_factor_ops(tb, op_left=fock.number_op(left)).mat
              + split.tensor_factor_ops(tb, op_right=fock.number_op(right)).mat)
-    dev = BG.mat @ fock.number_op(basis).mat - Npair @ BG.mat
-    assert np.abs(dev.toarray()).max() < 1e-13
+    dev = BG @ fock.number_op(basis).dense() - Npair @ BG
+    assert np.abs(dev).max() < 1e-13
 
 
 def test_breve_gamma_routes_all_left(setup, grid4, rng):
@@ -131,7 +131,7 @@ def test_breve_gamma_routes_all_left(setup, grid4, rng):
     pair = split.SplitPair(grid4, np.eye(4), np.zeros((4, 4)))
     BG = split.breve_gamma(pair, basis, tb, basis_sum=basis_sum)
     v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
-    out = BG.mat @ v
+    out = BG @ v
     expect = np.zeros(tb.size, dtype=complex)
     for i in range(basis.size):
         expect[tb.index[(i, 0)]] = v[i]
@@ -151,7 +151,7 @@ def test_scattering_ident_examples(setup, grid4, rng):
     pair = split.SplitPair(grid4, j0, np.eye(4) - j0)
     assert pair.partition
     BG = split.breve_gamma(pair, basis, tb, basis_sum=basis_sum)
-    dev = (I.mat @ BG.mat).toarray() - np.eye(basis.size)
+    dev = I.mat @ BG - np.eye(basis.size)
     assert np.abs(dev).max() < 1e-12
 
 
@@ -197,13 +197,13 @@ def test_ugamma_o_identity(setup, grid4, rng):
     pair = split.SplitPair(grid4, j0, np.eye(4) - j0)
     om = grid4.omega_mod
     BG = split.breve_gamma(pair, basis, tb, basis_sum=basis_sum)
-    lhs = (BG.mat @ fock.dGamma(basis, om).mat
+    lhs = (BG @ fock.dGamma(basis, om).dense()
            - (split.tensor_factor_ops(tb, op_left=fock.dGamma(left, om)).mat
-              + split.tensor_factor_ops(tb, op_right=fock.dGamma(right, om)).mat) @ BG.mat)
+              + split.tensor_factor_ops(tb, op_right=fock.dGamma(right, om)).mat) @ BG)
     c0 = np.diag(om) @ pair.j0 - pair.j0 @ np.diag(om)
     cinf = np.diag(om) @ pair.jinf - pair.jinf @ np.diag(om)
-    rhs = -split.dbreve_gamma2(pair, c0, cinf, basis, tb, basis_sum=basis_sum).mat
-    assert np.abs((lhs - rhs).toarray()).max() < 1e-12
+    rhs = -split.dbreve_gamma2(pair, c0, cinf, basis, tb, basis_sum=basis_sum)
+    assert np.abs(lhs - rhs).max() < 1e-12
 
 
 def test_dbreve_gamma2_zero_pair(setup, grid4):
@@ -211,7 +211,7 @@ def test_dbreve_gamma2_zero_pair(setup, grid4):
     pair = split.SplitPair(grid4, np.eye(4), np.zeros((4, 4)))
     Z = split.dbreve_gamma2(pair, np.zeros((4, 4)), np.zeros((4, 4)), basis, tb,
                             basis_sum=basis_sum)
-    assert Z.mat.nnz == 0
+    assert np.count_nonzero(Z) == 0
 
 
 def test_udgamma_cauchy_schwarz(setup, grid4, rng):
@@ -228,7 +228,7 @@ def test_udgamma_cauchy_schwarz(setup, grid4, rng):
         dbg = split.dbreve_gamma2(pair, k0, kinf, basis, tb, basis_sum=basis_sum)
         u = rng.normal(size=tb.size) + 1j * rng.normal(size=tb.size)
         v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
-        lhs = abs(complex(np.vdot(u, dbg.mat @ v)))
+        lhs = abs(complex(np.vdot(u, dbg @ v)))
         a0 = weighted_abs(grid4, k0)
         ainf = weighted_abs(grid4, kinf)
         rhs = (math.sqrt(max(0.0, np.vdot(u, split.tensor_factor_ops(tb, op_left=fock.dGamma(left, a0)).mat @ u).real))
@@ -236,6 +236,32 @@ def test_udgamma_cauchy_schwarz(setup, grid4, rng):
                + math.sqrt(max(0.0, np.vdot(u, split.tensor_factor_ops(tb, op_right=fock.dGamma(right, ainf)).mat @ u).real))
                * math.sqrt(max(0.0, np.vdot(v, fock.dGamma(basis, ainf).mat @ v).real)))
         assert lhs <= rhs + 1e-10
+
+
+@pytest.mark.parametrize("n_max, joint_cap, e_cap", [(2, 2, None), (2, 3, None), (3, 3, 0.9)],
+                         ids=["square", "joint-cap-above-n_max", "energy-capped"])
+def test_splitting_maps_equal_U_times_functor(grid4, rng, n_max, joint_cap, e_cap):
+    """breve_gamma and dbreve_gamma2 place the functor's rows by U's
+    permutation; that equals the sparse product U Gamma (U dGamma2) exactly,
+    with zero rows on the pairs outside U's image: the pairs above n_max, and
+    under an energy cap the pairs whose leg energies add up past it."""
+    source = fock.build_basis(grid4, n_max, e_cap)
+    leg = fock.build_basis(grid4, joint_cap, e_cap)
+    tb = split.build_tensor_basis(leg, leg, joint_cap=joint_cap)
+    basis_sum = fock.build_basis(split.doubled_grid(grid4), n_max, e_cap)
+    U = split.tensor_iso_U(basis_sum, tb).mat
+    j0, jinf, b0, binf = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+                          for _ in range(4))
+    pair = split.SplitPair(grid4, j0, jinf)
+    G = fock.Gamma(source, pair.stacked(), basis_out=basis_sum)
+    D = fock.dGamma2(source, pair.stacked(), split.stack_pair(b0, binf), basis_out=basis_sum)
+    outside = np.setdiff1d(np.arange(tb.size), split.tensor_iso_perm(basis_sum, tb))
+    assert (outside.size == 0) == (joint_cap == n_max and e_cap is None)
+    for got, want in ((split.breve_gamma(pair, source, tb), U @ G),
+                      (split.dbreve_gamma2(pair, b0, binf, source, tb), U @ D)):
+        assert isinstance(got, np.ndarray) and got.shape == (tb.size, source.size)
+        assert np.array_equal(got, want)
+        assert np.count_nonzero(got[outside]) == 0
 
 
 def test_tensor_basis_csv(setup):
@@ -263,7 +289,7 @@ pair = split.SplitPair(grid, np.diag(np.cos(theta)), np.diag(np.sin(theta)))
 assert pair.isometric
 BG = split.breve_gamma(pair, basis, tb)
 v = np.random.default_rng(0).normal(size=basis.size)
-assert abs(np.linalg.norm(BG.mat @ v) - np.linalg.norm(v)) < 1e-10
+assert abs(np.linalg.norm(BG @ v) - np.linalg.norm(v)) < 1e-10
 """
     src = str(Path(split.__file__).resolve().parents[1])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
