@@ -14,7 +14,8 @@ index gather (``split.tensor_lift``), U as its permutation
 and the checks that involve none of the draws.  A draw forms each operator
 that is linear in its coefficients with one ``tensordot`` and applies U as
 an index gather; only Gamma, dGamma2 and the splitting maps built on them
-are nonlinear in the draw and go through the sector recursion every draw.
+are nonlinear in the draw and go through the sector recursion every draw,
+which reads its slot tables, sector schedule and row lookups from the bases.
 """
 
 from __future__ import annotations

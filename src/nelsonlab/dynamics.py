@@ -22,8 +22,11 @@ psi.reshape(L, nb); the Kronecker product 1 x op is never formed.  The
 w(t) and photon-flux probes need only <dGamma(b)> at each snapshot, which
 ``fock.dGamma_expectation`` reads from the one-boson density matrix (on the
 chain, of the position rows weighted by F(|x|/t)), so no sparse dGamma(b) is
-assembled for them.  Energy filters f(H) psi are applied block by block
-through ``SpectralCalculus.fn(f, psi)``, never as an n x n matrix.
+assembled for them.  Likewise the asymptotic-field probes apply a*(h_t) and
+a(h_t) through ``fock.apply_creation`` and ``fock.apply_annihilation``, one
+gather on the basis tables each, without building a*(h_t).  Energy filters
+f(H) psi are applied block by block through ``SpectralCalculus.fn(f, psi)``,
+never as an n x n matrix.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ from .fock import (
     SparseOperator,
     WeightedSpectrum,
     _switch,
+    apply_annihilation,
+    apply_creation,
     build_basis,
     creation_op,
     dGamma,
@@ -133,6 +138,11 @@ def krylov_expm_apply(mat: sp.csr_matrix, v: np.ndarray, dt: float,
     The interval contains the spectrum and |T_k| <= 1 on it, so dropping
     terms whose |c_k| sum to at most ``tol`` errs by at most tol ||v||.  A
     degree-N sum lies in the Krylov space K_{N+1}(H, v), hence the name.
+
+    The bound holds down to the coefficients' rounding floor: each computed
+    c_k carries noise of about |b dt| eps (4e-15 at b dt = 750, 7e-15 at
+    1500), summed over the N terms used.  For b dt above about 700 a ``tol``
+    below about N x 1e-14 is therefore not honoured.
     """
     a, b = _gershgorin_interval(mat)
     phase = np.exp(-1j * a * dt)
@@ -282,12 +292,13 @@ class YCalc(WeightedSpectrum):
 # Full-model helpers
 # ---------------------------------------------------------------------------
 
-def _on_bosons(op: SparseOperator, psi: np.ndarray, fb: FullBasis | None = None) -> np.ndarray:
-    """op applied to the boson leg of psi: op psi on a fiber, and (1 x op) psi
-    on the chain, acting on the rows of psi.reshape(L, nb)."""
+def _on_bosons(apply, basis: OccupationBasis, h, psi: np.ndarray,
+               fb: FullBasis | None = None) -> np.ndarray:
+    """apply(basis, h, .) on the boson leg of psi: on psi itself on a fiber,
+    and (1 x op) psi on the chain, acting on the rows of psi.reshape(L, nb)."""
     if fb is None:
-        return op.mat @ psi
-    return (op.mat @ psi.reshape(fb.n_sites, -1).T).T.reshape(psi.shape)
+        return apply(basis, h, psi)
+    return apply(basis, h, psi.reshape(fb.n_sites, -1)).reshape(psi.shape)
 
 
 def gaussian_electron_state(fb: FullBasis, p0: float, dp: float) -> np.ndarray:
@@ -413,7 +424,7 @@ def asymptotic_field_probe(prop: Propagation, basis: OccupationBasis, h,
     vecs = []
     for t, psi in snapshots(prop):
         h_t = np.exp(-1j * omega * t) * np.asarray(h, dtype=complex)
-        chi = _on_bosons(creation_op(basis, h_t), psi, fb)
+        chi = _on_bosons(apply_creation, basis, h_t, psi, fb)
         vecs.append(krylov_expm_apply(prop.H.mat, chi, -t, tol=prop.step_tol))
     diffs = np.array([np.linalg.norm(vecs[i + 1] - vecs[i]) for i in range(len(vecs) - 1)])
     track = ObservableTrack(
@@ -434,7 +445,7 @@ def annihilation_norm_track(prop: Propagation, basis: OccupationBasis, h,
 
     def measure(psi, t):
         h_t = np.exp(-1j * omega * t) * np.asarray(h, dtype=complex)
-        return float(np.linalg.norm(_on_bosons(creation_op(basis, h_t).adjoint(), psi, fb)))
+        return float(np.linalg.norm(_on_bosons(apply_annihilation, basis, h_t, psi, fb)))
 
     return _track_snapshots(prop, measure)
 

@@ -27,7 +27,15 @@ Gamma and dGamma2, and the tensor and fusion maps of ``split`` are therefore
 index gathers on ``occ`` and ``up``, exact on capped bases as well.  So is
 ``dGamma_expectation``, which reads <psi, dGamma(b) psi> from the M x M
 one-boson density matrix rho_ij = <a_i psi, a_j psi>, one gather on ``up``,
-without assembling dGamma(b).
+without assembling dGamma(b); ``apply_creation`` and ``apply_annihilation``
+apply a*(h) and a(h) to states the same way.
+
+The table also holds what those gathers would otherwise rebuild on every call,
+all computed once by ``build_basis`` and read-only like ``up``: ``down``, the
+inverse of ``up``; the occupied-mode slot tables (per state, its at most n_max
+occupied modes, their sqrt(n) and the parent rows); the per-sector schedule
+of the sector recursion; and ``lookup``, the exact row lookup that filled
+``up``.
 
 The field operator follows the symmetric normalization
 
@@ -301,7 +309,15 @@ class OccupationBasis:
     """Graded-lexicographic occupation basis with a perfect reverse index.
 
     ``occ`` (size x M) holds the occupation numbers and ``up`` (size x M) the
-    ladder table: ``up[c, j]`` is the index of c + e_j, or -1 if truncated.
+    ladder table: ``up[c, j]`` is the index of c + e_j, or -1 if truncated;
+    ``down[c, j]`` is the index of c - e_j, or -1 where n_j(c) = 0.
+
+    Slot s < min(n_max, M) of state r holds one of its occupied modes,
+    ``slot_mode[r, s]``, with ``slot_root[r, s]`` = sqrt(n_i(r)) and
+    ``slot_parent[r, s]`` = r - e_i; a padding slot has root 0 and parent -1.
+    ``sectors[n - 1]`` = (c, j, p, 1 / sqrt(n_j(c))) lists the states c of
+    sector n, their first occupied mode j and their parent p = c - e_j.
+    ``lookup`` maps occupation rows to their state index (-1 if absent).
     """
 
     grid: ModeGrid
@@ -311,6 +327,12 @@ class OccupationBasis:
     index: dict = field(repr=False)
     occ: np.ndarray = field(repr=False)
     up: np.ndarray = field(repr=False)
+    down: np.ndarray = field(repr=False)
+    slot_mode: np.ndarray = field(repr=False)
+    slot_root: np.ndarray = field(repr=False)
+    slot_parent: np.ndarray = field(repr=False)
+    sectors: tuple = field(repr=False)
+    lookup: RowIndex = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -335,27 +357,43 @@ class OccupationBasis:
         return "\n".join(lines) + "\n"
 
 
-def _row_index(table: np.ndarray):
-    """Exact lookup of integer rows in ``table``.
+def _row_keys(rows) -> np.ndarray:
+    """One raw-byte key per integer row, so that equal keys mean equal rows."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
 
-    Returns a function mapping an (n, k) integer array to the index of each
-    row in ``table``, or -1 where the row is absent.  Rows are compared as raw
-    bytes, so the match is exact.
-    """
-    def keys(rows):
-        rows = np.ascontiguousarray(rows, dtype=np.int64)
-        return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
 
-    table_keys = keys(table)
+@dataclass(frozen=True, eq=False)
+class RowIndex:
+    """Exact lookup of integer rows in a table: calling it on an (n, k)
+    integer array returns the table index of each row, or -1 where the row is
+    absent.  Rows are compared as raw bytes, so the match is exact."""
+
+    order: np.ndarray
+    sorted_keys: np.ndarray
+
+    def __call__(self, rows) -> np.ndarray:
+        q = _row_keys(rows)
+        pos = np.minimum(np.searchsorted(self.sorted_keys, q), len(self.sorted_keys) - 1)
+        return np.where(self.sorted_keys[pos] == q, self.order[pos], -1)
+
+
+def _row_index(table: np.ndarray) -> RowIndex:
+    """The ``RowIndex`` of the rows of ``table``, sorted once and read-only."""
+    table_keys = _row_keys(table)
     order = np.argsort(table_keys)
     sorted_keys = table_keys[order]
+    order.flags.writeable = False
+    sorted_keys.flags.writeable = False
+    return RowIndex(order, sorted_keys)
 
-    def lookup(rows):
-        q = keys(rows)
-        pos = np.minimum(np.searchsorted(sorted_keys, q), len(sorted_keys) - 1)
-        return np.where(sorted_keys[pos] == q, order[pos], -1)
 
-    return lookup
+def _down(up: np.ndarray) -> np.ndarray:
+    """Index of c - e_j per (c, j), or -1 where n_j(c) = 0; the inverse of ``up``."""
+    down = np.full_like(up, -1)
+    p, j = np.nonzero(up >= 0)
+    down[up[p, j], j] = p
+    return down
 
 
 def build_basis(grid: ModeGrid, n_max: int, e_cap: float | None = None) -> OccupationBasis:
@@ -377,11 +415,26 @@ def build_basis(grid: ModeGrid, n_max: int, e_cap: float | None = None) -> Occup
     occ = np.array(states, dtype=np.int64).reshape(len(states), grid.n_modes)
     lookup = _row_index(occ)
     up = np.stack([lookup(occ + e) for e in np.eye(grid.n_modes, dtype=np.int64)], axis=1)
+    down = _down(up)
+    # the occupied modes of each state first, padding slots after them
+    n_slots = min(n_max, grid.n_modes)
+    slot_mode = np.argsort(occ == 0, axis=1, kind="stable")[:, :n_slots]
+    slot_root = np.sqrt(np.take_along_axis(occ, slot_mode, axis=1))
+    slot_parent = np.take_along_axis(down, slot_mode, axis=1)
+    numbers = occ.sum(axis=1)
+    sectors = []
+    for n in range(1, n_max + 1):
+        c = np.flatnonzero(numbers == n)
+        j = np.argmax(occ[c] > 0, axis=1)
+        sectors.append((c, j, down[c, j], 1.0 / np.sqrt(occ[c, j])))
     # shared by every operator built on this basis
-    occ.flags.writeable = False
-    up.flags.writeable = False
+    for table in (occ, up, down, slot_mode, slot_root, slot_parent,
+                  *(t for sector in sectors for t in sector)):
+        table.flags.writeable = False
     return OccupationBasis(grid=grid, n_max=n_max, e_cap=e_cap,
-                           states=tuple(states), index=index, occ=occ, up=up)
+                           states=tuple(states), index=index, occ=occ, up=up, down=down,
+                           slot_mode=slot_mode, slot_root=slot_root, slot_parent=slot_parent,
+                           sectors=tuple(sectors), lookup=lookup)
 
 
 @dataclass
@@ -572,6 +625,39 @@ def dGamma(basis: OccupationBasis, b) -> SparseOperator:
                 np.concatenate(data), hermitian=bool(herm))
 
 
+def _check_state(basis: OccupationBasis, psi) -> np.ndarray:
+    psi = np.asarray(psi)
+    if psi.ndim not in (1, 2) or psi.shape[-1] != basis.size:
+        raise DimensionMismatchError("state length != basis size")
+    return psi
+
+
+def _lowered(basis: OccupationBasis, psi: np.ndarray) -> np.ndarray:
+    """A[..., p, j] = (a_j psi)[p] = sqrt(n_j(p) + 1) psi[up[p, j]], one
+    gather on the ladder table (zero where up is -1)."""
+    up = basis.up
+    return psi[..., up] * np.where(up >= 0, np.sqrt(basis.occ + 1), 0.0)
+
+
+def apply_creation(basis: OccupationBasis, h, psi) -> np.ndarray:
+    """a*(h) psi without assembling a*(h), for one state (n,) or rows (L, n).
+
+    Row r collects sqrt(n_i(r)) sqrt(w_i) h_i psi[r - e_i] over the occupied
+    modes i of r, read from the slot tables; states pushed past the caps are
+    absent from the basis, which is the projection of ``creation_op``.
+    """
+    amp = np.sqrt(basis.grid.weights) * _check_modes(basis, h)
+    psi = _check_state(basis, psi)
+    return np.sum(basis.slot_root * amp[basis.slot_mode] * psi[..., basis.slot_parent], axis=-1)
+
+
+def apply_annihilation(basis: OccupationBasis, h, psi) -> np.ndarray:
+    """a(h) psi = sum_j conj(sqrt(w_j) h_j) a_j psi without assembling a(h),
+    for one state (n,) or rows (L, n)."""
+    amp = np.sqrt(basis.grid.weights) * _check_modes(basis, h)
+    return _lowered(basis, _check_state(basis, psi)) @ np.conj(amp)
+
+
 def dGamma_expectation(basis: OccupationBasis, b, psi, weights=None) -> complex:
     """sum_x w_x <psi_x, dGamma(b) psi_x> without assembling dGamma(b).
 
@@ -583,28 +669,17 @@ def dGamma_expectation(basis: OccupationBasis, b, psi, weights=None) -> complex:
     rho = A^H A.  Exact on capped bases for the same reason as ``dGamma``.
     """
     bo = to_ortho(basis.grid, basis.grid, _as_mode_matrix(basis, b))
-    psi = np.asarray(psi)
-    if psi.ndim not in (1, 2) or psi.shape[-1] != basis.size:
-        raise DimensionMismatchError("state length != basis size")
-    up = basis.up
-    A = psi[..., up] * np.where(up >= 0, np.sqrt(basis.occ + 1), 0.0)
+    psi = _check_state(basis, psi)
+    A = _lowered(basis, psi)
     Ah = A.conj()
     if weights is not None:
         weights = np.asarray(weights)
         if psi.ndim != 2 or weights.shape != psi.shape[:1]:
             raise DimensionMismatchError("one weight per state row expected")
         Ah = Ah * weights[:, None, None]
-    M = up.shape[1]
+    M = basis.grid.n_modes
     rho = Ah.reshape(-1, M).T @ A.reshape(-1, M)
     return complex(np.sum(bo * rho))
-
-
-def _down(basis: OccupationBasis) -> np.ndarray:
-    """Index of c - e_j per (c, j), or -1 where n_j(c) = 0; the inverse of ``up``."""
-    down = np.full_like(basis.up, -1)
-    p, j = np.nonzero(basis.up >= 0)
-    down[basis.up[p, j], j] = p
-    return down
 
 
 def _sector_recursion(basis_in: OccupationBasis, basis_out: OccupationBasis | None,
@@ -619,7 +694,9 @@ def _sector_recursion(basis_in: OccupationBasis, basis_out: OccupationBasis | No
         dGamma2(a, b) a*_j = a*(b e_j) Gamma(a) + a*(a e_j) dGamma2(a, b).
 
     The projections onto the target caps commute with this recursion
-    because a capped basis is closed under removing a boson.
+    because a capped basis is closed under removing a boson.  The sectors
+    are read from ``basis_in.sectors`` and a* from the slot tables of
+    ``basis_out``.
     """
     basis_out = basis_out or basis_in
 
@@ -633,32 +710,20 @@ def _sector_recursion(basis_in: OccupationBasis, basis_out: OccupationBasis | No
 
     ao = ortho(a)
     bo = None if b is None else ortho(b)
-    down_in = _down(basis_in)
-    # each output row has at most n_max occupied modes: slot s of row r holds
-    # one of them, its weight sqrt(n_i(r)) and the row r - e_i; a padding
-    # slot has weight 0 (and row -1)
-    n_slots = min(basis_out.n_max, basis_out.grid.n_modes)
-    modes = np.argsort(basis_out.occ == 0, axis=1, kind="stable")[:, :n_slots]
-    roots = np.sqrt(np.take_along_axis(basis_out.occ, modes, axis=1))
-    parents = np.take_along_axis(_down(basis_out), modes, axis=1)
+    modes, roots, parents = basis_out.slot_mode, basis_out.slot_root, basis_out.slot_parent
 
     def create(coef, V):
         # column k is a*(coef[:, k]) V[:, k]: row r collects
-        # sqrt(n_i(r)) coef[i, k] V[r - e_i, k] over its occupied modes i
+        # sqrt(n_i(r)) coef[i, k] V[r - e_i, k] over its occupied-mode slots
         out = np.zeros((basis_out.size, V.shape[1]), dtype=complex)
-        for s in range(n_slots):
+        for s in range(modes.shape[1]):
             out += roots[:, s, None] * coef[modes[:, s]] * V[parents[:, s]]
         return out
 
     G = np.zeros((basis_out.size, basis_in.size), dtype=complex)
     G[0, 0] = 1.0
     D = np.zeros_like(G) if bo is not None else None
-    N = basis_in.total_numbers()
-    for n in range(1, basis_in.n_max + 1):
-        c = np.flatnonzero(N == n)
-        j = np.argmax(basis_in.occ[c] > 0, axis=1)
-        p = down_in[c, j]
-        scale = 1.0 / np.sqrt(basis_in.occ[c, j])
+    for c, j, p, scale in basis_in.sectors:
         G[:, c] = create(ao[:, j], G[:, p]) * scale
         if bo is not None:
             D[:, c] = (create(bo[:, j], G[:, p]) + create(ao[:, j], D[:, p])) * scale

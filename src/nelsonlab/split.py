@@ -28,6 +28,7 @@ from .fock import (
     Gamma,
     ModeGrid,
     OccupationBasis,
+    RowIndex,
     SparseOperator,
     _row_index,
     build_basis,
@@ -91,7 +92,8 @@ class TensorBasis:
     """Pairs of occupation states with independent caps and a joint total cap.
 
     ``pairs`` is an (n_pairs, 2) array of (left index, right index) rows;
-    ``index`` maps each pair tuple back to its row.
+    ``index`` maps each pair tuple back to its row, and ``lookup`` does the
+    same for an array of pair rows (-1 where absent).
     """
 
     left: OccupationBasis
@@ -99,6 +101,7 @@ class TensorBasis:
     joint_cap: int
     pairs: np.ndarray
     index: dict = field(repr=False)
+    lookup: RowIndex = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -126,7 +129,8 @@ def build_tensor_basis(left: OccupationBasis, right: OccupationBasis,
     order = np.argsort(total[i, j], kind="stable")
     pairs = np.stack([i[order], j[order]], axis=1)
     index = {p: n for n, p in enumerate(map(tuple, pairs.tolist()))}
-    return TensorBasis(left=left, right=right, joint_cap=cap, pairs=pairs, index=index)
+    return TensorBasis(left=left, right=right, joint_cap=cap, pairs=pairs, index=index,
+                       lookup=_row_index(pairs))
 
 
 def tensor_iso_perm(basis_sum: OccupationBasis, tb: TensorBasis) -> np.ndarray:
@@ -135,18 +139,19 @@ def tensor_iso_perm(basis_sum: OccupationBasis, tb: TensorBasis) -> np.ndarray:
     In occupation coordinates every doubled-grid state (n_0 | n_inf) maps to
     the pair state |n_0> x |n_inf| with unit amplitude; the sector formula's
     binomial(n, k)^(1/2) factors are carried by the occupation normalization.
+    The rows are found by the lookups the leg and pair bases carry.
     Raises IncompatibleCapsError when a source state has no target pair.
     """
     M = tb.left.grid.n_modes
     if basis_sum.grid.n_modes != 2 * M:
         raise DimensionMismatchError("source basis must live on the doubled grid")
-    il = _row_index(tb.left.occ)(basis_sum.occ[:, :M])
-    ir = _row_index(tb.right.occ)(basis_sum.occ[:, M:])
+    il = tb.left.lookup(basis_sum.occ[:, :M])
+    ir = tb.right.lookup(basis_sum.occ[:, M:])
     if np.any(il < 0) or np.any(ir < 0):
         raise IncompatibleCapsError(
             "tensor caps cannot represent a source state; "
             "need left/right caps >= source n_max and matching energy caps")
-    t = _row_index(tb.pairs)(np.stack([il, ir], axis=1))
+    t = tb.lookup(np.stack([il, ir], axis=1))
     if np.any(t < 0):
         raise IncompatibleCapsError("joint cap below source n_max")
     return t
@@ -200,7 +205,7 @@ def scattering_ident(tb: TensorBasis, target: OccupationBasis) -> SparseOperator
     pi, pj = tb.pairs.T
     nl, nr = tb.left.occ[pi], tb.right.occ[pj]
     fused = nl + nr
-    t = _row_index(target.occ)(fused)
+    t = target.lookup(fused)
     keep = np.flatnonzero(t >= 0)
     # Pascal table of exact binomials (fixed-width factorials overflow past 20!)
     top = fused.max(initial=0) + 1
@@ -222,17 +227,35 @@ def tensor_lift(tb: TensorBasis):
     """Lift of dense leg matrices onto the pair basis, as index gathers.
 
     Returns ``lift(op_left=None, op_right=None)``, whose entry (p, q) for
-    pairs p = (i, j) and q = (i', j') is op_left[i, i'] op_right[j, j']: one
-    flat-index gather per leg, and for a leg left as None (the identity) the
-    Kronecker mask i == i'.  Pairs outside the joint cap are absent, which is
-    the Galerkin projection.
+    pairs p = (i, j) and q = (i', j') is op_left[i, i'] op_right[j, j'], a
+    leg left as None being the identity.  Pairs outside the joint cap are
+    absent, which is the Galerkin projection.  A one-leg lift is nonzero only
+    where the other leg agrees (j = j' for op_left); that support, as flat
+    positions in the result and in the leg matrix, is computed here once per
+    leg, and a call writes the gathered entries into zeros of the op's dtype.
+    Two legs (or none) take one flat-index gather (or Kronecker mask) per leg.
     """
-    legs = [(idx[:, None] * size + idx[None, :], idx[:, None] == idx[None, :])
-            for idx, size in zip(tb.pairs.T, (tb.left.size, tb.right.size))]
+    n = tb.size
+    il, ir = tb.pairs.T
+    legs = ((il, tb.left.size), (ir, tb.right.size))
+
+    def support(idx, size, other):
+        p, q = np.nonzero(other[:, None] == other[None, :])
+        return p * n + q, idx[p] * size + idx[q]
+
+    one_leg = (support(il, tb.left.size, ir), support(ir, tb.right.size, il))
 
     def lift(op_left=None, op_right=None) -> np.ndarray:
-        left, right = (mask if op is None else np.take(op, gather)
-                       for op, (gather, mask) in zip((op_left, op_right), legs))
+        if (op_left is None) != (op_right is None):
+            op, (put, gather) = ((op_left, one_leg[0]) if op_right is None
+                                 else (op_right, one_leg[1]))
+            op = np.asarray(op)
+            out = np.zeros(n * n, dtype=op.dtype)
+            out[put] = np.take(op, gather)
+            return out.reshape(n, n)
+        left, right = (idx[:, None] == idx[None, :] if op is None
+                       else np.take(op, idx[:, None] * size + idx[None, :])
+                       for op, (idx, size) in zip((op_left, op_right), legs))
         return left * right
 
     return lift

@@ -438,6 +438,43 @@ class TestAsymptoticFields:
         assert track.verdicts["cauchy_decreasing"]
 
 
+def oracle_probe_values(prop, basis, h, fb=None):
+    """The Cauchy differences and ||a(h_t) psi_t|| with a*(h_t) built by the
+    loop oracle (lifted to 1 x a*(h_t) on the chain) and applied as a matrix."""
+    omega = dynamics._boson_omega(prop, basis)
+    vecs, norms = [], []
+    for t, psi in dynamics.snapshots(prop):
+        c = oracles.creation_op(basis, np.exp(-1j * omega * t) * h)
+        c = c.mat if fb is None else oracles.lift_boson_op(fb, c)
+        vecs.append(dynamics.krylov_expm_apply(prop.H.mat, c @ psi, -t, tol=prop.step_tol))
+        norms.append(np.linalg.norm(c.conj().T @ psi))
+    return np.linalg.norm(np.diff(vecs, axis=0), axis=1), np.array(norms)
+
+
+@pytest.mark.parametrize("where", ["fiber", "chain"])
+def test_field_probes_match_oracle_ladders(where, fiber_setup, nonrel, ff):
+    """asymptotic_field_probe and annihilation_norm_track apply a*(h_t) and
+    a(h_t) by gathers on the ladder table, on the chain to the occupation leg."""
+    rng = np.random.default_rng(21)
+    if where == "fiber":
+        ms, basis, H = fiber_setup
+        fb = None
+    else:
+        grid = fock.lattice_grid(16, [-3, -1, 2], 0.2)
+        ms = model.ModelSpec(nonrel, ff, grid, 0.05)
+        fb = model.full_basis(ms, 16, 2)
+        H = model.build_full_H(ms, fb)
+        basis = fb.boson
+    psi = rng.normal(size=H.shape[0]) + 1j * rng.normal(size=H.shape[0])
+    prop = dynamics.Propagation(H, psi / np.linalg.norm(psi), dynamics.geometric_times(1.0, 8.0, 2.0))
+    h = rng.normal(size=ms.grid.n_modes) + 1j * rng.normal(size=ms.grid.n_modes)
+    diffs, norms = oracle_probe_values(prop, basis, h, fb)
+    for got, want in ((dynamics.asymptotic_field_probe(prop, basis, h, fb=fb).values, diffs),
+                      (dynamics.annihilation_norm_track(prop, basis, h, fb=fb).values, norms)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
+
+
 class TestW:
     def test_dressed_packet_w_vanishes(self, fiber_setup):
         ms, basis, H = fiber_setup

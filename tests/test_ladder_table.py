@@ -5,8 +5,11 @@ must agree exactly: equal values, equal sparsity and no stored zeros.  The
 sector recursions behind ``Gamma`` and ``dGamma2`` multiply in another order
 than the oracle, so they get a 1e-13 relative tolerance, and
 ``dGamma_expectation``, which sums <psi, dGamma(b) psi> through the one-boson
-density matrix, gets 1e-12.
+density matrix, gets 1e-12; ``apply_creation`` and ``apply_annihilation`` sum
+over slots or modes instead of sparse rows and get 1e-14.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -69,6 +72,45 @@ def test_ladder_table_matches_states(basis):
         for j in range(basis.grid.n_modes):
             target = state[:j] + (state[j] + 1,) + state[j + 1:]
             assert basis.up[c, j] == basis.index.get(target, -1)
+
+
+def test_basis_index_tables_match_states(basis):
+    """``down``, the slot tables, the sector schedule and the row lookup,
+    against the states looked up one at a time in ``basis.index``."""
+    M = basis.grid.n_modes
+    assert basis.down.shape == basis.up.shape
+    assert (basis.slot_mode.shape == basis.slot_root.shape == basis.slot_parent.shape
+            == (basis.size, min(basis.n_max, M)))
+    for c, state in enumerate(basis.states):
+        occupied = [j for j in range(M) if state[j]]
+        for j in range(M):
+            parent = state[:j] + (state[j] - 1,) + state[j + 1:]
+            assert basis.down[c, j] == (basis.index[parent] if state[j] else -1)
+        slots = list(zip(basis.slot_mode[c], basis.slot_root[c], basis.slot_parent[c]))
+        assert [j for j, _, _ in slots[:len(occupied)]] == occupied
+        for j, root, parent in slots[:len(occupied)]:
+            assert root == math.sqrt(state[j]) and parent == basis.down[c, j]
+        assert all(root == 0 and parent == -1 for _, root, parent in slots[len(occupied):])
+    assert len(basis.sectors) == basis.n_max
+    for n, (cols, first, parents, scale) in enumerate(basis.sectors, start=1):
+        assert cols.tolist() == [c for c, s in enumerate(basis.states) if sum(s) == n]
+        for c, j, p, inv in zip(cols, first, parents, scale):
+            state = basis.states[c]
+            assert j == next(k for k in range(M) if state[k]) and p == basis.down[c, j]
+            assert inv == 1.0 / math.sqrt(state[j])
+    assert np.array_equal(basis.lookup(basis.occ), np.arange(basis.size))
+    assert np.all(basis.lookup(basis.occ + basis.n_max + 1) == -1)
+
+
+def test_basis_index_tables_are_read_only(basis):
+    """Every operator built on a basis shares its tables, so none may be written."""
+    tb = split.build_tensor_basis(basis, basis)
+    tables = [basis.occ, basis.up, basis.down, basis.slot_mode, basis.slot_root,
+              basis.slot_parent, *(t for sector in basis.sectors for t in sector)]
+    tables += [lookup.order for lookup in (basis.lookup, tb.lookup)]
+    tables += [lookup.sorted_keys for lookup in (basis.lookup, tb.lookup)]
+    for table in tables:
+        assert not table.flags.writeable
 
 
 def test_creation_op_exact(basis):
@@ -275,3 +317,30 @@ def test_dGamma_expectation_rejects_wrong_shapes():
     for b, state, wts in bad:
         with pytest.raises(fock.DimensionMismatchError):
             fock.dGamma_expectation(basis, b, state, wts)
+
+
+def test_apply_ladders_match_oracle(expectation_basis):
+    """a*(h) psi and a(h) psi by gathers, for one state and for rows, against
+    the loop oracle's a*(h) and its adjoint."""
+    basis = expectation_basis
+    rng = np.random.default_rng(10)
+    M = basis.grid.n_modes
+    h = rng.normal(size=M) + 1j * rng.normal(size=M)
+    c = oracles.creation_op(basis, h).mat
+    psi = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+    rows = rng.normal(size=(3, basis.size)) + 1j * rng.normal(size=(3, basis.size))
+    for state in (psi, rows):
+        for got, op in ((fock.apply_creation(basis, h, state), c),
+                        (fock.apply_annihilation(basis, h, state), c.conj().T)):
+            want = (op @ state.T).T
+            assert got.shape == want.shape
+            assert np.abs(got - want).max(initial=0.0) <= 1e-14 * max(1.0, np.abs(want).max(initial=0.0))
+
+
+def test_apply_ladders_reject_wrong_shapes():
+    basis = fock.build_basis(GRIDS[4], 2)
+    for apply in (fock.apply_creation, fock.apply_annihilation):
+        for h, state in ((np.ones(3), np.ones(basis.size)), (np.ones(4), np.ones(basis.size - 1)),
+                         (np.ones(4), np.ones((1, 1, basis.size)))):
+            with pytest.raises(fock.DimensionMismatchError):
+                apply(basis, h, state)
