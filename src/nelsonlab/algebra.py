@@ -152,7 +152,7 @@ def run_algebra_suite(n_modes: int = 4, n_max: int = 3, draws: int = 100,
     vac_sum = np.zeros(basis_sum.size)
     vac_sum[0] = 1.0
     target = np.zeros(tb.size)
-    target[tb.index[(0, 0)]] = 1.0
+    target[tb.lookup([[0, 0]])] = 1.0
     rec("ueq0_vacuum", np.abs(U.mat @ vac_sum - target).max())
     rec("u_isometry", _norm((U.adjoint() @ U).dense() - np.eye(basis_sum.size)))
 
@@ -232,9 +232,8 @@ def run_algebra_suite(n_modes: int = 4, n_max: int = 3, draws: int = 100,
                                  np.eye(M)[j] / np.sqrt(grid.weights[j])])
             lhs = sum_creation(vv)
             two = (lhs @ lhs[:, 0])[s]
-            li = basis.index[tuple(1 if k == i else 0 for k in range(M))]
-            ri = basis.index[tuple(1 if k == j else 0 for k in range(M))]
-            amp = two[tb.index[(li, ri)]]
+            # the one-boson states e_i, e_j and the pair (e_i, e_j)
+            amp = two[tb.lookup([[basis.up[0, i], basis.up[0, j]]])[0]]
             rec("ueq2_binomial", abs(amp - np.sqrt(2.0) * np.sqrt(2.0)))
         del lhs, rhs
 

@@ -365,8 +365,7 @@ def electron_velocity_probe(ms: ModelSpec, fb: FullBasis, prop: Propagation,
 def photon_velocity_probe(prop: Propagation, basis: OccupationBasis,
                           window: tuple, ycalc: YCalc,
                           fb: FullBasis | None = None,
-                          f_electron=None, speed_floor: float = 1.0,
-                          mode: str = "window") -> ObservableTrack:
+                          f_electron=None, mode: str = "window") -> ObservableTrack:
     """Time-weighted boson flux integrals.
 
     mode="window": integrand <dGamma(chi_[lo,hi](|y|/t)) F(|x|/t)> with the
@@ -376,7 +375,7 @@ def photon_velocity_probe(prop: Propagation, basis: OccupationBasis,
     Verdict: the running integral plateaus (increment per doubling below 5%).
     """
     lo, hi = window
-    if lo < speed_floor:
+    if lo < 1.0:  # the speed of light
         warnings.warn("window starts below the propagation bound; estimate not claimed there")
     use_mod = bool(prop.H.info.get("use_modified", True)) if prop.H.info else True
 

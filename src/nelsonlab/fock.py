@@ -16,26 +16,25 @@ projects out of the top shell (Galerkin truncation).  Operator identities that
 involve a creation operator therefore hold exactly only on the guarded sector
 N <= n_max - 1; number-conserving identities hold on the whole basis.
 
-Every second-quantized operator is derived from one ladder table stored on
-the basis: ``occ[c, j]`` is the occupation of mode j in state c, and
-``up[c, j]`` is the index of the state c + e_j, or -1 when that state lies
-outside N <= n_max or the energy cap.  A truncated basis is closed under
-removing a boson (removal lowers both N and the energy), so every state c with
-n_j(c) > 0 has its parent c - e_j in the basis and is reached as
-c = up[c - e_j, j].  Hopping terms a*_i a_j, the sector recursions behind
-Gamma and dGamma2, and the tensor and fusion maps of ``split`` are therefore
-index gathers on ``occ`` and ``up``, exact on capped bases as well.  So is
+A basis is one integer array: ``occ[c, j]`` is the occupation of mode j in
+state c, enumerated sector by sector in numpy, with ``lookup``, the exact
+lookup of occupation rows.  A truncated basis is closed under removing a boson
+(removal lowers both N and the energy), so every state c with n_j(c) > 0 has
+its parent c - e_j in the basis.  ``build_basis`` derives from ``occ`` and
+``lookup``, once and read-only: the occupied-mode slot tables (per state, its
+at most n_max occupied modes ``slot_mode``, their sqrt(n) ``slot_root`` and
+the parent rows ``slot_parent``, one lookup per slot); the ladder table
+``up[c, j]``, the index of c + e_j or -1 when that state lies outside
+N <= n_max or the energy cap, scattered from the slot tables; and
+``sectors``, the per-sector schedule of the sector recursion, read off
+slot 0.  Every second-quantized operator is derived from these tables:
+hopping terms a*_i a_j, the sector recursions behind Gamma and dGamma2, and
+the tensor and fusion maps of ``split`` are index gathers on ``occ``, ``up``
+and the slot tables, exact on capped bases as well.  So is
 ``dGamma_expectation``, which reads <psi, dGamma(b) psi> from the M x M
 one-boson density matrix rho_ij = <a_i psi, a_j psi>, one gather on ``up``,
 without assembling dGamma(b); ``apply_creation`` and ``apply_annihilation``
 apply a*(h) and a(h) to states the same way.
-
-The table also holds what those gathers would otherwise rebuild on every call,
-all computed once by ``build_basis`` and read-only like ``up``: ``down``, the
-inverse of ``up``; the occupied-mode slot tables (per state, its at most n_max
-occupied modes, their sqrt(n) and the parent rows); the per-sector schedule
-of the sector recursion; and ``lookup``, the exact row lookup that filled
-``up``.
 
 The field operator follows the symmetric normalization
 
@@ -266,14 +265,13 @@ def lattice_grid(n_sites: int, mode_indices: Sequence[int], sigma: float) -> Mod
     )
 
 
-def radial_grid(n_r: int, kmax: float, sigma: float, n_ang: int = 6) -> ModeGrid:
+def radial_grid(n_r: int, kmax: float, sigma: float) -> ModeGrid:
     """d = 3 product grid: radial midpoints x octahedral angular nodes.
 
     Angular quadrature uses the six axis directions with equal weights; the
     radial weight carries the r^2 Jacobian.
     """
-    if n_ang != 6:
-        raise GridError("only the 6-point octahedral angular rule is supported")
+    n_ang = 6
     dr = kmax / n_r
     radii = (np.arange(n_r) + 0.5) * dr
     dirs = np.array([
@@ -294,40 +292,28 @@ def radial_grid(n_r: int, kmax: float, sigma: float, n_ang: int = 6) -> ModeGrid
 # Occupation bases and vectors
 # ---------------------------------------------------------------------------
 
-def _occupations(n_modes: int, total: int):
-    """All occupation tuples with given total, in ascending lexicographic order."""
-    if n_modes == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _occupations(n_modes - 1, total - first):
-            yield (first,) + rest
-
-
 @dataclass(frozen=True, eq=False)
 class OccupationBasis:
-    """Graded-lexicographic occupation basis with a perfect reverse index.
+    """Graded-lexicographic occupation basis, held as one occupation array.
 
-    ``occ`` (size x M) holds the occupation numbers and ``up`` (size x M) the
-    ladder table: ``up[c, j]`` is the index of c + e_j, or -1 if truncated;
-    ``down[c, j]`` is the index of c - e_j, or -1 where n_j(c) = 0.
+    ``occ`` (size x M) holds the occupation numbers, row c being state c;
+    ``lookup`` maps occupation rows to their state index (-1 if absent).
+    Everything else is derived from these two:
 
     Slot s < min(n_max, M) of state r holds one of its occupied modes,
-    ``slot_mode[r, s]``, with ``slot_root[r, s]`` = sqrt(n_i(r)) and
-    ``slot_parent[r, s]`` = r - e_i; a padding slot has root 0 and parent -1.
-    ``sectors[n - 1]`` = (c, j, p, 1 / sqrt(n_j(c))) lists the states c of
-    sector n, their first occupied mode j and their parent p = c - e_j.
-    ``lookup`` maps occupation rows to their state index (-1 if absent).
+    ``slot_mode[r, s]`` (ascending), with ``slot_root[r, s]`` = sqrt(n_i(r))
+    and ``slot_parent[r, s]`` = r - e_i; a padding slot has root 0 and
+    parent -1.  ``up`` (size x M) is the ladder table: ``up[c, j]`` is the
+    index of c + e_j, or -1 if truncated.  ``sectors[n - 1]`` =
+    (c, j, p, 1 / sqrt(n_j(c))) lists the states c of sector n, their first
+    occupied mode j (slot 0) and their parent p = c - e_j.
     """
 
     grid: ModeGrid
     n_max: int
     e_cap: float | None
-    states: tuple
-    index: dict = field(repr=False)
     occ: np.ndarray = field(repr=False)
     up: np.ndarray = field(repr=False)
-    down: np.ndarray = field(repr=False)
     slot_mode: np.ndarray = field(repr=False)
     slot_root: np.ndarray = field(repr=False)
     slot_parent: np.ndarray = field(repr=False)
@@ -336,7 +322,7 @@ class OccupationBasis:
 
     @property
     def size(self) -> int:
-        return len(self.states)
+        return len(self.occ)
 
     def total_numbers(self) -> np.ndarray:
         return self.occ.sum(axis=1)
@@ -352,8 +338,8 @@ class OccupationBasis:
         """Basis dump: index, occupation (semicolon-joined), total N, energy."""
         en = self.energies()
         lines = ["index,occupation,total_n,energy"]
-        for i, s in enumerate(self.states):
-            lines.append(f"{i},{';'.join(str(n) for n in s)},{sum(s)},{en[i]:.17g}")
+        for i, (s, n) in enumerate(zip(self.occ.tolist(), self.total_numbers().tolist())):
+            lines.append(f"{i},{';'.join(map(str, s))},{n},{en[i]:.17g}")
         return "\n".join(lines) + "\n"
 
 
@@ -388,51 +374,65 @@ def _row_index(table: np.ndarray) -> RowIndex:
     return RowIndex(order, sorted_keys)
 
 
-def _down(up: np.ndarray) -> np.ndarray:
-    """Index of c - e_j per (c, j), or -1 where n_j(c) = 0; the inverse of ``up``."""
-    down = np.full_like(up, -1)
-    p, j = np.nonzero(up >= 0)
-    down[up[p, j], j] = p
-    return down
+def _next_sector(rows: np.ndarray, first: np.ndarray):
+    """Each row plus one boson in a mode at or before its first occupied mode
+    ``first`` (any mode for the vacuum, whose ``first`` is M - 1), which
+    makes every state of the next sector exactly once; returns the new rows
+    and their first occupied modes."""
+    count = first + 1
+    parent = np.repeat(np.arange(len(rows)), count)
+    mode = np.arange(len(parent)) - np.repeat(np.cumsum(count) - count, count)
+    new = rows[parent]
+    new[np.arange(len(parent)), mode] += 1
+    return new, mode
 
 
 def build_basis(grid: ModeGrid, n_max: int, e_cap: float | None = None) -> OccupationBasis:
-    """Enumerate occupation states with N <= n_max (and energy <= e_cap if set)."""
+    """Enumerate occupation states with N <= n_max (and energy <= e_cap if set).
+
+    Sector n is built from sector n - 1 and sorted ascending
+    lexicographically.  A capped basis is closed under removing a boson, so
+    filtering each new sector by its energy caps the whole basis."""
     if n_max < 0:
         raise BasisError("n_max must be nonnegative")
-    omega = grid.omega_mod
-    states = []
-    for total in range(n_max + 1):
-        for occ in _occupations(grid.n_modes, total):
-            if e_cap is not None and float(np.dot(occ, omega)) > e_cap:
-                continue
-            states.append(occ)
-    if not states:
+    M, omega = grid.n_modes, grid.omega_mod
+    rows, first = np.zeros((1, M), dtype=np.int64), np.array([M - 1])
+    blocks = []
+    for n in range(n_max + 1):
+        if n:
+            rows, first = _next_sector(rows, first)
+        if e_cap is not None:
+            keep = rows @ omega <= e_cap
+            rows, first = rows[keep], first[keep]
+        order = np.lexsort(rows.T[::-1])
+        rows, first = rows[order], first[order]
+        blocks.append(rows)
+    if not len(blocks[0]):
         raise BasisError("energy cap excludes even the vacuum")
-    if states[0] != (0,) * grid.n_modes:
-        raise BasisError("vacuum missing from basis")
-    index = {s: i for i, s in enumerate(states)}
-    occ = np.array(states, dtype=np.int64).reshape(len(states), grid.n_modes)
+    occ = np.concatenate(blocks)
     lookup = _row_index(occ)
-    up = np.stack([lookup(occ + e) for e in np.eye(grid.n_modes, dtype=np.int64)], axis=1)
-    down = _down(up)
     # the occupied modes of each state first, padding slots after them
-    n_slots = min(n_max, grid.n_modes)
+    n_slots = min(n_max, M)
     slot_mode = np.argsort(occ == 0, axis=1, kind="stable")[:, :n_slots]
     slot_root = np.sqrt(np.take_along_axis(occ, slot_mode, axis=1))
-    slot_parent = np.take_along_axis(down, slot_mode, axis=1)
-    numbers = occ.sum(axis=1)
-    sectors = []
-    for n in range(1, n_max + 1):
-        c = np.flatnonzero(numbers == n)
-        j = np.argmax(occ[c] > 0, axis=1)
-        sectors.append((c, j, down[c, j], 1.0 / np.sqrt(occ[c, j])))
+    slot_parent = np.full(slot_mode.shape, -1)
+    for s in range(n_slots):
+        c = np.flatnonzero(slot_root[:, s])
+        parent = occ[c]
+        parent[np.arange(len(c)), slot_mode[c, s]] -= 1
+        slot_parent[c, s] = lookup(parent)
+    # every state c is p + e_j for each of its filled slots (j, p)
+    up = np.full(occ.shape, -1)
+    c, s = np.nonzero(slot_parent >= 0)
+    up[slot_parent[c, s], slot_mode[c, s]] = c
+    starts = np.cumsum([len(block) for block in blocks])
+    sectors = [(c, slot_mode[c, 0], slot_parent[c, 0], 1.0 / slot_root[c, 0])
+               for c in (np.arange(starts[n - 1], starts[n]) for n in range(1, n_max + 1))]
     # shared by every operator built on this basis
-    for table in (occ, up, down, slot_mode, slot_root, slot_parent,
+    for table in (occ, up, slot_mode, slot_root, slot_parent,
                   *(t for sector in sectors for t in sector)):
         table.flags.writeable = False
-    return OccupationBasis(grid=grid, n_max=n_max, e_cap=e_cap,
-                           states=tuple(states), index=index, occ=occ, up=up, down=down,
+    return OccupationBasis(grid=grid, n_max=n_max, e_cap=e_cap, occ=occ, up=up,
                            slot_mode=slot_mode, slot_root=slot_root, slot_parent=slot_parent,
                            sectors=tuple(sectors), lookup=lookup)
 

@@ -345,12 +345,6 @@ def total_momentum_op(fb: FullBasis, wrapped: bool = True) -> SparseOperator:
     return SparseOperator(sp.diags(vals, format="csr"), True)
 
 
-def momentum_blocks(fb: FullBasis) -> dict:
-    """Indices of the product basis grouped by wrapped total momentum index."""
-    tot = _total_m(fb, wrapped=True)
-    return {int(m): np.flatnonzero(tot == m) for m in np.unique(tot)}
-
-
 # ---------------------------------------------------------------------------
 # Interaction decay report
 # ---------------------------------------------------------------------------

@@ -363,35 +363,32 @@ def dispersion_scan(ms: ModelSpec, momenta, basis: OccupationBasis,
     )
 
 
-def lipschitz_gap(ms: ModelSpec, P, eps: float, basis: OccupationBasis,
-                  tol: float = 1e-10) -> float:
-    """min over grid offsets |k| >= eps of E_g(P - k) + |k| - E_g(P)."""
+def _offset_gap(ms: ModelSpec, P, basis: OccupationBasis, tol: float,
+                boson_energy: np.ndarray, modes) -> float:
+    """min over the grid offsets k_j, j in ``modes``, of
+    E(P - k_j) + boson_energy[j] - E(P), E the fiber ground energy."""
     P = np.atleast_1d(np.asarray(P, dtype=float))
     eg = ground_state(build_fiber_H(ms, P, basis), k=1, tol=tol).ground_energy
     best = math.inf
-    for j in range(ms.grid.n_modes):
-        k = ms.grid.points[j]
-        kn = ms.grid.omega_free[j]
-        if kn < eps:
-            continue
-        e = ground_state(build_fiber_H(ms, P - k, basis), k=1, tol=tol).ground_energy
-        best = min(best, e + kn - eg)
+    for j in modes:
+        e = ground_state(build_fiber_H(ms, P - ms.grid.points[j], basis), k=1,
+                         tol=tol).ground_energy
+        best = min(best, e + boson_energy[j] - eg)
     return best
+
+
+def lipschitz_gap(ms: ModelSpec, P, eps: float, basis: OccupationBasis,
+                  tol: float = 1e-10) -> float:
+    """min over grid offsets |k| >= eps of E_g(P - k) + |k| - E_g(P)."""
+    kn = ms.grid.omega_free
+    return _offset_gap(ms, P, basis, tol, kn, np.flatnonzero(kn >= eps))
 
 
 def delta_gap(ms: ModelSpec, P, basis: OccupationBasis, tol: float = 1e-10) -> float:
     """min over all grid offsets of E_mod(P - k) + omega(k) - E_mod(P)."""
     if not ms.use_modified:
         raise ValueError("delta_gap is defined for the modified dispersion")
-    P = np.atleast_1d(np.asarray(P, dtype=float))
-    eg = ground_state(build_fiber_H(ms, P, basis), k=1, tol=tol).ground_energy
-    best = math.inf
-    for j in range(ms.grid.n_modes):
-        k = ms.grid.points[j]
-        om = ms.grid.omega_mod[j]
-        e = ground_state(build_fiber_H(ms, P - k, basis), k=1, tol=tol).ground_energy
-        best = min(best, e + om - eg)
-    return best
+    return _offset_gap(ms, P, basis, tol, ms.grid.omega_mod, range(ms.grid.n_modes))
 
 
 def grad_bound_check(ms: ModelSpec, sigma_win: float, P,

@@ -92,15 +92,13 @@ class TensorBasis:
     """Pairs of occupation states with independent caps and a joint total cap.
 
     ``pairs`` is an (n_pairs, 2) array of (left index, right index) rows;
-    ``index`` maps each pair tuple back to its row, and ``lookup`` does the
-    same for an array of pair rows (-1 where absent).
+    ``lookup`` maps an array of pair rows back to their rows (-1 where absent).
     """
 
     left: OccupationBasis
     right: OccupationBasis
     joint_cap: int
     pairs: np.ndarray
-    index: dict = field(repr=False)
     lookup: RowIndex = field(repr=False)
 
     @property
@@ -112,11 +110,10 @@ class TensorBasis:
         return np.stack([self.left.total_numbers()[pi], self.right.total_numbers()[pj]], axis=1)
 
     def to_csv(self) -> str:
+        left, right = self.left.occ.tolist(), self.right.occ.tolist()
         lines = ["index,left_occupation,right_occupation"]
-        for n, (i, j) in enumerate(self.pairs):
-            l = ";".join(str(x) for x in self.left.states[i])
-            r = ";".join(str(x) for x in self.right.states[j])
-            lines.append(f"{n},{l},{r}")
+        for n, (i, j) in enumerate(self.pairs.tolist()):
+            lines.append(f"{n},{';'.join(map(str, left[i]))},{';'.join(map(str, right[j]))}")
         return "\n".join(lines) + "\n"
 
 
@@ -128,8 +125,7 @@ def build_tensor_basis(left: OccupationBasis, right: OccupationBasis,
     i, j = np.nonzero(total <= cap)
     order = np.argsort(total[i, j], kind="stable")
     pairs = np.stack([i[order], j[order]], axis=1)
-    index = {p: n for n, p in enumerate(map(tuple, pairs.tolist()))}
-    return TensorBasis(left=left, right=right, joint_cap=cap, pairs=pairs, index=index,
+    return TensorBasis(left=left, right=right, joint_cap=cap, pairs=pairs,
                        lookup=_row_index(pairs))
 
 
@@ -265,10 +261,14 @@ def tensor_factor_ops(tb: TensorBasis, op_left: SparseOperator | None = None,
                       op_right: SparseOperator | None = None) -> SparseOperator:
     """Lift op_left x op_right (identity when None) onto the pair basis.
 
-    Pairs pushed outside the joint cap are projected out (Galerkin)."""
-    legs = (None if op is None else op.dense() for op in (op_left, op_right))
-    out = np.asarray(tensor_lift(tb)(*legs), dtype=complex)
+    The sparse Kronecker product restricted to the pair rows and columns:
+    pairs pushed outside the joint cap are projected out (Galerkin)."""
+    legs = (sp.identity(leg.size, format="csr") if op is None else op.mat
+            for op, leg in ((op_left, tb.left), (op_right, tb.right)))
+    idx = tb.pairs[:, 0] * tb.right.size + tb.pairs[:, 1]
+    mat = sp.kron(*legs, format="csr")[idx][:, idx].astype(complex)
+    mat.eliminate_zeros()
     herm = bool((op_left is None or op_left.hermitian) and
                 (op_right is None or op_right.hermitian))
-    return SparseOperator(sp.csr_matrix(out), herm)
+    return SparseOperator(mat, herm)
 

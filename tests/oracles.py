@@ -1,10 +1,14 @@
 """Per-state loop builders kept as independent references.
 
 These are the occupation-loop constructions that the package's ladder-table
-builders replaced.  They look every target state up in ``basis.index`` one
-state (or pair) at a time and never read ``basis.occ`` or ``basis.up``, so
-``tests/test_ladder_table.py`` can compare the vectorized builders against
-them.  ``lift_boson_op`` forms the Kronecker product 1 x op that the chain
+builders replaced.  The oracles enumerate their own states: ``states_of`` is
+the per-state recursion that ``fock.build_basis`` replaced, giving a tuple
+list and a dict from tuple to position for a basis's grid and caps.  The
+builders look every target state up in that dict one state (or pair) at a
+time and never read ``basis.occ``, ``basis.up`` or the slot tables, so
+``tests/test_ladder_table.py`` can compare the vectorized builders and the
+basis tables themselves against them.  ``momentum_blocks`` groups the chain's
+product basis by total momentum, one state at a time.  ``lift_boson_op`` forms the Kronecker product 1 x op that the chain
 probes apply without forming it.  ``DenseCalculus`` is the one-``eigh``
 functional calculus that the block-wise ``SpectralCalculus`` replaced, and
 ``to_position`` the phase-matrix DFT that ``FullBasis.to_position`` computes
@@ -28,16 +32,57 @@ from nelsonlab.fock import (
 from nelsonlab.split import IncompatibleCapsError
 
 
+def _occupations(n_modes: int, total: int):
+    """All occupation tuples with given total, in ascending lexicographic order."""
+    if n_modes == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _occupations(n_modes - 1, total - first):
+            yield (first,) + rest
+
+
+def states_of(basis) -> tuple:
+    """The occupation tuples of ``basis``'s grid with N <= n_max (and energy
+    <= e_cap if set), by N and then ascending lexicographically, and the dict
+    from each tuple to its position."""
+    grid, e_cap = basis.grid, basis.e_cap
+    states = [s for total in range(basis.n_max + 1) for s in _occupations(grid.n_modes, total)
+              if e_cap is None or float(np.dot(s, grid.omega_mod)) <= e_cap]
+    return states, {s: i for i, s in enumerate(states)}
+
+
+def basis_csv(grid, states) -> str:
+    """``OccupationBasis.to_csv`` written from an enumeration; the energies are
+    the same occupation-array product, so the digits agree."""
+    en = np.array(states, dtype=np.int64).reshape(len(states), grid.n_modes) @ grid.omega_mod
+    lines = ["index,occupation,total_n,energy"]
+    for i, s in enumerate(states):
+        lines.append(f"{i},{';'.join(str(n) for n in s)},{sum(s)},{en[i]:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def tensor_csv(left_states, right_states, pairs) -> str:
+    """``TensorBasis.to_csv`` written from enumerations and a pair list."""
+    lines = ["index,left_occupation,right_occupation"]
+    for n, (i, j) in enumerate(pairs):
+        l = ";".join(str(x) for x in left_states[i])
+        r = ";".join(str(x) for x in right_states[j])
+        lines.append(f"{n},{l},{r}")
+    return "\n".join(lines) + "\n"
+
+
 def creation_op(basis, h) -> SparseOperator:
     h = _check_modes(basis, h)
     amp = np.sqrt(basis.grid.weights) * h
+    states, index = states_of(basis)
     rows, cols, data = [], [], []
-    for i, state in enumerate(basis.states):
+    for i, state in enumerate(states):
         if sum(state) >= basis.n_max:
             continue
         for j in np.nonzero(amp)[0]:
             target = state[:j] + (state[j] + 1,) + state[j + 1:]
-            t = basis.index.get(target)
+            t = index.get(target)
             if t is None:
                 continue
             rows.append(t)
@@ -57,7 +102,8 @@ def dGamma(basis, b) -> SparseOperator:
     rows, cols, data = [], [], []
     offdiag = [(i, j) for i in range(bo.shape[0]) for j in range(bo.shape[1])
                if i != j and bo[i, j] != 0]
-    for c, state in enumerate(basis.states):
+    states, index = states_of(basis)
+    for c, state in enumerate(states):
         diag = sum(n * bo[j, j] for j, n in enumerate(state) if n)
         if diag != 0:
             rows.append(c)
@@ -70,7 +116,7 @@ def dGamma(basis, b) -> SparseOperator:
             target = list(state)
             target[j] -= 1
             target[i] += 1
-            t = basis.index.get(tuple(target))
+            t = index.get(tuple(target))
             if t is None:
                 continue
             rows.append(t)
@@ -81,21 +127,22 @@ def dGamma(basis, b) -> SparseOperator:
 
 def elementary_ladders(basis) -> list:
     M = basis.grid.n_modes
+    states, index = states_of(basis)
     ladders = []
     for i in range(M):
         rows, cols, data = [], [], []
-        for c, state in enumerate(basis.states):
+        for c, state in enumerate(states):
             if sum(state) >= basis.n_max:
                 continue
             target = state[:i] + (state[i] + 1,) + state[i + 1:]
-            t = basis.index.get(target)
+            t = index.get(target)
             if t is None:
                 continue
             rows.append(t)
             cols.append(c)
             data.append(math.sqrt(state[i] + 1))
         ladders.append(sp.coo_matrix((data, (rows, cols)),
-                                     shape=(basis.size, basis.size), dtype=complex).tocsr())
+                                     shape=(len(states), len(states)), dtype=complex).tocsr())
     return ladders
 
 
@@ -112,7 +159,7 @@ def Gamma(basis_in, b, basis_out=None) -> SparseOperator:
     bo = to_ortho(basis_out.grid, basis_in.grid, b)
     B = _combined_creators(basis_out, bo)
     out = np.zeros((basis_out.size, basis_in.size), dtype=complex)
-    for c, state in enumerate(basis_in.states):
+    for c, state in enumerate(states_of(basis_in)[0]):
         vec = np.zeros(basis_out.size, dtype=complex)
         vec[0] = 1.0
         norm = 1.0
@@ -137,7 +184,7 @@ def dGamma2(basis_in, a, b, basis_out=None) -> SparseOperator:
     A = _combined_creators(basis_out, ao)
     B = _combined_creators(basis_out, bo)
     out = np.zeros((basis_out.size, basis_in.size), dtype=complex)
-    for c, state in enumerate(basis_in.states):
+    for c, state in enumerate(states_of(basis_in)[0]):
         norm = 1.0
         for nj in state:
             norm *= math.factorial(nj)
@@ -165,12 +212,13 @@ def full_H_coupling(ms, fb) -> sp.coo_matrix:
     amp = np.sqrt(ms.grid.weights) * ms.coupling_samples() * ms.g / math.sqrt(2.0)
     m_e = np.rint(fb.momenta * L / (2 * np.pi)).astype(int)
     idx_of_m = {mm: i for i, mm in enumerate(m_e)}
-    for b_idx, state in enumerate(fb.boson.states):
+    states, index = states_of(fb.boson)
+    for b_idx, state in enumerate(states):
         if sum(state) >= fb.boson.n_max:
             continue
         for j in np.nonzero(amp)[0]:
             target = state[:j] + (state[j] + 1,) + state[j + 1:]
-            t_idx = fb.boson.index.get(target)
+            t_idx = index.get(target)
             if t_idx is None:
                 continue
             val = amp[j] * math.sqrt(state[j] + 1)
@@ -181,6 +229,20 @@ def full_H_coupling(ms, fb) -> sp.coo_matrix:
                 cols.append(e_idx * nb + b_idx)
                 data.append(val)
     return sp.coo_matrix((data, (rows, cols)), shape=(fb.size, fb.size), dtype=complex)
+
+
+def momentum_blocks(fb) -> dict:
+    """Product-basis indices grouped by wrapped total momentum index
+    m_e + sum_j n_j m_j, the electron index running slowest."""
+    L = fb.n_sites
+    states, _ = states_of(fb.boson)
+    m_e = np.rint(fb.momenta * L / (2 * np.pi)).astype(int)
+    blocks: dict[int, list] = {}
+    for e, me in enumerate(m_e):
+        for b, state in enumerate(states):
+            tot = int(me) + sum(n * int(m) for n, m in zip(state, fb.mode_m))
+            blocks.setdefault((tot + L // 2) % L - L // 2, []).append(e * len(states) + b)
+    return {m: np.array(blocks[m]) for m in sorted(blocks)}
 
 
 def lift_boson_op(fb, op) -> sp.csr_matrix:
@@ -212,14 +274,14 @@ class DenseCalculus:
 def build_tensor_basis(left, right, joint_cap=None) -> tuple:
     """Pair list in ascending (total N, left index, right index) order."""
     cap = joint_cap if joint_cap is not None else left.n_max + right.n_max
-    nl = left.total_numbers()
-    nr = right.total_numbers()
+    nl = [sum(s) for s in states_of(left)[0]]
+    nr = [sum(s) for s in states_of(right)[0]]
     pairs = []
     for total in range(cap + 1):
-        for i in range(left.size):
+        for i in range(len(nl)):
             if nl[i] > total:
                 continue
-            for j in range(right.size):
+            for j in range(len(nr)):
                 if nl[i] + nr[j] == total:
                     pairs.append((i, j))
     return tuple(pairs)
@@ -227,14 +289,16 @@ def build_tensor_basis(left, right, joint_cap=None) -> tuple:
 
 def tensor_iso_U(basis_sum, tb) -> SparseOperator:
     M = tb.left.grid.n_modes
+    left, right = states_of(tb.left)[1], states_of(tb.right)[1]
+    pair_index = {p: n for n, p in enumerate(map(tuple, tb.pairs.tolist()))}
     rows, cols, data = [], [], []
-    for c, state in enumerate(basis_sum.states):
+    for c, state in enumerate(states_of(basis_sum)[0]):
         sl, sr = state[:M], state[M:]
-        il = tb.left.index.get(sl)
-        ir = tb.right.index.get(sr)
+        il = left.get(sl)
+        ir = right.get(sr)
         if il is None or ir is None:
             raise IncompatibleCapsError("tensor caps cannot represent a source state")
-        t = tb.index.get((il, ir))
+        t = pair_index.get((il, ir))
         if t is None:
             raise IncompatibleCapsError("joint cap below source n_max")
         rows.append(t)
@@ -246,13 +310,15 @@ def tensor_iso_U(basis_sum, tb) -> SparseOperator:
 
 
 def scattering_ident(tb, target) -> SparseOperator:
+    left, right = states_of(tb.left)[0], states_of(tb.right)[0]
+    index = states_of(target)[1]
     rows, cols, data = [], [], []
     projected = 0
     for c, (il, ir) in enumerate(tb.pairs):
-        nl = tb.left.states[il]
-        nr = tb.right.states[ir]
+        nl = left[il]
+        nr = right[ir]
         fused = tuple(a + b for a, b in zip(nl, nr))
-        t = target.index.get(fused)
+        t = index.get(fused)
         if t is None:
             projected += 1
             continue

@@ -118,11 +118,11 @@ def test_tensor_iso_perm_exact(spaces):
 
 def test_draw_independent_builds_happen_once(monkeypatch):
     """Operators and index tables that no draw changes are built per suite:
-    ``_down`` and ``_row_index`` build the bases' tables, so a draw that
-    rebuilt them (in the sector recursion or U's row lookups) would show."""
+    ``_row_index`` builds the bases' lookups, so a draw that rebuilt them (in
+    the sector recursion or U's row lookups) would show."""
     names = {(fock, "creation_op"), (fock, "field_op"), (fock, "dGamma"),
              (split, "tensor_factor_ops"), (split, "tensor_iso_U"),
-             (fock, "_down"), (fock, "_row_index"), (split, "_row_index")}
+             (fock, "_row_index"), (split, "_row_index")}
     counts = {}
 
     def counting(mod, name):

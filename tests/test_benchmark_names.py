@@ -10,6 +10,7 @@ benchmark runs.  ``spans.py`` is loaded by path without writing bytecode;
 import ast
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 from unittest import mock
@@ -51,3 +52,26 @@ def test_workload_references_resolve():
     missing = [f"{mod}.{attr}" for mod, attr in sorted(refs)
                if not hasattr(importlib.import_module(f"nelsonlab.{mod}"), attr)]
     assert not missing
+
+
+def test_workload_calls_bind_to_signatures():
+    """Every call ``workloads.py`` makes into the package passes arguments its
+    callee accepts: as many positional ones and only keyword names it takes."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and isinstance(node.func.value, ast.Name)
+             and node.func.value.id in PACKAGE_MODULES]
+    assert len(calls) >= 40
+    unbound = []
+    for call in calls:
+        assert not any(isinstance(a, ast.Starred) for a in call.args)
+        assert all(k.arg is not None for k in call.keywords)
+        module = importlib.import_module(f"nelsonlab.{call.func.value.id}")
+        callee = getattr(module, call.func.attr)
+        try:
+            inspect.signature(callee).bind_partial(*call.args,
+                                                   **{k.arg: None for k in call.keywords})
+        except TypeError as exc:
+            unbound.append(f"line {call.lineno}: {call.func.value.id}.{call.func.attr}: {exc}")
+    assert not unbound

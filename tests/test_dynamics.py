@@ -633,7 +633,7 @@ class TestFiberFullConsistency:
         Hfull = model.build_full_H(ms, fb)
         m_tot = 2
         P = 2 * np.pi * m_tot / L
-        blocks = model.momentum_blocks(fb)
+        blocks = oracles.momentum_blocks(fb)
         idx = blocks[m_tot]
         rng = np.random.default_rng(8)
         amps = rng.normal(size=len(idx)) + 1j * rng.normal(size=len(idx))

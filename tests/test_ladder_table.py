@@ -1,6 +1,9 @@
 """Ladder-table builders against the per-state loop oracles in ``oracles.py``.
 
-Every builder that does no floating-point rounding beyond the loop version's
+The basis tables themselves (``occ``, ``up``, the slot tables, ``sectors``
+and ``lookup``) must equal, element for element, the tables read off the
+oracle's own enumeration, and the CSV dumps must be byte-identical.  Every
+builder that does no floating-point rounding beyond the loop version's
 must agree exactly: equal values, equal sparsity and no stored zeros.  The
 sector recursions behind ``Gamma`` and ``dGamma2`` multiply in another order
 than the oracle, so they get a 1e-13 relative tolerance, and
@@ -10,6 +13,7 @@ over slots or modes instead of sparse rows and get 1e-14.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,47 +69,119 @@ def rand_mat(rng, M, N=None):
     return rng.normal(size=(M, N)) + 1j * rng.normal(size=(M, N))
 
 
+def oracle_tables(basis):
+    """``occ``, ``up``, the slot tables and ``sectors`` of ``basis``, read off
+    the oracle's enumeration one state at a time."""
+    states, index = oracles.states_of(basis)
+    M, n_slots = basis.grid.n_modes, min(basis.n_max, basis.grid.n_modes)
+    up = [[index.get(s[:j] + (s[j] + 1,) + s[j + 1:], -1) for j in range(M)] for s in states]
+    slot_mode, slot_root, slot_parent = [], [], []
+    for s in states:
+        occupied = [j for j in range(M) if s[j]]
+        modes = (occupied + [j for j in range(M) if not s[j]])[:n_slots]
+        slot_mode.append(modes)
+        slot_root.append([math.sqrt(s[j]) for j in modes])
+        slot_parent.append([index[s[:j] + (s[j] - 1,) + s[j + 1:]] if s[j] else -1
+                            for j in modes])
+    sectors = []
+    for n in range(1, basis.n_max + 1):
+        cols = [c for c, s in enumerate(states) if sum(s) == n]
+        first = [next(j for j in range(M) if states[c][j]) for c in cols]
+        sectors.append((cols, first,
+                        [index[states[c][:j] + (states[c][j] - 1,) + states[c][j + 1:]]
+                         for c, j in zip(cols, first)],
+                        [1.0 / math.sqrt(states[c][j]) for c, j in zip(cols, first)]))
+    shape = (len(states), n_slots)
+    return {"occ": np.array(states, dtype=np.int64).reshape(len(states), M),
+            "up": np.array(up, dtype=np.int64).reshape(len(states), M),
+            "slot_mode": np.array(slot_mode, dtype=np.int64).reshape(shape),
+            "slot_root": np.array(slot_root, dtype=float).reshape(shape),
+            "slot_parent": np.array(slot_parent, dtype=np.int64).reshape(shape),
+            "sectors": sectors}
+
+
+def assert_tables_match_oracle(basis):
+    want = oracle_tables(basis)
+    for name in ("occ", "up", "slot_mode", "slot_root", "slot_parent"):
+        got = getattr(basis, name)
+        assert got.shape == want[name].shape and np.array_equal(got, want[name]), name
+    assert len(basis.sectors) == len(want["sectors"])
+    for got, expect in zip(basis.sectors, want["sectors"]):
+        for g, w in zip(got, expect):
+            assert np.array_equal(g, np.asarray(w, dtype=g.dtype).reshape(g.shape))
+    assert np.array_equal(basis.lookup(want["occ"]), np.arange(basis.size))
+    assert np.all(basis.lookup(want["occ"] + basis.n_max + 1) == -1)
+    if basis.e_cap is not None:
+        assert np.all(basis.energies() <= basis.e_cap)
+
+
+def assert_csv_match_oracle(basis):
+    """The basis and tensor-basis dumps, byte for byte."""
+    states, _ = oracles.states_of(basis)
+    assert basis.to_csv() == oracles.basis_csv(basis.grid, states)
+    pairs = oracles.build_tensor_basis(basis, basis)
+    assert split.build_tensor_basis(basis, basis).to_csv() == oracles.tensor_csv(states, states, pairs)
+
+
 def test_ladder_table_matches_states(basis):
-    assert basis.occ.shape == basis.up.shape == (basis.size, basis.grid.n_modes)
-    assert [tuple(r) for r in basis.occ.tolist()] == list(basis.states)
-    for c, state in enumerate(basis.states):
-        for j in range(basis.grid.n_modes):
-            target = state[:j] + (state[j] + 1,) + state[j + 1:]
-            assert basis.up[c, j] == basis.index.get(target, -1)
+    assert_csv_match_oracle(basis)
 
 
 def test_basis_index_tables_match_states(basis):
-    """``down``, the slot tables, the sector schedule and the row lookup,
-    against the states looked up one at a time in ``basis.index``."""
-    M = basis.grid.n_modes
-    assert basis.down.shape == basis.up.shape
-    assert (basis.slot_mode.shape == basis.slot_root.shape == basis.slot_parent.shape
-            == (basis.size, min(basis.n_max, M)))
-    for c, state in enumerate(basis.states):
-        occupied = [j for j in range(M) if state[j]]
-        for j in range(M):
-            parent = state[:j] + (state[j] - 1,) + state[j + 1:]
-            assert basis.down[c, j] == (basis.index[parent] if state[j] else -1)
-        slots = list(zip(basis.slot_mode[c], basis.slot_root[c], basis.slot_parent[c]))
-        assert [j for j, _, _ in slots[:len(occupied)]] == occupied
-        for j, root, parent in slots[:len(occupied)]:
-            assert root == math.sqrt(state[j]) and parent == basis.down[c, j]
-        assert all(root == 0 and parent == -1 for _, root, parent in slots[len(occupied):])
-    assert len(basis.sectors) == basis.n_max
-    for n, (cols, first, parents, scale) in enumerate(basis.sectors, start=1):
-        assert cols.tolist() == [c for c, s in enumerate(basis.states) if sum(s) == n]
-        for c, j, p, inv in zip(cols, first, parents, scale):
-            state = basis.states[c]
-            assert j == next(k for k in range(M) if state[k]) and p == basis.down[c, j]
-            assert inv == 1.0 / math.sqrt(state[j])
-    assert np.array_equal(basis.lookup(basis.occ), np.arange(basis.size))
-    assert np.all(basis.lookup(basis.occ + basis.n_max + 1) == -1)
+    """Every table and the row lookup, against the oracle's states looked up
+    one at a time."""
+    assert_tables_match_oracle(basis)
+
+
+# every kind of grid the package builds, with a cap that cuts inside a sector
+ORACLE_GRIDS = {
+    "line": (fock.line_grid(6, 1.0, 0.2), 0.9),
+    "lattice": (fock.lattice_grid(12, [-3, -1, 2, 4], 0.2), 3.0),
+    "radial": (fock.radial_grid(2, 1.0, 0.2), 0.8),
+    "doubled": (split.doubled_grid(fock.line_grid(4, 1.0, 0.2)), 0.9),
+}
+
+
+@pytest.mark.parametrize("kind", list(ORACLE_GRIDS))
+@pytest.mark.parametrize("n_max", range(4))
+@pytest.mark.parametrize("capped", [False, True], ids=["nocap", "cap"])
+def test_basis_tables_equal_oracle_enumeration(kind, n_max, capped):
+    grid, cap = ORACLE_GRIDS[kind]
+    basis = fock.build_basis(grid, n_max, cap if capped else None)
+    assert_tables_match_oracle(basis)
+    assert_csv_match_oracle(basis)
+
+
+def test_energy_caps_cut_inside_a_sector():
+    """The caps above drop some, not all, states of one sector."""
+    for grid, cap in ORACLE_GRIDS.values():
+        numbers = fock.build_basis(grid, 3).total_numbers()
+        kept = fock.build_basis(grid, 3, cap).total_numbers()
+        assert any(0 < np.sum(kept == n) < np.sum(numbers == n) for n in range(4))
+
+
+def test_build_basis_lookups_do_not_grow_with_modes(monkeypatch):
+    """After ``lookup`` is built, ``build_basis`` makes one row lookup per
+    slot, at most n_max, whatever the mode count."""
+    calls = []
+    original = fock.RowIndex.__call__
+
+    def spy(self, rows):
+        calls.append(len(rows))
+        return original(self, rows)
+
+    monkeypatch.setattr(fock.RowIndex, "__call__", spy)
+    for M in (4, 16, 48):
+        for n_max in range(4):
+            calls.clear()
+            fock.build_basis(fock.line_grid(M, 1.5, 0.2), n_max)
+            assert len(calls) <= n_max
 
 
 def test_basis_index_tables_are_read_only(basis):
     """Every operator built on a basis shares its tables, so none may be written."""
     tb = split.build_tensor_basis(basis, basis)
-    tables = [basis.occ, basis.up, basis.down, basis.slot_mode, basis.slot_root,
+    tables = [basis.occ, basis.up, basis.slot_mode, basis.slot_root,
               basis.slot_parent, *(t for sector in basis.sectors for t in sector)]
     tables += [lookup.order for lookup in (basis.lookup, tb.lookup)]
     tables += [lookup.sorted_keys for lookup in (basis.lookup, tb.lookup)]
@@ -139,7 +215,7 @@ def test_dGamma_capped_is_compressed_uncapped(M):
     capped = fock.build_basis(GRIDS[M], 3, CAPS[M])
     assert 0 < capped.size < full.size
     b = rand_mat(np.random.default_rng(3), M)
-    keep = [full.index[s] for s in capped.states]
+    keep = full.lookup(capped.occ)
     compressed = fock.dGamma(full, b).mat[keep][:, keep]
     assert_exact(fock.dGamma(capped, b).mat, compressed)
 
@@ -196,7 +272,7 @@ def test_tensor_basis_order(tensor):
     left, right, tb, _ = tensor
     pairs = oracles.build_tensor_basis(left, right, tb.joint_cap)
     assert [tuple(p) for p in tb.pairs.tolist()] == list(pairs)
-    assert tb.index == {p: n for n, p in enumerate(pairs)}
+    assert np.array_equal(tb.lookup(np.array(pairs).reshape(-1, 2)), np.arange(len(pairs)))
 
 
 def test_tensor_iso_U_exact(tensor):
@@ -230,13 +306,37 @@ def test_tensor_factor_ops_exact(tensor):
     left, right, tb, _ = tensor
     rng = np.random.default_rng(7)
     M = left.grid.n_modes
-    opl = fock.creation_op(left, rng.normal(size=M))
-    opr = fock.dGamma(right, rand_mat(rng, M))
-    for l, r in ((opl, opr), (opl, None), (None, opr), (None, None)):
+    ops = []
+    for leg in (left, right):
+        real, cplx = fock.creation_op(leg, rng.normal(size=M)), fock.dGamma(leg, rand_mat(rng, M))
+        assert (real.mat.dtype, cplx.mat.dtype) == (np.float64, np.complex128)
+        ops.append((real, cplx, fock.dGamma(leg, leg.grid.omega_mod)))
+    legs = [(l, r) for l in ops[0] for r in ops[1]]
+    legs += [(l, None) for l in ops[0]] + [(None, r) for r in ops[1]] + [(None, None)]
+    for l, r in legs:
         new = split.tensor_factor_ops(tb, op_left=l, op_right=r)
         old = oracles.tensor_factor_ops(tb, op_left=l, op_right=r)
         assert_exact(new.mat, old.mat)
         assert new.hermitian == old.hermitian
+
+
+def test_tensor_factor_ops_stays_sparse():
+    """A one-leg lift of a diagonal dGamma on 2145 pairs allocates far less
+    than the dense (pairs x pairs) array of 74 MB."""
+    basis = fock.build_basis(fock.line_grid(32, 1.5, 0.2), 2)
+    tb = split.build_tensor_basis(basis, basis, joint_cap=2)
+    assert tb.size == 2145
+    op = fock.dGamma(basis, basis.grid.omega_mod)
+    tracemalloc.start()
+    try:
+        lifted = split.tensor_factor_ops(tb, op_left=op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+    want = op.mat.diagonal()[tb.pairs[:, 0]]
+    assert np.array_equal(lifted.mat.diagonal(), want)
+    assert lifted.mat.nnz == np.count_nonzero(want)
 
 
 @pytest.mark.parametrize("L, modes, n_max, e_cap", [
@@ -250,7 +350,7 @@ def test_full_H_exact(L, modes, n_max, e_cap):
                          grid, 0.05)
     fb = model.full_basis(ms, L, n_max, e_cap)
     om_e = ms.disp.omega(fb.momenta[:, None])
-    om_b = np.array(fb.boson.states, dtype=float) @ ms.boson_omega()
+    om_b = np.array(oracles.states_of(fb.boson)[0], dtype=float) @ ms.boson_omega()
     diag = (om_e[:, None] + om_b[None, :]).ravel().astype(complex)
     c = oracles.full_H_coupling(ms, fb)
     assert c.nnz > 0

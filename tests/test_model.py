@@ -166,7 +166,7 @@ class TestFiberHamiltonian:
     def test_number_bounded_by_modified_energy(self, ms_default, basis12):
         """N <= (2/sigma) dGamma(omega) as diagonal matrices."""
         N = basis12.total_numbers()
-        dgo = np.array(basis12.states) @ ms_default.grid.omega_mod
+        dgo = basis12.occ @ ms_default.grid.omega_mod
         assert np.all(N <= (2.0 / ms_default.ff.sigma) * dgo + 1e-12)
 
     def test_d3_radial_fiber_smoke(self, nonrel):
@@ -200,7 +200,7 @@ class TestFullModel:
         evals = np.sort(np.linalg.eigvalsh(H))
         expect = []
         for p in fb.momenta:
-            for state in fb.boson.states:
+            for state in fb.boson.occ.tolist():
                 expect.append(float(nonrel.omega(np.array([p])))
                               + float(np.dot(state, ms.boson_omega())))
         assert np.abs(evals - np.sort(expect)).max() < 1e-12
@@ -213,7 +213,7 @@ class TestFullModel:
 
     def test_fiber_consistency(self, lattice_setup):
         ms, fb, H = lattice_setup
-        blocks = model.momentum_blocks(fb)
+        blocks = oracles.momentum_blocks(fb)
         Hd = H.dense()
         for m_tot in (0, 2, -3):
             idx = blocks[m_tot]
@@ -234,7 +234,7 @@ class TestFullModel:
         Pt = model.total_momentum_op(fb)
         assert np.abs((H.mat @ Pt.mat - Pt.mat @ H.mat).toarray()).max() == 0.0
         Hd = H.dense()
-        blocks = model.momentum_blocks(fb)
+        blocks = oracles.momentum_blocks(fb)
         assert sorted(blocks) == list(range(-(L // 2), L // 2 + 1))
         for m_tot, idx in blocks.items():
             Hf = model.build_fiber_H(ms, [2 * np.pi * m_tot / L], fb.boson, bz_width=2 * np.pi)

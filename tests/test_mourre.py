@@ -87,9 +87,7 @@ class TestCommutator:
         ms, grid, basis, conj = msetup
         ms0 = model.ModelSpec(ms.disp, ms.ff, grid, 0.0)
         comm = mourre.commutator_iHA(ms0, [0.25], basis, conj).dense()
-        for j in range(grid.n_modes):
-            state = tuple(1 if i == j else 0 for i in range(grid.n_modes))
-            idx = basis.index[state]
+        for j, idx in enumerate(basis.lookup(np.eye(grid.n_modes, dtype=int))):
             kj = grid.points[j, 0]
             expect = 1.0 - (0.25 - kj) * np.sign(kj)
             assert comm[idx, idx].real == pytest.approx(expect, abs=1e-12)
@@ -157,7 +155,7 @@ class TestVirial:
         comm = mourre.commutator_iHA(ms, [0.25], basis, conj)
         amps = np.zeros(basis.size, dtype=complex)
         amps[0] = 1.0
-        amps[basis.index[(1,) + (0,) * (basis.grid.n_modes - 1)]] = 1.0
+        amps[basis.lookup(np.eye(1, basis.grid.n_modes, dtype=int))] = 1.0
         mix = fock.FockVector(basis, amps / np.linalg.norm(amps))
         assert mourre.virial_residual(H, comm, mix) > 0.1
 

@@ -198,7 +198,7 @@ class TestBlockCalculus:
         fb, H = chain128
         calc = spectral.SpectralCalculus(H)
         assert [idx.shape for idx, _, _ in calc.groups] == [(fb.n_sites, fb.boson.size)]
-        blocks = model.momentum_blocks(fb)
+        blocks = oracles.momentum_blocks(fb)
         assert component_sets(calc) == {frozenset(v.tolist()) for v in blocks.values()}
 
     def test_imaginary_couplings_mixed_sizes_and_stored_zero(self):
@@ -387,8 +387,7 @@ class TestSoftOccupancy:
         assert spectral.soft_boson_occupancy(vac, 0.2) == 0.0
         soft_mode = int(np.argmin(basis12.grid.omega_free))
         amps = np.zeros(basis12.size, dtype=complex)
-        state = tuple(1 if i == soft_mode else 0 for i in range(basis12.grid.n_modes))
-        amps[basis12.index[state]] = 1.0
+        amps[basis12.lookup(np.eye(1, basis12.grid.n_modes, soft_mode, dtype=int))] = 1.0
         assert spectral.soft_boson_occupancy(fock.FockVector(basis12, amps), 0.2) == 1.0
 
     def test_dressed_state_has_no_soft_mass(self, ms_default, basis12):

@@ -40,7 +40,7 @@ def test_u_is_isometry(setup):
 def test_u_vacuum(setup):
     _, basis_sum, _, _, tb, U = setup
     col = U.mat[:, 0].toarray().ravel()
-    assert col[tb.index[(0, 0)]] == 1.0
+    assert col[tb.lookup([[0, 0]])[0]] == 1.0
     assert np.count_nonzero(col) == 1
 
 
@@ -73,9 +73,8 @@ def test_binomial_spot_check(setup, grid4):
     vac = np.zeros(basis_sum.size)
     vac[0] = 1.0
     two = U.mat @ (cv.mat @ (cv.mat @ vac))
-    li = left.index[(0, 1, 0, 0)]
-    ri = right.index[(0, 0, 1, 0)]
-    amp = two[tb.index[(li, ri)]]
+    li, ri = left.lookup([[0, 1, 0, 0]])[0], right.lookup([[0, 0, 1, 0]])[0]
+    amp = two[tb.lookup([[li, ri]])[0]]
     assert abs(amp - math.sqrt(math.comb(2, 1)) * math.sqrt(2.0)) < 1e-13
 
 
@@ -104,7 +103,7 @@ def test_breve_gamma_isometry_and_vacuum(setup, grid4, rng):
     GG = BG.conj().T @ BG
     assert np.abs(GG - np.eye(basis.size)).max() < 1e-12
     col = BG[:, 0]
-    assert abs(col[tb.index[(0, 0)]] - 1.0) < 1e-14
+    assert abs(col[tb.lookup([[0, 0]])[0]] - 1.0) < 1e-14
     # non-isometric pair: breve* breve = Gamma(j*j)
     u = rng.uniform(0.2, 0.8, size=4)
     pair2 = split.SplitPair(grid4, np.diag(u), np.diag(1 - u))
@@ -133,8 +132,8 @@ def test_breve_gamma_routes_all_left(setup, grid4, rng):
     v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
     out = BG @ v
     expect = np.zeros(tb.size, dtype=complex)
-    for i in range(basis.size):
-        expect[tb.index[(i, 0)]] = v[i]
+    rows = np.stack([np.arange(basis.size), np.zeros(basis.size, dtype=int)], axis=1)
+    expect[tb.lookup(rows)] = v
     assert np.abs(out - expect).max() < 1e-14
 
 
@@ -142,7 +141,7 @@ def test_scattering_ident_examples(setup, grid4, rng):
     basis, basis_sum, left, right, tb, _ = setup
     I = split.scattering_ident(tb, basis)
     # I(Omega x Omega) = Omega
-    col = I.mat[:, tb.index[(0, 0)]].toarray().ravel()
+    col = I.mat[:, tb.lookup([[0, 0]])[0]].toarray().ravel()
     assert col[0] == 1.0 and np.count_nonzero(col) == 1
     # right inverse for a smooth non-diagonal partition
     u = rng.uniform(0.2, 0.8, size=4)
