@@ -353,9 +353,7 @@ def _mourre_setup(cfg: RunConfig):
         return model.ModelSpec(disp, ff, grid, gg, v["model.use_modified"])
 
     def bf(gg):
-        if disp.kind == "nonrel":
-            return math.sqrt(2.0 * (sw + gg * gg * C) / disp.mass)
-        return math.sqrt(max(0.0, 1.0 - (disp.mass / (sw + gg * gg * C)) ** 2))
+        return model.velocity_bound(disp, sw + gg * gg * C)
 
     return mk, bf, basis, sw
 

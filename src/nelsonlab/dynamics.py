@@ -281,7 +281,7 @@ class YCalc(WeightedSpectrum):
     """Functions f(y) of the boson position operator via its weighted spectrum."""
 
     def __init__(self, grid):
-        super().__init__(grid, build_position_op(grid)[0])
+        super().__init__(grid, build_position_op(grid))
 
     @property
     def y_max(self) -> float:
@@ -309,15 +309,14 @@ def gaussian_electron_state(fb: FullBasis, p0: float, dp: float) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
-def validate_zone_margin(fb: FullBasis, psi: np.ndarray, margin: float = 0.25,
-                         tol: float = 1e-10):
-    """Reject packets whose momentum mass leaks beyond (1 - margin) pi."""
+def validate_zone_margin(fb: FullBasis, psi: np.ndarray, tol: float = 1e-10):
+    """Reject packets whose momentum mass leaks beyond 0.75 pi."""
     dens = np.sum(np.abs(psi.reshape(fb.n_sites, fb.boson.size)) ** 2, axis=1)
-    outside = np.abs(fb.momenta) > (1.0 - margin) * np.pi
+    outside = np.abs(fb.momenta) > 0.75 * np.pi
     leak = float(np.sum(dens[outside]) / np.sum(dens))
     if leak > tol:
         raise ProbePreconditionError(
-            f"packet leaks {leak:.2e} of its mass beyond the {1 - margin:.0%} zone margin")
+            f"packet leaks {leak:.2e} of its mass beyond the 75% zone margin")
 
 
 def filtered_packet(fb: FullBasis, H: SparseOperator, p0: float, dp: float,

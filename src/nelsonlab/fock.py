@@ -219,13 +219,14 @@ def omega_modified(s, sigma: float):
     return np.sqrt(s * s + (sigma * sigma / 4.0) * u)
 
 
-def omega_modified_grad(s, sigma: float, rel_step: float = 1e-6):
-    """Radial derivative of the modified dispersion (central difference).
+def omega_modified_grad(s, sigma: float):
+    """Radial derivative of the modified dispersion (central difference with
+    step 1e-6 sigma).
 
     Exact value 1 is returned beyond sigma, where omega coincides with |k|.
     """
     s = np.asarray(s, dtype=float)
-    h = rel_step * max(sigma, 1e-12)
+    h = 1e-6 * max(sigma, 1e-12)
     lo = np.maximum(s - h, 0.0)
     hi = s + h
     grad = (omega_modified(hi, sigma) - omega_modified(lo, sigma)) / (hi - lo)
@@ -459,9 +460,6 @@ class FockVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
-
-    def normalized(self) -> "FockVector":
-        return FockVector(self.basis, self.amps / self.norm())
 
 
 # ---------------------------------------------------------------------------
@@ -744,9 +742,9 @@ def dGamma2(basis_in: OccupationBasis, a, b, basis_out: OccupationBasis | None =
     return _sector_recursion(basis_in, basis_out, a, b)[1]
 
 
-def guarded_projector(basis: OccupationBasis, margin: int = 1) -> SparseOperator:
-    """Projection onto the sector N <= n_max - margin."""
-    keep = (basis.total_numbers() <= basis.n_max - margin).astype(float)
+def guarded_projector(basis: OccupationBasis) -> SparseOperator:
+    """Projection onto the guarded sector N <= n_max - 1."""
+    keep = (basis.total_numbers() <= basis.n_max - 1).astype(float)
     return SparseOperator(sp.diags(keep, format="csr"), True, basis, basis)
 
 

@@ -138,6 +138,20 @@ def o_beta(disp: DispersionLaw, beta: float) -> float:
     return float(om[order][idx])
 
 
+def velocity_bound(disp: DispersionLaw, energy: float) -> float:
+    """sup {|grad Omega(p)| : Omega(p) <= energy}, the inverse of ``o_beta``.
+
+    Closed forms sqrt(2E/M) (nonrelativistic) and sqrt(1 - (M/E)^2)
+    (relativistic); 0 where no momentum has energy above the minimum.
+    """
+    M = disp.mass
+    if disp.kind == "nonrel":
+        return math.sqrt(max(2.0 * energy / M, 0.0))
+    if disp.kind == "rel":
+        return math.sqrt(max(1.0 - (M / energy) ** 2, 0.0)) if energy > M else 0.0
+    raise ValueError("closed-form bound needs a built-in dispersion")
+
+
 def quadrature_C(ff: "FormFactor", grid: ModeGrid) -> float:
     """C = sum_j w_j kappa(k_j)^2 / |k_j| (uses the full kappa: sigma-free)."""
     kn = grid.knorm()
@@ -331,17 +345,13 @@ def build_full_H(ms: ModelSpec, fb: FullBasis) -> SparseOperator:
                                 "omega_samples": ms.boson_omega()})
 
 
-def _total_m(fb: FullBasis, wrapped: bool) -> np.ndarray:
-    """Flat total momentum index m_e + sum_j n_j m_j per product-basis state."""
+def total_momentum_op(fb: FullBasis) -> SparseOperator:
+    """Diagonal total momentum p + dGamma(k), reduced to the zone: the flat
+    index m_e + sum_j n_j m_j per product-basis state, wrapped mod L."""
     L = fb.n_sites
     m_e = np.rint(fb.momenta * L / (2 * np.pi)).astype(int)
     tot = (m_e[:, None] + (fb.boson.occ @ fb.mode_m)[None, :]).ravel()
-    return (tot + L // 2) % L - L // 2 if wrapped else tot
-
-
-def total_momentum_op(fb: FullBasis, wrapped: bool = True) -> SparseOperator:
-    """Diagonal total momentum p + dGamma(k), reduced to the zone when wrapped."""
-    vals = (2.0 * np.pi / fb.n_sites) * _total_m(fb, wrapped)
+    vals = (2.0 * np.pi / L) * ((tot + L // 2) % L - L // 2)
     return SparseOperator(sp.diags(vals, format="csr"), True)
 
 

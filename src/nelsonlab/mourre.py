@@ -1,10 +1,13 @@
 """Conjugate operator, explicit commutator, virial and positive-commutator checks.
 
 The conjugate operator is A = dGamma(a) with the one-boson generator
-a = (v . y + y . v)/2, where v is the boson group velocity (k/|k| for the
-free dispersion, grad omega for the modified one) and y is a finite-difference
-realization of i d/dk, weight-symmetrized so that it is exactly Hermitian in
-the weighted inner product.
+a = (v y + y v)/2, where y is the photon position i d/dk and v the group
+velocity along y (k/|k| for the free dispersion, grad omega for the
+modified one).  Every supported grid is a set of rays of equally spaced
+modes: the line and lattice grids one ray in the order of k, the radial grid
+one ray per angular direction.  y is i times central differences along each
+ray, symmetrized once in the weighted inner product, so that it is
+weighted-Hermitian (exactly so for equal weights).
 
 The explicit commutator is assembled in the three-term form
 
@@ -30,10 +33,11 @@ from .fock import (
     ModeGrid,
     OccupationBasis,
     SparseOperator,
+    apply_creation,
     dGamma,
     field_op,
-    interacting_projector,
     omega_modified_grad,
+    weighted_adjoint,
 )
 from .model import ModelSpec, build_fiber_H
 
@@ -53,50 +57,46 @@ class EmptySubspaceError(ValueError):
 def _central_difference(n: int, h: float) -> np.ndarray:
     """Central differences with one-sided boundary rows, spacing h."""
     D = np.zeros((n, n))
-    for i in range(1, n - 1):
-        D[i, i - 1] = -0.5 / h
-        D[i, i + 1] = 0.5 / h
+    i = np.arange(1, n - 1)
+    D[i, i - 1] = -0.5 / h
+    D[i, i + 1] = 0.5 / h
     if n >= 2:
         D[0, 0], D[0, 1] = -1.0 / h, 1.0 / h
         D[n - 1, n - 2], D[n - 1, n - 1] = -1.0 / h, 1.0 / h
     return D
 
 
-def build_position_op(grid: ModeGrid) -> list[np.ndarray]:
-    """Per-axis position matrices y = i d/dk, Hermitian in the weighted product.
-
-    Supported structures: 1-d line and lattice grids (single axis) and the
-    d = 3 radial grid (derivative along the radius on each angular ray).
-    Unstructured grids raise UnsupportedGridError.
-    """
+def _rays(grid: ModeGrid) -> tuple[np.ndarray, float]:
+    """(n_rays, length) mode indices of the grid's rays, in order along each
+    ray, and their common step."""
     kind = grid.meta.get("kind")
     if kind in ("line", "lattice"):
-        # uniform weights: plain symmetrization is the weighted one, bit-exact
-        k = np.atleast_2d(grid.points)[:, 0]
+        k = grid.points[:, 0]
         order = np.argsort(k)
         if not np.allclose(np.diff(np.diff(k[order])), 0.0, atol=1e-9):
             raise UnsupportedGridError("non-uniform 1-d grid")
-        h = float(k[order][1] - k[order][0])
-        D = np.zeros((grid.n_modes, grid.n_modes), dtype=complex)
-        D[np.ix_(order, order)] = _central_difference(grid.n_modes, h)
-        A = 1j * D
-        y = (A + A.conj().T) / 2.0
-        return [y]
+        return order[None, :], float(k[order][1] - k[order][0])
     if kind == "radial":
-        # nonuniform weights: symmetrize in the orthonormal gauge
-        n_r = grid.meta["n_r"]
-        dr = grid.meta["dr"]
-        n_ang = grid.meta["n_ang"]
-        Dr = _central_difference(n_r, dr)
-        y = np.zeros((grid.n_modes, grid.n_modes), dtype=complex)
-        for a in range(n_ang):
-            idx = np.array([r * n_ang + a for r in range(n_r)])
-            y[np.ix_(idx, idx)] = 1j * Dr
-        w = np.sqrt(grid.weights)
-        yo = w[:, None] * y / w[None, :]
-        yo = (yo + yo.conj().T) / 2.0
-        return [yo / w[:, None] * w[None, :]]
+        # mode r * n_ang + a sits at radius r on direction a
+        rays = np.arange(grid.n_modes).reshape(grid.meta["n_r"], grid.meta["n_ang"]).T
+        return rays, grid.meta["dr"]
     raise UnsupportedGridError(f"unsupported grid kind {kind!r}")
+
+
+def build_position_op(grid: ModeGrid) -> np.ndarray:
+    """Position matrix y = i d/dk along the grid's rays, weighted-Hermitian.
+
+    Supported structures: 1-d line and lattice grids (one ray) and the d = 3
+    radial grid (one ray per angular direction).  Non-uniform 1-d and
+    unstructured grids raise UnsupportedGridError.
+    """
+    rays, h = _rays(grid)
+    iD = 1j * _central_difference(rays.shape[1], h)
+    y = np.zeros((grid.n_modes, grid.n_modes), dtype=complex)
+    for ray in rays:
+        y[np.ix_(ray, ray)] = iD
+    # equal weights enter the adjoint as an exact factor 1
+    return (y + weighted_adjoint(grid, grid, y)) / 2.0
 
 
 def group_velocity(grid: ModeGrid, use_modified: bool) -> np.ndarray:
@@ -111,37 +111,29 @@ def group_velocity(grid: ModeGrid, use_modified: bool) -> np.ndarray:
 
 @dataclass
 class ConjugateOp:
-    """Dilation-type conjugate operator dGamma((v.y + y.v)/2) on a fiber basis."""
+    """Dilation-type conjugate operator dGamma((v y + y v)/2) on a fiber basis."""
 
     grid: ModeGrid
-    y_ops: list
+    y: np.ndarray
     a_op: np.ndarray
     A: SparseOperator
     mesh: float
 
 
 def build_conjugate(ms: ModelSpec, basis: OccupationBasis) -> ConjugateOp:
-    """Assemble y, a = (v.y + y.v)/2 and A = dGamma(a)."""
+    """Assemble y, a = (v y + y v)/2 and A = dGamma(a)."""
     grid = ms.grid
-    y_ops = build_position_op(grid)
+    y = build_position_op(grid)
     vel = group_velocity(grid, ms.use_modified)
-    if grid.meta.get("kind") == "radial":
-        # y acts radially; v.y contracts with the radial speed
-        vr = np.linalg.norm(vel, axis=1)
-        a = (np.diag(vr) @ y_ops[0] + y_ops[0] @ np.diag(vr)) / 2.0
-    else:
-        a = np.zeros_like(y_ops[0])
-        for axis, y in enumerate(y_ops):
-            v = np.diag(vel[:, axis])
-            a = a + (v @ y + y @ v) / 2.0
+    # velocity along the ray: the k axis in d = 1, the radius on the radial grid
+    v = vel[:, 0] if grid.dim == 1 else np.linalg.norm(vel, axis=1)
+    a = (v[:, None] * y + y * v[None, :]) / 2.0
     A = dGamma(basis, a)
     if not A.hermitian:
         raise AssertionError("conjugate operator lost hermiticity")
-    mesh = grid.meta.get("spacing") or grid.meta.get("dr") or 0.0
-    if not mesh:
-        k = np.atleast_2d(grid.points)[:, 0]
-        mesh = float(np.min(np.diff(np.sort(k))))
-    return ConjugateOp(grid=grid, y_ops=y_ops, a_op=a, A=A, mesh=float(mesh))
+    mesh = (grid.meta.get("spacing") or grid.meta.get("dr")
+            or float(np.min(np.diff(np.sort(grid.points[:, 0])))))
+    return ConjugateOp(grid=grid, y=y, a_op=a, A=A, mesh=float(mesh))
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +171,11 @@ def numerical_commutator(H: SparseOperator, A: SparseOperator) -> SparseOperator
 
 
 def smooth_test_states(basis: OccupationBasis, count: int = 8,
-                       seed: int = 23) -> list[np.ndarray]:
-    """Seeded guarded-sector states built from smooth, boundary-tapered
-    mode profiles (Gaussians in k times a bump vanishing at the grid edge)."""
-    from .fock import creation_op
-
+                       seed: int = 23) -> np.ndarray:
+    """(count, size) seeded guarded-sector unit states built from smooth,
+    boundary-tapered mode profiles (Gaussians in k times a bump vanishing at
+    the grid edge): row x is (1 + a*(h1) + a*(h2) a*(h1) / 2) Omega, cut to
+    N <= n_max - 1."""
     grid = basis.grid
     k = np.atleast_2d(grid.points)[:, 0]
     kmax = float(np.abs(k).max())
@@ -191,20 +183,18 @@ def smooth_test_states(basis: OccupationBasis, count: int = 8,
         taper = np.where(np.abs(k) < kmax,
                          np.exp(-1.0 / np.maximum(1.0 - (k / kmax) ** 2, 1e-300)), 0.0)
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
+    guard = basis.total_numbers() <= basis.n_max - 1
+    vac = np.zeros(basis.size, dtype=complex)
+    vac[0] = 1.0
+    out = np.zeros((count, basis.size), dtype=complex)
+    for x in range(count):
         c1, c2 = rng.uniform(-0.6 * kmax, 0.6 * kmax, size=2)
         s = 0.35 * kmax
         h1 = taper * np.exp(-((k - c1) ** 2) / (2 * s * s))
         h2 = taper * np.exp(-((k - c2) ** 2) / (2 * s * s))
-        v = np.zeros(basis.size, dtype=complex)
-        v[0] = 1.0
-        a1 = creation_op(basis, h1).mat
-        a2 = creation_op(basis, h2).mat
-        v = v + a1 @ v + 0.5 * (a2 @ (a1 @ v))
-        guard = (basis.total_numbers() <= basis.n_max - 1).astype(float)
-        v = v * guard
-        out.append(v / np.linalg.norm(v))
+        one = apply_creation(basis, h1, vac)
+        v = (vac + one + 0.5 * apply_creation(basis, h2, one)) * guard
+        out[x] = v / np.linalg.norm(v)
     return out
 
 
@@ -220,11 +210,8 @@ def explicit_vs_numerical_defect(ms: ModelSpec, P, basis: OccupationBasis,
     H = build_fiber_H(ms, P, basis)
     expl = commutator_iHA(ms, P, basis, conj)
     num = numerical_commutator(H, conj.A)
-    D = expl.mat - num.mat
-    worst = 0.0
-    for v in smooth_test_states(basis, count, seed):
-        worst = max(worst, abs(complex(np.vdot(v, D @ v))))
-    return worst
+    V = smooth_test_states(basis, count, seed).T
+    return float(np.abs(np.sum(V.conj() * ((expl.mat - num.mat) @ V), axis=0)).max())
 
 
 def virial_residual(H: SparseOperator, comm: SparseOperator,
@@ -239,13 +226,19 @@ def virial_residual(H: SparseOperator, comm: SparseOperator,
 # Positive-commutator scan
 # ---------------------------------------------------------------------------
 
+def _interacting_spectrum(ms: ModelSpec, P, basis: OccupationBasis):
+    """H(P), the states of Ran Gamma(chi_i) (no soft-mode boson) and the
+    dense eigendecomposition of H on them."""
+    H = build_fiber_H(ms, P, basis)
+    idx = np.flatnonzero(~np.any(basis.occ[:, basis.grid.soft_mask()] > 0, axis=1))
+    vals, vecs = np.linalg.eigh(H.dense()[np.ix_(idx, idx)])
+    return H, idx, vals, vecs
+
+
 def _window_subspace(ms: ModelSpec, P, basis: OccupationBasis, sigma_win: float):
     """Orthonormal frame of Ran E_Sigma(H) within Ran Gamma(chi_i), with the
     ground state removed; also returns (H, ground energy)."""
-    H = build_fiber_H(ms, P, basis)
-    idx = np.nonzero(interacting_projector(basis).mat.diagonal() > 0.5)[0]
-    Hi = H.dense()[np.ix_(idx, idx)]
-    vals, vecs = np.linalg.eigh(Hi)
+    H, idx, vals, vecs = _interacting_spectrum(ms, P, basis)
     inside = vals <= sigma_win
     if not np.any(inside):
         raise EmptySubspaceError("no spectrum in the requested window")
@@ -269,19 +262,13 @@ def mourre_scan(ms: ModelSpec, P, basis: OccupationBasis, sigma_win: float,
     H, frame, e0 = _window_subspace(ms, P, basis, sigma_win)
     conj = build_conjugate(ms, basis)
     comm = commutator_iHA(ms, P, basis, conj)
-    from .fock import number_op
-
-    N = number_op(basis)
     rng = np.random.default_rng(seed)
     m = frame.shape[1]
     coeffs = rng.normal(size=(sample_count, m)) + 1j * rng.normal(size=(sample_count, m))
-    values = []
-    for c in coeffs:
-        phi = frame @ (c / np.linalg.norm(c))
-        r = float(np.vdot(phi, comm.mat @ phi).real
-                  - (1.0 - beta) * np.vdot(phi, N.mat @ phi).real)
-        values.append(r)
-    values = np.array(values)
+    # column x of Phi is sample x
+    Phi = frame @ (coeffs / np.linalg.norm(coeffs, axis=1, keepdims=True)).T
+    n = basis.total_numbers()[:, None]
+    values = np.sum(Phi.conj() * (comm.mat @ Phi - (1.0 - beta) * n * Phi), axis=0).real
     min_r = float(values.min())
     return {
         "min_r": min_r,
@@ -342,9 +329,7 @@ def eigencount_probe(ms: ModelSpec, P, basis: OccupationBasis,
     """
     from .spectral import delta_gap
 
-    idx = np.nonzero(interacting_projector(basis).mat.diagonal() > 0.5)[0]
-    H = build_fiber_H(ms, P, basis)
-    vals = np.linalg.eigvalsh(H.dense()[np.ix_(idx, idx)])
+    _, _, vals, _ = _interacting_spectrum(ms, P, basis)
     dg = delta_gap(ms, P, basis, tol=tol) if ms.use_modified else None
     if dg is None or not np.isfinite(dg) or dg <= 0:
         edge = vals[0] + (vals[1] - vals[0]) / 2 if len(vals) > 1 else vals[0] + 1.0

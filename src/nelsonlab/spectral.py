@@ -28,6 +28,7 @@ from .model import (
     fiber_diagonal,
     o_beta,
     quadrature_C,
+    velocity_bound,
 )
 
 DENSE_CUTOFF = 2000
@@ -98,8 +99,8 @@ class SpectralResult:
     def ground_vector(self) -> FockVector:
         return self.eigenvectors[0]
 
-    def is_simple(self, rel: float = 1e-8) -> bool:
-        return self.gap > rel * (1.0 + abs(self.ground_energy))
+    def is_simple(self) -> bool:
+        return self.gap > 1e-8 * (1.0 + abs(self.ground_energy))
 
 
 def ground_state(H: SparseOperator, k: int = 2, tol: float = 1e-10,
@@ -401,17 +402,9 @@ def grad_bound_check(ms: ModelSpec, sigma_win: float, P,
     sqrt(1 - M^2/(Sigma + g^2 C)^2) (relativistic).
     """
     P = np.atleast_1d(np.asarray(P, dtype=float))
-    C = quadrature_C(ms.ff, ms.grid)
     M = ms.disp.mass
-    s = sigma_win + ms.g ** 2 * C
-    if ms.disp.kind == "nonrel":
-        bound = math.sqrt(max(2.0 * s / M, 0.0))
-        window = (0.0, M / 18.0)
-    elif ms.disp.kind == "rel":
-        bound = math.sqrt(max(1.0 - (M / s) ** 2, 0.0)) if s > M else 0.0
-        window = (M, 3.0 * M / math.sqrt(8.0))
-    else:
-        raise ValueError("closed-form bound needs a built-in dispersion")
+    bound = velocity_bound(ms.disp, sigma_win + ms.g ** 2 * quadrature_C(ms.ff, ms.grid))
+    window = (0.0, M / 18.0) if ms.disp.kind == "nonrel" else (M, 3.0 * M / math.sqrt(8.0))
     H = build_fiber_H(ms, P, basis)
     calc = SpectralCalculus(H)
     V = calc.window_vectors(sigma_win)

@@ -119,12 +119,18 @@ class TensorBasis:
 
 def build_tensor_basis(left: OccupationBasis, right: OccupationBasis,
                        joint_cap: int | None = None) -> TensorBasis:
-    """Deterministic pair ordering: ascending (total N, left index, right index)."""
+    """Deterministic pair ordering: ascending (total N, left index, right index).
+
+    The legs are graded by boson number, so total T is the blocks of left
+    sector a times right sector T - a for ascending a, each left-major."""
     cap = joint_cap if joint_cap is not None else left.n_max + right.n_max
-    total = left.total_numbers()[:, None] + right.total_numbers()[None, :]
-    i, j = np.nonzero(total <= cap)
-    order = np.argsort(total[i, j], kind="stable")
-    pairs = np.stack([i[order], j[order]], axis=1)
+    nl, nr = left.total_numbers(), right.total_numbers()
+    blocks = []
+    for T in range(cap + 1):
+        for a in range(max(0, T - right.n_max), min(T, left.n_max) + 1):
+            i, j = np.flatnonzero(nl == a), np.flatnonzero(nr == T - a)
+            blocks.append(np.stack([np.repeat(i, len(j)), np.tile(j, len(i))], axis=1))
+    pairs = np.concatenate(blocks)
     return TensorBasis(left=left, right=right, joint_cap=cap, pairs=pairs,
                        lookup=_row_index(pairs))
 

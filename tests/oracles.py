@@ -12,7 +12,10 @@ product basis by total momentum, one state at a time.  ``lift_boson_op`` forms t
 probes apply without forming it.  ``DenseCalculus`` is the one-``eigh``
 functional calculus that the block-wise ``SpectralCalculus`` replaced, and
 ``to_position`` the phase-matrix DFT that ``FullBasis.to_position`` computes
-by FFT.
+by FFT.  ``line_position_op`` is the 1-d position matrix y built as the
+plain Hermitian part of i times central differences in sorted order, which
+``mourre.build_position_op`` builds through the weighted adjoint on every
+grid.
 """
 
 from __future__ import annotations
@@ -70,6 +73,24 @@ def tensor_csv(left_states, right_states, pairs) -> str:
         r = ";".join(str(x) for x in right_states[j])
         lines.append(f"{n},{l},{r}")
     return "\n".join(lines) + "\n"
+
+
+def line_position_op(grid) -> np.ndarray:
+    """y = (A + A^H)/2 with A = i D, D central differences (one-sided end
+    rows) on the modes sorted by k, for a uniform 1-d grid."""
+    k = grid.points[:, 0]
+    order = np.argsort(k)
+    n, h = len(k), float(k[order][1] - k[order][0])
+    D = np.zeros((n, n))
+    for i in range(1, n - 1):
+        D[i, i - 1] = -0.5 / h
+        D[i, i + 1] = 0.5 / h
+    D[0, 0], D[0, 1] = -1.0 / h, 1.0 / h
+    D[n - 1, n - 2], D[n - 1, n - 1] = -1.0 / h, 1.0 / h
+    Dk = np.zeros((n, n), dtype=complex)
+    Dk[np.ix_(order, order)] = D
+    A = 1j * Dk
+    return (A + A.conj().T) / 2.0
 
 
 def creation_op(basis, h) -> SparseOperator:

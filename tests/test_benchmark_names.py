@@ -4,7 +4,9 @@
 and ``perfbench/workloads.py`` calls them (private ones included) as module
 attributes; a renamed or deleted name would otherwise surface only when the
 benchmark runs.  ``spans.py`` is loaded by path without writing bytecode;
-``workloads.py`` is parsed, not executed.
+``workloads.py`` is parsed, and loaded the same way only to check the
+layer map.  ``CALL_MAP`` is read from ``run.py``'s source, since importing
+``run.py`` sets the thread variables of the process.
 """
 
 import ast
@@ -20,17 +22,34 @@ import pytest
 from nelsonlab.spectral import SpectralCalculus
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-SPANS = PERFBENCH / "spans.py"
 PACKAGE_MODULES = ("algebra", "dynamics", "fock", "model", "mourre", "spectral")
 
 
-@pytest.fixture(scope="module")
-def spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     with mock.patch.object(sys, "dont_write_bytecode", True):
         spec.loader.exec_module(module)
     return module
+
+
+def _call_map() -> dict:
+    tree = ast.parse((PERFBENCH / "run.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "CALL_MAP"
+                                                for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("run.py defines no CALL_MAP")
+
+
+@pytest.fixture(scope="module")
+def spans():
+    return _load("perfbench_spans", PERFBENCH / "spans.py")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("perfbench_workloads", PERFBENCH / "workloads.py")
 
 
 def test_traced_functions_resolve(spans):
@@ -75,3 +94,19 @@ def test_workload_calls_bind_to_signatures():
         except TypeError as exc:
             unbound.append(f"line {call.lineno}: {call.func.value.id}.{call.func.attr}: {exc}")
     assert not unbound
+
+
+@pytest.mark.parametrize("workload", ["algebra", "chain", "fiber"])
+def test_call_map_holds(spans, workloads, workload):
+    """One run of each workload at seed 2024 calls every span the layer map
+    predicts on it and none it predicts off it."""
+    call_map = _call_map()
+    assert set(call_map) <= set(spans.SPAN_NAMES)
+    with spans.Tracer() as tracer:
+        workloads.RUNNERS[workload](2024, lambda: None)
+    calls = tracer.counts()["calls"]
+    missing = [span for span, (on, _) in call_map.items()
+               if workload in on.split() and calls[span] == 0]
+    unexpected = [f"{span}: {calls[span]}" for span, (_, off) in call_map.items()
+                  if workload in off.split() and calls[span] != 0]
+    assert not missing and not unexpected

@@ -339,6 +339,23 @@ def test_tensor_factor_ops_stays_sparse():
     assert lifted.mat.nnz == np.count_nonzero(want)
 
 
+def test_build_tensor_basis_stays_small():
+    """33153 pairs of an 8385-state leg are picked by sector blocks, without
+    the (8385 x 8385) table of total numbers (over 600 MB)."""
+    basis = fock.build_basis(fock.line_grid(128, 1.5, 0.2), 2)
+    tracemalloc.start()
+    try:
+        tb = split.build_tensor_basis(basis, basis, joint_cap=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+    assert (basis.size, tb.size) == (8385, 33153)
+    i, j = tb.pairs.T
+    total = basis.total_numbers()
+    assert np.array_equal(np.lexsort((j, i, total[i] + total[j])), np.arange(tb.size))
+
+
 @pytest.mark.parametrize("L, modes, n_max, e_cap", [
     (32, [-16, -12, -8, -5, 5, 8, 12, 16], 1, None),
     (12, [-3, -1, 2, 4], 2, None),

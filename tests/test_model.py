@@ -57,6 +57,26 @@ class TestDispersion:
         with pytest.raises(model.UnsupportedDispersionError):
             model.o_beta(tab, 1e-6)
 
+    @pytest.mark.parametrize("kind, mass", [("nonrel", 1.0), ("nonrel", 2.5),
+                                            ("rel", 1.0), ("rel", 0.4)])
+    def test_velocity_bound_inverts_o_beta(self, kind, mass):
+        disp = model.DispersionLaw(kind, mass)
+        for beta in (0.05, 0.3, 0.6, 0.95):
+            assert model.velocity_bound(disp, model.o_beta(disp, beta)) == pytest.approx(
+                beta, rel=1e-12)
+        floor = mass if kind == "rel" else 0.0
+        for energy in (floor + 0.01, floor + 0.7, floor + 3.0):
+            assert model.o_beta(disp, model.velocity_bound(disp, energy)) == pytest.approx(
+                energy, rel=1e-12)
+        assert model.velocity_bound(disp, floor) == 0.0
+        assert model.velocity_bound(disp, floor - 0.5) == 0.0
+
+    def test_velocity_bound_needs_closed_form(self):
+        p = np.linspace(0.0, 4.0, 401)
+        tab = model.DispersionLaw("tabulated", table_p=p, table_omega=p * p / 2.0)
+        with pytest.raises(ValueError):
+            model.velocity_bound(tab, 1.0)
+
     def test_hessian_sup(self, nonrel, relativistic):
         assert nonrel.hessian_sup() == 1.0
         assert relativistic.hessian_sup() == 1.0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from nelsonlab import fock, model, mourre, spectral
 
 
@@ -22,12 +23,12 @@ def msetup(nonrel):
 class TestPositionOp:
     def test_weighted_hermitian_exactly(self, msetup):
         _, grid, _, conj = msetup
-        y = conj.y_ops[0]
+        y = conj.y
         assert np.abs(y - fock.weighted_adjoint(grid, grid, y)).max() == 0.0
 
     def test_constant_profile_interior(self, msetup):
         _, grid, _, conj = msetup
-        y = conj.y_ops[0]
+        y = conj.y
         h = np.ones(grid.n_modes, dtype=complex)
         order = np.argsort(grid.points[:, 0])
         interior = order[2:-2]
@@ -41,13 +42,26 @@ class TestPositionOp:
         errs = []
         for M in (16, 32):
             grid = fock.line_grid(M, 1.6, SIGMA)
-            y = mourre.build_position_op(grid)[0]
+            y = mourre.build_position_op(grid)
             k = grid.points[:, 0]
             h = np.exp(1j * s * k)
             order = np.argsort(k)[3:-3]
             errs.append(np.abs((y @ h + s * h))[order].max())
         assert errs[0] / errs[1] > 3.0
         assert errs[1] < 5e-3
+
+    @pytest.mark.parametrize("grid", [
+        fock.line_grid(8, 1.6, SIGMA), fock.line_grid(24, 1.5, 0.2),
+        fock.line_grid(2, 1.0, 0.2), fock.lattice_grid(32, [1, 2, 3, 4, 5, 6], 0.2),
+        fock.lattice_grid(12, [-6, -5, -4, -3, -2, -1], 0.2)],
+        ids=["line8", "line24", "line2", "lattice+", "lattice-"])
+    def test_matches_line_oracle_exactly(self, grid):
+        assert np.array_equal(mourre.build_position_op(grid), oracles.line_position_op(grid))
+
+    def test_non_uniform_1d_grid(self):
+        grid = fock.lattice_grid(32, [-16, -12, -8, -5, 5, 8, 12, 16], 0.2)
+        with pytest.raises(mourre.UnsupportedGridError):
+            mourre.build_position_op(grid)
 
     def test_unsupported_grid(self):
         grid = fock.ModeGrid(dim=1, points=np.array([[0.3], [0.9], [1.1]]),
@@ -62,7 +76,7 @@ class TestPositionOp:
         # nonuniform weights: hermiticity exact up to one rounding of the
         # weight-ratio similarity (uniform-weight grids are bit-exact)
         grid = fock.radial_grid(5, 1.5, 0.2)
-        y = mourre.build_position_op(grid)[0]
+        y = mourre.build_position_op(grid)
         scale = np.abs(y).max()
         yo = fock.to_ortho(grid, grid, y)
         assert np.abs(yo - yo.conj().T).max() < 1e-15 * scale
@@ -124,6 +138,25 @@ class TestCommutator:
         assert np.abs(Pg @ (expl - num) @ Pg).max() < 1e-12
 
 
+def test_smooth_test_states_match_oracle_ladders(msetup):
+    _, grid, basis, _ = msetup
+    states = mourre.smooth_test_states(basis, count=4, seed=3)
+    k = grid.points[:, 0]
+    kmax = np.abs(k).max()
+    with np.errstate(divide="ignore"):
+        taper = np.exp(-1.0 / (1.0 - (k / kmax) ** 2))  # 0 at the grid edge
+    rng = np.random.default_rng(3)
+    vac = np.eye(basis.size, 1, dtype=complex)[:, 0]
+    guard = basis.total_numbers() <= basis.n_max - 1
+    for row in states:
+        c1, c2 = rng.uniform(-0.6 * kmax, 0.6 * kmax, size=2)
+        s = 0.35 * kmax
+        a1 = oracles.creation_op(basis, taper * np.exp(-((k - c1) ** 2) / (2 * s * s))).mat
+        a2 = oracles.creation_op(basis, taper * np.exp(-((k - c2) ** 2) / (2 * s * s))).mat
+        v = (vac + a1 @ vac + 0.5 * (a2 @ (a1 @ vac))) * guard
+        assert np.abs(row - v / np.linalg.norm(v)).max() < 1e-14
+
+
 class TestVirial:
     def test_vacuum_eigenvector_exact_zero(self, msetup):
         ms, grid, basis, conj = msetup
@@ -180,6 +213,24 @@ class TestScan:
         N = fock.number_op(basis)
         R = frame.conj().T @ (comm.mat @ frame) - (1 - beta) * (frame.conj().T @ (N.mat @ frame))
         assert np.linalg.eigvalsh((R + R.conj().T) / 2).min() >= -1e-10
+
+    def test_batched_samples_match_per_sample_loop(self, msetup):
+        """All samples at once give the per-sample quadratic forms of the
+        sparse commutator and number operator, up to the order of sums."""
+        ms, _, basis, conj = msetup
+        rep = mourre.mourre_scan(ms, [0.25], basis, 0.32, 0.7, sample_count=16, seed=5)
+        _, frame, _ = mourre._window_subspace(ms, [0.25], basis, 0.32)
+        comm = mourre.commutator_iHA(ms, [0.25], basis, conj).mat
+        N = fock.number_op(basis).mat
+        rng = np.random.default_rng(5)
+        m = frame.shape[1]
+        coeffs = rng.normal(size=(16, m)) + 1j * rng.normal(size=(16, m))
+        want = []
+        for c in coeffs:
+            phi = frame @ (c / np.linalg.norm(c))
+            want.append(np.vdot(phi, comm @ phi).real - 0.3 * np.vdot(phi, N @ phi).real)
+        assert np.abs(np.array(rep["per_sample"]) - want).max() < 1e-13
+        assert rep["min_r"] == min(rep["per_sample"])
 
     def test_sweep_slope_near_one(self, msetup, nonrel):
         ms, grid, basis, _ = msetup
