@@ -6,6 +6,7 @@ few of their exact identities along the way.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from nelsonlab import fock
 
@@ -21,8 +22,8 @@ print(f"\nbasis size: {basis.size}")
 print("first rows of the basis dump:")
 print("\n".join(basis.to_csv().splitlines()[:5]))
 
-# Smeared ladder operators and the canonical commutator.  Identities that
-# create a boson hold exactly on the guarded sector N <= n_max - 1.
+# Smeared ladder operators and the canonical commutator, as scipy CSR matrices.
+# Identities that create a boson hold exactly on the guarded sector N <= n_max - 1.
 rng = np.random.default_rng(1)
 g = rng.normal(size=4) + 1j * rng.normal(size=4)
 h = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -30,23 +31,23 @@ a_g = fock.annihilation_op(basis, g)
 c_h = fock.creation_op(basis, h)
 guard = fock.guarded_projector(basis)
 ccr = ((a_g @ c_h) - (c_h @ a_g)
-       - fock.weighted_inner(grid, g, h) * fock.identity_op(basis)) @ guard
-print(f"\nCCR defect on the guarded sector: {abs(ccr.dense()).max():.2e}")
+       - fock.weighted_inner(grid, g, h) * sp.identity(basis.size)) @ guard
+print(f"\nCCR defect on the guarded sector: {abs(ccr.toarray()).max():.2e}")
 
 # The multiplicative functor intertwines creation operators: Gb a*(h) = a*(bh) Gb.
 # Gamma fills every sector it maps and comes back as a dense array.
 b = rng.normal(size=(4, 4))
 Gb = fock.Gamma(basis, b)
-lhs = (Gb @ c_h.dense()) @ guard.dense()
-rhs = (fock.creation_op(basis, b @ h).dense() @ Gb) @ guard.dense()
+lhs = (Gb @ c_h.toarray()) @ guard.toarray()
+rhs = (fock.creation_op(basis, b @ h).toarray() @ Gb) @ guard.toarray()
 print(f"Gamma intertwining defect: {abs(lhs - rhs).max():.2e}")
 
 # The additive functor recovers the number operator from the identity.
 N = fock.dGamma(basis, np.ones(4))
-print(f"dGamma(1) = N defect: {abs((N - fock.number_op(basis)).dense()).max():.1e}")
+print(f"dGamma(1) = N defect: {abs((N - fock.number_op(basis)).toarray()).max():.1e}")
 
 # Field operators are exactly Hermitian and have vanishing vacuum mean.
 phi = fock.field_op(basis, h)
 vac = fock.FockVector.vacuum(basis).amps
-print(f"phi Hermitian defect: {phi.hermiticity_defect():.1e}, "
-      f"vacuum mean: {abs(np.vdot(vac, phi.mat @ vac)):.1e}")
+print(f"phi Hermitian defect: {abs((phi - phi.conj().T).toarray()).max():.1e}, "
+      f"vacuum mean: {abs(np.vdot(vac, phi @ vac)):.1e}")

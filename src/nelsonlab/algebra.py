@@ -62,11 +62,11 @@ class Generators:
     def __init__(self, basis: fock.OccupationBasis):
         M, n = basis.grid.n_modes, basis.size
         eye = np.eye(M)
-        self.creation = np.stack([fock.creation_op(basis, e).dense() for e in eye]
+        self.creation = np.stack([fock.creation_op(basis, e).toarray() for e in eye]
                                  ).astype(complex)
-        self.field = np.stack([fock.field_op(basis, c * e).dense()
+        self.field = np.stack([fock.field_op(basis, c * e).toarray()
                                for c in (1.0, 1j) for e in eye]).astype(complex)
-        self.hopping = np.stack([fock.dGamma(basis, np.outer(ei, ej)).dense()
+        self.hopping = np.stack([fock.dGamma(basis, np.outer(ei, ej)).toarray()
                                  for ei in eye for ej in eye]
                                 ).astype(complex).reshape(M, M, n, n)
 
@@ -91,7 +91,7 @@ def _sparse_creation(basis: fock.OccupationBasis):
     For the doubled grid, where a dense 2M x n x n stack would cost megabytes
     per product; every entry belongs to one mode, since it adds one boson.
     """
-    parts = [fock.creation_op(basis, e).mat.tocoo() for e in np.eye(basis.grid.n_modes)]
+    parts = [fock.creation_op(basis, e).tocoo() for e in np.eye(basis.grid.n_modes)]
     flat = np.concatenate([c.row * basis.size + c.col for c in parts])
     value = np.concatenate([c.data for c in parts])
     mode = np.repeat(np.arange(len(parts)), [c.nnz for c in parts])
@@ -122,7 +122,7 @@ def run_algebra_suite(n_modes: int = 4, n_max: int = 3, draws: int = 100,
     eye = np.eye(n)
     guard = np.flatnonzero(basis.total_numbers() <= n_max - 1)
     N_op = fock.number_op(basis)
-    N = N_op.dense()
+    N = N_op.toarray()
     gen = Generators(basis)
 
     basis_sum = fock.build_basis(split.doubled_grid(grid), n_max)
@@ -133,14 +133,14 @@ def run_algebra_suite(n_modes: int = 4, n_max: int = 3, draws: int = 100,
     t = split.tensor_iso_perm(basis_sum, tb)
     s = np.argsort(t)
     sum_creation = _sparse_creation(basis_sum)
-    sum_numbers = np.stack([fock.dGamma(basis_sum, e).mat.diagonal()
+    sum_numbers = np.stack([fock.dGamma(basis_sum, e).diagonal()
                             for e in np.eye(2 * M)], axis=1)
     # number operators are diagonal; their pair lifts are kept as diagonals
     N_pair = (split.tensor_factor_ops(tb, op_left=N_op)
-              + split.tensor_factor_ops(tb, op_right=N_op)).mat.diagonal()
+              + split.tensor_factor_ops(tb, op_right=N_op)).diagonal()
     dG_om = gen.dGamma(grid.omega_mod)
     dG_om_pair = np.diagonal(lift(dG_om) + lift(None, dG_om))
-    I_op = split.scattering_ident(tb, basis).dense()
+    I_op = split.scattering_ident(tb, basis).toarray()
 
     defects: dict[str, float] = {}
 
@@ -153,8 +153,8 @@ def run_algebra_suite(n_modes: int = 4, n_max: int = 3, draws: int = 100,
     vac_sum[0] = 1.0
     target = np.zeros(tb.size)
     target[tb.lookup([[0, 0]])] = 1.0
-    rec("ueq0_vacuum", np.abs(U.mat @ vac_sum - target).max())
-    rec("u_isometry", _norm((U.adjoint() @ U).dense() - np.eye(basis_sum.size)))
+    rec("ueq0_vacuum", np.abs(U @ vac_sum - target).max())
+    rec("u_isometry", _norm((U.conj().T @ U).toarray() - np.eye(basis_sum.size)))
 
     for _ in range(draws):
         g1 = _rand_vec(rng, M)

@@ -396,7 +396,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
         from scipy.linalg import expm as dense_expm
         t_ref = float(times[min(3, len(times) - 1)])
         u_k = dynamics.krylov_expm_apply(H.mat, psi, t_ref, tol=prop.step_tol)
-        u_d = dense_expm(-1j * t_ref * H.dense()) @ psi
+        u_d = dense_expm(-1j * t_ref * H.mat.toarray()) @ psi
         mismatch = float(np.linalg.norm(u_k - u_d))
     # g=0 phase exactness
     ms0 = model.ModelSpec(ms.disp, ms.ff, ms.grid, 0.0, ms.use_modified)

@@ -41,7 +41,6 @@ import scipy.sparse as sp
 from .fock import (
     FockVector,
     OccupationBasis,
-    SparseOperator,
     WeightedSpectrum,
     _switch,
     apply_annihilation,
@@ -52,7 +51,14 @@ from .fock import (
     dGamma_expectation,
     weighted_abs,
 )
-from .model import ConfigWindowError, FullBasis, ModelSpec, build_fiber_H, total_momentum_op
+from .model import (
+    ConfigWindowError,
+    FullBasis,
+    Hamiltonian,
+    ModelSpec,
+    build_fiber_H,
+    total_momentum_op,
+)
 from .mourre import build_position_op, group_velocity
 from .spectral import SpectralCalculus, ground_state
 
@@ -199,14 +205,12 @@ def _chebyshev_coefficients(x: float, tol: float) -> np.ndarray:
 class Propagation:
     """Evolution setup: Hamiltonian, initial state, geometric time grid."""
 
-    H: SparseOperator
+    H: Hamiltonian
     state: np.ndarray
     times: np.ndarray
     step_tol: float = 1e-11
 
     def __post_init__(self):
-        if not self.H.hermitian:
-            raise ValueError("propagation requires a Hermitian-flagged Hamiltonian")
         self.state = np.asarray(self.state, dtype=complex)
         ts = np.asarray(self.times, dtype=float)
         if np.any(np.diff(ts) <= 0):
@@ -319,7 +323,7 @@ def validate_zone_margin(fb: FullBasis, psi: np.ndarray, tol: float = 1e-10):
             f"packet leaks {leak:.2e} of its mass beyond the 75% zone margin")
 
 
-def filtered_packet(fb: FullBasis, H: SparseOperator, p0: float, dp: float,
+def filtered_packet(fb: FullBasis, H: Hamiltonian, p0: float, dp: float,
                     sigma_top: float, width_frac: float = 0.15,
                     dense_limit: int = 2500):
     """Energy-filtered Gaussian packet f(H) psi, normalized; returns (psi, calc)."""
@@ -376,14 +380,13 @@ def photon_velocity_probe(prop: Propagation, basis: OccupationBasis,
     lo, hi = window
     if lo < 1.0:  # the speed of light
         warnings.warn("window starts below the propagation bound; estimate not claimed there")
-    use_mod = bool(prop.H.info.get("use_modified", True)) if prop.H.info else True
 
     def one_particle(t):
         if mode == "window":
             shape = lambda lam: (_switch((np.abs(lam) / t - lo) / (0.1 * lo))
                                  * (1.0 - _switch((np.abs(lam) / t - hi) / (0.1 * hi))))
             return ycalc.fn(shape)
-        vel = group_velocity(basis.grid, use_mod)[:, 0]
+        vel = group_velocity(basis.grid, prop.H.use_modified)[:, 0]
         Y = ycalc.fn(lambda lam: lam)
         J = ycalc.fn(lambda lam: (_switch((np.abs(lam) / t - lo) / (0.1 * lo))
                                   * (1.0 - _switch((np.abs(lam) / t - hi) / (0.1 * hi)))))
@@ -406,9 +409,8 @@ def photon_velocity_probe(prop: Propagation, basis: OccupationBasis,
 
 
 def _boson_omega(prop: Propagation, basis: OccupationBasis) -> np.ndarray:
-    """The boson dispersion H was built with, omega_mod when H does not record it."""
-    omega = prop.H.info.get("omega_samples")
-    return basis.grid.omega_mod if omega is None else omega
+    """The boson dispersion H was built with, sampled on the basis grid."""
+    return basis.grid.omega_mod if prop.H.use_modified else basis.grid.omega_free
 
 
 def asymptotic_field_probe(prop: Propagation, basis: OccupationBasis, h,
@@ -508,8 +510,9 @@ def W_plus_probe(prop: Propagation, basis: OccupationBasis, cuts: CutoffFamily,
     if tb.size > extended_dim_cap:
         raise ConfigWindowError(f"extended dimension {tb.size} exceeds the cap {extended_dim_cap}")
     basis_sum = build_basis(doubled_grid(grid), basis.n_max)
-    Hext = (tensor_factor_ops(tb, op_left=prop.H)
-            + tensor_factor_ops(tb, op_right=dGamma(basis, _boson_omega(prop, basis))))
+    Hext = Hamiltonian(tensor_factor_ops(tb, op_left=prop.H.mat)
+                       + tensor_factor_ops(tb, op_right=dGamma(basis, _boson_omega(prop, basis))),
+                       use_modified=prop.H.use_modified)
     calc_ext = SpectralCalculus(Hext, limit=extended_dim_cap)
     f_ext = energy_window(f_window)
     outer_vacuum = tb.pair_numbers()[:, 1] == 0
@@ -519,7 +522,7 @@ def W_plus_probe(prop: Propagation, basis: OccupationBasis, cuts: CutoffFamily,
         jim = ycalc.fn(lambda lam: cuts.jinf(np.abs(lam) / t))
         BG = breve_gamma(SplitPair(grid, j0m, jim), basis, tb, basis_sum=basis_sum)
         chi = dGamma(basis, ycalc.fn(lambda lam: cuts.chi_gamma(np.abs(lam) / t)))
-        vec = calc_ext.fn(f_ext, BG @ (chi.mat @ psi))
+        vec = calc_ext.fn(f_ext, BG @ (chi @ psi))
         full_norms.append(float(np.linalg.norm(vec)))
         vac_norms.append(float(np.linalg.norm(vec[outer_vacuum])))
     track = ObservableTrack(
@@ -546,13 +549,13 @@ def dressed_state(ms: ModelSpec, P, basis: OccupationBasis,
 
 def one_boson_state(basis: OccupationBasis, h) -> np.ndarray:
     """Normalized a*(h) Omega."""
-    v = creation_op(basis, h).mat @ FockVector.vacuum(basis).amps
+    v = creation_op(basis, h) @ FockVector.vacuum(basis).amps
     return v / np.linalg.norm(v)
 
 
 def momentum_conservation_track(fb: FullBasis, prop: Propagation) -> dict:
     """Constancy of <P_total> and <P_total^2> along the evolution."""
-    Pt = total_momentum_op(fb).mat
+    Pt = total_momentum_op(fb)
     Pt2 = Pt @ Pt
     m1, m2 = [], []
     for _, psi in snapshots(prop):

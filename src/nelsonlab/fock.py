@@ -40,10 +40,11 @@ The field operator follows the symmetric normalization
 
     phi(h) = (a(h) + a*(h)) / sqrt(2) .
 
-Ladder, field, number and ``dGamma`` operators take the dtype of their
-coefficients: real mode data give float64 matrices, complex data complex ones.
-They are sparse; ``Gamma`` and ``dGamma2`` fill every sector they map and
-return the dense complex array their recursion builds.
+Operators are ``scipy.sparse.csr_matrix`` objects.  Ladder, field, number
+and ``dGamma`` operators take the dtype of their coefficients: real mode data
+give float64 matrices, complex data complex ones.  The Gamma-type maps,
+``Gamma`` and ``dGamma2``, fill every sector they map and return the dense
+complex array their recursion builds.  Hamiltonians are ``model.Hamiltonian``.
 """
 
 from __future__ import annotations
@@ -140,9 +141,6 @@ class ModeGrid:
 def weighted_inner(grid: ModeGrid, g, h) -> complex:
     return complex(np.sum(grid.weights * np.conj(g) * np.asarray(h)))
 
-def weighted_norm(grid: ModeGrid, h) -> float:
-    return math.sqrt(float(np.sum(grid.weights * np.abs(h) ** 2)))
-
 def weighted_adjoint(grid_out: ModeGrid, grid_in: ModeGrid, r: np.ndarray) -> np.ndarray:
     """Adjoint of a mode matrix r: h_in -> h_out w.r.t. the weighted inner products.
 
@@ -181,21 +179,6 @@ class WeightedSpectrum:
 def weighted_abs(grid: ModeGrid, X: np.ndarray) -> np.ndarray:
     """|X| for a weighted-Hermitian coefficient-gauge matrix."""
     return WeightedSpectrum(grid, X).fn(np.abs)
-
-
-def weighted_norm_omega(grid: ModeGrid, h) -> float:
-    """Interaction norm (sum_j w_j (1 + 1/|k_j|) |h_j|^2)^(1/2).
-
-    Raises GridError if any node sits at k = 0 (enforced at grid build time,
-    re-checked here because the weight 1/|k| is singular there).
-    """
-    h = np.asarray(h)
-    if h.shape[0] != grid.n_modes:
-        raise DimensionMismatchError("coefficient vector length != mode count")
-    kn = grid.knorm()
-    if np.any(kn == 0):
-        raise GridError("grid contains a k = 0 mode")
-    return math.sqrt(float(np.sum(grid.weights * (1.0 + 1.0 / kn) * np.abs(h) ** 2)))
 
 
 def _switch(t):
@@ -458,83 +441,13 @@ class FockVector:
         amps[0] = 1.0
         return cls(basis, amps)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
 
 # ---------------------------------------------------------------------------
 # Sparse operators
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SparseOperator:
-    """Sparse matrix between occupation bases with a Hermitian flag."""
-
-    mat: sp.csr_matrix
-    hermitian: bool = False
-    basis_out: OccupationBasis | None = None
-    basis_in: OccupationBasis | None = None
-    info: dict = field(default_factory=dict)
-
-    @property
-    def shape(self):
-        return self.mat.shape
-
-    def dense(self) -> np.ndarray:
-        return self.mat.toarray()
-
-    def apply(self, vec):
-        if isinstance(vec, FockVector):
-            return FockVector(self.basis_out or vec.basis, self.mat @ vec.amps)
-        return self.mat @ vec
-
-    def adjoint(self) -> "SparseOperator":
-        return SparseOperator(self.mat.conj().T.tocsr(), self.hermitian,
-                              self.basis_in, self.basis_out)
-
-    def __matmul__(self, other):
-        if isinstance(other, SparseOperator):
-            return SparseOperator(self.mat @ other.mat, False,
-                                  self.basis_out, other.basis_in)
-        return self.mat @ other
-
-    def __add__(self, other):
-        herm = self.hermitian and getattr(other, "hermitian", False)
-        m = other.mat if isinstance(other, SparseOperator) else other
-        return SparseOperator((self.mat + m).tocsr(), herm, self.basis_out, self.basis_in)
-
-    def __sub__(self, other):
-        herm = self.hermitian and getattr(other, "hermitian", False)
-        m = other.mat if isinstance(other, SparseOperator) else other
-        return SparseOperator((self.mat - m).tocsr(), herm, self.basis_out, self.basis_in)
-
-    def __mul__(self, scalar):
-        herm = self.hermitian and (np.imag(scalar) == 0)
-        return SparseOperator(self.mat * scalar, bool(herm), self.basis_out, self.basis_in)
-
-    __rmul__ = __mul__
-
-    def hermiticity_defect(self) -> float:
-        d = self.mat - self.mat.conj().T
-        return float(np.abs(d.toarray()).max()) if d.nnz else 0.0
-
-    def to_csv(self) -> str:
-        """Coordinate-triplet dump: row, col, re, im."""
-        coo = self.mat.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        lines = ["row,col,re,im"]
-        for i in order:
-            lines.append(f"{coo.row[i]},{coo.col[i]},{coo.data[i].real:.17g},{coo.data[i].imag:.17g}")
-        return "\n".join(lines) + "\n"
-
-
-def _coo(basis_out, basis_in, rows, cols, data, hermitian=False) -> SparseOperator:
-    mat = sp.coo_matrix((data, (rows, cols)), shape=(basis_out.size, basis_in.size)).tocsr()
-    return SparseOperator(mat, hermitian, basis_out, basis_in)
-
-
-def identity_op(basis: OccupationBasis) -> SparseOperator:
-    return SparseOperator(sp.identity(basis.size, format="csr"), True, basis, basis)
+def _coo(basis: OccupationBasis, rows, cols, data) -> sp.csr_matrix:
+    return sp.coo_matrix((data, (rows, cols)), shape=(basis.size, basis.size)).tocsr()
 
 
 def _check_modes(basis: OccupationBasis, h) -> np.ndarray:
@@ -544,7 +457,7 @@ def _check_modes(basis: OccupationBasis, h) -> np.ndarray:
     return h
 
 
-def creation_op(basis: OccupationBasis, h) -> SparseOperator:
+def creation_op(basis: OccupationBasis, h) -> sp.csr_matrix:
     """Smeared creation operator a*(h) = sum_j sqrt(w_j) h_j a*_j.
 
     States pushed past n_max (or the energy cap) are projected out.
@@ -556,24 +469,22 @@ def creation_op(basis: OccupationBasis, h) -> SparseOperator:
     src, k = np.nonzero(up >= 0)
     j = modes[k]
     data = np.sqrt(basis.occ[src, j] + 1) * amp[j]
-    return _coo(basis, basis, up[src, k], src, data)
+    return _coo(basis, up[src, k], src, data)
 
 
-def annihilation_op(basis: OccupationBasis, h) -> SparseOperator:
+def annihilation_op(basis: OccupationBasis, h) -> sp.csr_matrix:
     """a(h) = a*(h)^dagger; antilinear in h."""
-    return creation_op(basis, h).adjoint()
+    return creation_op(basis, h).conj().T.tocsr()
 
 
-def field_op(basis: OccupationBasis, h) -> SparseOperator:
+def field_op(basis: OccupationBasis, h) -> sp.csr_matrix:
     """phi(h) = (a(h) + a*(h)) / sqrt(2); exactly Hermitian by construction."""
     c = creation_op(basis, h)
-    mat = (c.mat + c.mat.conj().T) / math.sqrt(2.0)
-    return SparseOperator(mat.tocsr(), True, basis, basis)
+    return ((c + c.conj().T) / math.sqrt(2.0)).tocsr()
 
 
-def number_op(basis: OccupationBasis) -> SparseOperator:
-    n = basis.total_numbers().astype(float)
-    return SparseOperator(sp.diags(n, format="csr"), True, basis, basis)
+def number_op(basis: OccupationBasis) -> sp.csr_matrix:
+    return sp.diags(basis.total_numbers().astype(float), format="csr")
 
 
 def _as_mode_matrix(basis: OccupationBasis, b) -> np.ndarray:
@@ -588,18 +499,19 @@ def _as_mode_matrix(basis: OccupationBasis, b) -> np.ndarray:
     return b
 
 
-def dGamma(basis: OccupationBasis, b) -> SparseOperator:
+def dGamma(basis: OccupationBasis, b) -> sp.csr_matrix:
     """Additive second quantization: sum_i 1 x ... b ... x 1 per sector.
 
     Number conserving, hence exact on the whole truncated basis.  A diagonal
-    ``b`` yields the diagonal operator with value sum_j n_j b_jj.
+    ``b`` yields the diagonal operator with value sum_j n_j b_jj.  A ``b``
+    that is weighted-Hermitian up to 1e-13 relative is symmetrized first, so
+    its dGamma is exactly Hermitian.
     """
     b = _as_mode_matrix(basis, b)
     bo = to_ortho(basis.grid, basis.grid, b)
     defect = float(np.abs(bo - bo.conj().T).max()) if bo.size else 0.0
     scale = float(np.abs(bo).max()) if bo.size else 0.0
-    herm = defect <= 1e-13 * max(scale, 1.0)
-    if herm and defect > 0.0:
+    if 0.0 < defect <= 1e-13 * max(scale, 1.0):
         bo = (bo + bo.conj().T) / 2.0
     occ, up = basis.occ, basis.up
     diag = np.zeros(basis.size, dtype=bo.dtype)
@@ -619,8 +531,7 @@ def dGamma(basis: OccupationBasis, b) -> SparseOperator:
         rows.append(t[pk, ik])
         cols.append(c)
         data.append(bo[i, j] * np.sqrt(occ[c, j] * (occ[p, i] + 1)))
-    return _coo(basis, basis, np.concatenate(rows), np.concatenate(cols),
-                np.concatenate(data), hermitian=bool(herm))
+    return _coo(basis, np.concatenate(rows), np.concatenate(cols), np.concatenate(data))
 
 
 def _check_state(basis: OccupationBasis, psi) -> np.ndarray:
@@ -742,14 +653,14 @@ def dGamma2(basis_in: OccupationBasis, a, b, basis_out: OccupationBasis | None =
     return _sector_recursion(basis_in, basis_out, a, b)[1]
 
 
-def guarded_projector(basis: OccupationBasis) -> SparseOperator:
+def guarded_projector(basis: OccupationBasis) -> sp.csr_matrix:
     """Projection onto the guarded sector N <= n_max - 1."""
     keep = (basis.total_numbers() <= basis.n_max - 1).astype(float)
-    return SparseOperator(sp.diags(keep, format="csr"), True, basis, basis)
+    return sp.diags(keep, format="csr")
 
 
-def interacting_projector(basis: OccupationBasis, sigma: float | None = None) -> SparseOperator:
+def interacting_projector(basis: OccupationBasis, sigma: float | None = None) -> sp.csr_matrix:
     """Gamma(chi_i): projection onto states with zero soft-mode occupancy."""
     soft = basis.grid.soft_mask(sigma)
     keep = ~np.any(basis.occ[:, soft] > 0, axis=1)
-    return SparseOperator(sp.diags(keep.astype(float), format="csr"), True, basis, basis)
+    return sp.diags(keep.astype(float), format="csr")

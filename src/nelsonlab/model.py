@@ -9,6 +9,11 @@ dispersion depending on ``use_modified``.  The full d = 1 model lives on an
 L-site chain in the electron-momentum x occupation product basis, with boson
 modes restricted to the dual lattice so that total momentum (mod 2 pi) is
 conserved exactly.
+
+Operators are ``scipy.sparse.csr_matrix`` objects.  A Hamiltonian is the one
+operator that carries more than its matrix: ``Hamiltonian`` holds the CSR
+matrix, refused unless exactly Hermitian, with its occupation basis and the
+dispersion switch it was built with.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ import scipy.sparse as sp
 from .fock import (
     ModeGrid,
     OccupationBasis,
-    SparseOperator,
     _switch,
     field_op,
 )
@@ -234,6 +238,25 @@ class ModelSpec:
         return self.ff.kappa_sigma(self.grid.knorm())
 
 
+@dataclass(frozen=True, eq=False)
+class Hamiltonian:
+    """An exactly Hermitian CSR matrix with the occupation basis it acts on
+    (None on the chain and on the pair space) and the boson dispersion switch
+    it was built with: omega_mod if ``use_modified``, else |k|."""
+
+    mat: sp.csr_matrix
+    basis: OccupationBasis | None = None
+    use_modified: bool = True
+
+    def __post_init__(self):
+        if (self.mat - self.mat.conj().T).count_nonzero():
+            raise ValueError("a Hamiltonian must be exactly Hermitian")
+
+    @property
+    def shape(self) -> tuple:
+        return self.mat.shape
+
+
 def _wrap(p, width: float | None):
     if width is None:
         return p
@@ -250,17 +273,12 @@ def fiber_diagonal(ms: ModelSpec, P, basis: OccupationBasis,
 
 
 def build_fiber_H(ms: ModelSpec, P, basis: OccupationBasis,
-                  bz_width: float | None = None) -> SparseOperator:
+                  bz_width: float | None = None) -> Hamiltonian:
     """Fiber Hamiltonian at total momentum P on the occupation basis."""
-    diag = fiber_diagonal(ms, P, basis, bz_width)
-    H = sp.diags(diag, format="csr")
+    H = sp.diags(fiber_diagonal(ms, P, basis, bz_width), format="csr")
     if ms.g != 0.0:
-        H = H + ms.g * field_op(basis, ms.coupling_samples()).mat
-    op = SparseOperator(H.tocsr(), True, basis, basis)
-    op.info["P"] = np.atleast_1d(P).tolist()
-    op.info["use_modified"] = ms.use_modified
-    op.info["omega_samples"] = ms.boson_omega()
-    return op
+        H = H + ms.g * field_op(basis, ms.coupling_samples())
+    return Hamiltonian(H.tocsr(), basis, ms.use_modified)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +335,7 @@ def full_basis(ms: ModelSpec, n_sites: int, n_max: int,
     return FullBasis(n_sites=L, momenta=momenta, mode_m=m_int, boson=boson)
 
 
-def build_full_H(ms: ModelSpec, fb: FullBasis) -> SparseOperator:
+def build_full_H(ms: ModelSpec, fb: FullBasis) -> Hamiltonian:
     """Full Hamiltonian Omega(p) x 1 + 1 x dGamma(omega) + g phi(G_x).
 
     The interaction shifts the electron momentum by -k_j (mod 2 pi) when a
@@ -339,57 +357,14 @@ def build_full_H(ms: ModelSpec, fb: FullBasis) -> SparseOperator:
     cols = (e * nb + b).ravel()
     data = np.tile(amp[j] * np.sqrt(occ[b, j] + 1), L)
     mat = sp.coo_matrix((data, (rows, cols)), shape=(fb.size, fb.size))
-    mat = (sp.diags(diag) + mat + mat.conj().T).tocsr()
-    return SparseOperator(mat, True, None, None,
-                          info={"n_sites": L, "use_modified": ms.use_modified,
-                                "omega_samples": ms.boson_omega()})
+    return Hamiltonian((sp.diags(diag) + mat + mat.conj().T).tocsr(), None, ms.use_modified)
 
 
-def total_momentum_op(fb: FullBasis) -> SparseOperator:
+def total_momentum_op(fb: FullBasis) -> sp.csr_matrix:
     """Diagonal total momentum p + dGamma(k), reduced to the zone: the flat
     index m_e + sum_j n_j m_j per product-basis state, wrapped mod L."""
     L = fb.n_sites
     m_e = np.rint(fb.momenta * L / (2 * np.pi)).astype(int)
     tot = (m_e[:, None] + (fb.boson.occ @ fb.mode_m)[None, :]).ravel()
     vals = (2.0 * np.pi / L) * ((tot + L // 2) % L - L // 2)
-    return SparseOperator(sp.diags(vals, format="csr"), True)
-
-
-# ---------------------------------------------------------------------------
-# Interaction decay report
-# ---------------------------------------------------------------------------
-
-def interaction_decay_report(ms: ModelSpec, n_positions: int,
-                             r_values, mu: float = 2.0) -> dict:
-    """Position-space tail mass of the coupling function against radius.
-
-    The Fourier transform of kappa_sigma is sampled on an n_positions chain;
-    the report tabulates T(R) = (sum_{|y| >= R} |g(y)|^2)^(1/2) and fits the
-    decay exponent on the requested R window.
-    """
-    L = n_positions
-    m = np.arange(L) - L // 2
-    k = 2.0 * np.pi * m / L
-    kap = ms.ff.kappa_sigma(np.abs(k))
-    y = m.astype(float)
-    phase = np.exp(1j * np.outer(y, k))
-    ghat = (phase @ kap) * (1.0 / L)
-    dens = np.abs(ghat) ** 2
-    rows = []
-    for R in r_values:
-        mask = np.abs(y) >= R
-        rows.append((float(R), math.sqrt(float(np.sum(dens[mask])))))
-    rs = np.array([r for r, _ in rows if r > 0])
-    ts = np.array([t for r, t in rows if r > 0])
-    good = ts > 1e-14
-    if np.sum(good) >= 2:
-        slope, _ = np.polyfit(np.log(rs[good]), np.log(ts[good]), 1)
-        exponent = -float(slope)
-    else:
-        exponent = math.inf
-    return {
-        "table": rows,
-        "fitted_exponent": exponent,
-        "exceeds_mu": bool(exponent >= mu),
-        "full_norm": math.sqrt(float(np.sum(dens))),
-    }
+    return sp.diags(vals, format="csr")

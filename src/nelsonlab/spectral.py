@@ -4,9 +4,11 @@ Ground states above dimension 2000 are computed by implicitly restarted
 Lanczos (ARPACK ``eigsh``) from a fixed, deterministic real start vector
 (vacuum plus a small seeded perturbation); below it a dense
 eigendecomposition is used instead and doubles as the cross-check oracle
-for the iterative path.  Operators are real whenever their coefficients
-are (the default model's fiber and chain Hamiltonians are float64), so both
-paths then run in real arithmetic.  Functional calculus for energy cutoffs
+for the iterative path.  Both paths, and the functional calculus, take a
+``model.Hamiltonian``, whose matrix is exactly Hermitian by construction.
+Operators are real whenever their coefficients are (the default model's
+fiber and chain Hamiltonians are float64), so both paths then run in real
+arithmetic.  Functional calculus for energy cutoffs
 f(H) and spectral windows E_Sigma is spectral-projection based throughout,
 one connected component of H's sparsity pattern at a time; f(H) v is applied
 per component without forming the n x n matrix f(H).
@@ -20,9 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import FockVector, OccupationBasis, SparseOperator
+from .fock import FockVector, OccupationBasis
 from .model import (
     ConfigWindowError,
+    Hamiltonian,
     ModelSpec,
     build_fiber_H,
     fiber_diagonal,
@@ -103,23 +106,22 @@ class SpectralResult:
         return self.gap > 1e-8 * (1.0 + abs(self.ground_energy))
 
 
-def ground_state(H: SparseOperator, k: int = 2, tol: float = 1e-10,
+def ground_state(H: Hamiltonian, k: int = 2, tol: float = 1e-10,
                  max_iter: int = 500, seed: int = 7) -> SpectralResult:
-    """k lowest eigenpairs of a Hermitian-flagged operator.
+    """k lowest eigenpairs of a Hamiltonian.
 
     Dense ``eigh`` up to DENSE_CUTOFF; ARPACK ``eigsh`` from the real start
     vector above it, in the operator's own dtype (float64 for a real
     Hamiltonian), with ``iterations`` counting matvecs.  Both paths must pass
     the same residual check.  The ground-state phase is fixed so that the
     vacuum amplitude (or, if it vanishes, the largest amplitude) is
-    nonnegative real.
+    nonnegative real.  The eigenvectors are ``FockVector``s on ``H.basis``,
+    or plain arrays when H has no basis.
     """
-    if not H.hermitian:
-        raise ValueError("ground_state requires a Hermitian-flagged operator")
     n = H.shape[0]
     k = min(k, n)
     if n <= DENSE_CUTOFF:
-        vals, vecs = np.linalg.eigh(H.dense())
+        vals, vecs = np.linalg.eigh(H.mat.toarray())
         vals, vecs = vals[:k], vecs[:, :k]
         iters = 0
         method = "dense"
@@ -140,7 +142,7 @@ def ground_state(H: SparseOperator, k: int = 2, tol: float = 1e-10,
         phase = ref / abs(ref)
         vecs[:, i] = vecs[:, i] / phase
     gap = float(vals[1] - vals[0]) if k >= 2 else math.nan
-    basis = H.basis_out
+    basis = H.basis
     fvs = [FockVector(basis, vecs[:, i]) if basis is not None else vecs[:, i]
            for i in range(k)]
     return SpectralResult(
@@ -154,7 +156,7 @@ def ground_state(H: SparseOperator, k: int = 2, tol: float = 1e-10,
 # ---------------------------------------------------------------------------
 
 class SpectralCalculus:
-    """Eigendecomposition of a Hermitian operator block by block, reused for f(H).
+    """Eigendecomposition of a Hamiltonian block by block, reused for f(H).
 
     The blocks are the connected components of H's stored sparsity pattern,
     so the full chain splits into its total-momentum fibers without being
@@ -164,12 +166,10 @@ class SpectralCalculus:
     ``vals`` all eigenvalues in group order.
     """
 
-    def __init__(self, H: SparseOperator, limit: int = DENSE_CUTOFF):
+    def __init__(self, H: Hamiltonian, limit: int = DENSE_CUTOFF):
         # imported here: only callers of the calculus pay for scipy.sparse.csgraph
         from scipy.sparse.csgraph import connected_components
 
-        if not H.hermitian:
-            raise ValueError("functional calculus needs a Hermitian operator")
         n = H.shape[0]
         if n > limit:
             raise ValueError(f"dense functional calculus capped at dimension {limit}")
@@ -295,16 +295,6 @@ class DispersionCurve:
     converged: np.ndarray
     alphas: tuple
     meta: dict = field(default_factory=dict)
-
-    def to_csv(self) -> str:
-        lines = ["P,E_g,E_0,upper_margin,lower_margin,gap,soft_occupancy"]
-        for i, P in enumerate(self.momenta):
-            pstr = ";".join(f"{x:.17g}" for x in np.atleast_1d(P))
-            lines.append(
-                f"{pstr},{self.energies[i]:.17g},{self.free_energies[i]:.17g},"
-                f"{self.upper_margins[i]:.17g},{self.lower_margins[i]:.17g},"
-                f"{self.gaps[i]:.17g},{self.soft_occupancies[i]:.17g}")
-        return "\n".join(lines) + "\n"
 
 
 def dispersion_scan(ms: ModelSpec, momenta, basis: OccupationBasis,

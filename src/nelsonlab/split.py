@@ -9,7 +9,7 @@ absorbed by the occupation-state normalization.
 breve_gamma realizes the splitting map Gamma-breve(j) = U Gamma(j) routing each
 boson through the pair (j0, jinf), and scattering_ident the fusion map
 I = Gamma(iota) U* with iota(h0, hinf) = h0 + hinf.  All maps are Galerkin
-projected onto the configured caps; overflow under I is counted, not raised.
+projected onto the configured caps; pairs that overflow under I get zero columns.
 breve_gamma and dbreve_gamma2 are dense, like the ``fock`` functors they are
 built from; U is never multiplied, its permutation places their rows.
 """
@@ -24,12 +24,10 @@ import scipy.sparse as sp
 
 from .fock import (
     DimensionMismatchError,
-    FockVector,
     Gamma,
     ModeGrid,
     OccupationBasis,
     RowIndex,
-    SparseOperator,
     _row_index,
     build_basis,
     dGamma2,
@@ -118,20 +116,20 @@ class TensorBasis:
 
 
 def build_tensor_basis(left: OccupationBasis, right: OccupationBasis,
-                       joint_cap: int | None = None) -> TensorBasis:
-    """Deterministic pair ordering: ascending (total N, left index, right index).
+                       joint_cap: int) -> TensorBasis:
+    """Pairs with total boson number at most ``joint_cap``, in ascending
+    (total N, left index, right index) order.
 
     The legs are graded by boson number, so total T is the blocks of left
     sector a times right sector T - a for ascending a, each left-major."""
-    cap = joint_cap if joint_cap is not None else left.n_max + right.n_max
     nl, nr = left.total_numbers(), right.total_numbers()
     blocks = []
-    for T in range(cap + 1):
+    for T in range(joint_cap + 1):
         for a in range(max(0, T - right.n_max), min(T, left.n_max) + 1):
             i, j = np.flatnonzero(nl == a), np.flatnonzero(nr == T - a)
             blocks.append(np.stack([np.repeat(i, len(j)), np.tile(j, len(i))], axis=1))
     pairs = np.concatenate(blocks)
-    return TensorBasis(left=left, right=right, joint_cap=cap, pairs=pairs,
+    return TensorBasis(left=left, right=right, joint_cap=joint_cap, pairs=pairs,
                        lookup=_row_index(pairs))
 
 
@@ -159,13 +157,12 @@ def tensor_iso_perm(basis_sum: OccupationBasis, tb: TensorBasis) -> np.ndarray:
     return t
 
 
-def tensor_iso_U(basis_sum: OccupationBasis, tb: TensorBasis) -> SparseOperator:
+def tensor_iso_U(basis_sum: OccupationBasis, tb: TensorBasis) -> sp.csr_matrix:
     """Unitary from the Fock space over h + h onto the tensor-product basis:
     one unit entry per column, in the row ``tensor_iso_perm`` gives."""
     t = tensor_iso_perm(basis_sum, tb)
-    mat = sp.coo_matrix((np.ones(basis_sum.size), (t, np.arange(basis_sum.size))),
-                        shape=(tb.size, basis_sum.size), dtype=complex).tocsr()
-    return SparseOperator(mat, False, None, basis_sum)
+    return sp.coo_matrix((np.ones(basis_sum.size), (t, np.arange(basis_sum.size))),
+                         shape=(tb.size, basis_sum.size), dtype=complex).tocsr()
 
 
 def _placed_by_U(functor, maps, source: OccupationBasis, tb: TensorBasis,
@@ -195,12 +192,12 @@ def dbreve_gamma2(sp_pair: SplitPair, b0: np.ndarray, binf: np.ndarray,
                         source, tb, basis_sum)
 
 
-def scattering_ident(tb: TensorBasis, target: OccupationBasis) -> SparseOperator:
+def scattering_ident(tb: TensorBasis, target: OccupationBasis) -> sp.csr_matrix:
     """Fusion map I: F x F -> F with I(phi x a*(h_1)..a*(h_n) Omega) = a*(h_1)..a*(h_n) phi.
 
     Matrix elements are products of binomial square roots,
     prod_m binom(nL_m + nR_m, nL_m)^(1/2).  Pairs whose fused state exceeds the
-    target caps are projected out and counted in ``info``.
+    target caps are projected out: their columns are zero.
     """
     if target.grid.n_modes != tb.left.grid.n_modes:
         raise DimensionMismatchError("target grid must match the tensor factors")
@@ -213,16 +210,8 @@ def scattering_ident(tb: TensorBasis, target: OccupationBasis) -> SparseOperator
     top = fused.max(initial=0) + 1
     binom = np.array([[math.comb(n, k) for k in range(top)] for n in range(top)], dtype=float)
     amp = np.prod(binom[fused, nl], axis=1)
-    mat = sp.coo_matrix((np.sqrt(amp[keep]), (t[keep], keep)), shape=(target.size, tb.size),
-                        dtype=complex).tocsr()
-    return SparseOperator(mat, False, target, None,
-                          info={"projected_pairs": tb.size - keep.size, "total_pairs": tb.size})
-
-
-def tensor_vector(tb: TensorBasis, left: FockVector, right: FockVector) -> np.ndarray:
-    """Amplitudes of left x right in the tensor basis (joint cap projected)."""
-    pi, pj = tb.pairs.T
-    return left.amps[pi] * right.amps[pj]
+    return sp.coo_matrix((np.sqrt(amp[keep]), (t[keep], keep)), shape=(target.size, tb.size),
+                         dtype=complex).tocsr()
 
 
 def tensor_lift(tb: TensorBasis):
@@ -263,18 +252,16 @@ def tensor_lift(tb: TensorBasis):
     return lift
 
 
-def tensor_factor_ops(tb: TensorBasis, op_left: SparseOperator | None = None,
-                      op_right: SparseOperator | None = None) -> SparseOperator:
+def tensor_factor_ops(tb: TensorBasis, op_left: sp.csr_matrix | None = None,
+                      op_right: sp.csr_matrix | None = None) -> sp.csr_matrix:
     """Lift op_left x op_right (identity when None) onto the pair basis.
 
     The sparse Kronecker product restricted to the pair rows and columns:
     pairs pushed outside the joint cap are projected out (Galerkin)."""
-    legs = (sp.identity(leg.size, format="csr") if op is None else op.mat
+    legs = (sp.identity(leg.size, format="csr") if op is None else op
             for op, leg in ((op_left, tb.left), (op_right, tb.right)))
     idx = tb.pairs[:, 0] * tb.right.size + tb.pairs[:, 1]
     mat = sp.kron(*legs, format="csr")[idx][:, idx].astype(complex)
     mat.eliminate_zeros()
-    herm = bool((op_left is None or op_left.hermitian) and
-                (op_right is None or op_right.hermitian))
-    return SparseOperator(mat, herm)
+    return mat
 

@@ -26,7 +26,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from nelsonlab.fock import (
-    SparseOperator,
     _as_mode_matrix,
     _check_modes,
     _coo,
@@ -93,7 +92,7 @@ def line_position_op(grid) -> np.ndarray:
     return (A + A.conj().T) / 2.0
 
 
-def creation_op(basis, h) -> SparseOperator:
+def creation_op(basis, h) -> sp.csr_matrix:
     h = _check_modes(basis, h)
     amp = np.sqrt(basis.grid.weights) * h
     states, index = states_of(basis)
@@ -109,10 +108,10 @@ def creation_op(basis, h) -> SparseOperator:
             rows.append(t)
             cols.append(i)
             data.append(math.sqrt(state[j] + 1) * amp[j])
-    return _coo(basis, basis, rows, cols, data)
+    return _coo(basis, rows, cols, data)
 
 
-def dGamma(basis, b) -> SparseOperator:
+def dGamma(basis, b) -> sp.csr_matrix:
     b = _as_mode_matrix(basis, b)
     bo = to_ortho(basis.grid, basis.grid, b)
     defect = float(np.abs(bo - bo.conj().T).max()) if bo.size else 0.0
@@ -143,7 +142,7 @@ def dGamma(basis, b) -> SparseOperator:
             rows.append(t)
             cols.append(c)
             data.append(bo[i, j] * math.sqrt(nj * (state[i] + 1)))
-    return _coo(basis, basis, rows, cols, data, hermitian=bool(herm))
+    return _coo(basis, rows, cols, data)
 
 
 def elementary_ladders(basis) -> list:
@@ -172,7 +171,7 @@ def _combined_creators(basis_out, bo: np.ndarray) -> np.ndarray:
     return np.tensordot(bo.T, stack, axes=(1, 0))
 
 
-def Gamma(basis_in, b, basis_out=None) -> SparseOperator:
+def Gamma(basis_in, b, basis_out=None) -> sp.csr_matrix:
     basis_out = basis_out or basis_in
     b = np.asarray(b, dtype=complex)
     if b.ndim == 1:
@@ -189,10 +188,10 @@ def Gamma(basis_in, b, basis_out=None) -> SparseOperator:
                 vec = B[j] @ vec
             norm *= math.factorial(nj)
         out[:, c] = vec / math.sqrt(norm)
-    return SparseOperator(sp.csr_matrix(out), False, basis_out, basis_in)
+    return sp.csr_matrix(out)
 
 
-def dGamma2(basis_in, a, b, basis_out=None) -> SparseOperator:
+def dGamma2(basis_in, a, b, basis_out=None) -> sp.csr_matrix:
     basis_out = basis_out or basis_in
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -222,7 +221,7 @@ def dGamma2(basis_in, a, b, basis_out=None) -> SparseOperator:
                     vec = A[l] @ vec
             total += nj * vec
         out[:, c] = total / math.sqrt(norm)
-    return SparseOperator(sp.csr_matrix(out), False, basis_out, basis_in)
+    return sp.csr_matrix(out)
 
 
 def full_H_coupling(ms, fb) -> sp.coo_matrix:
@@ -268,8 +267,7 @@ def momentum_blocks(fb) -> dict:
 
 def lift_boson_op(fb, op) -> sp.csr_matrix:
     """1 x op on the electron-momentum x occupation product basis."""
-    return sp.kron(sp.identity(fb.n_sites, dtype=complex, format="csr"),
-                   op.mat, format="csr")
+    return sp.kron(sp.identity(fb.n_sites, dtype=complex, format="csr"), op, format="csr")
 
 
 def to_position(fb, vec) -> np.ndarray:
@@ -283,7 +281,7 @@ class DenseCalculus:
     """f(H) from one dense ``eigh`` of the whole matrix."""
 
     def __init__(self, H):
-        self.vals, self.vecs = np.linalg.eigh(H.dense())
+        self.vals, self.vecs = np.linalg.eigh(H.mat.toarray())
 
     def fn(self, f) -> np.ndarray:
         return (self.vecs * f(self.vals)[None, :]) @ self.vecs.conj().T
@@ -292,13 +290,12 @@ class DenseCalculus:
         return self.fn(lambda lam: (lam <= sigma).astype(float))
 
 
-def build_tensor_basis(left, right, joint_cap=None) -> tuple:
+def build_tensor_basis(left, right, joint_cap) -> tuple:
     """Pair list in ascending (total N, left index, right index) order."""
-    cap = joint_cap if joint_cap is not None else left.n_max + right.n_max
     nl = [sum(s) for s in states_of(left)[0]]
     nr = [sum(s) for s in states_of(right)[0]]
     pairs = []
-    for total in range(cap + 1):
+    for total in range(joint_cap + 1):
         for i in range(len(nl)):
             if nl[i] > total:
                 continue
@@ -308,7 +305,7 @@ def build_tensor_basis(left, right, joint_cap=None) -> tuple:
     return tuple(pairs)
 
 
-def tensor_iso_U(basis_sum, tb) -> SparseOperator:
+def tensor_iso_U(basis_sum, tb) -> sp.csr_matrix:
     M = tb.left.grid.n_modes
     left, right = states_of(tb.left)[1], states_of(tb.right)[1]
     pair_index = {p: n for n, p in enumerate(map(tuple, tb.pairs.tolist()))}
@@ -325,23 +322,20 @@ def tensor_iso_U(basis_sum, tb) -> SparseOperator:
         rows.append(t)
         cols.append(c)
         data.append(1.0)
-    mat = sp.coo_matrix((data, (rows, cols)), shape=(tb.size, basis_sum.size),
-                        dtype=complex).tocsr()
-    return SparseOperator(mat, False, None, basis_sum)
+    return sp.coo_matrix((data, (rows, cols)), shape=(tb.size, basis_sum.size),
+                         dtype=complex).tocsr()
 
 
-def scattering_ident(tb, target) -> SparseOperator:
+def scattering_ident(tb, target) -> sp.csr_matrix:
     left, right = states_of(tb.left)[0], states_of(tb.right)[0]
     index = states_of(target)[1]
     rows, cols, data = [], [], []
-    projected = 0
     for c, (il, ir) in enumerate(tb.pairs):
         nl = left[il]
         nr = right[ir]
         fused = tuple(a + b for a, b in zip(nl, nr))
         t = index.get(fused)
         if t is None:
-            projected += 1
             continue
         amp = 1.0
         for a, b in zip(nl, nr):
@@ -350,10 +344,8 @@ def scattering_ident(tb, target) -> SparseOperator:
         rows.append(t)
         cols.append(c)
         data.append(math.sqrt(amp))
-    mat = sp.coo_matrix((data, (rows, cols)), shape=(target.size, tb.size),
-                        dtype=complex).tocsr()
-    return SparseOperator(mat, False, target, None,
-                          info={"projected_pairs": projected, "total_pairs": tb.size})
+    return sp.coo_matrix((data, (rows, cols)), shape=(target.size, tb.size),
+                         dtype=complex).tocsr()
 
 
 def _leg_groups(tb):
@@ -369,26 +361,24 @@ def _leg_groups(tb):
     return by_right, by_left
 
 
-def tensor_factor_ops(tb, op_left=None, op_right=None) -> SparseOperator:
+def tensor_factor_ops(tb, op_left=None, op_right=None) -> sp.csr_matrix:
     by_right, by_left = _leg_groups(tb)
     if op_left is not None and op_right is not None:
-        Ld = op_left.mat.toarray()
-        Rd = op_right.mat.toarray()
+        Ld = op_left.toarray()
+        Rd = op_right.toarray()
         pi = np.array([i for i, _ in tb.pairs])
         pj = np.array([j for _, j in tb.pairs])
         out = Ld[pi[:, None], pi[None, :]] * Rd[pj[:, None], pj[None, :]]
     elif op_left is not None:
-        Ld = op_left.mat.toarray()
+        Ld = op_left.toarray()
         out = np.zeros((tb.size, tb.size), dtype=complex)
         for _, (pidx, lidx) in by_right.items():
             out[np.ix_(pidx, pidx)] = Ld[np.ix_(lidx, lidx)]
     elif op_right is not None:
-        Rd = op_right.mat.toarray()
+        Rd = op_right.toarray()
         out = np.zeros((tb.size, tb.size), dtype=complex)
         for _, (pidx, ridx) in by_left.items():
             out[np.ix_(pidx, pidx)] = Rd[np.ix_(ridx, ridx)]
     else:
         out = np.eye(tb.size, dtype=complex)
-    herm = bool((op_left is None or op_left.hermitian) and
-                (op_right is None or op_right.hermitian))
-    return SparseOperator(sp.csr_matrix(out), herm)
+    return sp.csr_matrix(out)

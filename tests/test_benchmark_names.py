@@ -110,3 +110,15 @@ def test_call_map_holds(spans, workloads, workload):
     unexpected = [f"{span}: {calls[span]}" for span, (_, off) in call_map.items()
                   if workload in off.split() and calls[span] != 0]
     assert not missing and not unexpected
+
+
+def test_warm_up_runs_under_the_tracer(spans, workloads):
+    """``warm_up`` opens every benchmark run and every setup sample: it builds
+    one fiber H (15 states) and reads ``H.mat``, ``SpectralCalculus(H)`` and
+    ``ground_state(H).ground_vector.amps``."""
+    with spans.Tracer() as tracer:
+        workloads.warm_up()
+    counts = tracer.counts()
+    [(dim, nnz)] = counts["hamiltonians"]
+    assert dim == 15 and nnz > dim
+    assert counts["ground_state"] == [["dense", 0]]

@@ -39,7 +39,7 @@ class TestKrylov:
         v /= np.linalg.norm(v)
         t = 7.3
         u_k = dynamics.krylov_expm_apply(H.mat, v, t, tol=1e-12)
-        u_d = dense_expm(-1j * t * H.dense()) @ v
+        u_d = dense_expm(-1j * t * H.mat.toarray()) @ v
         assert np.linalg.norm(u_k - u_d) < 1e-8
 
     def test_unitarity_long_time(self, fiber_setup, rng):
@@ -71,7 +71,7 @@ class TestKrylov:
         v /= np.linalg.norm(v)
         prop = dynamics.Propagation(H, v, np.array([1.0, 2.5]))
         for t, u in dynamics.snapshots(prop):
-            u_d = dense_expm(-1j * t * H.dense()) @ v
+            u_d = dense_expm(-1j * t * H.mat.toarray()) @ v
             assert np.linalg.norm(u - u_d) < 1e-9
 
     def test_snapshots_one_krylov_call_per_grid_time(self, fiber_setup, rng, monkeypatch):
@@ -115,7 +115,7 @@ class TestKrylov:
         v /= np.linalg.norm(v)
         t = 100.0
         u_k = dynamics.krylov_expm_apply(H.mat, v, t, tol=1e-12)
-        u_d = dense_expm(-1j * t * H.dense()) @ v
+        u_d = dense_expm(-1j * t * H.mat.toarray()) @ v
         assert np.linalg.norm(u_k - u_d) < 1e-8
 
     def test_zero_tolerance_terminates_and_matches_dense_expm(self, fiber_setup, rng):
@@ -123,19 +123,19 @@ class TestKrylov:
         v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
         v /= np.linalg.norm(v)
         u_k = dynamics.krylov_expm_apply(H.mat, v, 1.0, tol=0.0)
-        u_d = dense_expm(-1j * H.dense()) @ v
+        u_d = dense_expm(-1j * H.mat.toarray()) @ v
         assert np.linalg.norm(u_k - u_d) < 1e-8
 
     def test_gershgorin_interval_contains_spectrum(self, fiber_setup, lattice_setup):
         for H in (fiber_setup[2], lattice_setup[2]):
             a, b = dynamics._gershgorin_interval(H.mat)
-            ev = np.linalg.eigvalsh(H.dense())
+            ev = np.linalg.eigvalsh(H.mat.toarray())
             assert a - b <= ev[0] and ev[-1] <= a + b
 
     def test_single_state_fiber_evolves_by_exact_phase(self, ms_default, grid12):
         # n_max = 0: H is 1 x 1, so the Gershgorin interval has zero width
         H = model.build_fiber_H(ms_default, [0.25], fock.build_basis(grid12, 0))
-        E = H.dense()[0, 0].real
+        E = H.mat.toarray()[0, 0].real
         v = np.array([0.6 - 0.8j])
         for t in (3.0, -7.5):
             u = dynamics.krylov_expm_apply(H.mat, v, t, tol=1e-12)
@@ -445,7 +445,8 @@ def oracle_probe_values(prop, basis, h, fb=None):
     vecs, norms = [], []
     for t, psi in dynamics.snapshots(prop):
         c = oracles.creation_op(basis, np.exp(-1j * omega * t) * h)
-        c = c.mat if fb is None else oracles.lift_boson_op(fb, c)
+        if fb is not None:
+            c = oracles.lift_boson_op(fb, c)
         vecs.append(dynamics.krylov_expm_apply(prop.H.mat, c @ psi, -t, tol=prop.step_tol))
         norms.append(np.linalg.norm(c.conj().T @ psi))
     return np.linalg.norm(np.diff(vecs, axis=0), axis=1), np.array(norms)
@@ -513,7 +514,7 @@ class TestW:
             res = spectral.ground_state(H, k=2, tol=1e-11)
             rng = np.random.default_rng(5)
             v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
-            v = fock.interacting_projector(basis).mat @ v
+            v = fock.interacting_projector(basis) @ v
             gsv = res.ground_vector.amps
             v = v - gsv * np.vdot(gsv, v)
             calc = spectral.SpectralCalculus(H)
@@ -650,5 +651,5 @@ class TestFiberFullConsistency:
             uf = dynamics.krylov_expm_apply(Hfull.mat, psi_full, t, tol=1e-12)
             ub = dynamics.krylov_expm_apply(Hfib.mat, psi_fib, t, tol=1e-12)
             a = np.vdot(uf, Nfull @ uf).real
-            b = np.vdot(ub, Nfib.mat @ ub).real
+            b = np.vdot(ub, Nfib @ ub).real
             assert abs(a - b) < 1e-8

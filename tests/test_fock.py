@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nelsonlab import fock
 
@@ -69,7 +70,7 @@ def test_single_mode_ladder_matrix():
                          omega_free=np.array([0.5]), omega_mod=np.array([0.5]),
                          sigma=0.2, meta={"kind": "line", "spacing": 1.0})
     basis = fock.build_basis(grid, 2)
-    a_dag = fock.creation_op(basis, np.array([1.0])).dense()
+    a_dag = fock.creation_op(basis, np.array([1.0])).toarray()
     expect = np.zeros((3, 3))
     expect[1, 0] = 1.0
     expect[2, 1] = math.sqrt(2.0)
@@ -78,59 +79,59 @@ def test_single_mode_ladder_matrix():
 
 def test_creation_on_vacuum_gives_weighted_profile(basis4, grid4, rng):
     h = rng.normal(size=4) + 1j * rng.normal(size=4)
-    out = fock.creation_op(basis4, h).apply(fock.FockVector.vacuum(basis4))
+    out = fock.creation_op(basis4, h) @ fock.FockVector.vacuum(basis4).amps
     for j, idx in enumerate(basis4.lookup(np.eye(4, dtype=int))):
-        assert out.amps[idx] == pytest.approx(math.sqrt(grid4.weights[j]) * h[j], abs=1e-15)
+        assert out[idx] == pytest.approx(math.sqrt(grid4.weights[j]) * h[j], abs=1e-15)
 
 
 def test_annihilation_kills_vacuum(basis4, rng):
     h = rng.normal(size=4)
-    out = fock.annihilation_op(basis4, h).apply(fock.FockVector.vacuum(basis4))
-    assert np.abs(out.amps).max() == 0.0
+    out = fock.annihilation_op(basis4, h) @ fock.FockVector.vacuum(basis4).amps
+    assert np.abs(out).max() == 0.0
 
 
 def test_ccr_on_guarded_sector(basis4, grid4, rng):
     guard = fock.guarded_projector(basis4)
-    ident = fock.identity_op(basis4)
+    ident = sp.identity(basis4.size, format="csr")
     for _ in range(5):
         g = rng.normal(size=4) + 1j * rng.normal(size=4)
         h = rng.normal(size=4) + 1j * rng.normal(size=4)
         comm = (fock.annihilation_op(basis4, g) @ fock.creation_op(basis4, h)
                 - fock.creation_op(basis4, h) @ fock.annihilation_op(basis4, g))
         dev = (comm - fock.weighted_inner(grid4, g, h) * ident) @ guard
-        assert np.abs(dev.dense()).max() < 1e-12
+        assert np.abs(dev.toarray()).max() < 1e-12
 
 
 def test_same_type_commutators_vanish_everywhere(basis4, rng):
     g = rng.normal(size=4) + 1j * rng.normal(size=4)
     h = rng.normal(size=4) + 1j * rng.normal(size=4)
     c1, c2 = fock.creation_op(basis4, g), fock.creation_op(basis4, h)
-    assert np.abs(((c1 @ c2) - (c2 @ c1)).dense()).max() < 1e-13
-    a1, a2 = c1.adjoint(), c2.adjoint()
-    assert np.abs(((a1 @ a2) - (a2 @ a1)).dense()).max() < 1e-13
+    assert np.abs(((c1 @ c2) - (c2 @ c1)).toarray()).max() < 1e-13
+    a1, a2 = c1.conj().T, c2.conj().T
+    assert np.abs(((a1 @ a2) - (a2 @ a1)).toarray()).max() < 1e-13
 
 
 def test_field_op_hermitian_and_vacuum_moments(grid4, rng):
     basis = fock.build_basis(grid4, 2)
     h = rng.normal(size=4) + 1j * rng.normal(size=4)
     phi = fock.field_op(basis, h)
-    assert phi.hermitian and phi.hermiticity_defect() == 0.0
+    assert (phi - phi.conj().T).count_nonzero() == 0
     vac = fock.FockVector.vacuum(basis).amps
-    first = np.vdot(vac, phi.mat @ vac)
+    first = np.vdot(vac, phi @ vac)
     assert abs(first) == 0.0
     # <Omega, phi(h)^2 Omega> = ||h||_w^2 / 2 (dense evaluation oracle)
-    second = np.vdot(vac, (phi.mat @ (phi.mat @ vac)))
-    expect = fock.weighted_norm(grid4, h) ** 2 / 2.0
+    second = np.vdot(vac, (phi @ (phi @ vac)))
+    expect = fock.weighted_inner(grid4, h, h).real / 2.0
     assert complex(second).real == pytest.approx(expect, rel=1e-13)
 
 
 def test_field_relative_bound_matrix_inequality(grid4, basis4, rng):
     """+-phi(h) <= alpha dGamma(|k|) + (1/alpha) sum w |h|^2/|k| as matrices."""
     kn = grid4.knorm()
-    dg = fock.dGamma(basis4, kn).dense()
+    dg = fock.dGamma(basis4, kn).toarray()
     for alpha in (0.5, 1.0, 2.0):
         h = rng.normal(size=4) + 1j * rng.normal(size=4)
-        phi = fock.field_op(basis4, h).dense()
+        phi = fock.field_op(basis4, h).toarray()
         c = float(np.sum(grid4.weights * np.abs(h) ** 2 / kn))
         bound = alpha * dg + (c / alpha) * np.eye(basis4.size)
         for sign in (1, -1):
@@ -141,12 +142,12 @@ def test_field_relative_bound_matrix_inequality(grid4, basis4, rng):
 def test_annihilation_estim_bound(grid4, basis4, rng):
     """||a(h) psi|| <= (sum w |h|^2/|k|)^(1/2) ||dGamma(|k|)^(1/2) psi||."""
     kn = grid4.knorm()
-    dg = fock.dGamma(basis4, kn).dense()
+    dg = fock.dGamma(basis4, kn).toarray()
     sq = np.diag(np.sqrt(np.diag(dg).real))
     for _ in range(5):
         h = rng.normal(size=4) + 1j * rng.normal(size=4)
         psi = rng.normal(size=basis4.size) + 1j * rng.normal(size=basis4.size)
-        lhs = np.linalg.norm(fock.annihilation_op(basis4, h).mat @ psi)
+        lhs = np.linalg.norm(fock.annihilation_op(basis4, h) @ psi)
         c = math.sqrt(float(np.sum(grid4.weights * np.abs(h) ** 2 / kn)))
         assert lhs <= c * np.linalg.norm(sq @ psi) + 1e-12
 
@@ -156,22 +157,22 @@ def test_creation_number_bound(grid4, basis4, rng):
     n = basis4.total_numbers()
     scale = np.diag(1.0 / np.sqrt(n + 1.0))
     h = rng.normal(size=4) + 1j * rng.normal(size=4)
-    op = fock.creation_op(basis4, h).dense() @ scale
-    assert np.linalg.norm(op, 2) <= fock.weighted_norm(grid4, h) + 1e-12
+    op = fock.creation_op(basis4, h).toarray() @ scale
+    assert np.linalg.norm(op, 2) <= math.sqrt(fock.weighted_inner(grid4, h, h).real) + 1e-12
 
 
 def test_dgamma_identity_is_number(basis4):
     N = fock.dGamma(basis4, np.ones(4))
-    assert np.abs((N - fock.number_op(basis4)).dense()).max() == 0.0
+    assert np.abs((N - fock.number_op(basis4)).toarray()).max() == 0.0
 
 
 def test_dgamma_hermitian_flag_consistency(grid4, basis4, rng):
     b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     bw = (b + fock.weighted_adjoint(grid4, grid4, b)) / 2
     op = fock.dGamma(basis4, bw)
-    assert op.hermitian and op.hermiticity_defect() == 0.0
+    assert (op - op.conj().T).count_nonzero() == 0
     op2 = fock.dGamma(basis4, b)
-    assert not op2.hermitian
+    assert (op2 - op2.conj().T).count_nonzero() > 0
 
 
 def test_dgamma_number_bound(grid4, basis4, rng):
@@ -180,12 +181,12 @@ def test_dgamma_number_bound(grid4, basis4, rng):
     scale = np.diag(1.0 / (n + 1.0))
     for _ in range(3):
         b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        lhs = np.linalg.norm(fock.dGamma(basis4, b).dense() @ scale, 2)
+        lhs = np.linalg.norm(fock.dGamma(basis4, b).toarray() @ scale, 2)
         assert lhs <= fock.weighted_opnorm(grid4, grid4, b) + 1e-10
 
 
 def test_dgamma_positivity(grid4, basis4):
-    evals = np.linalg.eigvalsh(fock.dGamma(basis4, grid4.knorm()).dense())
+    evals = np.linalg.eigvalsh(fock.dGamma(basis4, grid4.knorm()).toarray())
     assert evals.min() >= -1e-14
 
 
@@ -202,33 +203,9 @@ def test_gamma_indicator_is_soft_projector():
     basis = fock.build_basis(grid, 2)
     chi = (grid.knorm() > 0.3).astype(float)
     G = fock.Gamma(basis, chi)
-    P = fock.interacting_projector(basis).dense()
+    P = fock.interacting_projector(basis).toarray()
     assert np.abs(G - P).max() < 1e-13
     assert np.count_nonzero(np.abs(np.diag(P)) > 0.5) < basis.size
-
-
-def test_weighted_norm_omega_examples():
-    grid = fock.ModeGrid(dim=1, points=np.array([[1.0]]), weights=np.array([1.0]),
-                         omega_free=np.array([1.0]), omega_mod=np.array([1.0]),
-                         sigma=0.2, meta={"kind": "line", "spacing": 1.0})
-    assert fock.weighted_norm_omega(grid, np.array([0.0])) == 0.0
-    assert fock.weighted_norm_omega(grid, np.array([1.0])) == pytest.approx(math.sqrt(2.0))
-
-
-def test_weighted_norm_omega_refinement_convergence():
-    """Quadrature of (1 + 1/|k|)|h|^2 converges under grid refinement.
-
-    The profile vanishes at k = 0 (as every coupling with an infrared switch
-    does), keeping the 1/|k| weight integrable on the line."""
-    h_fn = lambda k: k * np.exp(-(k ** 2))
-    vals = []
-    for M in (16, 32, 64, 512):
-        g = fock.line_grid(M, 2.0, 0.2)
-        vals.append(fock.weighted_norm_omega(g, h_fn(g.points[:, 0])))
-    ref = vals[-1]
-    errs = [abs(v - ref) for v in vals[:-1]]
-    assert errs[0] / errs[1] > 3.0 and errs[1] / errs[2] > 3.0  # ~O(mesh^2)
-    assert errs[2] < 5e-4
 
 
 def test_omega_modified_hypothesis_bounds():
@@ -256,15 +233,6 @@ def test_dimension_mismatch_errors(basis4):
         fock.creation_op(basis4, np.ones(3))
     with pytest.raises(fock.DimensionMismatchError):
         fock.dGamma(basis4, np.ones((3, 3)))
-
-
-def test_operator_csv_roundtrip_format(basis4, rng):
-    h = rng.normal(size=4)
-    text = fock.creation_op(basis4, h).to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0] == "row,col,re,im"
-    row, col, re, im = lines[1].split(",")
-    int(row), int(col), float(re), float(im)
 
 
 def test_radial_grid_structure():

@@ -151,7 +151,7 @@ class TestFiberHamiltonian:
     def test_g_zero_is_diagonal_with_vacuum_floor(self, nonrel, ff, grid12, basis12):
         ms = model.ModelSpec(nonrel, ff, grid12, 0.0)
         P = np.array([0.3])
-        H = model.build_fiber_H(ms, P, basis12).dense()
+        H = model.build_fiber_H(ms, P, basis12).mat.toarray()
         assert np.abs(H - np.diag(np.diag(H))).max() == 0.0
         assert np.argmin(np.diag(H).real) == 0
         assert np.diag(H)[0].real == pytest.approx(float(nonrel.omega(P)), abs=1e-15)
@@ -159,25 +159,26 @@ class TestFiberHamiltonian:
     def test_free_vs_modified_agree_on_interacting_sector(self, ms_default, basis12):
         ms_free = model.ModelSpec(ms_default.disp, ms_default.ff, ms_default.grid,
                                   ms_default.g, use_modified=False)
-        H1 = model.build_fiber_H(ms_default, [0.25], basis12).dense()
-        H2 = model.build_fiber_H(ms_free, [0.25], basis12).dense()
-        keep = np.abs(np.diag(fock.interacting_projector(basis12).dense())) > 0.5
+        H1 = model.build_fiber_H(ms_default, [0.25], basis12).mat.toarray()
+        H2 = model.build_fiber_H(ms_free, [0.25], basis12).mat.toarray()
+        keep = np.abs(np.diag(fock.interacting_projector(basis12).toarray())) > 0.5
         assert np.abs((H1 - H2)[np.ix_(keep, keep)]).max() == 0.0
 
     def test_commutes_with_interacting_projector(self, ms_default, basis12):
-        H = model.build_fiber_H(ms_default, [0.25], basis12)
+        H = model.build_fiber_H(ms_default, [0.25], basis12).mat
         Pi = fock.interacting_projector(basis12)
-        assert np.abs((H @ Pi - Pi @ H).dense()).max() == 0.0
+        assert np.abs((H @ Pi - Pi @ H).toarray()).max() == 0.0
 
     def test_hermitian_exactly(self, ms_default, basis12):
         H = model.build_fiber_H(ms_default, [0.25], basis12)
-        assert H.hermitian and H.hermiticity_defect() == 0.0
+        assert (H.mat - H.mat.conj().T).count_nonzero() == 0
+        assert H.basis is basis12 and H.use_modified
 
     def test_omega_below_h_plus_g2c(self, ms_default, basis12):
         """Omega(P - K) <= H + g^2 C as a matrix inequality on the fiber."""
         C = model.quadrature_C(ms_default.ff, ms_default.grid)
         P = np.array([0.25])
-        H = model.build_fiber_H(ms_default, P, basis12).dense()
+        H = model.build_fiber_H(ms_default, P, basis12).mat.toarray()
         K = basis12.boson_momenta()
         om = np.diag(ms_default.disp.omega(P[None, :] - K))
         evals = np.linalg.eigvalsh(H + (ms_default.g ** 2 * C) * np.eye(len(om)) - om)
@@ -195,8 +196,8 @@ class TestFiberHamiltonian:
         ms = model.ModelSpec(nonrel, ff, grid, 0.05)
         basis = fock.build_basis(grid, 1)
         H = model.build_fiber_H(ms, np.array([0.1, 0.0, 0.0]), basis)
-        assert H.hermiticity_defect() == 0.0
-        evals = np.linalg.eigvalsh(H.dense())
+        assert (H.mat - H.mat.conj().T).count_nonzero() == 0
+        evals = np.linalg.eigvalsh(H.mat.toarray())
         assert evals[0] <= float(nonrel.omega(np.array([0.1, 0.0, 0.0])))
 
 
@@ -216,7 +217,7 @@ class TestFullModel:
         grid = fock.lattice_grid(L, [-2, 2], 0.2)
         ms = model.ModelSpec(nonrel, ff, grid, 0.0)
         fb = model.full_basis(ms, L, 1)
-        H = model.build_full_H(ms, fb).dense()
+        H = model.build_full_H(ms, fb).mat.toarray()
         evals = np.sort(np.linalg.eigvalsh(H))
         expect = []
         for p in fb.momenta:
@@ -228,19 +229,19 @@ class TestFullModel:
     def test_total_momentum_commutes_exactly(self, lattice_setup):
         _, fb, H = lattice_setup
         Pt = model.total_momentum_op(fb)
-        comm = H.mat @ Pt.mat - Pt.mat @ H.mat
+        comm = H.mat @ Pt - Pt @ H.mat
         assert comm.nnz == 0 or np.abs(comm.toarray()).max() == 0.0
 
     def test_fiber_consistency(self, lattice_setup):
         ms, fb, H = lattice_setup
         blocks = oracles.momentum_blocks(fb)
-        Hd = H.dense()
+        Hd = H.mat.toarray()
         for m_tot in (0, 2, -3):
             idx = blocks[m_tot]
             ev_block = np.linalg.eigvalsh(Hd[np.ix_(idx, idx)])
             P = 2 * np.pi * m_tot / fb.n_sites
             Hf = model.build_fiber_H(ms, [P], fb.boson, bz_width=2 * np.pi)
-            ev_fiber = np.linalg.eigvalsh(Hf.dense())
+            ev_fiber = np.linalg.eigvalsh(Hf.mat.toarray())
             assert np.abs(ev_block - ev_fiber).max() < 1e-10
 
     @pytest.mark.parametrize("L", [7, 31])
@@ -252,14 +253,14 @@ class TestFullModel:
         H = model.build_full_H(ms, fb)
         assert H.shape == (L * fb.boson.size,) * 2
         Pt = model.total_momentum_op(fb)
-        assert np.abs((H.mat @ Pt.mat - Pt.mat @ H.mat).toarray()).max() == 0.0
-        Hd = H.dense()
+        assert np.abs((H.mat @ Pt - Pt @ H.mat).toarray()).max() == 0.0
+        Hd = H.mat.toarray()
         blocks = oracles.momentum_blocks(fb)
         assert sorted(blocks) == list(range(-(L // 2), L // 2 + 1))
         for m_tot, idx in blocks.items():
             Hf = model.build_fiber_H(ms, [2 * np.pi * m_tot / L], fb.boson, bz_width=2 * np.pi)
             assert np.abs(np.linalg.eigvalsh(Hd[np.ix_(idx, idx)])
-                          - np.linalg.eigvalsh(Hf.dense())).max() < 1e-12
+                          - np.linalg.eigvalsh(Hf.mat.toarray())).max() < 1e-12
 
     @pytest.mark.parametrize("L", [8, 9, 32, 33])
     def test_to_position_fft_matches_phase_matrix(self, nonrel, ff, L):
@@ -278,17 +279,3 @@ class TestFullModel:
         with pytest.raises(model.IncompatibleGridError):
             model.full_basis(ms, 32, 1)
 
-
-class TestDecayReport:
-    def test_r_zero_gives_full_norm_and_monotonicity(self, ms_default):
-        rep = model.interaction_decay_report(ms_default, 512, [0, 4, 8, 16, 32])
-        table = rep["table"]
-        assert table[0][1] == pytest.approx(rep["full_norm"], rel=1e-12)
-        tails = [t for _, t in table]
-        assert all(a >= b - 1e-15 for a, b in zip(tails, tails[1:]))
-
-    def test_fitted_exponent_exceeds_two(self, ms_default):
-        rep = model.interaction_decay_report(ms_default, 1024,
-                                             [8, 16, 32, 64, 128, 256], mu=2.0)
-        assert rep["fitted_exponent"] > 2.0
-        assert rep["exceeds_mu"]

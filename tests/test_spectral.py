@@ -10,7 +10,6 @@ import scipy.sparse as sp
 
 import oracles
 from nelsonlab import dynamics, fock, model, spectral
-from nelsonlab.fock import SparseOperator
 
 
 def fiber(ms, P, basis):
@@ -24,7 +23,7 @@ class TestRealHamiltonians:
     def test_fiber_H_is_real(self, ms_default, basis12):
         H = fiber(ms_default, 0.25, basis12).mat
         assert H.dtype == np.float64
-        c = oracles.creation_op(basis12, ms_default.coupling_samples()).mat
+        c = oracles.creation_op(basis12, ms_default.coupling_samples())
         ref = (sp.diags(model.fiber_diagonal(ms_default, [0.25], basis12))
                + ms_default.g * ((c + c.conj().T) / math.sqrt(2.0)))
         assert np.array_equal(H.toarray(), ref.toarray())
@@ -35,7 +34,7 @@ class TestGroundState:
         """Hand-built Hermitian 2x2 against the closed-form eigenpair."""
         a, b, c = 0.3, 1.1, 0.25 + 0.4j
         mat = sp.csr_matrix(np.array([[a, np.conj(c)], [c, b]]))
-        H = SparseOperator(mat, True)
+        H = model.Hamiltonian(mat)
         res = spectral.ground_state(H, k=2, tol=1e-13)
         mean, rad = (a + b) / 2, math.hypot((a - b) / 2, abs(c))
         assert res.eigenvalues[0] == pytest.approx(mean - rad, abs=1e-14)
@@ -87,7 +86,7 @@ class TestGroundState:
         H = fiber(ms, 0.25, basis)
         res = spectral.ground_state(H, k=2, tol=1e-11)
         assert res.meta["method"] == "eigsh" and res.meta["iterations"] > 0
-        vals, vecs = np.linalg.eigh(H.dense())
+        vals, vecs = np.linalg.eigh(H.mat.toarray())
         assert np.abs(res.eigenvalues - vals[:2]).max() < 1e-10
         for i in range(2):
             overlap = abs(np.vdot(vecs[:, i], res.eigenvectors[i].amps))
@@ -108,7 +107,7 @@ class TestGroundState:
     def test_requires_hermitian_flag(self, basis12):
         mat = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(ValueError):
-            spectral.ground_state(SparseOperator(mat, False), k=1, tol=1e-10)
+            spectral.ground_state(model.Hamiltonian(mat), k=1, tol=1e-10)
 
     def test_variational_monotonicity_in_nmax(self, ms_default, grid12):
         energies = []
@@ -147,7 +146,7 @@ class TestCalculus:
     def test_function_reproduces_polynomial(self, ms_default, basis12):
         H = fiber(ms_default, 0.25, basis12)
         calc = spectral.SpectralCalculus(H)
-        Hd = H.dense()
+        Hd = H.mat.toarray()
         assert np.abs(calc.fn(lambda x: x ** 2) - Hd @ Hd).max() < 1e-10
 
 
@@ -217,7 +216,7 @@ class TestBlockCalculus:
         data += rng.normal(size=n).tolist()
         mat = sp.csr_matrix((np.array(data, dtype=complex), (rows, cols)), shape=(n, n))
         assert mat.nnz == len(data)  # the zero coupling stays stored
-        H = SparseOperator(mat, True)
+        H = model.Hamiltonian(mat)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             calc = spectral.SpectralCalculus(H)
@@ -230,7 +229,7 @@ class TestBlockCalculus:
         assert np.abs(F - dense.fn(np.exp)).max() < 1e-13
         assert_applies_like_matrix(calc, np.exp)
         assert np.abs(V @ V.conj().T - dense.projector(0.0)).max() < 1e-13
-        energies = np.einsum("ik,ij,jk->k", V.conj(), H.dense(), V).real
+        energies = np.einsum("ik,ij,jk->k", V.conj(), H.mat.toarray(), V).real
         assert np.abs(energies - dense.vals[dense.vals <= 0.0]).max() < 1e-13
 
     def test_one_component_fiber(self, nonrel, ff):
@@ -242,7 +241,7 @@ class TestBlockCalculus:
         E = calc.projector(0.5)
         assert np.abs(E @ E - E).max() < 1e-12
         assert np.abs(E - E.conj().T).max() < 1e-13
-        Hd = H.dense()
+        Hd = H.mat.toarray()
         assert np.abs(calc.fn(lambda x: x ** 2) - Hd @ Hd).max() < 1e-10
         assert np.abs(calc.fn(np.exp) - oracles.DenseCalculus(H).fn(np.exp)).max() < 1e-12
         assert_applies_like_matrix(calc, dynamics.energy_window(0.5))
@@ -251,8 +250,10 @@ class TestBlockCalculus:
         _, H = chain128
         with pytest.raises(ValueError):
             spectral.SpectralCalculus(H, limit=H.shape[0] - 1)
+        skewed = H.mat.tolil()
+        skewed[0, 1] += 1e-15
         with pytest.raises(ValueError):
-            spectral.SpectralCalculus(SparseOperator(H.mat, False))
+            spectral.SpectralCalculus(model.Hamiltonian(skewed.tocsr()))
 
     def test_apply_rejects_wrong_shapes(self, chain128):
         _, H = chain128
@@ -297,7 +298,7 @@ class TestScan:
         real = spectral.ground_state
 
         def failing_on_other(H, k=2, **kw):
-            if H.info["use_modified"] != ms_default.use_modified:
+            if H.use_modified != ms_default.use_modified:
                 raise spectral.ConvergenceError("forced")
             return real(H, k=k, **kw)
 
@@ -305,12 +306,6 @@ class TestScan:
         curve = spectral.dispersion_scan(ms_default, [np.array([0.2])], basis12)
         assert not curve.converged[0]
         assert np.isnan(curve.energies[0]) and np.isnan(curve.free_mod_agree[0])
-
-    def test_curve_csv_format(self, ms_default, basis12):
-        curve = spectral.dispersion_scan(ms_default, [np.array([0.2])], basis12)
-        lines = curve.to_csv().strip().split("\n")
-        assert lines[0].startswith("P,E_g,E_0")
-        assert len(lines) == 2
 
 
 class TestGaps:
@@ -420,7 +415,7 @@ class TestGradBound:
 class TestNumberEnergy:
     def test_resolvent_weighted_number_norm_finite(self, ms_default, basis12):
         """(N+1)(H_mod + i)^(-1) has finite dense norm, reported per config."""
-        H = fiber(ms_default, 0.25, basis12).dense()
+        H = fiber(ms_default, 0.25, basis12).mat.toarray()
         N = np.diag(basis12.total_numbers().astype(complex)) + np.eye(basis12.size)
         R = np.linalg.inv(H + 1j * np.eye(basis12.size))
         nrm = np.linalg.norm(N @ R, 2)
@@ -429,7 +424,7 @@ class TestNumberEnergy:
     def test_number_bounded_by_hamiltonian(self, ms_default, basis12):
         """N <= a H_mod + b with a = (2/sigma)(1 + margin) and fitted b."""
         a = (2.0 / ms_default.ff.sigma) * 1.1
-        H = fiber(ms_default, 0.25, basis12).dense()
+        H = fiber(ms_default, 0.25, basis12).mat.toarray()
         N = np.diag(basis12.total_numbers().astype(float))
         b_fit = float(np.linalg.eigvalsh(N - a * H).max())
         evals = np.linalg.eigvalsh(a * H + (b_fit + 1e-12) * np.eye(basis12.size) - N)
