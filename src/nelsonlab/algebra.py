@@ -10,7 +10,7 @@ the draw is built once per suite: the one-leg generator stacks
 (``Generators``, from ``fock``'s own constructors), the nonzeros of a*(e_j)
 and the diagonals of dGamma(e_j) on the doubled grid, the tensor lift as an
 index gather (``split.tensor_lift``), U as its permutation
-(``split.tensor_iso_perm``), the fusion map I, the guards as column masks,
+(``TensorBasis.perm``), the fusion map I, the guards as column masks,
 and the checks that involve none of the draws.  A draw forms each operator
 that is linear in its coefficients with one ``tensordot`` and applies U as
 an index gather; only Gamma, dGamma2 and the splitting maps built on them
@@ -105,7 +105,7 @@ def _sparse_creation(basis: fock.OccupationBasis):
 
 
 def run_algebra_suite(n_modes: int = 4, n_max: int = 3, draws: int = 100,
-                      kmax: float = 1.0, sigma: float = 0.2, seed: int = 2024,
+                      sigma: float = 0.2, seed: int = 2024,
                       corrupt: bool = False) -> dict:
     """Run every algebra identity; returns per-identity worst defects.
 
@@ -113,7 +113,7 @@ def run_algebra_suite(n_modes: int = 4, n_max: int = 3, draws: int = 100,
     deliberately perturbed (test fixture for failure propagation).
     """
     rng = np.random.default_rng(seed)
-    grid = fock.line_grid(n_modes, kmax, sigma)
+    grid = fock.line_grid(n_modes, 1.0, sigma)
     basis = fock.build_basis(grid, n_max)
     if n_max == 0:
         return {"defects": {}, "vacuous": True, "draws": 0,
@@ -125,12 +125,12 @@ def run_algebra_suite(n_modes: int = 4, n_max: int = 3, draws: int = 100,
     N = N_op.toarray()
     gen = Generators(basis)
 
-    basis_sum = fock.build_basis(split.doubled_grid(grid), n_max)
-    tb = split.build_tensor_basis(basis, basis, joint_cap=n_max)
+    tb = split.build_tensor_basis(basis)
+    basis_sum = tb.sum_basis
     lift = split.tensor_lift(tb)
     guard_pairs = np.flatnonzero(tb.pair_numbers().sum(axis=1) <= n_max - 1)
-    # U is a bijection here (joint cap = n_max): U X = X[s], X U = X[:, t]
-    t = split.tensor_iso_perm(basis_sum, tb)
+    # U is a bijection here (no energy cap): U X = X[s], X U = X[:, t]
+    t = tb.perm
     s = np.argsort(t)
     sum_creation = _sparse_creation(basis_sum)
     sum_numbers = np.stack([fock.dGamma(basis_sum, e).diagonal()
@@ -140,7 +140,7 @@ def run_algebra_suite(n_modes: int = 4, n_max: int = 3, draws: int = 100,
               + split.tensor_factor_ops(tb, op_right=N_op)).diagonal()
     dG_om = gen.dGamma(grid.omega_mod)
     dG_om_pair = np.diagonal(lift(dG_om) + lift(None, dG_om))
-    I_op = split.scattering_ident(tb, basis).toarray()
+    I_op = split.scattering_ident(tb).toarray()
 
     defects: dict[str, float] = {}
 
@@ -148,7 +148,7 @@ def run_algebra_suite(n_modes: int = 4, n_max: int = 3, draws: int = 100,
         defects[name] = max(defects.get(name, 0.0), float(value))
 
     # the checks that involve no draw
-    U = split.tensor_iso_U(basis_sum, tb)
+    U = split.tensor_iso_U(tb)
     vac_sum = np.zeros(basis_sum.size)
     vac_sum[0] = 1.0
     target = np.zeros(tb.size)
@@ -240,7 +240,7 @@ def run_algebra_suite(n_modes: int = 4, n_max: int = 3, draws: int = 100,
         # splitting map with an isometric pair
         th = rng.uniform(0.1, np.pi / 2 - 0.1, size=M)
         pair_iso = split.SplitPair(grid, np.diag(np.cos(th)), np.diag(np.sin(th)))
-        BG = split.breve_gamma(pair_iso, basis, tb, basis_sum=basis_sum)
+        BG = split.breve_gamma(pair_iso, tb)
         rec("breve_isometry", _norm(BG.conj().T @ BG - eye))
         rhs_ag = (lift(gen.creation_op(pair_iso.j0 @ g1))
                   + lift(None, gen.creation_op(pair_iso.jinf @ g1))) @ BG
@@ -255,12 +255,12 @@ def run_algebra_suite(n_modes: int = 4, n_max: int = 3, draws: int = 100,
         Qs = 0.1 * rng.normal(size=(M, M))
         j0 = np.diag(um) + (Qs + Qs.T)
         pair_part = split.SplitPair(grid, j0, np.eye(M) - j0)
-        BGP = split.breve_gamma(pair_part, basis, tb, basis_sum=basis_sum)
+        BGP = split.breve_gamma(pair_part, tb)
         lhs_o = (BGP @ dG_om) - (dG_om_pair[:, None] * BGP)
         om = np.diag(grid.omega_mod)
         c0 = om @ pair_part.j0 - pair_part.j0 @ om
         cinf = om @ pair_part.jinf - pair_part.jinf @ om
-        rhs_o = -split.dbreve_gamma2(pair_part, c0, cinf, basis, tb, basis_sum=basis_sum)
+        rhs_o = -split.dbreve_gamma2(pair_part, c0, cinf, tb)
         rec("ugamma_o", np.abs(lhs_o - rhs_o).max())
         rec("igamma", _norm((I_op @ BGP) - eye))
 
@@ -269,7 +269,7 @@ def run_algebra_suite(n_modes: int = 4, n_max: int = 3, draws: int = 100,
         kinf = _whermitian(grid, _rand_mat(rng, M))
         ut = _rand_vec(rng, tb.size)
         vt = _rand_vec(rng, n)
-        dbg = split.dbreve_gamma2(pair_iso, k0, kinf, basis, tb, basis_sum=basis_sum)
+        dbg = split.dbreve_gamma2(pair_iso, k0, kinf, tb)
         lhs_u = abs(complex(np.vdot(ut, dbg @ vt)))
         dG_k0 = gen.dGamma(fock.weighted_abs(grid, k0))
         dG_kinf = gen.dGamma(fock.weighted_abs(grid, kinf))

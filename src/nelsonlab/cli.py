@@ -372,6 +372,8 @@ def cmd_mourre(cfg: RunConfig) -> int:
         "per_sample_g0": sweep["per_sample_g0"],
         "loglog_slope": _number(sweep["loglog_slope"]),
         "window_dim": sweep["window_dim"],
+        "soft_modes": sweep["soft_modes"],
+        "shift_signs": sweep["shift_signs"],
         "mesh": sweep["mesh"],
         "caps": {"n_max": basis.n_max, "e_cap": basis.e_cap},
         "rows": sweep["rows"],
@@ -419,7 +421,7 @@ def dressed_propagation(cfg: RunConfig, t_max: float) -> tuple:
     ms, basis = build_model(cfg)
     P = np.full(ms.grid.dim, v["w.fiber_p"])
     H = model.build_fiber_H(ms, P, basis)
-    psiP = dynamics.dressed_state(ms, P, basis, tol=v["solver.tol"])
+    psiP = spectral.ground_state(H, k=2, tol=v["solver.tol"]).ground_vector
     times = dynamics.geometric_times(v["dynamics.t0"], t_max, v["dynamics.ratio"])
     prop = dynamics.Propagation(H, psiP.amps, times, step_tol=v["dynamics.step_tol"])
     return basis, prop, dynamics.YCalc(ms.grid)

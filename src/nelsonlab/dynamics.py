@@ -45,7 +45,6 @@ from .fock import (
     _switch,
     apply_annihilation,
     apply_creation,
-    build_basis,
     creation_op,
     dGamma,
     dGamma_expectation,
@@ -499,17 +498,16 @@ def W_plus_probe(prop: Propagation, basis: OccupationBasis, cuts: CutoffFamily,
     norms are tracked.  Verdicts: boundedness trend of the full norm and
     smallness of the outer-vacuum component (exact j0 chi_gamma = 0 routing).
     """
-    from .split import SplitPair, breve_gamma, build_tensor_basis, doubled_grid, tensor_factor_ops
+    from .split import SplitPair, breve_gamma, build_tensor_basis, tensor_factor_ops
 
     if basis.e_cap is not None:
         raise ConfigWindowError(f"W_plus needs a basis without energy cap: e_cap = {basis.e_cap} "
                                 "cuts the hopping of dGamma(chi_gamma), so j0 chi_gamma = 0 "
                                 "no longer routes exactly")
     grid = basis.grid
-    tb = build_tensor_basis(basis, basis, joint_cap=basis.n_max)
+    tb = build_tensor_basis(basis)
     if tb.size > extended_dim_cap:
         raise ConfigWindowError(f"extended dimension {tb.size} exceeds the cap {extended_dim_cap}")
-    basis_sum = build_basis(doubled_grid(grid), basis.n_max)
     Hext = Hamiltonian(tensor_factor_ops(tb, op_left=prop.H.mat)
                        + tensor_factor_ops(tb, op_right=dGamma(basis, _boson_omega(prop, basis))),
                        use_modified=prop.H.use_modified)
@@ -520,7 +518,7 @@ def W_plus_probe(prop: Propagation, basis: OccupationBasis, cuts: CutoffFamily,
     for t, psi in snapshots(_energy_filtered(prop, f_window)):
         j0m = ycalc.fn(lambda lam: cuts.j0(np.abs(lam) / t))
         jim = ycalc.fn(lambda lam: cuts.jinf(np.abs(lam) / t))
-        BG = breve_gamma(SplitPair(grid, j0m, jim), basis, tb, basis_sum=basis_sum)
+        BG = breve_gamma(SplitPair(grid, j0m, jim), tb)
         chi = dGamma(basis, ycalc.fn(lambda lam: cuts.chi_gamma(np.abs(lam) / t)))
         vec = calc_ext.fn(f_ext, BG @ (chi @ psi))
         full_norms.append(float(np.linalg.norm(vec)))

@@ -129,9 +129,6 @@ class ModeGrid:
     def n_modes(self) -> int:
         return len(self.weights)
 
-    def knorm(self) -> np.ndarray:
-        return self.omega_free
-
     def soft_mask(self, sigma: float | None = None) -> np.ndarray:
         """Boolean mask of soft modes, |k| <= sigma."""
         s = self.sigma if sigma is None else sigma

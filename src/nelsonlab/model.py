@@ -158,8 +158,7 @@ def velocity_bound(disp: DispersionLaw, energy: float) -> float:
 
 def quadrature_C(ff: "FormFactor", grid: ModeGrid) -> float:
     """C = sum_j w_j kappa(k_j)^2 / |k_j| (uses the full kappa: sigma-free)."""
-    kn = grid.knorm()
-    return float(np.sum(grid.weights * ff.kappa(kn) ** 2 / kn))
+    return float(np.sum(grid.weights * ff.kappa(grid.omega_free) ** 2 / grid.omega_free))
 
 
 def g_beta(disp: DispersionLaw, ff: "FormFactor", beta: float, grid: ModeGrid) -> float:
@@ -235,7 +234,7 @@ class ModelSpec:
         return self.grid.omega_mod if self.use_modified else self.grid.omega_free
 
     def coupling_samples(self) -> np.ndarray:
-        return self.ff.kappa_sigma(self.grid.knorm())
+        return self.ff.kappa_sigma(self.grid.omega_free)
 
 
 @dataclass(frozen=True, eq=False)

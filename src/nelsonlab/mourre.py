@@ -291,7 +291,9 @@ def mourre_sweep(ms_factory, g_values, P, basis: OccupationBasis,
     grows as g^2, not linearly.  The sign is not fitted.  On criterion 7's
     pinned inputs (line_grid(8, 1.6, 0.1), n_max = 2, P = 0.25, window 0.32)
     min_r rises with g, so the fit measures a quadratic gain in positivity,
-    not a loss.
+    not a loss.  ``shift_signs`` gives the sign of min_r(g) - min_r(0) per
+    row, and ``soft_modes`` counts the grid's modes with |k| <= sigma, the
+    only ones whose omega_mod depends on sigma.
     """
     base = mourre_scan(ms_factory(0.0), P, basis, sigma_win, beta_fn(0.0),
                        sample_count=sample_count, seed=seed)
@@ -313,6 +315,8 @@ def mourre_sweep(ms_factory, g_values, P, basis: OccupationBasis,
         "rows": rows,
         "loglog_slope": slope,
         "fitted_points": int(np.sum(good)),
+        "shift_signs": [int(np.sign(r[1] - base["min_r"])) for r in rows],
+        "soft_modes": int(np.count_nonzero(basis.grid.soft_mask())),
         "window_dim": base["window_dim"],
         "mesh": base["mesh"],
     }

@@ -1,23 +1,25 @@
 """Fock tensor isomorphism, boson splitting, and the scattering identification.
 
-The doubled one-boson space h + h is realized as a 2M-mode grid (two copies of
-the base grid).  The unitary U maps its Fock space onto the tensor product of
-two Fock spaces over the base grid; in occupation coordinates U is a
-permutation isometry, the binomial weights of the sector formula being
-absorbed by the occupation-state normalization.
+Both legs of the splitting are the same Fock space, so the pair space is one
+basis paired with itself up to its n_max.  The doubled one-boson space h + h
+is a 2M-mode grid (two copies of the base grid); U maps its Fock space, with
+the same caps, onto the pairs.  In occupation coordinates U is a permutation
+isometry, the binomial weights of the sector formula being absorbed by the
+occupation-state normalization.  The pair space builds the doubled-grid basis
+and U's permutation once, on first use.
 
 breve_gamma realizes the splitting map Gamma-breve(j) = U Gamma(j) routing each
 boson through the pair (j0, jinf), and scattering_ident the fusion map
 I = Gamma(iota) U* with iota(h0, hinf) = h0 + hinf.  All maps are Galerkin
-projected onto the configured caps; pairs that overflow under I get zero columns.
-breve_gamma and dbreve_gamma2 are dense, like the ``fock`` functors they are
-built from; U is never multiplied, its permutation places their rows.
+projected onto the caps.  The splitting maps are dense, their rows placed by
+U's permutation; a one-leg lift gathers the leg matrix's stored entries.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,10 +35,6 @@ from .fock import (
     dGamma2,
     weighted_adjoint,
 )
-
-
-class IncompatibleCapsError(ValueError):
-    """Caps on the two sides of the tensor isomorphism do not match."""
 
 
 def doubled_grid(grid: ModeGrid) -> ModeGrid:
@@ -87,15 +85,13 @@ class SplitPair:
 
 @dataclass(frozen=True, eq=False)
 class TensorBasis:
-    """Pairs of occupation states with independent caps and a joint total cap.
-
-    ``pairs`` is an (n_pairs, 2) array of (left index, right index) rows;
+    """A basis paired with itself: ``pairs`` is an (n_pairs, 2) array of
+    (left index, right index) rows with total boson number at most n_max;
     ``lookup`` maps an array of pair rows back to their rows (-1 where absent).
-    """
+    ``sum_basis`` (the same caps on the doubled grid) and ``perm`` are built
+    on first use."""
 
-    left: OccupationBasis
-    right: OccupationBasis
-    joint_cap: int
+    basis: OccupationBasis
     pairs: np.ndarray
     lookup: RowIndex = field(repr=False)
 
@@ -103,165 +99,145 @@ class TensorBasis:
     def size(self) -> int:
         return len(self.pairs)
 
+    @cached_property
+    def sum_basis(self) -> OccupationBasis:
+        return build_basis(doubled_grid(self.basis.grid), self.basis.n_max, self.basis.e_cap)
+
+    @cached_property
+    def perm(self) -> np.ndarray:
+        """U as its permutation: the pair row of each doubled-grid state.
+
+        Every doubled-grid state (n_0 | n_inf) maps to the pair state
+        |n_0> x |n_inf> with unit amplitude.  Each leg of a state inside the
+        caps is inside them too, so every state has its pair.
+        """
+        M, occ = self.basis.grid.n_modes, self.sum_basis.occ
+        t = self.lookup(np.stack([self.basis.lookup(occ[:, :M]),
+                                  self.basis.lookup(occ[:, M:])], axis=1))
+        t.flags.writeable = False
+        return t
+
     def pair_numbers(self) -> np.ndarray:
-        pi, pj = self.pairs.T
-        return np.stack([self.left.total_numbers()[pi], self.right.total_numbers()[pj]], axis=1)
+        return self.basis.total_numbers()[self.pairs]
 
     def to_csv(self) -> str:
-        left, right = self.left.occ.tolist(), self.right.occ.tolist()
+        occ = self.basis.occ.tolist()
         lines = ["index,left_occupation,right_occupation"]
         for n, (i, j) in enumerate(self.pairs.tolist()):
-            lines.append(f"{n},{';'.join(map(str, left[i]))},{';'.join(map(str, right[j]))}")
+            lines.append(f"{n},{';'.join(map(str, occ[i]))},{';'.join(map(str, occ[j]))}")
         return "\n".join(lines) + "\n"
 
 
-def build_tensor_basis(left: OccupationBasis, right: OccupationBasis,
-                       joint_cap: int) -> TensorBasis:
-    """Pairs with total boson number at most ``joint_cap``, in ascending
+def build_tensor_basis(basis: OccupationBasis) -> TensorBasis:
+    """Pairs with total boson number at most ``basis.n_max``, in ascending
     (total N, left index, right index) order.
 
-    The legs are graded by boson number, so total T is the blocks of left
-    sector a times right sector T - a for ascending a, each left-major."""
-    nl, nr = left.total_numbers(), right.total_numbers()
+    The basis is graded by boson number, so total T is the blocks of sector
+    a times sector T - a for ascending a, each left-major."""
+    nb = basis.total_numbers()
     blocks = []
-    for T in range(joint_cap + 1):
-        for a in range(max(0, T - right.n_max), min(T, left.n_max) + 1):
-            i, j = np.flatnonzero(nl == a), np.flatnonzero(nr == T - a)
+    for T in range(basis.n_max + 1):
+        for a in range(T + 1):
+            i, j = np.flatnonzero(nb == a), np.flatnonzero(nb == T - a)
             blocks.append(np.stack([np.repeat(i, len(j)), np.tile(j, len(i))], axis=1))
     pairs = np.concatenate(blocks)
-    return TensorBasis(left=left, right=right, joint_cap=joint_cap, pairs=pairs,
-                       lookup=_row_index(pairs))
+    return TensorBasis(basis=basis, pairs=pairs, lookup=_row_index(pairs))
 
 
-def tensor_iso_perm(basis_sum: OccupationBasis, tb: TensorBasis) -> np.ndarray:
-    """U as its permutation: the tensor-basis row of each doubled-grid state.
-
-    In occupation coordinates every doubled-grid state (n_0 | n_inf) maps to
-    the pair state |n_0> x |n_inf| with unit amplitude; the sector formula's
-    binomial(n, k)^(1/2) factors are carried by the occupation normalization.
-    The rows are found by the lookups the leg and pair bases carry.
-    Raises IncompatibleCapsError when a source state has no target pair.
-    """
-    M = tb.left.grid.n_modes
-    if basis_sum.grid.n_modes != 2 * M:
-        raise DimensionMismatchError("source basis must live on the doubled grid")
-    il = tb.left.lookup(basis_sum.occ[:, :M])
-    ir = tb.right.lookup(basis_sum.occ[:, M:])
-    if np.any(il < 0) or np.any(ir < 0):
-        raise IncompatibleCapsError(
-            "tensor caps cannot represent a source state; "
-            "need left/right caps >= source n_max and matching energy caps")
-    t = tb.lookup(np.stack([il, ir], axis=1))
-    if np.any(t < 0):
-        raise IncompatibleCapsError("joint cap below source n_max")
-    return t
+def tensor_iso_U(tb: TensorBasis) -> sp.csr_matrix:
+    """Unitary from the Fock space over h + h onto the pair basis: one unit
+    entry per column, in the row ``tb.perm`` gives."""
+    n = tb.sum_basis.size
+    return sp.coo_matrix((np.ones(n), (tb.perm, np.arange(n))),
+                         shape=(tb.size, n), dtype=complex).tocsr()
 
 
-def tensor_iso_U(basis_sum: OccupationBasis, tb: TensorBasis) -> sp.csr_matrix:
-    """Unitary from the Fock space over h + h onto the tensor-product basis:
-    one unit entry per column, in the row ``tensor_iso_perm`` gives."""
-    t = tensor_iso_perm(basis_sum, tb)
-    return sp.coo_matrix((np.ones(basis_sum.size), (t, np.arange(basis_sum.size))),
-                         shape=(tb.size, basis_sum.size), dtype=complex).tocsr()
-
-
-def _placed_by_U(functor, maps, source: OccupationBasis, tb: TensorBasis,
-                 basis_sum: OccupationBasis | None) -> np.ndarray:
-    """U functor(source, *maps, basis_out=basis_sum), basis_sum defaulting to
-    the source caps on the doubled grid.  U is a permutation isometry, so the
-    functor's rows are placed by ``tensor_iso_perm``; the other pairs get zero
-    rows."""
-    if basis_sum is None:
-        basis_sum = build_basis(doubled_grid(source.grid), source.n_max, source.e_cap)
-    out = np.zeros((tb.size, source.size), dtype=complex)
-    out[tensor_iso_perm(basis_sum, tb)] = functor(source, *maps, basis_out=basis_sum)
+def _placed_by_perm(functor, maps, tb: TensorBasis) -> np.ndarray:
+    """U functor(basis, *maps, basis_out=sum_basis): U is a permutation
+    isometry, so the functor's rows are placed by ``tb.perm``; the other
+    pairs (leg energies adding up past an energy cap) get zero rows."""
+    out = np.zeros((tb.size, tb.basis.size), dtype=complex)
+    out[tb.perm] = functor(tb.basis, *maps, basis_out=tb.sum_basis)
     return out
 
 
-def breve_gamma(sp_pair: SplitPair, source: OccupationBasis, tb: TensorBasis,
-                basis_sum: OccupationBasis | None = None) -> np.ndarray:
+def breve_gamma(sp_pair: SplitPair, tb: TensorBasis) -> np.ndarray:
     """Splitting map U Gamma(j): F -> F x F for the pair j = (j0, jinf), dense."""
-    return _placed_by_U(Gamma, (sp_pair.stacked(),), source, tb, basis_sum)
+    return _placed_by_perm(Gamma, (sp_pair.stacked(),), tb)
 
 
 def dbreve_gamma2(sp_pair: SplitPair, b0: np.ndarray, binf: np.ndarray,
-                  source: OccupationBasis, tb: TensorBasis,
-                  basis_sum: OccupationBasis | None = None) -> np.ndarray:
+                  tb: TensorBasis) -> np.ndarray:
     """Mixed splitting map U dGamma(j, (b0, binf)): F -> F x F, dense."""
-    return _placed_by_U(dGamma2, (sp_pair.stacked(), stack_pair(b0, binf)),
-                        source, tb, basis_sum)
+    return _placed_by_perm(dGamma2, (sp_pair.stacked(), stack_pair(b0, binf)), tb)
 
 
-def scattering_ident(tb: TensorBasis, target: OccupationBasis) -> sp.csr_matrix:
+def scattering_ident(tb: TensorBasis) -> sp.csr_matrix:
     """Fusion map I: F x F -> F with I(phi x a*(h_1)..a*(h_n) Omega) = a*(h_1)..a*(h_n) phi.
 
     Matrix elements are products of binomial square roots,
-    prod_m binom(nL_m + nR_m, nL_m)^(1/2).  Pairs whose fused state exceeds the
-    target caps are projected out: their columns are zero.
+    prod_m binom(nL_m + nR_m, nL_m)^(1/2).  Pairs whose fused state exceeds
+    the energy cap are projected out: their columns are zero.
     """
-    if target.grid.n_modes != tb.left.grid.n_modes:
-        raise DimensionMismatchError("target grid must match the tensor factors")
-    pi, pj = tb.pairs.T
-    nl, nr = tb.left.occ[pi], tb.right.occ[pj]
+    nl, nr = tb.basis.occ[tb.pairs[:, 0]], tb.basis.occ[tb.pairs[:, 1]]
     fused = nl + nr
-    t = target.lookup(fused)
+    t = tb.basis.lookup(fused)
     keep = np.flatnonzero(t >= 0)
     # Pascal table of exact binomials (fixed-width factorials overflow past 20!)
     top = fused.max(initial=0) + 1
     binom = np.array([[math.comb(n, k) for k in range(top)] for n in range(top)], dtype=float)
     amp = np.prod(binom[fused, nl], axis=1)
-    return sp.coo_matrix((np.sqrt(amp[keep]), (t[keep], keep)), shape=(target.size, tb.size),
-                         dtype=complex).tocsr()
+    return sp.coo_matrix((np.sqrt(amp[keep]), (t[keep], keep)),
+                         shape=(tb.basis.size, tb.size), dtype=complex).tocsr()
+
+
+def _one_leg_support(tb: TensorBasis, indptr, indices, right: bool):
+    """(p, q, k) of a one-leg lift: for each pair p = (i, j) and stored entry
+    k = (i, i') of the leg matrix (CSR ``indptr``/``indices``), the pair
+    q = (i', j), mirrored for the right leg; q outside the caps is dropped."""
+    own, other = tb.pairs[:, ::-1].T if right else tb.pairs.T
+    count = np.diff(indptr)[own]
+    p = np.repeat(np.arange(tb.size), count)
+    k = np.arange(len(p)) + np.repeat(indptr[own] - (np.cumsum(count) - count), count)
+    legs = (other[p], indices[k])
+    q = tb.lookup(np.stack(legs if right else legs[::-1], axis=1))
+    keep = q >= 0
+    return p[keep], q[keep], k[keep]
 
 
 def tensor_lift(tb: TensorBasis):
-    """Lift of dense leg matrices onto the pair basis, as index gathers.
+    """Lift of a dense leg matrix onto the pair basis, as an index gather.
 
-    Returns ``lift(op_left=None, op_right=None)``, whose entry (p, q) for
-    pairs p = (i, j) and q = (i', j') is op_left[i, i'] op_right[j, j'], a
-    leg left as None being the identity.  Pairs outside the joint cap are
-    absent, which is the Galerkin projection.  A one-leg lift is nonzero only
-    where the other leg agrees (j = j' for op_left); that support, as flat
-    positions in the result and in the leg matrix, is computed here once per
-    leg, and a call writes the gathered entries into zeros of the op's dtype.
-    Two legs (or none) take one flat-index gather (or Kronecker mask) per leg.
+    Returns ``lift(op_left=None, op_right=None)`` for exactly one leg, which
+    writes the leg's entries into zeros of its dtype at the support that
+    ``_one_leg_support`` gives for the full pattern, computed here once per leg.
     """
-    n = tb.size
-    il, ir = tb.pairs.T
-    legs = ((il, tb.left.size), (ir, tb.right.size))
-
-    def support(idx, size, other):
-        p, q = np.nonzero(other[:, None] == other[None, :])
-        return p * n + q, idx[p] * size + idx[q]
-
-    one_leg = (support(il, tb.left.size, ir), support(ir, tb.right.size, il))
+    n, m = tb.size, tb.basis.size
+    full = (np.arange(m + 1) * m, np.tile(np.arange(m), m))
+    support = [(p * n + q, k) for p, q, k in
+               (_one_leg_support(tb, *full, right) for right in (False, True))]
 
     def lift(op_left=None, op_right=None) -> np.ndarray:
-        if (op_left is None) != (op_right is None):
-            op, (put, gather) = ((op_left, one_leg[0]) if op_right is None
-                                 else (op_right, one_leg[1]))
-            op = np.asarray(op)
-            out = np.zeros(n * n, dtype=op.dtype)
-            out[put] = np.take(op, gather)
-            return out.reshape(n, n)
-        left, right = (idx[:, None] == idx[None, :] if op is None
-                       else np.take(op, idx[:, None] * size + idx[None, :])
-                       for op, (idx, size) in zip((op_left, op_right), legs))
-        return left * right
+        if (op_left is None) == (op_right is None):
+            raise ValueError("a tensor lift takes exactly one leg")
+        op = np.asarray(op_right if op_left is None else op_left)
+        put, gather = support[op_left is None]
+        out = np.zeros(n * n, dtype=op.dtype)
+        out[put] = np.take(op, gather)
+        return out.reshape(n, n)
 
     return lift
 
 
 def tensor_factor_ops(tb: TensorBasis, op_left: sp.csr_matrix | None = None,
                       op_right: sp.csr_matrix | None = None) -> sp.csr_matrix:
-    """Lift op_left x op_right (identity when None) onto the pair basis.
-
-    The sparse Kronecker product restricted to the pair rows and columns:
-    pairs pushed outside the joint cap are projected out (Galerkin)."""
-    legs = (sp.identity(leg.size, format="csr") if op is None else op
-            for op, leg in ((op_left, tb.left), (op_right, tb.right)))
-    idx = tb.pairs[:, 0] * tb.right.size + tb.pairs[:, 1]
-    mat = sp.kron(*legs, format="csr")[idx][:, idx].astype(complex)
+    """Lift op_left x 1 (or 1 x op_right) onto the pair basis, exactly one leg,
+    from the op's own stored entries; pairs pushed above n_max are projected
+    out (Galerkin)."""
+    if (op_left is None) == (op_right is None):
+        raise ValueError("a tensor lift takes exactly one leg")
+    op = sp.csr_matrix(op_right if op_left is None else op_left)
+    p, q, k = _one_leg_support(tb, op.indptr, op.indices, op_left is None)
+    mat = sp.csr_matrix((op.data[k].astype(complex), (p, q)), shape=(tb.size, tb.size))
     mat.eliminate_zeros()
     return mat
-

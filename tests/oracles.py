@@ -31,7 +31,6 @@ from nelsonlab.fock import (
     _coo,
     to_ortho,
 )
-from nelsonlab.split import IncompatibleCapsError
 
 
 def _occupations(n_modes: int, total: int):
@@ -290,49 +289,40 @@ class DenseCalculus:
         return self.fn(lambda lam: (lam <= sigma).astype(float))
 
 
-def build_tensor_basis(left, right, joint_cap) -> tuple:
-    """Pair list in ascending (total N, left index, right index) order."""
-    nl = [sum(s) for s in states_of(left)[0]]
-    nr = [sum(s) for s in states_of(right)[0]]
+def build_tensor_basis(basis) -> tuple:
+    """Pairs of ``basis``'s states with total N <= n_max, in ascending
+    (total N, left index, right index) order."""
+    nb = [sum(s) for s in states_of(basis)[0]]
     pairs = []
-    for total in range(joint_cap + 1):
-        for i in range(len(nl)):
-            if nl[i] > total:
+    for total in range(basis.n_max + 1):
+        for i in range(len(nb)):
+            if nb[i] > total:
                 continue
-            for j in range(len(nr)):
-                if nl[i] + nr[j] == total:
+            for j in range(len(nb)):
+                if nb[i] + nb[j] == total:
                     pairs.append((i, j))
     return tuple(pairs)
 
 
 def tensor_iso_U(basis_sum, tb) -> sp.csr_matrix:
-    M = tb.left.grid.n_modes
-    left, right = states_of(tb.left)[1], states_of(tb.right)[1]
+    M = tb.basis.grid.n_modes
+    index = states_of(tb.basis)[1]
     pair_index = {p: n for n, p in enumerate(map(tuple, tb.pairs.tolist()))}
     rows, cols, data = [], [], []
     for c, state in enumerate(states_of(basis_sum)[0]):
-        sl, sr = state[:M], state[M:]
-        il = left.get(sl)
-        ir = right.get(sr)
-        if il is None or ir is None:
-            raise IncompatibleCapsError("tensor caps cannot represent a source state")
-        t = pair_index.get((il, ir))
-        if t is None:
-            raise IncompatibleCapsError("joint cap below source n_max")
-        rows.append(t)
+        rows.append(pair_index[(index[state[:M]], index[state[M:]])])
         cols.append(c)
         data.append(1.0)
     return sp.coo_matrix((data, (rows, cols)), shape=(tb.size, basis_sum.size),
                          dtype=complex).tocsr()
 
 
-def scattering_ident(tb, target) -> sp.csr_matrix:
-    left, right = states_of(tb.left)[0], states_of(tb.right)[0]
-    index = states_of(target)[1]
+def scattering_ident(tb) -> sp.csr_matrix:
+    states, index = states_of(tb.basis)
     rows, cols, data = [], [], []
     for c, (il, ir) in enumerate(tb.pairs):
-        nl = left[il]
-        nr = right[ir]
+        nl = states[il]
+        nr = states[ir]
         fused = tuple(a + b for a, b in zip(nl, nr))
         t = index.get(fused)
         if t is None:
@@ -344,7 +334,7 @@ def scattering_ident(tb, target) -> sp.csr_matrix:
         rows.append(t)
         cols.append(c)
         data.append(math.sqrt(amp))
-    return sp.coo_matrix((data, (rows, cols)), shape=(target.size, tb.size),
+    return sp.coo_matrix((data, (rows, cols)), shape=(tb.basis.size, tb.size),
                          dtype=complex).tocsr()
 
 
@@ -362,23 +352,17 @@ def _leg_groups(tb):
 
 
 def tensor_factor_ops(tb, op_left=None, op_right=None) -> sp.csr_matrix:
+    """One-leg lift: on the pairs that share the other leg's state, the block
+    of the leg matrix, one group at a time."""
     by_right, by_left = _leg_groups(tb)
-    if op_left is not None and op_right is not None:
-        Ld = op_left.toarray()
-        Rd = op_right.toarray()
-        pi = np.array([i for i, _ in tb.pairs])
-        pj = np.array([j for _, j in tb.pairs])
-        out = Ld[pi[:, None], pi[None, :]] * Rd[pj[:, None], pj[None, :]]
-    elif op_left is not None:
-        Ld = op_left.toarray()
-        out = np.zeros((tb.size, tb.size), dtype=complex)
-        for _, (pidx, lidx) in by_right.items():
-            out[np.ix_(pidx, pidx)] = Ld[np.ix_(lidx, lidx)]
-    elif op_right is not None:
-        Rd = op_right.toarray()
-        out = np.zeros((tb.size, tb.size), dtype=complex)
-        for _, (pidx, ridx) in by_left.items():
-            out[np.ix_(pidx, pidx)] = Rd[np.ix_(ridx, ridx)]
-    else:
-        out = np.eye(tb.size, dtype=complex)
-    return sp.csr_matrix(out)
+    groups, dense = ((by_right, op_left.toarray()) if op_right is None
+                     else (by_left, op_right.toarray()))
+    rows, cols, vals = [], [], []
+    for pidx, idx in groups.values():
+        block = dense[np.ix_(idx, idx)]
+        r, c = np.nonzero(block)
+        rows.append(pidx[r])
+        cols.append(pidx[c])
+        vals.append(block[r, c])
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(tb.size, tb.size), dtype=complex).tocsr()

@@ -158,7 +158,10 @@ def test_criterion_7_mourre_positivity(nonrel):
           and rel_diff <= 0.05)
     verdict(7, ok, f"min_r(g=0) = {base['min_r0']:.3f} (>= -1e-10), "
                    f"C(g) log-log slope {base['loglog_slope']:.3f} (1 +- 0.2), "
-                   f"sigma vs sigma/2 rel diff {rel_diff:.1%} (<= 5%)")
+                   f"sigma vs sigma/2 rel diff {rel_diff:.1%} (<= 5%); "
+                   f"window_dim {base['window_dim']}, soft modes {base['soft_modes']} at sigma "
+                   f"and {halved['soft_modes']} at sigma/2, rows equal: "
+                   f"{base['rows'] == halved['rows']}")
 
 
 def test_criterion_8_dynamics_conservation(default_fiber):

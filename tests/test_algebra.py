@@ -34,7 +34,7 @@ def spaces(request):
     M, n = request.param
     basis = fock.build_basis(GRIDS[M], n)
     basis_sum = fock.build_basis(split.doubled_grid(GRIDS[M]), n)
-    return basis, basis_sum, split.build_tensor_basis(basis, basis, joint_cap=n)
+    return basis, basis_sum, split.build_tensor_basis(basis)
 
 
 def assert_close(a, b, rel=1e-14):
@@ -84,33 +84,35 @@ def test_doubled_grid_creation_scatter_exact(spaces):
 
 
 def test_tensor_lift_exact(spaces):
-    """Every leg combination on the full product, below the joint cap 2 n_max
-    and on an energy-capped basis; a one-leg lift keeps the op's dtype."""
+    """Either leg, on the basis and on an energy-capped one; the lift keeps
+    the op's dtype and takes exactly one leg."""
     basis, _, tb = spaces
     grid, n = basis.grid, basis.n_max
     capped = fock.build_basis(grid, n, e_cap=0.5 * basis.energies().max())
     assert capped.size < basis.size
     M = grid.n_modes
     rng = np.random.default_rng(13)
-    for pairs in (split.build_tensor_basis(basis, basis, 2 * n), tb,
-                  split.build_tensor_basis(capped, capped, joint_cap=n)):
-        leg = pairs.left
+    for pairs in (tb, split.build_tensor_basis(capped)):
+        leg = pairs.basis
         complex_op = fock.creation_op(leg, rng.normal(size=M) + 1j * rng.normal(size=M))
         real_op = fock.dGamma(leg, rng.normal(size=(M, M)))
         assert (complex_op.dtype, real_op.dtype) == (np.complex128, np.float64)
         lift = split.tensor_lift(pairs)
-        for l, r in ((complex_op, real_op), (complex_op, None), (None, complex_op),
-                     (real_op, None), (None, real_op)):
+        for l, r in ((complex_op, None), (None, complex_op), (real_op, None), (None, real_op)):
             old = oracles.tensor_factor_ops(pairs, op_left=l, op_right=r).toarray()
             new = lift(None if l is None else l.toarray(), None if r is None else r.toarray())
             assert np.array_equal(new, old)
-            if l is None or r is None:
-                assert new.dtype == (r if l is None else l).dtype
+            assert new.dtype == (r if l is None else l).dtype
+        for ops in ((complex_op.toarray(), real_op.toarray()), ()):
+            with pytest.raises(ValueError):
+                lift(*ops)
 
 
 def test_tensor_iso_perm_exact(spaces):
+    """U's permutation, built once on the pair space over the same caps."""
     _, basis_sum, tb = spaces
-    t = split.tensor_iso_perm(basis_sum, tb)
+    t = tb.perm
+    assert t is tb.perm and np.array_equal(tb.sum_basis.occ, basis_sum.occ)
     U = np.zeros((tb.size, basis_sum.size), dtype=complex)
     U[t, np.arange(basis_sum.size)] = 1.0
     assert np.array_equal(U, oracles.tensor_iso_U(basis_sum, tb).toarray())

@@ -297,8 +297,8 @@ class TestCommands:
         assert "Traceback" in err and "defect inside the scan" in err
 
     @pytest.mark.parametrize("command,target", [("dispersion", (spectral, "dispersion_scan")),
-                                                ("w", (dynamics, "dressed_state")),
-                                                ("wplus", (dynamics, "dressed_state"))])
+                                                ("w", (spectral, "ground_state")),
+                                                ("wplus", (spectral, "ground_state"))])
     def test_convergence_error_exit_code(self, tmp_path, monkeypatch, command, target):
         def stall(*args, **kwargs):
             raise spectral.ConvergenceError("ARPACK did not converge")

@@ -579,11 +579,9 @@ class TestWPlus:
 
         ms, basis, H = small_fiber
         M = ms.grid.n_modes
-        left = fock.build_basis(ms.grid, 2)
-        right = fock.build_basis(ms.grid, 2)
-        tb = build_tensor_basis(left, right, joint_cap=2)
+        tb = build_tensor_basis(basis)
         pair = SplitPair(ms.grid, np.eye(M), np.zeros((M, M)))
-        BG = breve_gamma(pair, basis, tb)
+        BG = breve_gamma(pair, tb)
         v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
         out = BG @ v
         outer_vacuum = tb.pair_numbers()[:, 1] == 0

@@ -127,7 +127,7 @@ def test_field_op_hermitian_and_vacuum_moments(grid4, rng):
 
 def test_field_relative_bound_matrix_inequality(grid4, basis4, rng):
     """+-phi(h) <= alpha dGamma(|k|) + (1/alpha) sum w |h|^2/|k| as matrices."""
-    kn = grid4.knorm()
+    kn = grid4.omega_free
     dg = fock.dGamma(basis4, kn).toarray()
     for alpha in (0.5, 1.0, 2.0):
         h = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -141,7 +141,7 @@ def test_field_relative_bound_matrix_inequality(grid4, basis4, rng):
 
 def test_annihilation_estim_bound(grid4, basis4, rng):
     """||a(h) psi|| <= (sum w |h|^2/|k|)^(1/2) ||dGamma(|k|)^(1/2) psi||."""
-    kn = grid4.knorm()
+    kn = grid4.omega_free
     dg = fock.dGamma(basis4, kn).toarray()
     sq = np.diag(np.sqrt(np.diag(dg).real))
     for _ in range(5):
@@ -186,7 +186,7 @@ def test_dgamma_number_bound(grid4, basis4, rng):
 
 
 def test_dgamma_positivity(grid4, basis4):
-    evals = np.linalg.eigvalsh(fock.dGamma(basis4, grid4.knorm()).toarray())
+    evals = np.linalg.eigvalsh(fock.dGamma(basis4, grid4.omega_free).toarray())
     assert evals.min() >= -1e-14
 
 
@@ -201,7 +201,7 @@ def test_gamma_on_vacuum(basis4, rng):
 def test_gamma_indicator_is_soft_projector():
     grid = fock.line_grid(8, 1.2, 0.3)  # two soft modes at |k| = 0.15
     basis = fock.build_basis(grid, 2)
-    chi = (grid.knorm() > 0.3).astype(float)
+    chi = (grid.omega_free > 0.3).astype(float)
     G = fock.Gamma(basis, chi)
     P = fock.interacting_projector(basis).toarray()
     assert np.abs(G - P).max() < 1e-13

@@ -119,8 +119,8 @@ def assert_csv_match_oracle(basis):
     """The basis and tensor-basis dumps, byte for byte."""
     states, _ = oracles.states_of(basis)
     assert basis.to_csv() == oracles.basis_csv(basis.grid, states)
-    pairs = oracles.build_tensor_basis(basis, basis, 2 * basis.n_max)
-    assert split.build_tensor_basis(basis, basis, 2 * basis.n_max).to_csv() == oracles.tensor_csv(states, states, pairs)
+    pairs = oracles.build_tensor_basis(basis)
+    assert split.build_tensor_basis(basis).to_csv() == oracles.tensor_csv(states, states, pairs)
 
 
 def test_ladder_table_matches_states(basis):
@@ -180,11 +180,12 @@ def test_build_basis_lookups_do_not_grow_with_modes(monkeypatch):
 
 def test_basis_index_tables_are_read_only(basis):
     """Every operator built on a basis shares its tables, so none may be written."""
-    tb = split.build_tensor_basis(basis, basis, 2 * basis.n_max)
+    tb = split.build_tensor_basis(basis)
     tables = [basis.occ, basis.up, basis.slot_mode, basis.slot_root,
               basis.slot_parent, *(t for sector in basis.sectors for t in sector)]
     tables += [lookup.order for lookup in (basis.lookup, tb.lookup)]
     tables += [lookup.sorted_keys for lookup in (basis.lookup, tb.lookup)]
+    tables.append(tb.perm)
     for table in tables:
         assert not table.flags.writeable
 
@@ -249,91 +250,96 @@ def test_gamma_projects_onto_smaller_target():
                  oracles.Gamma(source, a, basis_out=target))
 
 
-# (1, 11, 22): fused occupations up to 22, past the int64 range of 22!
-TENSOR_SPECS = [(1, 3, 3, None), (1, 11, 22, None), (4, 2, 2, None), (4, 3, 3, None),
-                (4, 3, 2, None), (4, 3, 3, 0.9), (8, 2, 2, None)]
+# (1, 22): fused occupations up to 22, past the int64 range of 22!
+TENSOR_SPECS = [(1, 3, None), (1, 22, None), (4, 2, None), (4, 3, None), (4, 3, 0.9),
+                (8, 2, None)]
 
 
 def tensor_id(spec):
-    M, n, cap, e_cap = spec
-    return f"M{M}-n{n}-joint{cap}" + ("" if e_cap is None else f"-cap{e_cap}")
+    M, n, e_cap = spec
+    return f"M{M}-n{n}-joint{n}" + ("" if e_cap is None else f"-cap{e_cap}")
 
 
 @pytest.fixture(scope="module", params=TENSOR_SPECS, ids=tensor_id)
 def tensor(request):
-    M, n, cap, e_cap = request.param
-    left = fock.build_basis(GRIDS[M], n, e_cap)
-    right = fock.build_basis(GRIDS[M], n, e_cap)
-    return left, right, split.build_tensor_basis(left, right, joint_cap=cap), e_cap
+    M, n, e_cap = request.param
+    basis = fock.build_basis(GRIDS[M], n, e_cap)
+    return basis, split.build_tensor_basis(basis)
 
 
 def test_tensor_basis_order(tensor):
-    left, right, tb, _ = tensor
-    pairs = oracles.build_tensor_basis(left, right, tb.joint_cap)
+    basis, tb = tensor
+    pairs = oracles.build_tensor_basis(basis)
     assert [tuple(p) for p in tb.pairs.tolist()] == list(pairs)
     assert np.array_equal(tb.lookup(np.array(pairs).reshape(-1, 2)), np.arange(len(pairs)))
 
 
 def test_tensor_iso_U_exact(tensor):
-    left, _, tb, e_cap = tensor
-    n_max = min(tb.joint_cap, left.n_max)
-    basis_sum = fock.build_basis(split.doubled_grid(left.grid), n_max, e_cap)
-    assert_exact(split.tensor_iso_U(basis_sum, tb),
-                 oracles.tensor_iso_U(basis_sum, tb))
-
-
-def test_tensor_iso_U_rejects_small_joint_cap():
-    grid = GRIDS[4]
-    left = fock.build_basis(grid, 3)
-    tb = split.build_tensor_basis(left, left, joint_cap=2)
-    basis_sum = fock.build_basis(split.doubled_grid(grid), 3)
-    for builder in (split.tensor_iso_U, oracles.tensor_iso_U):
-        with pytest.raises(split.IncompatibleCapsError):
-            builder(basis_sum, tb)
+    basis, tb = tensor
+    basis_sum = fock.build_basis(split.doubled_grid(basis.grid), basis.n_max, basis.e_cap)
+    assert np.array_equal(tb.sum_basis.occ, basis_sum.occ)
+    assert_exact(split.tensor_iso_U(tb), oracles.tensor_iso_U(basis_sum, tb))
 
 
 def test_scattering_ident_exact(tensor):
-    left, _, tb, _ = tensor
-    for n_max in (tb.joint_cap, 1):
-        target = fock.build_basis(left.grid, n_max, left.e_cap)
-        new, old = split.scattering_ident(tb, target), oracles.scattering_ident(tb, target)
-        assert_exact(new, old)
+    """Under an energy cap the pairs whose fused state overflows it keep
+    their zero columns."""
+    basis, tb = tensor
+    new, old = split.scattering_ident(tb), oracles.scattering_ident(tb)
+    assert new.shape == old.shape == (basis.size, tb.size)
+    assert_exact(new, old)
+    assert np.any(new.getnnz(axis=0) == 0) == (basis.e_cap is not None)
 
 
 def test_tensor_factor_ops_exact(tensor):
-    left, right, tb, _ = tensor
+    basis, tb = tensor
     rng = np.random.default_rng(7)
-    M = left.grid.n_modes
-    ops = []
-    for leg in (left, right):
-        real, cplx = fock.creation_op(leg, rng.normal(size=M)), fock.dGamma(leg, rand_mat(rng, M))
-        assert (real.dtype, cplx.dtype) == (np.float64, np.complex128)
-        ops.append((real, cplx, fock.dGamma(leg, leg.grid.omega_mod)))
-    legs = [(l, r) for l in ops[0] for r in ops[1]]
-    legs += [(l, None) for l in ops[0]] + [(None, r) for r in ops[1]] + [(None, None)]
-    for l, r in legs:
-        new = split.tensor_factor_ops(tb, op_left=l, op_right=r)
-        old = oracles.tensor_factor_ops(tb, op_left=l, op_right=r)
-        assert_exact(new, old)
+    M = basis.grid.n_modes
+    real, cplx = fock.creation_op(basis, rng.normal(size=M)), fock.dGamma(basis, rand_mat(rng, M))
+    assert (real.dtype, cplx.dtype) == (np.float64, np.complex128)
+    for op in (real, cplx, fock.dGamma(basis, basis.grid.omega_mod)):
+        for l, r in ((op, None), (None, op)):
+            new = split.tensor_factor_ops(tb, op_left=l, op_right=r)
+            old = oracles.tensor_factor_ops(tb, op_left=l, op_right=r)
+            assert_exact(new, old)
+    for l, r in ((real, cplx), (None, None)):
+        with pytest.raises(ValueError):
+            split.tensor_factor_ops(tb, op_left=l, op_right=r)
 
 
-def test_tensor_factor_ops_stays_sparse():
-    """A one-leg lift of a diagonal dGamma on 2145 pairs allocates far less
-    than the dense (pairs x pairs) array of 74 MB."""
-    basis = fock.build_basis(fock.line_grid(32, 1.5, 0.2), 2)
-    tb = split.build_tensor_basis(basis, basis, joint_cap=2)
-    assert tb.size == 2145
-    op = fock.dGamma(basis, basis.grid.omega_mod)
+def _traced_lift(basis, op):
+    """The pair basis and the left lift of ``op``, with the lift's traced peak."""
+    tb = split.build_tensor_basis(basis)
     tracemalloc.start()
     try:
         lifted = split.tensor_factor_ops(tb, op_left=op)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40e6
+    return tb, lifted, peak
+
+
+def test_tensor_factor_ops_stays_sparse():
+    """One-leg lifts on 2145 and 4753 pairs allocate far less than the dense
+    (pairs x pairs) arrays of 74 MB and 361 MB, or the Kronecker product
+    before the pairs are picked: a diagonal dGamma, and the fiber H that
+    W_plus_probe lifts at M = 48, which must equal the oracle's lift."""
+    basis = fock.build_basis(fock.line_grid(32, 1.5, 0.2), 2)
+    op = fock.dGamma(basis, basis.grid.omega_mod)
+    tb, lifted, peak = _traced_lift(basis, op)
+    assert tb.size == 2145 and peak < 40e6
     want = op.diagonal()[tb.pairs[:, 0]]
     assert np.array_equal(lifted.diagonal(), want)
     assert lifted.nnz == np.count_nonzero(want)
+
+    grid = fock.line_grid(48, 1.5, 0.2)
+    ms = model.ModelSpec(model.DispersionLaw("nonrel", 1.0), model.FormFactor(1.0, 1.0, 0.2),
+                         grid, 0.05)
+    basis = fock.build_basis(grid, 2)
+    H = model.build_fiber_H(ms, [0.25], basis).mat
+    tb, lifted, peak = _traced_lift(basis, H)
+    assert (tb.size, lifted.nnz) == (4753, 9797) and peak < 40e6
+    assert_exact(lifted, oracles.tensor_factor_ops(tb, op_left=H))
 
 
 def test_build_tensor_basis_stays_small():
@@ -342,7 +348,7 @@ def test_build_tensor_basis_stays_small():
     basis = fock.build_basis(fock.line_grid(128, 1.5, 0.2), 2)
     tracemalloc.start()
     try:
-        tb = split.build_tensor_basis(basis, basis, joint_cap=2)
+        tb = split.build_tensor_basis(basis)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -257,6 +257,22 @@ class TestScan:
         assert 0.8 <= sweep["loglog_slope"] <= 1.2
         assert sweep["min_r0"] >= -1e-10
 
+    @pytest.mark.parametrize("M, sig, soft", [(8, SIGMA, 0), (16, 0.2, 2)],
+                             ids=["no-soft", "soft"])
+    def test_sweep_reports_soft_modes_and_shift_signs(self, nonrel, M, sig, soft):
+        """``soft_modes`` counts the grid's soft mask and ``shift_signs`` is
+        the sign of each row's min_r against min_r0."""
+        ff = model.FormFactor(1.0, 1.0, sig)
+        grid = fock.line_grid(M, 1.6, sig)
+        basis = fock.build_basis(grid, 2)
+        C = model.quadrature_C(ff, grid)
+        sweep = mourre.mourre_sweep(lambda gg: model.ModelSpec(nonrel, ff, grid, gg),
+                                    [0.02, 0.04], [0.25], basis, 0.32,
+                                    lambda gg: math.sqrt(2 * (0.32 + gg * gg * C)))
+        assert sweep["soft_modes"] == np.count_nonzero(grid.soft_mask()) == soft
+        assert sweep["shift_signs"] == [int(np.sign(r[1] - sweep["min_r0"]))
+                                        for r in sweep["rows"]]
+
     def test_sigma_robustness(self, msetup, nonrel):
         """Report unchanged (well within 5%) when sigma is halved: the grid
         resolves no soft modes so every sigma-dependent quantity coincides."""

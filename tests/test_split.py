@@ -13,77 +13,65 @@ from nelsonlab import fock, split
 @pytest.fixture(scope="module")
 def setup(grid4):
     basis = fock.build_basis(grid4, 3)
-    dg = split.doubled_grid(grid4)
-    basis_sum = fock.build_basis(dg, 3)
-    left = fock.build_basis(grid4, 3)
-    right = fock.build_basis(grid4, 3)
-    tb = split.build_tensor_basis(left, right, joint_cap=3)
-    U = split.tensor_iso_U(basis_sum, tb)
-    return basis, basis_sum, left, right, tb, U
+    tb = split.build_tensor_basis(basis)
+    U = split.tensor_iso_U(tb)
+    return basis, tb.sum_basis, tb, U
 
 
 def test_tensor_basis_dimension(setup):
-    _, basis_sum, left, right, tb, _ = setup
-    nl = left.total_numbers()
-    nr = right.total_numbers()
-    count = sum(1 for i in range(left.size) for j in range(right.size)
-                if nl[i] + nr[j] <= 3)
+    basis, basis_sum, tb, _ = setup
+    nb = basis.total_numbers()
+    count = sum(1 for i in range(basis.size) for j in range(basis.size)
+                if nb[i] + nb[j] <= 3)
     assert tb.size == count == basis_sum.size
+    assert basis_sum.grid.n_modes == 8 and (basis_sum.n_max, basis_sum.e_cap) == (3, None)
 
 
 def test_u_is_isometry(setup):
-    _, basis_sum, _, _, _, U = setup
+    _, basis_sum, _, U = setup
     UU = (U.conj().T @ U).toarray()
     assert np.abs(UU - np.eye(basis_sum.size)).max() < 1e-12
 
 
 def test_u_vacuum(setup):
-    _, basis_sum, _, _, tb, U = setup
+    _, basis_sum, tb, U = setup
     col = U[:, 0].toarray().ravel()
     assert col[tb.lookup([[0, 0]])[0]] == 1.0
     assert np.count_nonzero(col) == 1
 
 
 def test_u_intertwines_creation(setup, rng):
-    basis, basis_sum, left, right, tb, U = setup
+    basis, basis_sum, tb, U = setup
     guard = np.diag((tb.pair_numbers().sum(axis=1) <= 2).astype(float))
     h = rng.normal(size=4) + 1j * rng.normal(size=4)
     cs = fock.creation_op(basis_sum, np.concatenate([h, np.zeros(4)]))
     lhs = (U @ cs @ U.conj().T).toarray()
-    rhs = split.tensor_factor_ops(tb, op_left=fock.creation_op(left, h)).toarray()
+    rhs = split.tensor_factor_ops(tb, op_left=fock.creation_op(basis, h)).toarray()
     assert np.abs((lhs - rhs) @ guard).max() < 1e-13
 
 
 def test_u_intertwines_dgamma_diagonal(setup, rng):
-    basis, basis_sum, left, right, tb, U = setup
+    basis, basis_sum, tb, U = setup
     b0 = rng.normal(size=4)
     binf = rng.normal(size=4)
     lhs = (U @ fock.dGamma(basis_sum, np.concatenate([b0, binf])) @ U.conj().T).toarray()
-    rhs = (split.tensor_factor_ops(tb, op_left=fock.dGamma(left, b0))
-           + split.tensor_factor_ops(tb, op_right=fock.dGamma(right, binf))).toarray()
+    rhs = (split.tensor_factor_ops(tb, op_left=fock.dGamma(basis, b0))
+           + split.tensor_factor_ops(tb, op_right=fock.dGamma(basis, binf))).toarray()
     assert np.abs(lhs - rhs).max() < 1e-13
 
 
 def test_binomial_spot_check(setup, grid4):
     """The two-boson mixed column of U carries binom(2,1)^(1/2) = sqrt(2)."""
-    _, basis_sum, left, right, tb, U = setup
+    basis, basis_sum, tb, U = setup
     w = grid4.weights
     v = np.concatenate([np.eye(4)[1] / math.sqrt(w[1]), np.eye(4)[2] / math.sqrt(w[2])])
     cv = fock.creation_op(basis_sum, v)
     vac = np.zeros(basis_sum.size)
     vac[0] = 1.0
     two = U @ (cv @ (cv @ vac))
-    li, ri = left.lookup([[0, 1, 0, 0]])[0], right.lookup([[0, 0, 1, 0]])[0]
+    li, ri = basis.lookup([[0, 1, 0, 0]])[0], basis.lookup([[0, 0, 1, 0]])[0]
     amp = two[tb.lookup([[li, ri]])[0]]
     assert abs(amp - math.sqrt(math.comb(2, 1)) * math.sqrt(2.0)) < 1e-13
-
-
-def test_incompatible_caps_raise(grid4):
-    basis_sum = fock.build_basis(split.doubled_grid(grid4), 3)
-    small = fock.build_basis(grid4, 1)
-    tb = split.build_tensor_basis(small, small, joint_cap=2)
-    with pytest.raises(split.IncompatibleCapsError):
-        split.tensor_iso_U(basis_sum, tb)
 
 
 def test_split_pair_property_detection(grid4, rng):
@@ -96,10 +84,10 @@ def test_split_pair_property_detection(grid4, rng):
 
 
 def test_breve_gamma_isometry_and_vacuum(setup, grid4, rng):
-    basis, basis_sum, left, right, tb, _ = setup
+    basis, basis_sum, tb, _ = setup
     th = rng.uniform(0.1, 1.4, size=4)
     pair = split.SplitPair(grid4, np.diag(np.cos(th)), np.diag(np.sin(th)))
-    BG = split.breve_gamma(pair, basis, tb, basis_sum=basis_sum)
+    BG = split.breve_gamma(pair, tb)
     GG = BG.conj().T @ BG
     assert np.abs(GG - np.eye(basis.size)).max() < 1e-12
     col = BG[:, 0]
@@ -107,7 +95,7 @@ def test_breve_gamma_isometry_and_vacuum(setup, grid4, rng):
     # non-isometric pair: breve* breve = Gamma(j*j)
     u = rng.uniform(0.2, 0.8, size=4)
     pair2 = split.SplitPair(grid4, np.diag(u), np.diag(1 - u))
-    BG2 = split.breve_gamma(pair2, basis, tb, basis_sum=basis_sum)
+    BG2 = split.breve_gamma(pair2, tb)
     jj = (fock.weighted_adjoint(grid4, grid4, pair2.j0) @ pair2.j0
           + fock.weighted_adjoint(grid4, grid4, pair2.jinf) @ pair2.jinf)
     G = fock.Gamma(basis, jj)
@@ -115,20 +103,20 @@ def test_breve_gamma_isometry_and_vacuum(setup, grid4, rng):
 
 
 def test_breve_gamma_number_intertwining(setup, grid4, rng):
-    basis, basis_sum, left, right, tb, _ = setup
+    basis, basis_sum, tb, _ = setup
     th = rng.uniform(0.1, 1.4, size=4)
     pair = split.SplitPair(grid4, np.diag(np.cos(th)), np.diag(np.sin(th)))
-    BG = split.breve_gamma(pair, basis, tb, basis_sum=basis_sum)
-    Npair = (split.tensor_factor_ops(tb, op_left=fock.number_op(left))
-             + split.tensor_factor_ops(tb, op_right=fock.number_op(right)))
+    BG = split.breve_gamma(pair, tb)
+    Npair = (split.tensor_factor_ops(tb, op_left=fock.number_op(basis))
+             + split.tensor_factor_ops(tb, op_right=fock.number_op(basis)))
     dev = BG @ fock.number_op(basis).toarray() - Npair @ BG
     assert np.abs(dev).max() < 1e-13
 
 
 def test_breve_gamma_routes_all_left(setup, grid4, rng):
-    basis, basis_sum, left, right, tb, _ = setup
+    basis, basis_sum, tb, _ = setup
     pair = split.SplitPair(grid4, np.eye(4), np.zeros((4, 4)))
-    BG = split.breve_gamma(pair, basis, tb, basis_sum=basis_sum)
+    BG = split.breve_gamma(pair, tb)
     v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
     out = BG @ v
     expect = np.zeros(tb.size, dtype=complex)
@@ -138,8 +126,8 @@ def test_breve_gamma_routes_all_left(setup, grid4, rng):
 
 
 def test_scattering_ident_examples(setup, grid4, rng):
-    basis, basis_sum, left, right, tb, _ = setup
-    I = split.scattering_ident(tb, basis)
+    basis, basis_sum, tb, _ = setup
+    I = split.scattering_ident(tb)
     # I(Omega x Omega) = Omega
     col = I[:, tb.lookup([[0, 0]])[0]].toarray().ravel()
     assert col[0] == 1.0 and np.count_nonzero(col) == 1
@@ -149,18 +137,18 @@ def test_scattering_ident_examples(setup, grid4, rng):
     j0 = np.diag(u) + Q + Q.T
     pair = split.SplitPair(grid4, j0, np.eye(4) - j0)
     assert pair.partition
-    BG = split.breve_gamma(pair, basis, tb, basis_sum=basis_sum)
+    BG = split.breve_gamma(pair, tb)
     dev = I @ BG - np.eye(basis.size)
     assert np.abs(dev).max() < 1e-12
 
 
 def test_scattering_ident_product_rule(setup, grid4, rng):
-    basis, basis_sum, left, right, tb, _ = setup
-    I = split.scattering_ident(tb, basis)
+    basis, basis_sum, tb, _ = setup
+    I = split.scattering_ident(tb)
     h = rng.normal(size=4) + 1j * rng.normal(size=4)
     guard = (basis.total_numbers() <= 2).astype(float)
     phi = (rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)) * guard
-    rv = fock.creation_op(right, h)[:, 0].toarray().ravel()
+    rv = fock.creation_op(basis, h)[:, 0].toarray().ravel()
     pi, pj = tb.pairs.T
     vec = phi[pi] * rv[pj]
     rhs = fock.creation_op(basis, h) @ phi
@@ -168,22 +156,20 @@ def test_scattering_ident_product_rule(setup, grid4, rng):
 
 
 def test_scattering_ident_overflow_projection(grid4):
-    basis_small = fock.build_basis(grid4, 1)
-    left = fock.build_basis(grid4, 1)
-    right = fock.build_basis(grid4, 1)
-    tb = split.build_tensor_basis(left, right, joint_cap=2)
-    I = split.scattering_ident(tb, basis_small)
-    # the pairs whose fused state has two bosons have zero columns
+    basis = fock.build_basis(grid4, 2, e_cap=0.9)
+    tb = split.build_tensor_basis(basis)
+    I = split.scattering_ident(tb)
+    # the pairs whose fused state overflows the energy cap have zero columns
     projected = I.getnnz(axis=0) == 0
-    assert np.any(projected)
-    assert np.array_equal(projected, tb.pair_numbers().sum(axis=1) > basis_small.n_max)
+    assert np.any(projected) and not np.all(projected)
+    fused = basis.occ[tb.pairs[:, 0]] + basis.occ[tb.pairs[:, 1]]
+    assert np.array_equal(projected, fused @ grid4.omega_mod > basis.e_cap)
 
 
 def test_i_norm_reports_finite(setup):
-    basis, basis_sum, left, right, tb, _ = setup
-    I = split.scattering_ident(tb, basis)
-    Nl = tb.left.total_numbers()
-    Nr = tb.right.total_numbers()
+    basis, basis_sum, tb, _ = setup
+    I = split.scattering_ident(tb)
+    Nl = Nr = tb.basis.total_numbers()
     for k in (1, 2):
         wts = np.array([(1.0 + Nl[i]) ** (-k) if Nr[j] <= k else 0.0
                         for (i, j) in tb.pairs])
@@ -192,34 +178,33 @@ def test_i_norm_reports_finite(setup):
 
 
 def test_ugamma_o_identity(setup, grid4, rng):
-    basis, basis_sum, left, right, tb, _ = setup
+    basis, basis_sum, tb, _ = setup
     u = rng.uniform(0.2, 0.8, size=4)
     Q = 0.1 * rng.normal(size=(4, 4))
     j0 = np.diag(u) + Q + Q.T
     pair = split.SplitPair(grid4, j0, np.eye(4) - j0)
     om = grid4.omega_mod
-    BG = split.breve_gamma(pair, basis, tb, basis_sum=basis_sum)
+    BG = split.breve_gamma(pair, tb)
     lhs = (BG @ fock.dGamma(basis, om).toarray()
-           - (split.tensor_factor_ops(tb, op_left=fock.dGamma(left, om))
-              + split.tensor_factor_ops(tb, op_right=fock.dGamma(right, om))) @ BG)
+           - (split.tensor_factor_ops(tb, op_left=fock.dGamma(basis, om))
+              + split.tensor_factor_ops(tb, op_right=fock.dGamma(basis, om))) @ BG)
     c0 = np.diag(om) @ pair.j0 - pair.j0 @ np.diag(om)
     cinf = np.diag(om) @ pair.jinf - pair.jinf @ np.diag(om)
-    rhs = -split.dbreve_gamma2(pair, c0, cinf, basis, tb, basis_sum=basis_sum)
+    rhs = -split.dbreve_gamma2(pair, c0, cinf, tb)
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
 def test_dbreve_gamma2_zero_pair(setup, grid4):
-    basis, basis_sum, left, right, tb, _ = setup
+    basis, basis_sum, tb, _ = setup
     pair = split.SplitPair(grid4, np.eye(4), np.zeros((4, 4)))
-    Z = split.dbreve_gamma2(pair, np.zeros((4, 4)), np.zeros((4, 4)), basis, tb,
-                            basis_sum=basis_sum)
+    Z = split.dbreve_gamma2(pair, np.zeros((4, 4)), np.zeros((4, 4)), tb)
     assert np.count_nonzero(Z) == 0
 
 
 def test_udgamma_cauchy_schwarz(setup, grid4, rng):
     from nelsonlab.dynamics import weighted_abs
 
-    basis, basis_sum, left, right, tb, _ = setup
+    basis, basis_sum, tb, _ = setup
     th = rng.uniform(0.1, 1.4, size=4)
     pair = split.SplitPair(grid4, np.diag(np.cos(th)), np.diag(np.sin(th)))
     for _ in range(5):
@@ -227,47 +212,46 @@ def test_udgamma_cauchy_schwarz(setup, grid4, rng):
         k0 = (k0 + fock.weighted_adjoint(grid4, grid4, k0)) / 2
         kinf = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         kinf = (kinf + fock.weighted_adjoint(grid4, grid4, kinf)) / 2
-        dbg = split.dbreve_gamma2(pair, k0, kinf, basis, tb, basis_sum=basis_sum)
+        dbg = split.dbreve_gamma2(pair, k0, kinf, tb)
         u = rng.normal(size=tb.size) + 1j * rng.normal(size=tb.size)
         v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
         lhs = abs(complex(np.vdot(u, dbg @ v)))
         a0 = weighted_abs(grid4, k0)
         ainf = weighted_abs(grid4, kinf)
-        rhs = (math.sqrt(max(0.0, np.vdot(u, split.tensor_factor_ops(tb, op_left=fock.dGamma(left, a0)) @ u).real))
+        rhs = (math.sqrt(max(0.0, np.vdot(u, split.tensor_factor_ops(tb, op_left=fock.dGamma(basis, a0)) @ u).real))
                * math.sqrt(max(0.0, np.vdot(v, fock.dGamma(basis, a0) @ v).real))
-               + math.sqrt(max(0.0, np.vdot(u, split.tensor_factor_ops(tb, op_right=fock.dGamma(right, ainf)) @ u).real))
+               + math.sqrt(max(0.0, np.vdot(u, split.tensor_factor_ops(tb, op_right=fock.dGamma(basis, ainf)) @ u).real))
                * math.sqrt(max(0.0, np.vdot(v, fock.dGamma(basis, ainf) @ v).real)))
         assert lhs <= rhs + 1e-10
 
 
-@pytest.mark.parametrize("n_max, joint_cap, e_cap", [(2, 2, None), (2, 3, None), (3, 3, 0.9)],
-                         ids=["square", "joint-cap-above-n_max", "energy-capped"])
-def test_splitting_maps_equal_U_times_functor(grid4, rng, n_max, joint_cap, e_cap):
+@pytest.mark.parametrize("n_max, e_cap", [(2, None), (3, 0.9)], ids=["square", "energy-capped"])
+def test_splitting_maps_equal_U_times_functor(grid4, rng, n_max, e_cap):
     """breve_gamma and dbreve_gamma2 place the functor's rows by U's
     permutation; that equals the sparse product U Gamma (U dGamma2) exactly,
-    with zero rows on the pairs outside U's image: the pairs above n_max, and
-    under an energy cap the pairs whose leg energies add up past it."""
+    with zero rows on the pairs outside U's image: under an energy cap the
+    pairs whose leg energies add up past it."""
     source = fock.build_basis(grid4, n_max, e_cap)
-    leg = fock.build_basis(grid4, joint_cap, e_cap)
-    tb = split.build_tensor_basis(leg, leg, joint_cap=joint_cap)
+    tb = split.build_tensor_basis(source)
     basis_sum = fock.build_basis(split.doubled_grid(grid4), n_max, e_cap)
-    U = split.tensor_iso_U(basis_sum, tb)
+    assert np.array_equal(tb.sum_basis.occ, basis_sum.occ)
+    U = split.tensor_iso_U(tb)
     j0, jinf, b0, binf = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
                           for _ in range(4))
     pair = split.SplitPair(grid4, j0, jinf)
     G = fock.Gamma(source, pair.stacked(), basis_out=basis_sum)
     D = fock.dGamma2(source, pair.stacked(), split.stack_pair(b0, binf), basis_out=basis_sum)
-    outside = np.setdiff1d(np.arange(tb.size), split.tensor_iso_perm(basis_sum, tb))
-    assert (outside.size == 0) == (joint_cap == n_max and e_cap is None)
-    for got, want in ((split.breve_gamma(pair, source, tb), U @ G),
-                      (split.dbreve_gamma2(pair, b0, binf, source, tb), U @ D)):
+    outside = np.setdiff1d(np.arange(tb.size), tb.perm)
+    assert (outside.size == 0) == (e_cap is None)
+    for got, want in ((split.breve_gamma(pair, tb), U @ G),
+                      (split.dbreve_gamma2(pair, b0, binf, tb), U @ D)):
         assert isinstance(got, np.ndarray) and got.shape == (tb.size, source.size)
         assert np.array_equal(got, want)
         assert np.count_nonzero(got[outside]) == 0
 
 
 def test_tensor_basis_csv(setup):
-    _, _, _, _, tb, _ = setup
+    _, _, tb, _ = setup
     lines = tb.to_csv().strip().split("\n")
     assert lines[0] == "index,left_occupation,right_occupation"
     assert len(lines) == tb.size + 1
@@ -284,12 +268,12 @@ import numpy as np
 from nelsonlab import fock, split
 grid = fock.line_grid(48, 1.5, 0.2)
 basis = fock.build_basis(grid, 2)
-tb = split.build_tensor_basis(basis, basis, joint_cap=2)
+tb = split.build_tensor_basis(basis)
 assert tb.size == 4753
 theta = np.linspace(0.0, np.pi / 2, grid.n_modes)
 pair = split.SplitPair(grid, np.diag(np.cos(theta)), np.diag(np.sin(theta)))
 assert pair.isometric
-BG = split.breve_gamma(pair, basis, tb)
+BG = split.breve_gamma(pair, tb)
 v = np.random.default_rng(0).normal(size=basis.size)
 assert abs(np.linalg.norm(BG @ v) - np.linalg.norm(v)) < 1e-10
 """
