@@ -237,30 +237,31 @@ def run_algebra_suite(n_modes: int = 4, n_max: int = 3, draws: int = 100,
             rec("ueq2_binomial", abs(amp - np.sqrt(2.0) * np.sqrt(2.0)))
         del lhs, rhs
 
-        # splitting map with an isometric pair
+        # splitting map with j0* j0 + jinf* jinf = 1; the pairs are complex so
+        # every product below runs in the dtype the pinned reference used
         th = rng.uniform(0.1, np.pi / 2 - 0.1, size=M)
-        pair_iso = split.SplitPair(grid, np.diag(np.cos(th)), np.diag(np.sin(th)))
-        BG = split.breve_gamma(pair_iso, tb)
+        j0_iso, jinf_iso = np.diag(np.cos(th) + 0j), np.diag(np.sin(th) + 0j)
+        BG = split.breve_gamma(j0_iso, jinf_iso, tb)
         rec("breve_isometry", _norm(BG.conj().T @ BG - eye))
-        rhs_ag = (lift(gen.creation_op(pair_iso.j0 @ g1))
-                  + lift(None, gen.creation_op(pair_iso.jinf @ g1))) @ BG
+        rhs_ag = (lift(gen.creation_op(j0_iso @ g1))
+                  + lift(None, gen.creation_op(jinf_iso @ g1))) @ BG
         rec("ugamma_a", _norm(((BG @ c1) - rhs_ag)[:, guard]))
-        rhs_p = (lift(gen.field_op(pair_iso.j0 @ g1))
-                 + lift(None, gen.field_op(pair_iso.jinf @ g1))) @ BG
+        rhs_p = (lift(gen.field_op(j0_iso @ g1))
+                 + lift(None, gen.field_op(jinf_iso @ g1))) @ BG
         rec("ugamma_phi", _norm(((BG @ phi) - rhs_p)[:, guard]))
         rec("breve_number", _norm((BG @ N) - (N_pair[:, None] * BG)))
 
         # partition pair: ugamma-o and the right inverse
         um = rng.uniform(0.2, 0.8, size=M)
         Qs = 0.1 * rng.normal(size=(M, M))
-        j0 = np.diag(um) + (Qs + Qs.T)
-        pair_part = split.SplitPair(grid, j0, np.eye(M) - j0)
-        BGP = split.breve_gamma(pair_part, tb)
+        j0 = np.diag(um) + (Qs + Qs.T) + 0j
+        jinf = np.eye(M) - j0
+        BGP = split.breve_gamma(j0, jinf, tb)
         lhs_o = (BGP @ dG_om) - (dG_om_pair[:, None] * BGP)
         om = np.diag(grid.omega_mod)
-        c0 = om @ pair_part.j0 - pair_part.j0 @ om
-        cinf = om @ pair_part.jinf - pair_part.jinf @ om
-        rhs_o = -split.dbreve_gamma2(pair_part, c0, cinf, tb)
+        c0 = om @ j0 - j0 @ om
+        cinf = om @ jinf - jinf @ om
+        rhs_o = -split.dbreve_gamma2(j0, jinf, c0, cinf, tb)
         rec("ugamma_o", np.abs(lhs_o - rhs_o).max())
         rec("igamma", _norm((I_op @ BGP) - eye))
 
@@ -269,7 +270,7 @@ def run_algebra_suite(n_modes: int = 4, n_max: int = 3, draws: int = 100,
         kinf = _whermitian(grid, _rand_mat(rng, M))
         ut = _rand_vec(rng, tb.size)
         vt = _rand_vec(rng, n)
-        dbg = split.dbreve_gamma2(pair_iso, k0, kinf, tb)
+        dbg = split.dbreve_gamma2(j0_iso, jinf_iso, k0, kinf, tb)
         lhs_u = abs(complex(np.vdot(ut, dbg @ vt)))
         dG_k0 = gen.dGamma(fock.weighted_abs(grid, k0))
         dG_kinf = gen.dGamma(fock.weighted_abs(grid, kinf))

@@ -488,7 +488,7 @@ COMMANDS = {
 # exceptions that mean the config, or an input built from it, is unusable
 CONFIG_ERRORS = (ConfigError, fock.GridError, fock.BasisError, model.ConfigWindowError,
                  dynamics.ProbePreconditionError, mourre.EmptySubspaceError,
-                 model.IncompatibleGridError, model.UnsupportedDispersionError)
+                 model.IncompatibleGridError)
 
 
 def main(argv=None) -> int:

@@ -450,9 +450,8 @@ def annihilation_norm_track(prop: Propagation, basis: OccupationBasis, h,
 
 
 def W_estimate(prop: Propagation, basis: OccupationBasis, cuts: CutoffFamily,
-               ycalc: YCalc, f_window: float | None = None,
-               positivity_mode: bool = False) -> ObservableTrack:
-    """w(t) = <f psi_t, dGamma(chi_gamma(|y|/t)) f psi_t>.
+               ycalc: YCalc, positivity_mode: bool = False) -> ObservableTrack:
+    """w(t) = <psi_t, dGamma(chi_gamma(|y|/t)) psi_t>.
 
     In positivity mode the thresholds must satisfy gamma in (beta, 1 - 2 beta)
     with beta < 1/3; outside that window the estimate still runs with a
@@ -463,8 +462,6 @@ def W_estimate(prop: Propagation, basis: OccupationBasis, cuts: CutoffFamily,
             raise ConfigWindowError("positivity mode needs gamma in (beta, 1-2beta), beta < 1/3")
     elif not (cuts.beta < cuts.gamma):
         warnings.warn("gamma below beta: estimate runs, positivity not claimed")
-    if f_window is not None:
-        prop = _energy_filtered(prop, f_window)
 
     def measure(psi, t):
         chi = ycalc.fn(lambda lam: cuts.chi_gamma(np.abs(lam) / t))
@@ -487,9 +484,11 @@ def _energy_filtered(prop: Propagation, f_window: float) -> Propagation:
     return replace(prop, state=psi0 / nrm)
 
 
+W_PLUS_DIM_CAP = 5000  # largest pair basis W_plus_probe diagonalizes
+
+
 def W_plus_probe(prop: Propagation, basis: OccupationBasis, cuts: CutoffFamily,
-                 ycalc: YCalc, f_window: float,
-                 extended_dim_cap: int = 5000) -> ObservableTrack:
+                 ycalc: YCalc, f_window: float) -> ObservableTrack:
     """Track ||W_+(t) phi|| and its outer-vacuum component.
 
     W_+(t) = f(H_ext) breve_Gamma(j_t) dGamma(chi_gamma,t) f(H) psi_t on the
@@ -498,27 +497,26 @@ def W_plus_probe(prop: Propagation, basis: OccupationBasis, cuts: CutoffFamily,
     norms are tracked.  Verdicts: boundedness trend of the full norm and
     smallness of the outer-vacuum component (exact j0 chi_gamma = 0 routing).
     """
-    from .split import SplitPair, breve_gamma, build_tensor_basis, tensor_factor_ops
+    from .split import breve_gamma, build_tensor_basis, tensor_factor_ops
 
     if basis.e_cap is not None:
         raise ConfigWindowError(f"W_plus needs a basis without energy cap: e_cap = {basis.e_cap} "
                                 "cuts the hopping of dGamma(chi_gamma), so j0 chi_gamma = 0 "
                                 "no longer routes exactly")
-    grid = basis.grid
     tb = build_tensor_basis(basis)
-    if tb.size > extended_dim_cap:
-        raise ConfigWindowError(f"extended dimension {tb.size} exceeds the cap {extended_dim_cap}")
+    if tb.size > W_PLUS_DIM_CAP:
+        raise ConfigWindowError(f"extended dimension {tb.size} exceeds the cap {W_PLUS_DIM_CAP}")
     Hext = Hamiltonian(tensor_factor_ops(tb, op_left=prop.H.mat)
                        + tensor_factor_ops(tb, op_right=dGamma(basis, _boson_omega(prop, basis))),
                        use_modified=prop.H.use_modified)
-    calc_ext = SpectralCalculus(Hext, limit=extended_dim_cap)
+    calc_ext = SpectralCalculus(Hext, limit=W_PLUS_DIM_CAP)
     f_ext = energy_window(f_window)
     outer_vacuum = tb.pair_numbers()[:, 1] == 0
     full_norms, vac_norms = [], []
     for t, psi in snapshots(_energy_filtered(prop, f_window)):
         j0m = ycalc.fn(lambda lam: cuts.j0(np.abs(lam) / t))
         jim = ycalc.fn(lambda lam: cuts.jinf(np.abs(lam) / t))
-        BG = breve_gamma(SplitPair(grid, j0m, jim), tb)
+        BG = breve_gamma(j0m, jim, tb)
         chi = dGamma(basis, ycalc.fn(lambda lam: cuts.chi_gamma(np.abs(lam) / t)))
         vec = calc_ext.fn(f_ext, BG @ (chi @ psi))
         full_norms.append(float(np.linalg.norm(vec)))

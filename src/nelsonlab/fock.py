@@ -215,8 +215,8 @@ def omega_modified_grad(s, sigma: float):
 
 def line_grid(n_modes: int, kmax: float, sigma: float) -> ModeGrid:
     """Symmetric midpoint grid on [-kmax, kmax] in d = 1 (even n_modes, no k=0)."""
-    if n_modes % 2 != 0:
-        raise GridError("line_grid requires an even mode count to avoid k = 0")
+    if n_modes <= 0 or n_modes % 2 != 0:
+        raise GridError("line_grid requires a positive even mode count (no k = 0)")
     h = 2.0 * kmax / n_modes
     pts = (-kmax + (np.arange(n_modes) + 0.5) * h)[:, None]
     w = np.full(n_modes, h)

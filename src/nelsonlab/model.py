@@ -1,4 +1,4 @@
-"""Electron dispersions, form factors, and Hamiltonian assembly.
+"""Closed-form electron dispersions, form factors, and Hamiltonian assembly.
 
 The fiber Hamiltonian at total momentum P is
 
@@ -32,10 +32,6 @@ from .fock import (
 )
 
 
-class UnsupportedDispersionError(ValueError):
-    """Tabulated dispersion violates the velocity-threshold monotonicity."""
-
-
 class IncompatibleGridError(ValueError):
     """Boson mode is not on the dual lattice of the electron chain."""
 
@@ -50,29 +46,16 @@ class ConfigWindowError(ValueError):
 
 @dataclass(frozen=True)
 class DispersionLaw:
-    """Electron dispersion: nonrelativistic, relativistic, or tabulated (d=1)."""
+    """Electron dispersion in closed form: nonrelativistic or relativistic."""
 
     kind: str
     mass: float = 1.0
-    table_p: np.ndarray | None = None
-    table_omega: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("nonrel", "rel", "tabulated"):
+        if self.kind not in ("nonrel", "rel"):
             raise ValueError(f"unknown dispersion kind {self.kind!r}")
-        if self.kind != "tabulated" and self.mass <= 0:
+        if self.mass <= 0:
             raise ValueError("mass must be positive")
-        if self.kind == "tabulated":
-            p = np.asarray(self.table_p, dtype=float)
-            om = np.asarray(self.table_omega, dtype=float)
-            if p.ndim != 1 or p.shape != om.shape or len(p) < 4:
-                raise ValueError("tabulated dispersion needs matching 1-d samples")
-            if not np.allclose(np.diff(np.diff(p)), 0.0, atol=1e-12):
-                raise ValueError("tabulated dispersion needs uniform momentum samples")
-            if np.any(om < 0) or not np.all(np.isfinite(om)):
-                raise ValueError("tabulated dispersion must be finite and nonnegative")
-            object.__setattr__(self, "table_p", p)
-            object.__setattr__(self, "table_omega", om)
 
     def omega(self, p):
         """Energy at momentum p; p has component shape (..., d), or scalar."""
@@ -80,66 +63,39 @@ class DispersionLaw:
         p2 = p * p if p.ndim == 0 else np.sum(p * p, axis=-1)
         if self.kind == "nonrel":
             return p2 / (2.0 * self.mass)
-        if self.kind == "rel":
-            return np.sqrt(p2 + self.mass ** 2)
-        pn = np.sqrt(p2)
-        return np.interp(pn, self.table_p, self.table_omega)
+        return np.sqrt(p2 + self.mass ** 2)
 
     def grad(self, p):
         """Gradient of the dispersion; p and the result have shape (..., d)."""
         p = np.asarray(p, dtype=float)
         if self.kind == "nonrel":
             return p / self.mass
-        if self.kind == "rel":
-            om = np.sqrt(np.sum(p * p, axis=-1, keepdims=True) + self.mass ** 2)
-            return p / om
-        pn = np.maximum(np.linalg.norm(p, axis=-1, keepdims=True), 1e-12)
-        dp = self.table_p[1] - self.table_p[0]
-        slope = np.interp(pn.ravel(), self.table_p,
-                          np.gradient(self.table_omega, dp)).reshape(pn.shape)
-        return slope * p / pn
+        om = np.sqrt(np.sum(p * p, axis=-1, keepdims=True) + self.mass ** 2)
+        return p / om
 
     def grad_norm(self, p) -> np.ndarray:
         return np.linalg.norm(self.grad(p), axis=-1)
 
     def hessian_sup(self) -> float:
         """B = sup over p of the spectral norm of the second derivative."""
-        if self.kind in ("nonrel", "rel"):
-            return 1.0 / self.mass
-        dp = self.table_p[1] - self.table_p[0]
-        return float(np.abs(np.gradient(np.gradient(self.table_omega, dp), dp)).max())
+        return 1.0 / self.mass
 
 
 def o_beta(disp: DispersionLaw, beta: float) -> float:
     """Largest energy threshold forcing |grad Omega| <= beta below it.
 
-    Closed forms for the built-ins; for a tabulated law the threshold is
-    located by bisection over the sampled velocity sup.  The map
-    beta -> O_beta is non-decreasing and continuous from the left, and
-    tends to inf Omega as beta -> 0+.
+    Closed forms M beta^2 / 2 (nonrelativistic) and M / sqrt(1 - beta^2)
+    (relativistic, +inf from beta = 1).  The map beta -> O_beta is
+    non-decreasing and continuous from the left, and tends to inf Omega as
+    beta -> 0+.
     """
     if beta <= 0:
         raise ConfigWindowError("beta must be positive")
     if disp.kind == "nonrel":
         return disp.mass * beta * beta / 2.0
-    if disp.kind == "rel":
-        if beta >= 1.0:
-            return math.inf
-        return disp.mass / math.sqrt(1.0 - beta * beta)
-    # tabulated: f(lam) = sup {|Omega'(p)| : Omega(p) <= lam}; need f nondecreasing
-    pn = disp.table_p
-    om = disp.table_omega
-    dp = pn[1] - pn[0]
-    vel = np.abs(np.gradient(om, dp))
-    order = np.argsort(om, kind="stable")
-    running = np.maximum.accumulate(vel[order])
-    if np.any(np.diff(om[order]) < -1e-12):
-        raise UnsupportedDispersionError("tabulated dispersion is not sortable by energy")
-    below = running <= beta
-    if not below[0]:
-        raise UnsupportedDispersionError("no energy window with |grad| <= beta")
-    idx = int(np.max(np.nonzero(below)[0]))
-    return float(om[order][idx])
+    if beta >= 1.0:
+        return math.inf
+    return disp.mass / math.sqrt(1.0 - beta * beta)
 
 
 def velocity_bound(disp: DispersionLaw, energy: float) -> float:
@@ -151,9 +107,7 @@ def velocity_bound(disp: DispersionLaw, energy: float) -> float:
     M = disp.mass
     if disp.kind == "nonrel":
         return math.sqrt(max(2.0 * energy / M, 0.0))
-    if disp.kind == "rel":
-        return math.sqrt(max(1.0 - (M / energy) ** 2, 0.0)) if energy > M else 0.0
-    raise ValueError("closed-form bound needs a built-in dispersion")
+    return math.sqrt(max(1.0 - (M / energy) ** 2, 0.0)) if energy > M else 0.0
 
 
 def quadrature_C(ff: "FormFactor", grid: ModeGrid) -> float:
@@ -162,7 +116,8 @@ def quadrature_C(ff: "FormFactor", grid: ModeGrid) -> float:
 
 
 def g_beta(disp: DispersionLaw, ff: "FormFactor", beta: float, grid: ModeGrid) -> float:
-    """Coupling threshold min(1, (1-b)^{3/2} / 3 sqrt(BC), (1-b)^2 / 3B(C + O_b))."""
+    """Coupling threshold min(1, (1-b)^{3/2} / 3 sqrt(BC), (1-b)^2 / 3B(C + O_b)),
+    the middle term +inf when the coupling function vanishes (C = 0)."""
     if beta >= 1:
         raise ConfigWindowError("beta must be below 1")
     B = disp.hessian_sup()
@@ -170,7 +125,7 @@ def g_beta(disp: DispersionLaw, ff: "FormFactor", beta: float, grid: ModeGrid) -
     Ob = o_beta(disp, beta)
     return min(
         1.0,
-        (1.0 - beta) ** 1.5 / (3.0 * math.sqrt(B * C)),
+        (1.0 - beta) ** 1.5 / (3.0 * math.sqrt(B * C)) if C > 0 else math.inf,
         (1.0 - beta) ** 2 / (3.0 * B * (C + Ob)),
     )
 

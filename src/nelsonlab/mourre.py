@@ -112,7 +112,6 @@ def group_velocity(grid: ModeGrid, use_modified: bool) -> np.ndarray:
 class ConjugateOp:
     """Dilation-type conjugate operator dGamma((v y + y v)/2) on a fiber basis."""
 
-    grid: ModeGrid
     y: np.ndarray
     a_op: np.ndarray
     A: sp.csr_matrix
@@ -133,7 +132,7 @@ def build_conjugate(ms: ModelSpec, basis: OccupationBasis) -> ConjugateOp:
         raise AssertionError("conjugate operator lost hermiticity")
     mesh = (grid.meta.get("spacing") or grid.meta.get("dr")
             or float(np.min(np.diff(np.sort(grid.points[:, 0])))))
-    return ConjugateOp(grid=grid, y=y, a_op=a, A=A, mesh=float(mesh))
+    return ConjugateOp(y=y, a_op=a, A=A, mesh=float(mesh))
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +196,7 @@ def smooth_test_states(basis: OccupationBasis, count: int = 8,
 
 
 def explicit_vs_numerical_defect(ms: ModelSpec, P, basis: OccupationBasis,
-                                 conj: ConjugateOp, count: int = 8,
-                                 seed: int = 23) -> float:
+                                 conj: ConjugateOp) -> float:
     """Quadratic-form gap between the explicit three-term commutator and
     i(HA - AH) on smooth guarded-sector states; scales as mesh^2.
 
@@ -208,7 +206,7 @@ def explicit_vs_numerical_defect(ms: ModelSpec, P, basis: OccupationBasis,
     H = build_fiber_H(ms, P, basis)
     expl = commutator_iHA(ms, P, basis, conj)
     num = numerical_commutator(H.mat, conj.A)
-    V = smooth_test_states(basis, count, seed).T
+    V = smooth_test_states(basis).T
     return float(np.abs(np.sum(V.conj() * ((expl - num) @ V), axis=0)).max())
 
 

@@ -106,8 +106,7 @@ class SpectralResult:
         return self.gap > 1e-8 * (1.0 + abs(self.ground_energy))
 
 
-def ground_state(H: Hamiltonian, k: int = 2, tol: float = 1e-10,
-                 max_iter: int = 500, seed: int = 7) -> SpectralResult:
+def ground_state(H: Hamiltonian, k: int = 2, tol: float = 1e-10) -> SpectralResult:
     """k lowest eigenpairs of a Hamiltonian.
 
     Dense ``eigh`` up to DENSE_CUTOFF; ARPACK ``eigsh`` from the real start
@@ -126,7 +125,7 @@ def ground_state(H: Hamiltonian, k: int = 2, tol: float = 1e-10,
         iters = 0
         method = "dense"
     else:
-        vals, vecs, iters = lanczos_lowest(H.mat, k, tol, max_iter, seed)
+        vals, vecs, iters = lanczos_lowest(H.mat, k, tol)
         method = "eigsh"
     resid = np.array([
         float(np.linalg.norm(H.mat @ vecs[:, i] - vals[i] * vecs[:, i]))
@@ -293,8 +292,6 @@ class DispersionCurve:
     soft_occupancies: np.ndarray
     free_mod_agree: np.ndarray
     converged: np.ndarray
-    alphas: tuple
-    meta: dict = field(default_factory=dict)
 
 
 def dispersion_scan(ms: ModelSpec, momenta, basis: OccupationBasis,
@@ -349,8 +346,6 @@ def dispersion_scan(ms: ModelSpec, momenta, basis: OccupationBasis,
         upper_margins=arr[:, 2], lower_margins=arr[:, 3],
         gaps=arr[:, 4], soft_occupancies=arr[:, 5],
         free_mod_agree=arr[:, 6], converged=np.array(conv),
-        alphas=alphas,
-        meta={"C": C, "n_max": basis.n_max, "tol": tol},
     )
 
 

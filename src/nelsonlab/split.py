@@ -8,11 +8,11 @@ isometry, the binomial weights of the sector formula being absorbed by the
 occupation-state normalization.  The pair space builds the doubled-grid basis
 and U's permutation once, on first use.
 
-breve_gamma realizes the splitting map Gamma-breve(j) = U Gamma(j) routing each
-boson through the pair (j0, jinf), and scattering_ident the fusion map
-I = Gamma(iota) U* with iota(h0, hinf) = h0 + hinf.  All maps are Galerkin
-projected onto the caps.  The splitting maps are dense, their rows placed by
-U's permutation; a one-leg lift gathers the leg matrix's stored entries.
+breve_gamma(j0, jinf, tb) realizes the splitting map Gamma-breve(j) = U Gamma(j)
+routing each boson through the M x M pair (j0, jinf), and scattering_ident the
+fusion map I = Gamma(iota) U* with iota(h0, hinf) = h0 + hinf.  All maps are
+Galerkin projected onto the caps.  The splitting maps are dense, their rows
+placed by U's permutation; a one-leg lift gathers the leg matrix's entries.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .fock import (
     _row_index,
     build_basis,
     dGamma2,
-    weighted_adjoint,
 )
 
 
@@ -54,33 +53,10 @@ def doubled_grid(grid: ModeGrid) -> ModeGrid:
 
 def stack_pair(j0: np.ndarray, jinf: np.ndarray) -> np.ndarray:
     """Stack two M x M mode operators into the 2M x M map h -> h + h."""
-    return np.vstack([np.asarray(j0, dtype=complex), np.asarray(jinf, dtype=complex)])
-
-
-@dataclass
-class SplitPair:
-    """Pair of mode operators (j0, jinf) with its recorded algebraic property."""
-
-    grid: ModeGrid
-    j0: np.ndarray
-    jinf: np.ndarray
-    isometric: bool = field(init=False)
-    partition: bool = field(init=False)
-
-    def __post_init__(self):
-        self.j0 = np.asarray(self.j0, dtype=complex)
-        self.jinf = np.asarray(self.jinf, dtype=complex)
-        M = self.grid.n_modes
-        if self.j0.shape != (M, M) or self.jinf.shape != (M, M):
-            raise DimensionMismatchError("split operators must be M x M")
-        adj0 = weighted_adjoint(self.grid, self.grid, self.j0)
-        adjinf = weighted_adjoint(self.grid, self.grid, self.jinf)
-        eye = np.eye(M)
-        self.isometric = bool(np.abs(adj0 @ self.j0 + adjinf @ self.jinf - eye).max() < 1e-10)
-        self.partition = bool(np.abs(self.j0 + self.jinf - eye).max() < 1e-10)
-
-    def stacked(self) -> np.ndarray:
-        return stack_pair(self.j0, self.jinf)
+    j0, jinf = np.asarray(j0, dtype=complex), np.asarray(jinf, dtype=complex)
+    if j0.ndim != 2 or j0.shape[0] != j0.shape[1] or jinf.shape != j0.shape:
+        raise DimensionMismatchError("split operators must be M x M")
+    return np.vstack([j0, jinf])
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,15 +137,15 @@ def _placed_by_perm(functor, maps, tb: TensorBasis) -> np.ndarray:
     return out
 
 
-def breve_gamma(sp_pair: SplitPair, tb: TensorBasis) -> np.ndarray:
+def breve_gamma(j0: np.ndarray, jinf: np.ndarray, tb: TensorBasis) -> np.ndarray:
     """Splitting map U Gamma(j): F -> F x F for the pair j = (j0, jinf), dense."""
-    return _placed_by_perm(Gamma, (sp_pair.stacked(),), tb)
+    return _placed_by_perm(Gamma, (stack_pair(j0, jinf),), tb)
 
 
-def dbreve_gamma2(sp_pair: SplitPair, b0: np.ndarray, binf: np.ndarray,
+def dbreve_gamma2(j0: np.ndarray, jinf: np.ndarray, b0: np.ndarray, binf: np.ndarray,
                   tb: TensorBasis) -> np.ndarray:
     """Mixed splitting map U dGamma(j, (b0, binf)): F -> F x F, dense."""
-    return _placed_by_perm(dGamma2, (sp_pair.stacked(), stack_pair(b0, binf)), tb)
+    return _placed_by_perm(dGamma2, (stack_pair(j0, jinf), stack_pair(b0, binf)), tb)
 
 
 def scattering_ident(tb: TensorBasis) -> sp.csr_matrix:

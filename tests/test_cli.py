@@ -131,6 +131,15 @@ class TestCommands:
             p, eg = float(cells[0]), float(cells[1])
             assert abs(eg - p * p / 2.0) < 1e-12
 
+    @pytest.mark.parametrize("text", ["ff.kappa0 = 0\n", "ff.lambda = 0.1\n"],
+                             ids=["kappa0-zero", "lambda-below-grid"])
+    def test_dispersion_g_beta_with_vanishing_coupling_function(self, tmp_path, text):
+        """C = 0 drops the sqrt(BC) term: g_beta is (1 - 0.9)^2 / (3 O_0.9)."""
+        path = write_cfg(tmp_path, text + "scan.n_points = 3\n")
+        assert run(["dispersion", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_PASS
+        rep = json.loads((tmp_path / "dispersion_verdicts.json").read_text())
+        assert rep["g_beta"] == pytest.approx(0.01 / (3 * 0.405), rel=1e-12)
+
     def test_w_and_report_chain(self, tmp_path):
         path = write_cfg(tmp_path, "grid.n_modes = 8\ndynamics.t_max = 30\n")
         assert run(["w", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_PASS
@@ -264,9 +273,14 @@ class TestCommands:
         ("dispersion", "scan.p_max = 5\n"),
         ("mourre", "mourre.sigma_window = 1e-6\n"),
         ("w", "cutoffs.beta = 0.9\n"),
-        ("evolve", "dynamics.ratio = 1\n")],
+        ("evolve", "dynamics.ratio = 1\n"),
+        ("dispersion", "grid.n_modes = 0\n"),
+        ("evolve", "grid.n_modes = 0\n"),
+        ("mourre", "mourre.grid_n_modes = 0\n"),
+        ("algebra", "algebra.n_modes = 0\n")],
         ids=["dispersion-kind", "scan-beta", "scan-momentum", "mourre-window", "cutoff-order",
-             "dynamics-ratio"])
+             "dynamics-ratio", "dispersion-zero-modes", "evolve-zero-modes", "mourre-zero-modes",
+             "algebra-zero-modes"])
     def test_config_value_exit_code(self, tmp_path, capsys, command, text):
         path = write_cfg(tmp_path, text)
         assert run([command, "--config", path, "--out", str(tmp_path)]) == cli.EXIT_CONFIG

@@ -575,13 +575,12 @@ class TestWPlus:
         assert track.verdicts["bounded"]
 
     def test_jinf_zero_routes_outer_vacuum(self, small_fiber, rng):
-        from nelsonlab.split import SplitPair, build_tensor_basis, breve_gamma
+        from nelsonlab.split import build_tensor_basis, breve_gamma
 
         ms, basis, H = small_fiber
         M = ms.grid.n_modes
         tb = build_tensor_basis(basis)
-        pair = SplitPair(ms.grid, np.eye(M), np.zeros((M, M)))
-        BG = breve_gamma(pair, tb)
+        BG = breve_gamma(np.eye(M), np.zeros((M, M)), tb)
         v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
         out = BG @ v
         outer_vacuum = tb.pair_numbers()[:, 1] == 0
@@ -612,13 +611,13 @@ class TestWPlus:
         dynamics.W_plus_probe(prop, basis, CUTS, dynamics.YCalc(grid), f_window=1.2)
         assert len(diagonal) == 1 and np.array_equal(diagonal[0], grid.omega_free)
 
-    def test_extended_dim_cap_enforced(self, small_fiber):
+    def test_extended_dim_cap_enforced(self, small_fiber, monkeypatch):
         ms, basis, H = small_fiber
+        monkeypatch.setattr(dynamics, "W_PLUS_DIM_CAP", 10)
         prop = dynamics.Propagation(H, fock.FockVector.vacuum(basis).amps,
                                     dynamics.geometric_times(1.0, 2.0, 1.5))
         with pytest.raises(dynamics.ConfigWindowError):
-            dynamics.W_plus_probe(prop, basis, CUTS, dynamics.YCalc(ms.grid),
-                                  f_window=1.2, extended_dim_cap=10)
+            dynamics.W_plus_probe(prop, basis, CUTS, dynamics.YCalc(ms.grid), f_window=1.2)
 
 
 class TestFiberFullConsistency:

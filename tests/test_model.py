@@ -43,20 +43,6 @@ class TestDispersion:
             vals = [model.o_beta(disp, b) for b in betas]
             assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
 
-    def test_tabulated_matches_closed_form(self, nonrel):
-        p = np.linspace(0.0, 4.0, 20001)
-        tab = model.DispersionLaw("tabulated", table_p=p, table_omega=p * p / 2.0)
-        for beta in (0.3, 0.6, 1.0):
-            assert model.o_beta(tab, beta) == pytest.approx(
-                model.o_beta(nonrel, beta), rel=1e-3, abs=1e-4)
-
-    def test_tabulated_nonmonotone_velocity_unsupported(self):
-        p = np.linspace(0.0, 4.0, 401)
-        om = np.sin(3 * p) + 3.5  # velocity never below any small beta near inf
-        tab = model.DispersionLaw("tabulated", table_p=p, table_omega=om)
-        with pytest.raises(model.UnsupportedDispersionError):
-            model.o_beta(tab, 1e-6)
-
     @pytest.mark.parametrize("kind, mass", [("nonrel", 1.0), ("nonrel", 2.5),
                                             ("rel", 1.0), ("rel", 0.4)])
     def test_velocity_bound_inverts_o_beta(self, kind, mass):
@@ -70,12 +56,6 @@ class TestDispersion:
                 energy, rel=1e-12)
         assert model.velocity_bound(disp, floor) == 0.0
         assert model.velocity_bound(disp, floor - 0.5) == 0.0
-
-    def test_velocity_bound_needs_closed_form(self):
-        p = np.linspace(0.0, 4.0, 401)
-        tab = model.DispersionLaw("tabulated", table_p=p, table_omega=p * p / 2.0)
-        with pytest.raises(ValueError):
-            model.velocity_bound(tab, 1.0)
 
     def test_hessian_sup(self, nonrel, relativistic):
         assert nonrel.hessian_sup() == 1.0
@@ -121,6 +101,18 @@ class TestGBeta:
 
     def test_g_beta_vanishes_as_beta_to_one(self, nonrel, ff, grid12):
         assert model.g_beta(nonrel, ff, 1.0 - 1e-9, grid12) < 1e-12
+
+    @pytest.mark.parametrize("ff_zero", [model.FormFactor(kappa0=0.0),
+                                         model.FormFactor(lam=0.1)],
+                             ids=["kappa0-zero", "lambda-below-grid"])
+    def test_vanishing_coupling_function_drops_middle_term(self, nonrel, ff_zero):
+        """C = 0 bounds nothing through (1-b)^{3/2} / 3 sqrt(BC); g_beta is
+        then min(1, (1-b)^2 / 3B O_b)."""
+        grid = fock.line_grid(12, 1.5, 0.2)  # the command-line default grid
+        assert model.quadrature_C(ff_zero, grid) == 0.0
+        beta = 0.9
+        expect = (1.0 - beta) ** 2 / (3.0 * model.o_beta(nonrel, beta))
+        assert model.g_beta(nonrel, ff_zero, beta, grid) == expect
 
     def test_c_independent_of_sigma(self, nonrel, grid12):
         ff1 = model.FormFactor(1.0, 1.0, 0.2)

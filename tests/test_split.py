@@ -74,30 +74,20 @@ def test_binomial_spot_check(setup, grid4):
     assert abs(amp - math.sqrt(math.comb(2, 1)) * math.sqrt(2.0)) < 1e-13
 
 
-def test_split_pair_property_detection(grid4, rng):
-    th = rng.uniform(0.1, 1.4, size=4)
-    iso = split.SplitPair(grid4, np.diag(np.cos(th)), np.diag(np.sin(th)))
-    assert iso.isometric and not iso.partition
-    u = rng.uniform(0.2, 0.8, size=4)
-    part = split.SplitPair(grid4, np.diag(u), np.diag(1 - u))
-    assert part.partition
-
-
 def test_breve_gamma_isometry_and_vacuum(setup, grid4, rng):
     basis, basis_sum, tb, _ = setup
     th = rng.uniform(0.1, 1.4, size=4)
-    pair = split.SplitPair(grid4, np.diag(np.cos(th)), np.diag(np.sin(th)))
-    BG = split.breve_gamma(pair, tb)
+    BG = split.breve_gamma(np.diag(np.cos(th)), np.diag(np.sin(th)), tb)
     GG = BG.conj().T @ BG
     assert np.abs(GG - np.eye(basis.size)).max() < 1e-12
     col = BG[:, 0]
     assert abs(col[tb.lookup([[0, 0]])[0]] - 1.0) < 1e-14
     # non-isometric pair: breve* breve = Gamma(j*j)
     u = rng.uniform(0.2, 0.8, size=4)
-    pair2 = split.SplitPair(grid4, np.diag(u), np.diag(1 - u))
-    BG2 = split.breve_gamma(pair2, tb)
-    jj = (fock.weighted_adjoint(grid4, grid4, pair2.j0) @ pair2.j0
-          + fock.weighted_adjoint(grid4, grid4, pair2.jinf) @ pair2.jinf)
+    j0, jinf = np.diag(u), np.diag(1 - u)
+    BG2 = split.breve_gamma(j0, jinf, tb)
+    jj = (fock.weighted_adjoint(grid4, grid4, j0) @ j0
+          + fock.weighted_adjoint(grid4, grid4, jinf) @ jinf)
     G = fock.Gamma(basis, jj)
     assert np.abs(BG2.conj().T @ BG2 - G).max() < 1e-12
 
@@ -105,8 +95,7 @@ def test_breve_gamma_isometry_and_vacuum(setup, grid4, rng):
 def test_breve_gamma_number_intertwining(setup, grid4, rng):
     basis, basis_sum, tb, _ = setup
     th = rng.uniform(0.1, 1.4, size=4)
-    pair = split.SplitPair(grid4, np.diag(np.cos(th)), np.diag(np.sin(th)))
-    BG = split.breve_gamma(pair, tb)
+    BG = split.breve_gamma(np.diag(np.cos(th)), np.diag(np.sin(th)), tb)
     Npair = (split.tensor_factor_ops(tb, op_left=fock.number_op(basis))
              + split.tensor_factor_ops(tb, op_right=fock.number_op(basis)))
     dev = BG @ fock.number_op(basis).toarray() - Npair @ BG
@@ -115,8 +104,7 @@ def test_breve_gamma_number_intertwining(setup, grid4, rng):
 
 def test_breve_gamma_routes_all_left(setup, grid4, rng):
     basis, basis_sum, tb, _ = setup
-    pair = split.SplitPair(grid4, np.eye(4), np.zeros((4, 4)))
-    BG = split.breve_gamma(pair, tb)
+    BG = split.breve_gamma(np.eye(4), np.zeros((4, 4)), tb)
     v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
     out = BG @ v
     expect = np.zeros(tb.size, dtype=complex)
@@ -135,9 +123,7 @@ def test_scattering_ident_examples(setup, grid4, rng):
     u = rng.uniform(0.2, 0.8, size=4)
     Q = 0.05 * rng.normal(size=(4, 4))
     j0 = np.diag(u) + Q + Q.T
-    pair = split.SplitPair(grid4, j0, np.eye(4) - j0)
-    assert pair.partition
-    BG = split.breve_gamma(pair, tb)
+    BG = split.breve_gamma(j0, np.eye(4) - j0, tb)
     dev = I @ BG - np.eye(basis.size)
     assert np.abs(dev).max() < 1e-12
 
@@ -182,22 +168,22 @@ def test_ugamma_o_identity(setup, grid4, rng):
     u = rng.uniform(0.2, 0.8, size=4)
     Q = 0.1 * rng.normal(size=(4, 4))
     j0 = np.diag(u) + Q + Q.T
-    pair = split.SplitPair(grid4, j0, np.eye(4) - j0)
+    jinf = np.eye(4) - j0
     om = grid4.omega_mod
-    BG = split.breve_gamma(pair, tb)
+    BG = split.breve_gamma(j0, jinf, tb)
     lhs = (BG @ fock.dGamma(basis, om).toarray()
            - (split.tensor_factor_ops(tb, op_left=fock.dGamma(basis, om))
               + split.tensor_factor_ops(tb, op_right=fock.dGamma(basis, om))) @ BG)
-    c0 = np.diag(om) @ pair.j0 - pair.j0 @ np.diag(om)
-    cinf = np.diag(om) @ pair.jinf - pair.jinf @ np.diag(om)
-    rhs = -split.dbreve_gamma2(pair, c0, cinf, tb)
+    c0 = np.diag(om) @ j0 - j0 @ np.diag(om)
+    cinf = np.diag(om) @ jinf - jinf @ np.diag(om)
+    rhs = -split.dbreve_gamma2(j0, jinf, c0, cinf, tb)
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
 def test_dbreve_gamma2_zero_pair(setup, grid4):
     basis, basis_sum, tb, _ = setup
-    pair = split.SplitPair(grid4, np.eye(4), np.zeros((4, 4)))
-    Z = split.dbreve_gamma2(pair, np.zeros((4, 4)), np.zeros((4, 4)), tb)
+    Z = split.dbreve_gamma2(np.eye(4), np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 4)),
+                            tb)
     assert np.count_nonzero(Z) == 0
 
 
@@ -206,13 +192,13 @@ def test_udgamma_cauchy_schwarz(setup, grid4, rng):
 
     basis, basis_sum, tb, _ = setup
     th = rng.uniform(0.1, 1.4, size=4)
-    pair = split.SplitPair(grid4, np.diag(np.cos(th)), np.diag(np.sin(th)))
+    j0, jinf = np.diag(np.cos(th)), np.diag(np.sin(th))
     for _ in range(5):
         k0 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         k0 = (k0 + fock.weighted_adjoint(grid4, grid4, k0)) / 2
         kinf = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         kinf = (kinf + fock.weighted_adjoint(grid4, grid4, kinf)) / 2
-        dbg = split.dbreve_gamma2(pair, k0, kinf, tb)
+        dbg = split.dbreve_gamma2(j0, jinf, k0, kinf, tb)
         u = rng.normal(size=tb.size) + 1j * rng.normal(size=tb.size)
         v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
         lhs = abs(complex(np.vdot(u, dbg @ v)))
@@ -238,16 +224,24 @@ def test_splitting_maps_equal_U_times_functor(grid4, rng, n_max, e_cap):
     U = split.tensor_iso_U(tb)
     j0, jinf, b0, binf = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
                           for _ in range(4))
-    pair = split.SplitPair(grid4, j0, jinf)
-    G = fock.Gamma(source, pair.stacked(), basis_out=basis_sum)
-    D = fock.dGamma2(source, pair.stacked(), split.stack_pair(b0, binf), basis_out=basis_sum)
+    j = split.stack_pair(j0, jinf)
+    G = fock.Gamma(source, j, basis_out=basis_sum)
+    D = fock.dGamma2(source, j, split.stack_pair(b0, binf), basis_out=basis_sum)
     outside = np.setdiff1d(np.arange(tb.size), tb.perm)
     assert (outside.size == 0) == (e_cap is None)
-    for got, want in ((split.breve_gamma(pair, tb), U @ G),
-                      (split.dbreve_gamma2(pair, b0, binf, tb), U @ D)):
+    for got, want in ((split.breve_gamma(j0, jinf, tb), U @ G),
+                      (split.dbreve_gamma2(j0, jinf, b0, binf, tb), U @ D)):
         assert isinstance(got, np.ndarray) and got.shape == (tb.size, source.size)
         assert np.array_equal(got, want)
         assert np.count_nonzero(got[outside]) == 0
+
+
+def test_breve_gamma_refuses_mismatched_pair(setup):
+    """A (5, 4) j0 over a (3, 4) jinf stacks to the (8, 4) shape of a 2M x M
+    map on four modes; the pair itself is not M x M and must be refused."""
+    _, _, tb, _ = setup
+    with pytest.raises(fock.DimensionMismatchError):
+        split.breve_gamma(np.ones((5, 4)), np.ones((3, 4)), tb)
 
 
 def test_tensor_basis_csv(setup):
@@ -258,9 +252,10 @@ def test_tensor_basis_csv(setup):
 
 
 def test_breve_gamma_at_48_modes_fits_in_2_gib():
-    """The pair basis at M=48, n_max=2 has 4753 states, under W_plus_probe's
-    extended_dim_cap; the splitting map must build in bounded memory.  It runs
-    in a child process whose address space is capped at 2 GiB."""
+    """The pair basis at M=48, n_max=2 has 4753 states, under
+    dynamics.W_PLUS_DIM_CAP; the splitting map of the isometric pair
+    (j0, jinf) must build in bounded memory.  It runs in a child process whose
+    address space is capped at 2 GiB."""
     code = """
 import resource
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
@@ -271,9 +266,7 @@ basis = fock.build_basis(grid, 2)
 tb = split.build_tensor_basis(basis)
 assert tb.size == 4753
 theta = np.linspace(0.0, np.pi / 2, grid.n_modes)
-pair = split.SplitPair(grid, np.diag(np.cos(theta)), np.diag(np.sin(theta)))
-assert pair.isometric
-BG = split.breve_gamma(pair, tb)
+BG = split.breve_gamma(np.diag(np.cos(theta)), np.diag(np.sin(theta)), tb)
 v = np.random.default_rng(0).normal(size=basis.size)
 assert abs(np.linalg.norm(BG @ v) - np.linalg.norm(v)) < 1e-10
 """
