@@ -5,17 +5,27 @@ draws; creation-type identities are restricted to the guarded sector
 N <= n_max - 1 where the truncated algebra is exact.  The suite is the
 engine behind the ``algebra`` subcommand and the first acceptance criterion.
 
-Every identity is evaluated on dense numpy arrays.  What does not depend on
-the draw is built once per suite: the one-leg generator stacks
-(``Generators``, from ``fock``'s own constructors), the nonzeros of a*(e_j)
-and the diagonals of dGamma(e_j) on the doubled grid, the tensor lift as an
-index gather (``split.tensor_lift``), U as its permutation
-(``TensorBasis.perm``), the fusion map I, the guards as column masks,
-and the checks that involve none of the draws.  A draw forms each operator
-that is linear in its coefficients with one ``tensordot`` and applies U as
-an index gather; only Gamma, dGamma2 and the splitting maps built on them
-are nonlinear in the draw and go through the sector recursion every draw,
-which reads its slot tables, sector schedule and row lookups from the bases.
+What does not depend on the draw is built once per suite: the one-leg
+generator stacks (``Generators``, from ``fock``'s own constructors), the
+nonzeros of a*(e_j) and the diagonals of dGamma(e_j) on the doubled grid,
+the tensor lift as an index gather (``split.TensorLift``), U as its
+permutation (``TensorBasis.perm``), the fusion map I, the guards as column
+masks, the support plans of U's identities, and the checks that involve
+none of the draws.  A draw forms each operator that is linear in its
+coefficients with one ``tensordot``; only Gamma, dGamma2 and the splitting
+maps built on them are nonlinear in the draw and go through the sector
+recursion every draw, which reads its slot tables, sector schedule and row
+lookups from the bases, and each Gamma is formed once per draw and mode map
+and read again by the dGamma2 beside it.
+
+Identities whose two sides are dense products are evaluated on dense numpy
+arrays, one dense product of the same operands each, so every defect is
+rounded as it always was.  U's identities compare two scatters instead
+(``_UIdentities``): the doubled-grid creation scatter, placed in pair
+coordinates by U's permutation, against one-leg lifts.  Each is evaluated
+on the union of the two sides' structural supports, outside which both are
+exactly zero, so the 165 x 165 sides are never formed and each worst entry
+is the one the dense difference gives; a diagonal comparison is one vector.
 """
 
 from __future__ import annotations
@@ -85,23 +95,124 @@ class Generators:
         return np.tensordot(np.diag(b) if b.ndim == 1 else b, self.hopping, 2)
 
 
-def _sparse_creation(basis: fock.OccupationBasis):
+class _SparseCreation:
     """a*(h) on ``basis`` as a scatter of the nonzeros of ``fock.creation_op(basis, e_j)``.
 
     For the doubled grid, where a dense 2M x n x n stack would cost megabytes
     per product; every entry belongs to one mode, since it adds one boson.
+    a*(h) holds ``values(h)`` at (``row``, ``col``).
     """
-    parts = [fock.creation_op(basis, e).tocoo() for e in np.eye(basis.grid.n_modes)]
-    flat = np.concatenate([c.row * basis.size + c.col for c in parts])
-    value = np.concatenate([c.data for c in parts])
-    mode = np.repeat(np.arange(len(parts)), [c.nnz for c in parts])
 
-    def creation_op(h) -> np.ndarray:
-        out = np.zeros(basis.size * basis.size, dtype=complex)
-        out[flat] = value * h[mode]
-        return out.reshape(basis.size, basis.size)
+    def __init__(self, basis: fock.OccupationBasis):
+        parts = [fock.creation_op(basis, e).tocoo() for e in np.eye(basis.grid.n_modes)]
+        self.size = basis.size
+        self.row = np.concatenate([c.row for c in parts])
+        self.col = np.concatenate([c.col for c in parts])
+        self.value = np.concatenate([c.data for c in parts])
+        self.mode = np.repeat(np.arange(len(parts)), [c.nnz for c in parts])
 
-    return creation_op
+    def values(self, h) -> np.ndarray:
+        return self.value * h[self.mode]
+
+    def __call__(self, h) -> np.ndarray:
+        out = np.zeros(self.size * self.size, dtype=complex)
+        out[self.row * self.size + self.col] = self.values(h)
+        return out.reshape(self.size, self.size)
+
+
+class _SupportPlan:
+    """Both sides of an identity on the union of their structural supports.
+
+    ``puts`` lists flat positions, one array per scatter that builds a side;
+    outside their union both sides are exactly zero, so the largest entry of
+    |lhs - rhs| is the largest over the union.  ``gap(lhs, *rhs)`` writes the
+    scatters' values in order, the first into the left side and the rest
+    into the right, a later one adding into an earlier one where they meet,
+    and returns that largest entry.
+    """
+
+    def __init__(self, *puts):
+        union = np.unique(np.concatenate(puts))
+        self.size = len(union)
+        self.at = [np.searchsorted(union, put) for put in puts]
+
+    def gap(self, lhs, *rhs) -> float:
+        side = np.zeros((2, self.size), dtype=complex)
+        side[0, self.at[0]] = lhs
+        side[1, self.at[1]] = rhs[0]
+        for at, part in zip(self.at[2:], rhs[1:]):
+            side[1, at] += part
+        return float(np.abs(side[0] - side[1]).max(initial=0.0))
+
+
+class _UIdentities:
+    """The draw-dependent identities of U, the tensor isomorphism, evaluated
+    without forming their pair-basis sides.
+
+    Built once per suite: a*(h) on the doubled grid (``_SparseCreation``),
+    its number diagonals, and the support plans of ``ueq0_creation`` and
+    ``ueq1_annihilation``.  U places the doubled-grid entry (row, col) at the
+    pair entry (t[row], t[col]), t = ``tb.perm``, so the creation scatter
+    lands in pair coordinates directly; a lift's support is its leg's
+    creation (or annihilation) pattern lifted, plus the entry that
+    ``corrupt`` perturbs.  ``ueq3_dgamma`` compares diagonal operators, so
+    its support is the diagonal.  The suite's pair space has no energy cap,
+    so U is a bijection and ``s``, the inverse of t, applies U to vectors.
+    """
+
+    def __init__(self, gen: Generators, tb: split.TensorBasis, lift: split.TensorLift,
+                 corrupt: bool = False):
+        basis, M = tb.basis, tb.basis.grid.n_modes
+        self.gen, self.tb, self.M = gen, tb, M
+        self.left, self.right = tb.pairs.T
+        t, n_pairs = tb.perm, tb.size
+        self.s = np.argsort(t)
+        self.sum_creation = _SparseCreation(tb.sum_basis)
+        self.sum_numbers = np.stack([fock.dGamma(tb.sum_basis, e).diagonal()
+                                     for e in np.eye(2 * M)], axis=1)
+        creates = np.any(gen.creation != 0, axis=0)
+        a_dag1 = creates.copy()
+        if corrupt:
+            a_dag1[0, min(1, basis.size - 1)] = True
+        guard = tb.pair_numbers().sum(axis=1) <= basis.n_max - 1
+        row, col = t[self.sum_creation.row], t[self.sum_creation.col]
+        self.guarded = guard[col]
+        put, self.gather0 = lift.on(a_dag1)
+        keep = guard[put % n_pairs]
+        put, self.gather0 = put[keep], self.gather0[keep]
+        self.ueq0 = _SupportPlan((row * n_pairs + col)[self.guarded], put)
+        (put_l, self.gather_l), (put_r, self.gather_r) = (lift.on(creates.T, right)
+                                                          for right in (False, True))
+        self.ueq1 = _SupportPlan(col * n_pairs + row, put_l, put_r)
+
+    def creation(self, g1, a_dag1) -> float:
+        """ueq0: U a*(g1 + 0) U* = a*(g1) x 1 on the guarded pairs."""
+        lhs = self.sum_creation.values(np.concatenate([g1, np.zeros(self.M)]))
+        return self.ueq0.gap(lhs[self.guarded], np.take(a_dag1, self.gather0))
+
+    def annihilation(self, g1, g2, ann1, ann2) -> float:
+        """ueq1: U a(g1 + g2) U* = a(g1) x 1 + 1 x a(g2)."""
+        lhs = np.conj(self.sum_creation.values(np.concatenate([g1, g2])))
+        return self.ueq1.gap(lhs, np.take(ann1, self.gather_l), np.take(ann2, self.gather_r))
+
+    def dgamma(self, d0, dinf) -> float:
+        """ueq3: U dGamma(d0 + dinf) U* = dGamma(d0) x 1 + 1 x dGamma(dinf)."""
+        lhs = (self.sum_numbers @ np.concatenate([d0, dinf]))[self.s]
+        rhs = (self.gen.dGamma(d0).diagonal()[self.left]
+               + self.gen.dGamma(dinf).diagonal()[self.right])
+        return float(np.abs(lhs - rhs).max())
+
+    def binomial(self, i, j) -> float:
+        """ueq2: the amplitude of a*(v)^2 Omega with v = (e_i, e_j) on the pair
+        (e_i, e_j) is sqrt(2) sqrt(2)."""
+        M, basis = self.M, self.tb.basis
+        w = basis.grid.weights
+        vv = np.concatenate([np.eye(M)[i] / np.sqrt(w[i]), np.eye(M)[j] / np.sqrt(w[j])])
+        lhs = self.sum_creation(vv)
+        two = (lhs @ lhs[:, 0])[self.s]
+        # the one-boson states e_i, e_j and the pair (e_i, e_j)
+        amp = two[self.tb.lookup([[basis.up[0, i], basis.up[0, j]]])[0]]
+        return abs(amp - np.sqrt(2.0) * np.sqrt(2.0))
 
 
 def run_algebra_suite(n_modes: int = 4, n_max: int = 3, draws: int = 100,
@@ -127,19 +238,14 @@ def run_algebra_suite(n_modes: int = 4, n_max: int = 3, draws: int = 100,
 
     tb = split.build_tensor_basis(basis)
     basis_sum = tb.sum_basis
-    lift = split.tensor_lift(tb)
-    guard_pairs = np.flatnonzero(tb.pair_numbers().sum(axis=1) <= n_max - 1)
-    # U is a bijection here (no energy cap): U X = X[s], X U = X[:, t]
-    t = tb.perm
-    s = np.argsort(t)
-    sum_creation = _sparse_creation(basis_sum)
-    sum_numbers = np.stack([fock.dGamma(basis_sum, e).diagonal()
-                            for e in np.eye(2 * M)], axis=1)
-    # number operators are diagonal; their pair lifts are kept as diagonals
+    lift = split.TensorLift(tb)
+    left, right = tb.pairs.T
+    u_ids = _UIdentities(gen, tb, lift, corrupt)
+    # diagonal operators and their pair lifts are kept as diagonals
     N_pair = (split.tensor_factor_ops(tb, op_left=N_op)
               + split.tensor_factor_ops(tb, op_right=N_op)).diagonal()
     dG_om = gen.dGamma(grid.omega_mod)
-    dG_om_pair = np.diagonal(lift(dG_om) + lift(None, dG_om))
+    dG_om_pair = dG_om.diagonal()[left] + dG_om.diagonal()[right]
     I_op = split.scattering_ident(tb).toarray()
 
     defects: dict[str, float] = {}
@@ -194,9 +300,9 @@ def run_algebra_suite(n_modes: int = 4, n_max: int = 3, draws: int = 100,
         b2 = _rand_mat(rng, M)
         dG2 = gen.dGamma(b2)
         rec("dgamma2_collapse", _norm(fock.dGamma2(basis, np.eye(M), b2) - dG2))
-        rec("gamma_dgamma", _norm((G @ dG2) - fock.dGamma2(basis, b, b @ b2)))
+        rec("gamma_dgamma", _norm((G @ dG2) - fock.dGamma2(basis, b, b @ b2, gamma_a=G)))
         rec("gamma_dgamma_comm",
-            _norm(((G @ dG2) - (dG2 @ G)) - fock.dGamma2(basis, b, b @ b2 - b2 @ b)))
+            _norm(((G @ dG2) - (dG2 @ G)) - fock.dGamma2(basis, b, b @ b2 - b2 @ b, gamma_a=G)))
 
         # Schwarz bound for the mixed functor
         r1 = _rand_mat(rng, M)
@@ -211,31 +317,15 @@ def run_algebra_suite(n_modes: int = 4, n_max: int = 3, draws: int = 100,
                  * np.sqrt(max(0.0, float(np.vdot(v, gen.dGamma(fock.weighted_adjoint(grid, grid, r1) @ r1) @ v).real))))
         rec("lemma_dgamma_schwarz", max(0.0, lhs_s - rhs_s))
 
-        # tensor isomorphism; lhs and rhs are reused and then dropped, so that
-        # at most one pair of pair-basis matrices is alive at a time
-        lhs = sum_creation(np.concatenate([g1, np.zeros(M)]))[np.ix_(s, s)]
-        rec("ueq0_creation", np.abs((lhs - lift(a_dag1))[:, guard_pairs]).max())
-        lhs = sum_creation(np.concatenate([g1, g2])).conj().T[s]
-        rhs = (lift(ann1) + lift(None, ann2))[:, t]
-        rec("ueq1_annihilation", _norm(lhs - rhs))
+        # tensor isomorphism
+        rec("ueq0_creation", u_ids.creation(g1, a_dag1))
+        rec("ueq1_annihilation", u_ids.annihilation(g1, g2, ann1, ann2))
         d0 = rng.normal(size=M)
         dinf = rng.normal(size=M)
-        lhs = np.diag((sum_numbers @ np.concatenate([d0, dinf]))[s])
-        rhs = lift(gen.dGamma(d0)) + lift(None, gen.dGamma(dinf))
-        rec("ueq3_dgamma", np.abs(lhs - rhs).max())
-
-        # binomial spot check (needs the two-boson sector): amplitude of
-        # a*(v)^2 Omega with v = (e_i, e_j)
+        rec("ueq3_dgamma", u_ids.dgamma(d0, dinf))
+        # binomial spot check (needs the two-boson sector)
         if n_max >= 2:
-            i, j = rng.integers(0, M, size=2)
-            vv = np.concatenate([np.eye(M)[i] / np.sqrt(grid.weights[i]),
-                                 np.eye(M)[j] / np.sqrt(grid.weights[j])])
-            lhs = sum_creation(vv)
-            two = (lhs @ lhs[:, 0])[s]
-            # the one-boson states e_i, e_j and the pair (e_i, e_j)
-            amp = two[tb.lookup([[basis.up[0, i], basis.up[0, j]]])[0]]
-            rec("ueq2_binomial", abs(amp - np.sqrt(2.0) * np.sqrt(2.0)))
-        del lhs, rhs
+            rec("ueq2_binomial", u_ids.binomial(*rng.integers(0, M, size=2)))
 
         # splitting map with j0* j0 + jinf* jinf = 1; the pairs are complex so
         # every product below runs in the dtype the pinned reference used
@@ -261,7 +351,7 @@ def run_algebra_suite(n_modes: int = 4, n_max: int = 3, draws: int = 100,
         om = np.diag(grid.omega_mod)
         c0 = om @ j0 - j0 @ om
         cinf = om @ jinf - jinf @ om
-        rhs_o = -split.dbreve_gamma2(j0, jinf, c0, cinf, tb)
+        rhs_o = -split.dbreve_gamma2(j0, jinf, c0, cinf, tb, breve_j=BGP)
         rec("ugamma_o", np.abs(lhs_o - rhs_o).max())
         rec("igamma", _norm((I_op @ BGP) - eye))
 
@@ -270,7 +360,7 @@ def run_algebra_suite(n_modes: int = 4, n_max: int = 3, draws: int = 100,
         kinf = _whermitian(grid, _rand_mat(rng, M))
         ut = _rand_vec(rng, tb.size)
         vt = _rand_vec(rng, n)
-        dbg = split.dbreve_gamma2(j0_iso, jinf_iso, k0, kinf, tb)
+        dbg = split.dbreve_gamma2(j0_iso, jinf_iso, k0, kinf, tb, breve_j=BG)
         lhs_u = abs(complex(np.vdot(ut, dbg @ vt)))
         dG_k0 = gen.dGamma(fock.weighted_abs(grid, k0))
         dG_kinf = gen.dGamma(fock.weighted_abs(grid, kinf))

@@ -30,7 +30,10 @@ N <= n_max or the energy cap, scattered from the slot tables; and
 slot 0.  Every second-quantized operator is derived from these tables:
 hopping terms a*_i a_j, the sector recursions behind Gamma and dGamma2, and
 the tensor and fusion maps of ``split`` are index gathers on ``occ``, ``up``
-and the slot tables, exact on capped bases as well.  So is
+and the slot tables, exact on capped bases as well.  The sector recursion
+conserves the boson number: the columns of input sector n fill only the
+rows of output sector n (their range read from the target's ``sectors``),
+each through its slots s < min(n, M) and its parents in sector n - 1.  So is
 ``dGamma_expectation``, which reads <psi, dGamma(b) psi> from the M x M
 one-boson density matrix rho_ij = <a_i psi, a_j psi>, one gather on ``up``,
 without assembling dGamma(b); ``apply_creation`` and ``apply_annihilation``
@@ -44,7 +47,8 @@ Operators are ``scipy.sparse.csr_matrix`` objects.  Ladder, field, number
 and ``dGamma`` operators take the dtype of their coefficients: real mode data
 give float64 matrices, complex data complex ones.  The Gamma-type maps,
 ``Gamma`` and ``dGamma2``, fill every sector they map and return the dense
-complex array their recursion builds.  Hamiltonians are ``model.Hamiltonian``.
+complex array their recursion builds; ``dGamma2`` reads Gamma(a) when the
+caller has already formed it.  Hamiltonians are ``model.Hamiltonian``.
 """
 
 from __future__ import annotations
@@ -589,7 +593,7 @@ def dGamma_expectation(basis: OccupationBasis, b, psi, weights=None) -> complex:
 
 
 def _sector_recursion(basis_in: OccupationBasis, basis_out: OccupationBasis | None,
-                      a, b=None):
+                      a, b=None, G=None):
     """Dense Gamma(a) and, if ``b`` is given, dGamma2(a, b), sector by sector.
 
     A 1-d map is diagonal; basis_out defaults to basis_in.  Each state c of
@@ -599,10 +603,17 @@ def _sector_recursion(basis_in: OccupationBasis, basis_out: OccupationBasis | No
         Gamma(a) a*_j = a*(a e_j) Gamma(a),
         dGamma2(a, b) a*_j = a*(b e_j) Gamma(a) + a*(a e_j) dGamma2(a, b).
 
-    The projections onto the target caps commute with this recursion
-    because a capped basis is closed under removing a boson.  The sectors
-    are read from ``basis_in.sectors`` and a* from the slot tables of
-    ``basis_out``.
+    Both maps conserve the boson number, so the columns of input sector n
+    are nonzero only on the rows of output sector n, and a* reaches those
+    rows from the rows of sector n - 1 through their slots s < min(n, M)
+    alone: every other row and slot would add an exact zero.  The recursion
+    fills that block only, in the slot order of the full sum, so each
+    nonzero entry is rounded as it would be there.  The projections onto
+    the target caps commute with this recursion because a capped basis is
+    closed under removing a boson: an empty input or output sector ends it.
+    The sectors and their row ranges are read from the ``sectors`` of both
+    bases and a* from the slot tables of ``basis_out``.  A given ``G``,
+    Gamma(a) as this recursion returns it, is read instead of rebuilt.
     """
     basis_out = basis_out or basis_in
 
@@ -618,21 +629,36 @@ def _sector_recursion(basis_in: OccupationBasis, basis_out: OccupationBasis | No
     bo = None if b is None else ortho(b)
     modes, roots, parents = basis_out.slot_mode, basis_out.slot_root, basis_out.slot_parent
 
-    def create(coef, V):
-        # column k is a*(coef[:, k]) V[:, k]: row r collects
-        # sqrt(n_i(r)) coef[i, k] V[r - e_i, k] over its occupied-mode slots
-        out = np.zeros((basis_out.size, V.shape[1]), dtype=complex)
-        for s in range(modes.shape[1]):
-            out += roots[:, s, None] * coef[modes[:, s]] * V[parents[:, s]]
-        return out
-
-    G = np.zeros((basis_out.size, basis_in.size), dtype=complex)
-    G[0, 0] = 1.0
+    build = G is None
+    if build:
+        G = np.zeros((basis_out.size, basis_in.size), dtype=complex)
+        G[0, 0] = 1.0
+    elif G.shape != (basis_out.size, basis_in.size):
+        raise DimensionMismatchError("Gamma(a) does not match the bases")
     D = np.zeros_like(G) if bo is not None else None
-    for c, j, p, scale in basis_in.sectors:
-        G[:, c] = create(ao[:, j], G[:, p]) * scale
+    for n, ((c, j, p, scale), (rows, *_)) in enumerate(zip(basis_in.sectors, basis_out.sectors),
+                                                      start=1):
+        if not (len(c) and len(rows)):
+            break
+        # output sector n is rows lo:hi; its parents lie in rows :lo, and a
+        # padding slot's parent -1 (root 0) reads the finite row lo - 1
+        lo, hi, cols = rows[0], rows[-1] + 1, slice(c[0], c[-1] + 1)
+        slots = [(roots[lo:hi, s, None], modes[lo:hi, s], parents[lo:hi, s])
+                 for s in range(min(n, modes.shape[1]))]
+
+        def create(coef, V):
+            # column k is a*(coef[:, k]) V[:, k] on rows lo:hi: row r collects
+            # sqrt(n_i(r)) coef[i, k] V[r - e_i, k] over its occupied-mode slots
+            out = np.zeros((hi - lo, V.shape[1]), dtype=complex)
+            for root, mode, parent in slots:
+                out += root * coef[mode] * V[parent]
+            return out
+
+        Gp = G[:lo, p]
+        if build:
+            G[lo:hi, cols] = create(ao[:, j], Gp) * scale
         if bo is not None:
-            D[:, c] = (create(bo[:, j], G[:, p]) + create(ao[:, j], D[:, p])) * scale
+            D[lo:hi, cols] = (create(bo[:, j], Gp) + create(ao[:, j], D[:lo, p])) * scale
     return G, D
 
 
@@ -645,9 +671,16 @@ def Gamma(basis_in: OccupationBasis, b, basis_out: OccupationBasis | None = None
     return _sector_recursion(basis_in, basis_out, b)[0]
 
 
-def dGamma2(basis_in: OccupationBasis, a, b, basis_out: OccupationBasis | None = None) -> np.ndarray:
-    """Mixed second quantization sum_j a x ... b(j-th) ... x a per sector, dense."""
-    return _sector_recursion(basis_in, basis_out, a, b)[1]
+def dGamma2(basis_in: OccupationBasis, a, b, basis_out: OccupationBasis | None = None,
+            gamma_a: np.ndarray | None = None) -> np.ndarray:
+    """Mixed second quantization sum_j a x ... b(j-th) ... x a per sector, dense.
+
+    ``gamma_a``, if given, must be ``Gamma(basis_in, a, basis_out)`` for this
+    same ``a``, already formed; the recursion reads it instead of building it
+    again, with the same result.  Only its shape is checked: a Gamma of
+    another mode map gives a wrong dGamma2 without an error.
+    """
+    return _sector_recursion(basis_in, basis_out, a, b, gamma_a)[1]
 
 
 def guarded_projector(basis: OccupationBasis) -> sp.csr_matrix:

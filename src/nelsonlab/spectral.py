@@ -301,8 +301,13 @@ def dispersion_scan(ms: ModelSpec, momenta, basis: OccupationBasis,
     Lower bounds (1 - a) E_0(P) - (g^2/a) C are evaluated at
     a in {|g|, 1/2, 1}; E_0(P) is the free ground energy on the same
     truncated basis, so every margin is an exact matrix statement up to
-    eigensolver noise.  Scan momenta must satisfy Omega(P) <= O_beta.
+    eigensolver noise.  Scan momenta must satisfy Omega(P) <= O_beta, and
+    the basis must hold a state besides the vacuum: on the vacuum alone the
+    coupling acts on nothing and no gap exists.
     """
+    if basis.size < 2:
+        raise ConfigWindowError("the dispersion scan needs a basis beyond the vacuum "
+                                f"(n_max = {basis.n_max}, e_cap = {basis.e_cap})")
     momenta = [np.atleast_1d(np.asarray(P, dtype=float)) for P in momenta]
     if beta is not None:
         ob = o_beta(ms.disp, beta)

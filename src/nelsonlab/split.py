@@ -12,7 +12,10 @@ breve_gamma(j0, jinf, tb) realizes the splitting map Gamma-breve(j) = U Gamma(j)
 routing each boson through the M x M pair (j0, jinf), and scattering_ident the
 fusion map I = Gamma(iota) U* with iota(h0, hinf) = h0 + hinf.  All maps are
 Galerkin projected onto the caps.  The splitting maps are dense, their rows
-placed by U's permutation; a one-leg lift gathers the leg matrix's entries.
+placed by U's permutation, and dbreve_gamma2 reads Gamma(j) from the
+breve_gamma of the same pair, which its caller has formed.  A one-leg lift
+gathers the leg matrix's entries; ``TensorLift`` also restricts a leg's
+support to a pattern of its entries.
 """
 
 from __future__ import annotations
@@ -128,12 +131,12 @@ def tensor_iso_U(tb: TensorBasis) -> sp.csr_matrix:
                          shape=(tb.size, n), dtype=complex).tocsr()
 
 
-def _placed_by_perm(functor, maps, tb: TensorBasis) -> np.ndarray:
+def _placed_by_perm(functor, maps, tb: TensorBasis, **kwargs) -> np.ndarray:
     """U functor(basis, *maps, basis_out=sum_basis): U is a permutation
     isometry, so the functor's rows are placed by ``tb.perm``; the other
     pairs (leg energies adding up past an energy cap) get zero rows."""
     out = np.zeros((tb.size, tb.basis.size), dtype=complex)
-    out[tb.perm] = functor(tb.basis, *maps, basis_out=tb.sum_basis)
+    out[tb.perm] = functor(tb.basis, *maps, basis_out=tb.sum_basis, **kwargs)
     return out
 
 
@@ -143,9 +146,16 @@ def breve_gamma(j0: np.ndarray, jinf: np.ndarray, tb: TensorBasis) -> np.ndarray
 
 
 def dbreve_gamma2(j0: np.ndarray, jinf: np.ndarray, b0: np.ndarray, binf: np.ndarray,
-                  tb: TensorBasis) -> np.ndarray:
-    """Mixed splitting map U dGamma(j, (b0, binf)): F -> F x F, dense."""
-    return _placed_by_perm(dGamma2, (stack_pair(j0, jinf), stack_pair(b0, binf)), tb)
+                  tb: TensorBasis, *, breve_j: np.ndarray) -> np.ndarray:
+    """Mixed splitting map U dGamma(j, (b0, binf)): F -> F x F, dense.
+
+    ``breve_j`` must be ``breve_gamma(j0, jinf, tb)`` for this same pair,
+    already formed: its rows at ``tb.perm`` are Gamma(j), which the recursion
+    reads.  Only its shape is checked: the splitting map of another pair
+    gives a wrong result without an error.
+    """
+    return _placed_by_perm(dGamma2, (stack_pair(j0, jinf), stack_pair(b0, binf)), tb,
+                           gamma_a=breve_j[tb.perm])
 
 
 def scattering_ident(tb: TensorBasis) -> sp.csr_matrix:
@@ -181,28 +191,40 @@ def _one_leg_support(tb: TensorBasis, indptr, indices, right: bool):
     return p[keep], q[keep], k[keep]
 
 
-def tensor_lift(tb: TensorBasis):
-    """Lift of a dense leg matrix onto the pair basis, as an index gather.
+class TensorLift:
+    """Lifts of dense leg matrices onto the pair basis, as index gathers.
 
-    Returns ``lift(op_left=None, op_right=None)`` for exactly one leg, which
-    writes the leg's entries into zeros of its dtype at the support that
-    ``_one_leg_support`` gives for the full pattern, computed here once per leg.
+    ``support[right]`` holds, for the left (0) or right (1) leg, the flat
+    pair positions p * n + q that ``_one_leg_support`` gives for the full
+    leg pattern and the flat leg entries gathered there, computed once.
+    ``lift(op_left)`` or ``lift(None, op_right)`` writes one leg's entries
+    into zeros of its dtype.  ``on(pattern, right)`` restricts a leg's
+    support to the entries a boolean leg pattern marks, for the caller that
+    evaluates lifts on their structural support.
     """
-    n, m = tb.size, tb.basis.size
-    full = (np.arange(m + 1) * m, np.tile(np.arange(m), m))
-    support = [(p * n + q, k) for p, q, k in
-               (_one_leg_support(tb, *full, right) for right in (False, True))]
 
-    def lift(op_left=None, op_right=None) -> np.ndarray:
+    def __init__(self, tb: TensorBasis):
+        n, m = tb.size, tb.basis.size
+        full = (np.arange(m + 1) * m, np.tile(np.arange(m), m))
+        self.size = n
+        self.support = tuple((p * n + q, k) for p, q, k in
+                             (_one_leg_support(tb, *full, right) for right in (False, True)))
+
+    def __call__(self, op_left=None, op_right=None) -> np.ndarray:
         if (op_left is None) == (op_right is None):
             raise ValueError("a tensor lift takes exactly one leg")
         op = np.asarray(op_right if op_left is None else op_left)
-        put, gather = support[op_left is None]
-        out = np.zeros(n * n, dtype=op.dtype)
+        put, gather = self.support[op_left is None]
+        out = np.zeros(self.size * self.size, dtype=op.dtype)
         out[put] = np.take(op, gather)
-        return out.reshape(n, n)
+        return out.reshape(self.size, self.size)
 
-    return lift
+    def on(self, pattern, right: bool = False):
+        """(pair positions, leg entries) of one leg's lift where ``pattern``
+        (a boolean leg matrix) is set."""
+        put, gather = self.support[right]
+        keep = np.asarray(pattern).ravel()[gather]
+        return put[keep], gather[keep]
 
 
 def tensor_factor_ops(tb: TensorBasis, op_left: sp.csr_matrix | None = None,

@@ -15,7 +15,9 @@ functional calculus that the block-wise ``SpectralCalculus`` replaced, and
 by FFT.  ``line_position_op`` is the 1-d position matrix y built as the
 plain Hermitian part of i times central differences in sorted order, which
 ``mourre.build_position_op`` builds through the weighted adjoint on every
-grid.
+grid.  ``full_row_recursion`` is the sector recursion as it was before it
+was restricted to each sector's block: it reads the basis's slot tables and
+sector schedule like the package, and sums over every row and slot.
 """
 
 from __future__ import annotations
@@ -221,6 +223,41 @@ def dGamma2(basis_in, a, b, basis_out=None) -> sp.csr_matrix:
             total += nj * vec
         out[:, c] = total / math.sqrt(norm)
     return sp.csr_matrix(out)
+
+
+def full_row_recursion(basis_in, basis_out, a, b=None):
+    """The sector recursion of ``fock._sector_recursion`` summed over every
+    row of ``basis_out`` and every slot: each created column is a*(coef) of
+    the whole previous column, so it adds an exact zero wherever the boson
+    numbers do not match.  Returns dense (Gamma(a), dGamma2(a, b) or None);
+    the package's block recursion keeps every nonzero term in this order, so
+    the two must be equal bit for bit."""
+    basis_out = basis_out or basis_in
+
+    def ortho(m):
+        m = np.asarray(m, dtype=complex)
+        if m.ndim == 1:
+            m = np.diag(m)
+        return to_ortho(basis_out.grid, basis_in.grid, m)
+
+    ao = ortho(a)
+    bo = None if b is None else ortho(b)
+    modes, roots, parents = basis_out.slot_mode, basis_out.slot_root, basis_out.slot_parent
+
+    def create(coef, V):
+        out = np.zeros((basis_out.size, V.shape[1]), dtype=complex)
+        for s in range(modes.shape[1]):
+            out += roots[:, s, None] * coef[modes[:, s]] * V[parents[:, s]]
+        return out
+
+    G = np.zeros((basis_out.size, basis_in.size), dtype=complex)
+    G[0, 0] = 1.0
+    D = np.zeros_like(G) if bo is not None else None
+    for c, j, p, scale in basis_in.sectors:
+        G[:, c] = create(ao[:, j], G[:, p]) * scale
+        if bo is not None:
+            D[:, c] = (create(bo[:, j], G[:, p]) + create(ao[:, j], D[:, p])) * scale
+    return G, D
 
 
 def full_H_coupling(ms, fb) -> sp.coo_matrix:

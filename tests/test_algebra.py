@@ -76,7 +76,7 @@ def test_generator_contractions_match_builders(spaces):
 
 def test_doubled_grid_creation_scatter_exact(spaces):
     _, basis_sum, _ = spaces
-    creation = algebra._sparse_creation(basis_sum)
+    creation = algebra._SparseCreation(basis_sum)
     for e in np.eye(basis_sum.grid.n_modes):
         assert np.array_equal(creation(e), oracles.creation_op(basis_sum, e).toarray())
     h = np.random.default_rng(12).normal(size=basis_sum.grid.n_modes) * (1 + 1j)
@@ -97,7 +97,7 @@ def test_tensor_lift_exact(spaces):
         complex_op = fock.creation_op(leg, rng.normal(size=M) + 1j * rng.normal(size=M))
         real_op = fock.dGamma(leg, rng.normal(size=(M, M)))
         assert (complex_op.dtype, real_op.dtype) == (np.complex128, np.float64)
-        lift = split.tensor_lift(pairs)
+        lift = split.TensorLift(pairs)
         for l, r in ((complex_op, None), (None, complex_op), (real_op, None), (None, real_op)):
             old = oracles.tensor_factor_ops(pairs, op_left=l, op_right=r).toarray()
             new = lift(None if l is None else l.toarray(), None if r is None else r.toarray())
@@ -108,6 +108,23 @@ def test_tensor_lift_exact(spaces):
                 lift(*ops)
 
 
+def test_tensor_lift_patterns_exact(spaces):
+    """A lift restricted by ``on`` to a pattern that covers the op's nonzeros
+    holds all of the full lift's nonzeros."""
+    basis, _, tb = spaces
+    M = basis.grid.n_modes
+    rng = np.random.default_rng(14)
+    lift = split.TensorLift(tb)
+    cplx = fock.creation_op(basis, rng.normal(size=M) + 1j * rng.normal(size=M)).toarray()
+    real = fock.dGamma(basis, rng.normal(size=(M, M))).toarray()
+    for op in (cplx, real):
+        for right in (False, True):
+            full = (lift(None, op) if right else lift(op)).ravel()
+            put, gather = lift.on(op != 0, right)
+            assert np.array_equal(full[put], np.take(op, gather))
+            assert np.count_nonzero(np.delete(full, put)) == 0
+
+
 def test_tensor_iso_perm_exact(spaces):
     """U's permutation, built once on the pair space over the same caps."""
     _, basis_sum, tb = spaces
@@ -116,6 +133,47 @@ def test_tensor_iso_perm_exact(spaces):
     U = np.zeros((tb.size, basis_sum.size), dtype=complex)
     U[t, np.arange(basis_sum.size)] = 1.0
     assert np.array_equal(U, oracles.tensor_iso_U(basis_sum, tb).toarray())
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["plain", "corrupt"])
+def test_u_identities_on_supports_equal_dense(spaces, corrupt):
+    """ueq0, ueq1, ueq2 and ueq3 evaluated on their support plans equal, bit
+    for bit, the worst entries of the dense pair-basis differences formed by
+    the U-permuted doubled-grid operators and the summed one-leg lifts."""
+    basis, basis_sum, tb = spaces
+    M, n, n_max = basis.grid.n_modes, basis.size, basis.n_max
+    gen = algebra.Generators(basis)
+    lift = split.TensorLift(tb)
+    u_ids = algebra._UIdentities(gen, tb, lift, corrupt)
+    creation = algebra._SparseCreation(basis_sum)
+    t = tb.perm
+    s = np.argsort(t)
+    guard_pairs = np.flatnonzero(tb.pair_numbers().sum(axis=1) <= n_max - 1)
+    rng = np.random.default_rng(15)
+    for _ in range(3):
+        g1, g2 = (rng.normal(size=M) + 1j * rng.normal(size=M) for _ in range(2))
+        d0, dinf = rng.normal(size=M), rng.normal(size=M)
+        a_dag1 = gen.creation_op(g1)
+        if corrupt:
+            a_dag1[0, min(1, n - 1)] += 0.5
+        ann1, ann2 = gen.annihilation_op(g1), gen.annihilation_op(g2)
+        lhs = creation(np.concatenate([g1, np.zeros(M)]))[np.ix_(s, s)]
+        assert u_ids.creation(g1, a_dag1) == np.abs((lhs - lift(a_dag1))[:, guard_pairs]).max()
+        lhs = creation(np.concatenate([g1, g2])).conj().T[s]
+        rhs = (lift(ann1) + lift(None, ann2))[:, t]
+        assert u_ids.annihilation(g1, g2, ann1, ann2) == np.abs(lhs - rhs).max()
+        lhs = np.diag((u_ids.sum_numbers @ np.concatenate([d0, dinf]))[s])
+        rhs = lift(gen.dGamma(d0)) + lift(None, gen.dGamma(dinf))
+        assert u_ids.dgamma(d0, dinf) == np.abs(lhs - rhs).max()
+        i, j = rng.integers(0, M, size=2)
+        if n_max >= 2:
+            vv = np.concatenate([np.eye(M)[i] / np.sqrt(basis.grid.weights[i]),
+                                 np.eye(M)[j] / np.sqrt(basis.grid.weights[j])])
+            U = oracles.tensor_iso_U(basis_sum, tb).toarray()
+            two = U @ oracles.creation_op(basis_sum, vv).toarray() @ U.conj().T
+            amp = (two @ two[:, tb.lookup([[0, 0]])[0]])[tb.lookup([[basis.up[0, i],
+                                                                  basis.up[0, j]]])[0]]
+            assert abs(u_ids.binomial(i, j) - abs(amp - 2.0)) <= 1e-14
 
 
 def test_draw_independent_builds_happen_once(monkeypatch):

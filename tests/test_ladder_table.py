@@ -6,9 +6,10 @@ oracle's own enumeration, and the CSV dumps must be byte-identical.  Every
 builder that does no floating-point rounding beyond the loop version's
 must agree exactly: equal values, equal sparsity and no stored zeros.  The
 sector recursions behind ``Gamma`` and ``dGamma2`` multiply in another order
-than the oracle, so they get a 1e-13 relative tolerance, and
-``dGamma_expectation``, which sums <psi, dGamma(b) psi> through the one-boson
-density matrix, gets 1e-12; ``apply_creation`` and ``apply_annihilation`` sum
+than the oracle, so they get a 1e-13 relative tolerance; against the
+full-row recursion, whose nonzero terms they keep in order, they are equal
+bit for bit.  ``dGamma_expectation``, which sums <psi, dGamma(b) psi>
+through the one-boson density matrix, gets 1e-12; ``apply_creation`` and ``apply_annihilation`` sum
 over slots or modes instead of sparse rows and get 1e-14.
 """
 
@@ -248,6 +249,54 @@ def test_gamma_projects_onto_smaller_target():
     a = rand_mat(np.random.default_rng(6), 4)
     assert_close(fock.Gamma(source, a, basis_out=target),
                  oracles.Gamma(source, a, basis_out=target))
+
+
+def assert_equals_full_rows(source, target, a, b):
+    """Gamma and dGamma2 (also from a given Gamma) equal the full-row
+    recursion bit for bit: the block recursion keeps every nonzero term of
+    the full sum, in its order."""
+    G, D = oracles.full_row_recursion(source, target, a, b)
+    Gn = fock.Gamma(source, a, basis_out=target)
+    for new, old in ((Gn, G), (fock.dGamma2(source, a, b, basis_out=target), D),
+                     (fock.dGamma2(source, a, b, basis_out=target, gamma_a=Gn), D)):
+        assert np.array_equal(new, old) and new.tobytes() == old.tobytes()
+
+
+def test_sector_blocks_equal_full_rows_square(basis):
+    """Every square basis, the energy-capped ones among them; at M1-n3-cap1.2
+    the cap empties sectors 2 and 3."""
+    rng = np.random.default_rng(7)
+    M = basis.grid.n_modes
+    assert_equals_full_rows(basis, basis, rand_mat(rng, M), rand_mat(rng, M))
+
+
+@pytest.mark.parametrize("spec", [(1, 3, None), (4, 2, None), (4, 3, None), (4, 3, 0.9)],
+                         ids=basis_id)
+def test_sector_blocks_equal_full_rows_onto_doubled_grid(spec):
+    M, n, cap = spec
+    source = fock.build_basis(GRIDS[M], n, cap)
+    target = fock.build_basis(split.doubled_grid(GRIDS[M]), n, cap)
+    rng = np.random.default_rng(8)
+    assert_equals_full_rows(source, target, rand_mat(rng, 2 * M, M), rand_mat(rng, 2 * M, M))
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["smaller-target", "larger-target"])
+def test_sector_blocks_equal_full_rows_across_caps(flip):
+    """The target of ``test_gamma_projects_onto_smaller_target`` (fewer
+    sectors, and a cap inside one), and the same pair the other way round."""
+    source = fock.build_basis(GRIDS[4], 3)
+    target = fock.build_basis(GRIDS[4], 2, CAPS[4])
+    if flip:
+        source, target = target, source
+    rng = np.random.default_rng(9)
+    assert_equals_full_rows(source, target, rand_mat(rng, 4), rand_mat(rng, 4))
+
+
+def test_dgamma2_refuses_gamma_of_other_shape():
+    source = fock.build_basis(GRIDS[4], 2)
+    a = rand_mat(np.random.default_rng(10), 4)
+    with pytest.raises(fock.DimensionMismatchError):
+        fock.dGamma2(source, a, a, gamma_a=np.zeros((source.size, source.size - 1), dtype=complex))
 
 
 # (1, 22): fused occupations up to 22, past the int64 range of 22!

@@ -176,14 +176,15 @@ def test_ugamma_o_identity(setup, grid4, rng):
               + split.tensor_factor_ops(tb, op_right=fock.dGamma(basis, om))) @ BG)
     c0 = np.diag(om) @ j0 - j0 @ np.diag(om)
     cinf = np.diag(om) @ jinf - jinf @ np.diag(om)
-    rhs = -split.dbreve_gamma2(j0, jinf, c0, cinf, tb)
+    rhs = -split.dbreve_gamma2(j0, jinf, c0, cinf, tb, breve_j=BG)
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
 def test_dbreve_gamma2_zero_pair(setup, grid4):
     basis, basis_sum, tb, _ = setup
-    Z = split.dbreve_gamma2(np.eye(4), np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 4)),
-                            tb)
+    j0, jinf = np.eye(4), np.zeros((4, 4))
+    Z = split.dbreve_gamma2(j0, jinf, np.zeros((4, 4)), np.zeros((4, 4)), tb,
+                            breve_j=split.breve_gamma(j0, jinf, tb))
     assert np.count_nonzero(Z) == 0
 
 
@@ -193,12 +194,13 @@ def test_udgamma_cauchy_schwarz(setup, grid4, rng):
     basis, basis_sum, tb, _ = setup
     th = rng.uniform(0.1, 1.4, size=4)
     j0, jinf = np.diag(np.cos(th)), np.diag(np.sin(th))
+    BG = split.breve_gamma(j0, jinf, tb)
     for _ in range(5):
         k0 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         k0 = (k0 + fock.weighted_adjoint(grid4, grid4, k0)) / 2
         kinf = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         kinf = (kinf + fock.weighted_adjoint(grid4, grid4, kinf)) / 2
-        dbg = split.dbreve_gamma2(j0, jinf, k0, kinf, tb)
+        dbg = split.dbreve_gamma2(j0, jinf, k0, kinf, tb, breve_j=BG)
         u = rng.normal(size=tb.size) + 1j * rng.normal(size=tb.size)
         v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
         lhs = abs(complex(np.vdot(u, dbg @ v)))
@@ -229,8 +231,9 @@ def test_splitting_maps_equal_U_times_functor(grid4, rng, n_max, e_cap):
     D = fock.dGamma2(source, j, split.stack_pair(b0, binf), basis_out=basis_sum)
     outside = np.setdiff1d(np.arange(tb.size), tb.perm)
     assert (outside.size == 0) == (e_cap is None)
-    for got, want in ((split.breve_gamma(j0, jinf, tb), U @ G),
-                      (split.dbreve_gamma2(j0, jinf, b0, binf, tb), U @ D)):
+    BG = split.breve_gamma(j0, jinf, tb)
+    DBG = split.dbreve_gamma2(j0, jinf, b0, binf, tb, breve_j=BG)
+    for got, want in ((BG, U @ G), (DBG, U @ D)):
         assert isinstance(got, np.ndarray) and got.shape == (tb.size, source.size)
         assert np.array_equal(got, want)
         assert np.count_nonzero(got[outside]) == 0
