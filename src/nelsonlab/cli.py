@@ -189,9 +189,9 @@ def write_csv(path: Path, header: list, rows: list, cfg_hash: str):
 
 
 def write_track_csv(path: Path, track: dynamics.ObservableTrack, cfg_hash: str):
-    write_csv(path, ["t", "value", "running_integral", "norm_drift", "energy_drift"],
-              list(zip(track.times, track.values, track.running_integral,
-                       track.norm_drift, track.energy_drift)), cfg_hash)
+    write_csv(path, ["t", "value", "norm_drift", "energy_drift"],
+              list(zip(track.times, track.values, track.norm_drift, track.energy_drift)),
+              cfg_hash)
 
 
 def write_json(path: Path, payload: dict):
@@ -270,6 +270,11 @@ def build_model(cfg: RunConfig) -> tuple:
     return ms, basis
 
 
+def config_momentum(p: float, dim: int) -> np.ndarray:
+    """The config scalar momentum p as the vector (p, 0, ..., 0) in dimension dim."""
+    return np.array([p] + [0.0] * (dim - 1))
+
+
 @_from_config()
 def cutoffs_from(cfg: RunConfig) -> dynamics.CutoffFamily:
     v = cfg.values
@@ -296,8 +301,7 @@ def cmd_algebra(cfg: RunConfig) -> int:
 def cmd_dispersion(cfg: RunConfig) -> int:
     v = cfg.values
     ms, basis = build_model(cfg)
-    momenta = [np.full(ms.grid.dim, p) if ms.grid.dim == 1 else
-               np.array([p] + [0.0] * (ms.grid.dim - 1))
+    momenta = [config_momentum(p, ms.grid.dim)
                for p in np.linspace(v["scan.p_min"], v["scan.p_max"], v["scan.n_points"])]
     # the coupling window is checked before the scan, so a bad scan.beta leaves no CSV
     g_beta = model.g_beta(ms.disp, ms.ff, v["scan.beta"], ms.grid)
@@ -383,7 +387,7 @@ def cmd_mourre(cfg: RunConfig) -> int:
 def cmd_evolve(cfg: RunConfig) -> int:
     v = cfg.values
     ms, basis = build_model(cfg)
-    P0 = np.full(ms.grid.dim, v["mourre.p"]) if ms.grid.dim == 1 else np.zeros(ms.grid.dim)
+    P0 = config_momentum(v["mourre.p"], ms.grid.dim)
     H = model.build_fiber_H(ms, P0, basis)
     rng = np.random.default_rng(cfg.seed or 3)
     psi = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
@@ -415,11 +419,11 @@ def cmd_evolve(cfg: RunConfig) -> int:
 
 
 def dressed_propagation(cfg: RunConfig, t_max: float) -> tuple:
-    """The dressed state psi_P at P = ``w.fiber_p`` and its evolution under the
-    fiber H(P) up to ``t_max``: (basis, propagation, y calculus)."""
+    """The dressed state psi_P at P = (``w.fiber_p``, 0, ..., 0) and its evolution
+    under the fiber H(P) up to ``t_max``: (basis, propagation, y calculus)."""
     v = cfg.values
     ms, basis = build_model(cfg)
-    P = np.full(ms.grid.dim, v["w.fiber_p"])
+    P = config_momentum(v["w.fiber_p"], ms.grid.dim)
     H = model.build_fiber_H(ms, P, basis)
     psiP = spectral.ground_state(H, k=2, tol=v["solver.tol"]).ground_vector
     times = dynamics.geometric_times(v["dynamics.t0"], t_max, v["dynamics.ratio"])

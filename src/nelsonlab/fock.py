@@ -689,8 +689,8 @@ def guarded_projector(basis: OccupationBasis) -> sp.csr_matrix:
     return sp.diags(keep, format="csr")
 
 
-def interacting_projector(basis: OccupationBasis, sigma: float | None = None) -> sp.csr_matrix:
+def interacting_projector(basis: OccupationBasis) -> sp.csr_matrix:
     """Gamma(chi_i): projection onto states with zero soft-mode occupancy."""
-    soft = basis.grid.soft_mask(sigma)
+    soft = basis.grid.soft_mask()
     keep = ~np.any(basis.occ[:, soft] > 0, axis=1)
     return sp.diags(keep.astype(float), format="csr")

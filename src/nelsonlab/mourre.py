@@ -320,8 +320,7 @@ def mourre_sweep(ms_factory, g_values, P, basis: OccupationBasis,
     }
 
 
-def eigencount_probe(ms: ModelSpec, P, basis: OccupationBasis,
-                     tol: float = 1e-10) -> dict:
+def eigencount_probe(ms: ModelSpec, P, basis: OccupationBasis) -> dict:
     """Count eigenvalues of H restricted to Ran Gamma(chi_i) below the
     continuum edge surrogate E_g + Delta(P)/2 (expected: exactly one).
 
@@ -332,7 +331,7 @@ def eigencount_probe(ms: ModelSpec, P, basis: OccupationBasis,
     from .spectral import delta_gap
 
     _, _, vals, _ = _interacting_spectrum(ms, P, basis)
-    dg = delta_gap(ms, P, basis, tol=tol) if ms.use_modified else None
+    dg = delta_gap(ms, P, basis) if ms.use_modified else None
     if dg is None or not np.isfinite(dg) or dg <= 0:
         edge = vals[0] + (vals[1] - vals[0]) / 2 if len(vals) > 1 else vals[0] + 1.0
     else:

@@ -35,6 +35,8 @@ from .model import (
 )
 
 DENSE_CUTOFF = 2000
+ARPACK_MAX_ITER = 500  # cap on ARPACK's restart iterations
+START_SEED = 7  # seed of the start vector's perturbation
 
 
 class ConvergenceError(RuntimeError):
@@ -49,21 +51,20 @@ class ConvergenceError(RuntimeError):
 # Eigensolvers
 # ---------------------------------------------------------------------------
 
-def _start_vector(n: int, seed: int = 7) -> np.ndarray:
+def _start_vector(n: int) -> np.ndarray:
     """Vacuum plus a small deterministic real perturbation (reproducible runs)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(START_SEED)
     v = rng.normal(size=n)
     v *= 1e-2 / np.linalg.norm(v)
     v[0] += 1.0
     return v / np.linalg.norm(v)
 
 
-def lanczos_lowest(mat: sp.csr_matrix, k: int, tol: float,
-                   max_iter: int = 500, seed: int = 7):
+def lanczos_lowest(mat: sp.csr_matrix, k: int, tol: float):
     """k lowest eigenpairs by implicitly restarted Lanczos (ARPACK ``eigsh``).
 
-    Returns (eigenvalues ascending, eigenvectors, matvec count); ``max_iter``
-    caps ARPACK's restart iterations.
+    Returns (eigenvalues ascending, eigenvectors, matvec count);
+    ``ARPACK_MAX_ITER`` caps ARPACK's restart iterations.
     """
     # imported here: only the iterative path pays for scipy.sparse.linalg
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
@@ -77,8 +78,8 @@ def lanczos_lowest(mat: sp.csr_matrix, k: int, tol: float,
 
     op = LinearOperator(mat.shape, matvec=matvec, dtype=mat.dtype)
     try:
-        vals, vecs = eigsh(op, k=k, which="SA", v0=_start_vector(mat.shape[0], seed),
-                           tol=tol, maxiter=max_iter)
+        vals, vecs = eigsh(op, k=k, which="SA", v0=_start_vector(mat.shape[0]),
+                           tol=tol, maxiter=ARPACK_MAX_ITER)
     except ArpackNoConvergence as exc:
         raise ConvergenceError("ARPACK did not converge", {"iterations": matvecs}) from exc
     return vals, vecs, matvecs
@@ -162,7 +163,9 @@ class SpectralCalculus:
     told about them.  Components of equal size are stacked and diagonalized
     by one batched ``eigh``; ``groups`` holds one (index, eigenvalue,
     eigenvector) triple per size, shaped (B, s), (B, s) and (B, s, s), and
-    ``vals`` all eigenvalues in group order.
+    ``vals`` all eigenvalues in group order.  ``limit`` caps the size of the
+    largest component, since the cost is per component: the L = 1024 chain
+    (dimension 9216) is 1024 components of 9.
     """
 
     def __init__(self, H: Hamiltonian, limit: int = DENSE_CUTOFF):
@@ -170,14 +173,14 @@ class SpectralCalculus:
         from scipy.sparse.csgraph import connected_components
 
         n = H.shape[0]
-        if n > limit:
-            raise ValueError(f"dense functional calculus capped at dimension {limit}")
         mat = H.mat.tocsr()
         # the graph is the stored pattern: an imaginary or zero value is still an edge
         pattern = sp.csr_matrix((np.ones(len(mat.indices), dtype=np.int8),
                                  mat.indices, mat.indptr), shape=mat.shape)
         _, label = connected_components(pattern, directed=False)
         sizes = np.bincount(label)
+        if sizes.max() > limit:
+            raise ValueError(f"dense functional calculus capped at component size {limit}")
         order = np.argsort(label, kind="stable")
         starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
         pos = np.empty(n, dtype=np.intp)
@@ -354,32 +357,30 @@ def dispersion_scan(ms: ModelSpec, momenta, basis: OccupationBasis,
     )
 
 
-def _offset_gap(ms: ModelSpec, P, basis: OccupationBasis, tol: float,
+def _offset_gap(ms: ModelSpec, P, basis: OccupationBasis,
                 boson_energy: np.ndarray, modes) -> float:
     """min over the grid offsets k_j, j in ``modes``, of
     E(P - k_j) + boson_energy[j] - E(P), E the fiber ground energy."""
     P = np.atleast_1d(np.asarray(P, dtype=float))
-    eg = ground_state(build_fiber_H(ms, P, basis), k=1, tol=tol).ground_energy
+    eg = ground_state(build_fiber_H(ms, P, basis), k=1).ground_energy
     best = math.inf
     for j in modes:
-        e = ground_state(build_fiber_H(ms, P - ms.grid.points[j], basis), k=1,
-                         tol=tol).ground_energy
+        e = ground_state(build_fiber_H(ms, P - ms.grid.points[j], basis), k=1).ground_energy
         best = min(best, e + boson_energy[j] - eg)
     return best
 
 
-def lipschitz_gap(ms: ModelSpec, P, eps: float, basis: OccupationBasis,
-                  tol: float = 1e-10) -> float:
+def lipschitz_gap(ms: ModelSpec, P, eps: float, basis: OccupationBasis) -> float:
     """min over grid offsets |k| >= eps of E_g(P - k) + |k| - E_g(P)."""
     kn = ms.grid.omega_free
-    return _offset_gap(ms, P, basis, tol, kn, np.flatnonzero(kn >= eps))
+    return _offset_gap(ms, P, basis, kn, np.flatnonzero(kn >= eps))
 
 
-def delta_gap(ms: ModelSpec, P, basis: OccupationBasis, tol: float = 1e-10) -> float:
+def delta_gap(ms: ModelSpec, P, basis: OccupationBasis) -> float:
     """min over all grid offsets of E_mod(P - k) + omega(k) - E_mod(P)."""
     if not ms.use_modified:
         raise ValueError("delta_gap is defined for the modified dispersion")
-    return _offset_gap(ms, P, basis, tol, ms.grid.omega_mod, range(ms.grid.n_modes))
+    return _offset_gap(ms, P, basis, ms.grid.omega_mod, range(ms.grid.n_modes))
 
 
 def grad_bound_check(ms: ModelSpec, sigma_win: float, P,

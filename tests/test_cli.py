@@ -4,9 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from nelsonlab import cli, dynamics, mourre, spectral
+from nelsonlab import cli, dynamics, model, mourre, spectral
+
+TRACK_HEADER = "t,value,norm_drift,energy_drift,config_hash"
 
 
 def run(args):
@@ -143,6 +146,7 @@ class TestCommands:
     def test_w_and_report_chain(self, tmp_path):
         path = write_cfg(tmp_path, "grid.n_modes = 8\ndynamics.t_max = 30\n")
         assert run(["w", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_PASS
+        assert (tmp_path / "w_track.csv").read_text().split("\n")[0] == TRACK_HEADER
         write_passing_reports(tmp_path, skip=("w_report",))
         assert run(["report", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_PASS
         rep = json.loads((tmp_path / "report.json").read_text())
@@ -264,8 +268,30 @@ class TestCommands:
         text = (tmp_path / "evolve_report.json").read_text()
         rep = json.loads(text, parse_constant=no_constant)
         assert rep["dense_mismatch"] is None and "dense_agrees" not in rep["verdicts"]
+        assert (tmp_path / "evolve_track.csv").read_text().split("\n")[0] == TRACK_HEADER
         with pytest.raises(ValueError):
             cli.write_json(tmp_path / "nan.json", {"x": float("nan")})
+
+    def test_config_momentum_lies_along_the_first_axis_in_3d(self, tmp_path, monkeypatch):
+        """In d = 3 each command reads its config momentum p as P = (p, 0, 0)."""
+        path = write_cfg(tmp_path, "grid.dim = 3\ndynamics.t_max = 4\nw.t_max = 4\n"
+                                   "scan.n_points = 3\n")
+        built = []
+        build = model.build_fiber_H
+
+        def spy(ms, P, *args, **kwargs):
+            built.append(np.asarray(P, dtype=float))
+            return build(ms, P, *args, **kwargs)
+
+        monkeypatch.setattr(model, "build_fiber_H", spy)
+        for command, key in (("evolve", "mourre.p"), ("w", "w.fiber_p"), ("wplus", "w.fiber_p")):
+            built.clear()
+            run([command, "--config", path, "--out", str(tmp_path)])
+            p = cli.SCHEMA[key][1]
+            assert built and all(np.array_equal(P, [p, 0.0, 0.0]) for P in built), command
+        assert run(["dispersion", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_PASS
+        rows = (tmp_path / "dispersion_curve.csv").read_text().strip().split("\n")[1:]
+        assert [row.split(",")[0].split(";")[1:] for row in rows] == [["0", "0"]] * 3
 
     @pytest.mark.parametrize("command,text", [
         ("dispersion", "model.dispersion = foo\n"),

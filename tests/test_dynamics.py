@@ -230,8 +230,7 @@ class TestElectronProbe:
         times = dynamics.geometric_times(1.0, 50.0, 1.5)
         prop = dynamics.Propagation(H, psi, times)
         track = dynamics.electron_velocity_probe(ms, fb, prop,
-                                                 dynamics.rising_cutoff(0.4, 0.5),
-                                                 threshold=3e-2)
+                                                 dynamics.rising_cutoff(0.4, 0.5))
         assert track.values[-1] < 3e-2  # L=64 filter-edge resolution floor
         tail = track.values[len(track.values) // 2:]
         assert np.all(np.diff(tail) <= 1e-12)
@@ -311,6 +310,7 @@ class TestPhotonProbe:
         track = dynamics.photon_velocity_probe(prop, basis, (1.1, 1.5), ycalc,
                                                mode="phase_space")
         assert np.all(track.values >= -1e-12)
+        assert track.verdicts.get("integral_plateau", False)
 
     def test_chain_branch_matches_kron_oracle(self, nonrel, ff, monkeypatch):
         """With fb, the integrand is sum_x F(|x|/t) <psi_x, dGamma psi_x> over

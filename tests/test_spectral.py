@@ -72,10 +72,11 @@ class TestGroundState:
             overlap = abs(np.vdot(vecs[:, i], dense.eigenvectors[i].amps))
             assert overlap == pytest.approx(1.0, abs=1e-8)
 
-    def test_lanczos_nonconvergence_reports_matvecs(self, ms_default, basis12):
+    def test_lanczos_nonconvergence_reports_matvecs(self, ms_default, basis12, monkeypatch):
         H = fiber(ms_default, 0.25, basis12)
+        monkeypatch.setattr(spectral, "ARPACK_MAX_ITER", 1)
         with pytest.raises(spectral.ConvergenceError) as info:
-            spectral.lanczos_lowest(H.mat, 2, 1e-15, max_iter=1)
+            spectral.lanczos_lowest(H.mat, 2, 1e-15)
         assert info.value.diagnostics["iterations"] > 0
 
     def test_iterative_path_matches_dense_oracle(self, ms_default):
@@ -247,13 +248,28 @@ class TestBlockCalculus:
         assert_applies_like_matrix(calc, dynamics.energy_window(0.5))
 
     def test_limit_and_hermitian_checks_kept(self, chain128):
+        """The limit caps the largest component: the chain's are 9 states each."""
         _, H = chain128
         with pytest.raises(ValueError):
-            spectral.SpectralCalculus(H, limit=H.shape[0] - 1)
+            spectral.SpectralCalculus(H, limit=8)
+        assert spectral.SpectralCalculus(H, limit=9).vals.size == H.shape[0]
         skewed = H.mat.tolil()
         skewed[0, 1] += 1e-15
         with pytest.raises(ValueError):
             spectral.SpectralCalculus(model.Hamiltonian(skewed.tocsr()))
+
+    def test_long_chain_builds_at_the_default_limit(self, nonrel, ff):
+        """L = 1024 (dimension 9216, above DENSE_CUTOFF) is 1024 components of 9."""
+        L = 1024
+        grid = fock.lattice_grid(L, [8 * m for m in (-16, -12, -8, -5, 5, 8, 12, 16)], 0.2)
+        ms = model.ModelSpec(nonrel, ff, grid, 0.05)
+        fb = model.full_basis(ms, L, 1)
+        H = model.build_full_H(ms, fb)
+        assert H.shape[0] == 9216 > spectral.DENSE_CUTOFF
+        calc = spectral.SpectralCalculus(H)
+        assert [idx.shape for idx, _, _ in calc.groups] == [(L, 9)]
+        psi = dynamics.gaussian_electron_state(fb, 0.05, 0.06)
+        assert np.abs(calc.fn(lambda lam: lam, psi) - H.mat @ psi).max() < 1e-13
 
     def test_apply_rejects_wrong_shapes(self, chain128):
         _, H = chain128
