@@ -59,9 +59,11 @@ print(f"limiting w = {trackx.final():.3f} > 0: excited states radiate")
 
 # --- the splitting map routes the escaping bosons to the outer Fock factor;
 #     the outer leg is never left in the vacuum (exact j0 chi_gamma = 0).
+#     f(H_ext) acts on the extended fiber: the inner leg of each outer photon
+#     state r carries the momentum P - K_r.
 trp = dynamics.W_plus_probe(
-    dynamics.Propagation(H, v, dynamics.geometric_times(1.0, tmax, 1.5)),
-    basis, cuts, ycalc, f_window=1.2)
+    ms, [0.25], dynamics.Propagation(H, v, dynamics.geometric_times(1.0, tmax, 1.5)),
+    cuts, ycalc, f_window=1.2)
 print("\nW_plus norms:        ", np.round(trp.values, 4))
 print("outer-vacuum residue:",
       np.format_float_scientific(max(trp.extras["outer_vacuum_norms"]), precision=1))

@@ -420,7 +420,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
 
 def dressed_propagation(cfg: RunConfig, t_max: float) -> tuple:
     """The dressed state psi_P at P = (``w.fiber_p``, 0, ..., 0) and its evolution
-    under the fiber H(P) up to ``t_max``: (basis, propagation, y calculus)."""
+    under the fiber H(P) up to ``t_max``: (model, P, propagation, y calculus)."""
     v = cfg.values
     ms, basis = build_model(cfg)
     P = config_momentum(v["w.fiber_p"], ms.grid.dim)
@@ -428,13 +428,13 @@ def dressed_propagation(cfg: RunConfig, t_max: float) -> tuple:
     psiP = spectral.ground_state(H, k=2, tol=v["solver.tol"]).ground_vector
     times = dynamics.geometric_times(v["dynamics.t0"], t_max, v["dynamics.ratio"])
     prop = dynamics.Propagation(H, psiP.amps, times, step_tol=v["dynamics.step_tol"])
-    return basis, prop, dynamics.YCalc(ms.grid)
+    return ms, P, prop, dynamics.YCalc(ms.grid)
 
 
 def cmd_w(cfg: RunConfig) -> int:
     cuts = cutoffs_from(cfg)
-    basis, prop, ycalc = dressed_propagation(cfg, cfg["dynamics.t_max"])
-    track = dynamics.W_estimate(prop, basis, cuts, ycalc)
+    _, _, prop, ycalc = dressed_propagation(cfg, cfg["dynamics.t_max"])
+    track = dynamics.W_estimate(prop, prop.H.basis, cuts, ycalc)
     write_track_csv(cfg.out_dir / "w_track.csv", track, cfg.hash())
     return finish(cfg, "w", {"dressed_w_final": track.final()},
                   {"dressed_w_vanishes": track.final() < 1e-6})
@@ -442,10 +442,9 @@ def cmd_w(cfg: RunConfig) -> int:
 
 def cmd_wplus(cfg: RunConfig) -> int:
     cuts = cutoffs_from(cfg)
-    basis, prop, ycalc = dressed_propagation(cfg, cfg["w.t_max"])
-    track = dynamics.W_plus_probe(prop, basis, cuts, ycalc, f_window=cfg["w.f_window"])
-    rows = [(track.times[i], track.values[i], track.extras["outer_vacuum_norms"][i])
-            for i in range(len(track.times))]
+    ms, P, prop, ycalc = dressed_propagation(cfg, cfg["w.t_max"])
+    track = dynamics.W_plus_probe(ms, P, prop, cuts, ycalc, f_window=cfg["w.f_window"])
+    rows = list(zip(track.times, track.values, track.extras["outer_vacuum_norms"]))
     write_csv(cfg.out_dir / "wplus_track.csv", ["t", "wplus_norm", "outer_vacuum_norm"],
               rows, cfg.hash())
     return finish(cfg, "wplus", {"extended_dim": track.extras["extended_dim"]}, track.verdicts)

@@ -60,6 +60,7 @@ from .model import (
     Hamiltonian,
     ModelSpec,
     build_fiber_H,
+    fiber_diagonal,
     total_momentum_op,
 )
 from .mourre import build_position_op, group_velocity
@@ -81,11 +82,11 @@ class ProbePreconditionError(ValueError):
 
 @dataclass(frozen=True)
 class CutoffFamily:
-    """Five ordered thresholds beta < beta0 < beta1 < beta2 < beta3 < gamma.
+    """Six ordered thresholds beta < beta0 < beta1 < beta2 < beta3 < gamma.
 
-    All cutoffs are built from the same exp-based mollifier: F localizes the
-    electron below beta1, (j0, jinf) partition the boson position around
-    (beta2, beta3), and chi_gamma counts bosons beyond gamma.
+    One exp-based mollifier: (j0, jinf) partition the boson position around
+    (beta2, beta3), chi_gamma counts bosons beyond gamma, beta bounds
+    W_estimate's positivity window; no cutoff reads beta0 or beta1.
     """
 
     beta: float = 0.3
@@ -345,7 +346,7 @@ def electron_velocity_probe(ms: ModelSpec, fb: FullBasis, prop: Propagation,
     x = np.abs(fb.positions())
 
     def measure(psi, t):
-        dens = fb.electron_position_density(psi)
+        dens = np.sum(np.abs(fb.to_position(psi)) ** 2, axis=1)
         return float(np.sum(f_out(x / t) * dens))
 
     track = _track_snapshots(prop, measure)
@@ -449,14 +450,11 @@ def W_estimate(prop: Propagation, basis: OccupationBasis, cuts: CutoffFamily,
     """w(t) = <psi_t, dGamma(chi_gamma(|y|/t)) psi_t>.
 
     In positivity mode the thresholds must satisfy gamma in (beta, 1 - 2 beta)
-    with beta < 1/3; outside that window the estimate still runs with a
-    warning, but no positivity claim is attached.
+    with beta < 1/3; otherwise no positivity claim is attached.
     """
     if positivity_mode:
         if not (cuts.beta < 1.0 / 3.0 and cuts.beta < cuts.gamma < 1.0 - 2.0 * cuts.beta):
             raise ConfigWindowError("positivity mode needs gamma in (beta, 1-2beta), beta < 1/3")
-    elif not (cuts.beta < cuts.gamma):
-        warnings.warn("gamma below beta: estimate runs, positivity not claimed")
 
     def measure(psi, t):
         chi = ycalc.fn(lambda lam: cuts.chi_gamma(np.abs(lam) / t))
@@ -474,21 +472,35 @@ def _energy_filtered(prop: Propagation, f_window: float) -> Propagation:
     return replace(prop, state=psi0 / nrm)
 
 
-W_PLUS_DIM_CAP = 5000  # largest pair basis W_plus_probe diagonalizes
+W_PLUS_DIM_CAP = 5000  # pairs W_plus_probe takes: breve_gamma is a dense pairs x basis array
 
 
-def W_plus_probe(prop: Propagation, basis: OccupationBasis, cuts: CutoffFamily,
+def extended_fiber_H(ms: ModelSpec, P, H: Hamiltonian, tb) -> Hamiltonian:
+    """H_ext = H x 1 + 1 x dGamma(omega) on the pairs (inner, outer r) of the
+    fiber H = H(P) of ``ms``: the direct sum over r of H(P - K_r) + E_r on
+    N <= n_max - n_r, with the ``fiber_diagonal`` at P of the summed
+    occupations and H's coupling on the inner leg.  Refuses any other H."""
+    from .split import tensor_factor_ops
+
+    diag = H.mat.diagonal()
+    if not np.array_equal(diag, fiber_diagonal(ms, P, tb.basis.occ)):
+        raise ValueError("H is not the fiber H(P) of ms on the pairs' basis")
+    coupling = tensor_factor_ops(tb, op_left=H.mat - sp.diags(diag))
+    return Hamiltonian(sp.diags(fiber_diagonal(ms, P, tb.basis.occ[tb.pairs].sum(axis=1)))
+                       + coupling, use_modified=ms.use_modified)
+
+
+def W_plus_probe(ms: ModelSpec, P, prop: Propagation, cuts: CutoffFamily,
                  ycalc: YCalc, f_window: float) -> ObservableTrack:
-    """Track ||W_+(t) phi|| and its outer-vacuum component.
+    """Track ||W_+(t) phi|| and its outer-vacuum component on the fiber H(P)
+    of ``ms`` that ``prop`` evolves with: W_+(t) = f(H_ext) breve_Gamma(j_t)
+    dGamma(chi_gamma,t) f(H) psi_t, H_ext the ``extended_fiber_H``, applied
+    block by block; the unitary prefactor is dropped since only norms are
+    tracked.  Verdict: the outer-vacuum component is small (exact
+    j0 chi_gamma = 0 routing)."""
+    from .split import breve_gamma, build_tensor_basis
 
-    W_+(t) = f(H_ext) breve_Gamma(j_t) dGamma(chi_gamma,t) f(H) psi_t on the
-    state basis paired with itself, H_ext = H x 1 + 1 x dGamma(omega) with
-    the boson dispersion of H; the unitary prefactor is dropped since only
-    norms are tracked.  Verdicts: boundedness trend of the full norm and
-    smallness of the outer-vacuum component (exact j0 chi_gamma = 0 routing).
-    """
-    from .split import breve_gamma, build_tensor_basis, tensor_factor_ops
-
+    basis = prop.H.basis
     if basis.e_cap is not None:
         raise ConfigWindowError(f"W_plus needs a basis without energy cap: e_cap = {basis.e_cap} "
                                 "cuts the hopping of dGamma(chi_gamma), so j0 chi_gamma = 0 "
@@ -496,10 +508,7 @@ def W_plus_probe(prop: Propagation, basis: OccupationBasis, cuts: CutoffFamily,
     tb = build_tensor_basis(basis)
     if tb.size > W_PLUS_DIM_CAP:
         raise ConfigWindowError(f"extended dimension {tb.size} exceeds the cap {W_PLUS_DIM_CAP}")
-    Hext = Hamiltonian(tensor_factor_ops(tb, op_left=prop.H.mat)
-                       + tensor_factor_ops(tb, op_right=dGamma(basis, _boson_omega(prop, basis))),
-                       use_modified=prop.H.use_modified)
-    calc_ext = SpectralCalculus(Hext, limit=W_PLUS_DIM_CAP)
+    calc_ext = SpectralCalculus(extended_fiber_H(ms, P, prop.H, tb))
     f_ext = energy_window(f_window)
     outer_vacuum = tb.pair_numbers()[:, 1] == 0
     vac_norms = []
@@ -516,7 +525,6 @@ def W_plus_probe(prop: Propagation, basis: OccupationBasis, cuts: CutoffFamily,
     track = _track_snapshots(_energy_filtered(prop, f_window), measure)
     track.extras.update(outer_vacuum_norms=vac_norms, extended_dim=tb.size)
     track.verdicts["outer_vacuum_small"] = bool(max(vac_norms) <= 1e-8)
-    track.verdicts["bounded"] = bool(track.values.max() < 10.0)
     return track
 
 

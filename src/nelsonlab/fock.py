@@ -458,19 +458,24 @@ def _check_modes(basis: OccupationBasis, h) -> np.ndarray:
     return h
 
 
+def _creation_entries(basis: OccupationBasis, h):
+    """(rows, cols, modes, values) of a*(h)'s entries: c -> c + e_j with
+    sqrt(n_j(c) + 1) sqrt(w_j) h_j, for nonzero amplitudes and kept c + e_j."""
+    amp = np.sqrt(basis.grid.weights) * _check_modes(basis, h)
+    modes = np.flatnonzero(amp)
+    up = basis.up[:, modes]
+    src, k = np.nonzero(up >= 0)
+    j = modes[k]
+    return up[src, k], src, j, np.sqrt(basis.occ[src, j] + 1) * amp[j]
+
+
 def creation_op(basis: OccupationBasis, h) -> sp.csr_matrix:
     """Smeared creation operator a*(h) = sum_j sqrt(w_j) h_j a*_j.
 
     States pushed past n_max (or the energy cap) are projected out.
     """
-    h = _check_modes(basis, h)
-    amp = np.sqrt(basis.grid.weights) * h
-    modes = np.flatnonzero(amp)
-    up = basis.up[:, modes]
-    src, k = np.nonzero(up >= 0)
-    j = modes[k]
-    data = np.sqrt(basis.occ[src, j] + 1) * amp[j]
-    return _coo(basis, up[src, k], src, data)
+    rows, cols, _, data = _creation_entries(basis, h)
+    return _coo(basis, rows, cols, data)
 
 
 def annihilation_op(basis: OccupationBasis, h) -> sp.csr_matrix:

@@ -4,16 +4,17 @@ The fiber Hamiltonian at total momentum P is
 
     H(P) = Omega(P - sum_j n_j k_j) + dGamma(omega) + g phi(kappa_sigma)
 
-on an occupation basis; the boson dispersion omega is |k| or the modified
-dispersion depending on ``use_modified``.  The full d = 1 model lives on an
-L-site chain in the electron-momentum x occupation product basis, with boson
-modes restricted to the dual lattice so that total momentum (mod 2 pi) is
-conserved exactly.
+on an occupation basis; omega is |k| or the modified dispersion depending on
+``use_modified``.  Its diagonal ``fiber_diagonal`` reads any occupation array,
+so W_+'s extended fiber (``dynamics.extended_fiber_H``) shares it.  The full
+d = 1 model lives on an L-site chain in the electron-momentum x occupation
+product basis, its boson modes on the dual lattice so that total momentum
+(mod 2 pi) is conserved exactly; its coupling is the fiber's, gathered from
+``fock``'s creation entries and rounded as g phi(kappa_sigma) stores it.
 
-Operators are ``scipy.sparse.csr_matrix`` objects.  A Hamiltonian is the one
-operator that carries more than its matrix: ``Hamiltonian`` holds the CSR
-matrix, refused unless exactly Hermitian, with its occupation basis and the
-dispersion switch it was built with.
+Operators are ``scipy.sparse.csr_matrix`` objects; ``Hamiltonian`` holds the
+CSR matrix, refused unless exactly Hermitian, with its occupation basis and
+the dispersion switch it was built with.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import scipy.sparse as sp
 from .fock import (
     ModeGrid,
     OccupationBasis,
+    _creation_entries,
     _switch,
     field_op,
 )
@@ -211,25 +213,20 @@ class Hamiltonian:
         return self.mat.shape
 
 
-def _wrap(p, width: float | None):
-    if width is None:
-        return p
-    return (p + width / 2.0) % width - width / 2.0
-
-
-def fiber_diagonal(ms: ModelSpec, P, basis: OccupationBasis,
+def fiber_diagonal(ms: ModelSpec, P, occ: np.ndarray,
                    bz_width: float | None = None) -> np.ndarray:
-    """Diagonal part Omega(P - K(n)) + sum_j n_j omega_j per basis state."""
-    P = np.atleast_1d(np.asarray(P, dtype=float))
-    K = basis.boson_momenta()
-    pe = _wrap(P[None, :] - K, bz_width)
-    return ms.disp.omega(pe) + basis.occ @ ms.boson_omega()
+    """Omega(P - K(n)) + sum_j n_j omega_j per occupation row n of ``occ``, the
+    electron momentum wrapped into a zone of width ``bz_width`` if given."""
+    pe = np.atleast_1d(np.asarray(P, dtype=float))[None, :] - occ @ ms.grid.points
+    if bz_width is not None:
+        pe = (pe + bz_width / 2.0) % bz_width - bz_width / 2.0
+    return ms.disp.omega(pe) + occ @ ms.boson_omega()
 
 
 def build_fiber_H(ms: ModelSpec, P, basis: OccupationBasis,
                   bz_width: float | None = None) -> Hamiltonian:
     """Fiber Hamiltonian at total momentum P on the occupation basis."""
-    H = sp.diags(fiber_diagonal(ms, P, basis, bz_width), format="csr")
+    H = sp.diags(fiber_diagonal(ms, P, basis.occ, bz_width), format="csr")
     if ms.g != 0.0:
         H = H + ms.g * field_op(basis, ms.coupling_samples())
     return Hamiltonian(H.tocsr(), basis, ms.use_modified)
@@ -268,10 +265,6 @@ class FullBasis:
         return np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(psi, axes=0), axis=0, norm="ortho"),
                                axes=0)
 
-    def electron_position_density(self, vec: np.ndarray) -> np.ndarray:
-        pos = self.to_position(vec)
-        return np.sum(np.abs(pos) ** 2, axis=1)
-
 
 def full_basis(ms: ModelSpec, n_sites: int, n_max: int,
                e_cap: float | None = None) -> FullBasis:
@@ -295,21 +288,16 @@ def build_full_H(ms: ModelSpec, fb: FullBasis) -> Hamiltonian:
     The interaction shifts the electron momentum by -k_j (mod 2 pi) when a
     mode-j boson is created, so total momentum is conserved exactly.
     """
-    L = fb.n_sites
-    nb = fb.boson.size
-    occ, up = fb.boson.occ, fb.boson.up
+    L, nb = fb.n_sites, fb.boson.size
     om_e = ms.disp.omega(fb.momenta[:, None])
-    om_b = occ @ ms.boson_omega()
-    diag = (om_e[:, None] + om_b[None, :]).ravel()
-    amp = np.sqrt(ms.grid.weights) * ms.coupling_samples() * ms.g / math.sqrt(2.0)
-    modes = np.flatnonzero(amp)
-    b, k = np.nonzero(up[:, modes] >= 0)
-    j = modes[k]
+    diag = (om_e[:, None] + (fb.boson.occ @ ms.boson_omega())[None, :]).ravel()
+    # the fiber's coupling g phi(kappa_sigma), rounded as g * field_op stores it
+    up, b, j, c = _creation_entries(fb.boson, ms.coupling_samples())
     e = np.arange(L)[:, None]
     # e^{-i k_j x}: electron momentum index e -> e - m_j (mod L), see FullBasis
-    rows = ((e - fb.mode_m[j]) % L * nb + up[b, j]).ravel()
+    rows = ((e - fb.mode_m[j]) % L * nb + up).ravel()
     cols = (e * nb + b).ravel()
-    data = np.tile(amp[j] * np.sqrt(occ[b, j] + 1), L)
+    data = np.tile(ms.g * (c * (1.0 / math.sqrt(2.0))), L)
     mat = sp.coo_matrix((data, (rows, cols)), shape=(fb.size, fb.size))
     return Hamiltonian((sp.diags(diag) + mat + mat.conj().T).tocsr(), None, ms.use_modified)
 

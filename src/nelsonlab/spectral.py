@@ -330,7 +330,7 @@ def dispersion_scan(ms: ModelSpec, momenta, basis: OccupationBasis,
             eg2 = ground_state(build_fiber_H(ms_other, P, basis), k=1, tol=tol).ground_energy
         except ConvergenceError:
             return None
-        e0 = float(np.min(fiber_diagonal(ms_free, P, basis)))
+        e0 = float(np.min(fiber_diagonal(ms_free, P, basis.occ)))
         eg = res.ground_energy
         upper = float(ms.disp.omega(P)) - eg
         lower = min(eg - ((1 - a) * e0 - (ms.g ** 2 / a) * C) for a in alphas) \

@@ -261,11 +261,13 @@ def full_row_recursion(basis_in, basis_out, a, b=None):
 
 
 def full_H_coupling(ms, fb) -> sp.coo_matrix:
-    """Creation half of the full-chain interaction g phi(G_x)."""
+    """Creation half of the full-chain interaction g phi(G_x), each entry
+    rounded as the fiber's g phi(kappa_sigma) stores it:
+    g ((sqrt(n_j + 1) sqrt(w_j) kappa_j) (1 / sqrt 2))."""
     L = fb.n_sites
     nb = fb.boson.size
     rows, cols, data = [], [], []
-    amp = np.sqrt(ms.grid.weights) * ms.coupling_samples() * ms.g / math.sqrt(2.0)
+    amp = np.sqrt(ms.grid.weights) * ms.coupling_samples()
     m_e = np.rint(fb.momenta * L / (2 * np.pi)).astype(int)
     idx_of_m = {mm: i for i, mm in enumerate(m_e)}
     states, index = states_of(fb.boson)
@@ -277,7 +279,7 @@ def full_H_coupling(ms, fb) -> sp.coo_matrix:
             t_idx = index.get(target)
             if t_idx is None:
                 continue
-            val = amp[j] * math.sqrt(state[j] + 1)
+            val = ms.g * ((math.sqrt(state[j] + 1) * amp[j]) * (1.0 / math.sqrt(2.0)))
             dm = int(fb.mode_m[j])
             for e_idx in range(L):
                 e_t = idx_of_m[((m_e[e_idx] - dm) + L // 2) % L - L // 2]

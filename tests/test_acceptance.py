@@ -186,13 +186,13 @@ def test_criterion_8_dynamics_conservation(default_fiber):
                    f"{mismatch:.1e} (<= 1e-8) at dim {basis.size}")
 
 
-def _electron_run(nonrel, ff, L, scale):
+def _electron_run(nonrel, ff, L, scale, p0=0.05, sigma_top=0.045):
     mode_ms = [m * scale for m in (-16, -12, -8, -5, 5, 8, 12, 16)]
     grid = fock.lattice_grid(L, mode_ms, SIGMA)
     ms = model.ModelSpec(nonrel, ff, grid, 0.05)
     fb = model.full_basis(ms, L, 1)
     H = model.build_full_H(ms, fb)
-    psi, _ = dynamics.filtered_packet(fb, H, p0=0.05, dp=0.06, sigma_top=0.045,
+    psi, _ = dynamics.filtered_packet(fb, H, p0=p0, dp=0.06, sigma_top=sigma_top,
                                       width_frac=0.6, dense_limit=2500)
     times = dynamics.geometric_times(1.0, 100.0, 1.5)
     prop = dynamics.Propagation(H, psi, times)
@@ -209,6 +209,17 @@ def test_criterion_9_electron_maximal_velocity(nonrel, ff):
           and tr2.verdicts["monotone_tail"] and agree)
     verdict(9, ok, f"<F(|x|/t)> final L=128: {a:.2e}, L=256: {b:.2e} (< 1e-3), "
                    f"monotone tails, resolutions agree to {abs(a - b) / max(a, b):.1%} (<= 10%)")
+
+
+@pytest.mark.parametrize("p0, final, monotone", [(0.6, 0.887, False), (0.3, 0.095, True)])
+def test_criterion_9_fails_on_a_packet_faster_than_F(nonrel, ff, p0, final, monotone):
+    """Negative control: a packet filtered up to Sigma = 0.4 at p0 = 0.6 or 0.3
+    reaches F's support (|x|/t > 0.4), so the L = 128 half of criterion 9's
+    conjunction is false, through its final value and, at p0 = 0.6, its tail."""
+    track = _electron_run(nonrel, ff, 128, 1, p0=p0, sigma_top=0.4)
+    assert track.final() == pytest.approx(final, abs=1e-3)
+    assert track.verdicts["monotone_tail"] is monotone
+    assert not (track.final() < 1e-3 and track.verdicts["monotone_tail"])
 
 
 def test_criterion_10_w_behavior(nonrel, ff, default_fiber):

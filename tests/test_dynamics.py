@@ -486,6 +486,18 @@ class TestW:
         track = dynamics.W_estimate(prop, basis, CUTS, ycalc)
         assert track.final() < 1e-6
 
+    def test_one_boson_w_stays_inside_the_horizon(self, fiber_setup):
+        """Negative control of ``dressed_w_vanishes``: a*(h) Omega on the
+        12-mode fiber, judged at t <= 0.8 y_max / gamma where the cutoff can
+        still see it, keeps w near 0.75."""
+        ms, basis, H = fiber_setup
+        k = ms.grid.points[:, 0]
+        psi = dynamics.one_boson_state(basis, np.exp(-((k - 0.8) ** 2) / (2 * 0.3 ** 2)))
+        ycalc = dynamics.YCalc(ms.grid)
+        times = dynamics.geometric_times(1.0, 0.8 * ycalc.y_max / CUTS.gamma, 1.5)
+        track = dynamics.W_estimate(dynamics.Propagation(H, psi, times), basis, CUTS, ycalc)
+        assert track.final() > 0.5
+
     def test_free_boson_w_goes_to_one(self):
         sigma = 0.2
         heavy = model.DispersionLaw("nonrel", 1.0e8)  # decoupled electron
@@ -559,7 +571,7 @@ class TestWPlus:
         ycalc = dynamics.YCalc(ms.grid)
         times = dynamics.geometric_times(1.0, 16.0, 1.5)
         prop = dynamics.Propagation(H, psiP.amps, times)
-        track = dynamics.W_plus_probe(prop, basis, CUTS, ycalc, f_window=1.2)
+        track = dynamics.W_plus_probe(ms, [0.25], prop, CUTS, ycalc, f_window=1.2)
         assert track.values[-1] < 1e-8
         assert max(track.extras["outer_vacuum_norms"]) < 1e-8
 
@@ -570,9 +582,8 @@ class TestWPlus:
         ycalc = dynamics.YCalc(ms.grid)
         times = dynamics.geometric_times(1.0, 6.0, 1.5)
         prop = dynamics.Propagation(H, v, times)
-        track = dynamics.W_plus_probe(prop, basis, CUTS, ycalc, f_window=1.2)
+        track = dynamics.W_plus_probe(ms, [0.25], prop, CUTS, ycalc, f_window=1.2)
         assert track.verdicts["outer_vacuum_small"]
-        assert track.verdicts["bounded"]
 
     def test_jinf_zero_routes_outer_vacuum(self, small_fiber, rng):
         from nelsonlab.split import build_tensor_basis, breve_gamma
@@ -586,30 +597,59 @@ class TestWPlus:
         outer_vacuum = tb.pair_numbers()[:, 1] == 0
         assert np.linalg.norm(out[outer_vacuum]) == pytest.approx(np.linalg.norm(out), abs=1e-14)
 
-    def test_outer_leg_moves_with_the_fiber_dispersion(self, nonrel, rng, monkeypatch):
-        """H_ext = H x 1 + 1 x dGamma(omega) takes omega from H: on a fiber
-        built with use_modified=False the outer photons move with |k|."""
-        sigma = 0.2
-        grid = fock.line_grid(8, 1.2, sigma)
-        ms = model.ModelSpec(nonrel, model.FormFactor(1.0, 1.0, sigma), grid, 0.05,
-                             use_modified=False)
+    @pytest.mark.parametrize("use_modified", [True, False], ids=["modified", "free"])
+    def test_extended_fiber_intertwines_splitting_and_fusion_at_g0(self, nonrel, use_modified):
+        """At g = 0, Gamma-breve(j) H(P) = H_ext Gamma-breve(j) for j = (1, 0)
+        and (0, 1), and H(P) I = I H_ext, exactly: the inner leg of an outer
+        state r sits at P - K_r, and the outer photons move with the
+        dispersion H was built with (|k| at use_modified=False)."""
+        from nelsonlab.split import breve_gamma, build_tensor_basis, scattering_ident
+
+        grid = fock.line_grid(8, 1.5, 0.2)
+        ms = model.ModelSpec(nonrel, model.FormFactor(1.0, 1.0, 0.2), grid, 0.0,
+                             use_modified=use_modified)
         basis = fock.build_basis(grid, 2)
         H = model.build_fiber_H(ms, [0.25], basis)
-        assert not np.allclose(grid.omega_free, grid.omega_mod)
-        diagonal = []
-        original = dynamics.dGamma
+        tb = build_tensor_basis(basis)
+        Hext = dynamics.extended_fiber_H(ms, [0.25], H, tb).mat.toarray()
+        eye, zero = np.eye(grid.n_modes), np.zeros((grid.n_modes,) * 2)
+        for j in ((eye, zero), (zero, eye)):
+            BG = breve_gamma(*j, tb)
+            assert np.array_equal(BG @ H.mat.toarray(), Hext @ BG)
+        I = scattering_ident(tb).toarray()
+        assert np.array_equal(H.mat.toarray() @ I, I @ Hext)
 
-        def spy(b, data):
-            if np.ndim(data) == 1:
-                diagonal.append(np.asarray(data))
-            return original(b, data)
+    @pytest.mark.parametrize("n_max", [2, 3])
+    def test_extended_fiber_is_the_sum_of_shifted_fibers(self, nonrel, n_max):
+        """Each outer-state block of H_ext is H(P - K_r) on N <= n_max - n_r
+        plus E_r, and no entry joins two blocks."""
+        from nelsonlab.split import build_tensor_basis
 
-        monkeypatch.setattr(dynamics, "dGamma", spy)
-        v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
-        prop = dynamics.Propagation(H, v / np.linalg.norm(v),
+        grid = fock.line_grid(8, 1.5, 0.2)
+        ms = model.ModelSpec(nonrel, model.FormFactor(1.0, 1.0, 0.2), grid, 0.05)
+        basis = fock.build_basis(grid, n_max)
+        P = np.array([0.25])
+        tb = build_tensor_basis(basis)
+        Hext = dynamics.extended_fiber_H(ms, P, model.build_fiber_H(ms, P, basis), tb).mat
+        inner, outer = tb.pairs.T
+        rows, cols = Hext.nonzero()
+        assert np.array_equal(outer[rows], outer[cols])
+        N, K = basis.total_numbers(), basis.boson_momenta()
+        for r in range(basis.size):
+            pairs = np.flatnonzero(outer == r)
+            keep = np.flatnonzero(N <= n_max - N[r])
+            assert np.array_equal(inner[pairs], keep)
+            shifted = model.build_fiber_H(ms, P - K[r], basis).mat.toarray()[np.ix_(keep, keep)]
+            E_r = basis.occ[r] @ ms.boson_omega()
+            block = Hext[pairs][:, pairs].toarray()
+            assert np.abs(block - (shifted + E_r * np.eye(len(keep)))).max() <= 1e-14
+
+    def test_probe_refuses_a_hamiltonian_off_the_fiber(self, small_fiber):
+        ms, basis, H = small_fiber
+        prop = dynamics.Propagation(H, fock.FockVector.vacuum(basis).amps,
                                     dynamics.geometric_times(1.0, 2.0, 1.5))
-        dynamics.W_plus_probe(prop, basis, CUTS, dynamics.YCalc(grid), f_window=1.2)
-        assert len(diagonal) == 1 and np.array_equal(diagonal[0], grid.omega_free)
+        with pytest.raises(ValueError, match="fiber H"):
+            dynamics.W_plus_probe(ms, [0.3], prop, CUTS, dynamics.YCalc(ms.grid), f_window=1.2)
 
     def test_extended_dim_cap_enforced(self, small_fiber, monkeypatch):
         ms, basis, H = small_fiber
@@ -617,7 +657,8 @@ class TestWPlus:
         prop = dynamics.Propagation(H, fock.FockVector.vacuum(basis).amps,
                                     dynamics.geometric_times(1.0, 2.0, 1.5))
         with pytest.raises(dynamics.ConfigWindowError):
-            dynamics.W_plus_probe(prop, basis, CUTS, dynamics.YCalc(ms.grid), f_window=1.2)
+            dynamics.W_plus_probe(ms, [0.25], prop, CUTS, dynamics.YCalc(ms.grid),
+                                  f_window=1.2)
 
 
 class TestFiberFullConsistency:

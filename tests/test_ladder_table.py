@@ -408,16 +408,23 @@ def test_build_tensor_basis_stays_small():
     assert np.array_equal(np.lexsort((j, i, total[i] + total[j])), np.arange(tb.size))
 
 
-@pytest.mark.parametrize("L, modes, n_max, e_cap", [
+FULL_H_CONFIGS = pytest.mark.parametrize("L, modes, n_max, e_cap", [
     (32, [-16, -12, -8, -5, 5, 8, 12, 16], 1, None),
     (12, [-3, -1, 2, 4], 2, None),
     (12, [-3, -1, 2, 4], 2, 2.0),
 ])
-def test_full_H_exact(L, modes, n_max, e_cap):
+
+
+def _chain(L, modes, n_max, e_cap):
     grid = fock.lattice_grid(L, modes, 0.2)
     ms = model.ModelSpec(model.DispersionLaw("nonrel", 1.0), model.FormFactor(1.0, 1.0, 0.2),
                          grid, 0.05)
-    fb = model.full_basis(ms, L, n_max, e_cap)
+    return ms, model.full_basis(ms, L, n_max, e_cap)
+
+
+@FULL_H_CONFIGS
+def test_full_H_exact(L, modes, n_max, e_cap):
+    ms, fb = _chain(L, modes, n_max, e_cap)
     om_e = ms.disp.omega(fb.momenta[:, None])
     om_b = np.array(oracles.states_of(fb.boson)[0], dtype=float) @ ms.boson_omega()
     diag = (om_e[:, None] + om_b[None, :]).ravel().astype(complex)
@@ -426,6 +433,21 @@ def test_full_H_exact(L, modes, n_max, e_cap):
     H = model.build_full_H(ms, fb).mat
     assert H.dtype == np.float64
     assert_exact(H, (sp.diags(diag) + c + c.conj().T).tocsr())
+
+
+@FULL_H_CONFIGS
+def test_full_H_blocks_are_the_fibers(L, modes, n_max, e_cap):
+    """Each total-momentum block of the chain H is the fiber H(2 pi m / L):
+    its coupling bit for bit, its diagonal up to the zone wrap's rounding."""
+    ms, fb = _chain(L, modes, n_max, e_cap)
+    H = model.build_full_H(ms, fb).mat.toarray()
+    for m, idx in oracles.momentum_blocks(fb).items():
+        b = idx % fb.boson.size
+        F = model.build_fiber_H(ms, 2 * np.pi * m / L, fb.boson, bz_width=2 * np.pi).mat.toarray()
+        block, fiber = H[np.ix_(idx, idx)], F[np.ix_(b, b)]
+        off = ~np.eye(len(idx), dtype=bool)
+        assert np.array_equal(block[off], fiber[off])
+        assert np.abs(np.diag(block) - np.diag(fiber)).max() <= 1e-14
 
 
 EXPECTATION_BASES = {

@@ -24,7 +24,7 @@ class TestRealHamiltonians:
         H = fiber(ms_default, 0.25, basis12).mat
         assert H.dtype == np.float64
         c = oracles.creation_op(basis12, ms_default.coupling_samples())
-        ref = (sp.diags(model.fiber_diagonal(ms_default, [0.25], basis12))
+        ref = (sp.diags(model.fiber_diagonal(ms_default, [0.25], basis12.occ))
                + ms_default.g * ((c + c.conj().T) / math.sqrt(2.0)))
         assert np.array_equal(H.toarray(), ref.toarray())
 
@@ -361,8 +361,8 @@ class TestGaps:
         direct = math.inf
         for j in range(grid12.n_modes):
             k = grid12.points[j]
-            e_shift = float(np.min(model.fiber_diagonal(ms, P - k, basis12)))
-            e0 = float(np.min(model.fiber_diagonal(ms, P, basis12)))
+            e_shift = float(np.min(model.fiber_diagonal(ms, P - k, basis12.occ)))
+            e0 = float(np.min(model.fiber_diagonal(ms, P, basis12.occ)))
             direct = min(direct, e_shift + grid12.omega_mod[j] - e0)
         assert val == pytest.approx(direct, abs=1e-12)
 
