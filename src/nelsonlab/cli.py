@@ -221,10 +221,13 @@ REPORTS = {"algebra": "algebra_report", "dispersion": "dispersion_verdicts",
            "wplus": "wplus_report"}
 
 
-def finish(cfg: RunConfig, command: str, numbers: dict, verdicts: dict) -> int:
+def finish(cfg: RunConfig, command: str, numbers: dict, verdicts: dict,
+           stats: dict | None = None) -> int:
     """Write the command's report and manifest around one verdicts block; exit on it.
 
     The report file is named in ``REPORTS``; ``report`` itself writes ``report.json``.
+    ``stats`` (what the run did, such as solver methods and residuals) goes
+    into the manifest only, so reports stay byte-identical across reruns.
     """
     verdicts = {name: bool(ok) for name, ok in verdicts.items()}
     cfg_hash = cfg.hash()
@@ -237,6 +240,7 @@ def finish(cfg: RunConfig, command: str, numbers: dict, verdicts: dict) -> int:
         "seed": cfg.seed,
         "verdicts": verdicts,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        **({"stats": stats} if stats is not None else {}),
     })
     return EXIT_PASS if all(verdicts.values()) else EXIT_VERDICT
 
@@ -334,11 +338,14 @@ def cmd_dispersion(cfg: RunConfig) -> int:
         "g_beta": g_beta,
         "o_beta": o_beta,
     }
+    solver = [{"P": P, "method": method, "matvecs": n, "max_residual": _number(r)}
+              for P, method, n, r in zip(curve.momenta, curve.methods, curve.matvecs,
+                                         curve.max_residuals)]
     converged = np.all(curve.converged)
     code = finish(cfg, "dispersion", numbers, {
         "sandwich_ok": (np.nanmin(curve.lower_margins) >= -1e-10
                         and np.nanmin(curve.upper_margins) >= -1e-10),
-        "all_converged": converged})
+        "all_converged": converged}, stats={"solver": solver})
     return code if converged else EXIT_NUMERICS
 
 

@@ -64,7 +64,7 @@ from .model import (
     total_momentum_op,
 )
 from .mourre import build_position_op, group_velocity
-from .spectral import SpectralCalculus, ground_state
+from .spectral import SpectralCalculus, _gershgorin_interval, ground_state
 
 
 class KrylovBreakdownError(RuntimeError):
@@ -159,27 +159,17 @@ def krylov_expm_apply(mat: sp.csr_matrix, v: np.ndarray, dt: float,
     if b == 0.0 or dt == 0:
         return phase * v
     c = _chebyshev_coefficients(b * dt, tol)
-    # three-term recurrence w_{k+1} = A w_k - w_{k-1} with A = 2 (H - a) / b
-    A = (mat - a * sp.identity(mat.shape[0], format="csr")) * (2.0 / b)
+    # three-term recurrence w_{k+1} = A w_k - w_{k-1} with A = 2 (H - a) / b,
+    # cast once to the vector's dtype so that no matvec upcasts it again
     w_prev = np.asarray(v, dtype=complex)
+    A = ((mat - a * sp.identity(mat.shape[0], format="csr")) * (2.0 / b)).astype(
+        w_prev.dtype, copy=False)
     w = 0.5 * (A @ w_prev)
     out = c[0] * w_prev
     for ck in c[1:]:
         out += ck * w
         w_prev, w = w, A @ w - w_prev
     return phase * out
-
-
-def _gershgorin_interval(mat: sp.csr_matrix) -> tuple[float, float]:
-    """Centre and half-width of the union of the Gershgorin discs of a
-    Hermitian CSR matrix, read off its nonzeros: diagonal +- off-diagonal
-    absolute row sums."""
-    n = mat.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(mat.indptr))
-    d = np.real(mat.diagonal())
-    r = np.bincount(rows, weights=np.abs(mat.data), minlength=n) - np.abs(d)
-    lo, hi = float(np.min(d - r)), float(np.max(d + r))
-    return 0.5 * (hi + lo), 0.5 * (hi - lo)
 
 
 def _chebyshev_coefficients(x: float, tol: float) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Dressed one-electron states and spectral verification utilities.
 
-Ground states above dimension 2000 are computed by implicitly restarted
-Lanczos (ARPACK ``eigsh``) from a fixed, deterministic real start vector
-(vacuum plus a small seeded perturbation); below it a dense
-eigendecomposition is used instead and doubles as the cross-check oracle
-for the iterative path.  Both paths, and the functional calculus, take a
-``model.Hamiltonian``, whose matrix is exactly Hermitian by construction.
+Ground states above dimension 2000 are computed by LOBPCG preconditioned
+with the Jacobi diagonal of H, which dominates at small coupling, from a
+fixed, deterministic real start block (the lowest-diagonal unit vectors plus
+a small seeded perturbation); below it a dense eigendecomposition is used
+instead and doubles as the cross-check oracle for the iterative path.  Both
+paths, and the functional calculus, take a ``model.Hamiltonian``, whose
+matrix is exactly Hermitian by construction.
 Operators are real whenever their coefficients are (the default model's
 fiber and chain Hamiltonians are float64), so both paths then run in real
 arithmetic.  Functional calculus for energy cutoffs
@@ -17,6 +18,7 @@ per component without forming the n x n matrix f(H).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,8 +37,9 @@ from .model import (
 )
 
 DENSE_CUTOFF = 2000
-ARPACK_MAX_ITER = 500  # cap on ARPACK's restart iterations
-START_SEED = 7  # seed of the start vector's perturbation
+LOBPCG_MAX_ITER = 200  # cap on LOBPCG's block iterations
+JACOBI_SHIFT = 1e-3  # preconditioner shift, as a fraction of the Gershgorin width
+START_SEED = 7  # seed of the start block's perturbation
 
 
 class ConvergenceError(RuntimeError):
@@ -51,38 +54,70 @@ class ConvergenceError(RuntimeError):
 # Eigensolvers
 # ---------------------------------------------------------------------------
 
-def _start_vector(n: int) -> np.ndarray:
-    """Vacuum plus a small deterministic real perturbation (reproducible runs)."""
+def _gershgorin_interval(mat: sp.csr_matrix) -> tuple[float, float]:
+    """Centre and half-width of the union of the Gershgorin discs of a
+    Hermitian CSR matrix, read off its nonzeros: diagonal +- off-diagonal
+    absolute row sums."""
+    n = mat.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(mat.indptr))
+    d = np.real(mat.diagonal())
+    r = np.bincount(rows, weights=np.abs(mat.data), minlength=n) - np.abs(d)
+    lo, hi = float(np.min(d - r)), float(np.max(d + r))
+    return 0.5 * (hi + lo), 0.5 * (hi - lo)
+
+
+def _start_block(diag: np.ndarray, k: int) -> np.ndarray:
+    """The k lowest-diagonal unit vectors plus a small deterministic real
+    perturbation (reproducible runs)."""
     rng = np.random.default_rng(START_SEED)
-    v = rng.normal(size=n)
-    v *= 1e-2 / np.linalg.norm(v)
-    v[0] += 1.0
-    return v / np.linalg.norm(v)
+    X = rng.normal(size=(len(diag), k))
+    X *= 1e-2 / np.linalg.norm(X, axis=0)
+    X[np.argsort(diag, kind="stable")[:k], np.arange(k)] += 1.0
+    return X / np.linalg.norm(X, axis=0)
 
 
 def lanczos_lowest(mat: sp.csr_matrix, k: int, tol: float):
-    """k lowest eigenpairs by implicitly restarted Lanczos (ARPACK ``eigsh``).
+    """k lowest eigenpairs by Jacobi-preconditioned LOBPCG (Knyazev 2001).
 
-    Returns (eigenvalues ascending, eigenvectors, matvec count);
-    ``ARPACK_MAX_ITER`` caps ARPACK's restart iterations.
+    The fiber H is diagonally dominant at small coupling, so the block
+    iteration is preconditioned by 1 / (diag(H) - lo + delta), with lo the
+    Gershgorin lower bound of H and delta = ``JACOBI_SHIFT`` times the
+    Gershgorin width (finite also on a row without off-diagonal entries).
+    Returns (eigenvalues ascending, eigenvectors, matvec count), the count
+    being the number of columns H was applied to.  Raises ``ConvergenceError``
+    when a residual exceeds tol (1 + |lambda|) or ``LOBPCG_MAX_ITER``
+    iterations did not converge; lobpcg's own warnings are not passed on.
     """
     # imported here: only the iterative path pays for scipy.sparse.linalg
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+    from scipy.sparse.linalg import lobpcg
 
-    matvecs = 0
+    d = np.real(mat.diagonal())
+    centre, half = _gershgorin_interval(mat)
+    jacobi = 1.0 / (d - (centre - half) + JACOBI_SHIFT * 2.0 * half)
+    counts = {"matvecs": 0, "steps": 0}
 
-    def matvec(x):
-        nonlocal matvecs
-        matvecs += 1
-        return mat @ x
+    def apply_H(X):
+        counts["matvecs"] += X.shape[1]
+        return mat @ X
 
-    op = LinearOperator(mat.shape, matvec=matvec, dtype=mat.dtype)
-    try:
-        vals, vecs = eigsh(op, k=k, which="SA", v0=_start_vector(mat.shape[0]),
-                           tol=tol, maxiter=ARPACK_MAX_ITER)
-    except ArpackNoConvergence as exc:
-        raise ConvergenceError("ARPACK did not converge", {"iterations": matvecs}) from exc
-    return vals, vecs, matvecs
+    def precondition(R):
+        counts["steps"] += 1
+        return jacobi[:, None] * R
+
+    X = _start_block(d, k).astype(np.result_type(mat.dtype, np.float64), copy=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        # the loop stops a decade below tol: the final Rayleigh-Ritz pass on
+        # the best iterate can raise a residual slightly
+        vals, vecs, history = lobpcg(apply_H, X, M=precondition, tol=0.1 * tol,
+                                     maxiter=LOBPCG_MAX_ITER, largest=False,
+                                     retResidualNormsHistory=True)
+    resid = np.atleast_1d(history[-1])
+    if counts["steps"] > LOBPCG_MAX_ITER or np.any(resid > tol * (1.0 + np.abs(vals))):
+        raise ConvergenceError("LOBPCG did not converge",
+                               {"iterations": counts["matvecs"],
+                                "residuals": resid.tolist()})
+    return vals, vecs, counts["matvecs"]
 
 
 @dataclass
@@ -110,13 +145,13 @@ class SpectralResult:
 def ground_state(H: Hamiltonian, k: int = 2, tol: float = 1e-10) -> SpectralResult:
     """k lowest eigenpairs of a Hamiltonian.
 
-    Dense ``eigh`` up to DENSE_CUTOFF; ARPACK ``eigsh`` from the real start
-    vector above it, in the operator's own dtype (float64 for a real
-    Hamiltonian), with ``iterations`` counting matvecs.  Both paths must pass
-    the same residual check.  The ground-state phase is fixed so that the
-    vacuum amplitude (or, if it vanishes, the largest amplitude) is
-    nonnegative real.  The eigenvectors are ``FockVector``s on ``H.basis``,
-    or plain arrays when H has no basis.
+    Dense ``eigh`` up to DENSE_CUTOFF; ``lanczos_lowest`` (Jacobi-preconditioned
+    LOBPCG) from the real start block above it, in the operator's own dtype
+    (float64 for a real Hamiltonian), with ``iterations`` counting matvecs.
+    Both paths must pass the same residual check.  The ground-state phase is
+    fixed so that the vacuum amplitude (or, if it vanishes, the largest
+    amplitude) is nonnegative real.  The eigenvectors are ``FockVector``s on
+    ``H.basis``, or plain arrays when H has no basis.
     """
     n = H.shape[0]
     k = min(k, n)
@@ -127,7 +162,7 @@ def ground_state(H: Hamiltonian, k: int = 2, tol: float = 1e-10) -> SpectralResu
         method = "dense"
     else:
         vals, vecs, iters = lanczos_lowest(H.mat, k, tol)
-        method = "eigsh"
+        method = "lobpcg"
     resid = np.array([
         float(np.linalg.norm(H.mat @ vecs[:, i] - vals[i] * vecs[:, i]))
         for i in range(k)
@@ -284,7 +319,13 @@ def pt_ground_energy(ms: ModelSpec, P, basis: OccupationBasis) -> float:
 
 @dataclass
 class DispersionCurve:
-    """Per-momentum ground data with sandwich margins and convergence flags."""
+    """Per-momentum ground data with sandwich margins and convergence flags.
+
+    ``methods``, ``matvecs`` and ``max_residuals`` record the two solves at
+    each momentum (this dispersion and the other): the solver path, their
+    matvecs together and their largest eigen-residual.  ``methods`` holds None
+    where a solve did not converge.
+    """
 
     momenta: list
     energies: np.ndarray
@@ -295,6 +336,9 @@ class DispersionCurve:
     soft_occupancies: np.ndarray
     free_mod_agree: np.ndarray
     converged: np.ndarray
+    methods: list
+    matvecs: np.ndarray
+    max_residuals: np.ndarray
 
 
 def dispersion_scan(ms: ModelSpec, momenta, basis: OccupationBasis,
@@ -327,33 +371,33 @@ def dispersion_scan(ms: ModelSpec, momenta, basis: OccupationBasis,
     def solve_point(P):
         try:
             res = ground_state(build_fiber_H(ms, P, basis), k=2, tol=tol)
-            eg2 = ground_state(build_fiber_H(ms_other, P, basis), k=1, tol=tol).ground_energy
-        except ConvergenceError:
-            return None
+            other = ground_state(build_fiber_H(ms_other, P, basis), k=1, tol=tol)
+        except ConvergenceError as exc:
+            diag = exc.diagnostics
+            return None, (None, diag.get("iterations", 0),
+                          float(np.max(diag.get("residuals", math.nan))))
         e0 = float(np.min(fiber_diagonal(ms_free, P, basis.occ)))
         eg = res.ground_energy
         upper = float(ms.disp.omega(P)) - eg
         lower = min(eg - ((1 - a) * e0 - (ms.g ** 2 / a) * C) for a in alphas) \
             if alphas else math.inf
         soft = soft_boson_occupancy(res.ground_vector, ms.ff.sigma)
-        return (eg, e0, upper, lower, res.gap, soft, abs(eg - eg2))
+        solver = (res.meta["method"], res.meta["iterations"] + other.meta["iterations"],
+                  float(max(res.residuals.max(), other.residuals.max())))
+        return (eg, e0, upper, lower, res.gap, soft, abs(eg - other.ground_energy)), solver
 
-    rows = []
-    conv = []
-    for r in map(solve_point, momenta):
-        if r is None:
-            rows.append((math.nan,) * 7)
-            conv.append(False)
-        else:
-            rows.append(r)
-            conv.append(True)
-    arr = np.array(rows, dtype=float)
+    points = [solve_point(P) for P in momenta]
+    arr = np.array([r if r is not None else (math.nan,) * 7 for r, _ in points], dtype=float)
     return DispersionCurve(
         momenta=momenta,
         energies=arr[:, 0], free_energies=arr[:, 1],
         upper_margins=arr[:, 2], lower_margins=arr[:, 3],
         gaps=arr[:, 4], soft_occupancies=arr[:, 5],
-        free_mod_agree=arr[:, 6], converged=np.array(conv),
+        free_mod_agree=arr[:, 6],
+        converged=np.array([r is not None for r, _ in points]),
+        methods=[method for _, (method, _, _) in points],
+        matvecs=np.array([n for _, (_, n, _) in points], dtype=int),
+        max_residuals=np.array([r for _, (_, _, r) in points], dtype=float),
     )
 
 

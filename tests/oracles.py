@@ -18,6 +18,9 @@ plain Hermitian part of i times central differences in sorted order, which
 grid.  ``full_row_recursion`` is the sector recursion as it was before it
 was restricted to each sector's block: it reads the basis's slot tables and
 sector schedule like the package, and sums over every row and slot.
+``chebyshev_expm_apply`` is the Chebyshev propagator with the shifted
+operator left in H's dtype, so that every matvec upcasts it to the complex
+vector's dtype again.
 """
 
 from __future__ import annotations
@@ -27,12 +30,14 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
+from nelsonlab.dynamics import _chebyshev_coefficients
 from nelsonlab.fock import (
     _as_mode_matrix,
     _check_modes,
     _coo,
     to_ortho,
 )
+from nelsonlab.spectral import _gershgorin_interval
 
 
 def _occupations(n_modes: int, total: int):
@@ -313,6 +318,24 @@ def to_position(fb, vec) -> np.ndarray:
     L = fb.n_sites
     phase = np.exp(1j * np.outer(fb.positions(), fb.momenta)) / math.sqrt(L)
     return phase @ vec.reshape(L, fb.boson.size)
+
+
+def chebyshev_expm_apply(mat, v, dt, tol=1e-10) -> np.ndarray:
+    """exp(-i dt H) v by the Chebyshev series of ``dynamics.krylov_expm_apply``,
+    with A = 2 (H - a) / b kept in H's dtype and upcast by each matvec."""
+    a, b = _gershgorin_interval(mat)
+    phase = np.exp(-1j * a * dt)
+    if b == 0.0 or dt == 0:
+        return phase * v
+    c = _chebyshev_coefficients(b * dt, tol)
+    A = (mat - a * sp.identity(mat.shape[0], format="csr")) * (2.0 / b)
+    w_prev = np.asarray(v, dtype=complex)
+    w = 0.5 * (A @ w_prev)
+    out = c[0] * w_prev
+    for ck in c[1:]:
+        out += ck * w
+        w_prev, w = w, A @ w - w_prev
+    return phase * out
 
 
 class DenseCalculus:

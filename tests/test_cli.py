@@ -342,10 +342,25 @@ class TestCommands:
                                                 ("wplus", (spectral, "ground_state"))])
     def test_convergence_error_exit_code(self, tmp_path, monkeypatch, command, target):
         def stall(*args, **kwargs):
-            raise spectral.ConvergenceError("ARPACK did not converge")
+            raise spectral.ConvergenceError("LOBPCG did not converge")
 
         monkeypatch.setattr(*target, stall)
         assert run([command, "--out", str(tmp_path)]) == cli.EXIT_NUMERICS
+
+    def test_dispersion_manifest_records_solver_stats(self, tmp_path):
+        """Each scan momentum's solver method, matvecs and largest residual go
+        into the manifest, not into the report."""
+        path = write_cfg(tmp_path, "grid.n_modes = 22\nbasis.n_max = 3\nscan.n_points = 2\n")
+        assert run(["dispersion", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_PASS
+        man = json.loads((tmp_path / "dispersion_manifest.json").read_text())
+        solver = man["stats"]["solver"]
+        assert len(solver) == 2
+        for row in solver:
+            assert set(row) == {"P", "method", "matvecs", "max_residual"}
+            assert row["method"] == "lobpcg" and row["matvecs"] > 0
+            assert 0 <= row["max_residual"] < 1e-9
+        rep = json.loads((tmp_path / f"{cli.REPORTS['dispersion']}.json").read_text())
+        assert "stats" not in rep and "solver" not in rep
 
     def test_manifest_written_with_hash(self, tmp_path):
         path = write_cfg(tmp_path, "algebra.draws = 2\nalgebra.n_max = 1\n")

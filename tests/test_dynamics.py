@@ -126,6 +126,19 @@ class TestKrylov:
         u_d = dense_expm(-1j * H.mat.toarray()) @ v
         assert np.linalg.norm(u_k - u_d) < 1e-8
 
+    @pytest.mark.parametrize("dt", [1.0, 12.0, 29.0])
+    def test_matches_upcasting_reference_bit_for_bit(self, ms_default, dt):
+        """Casting the shifted operator to complex once changes no bit of the series."""
+        grid = fock.line_grid(24, 1.5, 0.2)
+        ms = model.ModelSpec(ms_default.disp, ms_default.ff, grid, ms_default.g)
+        H = model.build_fiber_H(ms, [0.25], fock.build_basis(grid, 3))
+        assert H.mat.dtype == np.float64
+        rng = np.random.default_rng(29)
+        v = rng.normal(size=H.shape[0]) + 1j * rng.normal(size=H.shape[0])
+        v /= np.linalg.norm(v)
+        np.testing.assert_array_equal(dynamics.krylov_expm_apply(H.mat, v, dt, tol=1e-11),
+                                      oracles.chebyshev_expm_apply(H.mat, v, dt, tol=1e-11))
+
     def test_gershgorin_interval_contains_spectrum(self, fiber_setup, lattice_setup):
         for H in (fiber_setup[2], lattice_setup[2]):
             a, b = dynamics._gershgorin_interval(H.mat)

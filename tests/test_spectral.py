@@ -63,35 +63,59 @@ class TestGroundState:
         slope = np.polyfit(np.log(gs), np.log(resid), 1)[0]
         assert 3.7 <= slope <= 4.3
 
-    def test_lanczos_matches_dense(self, ms_default, basis12):
-        H = fiber(ms_default, 0.25, basis12)
-        dense = spectral.ground_state(H, k=3, tol=1e-11)
-        vals, vecs, iters = spectral.lanczos_lowest(H.mat, 3, 1e-11)
-        assert np.abs(vals - dense.eigenvalues).max() < 1e-10
-        for i in range(3):
-            overlap = abs(np.vdot(vecs[:, i], dense.eigenvectors[i].amps))
+    @pytest.mark.parametrize("P", [0.0, 0.25, 0.8])
+    @pytest.mark.parametrize("use_modified", [True, False])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_lanczos_matches_dense(self, ms_default, basis12, P, use_modified, k):
+        """LOBPCG against dense eigh; at P = 0 the one-boson states at +-k are
+        degenerate, so each vector is compared with its dense eigenspace."""
+        ms = model.ModelSpec(ms_default.disp, ms_default.ff, ms_default.grid, ms_default.g,
+                             use_modified=use_modified)
+        H = fiber(ms, P, basis12)
+        ev, V = np.linalg.eigh(H.mat.toarray())
+        vals, vecs, iters = spectral.lanczos_lowest(H.mat, k, 1e-11)
+        assert iters > 0
+        assert np.abs(vals - ev[:k]).max() < 1e-10
+        for i in range(k):
+            space = V[:, np.abs(ev - ev[i]) < 1e-8]
+            overlap = np.linalg.norm(space.conj().T @ vecs[:, i])
             assert overlap == pytest.approx(1.0, abs=1e-8)
 
     def test_lanczos_nonconvergence_reports_matvecs(self, ms_default, basis12, monkeypatch):
         H = fiber(ms_default, 0.25, basis12)
-        monkeypatch.setattr(spectral, "ARPACK_MAX_ITER", 1)
+        monkeypatch.setattr(spectral, "LOBPCG_MAX_ITER", 1)
         with pytest.raises(spectral.ConvergenceError) as info:
             spectral.lanczos_lowest(H.mat, 2, 1e-15)
         assert info.value.diagnostics["iterations"] > 0
 
-    def test_iterative_path_matches_dense_oracle(self, ms_default):
-        grid = fock.line_grid(22, 1.5, 0.2)
-        basis = fock.build_basis(grid, 3)
+    @pytest.fixture(scope="class")
+    def basis2300(self):
+        basis = fock.build_basis(fock.line_grid(22, 1.5, 0.2), 3)
         assert basis.size == 2300 > spectral.DENSE_CUTOFF
-        ms = model.ModelSpec(ms_default.disp, ms_default.ff, grid, ms_default.g)
-        H = fiber(ms, 0.25, basis)
+        return basis
+
+    def test_iterative_path_matches_dense_oracle(self, ms_default, basis2300):
+        ms = model.ModelSpec(ms_default.disp, ms_default.ff, basis2300.grid, ms_default.g)
+        H = fiber(ms, 0.25, basis2300)
         res = spectral.ground_state(H, k=2, tol=1e-11)
-        assert res.meta["method"] == "eigsh" and res.meta["iterations"] > 0
+        assert res.meta["method"] == "lobpcg" and res.meta["iterations"] > 0
         vals, vecs = np.linalg.eigh(H.mat.toarray())
         assert np.abs(res.eigenvalues - vals[:2]).max() < 1e-10
         for i in range(2):
             overlap = abs(np.vdot(vecs[:, i], res.eigenvectors[i].amps))
             assert overlap == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("P", [0.0, 0.25])
+    def test_iterative_free_ground_energy_is_the_lowest_diagonal(self, ms_default,
+                                                                 basis2300, P):
+        """At g = 0 H is diagonal, so no row has an off-diagonal entry; the
+        Jacobi shift keeps the preconditioner finite there.  At P = 0 the
+        ground energy is exactly 0, which restarted ARPACK missed (0.123)."""
+        ms = model.ModelSpec(ms_default.disp, ms_default.ff, basis2300.grid, 0.0)
+        H = fiber(ms, P, basis2300)
+        res = spectral.ground_state(H, k=2, tol=1e-11)
+        assert res.meta["method"] == "lobpcg"
+        assert abs(res.ground_energy - H.mat.diagonal().min()) < 1e-12
 
     def test_residuals_and_orthonormality(self, ms_default, basis12):
         H = fiber(ms_default, 0.25, basis12)
