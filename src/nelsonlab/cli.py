@@ -109,7 +109,7 @@ SCHEMA = {
     "cutoffs.beta2": (float, 0.42),
     "cutoffs.beta3": (float, 0.46),
     "cutoffs.gamma": (float, 0.5),
-    "w.f_window": (float, 1.2),
+    "w.f_window": (_above(float), 1.2),
     "w.fiber_p": (float, 0.25),
     "w.t_max": (float, 8.0),
     "algebra.n_modes": (int, 4),
@@ -454,7 +454,10 @@ def cmd_wplus(cfg: RunConfig) -> int:
     rows = list(zip(track.times, track.values, track.extras["outer_vacuum_norms"]))
     write_csv(cfg.out_dir / "wplus_track.csv", ["t", "wplus_norm", "outer_vacuum_norm"],
               rows, cfg.hash())
-    return finish(cfg, "wplus", {"extended_dim": track.extras["extended_dim"]}, track.verdicts)
+    x = track.extras
+    return finish(cfg, "wplus", {"extended_dim": x["extended_dim"]}, track.verdicts,
+                  stats={"pairs": x["extended_dim"], "blocks": x["blocks"],
+                         "largest_block": x["largest_block"]})
 
 
 def _verdicts_block(path: Path) -> dict:

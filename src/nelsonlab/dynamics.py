@@ -31,6 +31,14 @@ a(h_t) through ``fock.apply_creation`` and ``fock.apply_annihilation``, one
 gather on the basis tables each, without building a*(h_t).  Energy filters
 f(H) psi are applied block by block through ``SpectralCalculus.fn(f, psi)``,
 never as an n x n matrix.
+
+W_+ splits its one vector phi = dGamma(chi_t) psi_t by the factorization
+Gamma-breve(j) = (Gamma(j0) x Gamma(jinf)) I* (Derezinski and Gerard 1999),
+I the fusion map: I* phi laid out as a basis x basis matrix X goes to
+Gamma(j0) X Gamma(jinf)^T.  On the truncated pair space this is exact, since
+each Gamma conserves its own leg's boson number, and no pairs x basis array
+or doubled-grid basis is built.  Both of its energy filters come from one
+``SpectralCalculus`` of the extended fiber, whose outer-vacuum block is H(P).
 """
 
 from __future__ import annotations
@@ -453,23 +461,12 @@ def W_estimate(prop: Propagation, basis: OccupationBasis, cuts: CutoffFamily,
     return _track_snapshots(prop, measure)
 
 
-def _energy_filtered(prop: Propagation, f_window: float) -> Propagation:
-    """prop restarted from f(H) psi / ||f(H) psi||, f the smooth window below f_window."""
-    psi0 = SpectralCalculus(prop.H).fn(energy_window(f_window), prop.state)
-    nrm = np.linalg.norm(psi0)
-    if nrm < 1e-10:
-        raise ProbePreconditionError("energy window annihilates the state")
-    return replace(prop, state=psi0 / nrm)
-
-
-W_PLUS_DIM_CAP = 5000  # pairs W_plus_probe takes: breve_gamma is a dense pairs x basis array
-
-
 def extended_fiber_H(ms: ModelSpec, P, H: Hamiltonian, tb) -> Hamiltonian:
     """H_ext = H x 1 + 1 x dGamma(omega) on the pairs (inner, outer r) of the
     fiber H = H(P) of ``ms``: the direct sum over r of H(P - K_r) + E_r on
     N <= n_max - n_r, with the ``fiber_diagonal`` at P of the summed
-    occupations and H's coupling on the inner leg.  Refuses any other H."""
+    occupations and H's coupling on the inner leg.  Its block on the outer
+    vacuum is H itself.  Refuses any other H."""
     from .split import tensor_factor_ops
 
     diag = H.mat.diagonal()
@@ -484,11 +481,21 @@ def W_plus_probe(ms: ModelSpec, P, prop: Propagation, cuts: CutoffFamily,
                  ycalc: YCalc, f_window: float) -> ObservableTrack:
     """Track ||W_+(t) phi|| and its outer-vacuum component on the fiber H(P)
     of ``ms`` that ``prop`` evolves with: W_+(t) = f(H_ext) breve_Gamma(j_t)
-    dGamma(chi_gamma,t) f(H) psi_t, H_ext the ``extended_fiber_H``, applied
-    block by block; the unitary prefactor is dropped since only norms are
-    tracked.  Verdict: the outer-vacuum component is small (exact
-    j0 chi_gamma = 0 routing)."""
-    from .split import breve_gamma, build_tensor_basis
+    dGamma(chi_gamma,t) psi_t, psi_0 = f(H) psi / ||f(H) psi||, H_ext the
+    ``extended_fiber_H``; the unitary prefactor is dropped since only norms
+    are tracked.  Verdict: the outer-vacuum component is small (exact
+    j0 chi_gamma = 0 routing).
+
+    Both filters come from one ``SpectralCalculus`` of H_ext, applied block
+    by block: H(P) is its block on the outer vacuum, so f(H) psi is f(H_ext)
+    on psi placed there.  The splitting is ``split.apply_breve_gamma``, the
+    product (Gamma(j0) x Gamma(jinf)) I* on the vector, exact on the caps
+    since each Gamma conserves its own leg's boson number; no array is
+    larger than basis x basis, and the calculus's component limit is the
+    one size refusal.  Extras: the outer-vacuum norms, the pair count
+    ``extended_dim``, and the number and largest size of H_ext's blocks.
+    """
+    from .split import apply_breve_gamma, build_tensor_basis, scattering_ident
 
     basis = prop.H.basis
     if basis.e_cap is not None:
@@ -496,24 +503,32 @@ def W_plus_probe(ms: ModelSpec, P, prop: Propagation, cuts: CutoffFamily,
                                 "cuts the hopping of dGamma(chi_gamma), so j0 chi_gamma = 0 "
                                 "no longer routes exactly")
     tb = build_tensor_basis(basis)
-    if tb.size > W_PLUS_DIM_CAP:
-        raise ConfigWindowError(f"extended dimension {tb.size} exceeds the cap {W_PLUS_DIM_CAP}")
-    calc_ext = SpectralCalculus(extended_fiber_H(ms, P, prop.H, tb))
-    f_ext = energy_window(f_window)
-    outer_vacuum = tb.pair_numbers()[:, 1] == 0
+    calc = SpectralCalculus(extended_fiber_H(ms, P, prop.H, tb))
+    f = energy_window(f_window)
+    fusion_adj = scattering_ident(tb).conj().T
+    outer_vacuum = np.flatnonzero(tb.pair_numbers()[:, 1] == 0)
+    inner = tb.pairs[outer_vacuum, 0]
+    lifted = np.zeros(tb.size, dtype=complex)
+    lifted[outer_vacuum] = prop.state[inner]
+    psi0 = np.zeros_like(prop.state)
+    psi0[inner] = calc.fn(f, lifted)[outer_vacuum]
+    nrm = np.linalg.norm(psi0)
+    if nrm < 1e-10:
+        raise ProbePreconditionError("energy window annihilates the state")
     vac_norms = []
 
     def measure(psi, t):
         j0m = ycalc.fn(lambda lam: cuts.j0(np.abs(lam) / t))
         jim = ycalc.fn(lambda lam: cuts.jinf(np.abs(lam) / t))
-        BG = breve_gamma(j0m, jim, tb)
         chi = dGamma(basis, ycalc.fn(lambda lam: cuts.chi_gamma(np.abs(lam) / t)))
-        vec = calc_ext.fn(f_ext, BG @ (chi @ psi))
+        vec = calc.fn(f, apply_breve_gamma(j0m, jim, tb, chi @ psi, fusion_adj))
         vac_norms.append(float(np.linalg.norm(vec[outer_vacuum])))
         return np.linalg.norm(vec)
 
-    track = _track_snapshots(_energy_filtered(prop, f_window), measure)
-    track.extras.update(outer_vacuum_norms=vac_norms, extended_dim=tb.size)
+    track = _track_snapshots(replace(prop, state=psi0 / nrm), measure)
+    blocks = [idx.shape for idx, _, _ in calc.groups]
+    track.extras.update(outer_vacuum_norms=vac_norms, extended_dim=tb.size,
+                        blocks=sum(b for b, _ in blocks), largest_block=max(s for _, s in blocks))
     track.verdicts["outer_vacuum_small"] = bool(max(vac_norms) <= 1e-8)
     return track
 

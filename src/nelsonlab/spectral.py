@@ -200,7 +200,8 @@ class SpectralCalculus:
     eigenvector) triple per size, shaped (B, s), (B, s) and (B, s, s), and
     ``vals`` all eigenvalues in group order.  ``limit`` caps the size of the
     largest component, since the cost is per component: the L = 1024 chain
-    (dimension 9216) is 1024 components of 9.
+    (dimension 9216) is 1024 components of 9.  A larger component raises
+    ``ConfigWindowError``, so a command refuses it as a config error.
     """
 
     def __init__(self, H: Hamiltonian, limit: int = DENSE_CUTOFF):
@@ -215,7 +216,8 @@ class SpectralCalculus:
         _, label = connected_components(pattern, directed=False)
         sizes = np.bincount(label)
         if sizes.max() > limit:
-            raise ValueError(f"dense functional calculus capped at component size {limit}")
+            raise ConfigWindowError(f"dense functional calculus capped at component size {limit}, "
+                                    f"largest component {sizes.max()}")
         order = np.argsort(label, kind="stable")
         starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
         pos = np.empty(n, dtype=np.intp)

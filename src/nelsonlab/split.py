@@ -13,7 +13,9 @@ routing each boson through the M x M pair (j0, jinf), and scattering_ident the
 fusion map I = Gamma(iota) U* with iota(h0, hinf) = h0 + hinf.  All maps are
 Galerkin projected onto the caps.  The splitting maps are dense, their rows
 placed by U's permutation, and dbreve_gamma2 reads Gamma(j) from the
-breve_gamma of the same pair, which its caller has formed.  A one-leg lift
+breve_gamma of the same pair, which its caller has formed.  apply_breve_gamma
+applies Gamma-breve(j) to one vector as (Gamma(j0) x Gamma(jinf)) I*, with
+neither the dense map nor the doubled-grid basis.  A one-leg lift
 gathers the leg matrix's entries; ``TensorLift`` also restricts a leg's
 support to a pattern of its entries.
 """
@@ -143,6 +145,30 @@ def _placed_by_perm(functor, maps, tb: TensorBasis, **kwargs) -> np.ndarray:
 def breve_gamma(j0: np.ndarray, jinf: np.ndarray, tb: TensorBasis) -> np.ndarray:
     """Splitting map U Gamma(j): F -> F x F for the pair j = (j0, jinf), dense."""
     return _placed_by_perm(Gamma, (stack_pair(j0, jinf),), tb)
+
+
+def apply_breve_gamma(j0: np.ndarray, jinf: np.ndarray, tb: TensorBasis, phi: np.ndarray,
+                      fusion_adj: sp.csr_matrix | None = None) -> np.ndarray:
+    """breve_gamma(j0, jinf, tb) @ phi without forming it or the doubled grid:
+
+        Gamma-breve(j) = (Gamma(j0) x Gamma(jinf)) I*,
+
+    I* the adjoint of the fusion map ``scattering_ident(tb)`` (pass
+    ``fusion_adj`` to reuse it).  I* phi, laid out as the basis x basis
+    matrix X with X[pairs] = I* phi, is mapped to Gamma(j0) X Gamma(jinf)^T.
+    This is exact on the caps: each Gamma conserves its own leg's boson
+    number, so it keeps every pair's total.  An energy cap breaks it, since
+    it bounds each leg and not the pair, so a capped basis is refused.
+    """
+    basis = tb.basis
+    if basis.e_cap is not None:
+        raise ValueError("the factorized splitting map needs a basis without energy cap")
+    if fusion_adj is None:
+        fusion_adj = scattering_ident(tb).conj().T
+    left, right = tb.pairs.T
+    X = np.zeros((basis.size, basis.size), dtype=complex)
+    X[left, right] = fusion_adj @ phi
+    return (Gamma(basis, j0) @ X @ Gamma(basis, jinf).T)[left, right]
 
 
 def dbreve_gamma2(j0: np.ndarray, jinf: np.ndarray, b0: np.ndarray, binf: np.ndarray,

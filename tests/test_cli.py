@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -29,7 +30,7 @@ PASSING_REPORTS = {
     "mourre_report": {"min_r0_nonnegative": True},
     "evolve_report": {"conservation": True, "phase_exact": True, "dense_agrees": True},
     "w_report": {"dressed_w_vanishes": True},
-    "wplus_report": {"outer_vacuum_small": True, "bounded": True},
+    "wplus_report": {"outer_vacuum_small": True},
 }
 
 
@@ -232,10 +233,10 @@ class TestCommands:
         assert run(["report", "--out", str(tmp_path)]) == cli.EXIT_VERDICT
         assert not json.loads((tmp_path / "report.json").read_text())["all_pass"]
 
-    def test_report_ands_wplus_bounded(self, tmp_path):
+    def test_report_ands_wplus_outer_vacuum_small(self, tmp_path):
         write_passing_reports(tmp_path)
         assert run(["report", "--out", str(tmp_path)]) == cli.EXIT_PASS
-        write_verdicts(tmp_path, "wplus_report", {"outer_vacuum_small": True, "bounded": False})
+        write_verdicts(tmp_path, "wplus_report", {"outer_vacuum_small": False})
         assert run(["report", "--out", str(tmp_path)]) == cli.EXIT_VERDICT
         assert not json.loads((tmp_path / "report.json").read_text())["all_pass"]
 
@@ -319,6 +320,41 @@ class TestCommands:
         assert run(["wplus", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
         assert "energy cap" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("value", ["0", "-0.5"])
+    def test_wplus_refuses_a_nonpositive_energy_window(self, tmp_path, capsys, value):
+        """f_window = 0 would make the window 0/0 at every energy."""
+        path = write_cfg(tmp_path, f"w.f_window = {value}\n")
+        assert run(["wplus", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert "bad value for w.f_window" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_wplus_refuses_a_block_above_the_calculus_limit(self, tmp_path, capsys,
+                                                            monkeypatch):
+        """The calculus's component limit is W_+'s one size refusal; it is a
+        config error, not an internal one."""
+        monkeypatch.setattr(dynamics, "SpectralCalculus",
+                            functools.partial(spectral.SpectralCalculus, limit=10))
+        assert run(["wplus", "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "component size 10" in err and "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_wplus_manifest_records_extended_fiber_stats(self, tmp_path):
+        """The pair count, the number of H_ext blocks and the largest one go
+        into the manifest, not into the report or the track."""
+        assert run(["wplus", "--out", str(tmp_path)]) == cli.EXIT_PASS
+        man = json.loads((tmp_path / "wplus_manifest.json").read_text())
+        stats = man["stats"]
+        assert set(stats) == {"pairs", "blocks", "largest_block"}
+        assert stats["pairs"] == 325
+        assert 1 < stats["blocks"] <= stats["pairs"]
+        assert 1 < stats["largest_block"] <= spectral.DENSE_CUTOFF
+        rep = json.loads((tmp_path / f"{cli.REPORTS['wplus']}.json").read_text())
+        assert set(rep) == {"extended_dim", "verdicts", "config_hash"}
+        assert rep["extended_dim"] == 325
+        header = (tmp_path / "wplus_track.csv").read_text().split("\n")[0]
+        assert header == "t,wplus_norm,outer_vacuum_norm,config_hash"
 
     def test_empty_subspace_exit_code(self, tmp_path, monkeypatch):
         def empty(*args, **kwargs):

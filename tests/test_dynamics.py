@@ -664,14 +664,106 @@ class TestWPlus:
         with pytest.raises(ValueError, match="fiber H"):
             dynamics.W_plus_probe(ms, [0.3], prop, CUTS, dynamics.YCalc(ms.grid), f_window=1.2)
 
-    def test_extended_dim_cap_enforced(self, small_fiber, monkeypatch):
+    def test_probe_refuses_a_state_the_window_annihilates(self, small_fiber):
+        """The window below 0.01 lies under the fiber's spectrum, which starts
+        near P^2 / 2 = 0.031."""
         ms, basis, H = small_fiber
-        monkeypatch.setattr(dynamics, "W_PLUS_DIM_CAP", 10)
-        prop = dynamics.Propagation(H, fock.FockVector.vacuum(basis).amps,
+        prop = dynamics.Propagation(H, dynamics.dressed_state(ms, [0.25], basis).amps,
                                     dynamics.geometric_times(1.0, 2.0, 1.5))
-        with pytest.raises(dynamics.ConfigWindowError):
+        with pytest.raises(dynamics.ProbePreconditionError, match="annihilates"):
             dynamics.W_plus_probe(ms, [0.25], prop, CUTS, dynamics.YCalc(ms.grid),
-                                  f_window=1.2)
+                                  f_window=0.01)
+
+    @pytest.mark.parametrize("M,n_max", [(8, 3), (12, 2), (12, 3), (32, 2)])
+    def test_factorized_splitting_matches_breve_gamma(self, M, n_max, rng):
+        """W_+'s splitting (Gamma(j0) x Gamma(jinf)) I* phi equals the dense
+        splitting map on phi, with j the position cutoffs at two times."""
+        from nelsonlab.split import apply_breve_gamma, breve_gamma, build_tensor_basis
+
+        grid = fock.line_grid(M, 1.5, 0.2)
+        basis = fock.build_basis(grid, n_max)
+        tb = build_tensor_basis(basis)
+        ycalc = dynamics.YCalc(grid)
+        phi = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+        for t in (1.5, 5.0):
+            j0 = ycalc.fn(lambda lam: CUTS.j0(np.abs(lam) / t))
+            jinf = ycalc.fn(lambda lam: CUTS.jinf(np.abs(lam) / t))
+            dense = breve_gamma(j0, jinf, tb) @ phi
+            assert np.abs(apply_breve_gamma(j0, jinf, tb, phi) - dense).max() <= 1e-13
+
+    def test_factorized_splitting_refuses_an_energy_cap(self):
+        from nelsonlab.split import apply_breve_gamma, build_tensor_basis
+
+        basis = fock.build_basis(fock.line_grid(4, 1.5, 0.2), 2, e_cap=1.5)
+        eye = np.eye(4)
+        with pytest.raises(ValueError, match="energy cap"):
+            apply_breve_gamma(eye, 0 * eye, build_tensor_basis(basis), np.ones(basis.size))
+
+    def test_one_calculus_and_no_dense_splitting(self, small_fiber, monkeypatch):
+        """One probe call builds one SpectralCalculus (H_ext's, which also
+        filters the initial state), never the dense breve_gamma and never the
+        doubled-grid basis."""
+        from nelsonlab import split
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dense splitting path was taken")
+
+        built = []
+
+        class Counted(spectral.SpectralCalculus):
+            def __init__(self, *args, **kwargs):
+                built.append(args[0].shape[0])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(split, "breve_gamma", refuse)
+        monkeypatch.setattr(split.TensorBasis, "sum_basis", property(refuse))
+        monkeypatch.setattr(dynamics, "SpectralCalculus", Counted)
+        ms, basis, H = small_fiber
+        prop = dynamics.Propagation(H, dynamics.dressed_state(ms, [0.25], basis).amps,
+                                    dynamics.geometric_times(1.0, 4.0, 1.5))
+        track = dynamics.W_plus_probe(ms, [0.25], prop, CUTS, dynamics.YCalc(ms.grid),
+                                      f_window=1.2)
+        assert built == [track.extras["extended_dim"]]
+        assert track.verdicts["outer_vacuum_small"]
+
+    def test_all_inner_routing_fails_the_outer_vacuum_verdict(self, nonrel, rng):
+        """Negative control: with j0 = 1 and jinf = 0 every boson is routed
+        inner, so the outer vacuum carries all of W_+ phi and the verdict
+        must come out false on a random state."""
+
+        class AllInner(dynamics.CutoffFamily):
+            def j0(self, s):
+                return np.ones_like(np.asarray(s, float))
+
+            def jinf(self, s):
+                return np.zeros_like(np.asarray(s, float))
+
+        grid = fock.line_grid(8, 1.5, 0.2)
+        ms = model.ModelSpec(nonrel, model.FormFactor(1.0, 1.0, 0.2), grid, 0.05)
+        basis = fock.build_basis(grid, 2)
+        H = model.build_fiber_H(ms, [0.25], basis)
+        v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+        prop = dynamics.Propagation(H, v / np.linalg.norm(v), dynamics.geometric_times(1, 6, 1.5))
+        ycalc = dynamics.YCalc(grid)
+        track = dynamics.W_plus_probe(ms, [0.25], prop, AllInner(), ycalc, f_window=1.2)
+        assert not track.verdicts["outer_vacuum_small"]
+        assert max(track.extras["outer_vacuum_norms"]) > 0.1
+        real = dynamics.W_plus_probe(ms, [0.25], prop, CUTS, ycalc, f_window=1.2)
+        assert real.verdicts["outer_vacuum_small"]
+
+    def test_runs_past_the_old_pair_cap(self, nonrel, rng):
+        """line_grid(16) at n_max = 3 has 6545 pairs; no array is larger than
+        basis x basis, and the largest H_ext block is within the calculus limit."""
+        grid = fock.line_grid(16, 1.5, 0.2)
+        ms = model.ModelSpec(nonrel, model.FormFactor(1.0, 1.0, 0.2), grid, 0.05)
+        basis = fock.build_basis(grid, 3)
+        H = model.build_fiber_H(ms, [0.25], basis)
+        v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+        prop = dynamics.Propagation(H, v / np.linalg.norm(v), dynamics.geometric_times(1, 4, 1.5))
+        track = dynamics.W_plus_probe(ms, [0.25], prop, CUTS, dynamics.YCalc(grid), f_window=1.2)
+        assert track.extras["extended_dim"] == 6545
+        assert track.extras["largest_block"] <= spectral.DENSE_CUTOFF
+        assert track.verdicts["outer_vacuum_small"]
 
 
 class TestFiberFullConsistency:

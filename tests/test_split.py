@@ -255,10 +255,10 @@ def test_tensor_basis_csv(setup):
 
 
 def test_breve_gamma_at_48_modes_fits_in_2_gib():
-    """The pair basis at M=48, n_max=2 has 4753 states, under
-    dynamics.W_PLUS_DIM_CAP; the splitting map of the isometric pair
-    (j0, jinf) must build in bounded memory.  It runs in a child process whose
-    address space is capped at 2 GiB."""
+    """The pair basis at M=48, n_max=2 has 4753 states; the dense splitting
+    map of the isometric pair (j0, jinf), which criterion 1 and the oracle of
+    the factorized W_+ splitting use, must build in bounded memory.  It runs
+    in a child process whose address space is capped at 2 GiB."""
     code = """
 import resource
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
