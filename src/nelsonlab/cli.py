@@ -408,21 +408,21 @@ def cmd_evolve(cfg: RunConfig) -> int:
     if basis.size <= 400:
         from scipy.linalg import expm as dense_expm
         t_ref = float(times[min(3, len(times) - 1)])
-        u_k = dynamics.krylov_expm_apply(H.mat, psi, t_ref, tol=prop.step_tol)
+        u_k = dynamics.krylov_expm_apply(H, psi, t_ref, tol=prop.step_tol)
         u_d = dense_expm(-1j * t_ref * H.mat.toarray()) @ psi
         mismatch = float(np.linalg.norm(u_k - u_d))
     # g=0 phase exactness
     ms0 = model.ModelSpec(ms.disp, ms.ff, ms.grid, 0.0, ms.use_modified)
     H0 = model.build_fiber_H(ms0, P0, basis)
     d0 = np.real(np.asarray(H0.mat.diagonal()))
-    u = dynamics.krylov_expm_apply(H0.mat, psi, 5.0, tol=prop.step_tol)
+    u = dynamics.krylov_expm_apply(H0, psi, 5.0, tol=prop.step_tol)
     phase_defect = float(np.linalg.norm(u - np.exp(-1j * d0 * 5.0) * psi))
     write_track_csv(cfg.out_dir / "evolve_track.csv", track, cfg.hash())
     verdicts = {"conservation": conserved, "phase_exact": phase_defect < 1e-8}
     if mismatch is not None:
         verdicts["dense_agrees"] = mismatch < 1e-8
     return finish(cfg, "evolve", {"dense_mismatch": mismatch, "phase_defect_g0": phase_defect},
-                  verdicts)
+                  verdicts, stats=dynamics.chebyshev_stats(prop))
 
 
 def dressed_propagation(cfg: RunConfig, t_max: float) -> tuple:
@@ -444,7 +444,8 @@ def cmd_w(cfg: RunConfig) -> int:
     track = dynamics.W_estimate(prop, prop.H.basis, cuts, ycalc)
     write_track_csv(cfg.out_dir / "w_track.csv", track, cfg.hash())
     return finish(cfg, "w", {"dressed_w_final": track.final()},
-                  {"dressed_w_vanishes": track.final() < 1e-6})
+                  {"dressed_w_vanishes": track.final() < 1e-6},
+                  stats=dynamics.chebyshev_stats(prop))
 
 
 def cmd_wplus(cfg: RunConfig) -> int:

@@ -16,10 +16,15 @@ the generator ``snapshots``, which steps ``krylov_expm_apply`` from one grid
 time to the next and yields (t, psi_t).  That propagator sums the Chebyshev
 series of exp(-i dt H) on the Gershgorin interval of the Hermitian H, which
 contains its spectrum, so the truncation error is bounded a priori and there
-is no step control.  The loop returns an ``ObservableTrack``: the probe's
-measured value at each grid time and the measured norm and energy drifts of
-psi_t; whatever else a probe derives (the photon probe's running integral,
-W_+'s outer-vacuum norms) sits in the track's extras.
+is no step control.  The interval and the shifted operator are computed once
+per ``Hamiltonian`` (its cached ``chebyshev`` attribute), so each interval
+of the grid, each further propagation of the same H and the asymptotic-field
+probe's backward steps pay only for their matvecs; ``chebyshev_stats``
+reports that work for a run's manifest.  The loop returns an
+``ObservableTrack``: the probe's measured value at each grid time and the
+measured norm and energy drifts of psi_t; whatever else a probe derives (the
+photon probe's running integral, W_+'s outer-vacuum norms) sits in the
+track's extras.
 
 On the chain a boson operator acts on the occupation leg of
 psi.reshape(L, nb); the Kronecker product 1 x op is never formed.  The
@@ -35,10 +40,11 @@ never as an n x n matrix.
 W_+ splits its one vector phi = dGamma(chi_t) psi_t by the factorization
 Gamma-breve(j) = (Gamma(j0) x Gamma(jinf)) I* (Derezinski and Gerard 1999),
 I the fusion map: I* phi laid out as a basis x basis matrix X goes to
-Gamma(j0) X Gamma(jinf)^T.  On the truncated pair space this is exact, since
-each Gamma conserves its own leg's boson number, and no pairs x basis array
-or doubled-grid basis is built.  Both of its energy filters come from one
-``SpectralCalculus`` of the extended fiber, whose outer-vacuum block is H(P).
+Gamma(j0) X Gamma(jinf)^T, one product per pair of boson-number sectors.
+On the truncated pair space this is exact, since each Gamma conserves its
+own leg's boson number, and no pairs x basis array or doubled-grid basis is
+built.  Both of its energy filters come from one ``SpectralCalculus`` of the
+extended fiber, whose outer-vacuum block is H(P), real when H(P) is.
 """
 
 from __future__ import annotations
@@ -68,11 +74,12 @@ from .model import (
     Hamiltonian,
     ModelSpec,
     build_fiber_H,
+    chebyshev_operator,
     fiber_diagonal,
     total_momentum_op,
 )
 from .mourre import build_position_op, group_velocity
-from .spectral import SpectralCalculus, _gershgorin_interval, ground_state
+from .spectral import SpectralCalculus, ground_state
 
 
 class KrylovBreakdownError(RuntimeError):
@@ -145,7 +152,7 @@ def geometric_times(t0: float, t_max: float, ratio: float = 1.5) -> np.ndarray:
 # Chebyshev propagation
 # ---------------------------------------------------------------------------
 
-def krylov_expm_apply(mat: sp.csr_matrix, v: np.ndarray, dt: float,
+def krylov_expm_apply(H: Hamiltonian | sp.csr_matrix, v: np.ndarray, dt: float,
                       tol: float = 1e-10) -> np.ndarray:
     """exp(-i dt H) v for Hermitian H by a Chebyshev series on the Gershgorin
     interval [a - b, a + b] of H (Tal-Ezer and Kosloff 1984):
@@ -157,26 +164,30 @@ def krylov_expm_apply(mat: sp.csr_matrix, v: np.ndarray, dt: float,
     terms whose |c_k| sum to at most ``tol`` errs by at most tol ||v||.  A
     degree-N sum lies in the Krylov space K_{N+1}(H, v), hence the name.
 
+    ``H`` is a ``Hamiltonian``, whose cached ``chebyshev`` operator (a, b
+    and the complex A = 2 (H - a) / b) every call then shares, or a bare
+    Hermitian CSR matrix, whose operator is built for this call alone; both
+    give the same bits.  The recurrence w_{k+1} = A w_k - w_{k-1} writes
+    each new term into the buffer of the one it retires, from a copy of v,
+    so ``v`` itself is never written.
+
     The bound holds down to the coefficients' rounding floor: each computed
     c_k carries noise of about |b dt| eps (4e-15 at b dt = 750, 7e-15 at
     1500), summed over the N terms used.  For b dt above about 700 a ``tol``
     below about N x 1e-14 is therefore not honoured.
     """
-    a, b = _gershgorin_interval(mat)
+    op = H.chebyshev if isinstance(H, Hamiltonian) else chebyshev_operator(H)
+    a, b, A = op.centre, op.half_width, op.shifted
     phase = np.exp(-1j * a * dt)
     if b == 0.0 or dt == 0:
         return phase * v
     c = _chebyshev_coefficients(b * dt, tol)
-    # three-term recurrence w_{k+1} = A w_k - w_{k-1} with A = 2 (H - a) / b,
-    # cast once to the vector's dtype so that no matvec upcasts it again
-    w_prev = np.asarray(v, dtype=complex)
-    A = ((mat - a * sp.identity(mat.shape[0], format="csr")) * (2.0 / b)).astype(
-        w_prev.dtype, copy=False)
+    w_prev = np.array(v, dtype=complex)
     w = 0.5 * (A @ w_prev)
     out = c[0] * w_prev
     for ck in c[1:]:
         out += ck * w
-        w_prev, w = w, A @ w - w_prev
+        w_prev, w = w, np.subtract(A @ w, w_prev, out=w_prev)
     return phase * out
 
 
@@ -225,9 +236,24 @@ def snapshots(prop: Propagation):
     psi = prop.state
     t_prev = 0.0
     for t in prop.times:
-        psi = krylov_expm_apply(prop.H.mat, psi, t - t_prev, tol=prop.step_tol)
+        psi = krylov_expm_apply(prop.H, psi, t - t_prev, tol=prop.step_tol)
         t_prev = t
         yield t, psi
+
+
+def chebyshev_stats(prop: Propagation) -> dict:
+    """What ``snapshots`` does along prop.times, for a run's manifest: H's
+    dimension and stored entries, the centre and half-width of its cached
+    Chebyshev interval, the number of grid intervals, and the series terms
+    summed over them, counted from the coefficients ``krylov_expm_apply``
+    sums (none on an interval it returns as a pure phase)."""
+    op = prop.H.chebyshev
+    steps = np.diff(prop.times, prepend=0.0)
+    terms = sum(len(_chebyshev_coefficients(op.half_width * dt, prop.step_tol))
+                for dt in steps if op.half_width != 0.0 and dt != 0)
+    return {"dim": int(prop.H.shape[0]), "nnz": int(prop.H.mat.nnz),
+            "chebyshev_centre": op.centre, "chebyshev_half_width": op.half_width,
+            "intervals": len(steps), "series_terms": int(terms)}
 
 
 @dataclass
@@ -418,7 +444,7 @@ def asymptotic_field_probe(prop: Propagation, basis: OccupationBasis, h,
     def measure(psi, t):
         h_t = np.exp(-1j * omega * t) * np.asarray(h, dtype=complex)
         chi = _on_bosons(apply_creation, basis, h_t, psi, fb)
-        vecs.append(krylov_expm_apply(prop.H.mat, chi, -t, tol=prop.step_tol))
+        vecs.append(krylov_expm_apply(prop.H, chi, -t, tol=prop.step_tol))
         return np.linalg.norm(vecs[-1] - vecs[-2]) if len(vecs) > 1 else math.nan
 
     track = _track_snapshots(prop, measure)
@@ -466,13 +492,16 @@ def extended_fiber_H(ms: ModelSpec, P, H: Hamiltonian, tb) -> Hamiltonian:
     fiber H = H(P) of ``ms``: the direct sum over r of H(P - K_r) + E_r on
     N <= n_max - n_r, with the ``fiber_diagonal`` at P of the summed
     occupations and H's coupling on the inner leg.  Its block on the outer
-    vacuum is H itself.  Refuses any other H."""
+    vacuum is H itself, and it is real when H is (the lift's complex cast
+    is dropped), so its calculus runs real ``eigh``.  Refuses any other H."""
     from .split import tensor_factor_ops
 
     diag = H.mat.diagonal()
     if not np.array_equal(diag, fiber_diagonal(ms, P, tb.basis.occ)):
         raise ValueError("H is not the fiber H(P) of ms on the pairs' basis")
     coupling = tensor_factor_ops(tb, op_left=H.mat - sp.diags(diag))
+    if not np.iscomplexobj(H.mat):
+        coupling = coupling.real
     return Hamiltonian(sp.diags(fiber_diagonal(ms, P, tb.basis.occ[tb.pairs].sum(axis=1)))
                        + coupling, use_modified=ms.use_modified)
 

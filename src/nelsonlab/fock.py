@@ -25,7 +25,8 @@ its parent c - e_j in the basis.  ``build_basis`` derives from ``occ`` and
 at most n_max occupied modes ``slot_mode``, their sqrt(n) ``slot_root`` and
 the parent rows ``slot_parent``, one lookup per slot); the ladder table
 ``up[c, j]``, the index of c + e_j or -1 when that state lies outside
-N <= n_max or the energy cap, scattered from the slot tables; and
+N <= n_max or the energy cap, scattered from the slot tables, with
+``up_rows``, the states whose row of ``up`` holds an entry >= 0; and
 ``sectors``, the per-sector schedule of the sector recursion, read off
 slot 0.  Every second-quantized operator is derived from these tables:
 hopping terms a*_i a_j, the sector recursions behind Gamma and dGamma2, and
@@ -35,8 +36,9 @@ conserves the boson number: the columns of input sector n fill only the
 rows of output sector n (their range read from the target's ``sectors``),
 each through its slots s < min(n, M) and its parents in sector n - 1.  So is
 ``dGamma_expectation``, which reads <psi, dGamma(b) psi> from the M x M
-one-boson density matrix rho_ij = <a_i psi, a_j psi>, one gather on ``up``,
-without assembling dGamma(b); ``apply_creation`` and ``apply_annihilation``
+one-boson density matrix rho_ij = <a_i psi, a_j psi>, one gather on the
+``up_rows`` of ``up`` (every other row of a_j psi is zero), without
+assembling dGamma(b); ``apply_creation`` and ``apply_annihilation``
 apply a*(h) and a(h) to states the same way.
 
 The field operator follows the symmetric normalization
@@ -289,7 +291,9 @@ class OccupationBasis:
     ``slot_mode[r, s]`` (ascending), with ``slot_root[r, s]`` = sqrt(n_i(r))
     and ``slot_parent[r, s]`` = r - e_i; a padding slot has root 0 and
     parent -1.  ``up`` (size x M) is the ladder table: ``up[c, j]`` is the
-    index of c + e_j, or -1 if truncated.  ``sectors[n - 1]`` =
+    index of c + e_j, or -1 if truncated; ``up_rows`` lists, ascending, the
+    states c whose row of ``up`` holds an entry >= 0, the only rows on which
+    some a_j psi can be nonzero.  ``sectors[n - 1]`` =
     (c, j, p, 1 / sqrt(n_j(c))) lists the states c of sector n, their first
     occupied mode j (slot 0) and their parent p = c - e_j.
     """
@@ -299,6 +303,7 @@ class OccupationBasis:
     e_cap: float | None
     occ: np.ndarray = field(repr=False)
     up: np.ndarray = field(repr=False)
+    up_rows: np.ndarray = field(repr=False)
     slot_mode: np.ndarray = field(repr=False)
     slot_root: np.ndarray = field(repr=False)
     slot_parent: np.ndarray = field(repr=False)
@@ -410,14 +415,15 @@ def build_basis(grid: ModeGrid, n_max: int, e_cap: float | None = None) -> Occup
     up = np.full(occ.shape, -1)
     c, s = np.nonzero(slot_parent >= 0)
     up[slot_parent[c, s], slot_mode[c, s]] = c
+    up_rows = np.flatnonzero(np.any(up >= 0, axis=1))
     starts = np.cumsum([len(block) for block in blocks])
     sectors = [(c, slot_mode[c, 0], slot_parent[c, 0], 1.0 / slot_root[c, 0])
                for c in (np.arange(starts[n - 1], starts[n]) for n in range(1, n_max + 1))]
     # shared by every operator built on this basis
-    for table in (occ, up, slot_mode, slot_root, slot_parent,
+    for table in (occ, up, up_rows, slot_mode, slot_root, slot_parent,
                   *(t for sector in sectors for t in sector)):
         table.flags.writeable = False
-    return OccupationBasis(grid=grid, n_max=n_max, e_cap=e_cap, occ=occ, up=up,
+    return OccupationBasis(grid=grid, n_max=n_max, e_cap=e_cap, occ=occ, up=up, up_rows=up_rows,
                            slot_mode=slot_mode, slot_root=slot_root, slot_parent=slot_parent,
                            sectors=tuple(sectors), lookup=lookup)
 
@@ -547,11 +553,12 @@ def _check_state(basis: OccupationBasis, psi) -> np.ndarray:
     return psi
 
 
-def _lowered(basis: OccupationBasis, psi: np.ndarray) -> np.ndarray:
-    """A[..., p, j] = (a_j psi)[p] = sqrt(n_j(p) + 1) psi[up[p, j]], one
-    gather on the ladder table (zero where up is -1)."""
-    up = basis.up
-    return psi[..., up] * np.where(up >= 0, np.sqrt(basis.occ + 1), 0.0)
+def _lowered(basis: OccupationBasis, psi: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """A[..., p, j] = (a_j psi)[p] = sqrt(n_j(p) + 1) psi[up[p, j]] on the
+    states p of ``rows`` (all by default), one gather on the ladder table
+    (zero where up is -1)."""
+    up = basis.up[rows]
+    return psi[..., up] * np.where(up >= 0, np.sqrt(basis.occ[rows] + 1), 0.0)
 
 
 def apply_creation(basis: OccupationBasis, h, psi) -> np.ndarray:
@@ -581,11 +588,15 @@ def dGamma_expectation(basis: OccupationBasis, b, psi, weights=None) -> complex:
     rho_ij = <a_i psi, a_j psi> the value is sum_ij bo_ij rho_ij, bo the
     orthonormal-gauge b.  Column j of A = [a_j psi] is one gather on the
     ladder table, (a_j psi)[p] = sqrt(n_j(p) + 1) psi[up[p, j]], and
-    rho = A^H A.  Exact on capped bases for the same reason as ``dGamma``.
+    rho = A^H A.  A is gathered only on ``basis.up_rows``: on any other row
+    p every up[p, j] is -1, so p + e_j lies outside the basis for every j
+    and row p of A is exactly zero, adding nothing to rho (the top sector
+    N = n_max and the capped states are such rows; at n_max = 0 there is no
+    other row).  Exact on capped bases for the same reason as ``dGamma``.
     """
     bo = to_ortho(basis.grid, basis.grid, _as_mode_matrix(basis, b))
     psi = _check_state(basis, psi)
-    A = _lowered(basis, psi)
+    A = _lowered(basis, psi, basis.up_rows)
     Ah = A.conj()
     if weights is not None:
         weights = np.asarray(weights)

@@ -14,13 +14,17 @@ product basis, its boson modes on the dual lattice so that total momentum
 
 Operators are ``scipy.sparse.csr_matrix`` objects; ``Hamiltonian`` holds the
 CSR matrix, refused unless exactly Hermitian, with its occupation basis and
-the dispersion switch it was built with.
+the dispersion switch it was built with.  It also carries, computed on first
+use, the ``ChebyshevOperator`` that every time step of that Hamiltonian
+shares: the Gershgorin interval of the matrix and the shifted operator
+2 (H - a) / b that ``dynamics.krylov_expm_apply`` recurses with.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -194,6 +198,39 @@ class ModelSpec:
         return self.ff.kappa_sigma(self.grid.omega_free)
 
 
+def _gershgorin_interval(mat: sp.csr_matrix) -> tuple[float, float]:
+    """Centre and half-width of the union of the Gershgorin discs of a
+    Hermitian CSR matrix, read off its nonzeros: diagonal +- off-diagonal
+    absolute row sums."""
+    n = mat.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(mat.indptr))
+    d = np.real(mat.diagonal())
+    r = np.bincount(rows, weights=np.abs(mat.data), minlength=n) - np.abs(d)
+    lo, hi = float(np.min(d - r)), float(np.max(d + r))
+    return 0.5 * (hi + lo), 0.5 * (hi - lo)
+
+
+@dataclass(frozen=True, eq=False)
+class ChebyshevOperator:
+    """H on its Gershgorin interval [centre - half_width, centre + half_width]:
+    ``shifted`` is A = 2 (H - centre) / half_width, complex128, whose spectrum
+    lies in [-2, 2]; None when the half-width is 0 (H is a multiple of 1)."""
+
+    centre: float
+    half_width: float
+    shifted: sp.csr_matrix | None
+
+
+def chebyshev_operator(mat: sp.csr_matrix) -> ChebyshevOperator:
+    """The ``ChebyshevOperator`` of a Hermitian CSR matrix, cast to complex
+    once so that no matvec with a complex vector upcasts it again."""
+    a, b = _gershgorin_interval(mat)
+    if b == 0.0:
+        return ChebyshevOperator(a, b, None)
+    A = (mat - a * sp.identity(mat.shape[0], format="csr")) * (2.0 / b)
+    return ChebyshevOperator(a, b, A.astype(complex, copy=False))
+
+
 @dataclass(frozen=True, eq=False)
 class Hamiltonian:
     """An exactly Hermitian CSR matrix with the occupation basis it acts on
@@ -211,6 +248,12 @@ class Hamiltonian:
     @property
     def shape(self) -> tuple:
         return self.mat.shape
+
+    @cached_property
+    def chebyshev(self) -> ChebyshevOperator:
+        """The matrix's ``ChebyshevOperator``, built on first use and shared by
+        every propagation of this Hamiltonian."""
+        return chebyshev_operator(self.mat)
 
 
 def fiber_diagonal(ms: ModelSpec, P, occ: np.ndarray,

@@ -29,6 +29,7 @@ from .model import (
     ConfigWindowError,
     Hamiltonian,
     ModelSpec,
+    _gershgorin_interval,
     build_fiber_H,
     fiber_diagonal,
     o_beta,
@@ -53,18 +54,6 @@ class ConvergenceError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Eigensolvers
 # ---------------------------------------------------------------------------
-
-def _gershgorin_interval(mat: sp.csr_matrix) -> tuple[float, float]:
-    """Centre and half-width of the union of the Gershgorin discs of a
-    Hermitian CSR matrix, read off its nonzeros: diagonal +- off-diagonal
-    absolute row sums."""
-    n = mat.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(mat.indptr))
-    d = np.real(mat.diagonal())
-    r = np.bincount(rows, weights=np.abs(mat.data), minlength=n) - np.abs(d)
-    lo, hi = float(np.min(d - r)), float(np.max(d + r))
-    return 0.5 * (hi + lo), 0.5 * (hi - lo)
-
 
 def _start_block(diag: np.ndarray, k: int) -> np.ndarray:
     """The k lowest-diagonal unit vectors plus a small deterministic real

@@ -14,8 +14,9 @@ fusion map I = Gamma(iota) U* with iota(h0, hinf) = h0 + hinf.  All maps are
 Galerkin projected onto the caps.  The splitting maps are dense, their rows
 placed by U's permutation, and dbreve_gamma2 reads Gamma(j) from the
 breve_gamma of the same pair, which its caller has formed.  apply_breve_gamma
-applies Gamma-breve(j) to one vector as (Gamma(j0) x Gamma(jinf)) I*, with
-neither the dense map nor the doubled-grid basis.  A one-leg lift
+applies Gamma-breve(j) to one vector as (Gamma(j0) x Gamma(jinf)) I*, one
+product per pair of boson-number sectors, with neither the dense map nor the
+doubled-grid basis.  A one-leg lift
 gathers the leg matrix's entries; ``TensorLift`` also restricts a leg's
 support to a pattern of its entries.
 """
@@ -159,16 +160,32 @@ def apply_breve_gamma(j0: np.ndarray, jinf: np.ndarray, tb: TensorBasis, phi: np
     This is exact on the caps: each Gamma conserves its own leg's boson
     number, so it keeps every pair's total.  An energy cap breaks it, since
     it bounds each leg and not the pair, so a capped basis is refused.
+
+    The same conservation makes both Gammas block diagonal by sector, and
+    X is nonzero only on the sector pairs (a, b) with a + b <= n_max, which
+    are the blocks of ``build_tensor_basis``: each block of pairs is sector
+    a times sector b, left-major, and maps to G0[a, a] X[a, b] Ginf[b, b]^T.
     """
     basis = tb.basis
     if basis.e_cap is not None:
         raise ValueError("the factorized splitting map needs a basis without energy cap")
     if fusion_adj is None:
         fusion_adj = scattering_ident(tb).conj().T
-    left, right = tb.pairs.T
-    X = np.zeros((basis.size, basis.size), dtype=complex)
-    X[left, right] = fusion_adj @ phi
-    return (Gamma(basis, j0) @ X @ Gamma(basis, jinf).T)[left, right]
+    x = fusion_adj @ phi
+    G0, Ginf = Gamma(basis, j0), Gamma(basis, jinf)
+    # sector n is the state range edges[n]:edges[n + 1] of the graded basis
+    edges = np.searchsorted(basis.total_numbers(), np.arange(basis.n_max + 2))
+    out = np.empty(tb.size, dtype=np.result_type(x, G0, Ginf))
+    start = 0
+    for T in range(basis.n_max + 1):
+        for a in range(T + 1):
+            left, right = (slice(edges[n], edges[n + 1]) for n in (a, T - a))
+            shape = (left.stop - left.start, right.stop - right.start)
+            stop = start + shape[0] * shape[1]
+            block = x[start:stop].reshape(shape)
+            out[start:stop] = (G0[left, left] @ block @ Ginf[right, right].T).ravel()
+            start = stop
+    return out
 
 
 def dbreve_gamma2(j0: np.ndarray, jinf: np.ndarray, b0: np.ndarray, binf: np.ndarray,

@@ -37,7 +37,7 @@ from nelsonlab.fock import (
     _coo,
     to_ortho,
 )
-from nelsonlab.spectral import _gershgorin_interval
+from nelsonlab.model import _gershgorin_interval
 
 
 def _occupations(n_modes: int, total: int):

@@ -398,6 +398,32 @@ class TestCommands:
         rep = json.loads((tmp_path / f"{cli.REPORTS['dispersion']}.json").read_text())
         assert "stats" not in rep and "solver" not in rep
 
+    @pytest.mark.parametrize("command", ["evolve", "w"])
+    def test_propagation_manifest_records_chebyshev_stats(self, tmp_path, monkeypatch, command):
+        """H's dimension and nnz, its Chebyshev interval, the grid's interval
+        count and the series terms summed over the grid go into the manifest,
+        not into the report; the terms are those the propagator summed."""
+        lengths = []
+        coefficients = dynamics._chebyshev_coefficients
+
+        def spy(x, tol):
+            c = coefficients(x, tol)
+            lengths.append(len(c))
+            return c
+
+        monkeypatch.setattr(dynamics, "_chebyshev_coefficients", spy)
+        assert run([command, "--out", str(tmp_path)]) == cli.EXIT_PASS
+        stats = json.loads((tmp_path / f"{command}_manifest.json").read_text())["stats"]
+        assert set(stats) == {"dim", "nnz", "chebyshev_centre", "chebyshev_half_width",
+                              "intervals", "series_terms"}
+        n = stats["intervals"]
+        assert n == 12 and stats["dim"] == 91 and stats["nnz"] > stats["dim"]
+        assert stats["chebyshev_half_width"] > 0
+        # the track's propagation first, the stats' own count last
+        assert lengths[:n] == lengths[-n:] and stats["series_terms"] == sum(lengths[:n])
+        rep = json.loads((tmp_path / f"{cli.REPORTS[command]}.json").read_text())
+        assert "stats" not in rep
+
     def test_manifest_written_with_hash(self, tmp_path):
         path = write_cfg(tmp_path, "algebra.draws = 2\nalgebra.n_max = 1\n")
         run(["algebra", "--config", path, "--out", str(tmp_path), "--seed", "9"])

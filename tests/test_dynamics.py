@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -141,9 +142,57 @@ class TestKrylov:
 
     def test_gershgorin_interval_contains_spectrum(self, fiber_setup, lattice_setup):
         for H in (fiber_setup[2], lattice_setup[2]):
-            a, b = dynamics._gershgorin_interval(H.mat)
+            a, b = model._gershgorin_interval(H.mat)
             ev = np.linalg.eigvalsh(H.mat.toarray())
             assert a - b <= ev[0] and ev[-1] <= a + b
+            assert (H.chebyshev.centre, H.chebyshev.half_width) == (a, b)
+
+    def test_one_chebyshev_operator_per_hamiltonian(self, ms_default, basis12, rng,
+                                                    monkeypatch):
+        """A 12-interval grid, a second propagation of the same H and a
+        ``replace`` of the first compute the Gershgorin interval and the
+        shifted operator once between them."""
+        H = model.build_fiber_H(ms_default, [0.25], basis12)
+        calls = {"interval": 0, "operator": 0}
+        interval, operator = model._gershgorin_interval, model.chebyshev_operator
+
+        def spy_interval(mat):
+            calls["interval"] += 1
+            return interval(mat)
+
+        def spy_operator(mat):
+            calls["operator"] += 1
+            return operator(mat)
+
+        monkeypatch.setattr(model, "_gershgorin_interval", spy_interval)
+        for module in (model, dynamics):
+            monkeypatch.setattr(module, "chebyshev_operator", spy_operator)
+        times = dynamics.geometric_times(1.0, 100.0, 1.5)
+        assert len(times) == 12
+        v = rng.normal(size=basis12.size) + 1j * rng.normal(size=basis12.size)
+        prop = dynamics.Propagation(H, v / np.linalg.norm(v), times)
+        track = dynamics._track_snapshots(prop, lambda p, t: 0.0)
+        assert dynamics.check_conservation(track)
+        list(dynamics.snapshots(dynamics.Propagation(H, v[::-1].copy(), times)))
+        list(dynamics.snapshots(replace(prop, state=v)))
+        assert calls == {"interval": 1, "operator": 1}
+
+    @pytest.mark.parametrize("kind", [complex, float])
+    def test_input_vector_is_never_written(self, fiber_setup, rng, kind):
+        """The recurrence reuses its buffers, from a copy of the input: the
+        caller's vector and the propagation's state keep their values."""
+        _, basis, H = fiber_setup
+        v = rng.normal(size=basis.size).astype(kind)
+        if kind is complex:
+            v += 1j * rng.normal(size=basis.size)
+        kept = v.copy()
+        for mat in (H, H.mat):
+            dynamics.krylov_expm_apply(mat, v, 7.3)
+            assert np.array_equal(v, kept)
+        prop = dynamics.Propagation(H, v, dynamics.geometric_times(1.0, 20.0, 1.5))
+        state = prop.state.copy()
+        list(dynamics.snapshots(prop))
+        assert np.array_equal(v, kept) and np.array_equal(prop.state, state)
 
     def test_single_state_fiber_evolves_by_exact_phase(self, ms_default, grid12):
         # n_max = 0: H is 1 x 1, so the Gershgorin interval has zero width
@@ -656,6 +705,21 @@ class TestWPlus:
             E_r = basis.occ[r] @ ms.boson_omega()
             block = Hext[pairs][:, pairs].toarray()
             assert np.abs(block - (shifted + E_r * np.eye(len(keep)))).max() <= 1e-14
+
+    def test_extended_fiber_of_a_real_fiber_is_real(self, small_fiber):
+        """The lift's complex cast is dropped: H_ext is float64 when H(P) is,
+        with the same entries as the complex lift."""
+        from nelsonlab.split import build_tensor_basis, tensor_factor_ops
+
+        ms, basis, H = small_fiber
+        assert H.mat.dtype == np.float64
+        tb = build_tensor_basis(basis)
+        Hext = dynamics.extended_fiber_H(ms, [0.25], H, tb).mat
+        assert Hext.dtype == np.float64
+        lift = tensor_factor_ops(tb, op_left=H.mat - sp.diags(H.mat.diagonal()))
+        assert lift.dtype == complex and not lift.imag.count_nonzero()
+        off = Hext - sp.diags(Hext.diagonal())
+        assert not (off - lift.real).count_nonzero()
 
     def test_probe_refuses_a_hamiltonian_off_the_fiber(self, small_fiber):
         ms, basis, H = small_fiber

@@ -71,8 +71,8 @@ def rand_mat(rng, M, N=None):
 
 
 def oracle_tables(basis):
-    """``occ``, ``up``, the slot tables and ``sectors`` of ``basis``, read off
-    the oracle's enumeration one state at a time."""
+    """``occ``, ``up``, ``up_rows``, the slot tables and ``sectors`` of
+    ``basis``, read off the oracle's enumeration one state at a time."""
     states, index = oracles.states_of(basis)
     M, n_slots = basis.grid.n_modes, min(basis.n_max, basis.grid.n_modes)
     up = [[index.get(s[:j] + (s[j] + 1,) + s[j + 1:], -1) for j in range(M)] for s in states]
@@ -95,6 +95,8 @@ def oracle_tables(basis):
     shape = (len(states), n_slots)
     return {"occ": np.array(states, dtype=np.int64).reshape(len(states), M),
             "up": np.array(up, dtype=np.int64).reshape(len(states), M),
+            "up_rows": np.array([c for c, row in enumerate(up) if max(row, default=-1) >= 0],
+                                dtype=np.int64),
             "slot_mode": np.array(slot_mode, dtype=np.int64).reshape(shape),
             "slot_root": np.array(slot_root, dtype=float).reshape(shape),
             "slot_parent": np.array(slot_parent, dtype=np.int64).reshape(shape),
@@ -103,7 +105,7 @@ def oracle_tables(basis):
 
 def assert_tables_match_oracle(basis):
     want = oracle_tables(basis)
-    for name in ("occ", "up", "slot_mode", "slot_root", "slot_parent"):
+    for name in ("occ", "up", "up_rows", "slot_mode", "slot_root", "slot_parent"):
         got = getattr(basis, name)
         assert got.shape == want[name].shape and np.array_equal(got, want[name]), name
     assert len(basis.sectors) == len(want["sectors"])
@@ -182,7 +184,7 @@ def test_build_basis_lookups_do_not_grow_with_modes(monkeypatch):
 def test_basis_index_tables_are_read_only(basis):
     """Every operator built on a basis shares its tables, so none may be written."""
     tb = split.build_tensor_basis(basis)
-    tables = [basis.occ, basis.up, basis.slot_mode, basis.slot_root,
+    tables = [basis.occ, basis.up, basis.up_rows, basis.slot_mode, basis.slot_root,
               basis.slot_parent, *(t for sector in basis.sectors for t in sector)]
     tables += [lookup.order for lookup in (basis.lookup, tb.lookup)]
     tables += [lookup.sorted_keys for lookup in (basis.lookup, tb.lookup)]
