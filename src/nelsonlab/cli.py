@@ -87,7 +87,7 @@ SCHEMA = {
     "grid.kmax": (float, 1.5),
     "basis.n_max": (int, 2),
     "basis.e_cap": (_parse_optfloat, None),
-    "solver.tol": (float, 1e-10),
+    "solver.tol": (_above(float), 1e-10),
     "scan.p_min": (float, 0.0),
     "scan.p_max": (float, 0.8),
     "scan.n_points": (_above(int), 20),
@@ -266,7 +266,10 @@ def build_model(cfg: RunConfig) -> tuple:
     if v["grid.dim"] == 1:
         grid = fock.line_grid(v["grid.n_modes"], v["grid.kmax"], v["ff.sigma"])
     elif v["grid.dim"] == 3:
-        grid = fock.radial_grid(max(2, v["grid.n_modes"] // 6), v["grid.kmax"], v["ff.sigma"])
+        # six directions per radial shell, at least two shells
+        if v["grid.n_modes"] % 6 or v["grid.n_modes"] < 12:
+            raise ConfigError("grid.n_modes must be a multiple of 6, at least 12, at grid.dim = 3")
+        grid = fock.radial_grid(v["grid.n_modes"] // 6, v["grid.kmax"], v["ff.sigma"])
     else:
         raise ConfigError("grid.dim must be 1 or 3")
     ms = model.ModelSpec(disp, ff, grid, v["model.g"], v["model.use_modified"])

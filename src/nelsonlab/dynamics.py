@@ -7,9 +7,8 @@ electron position on the chain is reached through the discrete Fourier
 transform of the electron leg.
 
 Time grids are geometric, t_n = t0 * r^n: every convergence statement probed
-here is a large-time trend, and doubling-pair diagnostics need geometric
-spacing.  All probe verdicts are trend-based with explicit thresholds; none
-claims a proof.
+here is a large-time trend.  All probe verdicts are trend-based with explicit
+thresholds; none claims a proof.
 
 Every probe walks its time grid through one loop, ``_track_snapshots``, over
 the generator ``snapshots``, which steps ``krylov_expm_apply`` from one grid
@@ -18,24 +17,17 @@ series of exp(-i dt H) on the Gershgorin interval of the Hermitian H, which
 contains its spectrum, so the truncation error is bounded a priori and there
 is no step control.  The interval and the shifted operator are computed once
 per ``Hamiltonian`` (its cached ``chebyshev`` attribute), so each interval
-of the grid, each further propagation of the same H and the asymptotic-field
-probe's backward steps pay only for their matvecs; ``chebyshev_stats``
-reports that work for a run's manifest.  The loop returns an
-``ObservableTrack``: the probe's measured value at each grid time and the
-measured norm and energy drifts of psi_t; whatever else a probe derives (the
-photon probe's running integral, W_+'s outer-vacuum norms) sits in the
-track's extras.
+of the grid and each further propagation of the same H pay only for their
+matvecs; ``chebyshev_stats`` reports that work for a run's manifest.  The
+loop returns an ``ObservableTrack``: the probe's measured value at each grid
+time and the measured norm and energy drifts of psi_t; whatever else a probe
+derives (W_+'s outer-vacuum norms) sits in the track's extras.
 
-On the chain a boson operator acts on the occupation leg of
-psi.reshape(L, nb); the Kronecker product 1 x op is never formed.  The
-w(t) and photon-flux probes need only <dGamma(b)> at each snapshot, which
-``fock.dGamma_expectation`` reads from the one-boson density matrix (on the
-chain, of the position rows weighted by F(|x|/t)), so no sparse dGamma(b) is
-assembled for them.  Likewise the asymptotic-field probes apply a*(h_t) and
-a(h_t) through ``fock.apply_creation`` and ``fock.apply_annihilation``, one
-gather on the basis tables each, without building a*(h_t).  Energy filters
-f(H) psi are applied block by block through ``SpectralCalculus.fn(f, psi)``,
-never as an n x n matrix.
+w(t) needs only <dGamma(b)> at each snapshot, which
+``fock.dGamma_expectation`` reads from the one-boson density matrix, so no
+sparse dGamma(b) is assembled for it.  Energy filters f(H) psi are applied
+block by block through ``SpectralCalculus.fn(f, psi)``, never as an n x n
+matrix.
 
 W_+ splits its one vector phi = dGamma(chi_t) psi_t by the factorization
 Gamma-breve(j) = (Gamma(j0) x Gamma(jinf)) I* (Derezinski and Gerard 1999),
@@ -50,7 +42,6 @@ extended fiber, whose outer-vacuum block is H(P), real when H(P) is.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -61,12 +52,9 @@ from .fock import (
     OccupationBasis,
     WeightedSpectrum,
     _switch,
-    apply_annihilation,
-    apply_creation,
     creation_op,
     dGamma,
     dGamma_expectation,
-    weighted_abs,
 )
 from .model import (
     ConfigWindowError,
@@ -78,7 +66,7 @@ from .model import (
     fiber_diagonal,
     total_momentum_op,
 )
-from .mourre import build_position_op, group_velocity
+from .mourre import build_position_op
 from .spectral import SpectralCalculus, ground_state
 
 
@@ -312,15 +300,6 @@ class YCalc(WeightedSpectrum):
 # Full-model helpers
 # ---------------------------------------------------------------------------
 
-def _on_bosons(apply, basis: OccupationBasis, h, psi: np.ndarray,
-               fb: FullBasis | None = None) -> np.ndarray:
-    """apply(basis, h, .) on the boson leg of psi: on psi itself on a fiber,
-    and (1 x op) psi on the chain, acting on the rows of psi.reshape(L, nb)."""
-    if fb is None:
-        return apply(basis, h, psi)
-    return apply(basis, h, psi.reshape(fb.n_sites, -1)).reshape(psi.shape)
-
-
 def gaussian_electron_state(fb: FullBasis, p0: float, dp: float) -> np.ndarray:
     """Electron momentum Gaussian (times the boson vacuum), unit norm."""
     amp = np.exp(-((fb.momenta - p0) ** 2) / (4.0 * dp * dp)).astype(complex)
@@ -380,95 +359,6 @@ def electron_velocity_probe(ms: ModelSpec, fb: FullBasis, prop: Propagation,
     return track
 
 
-def photon_velocity_probe(prop: Propagation, basis: OccupationBasis,
-                          window: tuple, ycalc: YCalc,
-                          fb: FullBasis | None = None,
-                          f_electron=None, mode: str = "window") -> ObservableTrack:
-    """Time-weighted boson flux integrals.
-
-    mode="window": integrand <dGamma(chi_[lo,hi](|y|/t)) F(|x|/t)> with the
-    window required above max(1, beta) (a warning is issued otherwise; the
-    bound is not claimed there).  mode="phase_space": the
-    |J(y/t).(grad omega - y/t) + h.c.| monitor on the same window.
-    The running integral sum_n value_n (t_n - t_{n-1}) / t_n is kept in
-    ``extras["running_integral"]``.  Verdict: it plateaus (the last step adds
-    under 5% of it).
-    """
-    lo, hi = window
-    if lo < 1.0:  # the speed of light
-        warnings.warn("window starts below the propagation bound; estimate not claimed there")
-
-    def one_particle(t):
-        if mode == "window":
-            shape = lambda lam: (_switch((np.abs(lam) / t - lo) / (0.1 * lo))
-                                 * (1.0 - _switch((np.abs(lam) / t - hi) / (0.1 * hi))))
-            return ycalc.fn(shape)
-        vel = group_velocity(basis.grid, prop.H.use_modified)[:, 0]
-        Y = ycalc.fn(lambda lam: lam)
-        J = ycalc.fn(lambda lam: (_switch((np.abs(lam) / t - lo) / (0.1 * lo))
-                                  * (1.0 - _switch((np.abs(lam) / t - hi) / (0.1 * hi)))))
-        X = J @ (np.diag(vel) - Y / t) + (np.diag(vel) - Y / t) @ J
-        return weighted_abs(basis.grid, X) / t
-
-    def measure(psi, t):
-        if fb is None:
-            return dGamma_expectation(basis, one_particle(t), psi).real
-        x = np.abs(fb.positions())
-        wts = f_electron(x / t) if f_electron is not None else np.ones_like(x)
-        return dGamma_expectation(basis, one_particle(t), fb.to_position(psi), wts).real
-
-    track = _track_snapshots(prop, measure)
-    run = np.cumsum(track.values * np.diff(track.times, prepend=0.0) / track.times)
-    track.extras["running_integral"] = run
-    if len(run) >= 3 and run[-1] > 0:
-        increment = (run[-1] - run[-2]) / run[-1]
-        track.verdicts["integral_plateau"] = bool(increment < 0.05)
-    return track
-
-
-def _boson_omega(prop: Propagation, basis: OccupationBasis) -> np.ndarray:
-    """The boson dispersion H was built with, sampled on the basis grid."""
-    return basis.grid.omega_mod if prop.H.use_modified else basis.grid.omega_free
-
-
-def asymptotic_field_probe(prop: Propagation, basis: OccupationBasis, h,
-                           fb: FullBasis | None = None) -> ObservableTrack:
-    """Cauchy diagnostic for the asymptotic creation operator.
-
-    d(t, t') = || e^{iHt'} a*(h_{t'}) e^{-iHt'} phi - e^{iHt} a*(h_t) e^{-iHt} phi ||
-    over consecutive geometric times; verdict: monotone decrease.
-    """
-    omega = _boson_omega(prop, basis)
-    vecs = []
-
-    def measure(psi, t):
-        h_t = np.exp(-1j * omega * t) * np.asarray(h, dtype=complex)
-        chi = _on_bosons(apply_creation, basis, h_t, psi, fb)
-        vecs.append(krylov_expm_apply(prop.H, chi, -t, tol=prop.step_tol))
-        return np.linalg.norm(vecs[-1] - vecs[-2]) if len(vecs) > 1 else math.nan
-
-    track = _track_snapshots(prop, measure)
-    # the first grid time has no predecessor
-    track.times, track.values, track.norm_drift, track.energy_drift = (
-        a[1:] for a in (track.times, track.values, track.norm_drift, track.energy_drift))
-    # trend verdict on the late-time tail (the early window is transient)
-    tail = track.values[len(track.values) // 2:]
-    track.verdicts["cauchy_decreasing"] = bool(np.all(np.diff(tail) <= 1e-10)) if len(tail) > 1 else True
-    return track
-
-
-def annihilation_norm_track(prop: Propagation, basis: OccupationBasis, h,
-                            fb: FullBasis | None = None) -> ObservableTrack:
-    """|| a(h_t) psi_t || over the time grid (vacuum property diagnostic)."""
-    omega = _boson_omega(prop, basis)
-
-    def measure(psi, t):
-        h_t = np.exp(-1j * omega * t) * np.asarray(h, dtype=complex)
-        return float(np.linalg.norm(_on_bosons(apply_annihilation, basis, h_t, psi, fb)))
-
-    return _track_snapshots(prop, measure)
-
-
 def W_estimate(prop: Propagation, basis: OccupationBasis, cuts: CutoffFamily,
                ycalc: YCalc, positivity_mode: bool = False) -> ObservableTrack:
     """w(t) = <psi_t, dGamma(chi_gamma(|y|/t)) psi_t>.
@@ -503,7 +393,7 @@ def extended_fiber_H(ms: ModelSpec, P, H: Hamiltonian, tb) -> Hamiltonian:
     if not np.iscomplexobj(H.mat):
         coupling = coupling.real
     return Hamiltonian(sp.diags(fiber_diagonal(ms, P, tb.basis.occ[tb.pairs].sum(axis=1)))
-                       + coupling, use_modified=ms.use_modified)
+                       + coupling)
 
 
 def W_plus_probe(ms: ModelSpec, P, prop: Propagation, cuts: CutoffFamily,

@@ -38,8 +38,8 @@ each through its slots s < min(n, M) and its parents in sector n - 1.  So is
 ``dGamma_expectation``, which reads <psi, dGamma(b) psi> from the M x M
 one-boson density matrix rho_ij = <a_i psi, a_j psi>, one gather on the
 ``up_rows`` of ``up`` (every other row of a_j psi is zero), without
-assembling dGamma(b); ``apply_creation`` and ``apply_annihilation``
-apply a*(h) and a(h) to states the same way.
+assembling dGamma(b); ``apply_creation`` applies a*(h) to a state the
+same way.
 
 The field operator follows the symmetric normalization
 
@@ -548,21 +548,13 @@ def dGamma(basis: OccupationBasis, b) -> sp.csr_matrix:
 
 def _check_state(basis: OccupationBasis, psi) -> np.ndarray:
     psi = np.asarray(psi)
-    if psi.ndim not in (1, 2) or psi.shape[-1] != basis.size:
+    if psi.shape != (basis.size,):
         raise DimensionMismatchError("state length != basis size")
     return psi
 
 
-def _lowered(basis: OccupationBasis, psi: np.ndarray, rows=slice(None)) -> np.ndarray:
-    """A[..., p, j] = (a_j psi)[p] = sqrt(n_j(p) + 1) psi[up[p, j]] on the
-    states p of ``rows`` (all by default), one gather on the ladder table
-    (zero where up is -1)."""
-    up = basis.up[rows]
-    return psi[..., up] * np.where(up >= 0, np.sqrt(basis.occ[rows] + 1), 0.0)
-
-
 def apply_creation(basis: OccupationBasis, h, psi) -> np.ndarray:
-    """a*(h) psi without assembling a*(h), for one state (n,) or rows (L, n).
+    """a*(h) psi without assembling a*(h), for one state (n,).
 
     Row r collects sqrt(n_i(r)) sqrt(w_i) h_i psi[r - e_i] over the occupied
     modes i of r, read from the slot tables; states pushed past the caps are
@@ -570,42 +562,29 @@ def apply_creation(basis: OccupationBasis, h, psi) -> np.ndarray:
     """
     amp = np.sqrt(basis.grid.weights) * _check_modes(basis, h)
     psi = _check_state(basis, psi)
-    return np.sum(basis.slot_root * amp[basis.slot_mode] * psi[..., basis.slot_parent], axis=-1)
+    return np.sum(basis.slot_root * amp[basis.slot_mode] * psi[basis.slot_parent], axis=-1)
 
 
-def apply_annihilation(basis: OccupationBasis, h, psi) -> np.ndarray:
-    """a(h) psi = sum_j conj(sqrt(w_j) h_j) a_j psi without assembling a(h),
-    for one state (n,) or rows (L, n)."""
-    amp = np.sqrt(basis.grid.weights) * _check_modes(basis, h)
-    return _lowered(basis, _check_state(basis, psi)) @ np.conj(amp)
+def dGamma_expectation(basis: OccupationBasis, b, psi) -> complex:
+    """<psi, dGamma(b) psi> for one state (n,) without assembling dGamma(b).
 
-
-def dGamma_expectation(basis: OccupationBasis, b, psi, weights=None) -> complex:
-    """sum_x w_x <psi_x, dGamma(b) psi_x> without assembling dGamma(b).
-
-    ``psi`` is one state (n,) or rows psi_x (L, n), with unit weights unless
-    ``weights`` (L,) is given.  With the one-boson density matrix
-    rho_ij = <a_i psi, a_j psi> the value is sum_ij bo_ij rho_ij, bo the
-    orthonormal-gauge b.  Column j of A = [a_j psi] is one gather on the
-    ladder table, (a_j psi)[p] = sqrt(n_j(p) + 1) psi[up[p, j]], and
-    rho = A^H A.  A is gathered only on ``basis.up_rows``: on any other row
-    p every up[p, j] is -1, so p + e_j lies outside the basis for every j
-    and row p of A is exactly zero, adding nothing to rho (the top sector
-    N = n_max and the capped states are such rows; at n_max = 0 there is no
-    other row).  Exact on capped bases for the same reason as ``dGamma``.
+    With the one-boson density matrix rho_ij = <a_i psi, a_j psi> the value
+    is sum_ij bo_ij rho_ij, bo the orthonormal-gauge b.  Column j of
+    A = [a_j psi] is one gather on the ladder table,
+    (a_j psi)[p] = sqrt(n_j(p) + 1) psi[up[p, j]], and rho = A^H A.  A is
+    gathered only on ``basis.up_rows``: on any other row p every up[p, j] is
+    -1, so p + e_j lies outside the basis for every j and row p of A is
+    exactly zero, adding nothing to rho (the top sector N = n_max and the
+    capped states are such rows; at n_max = 0 there is no other row).
+    Exact on capped bases for the same reason as ``dGamma``; up is -1 on
+    the truncated entries, whose gathered psi[-1] is multiplied by 0.
     """
     bo = to_ortho(basis.grid, basis.grid, _as_mode_matrix(basis, b))
     psi = _check_state(basis, psi)
-    A = _lowered(basis, psi, basis.up_rows)
-    Ah = A.conj()
-    if weights is not None:
-        weights = np.asarray(weights)
-        if psi.ndim != 2 or weights.shape != psi.shape[:1]:
-            raise DimensionMismatchError("one weight per state row expected")
-        Ah = Ah * weights[:, None, None]
-    M = basis.grid.n_modes
-    rho = Ah.reshape(-1, M).T @ A.reshape(-1, M)
-    return complex(np.sum(bo * rho))
+    rows = basis.up_rows
+    up = basis.up[rows]
+    A = psi[up] * np.where(up >= 0, np.sqrt(basis.occ[rows] + 1), 0.0)
+    return complex(np.sum(bo * (A.conj().T @ A)))
 
 
 def _sector_recursion(basis_in: OccupationBasis, basis_out: OccupationBasis | None,

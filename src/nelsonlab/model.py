@@ -13,11 +13,11 @@ product basis, its boson modes on the dual lattice so that total momentum
 ``fock``'s creation entries and rounded as g phi(kappa_sigma) stores it.
 
 Operators are ``scipy.sparse.csr_matrix`` objects; ``Hamiltonian`` holds the
-CSR matrix, refused unless exactly Hermitian, with its occupation basis and
-the dispersion switch it was built with.  It also carries, computed on first
-use, the ``ChebyshevOperator`` that every time step of that Hamiltonian
-shares: the Gershgorin interval of the matrix and the shifted operator
-2 (H - a) / b that ``dynamics.krylov_expm_apply`` recurses with.
+CSR matrix, refused unless exactly Hermitian, with its occupation basis.  It
+also carries, computed on first use, the ``ChebyshevOperator`` that every
+time step of that Hamiltonian shares: the Gershgorin interval of the matrix
+and the shifted operator 2 (H - a) / b that ``dynamics.krylov_expm_apply``
+recurses with.
 """
 
 from __future__ import annotations
@@ -234,12 +234,10 @@ def chebyshev_operator(mat: sp.csr_matrix) -> ChebyshevOperator:
 @dataclass(frozen=True, eq=False)
 class Hamiltonian:
     """An exactly Hermitian CSR matrix with the occupation basis it acts on
-    (None on the chain and on the pair space) and the boson dispersion switch
-    it was built with: omega_mod if ``use_modified``, else |k|."""
+    (None on the chain and on the pair space)."""
 
     mat: sp.csr_matrix
     basis: OccupationBasis | None = None
-    use_modified: bool = True
 
     def __post_init__(self):
         if (self.mat - self.mat.conj().T).count_nonzero():
@@ -272,7 +270,7 @@ def build_fiber_H(ms: ModelSpec, P, basis: OccupationBasis,
     H = sp.diags(fiber_diagonal(ms, P, basis.occ, bz_width), format="csr")
     if ms.g != 0.0:
         H = H + ms.g * field_op(basis, ms.coupling_samples())
-    return Hamiltonian(H.tocsr(), basis, ms.use_modified)
+    return Hamiltonian(H.tocsr(), basis)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +340,7 @@ def build_full_H(ms: ModelSpec, fb: FullBasis) -> Hamiltonian:
     cols = (e * nb + b).ravel()
     data = np.tile(ms.g * (c * (1.0 / math.sqrt(2.0))), L)
     mat = sp.coo_matrix((data, (rows, cols)), shape=(fb.size, fb.size))
-    return Hamiltonian((sp.diags(diag) + mat + mat.conj().T).tocsr(), None, ms.use_modified)
+    return Hamiltonian((sp.diags(diag) + mat + mat.conj().T).tocsr())
 
 
 def total_momentum_op(fb: FullBasis) -> sp.csr_matrix:

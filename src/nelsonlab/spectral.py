@@ -127,9 +127,6 @@ class SpectralResult:
     def ground_vector(self) -> FockVector:
         return self.eigenvectors[0]
 
-    def is_simple(self) -> bool:
-        return self.gap > 1e-8 * (1.0 + abs(self.ground_energy))
-
 
 def ground_state(H: Hamiltonian, k: int = 2, tol: float = 1e-10) -> SpectralResult:
     """k lowest eigenpairs of a Hamiltonian.
@@ -257,9 +254,6 @@ class SpectralCalculus:
         for idx, blocks in parts:
             out[idx[:, :, None], idx[:, None, :]] = blocks
         return out
-
-    def projector(self, sigma: float) -> np.ndarray:
-        return self.fn(lambda lam: (lam <= sigma).astype(float))
 
     def window_vectors(self, sigma: float) -> np.ndarray:
         """Eigenvectors with eigenvalue <= sigma as columns, in ascending energy."""

@@ -8,9 +8,10 @@ builders look every target state up in that dict one state (or pair) at a
 time and never read ``basis.occ``, ``basis.up`` or the slot tables, so
 ``tests/test_ladder_table.py`` can compare the vectorized builders and the
 basis tables themselves against them.  ``momentum_blocks`` groups the chain's
-product basis by total momentum, one state at a time.  ``lift_boson_op`` forms the Kronecker product 1 x op that the chain
-probes apply without forming it.  ``DenseCalculus`` is the one-``eigh``
-functional calculus that the block-wise ``SpectralCalculus`` replaced, and
+product basis by total momentum, one state at a time.  ``lift_boson_op``
+forms the Kronecker product 1 x op of a boson operator on the chain.
+``DenseCalculus`` is the one-``eigh`` functional calculus that the
+block-wise ``SpectralCalculus`` replaced, and
 ``to_position`` the phase-matrix DFT that ``FullBasis.to_position`` computes
 by FFT.  ``line_position_op`` is the 1-d position matrix y built as the
 plain Hermitian part of i times central differences in sorted order, which

@@ -79,12 +79,28 @@ class TestConfig:
         assert run(["algebra", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
 
     @pytest.mark.parametrize("key", ["scan.n_points", "mourre.samples", "algebra.draws",
-                                     "mourre.sigma_window", "dynamics.t0"])
+                                     "mourre.sigma_window", "dynamics.t0", "solver.tol"])
     def test_nonpositive_value_exit_code(self, tmp_path, key):
         path = write_cfg(tmp_path, f"{key} = 0\n")
         with pytest.raises(cli.ConfigError):
             cli.parse_config(path)
         assert run(["report", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("n_modes", [6, 8, 13])
+    def test_radial_mode_count_off_the_shells_exit_code(self, tmp_path, capsys, n_modes):
+        """In d = 3 the grid is whole shells of six directions, two at least:
+        any other mode count is refused, not rounded to a grid of another size."""
+        path = write_cfg(tmp_path, f"grid.dim = 3\ngrid.n_modes = {n_modes}\n")
+        assert run(["evolve", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert "grid.n_modes" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("n_modes", [12, 18])
+    def test_radial_grid_has_the_configured_mode_count(self, tmp_path, n_modes):
+        path = write_cfg(tmp_path, f"grid.dim = 3\ngrid.n_modes = {n_modes}\nbasis.n_max = 1\n")
+        ms, basis = cli.build_model(cli.RunConfig(cli.parse_config(path)))
+        assert ms.grid.dim == 3 and ms.grid.n_modes == n_modes
+        assert basis.size == 1 + n_modes
 
     def test_config_hash_covers_seed(self, tmp_path):
         values = cli.parse_config(None)
@@ -259,6 +275,16 @@ class TestCommands:
         assert rep["verdicts"] and rep["verdicts"] == man["verdicts"]
         assert all(type(ok) is bool for ok in rep["verdicts"].values())
         assert code == (cli.EXIT_PASS if all(rep["verdicts"].values()) else cli.EXIT_VERDICT)
+
+    def test_evolve_fails_all_three_verdicts_at_a_coarse_step_tolerance(self, tmp_path):
+        """Negative control: a series cut at 1e-4 misses the dense oracle, the
+        g = 0 phases and the conservation bounds, and evolve exits 1."""
+        path = write_cfg(tmp_path, "dynamics.step_tol = 1e-4\n")
+        assert run(["evolve", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_VERDICT
+        rep = json.loads((tmp_path / "evolve_report.json").read_text())
+        assert rep["verdicts"] == {"conservation": False, "phase_exact": False,
+                                   "dense_agrees": False}
+        assert rep["dense_mismatch"] > 1e-8 and rep["phase_defect_g0"] > 1e-8
 
     def test_evolve_report_is_strict_json_without_dense_oracle(self, tmp_path):
         def no_constant(name):

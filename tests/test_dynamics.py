@@ -318,226 +318,6 @@ class TestElectronProbe:
         assert rep["p2_drift"] < 1e-9
 
 
-class TestPhotonProbe:
-    def test_vacuum_track_is_zero(self, fiber_setup):
-        ms, basis, H = fiber_setup
-        ycalc = dynamics.YCalc(ms.grid)
-        vac = fock.FockVector.vacuum(basis).amps
-        times = dynamics.geometric_times(1.0, 10.0, 1.5)
-        prop = dynamics.Propagation(H, vac.copy(), times)
-        ms0 = model.ModelSpec(ms.disp, ms.ff, ms.grid, 0.0)
-        H0 = model.build_fiber_H(ms0, [0.25], basis)
-        prop0 = dynamics.Propagation(H0, vac.copy(), times)
-        track = dynamics.photon_velocity_probe(prop0, basis, (1.1, 1.5), ycalc)
-        assert np.abs(track.values).max() < 1e-14
-
-    def test_free_boson_window_integrand_decays(self):
-        """Boson slower than the window: integrand -> 0, integral converges.
-
-        The electron is decoupled by a huge mass so the fiber recoil phases
-        vanish and the boson moves at its own group speed 1 < window."""
-        sigma = 0.2
-        heavy = model.DispersionLaw("nonrel", 1.0e8)
-        grid = fock.line_grid(128, 2.0, sigma)
-        ff = model.FormFactor(1.0, 1.0, sigma)
-        ms = model.ModelSpec(heavy, ff, grid, 0.0, use_modified=True)
-        basis = fock.build_basis(grid, 1)
-        H = model.build_fiber_H(ms, [0.0], basis)
-        k = grid.points[:, 0]
-        h = np.exp(-((k - 0.8) ** 2) / (2 * 0.25 ** 2))
-        psi = dynamics.one_boson_state(basis, h)
-        ycalc = dynamics.YCalc(grid)
-        times = dynamics.geometric_times(2.0, 15.0, 1.35)
-        prop = dynamics.Propagation(H, psi, times)
-        track = dynamics.photon_velocity_probe(prop, basis, (1.6, 2.2), ycalc)
-        assert track.values[-1] < 1e-3
-        assert track.values[-1] < track.values[0]
-        assert track.verdicts.get("integral_plateau", False)
-
-    def test_interacting_running_integral_plateaus(self, fiber_setup, rng):
-        ms, basis, H = fiber_setup
-        ycalc = dynamics.YCalc(ms.grid)
-        psi = dynamics.dressed_state(ms, [0.25], basis)
-        times = dynamics.geometric_times(1.0, 40.0, 1.5)
-        prop = dynamics.Propagation(H, psi.amps, times)
-        track = dynamics.photon_velocity_probe(prop, basis, (1.1, 1.5), ycalc)
-        assert track.verdicts.get("integral_plateau", False)
-
-    def test_phase_space_monitor_runs(self, fiber_setup):
-        ms, basis, H = fiber_setup
-        ycalc = dynamics.YCalc(ms.grid)
-        psi = dynamics.dressed_state(ms, [0.25], basis)
-        times = dynamics.geometric_times(1.0, 10.0, 1.5)
-        prop = dynamics.Propagation(H, psi.amps, times)
-        track = dynamics.photon_velocity_probe(prop, basis, (1.1, 1.5), ycalc,
-                                               mode="phase_space")
-        assert np.all(track.values >= -1e-12)
-        assert track.verdicts.get("integral_plateau", False)
-
-    def test_chain_branch_matches_kron_oracle(self, nonrel, ff, monkeypatch):
-        """With fb, the integrand is sum_x F(|x|/t) <psi_x, dGamma psi_x> over
-        the electron positions: <pos, (F x 1)(1 x dGamma) pos> with the
-        Kronecker product formed explicitly."""
-        L = 16
-        grid = fock.lattice_grid(L, [-5, -3, -1, 1, 3, 5], 0.2)
-        ms = model.ModelSpec(nonrel, ff, grid, 0.05)
-        fb = model.full_basis(ms, L, 2)
-        H = model.build_full_H(ms, fb)
-        rng = np.random.default_rng(12)
-        psi = rng.normal(size=fb.size) + 1j * rng.normal(size=fb.size)
-        prop = dynamics.Propagation(H, psi / np.linalg.norm(psi),
-                                    dynamics.geometric_times(1.0, 6.0, 1.5))
-        f_el = dynamics.rising_cutoff(0.1, 0.3)
-        mode_mats = []
-        real = dynamics.dGamma_expectation
-
-        def recording(basis, b, psi, weights=None):
-            mode_mats.append(b)
-            return real(basis, b, psi, weights)
-
-        monkeypatch.setattr(dynamics, "dGamma_expectation", recording)
-        track = dynamics.photon_velocity_probe(prop, fb.boson, (1.1, 1.5),
-                                               dynamics.YCalc(grid), fb=fb, f_electron=f_el)
-        assert len(mode_mats) == len(track.values)
-        assert np.abs(track.values).max() > 1e-2
-        x = np.abs(fb.positions())
-        one = sp.identity(fb.boson.size, format="csr")
-        for (t, psi_t), b, value in zip(dynamics.snapshots(prop), mode_mats, track.values):
-            pos = fb.to_position(psi_t).ravel()
-            op = oracles.dGamma(fb.boson, b)
-            lifted = sp.kron(sp.diags(f_el(x / t)), one) @ (oracles.lift_boson_op(fb, op) @ pos)
-            assert value == pytest.approx(np.vdot(pos, lifted).real, rel=1e-12, abs=1e-14)
-
-    @pytest.mark.parametrize("t_max", [6.0, 20.0])
-    def test_probes_assemble_no_dGamma(self, fiber_setup, nonrel, ff, monkeypatch, t_max):
-        """W(t) and the photon flux read <dGamma(b)> from the one-boson density
-        matrix: no sparse dGamma is built, however long the time grid."""
-        calls = []
-        real = fock.dGamma
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(fock, "dGamma", counting)
-        monkeypatch.setattr(dynamics, "dGamma", counting)
-        ms, basis, H = fiber_setup
-        ycalc = dynamics.YCalc(ms.grid)
-        psi = dynamics.dressed_state(ms, [0.25], basis).amps
-        times = dynamics.geometric_times(1.0, t_max, 1.5)
-        prop = dynamics.Propagation(H, psi, times)
-        dynamics.W_estimate(prop, basis, CUTS, ycalc)
-        for mode in ("window", "phase_space"):
-            dynamics.photon_velocity_probe(prop, basis, (1.1, 1.5), ycalc, mode=mode)
-        L = 16
-        grid = fock.lattice_grid(L, [-5, -3, -1, 1, 3, 5], 0.2)
-        ms_c = model.ModelSpec(nonrel, ff, grid, 0.05)
-        fb = model.full_basis(ms_c, L, 2)
-        H_c = model.build_full_H(ms_c, fb)
-        psi_c = dynamics.gaussian_electron_state(fb, 0.1, 0.1)
-        dynamics.photon_velocity_probe(dynamics.Propagation(H_c, psi_c, times), fb.boson,
-                                       (1.1, 1.5), dynamics.YCalc(grid), fb=fb,
-                                       f_electron=dynamics.rising_cutoff(0.1, 0.3))
-        assert calls == []
-
-    def test_window_below_bound_warns(self, fiber_setup):
-        ms, basis, H = fiber_setup
-        ycalc = dynamics.YCalc(ms.grid)
-        vac = fock.FockVector.vacuum(basis).amps
-        prop = dynamics.Propagation(H, vac, dynamics.geometric_times(1.0, 2.0, 1.5))
-        with pytest.warns(UserWarning):
-            dynamics.photon_velocity_probe(prop, basis, (0.5, 0.9), ycalc)
-
-
-class TestAsymptoticFields:
-    def test_free_theory_cauchy_differences_vanish(self, nonrel, ff):
-        """g=0 full model: the conjugated creation operator is constant."""
-        L = 16
-        grid = fock.lattice_grid(L, [-3, 2], 0.2)
-        ms = model.ModelSpec(nonrel, ff, grid, 0.0)
-        fb = model.full_basis(ms, L, 2)
-        H = model.build_full_H(ms, fb)
-        rng = np.random.default_rng(4)
-        psi = rng.normal(size=fb.size) + 1j * rng.normal(size=fb.size)
-        psi /= np.linalg.norm(psi)
-        times = dynamics.geometric_times(1.0, 8.0, 2.0)
-        prop = dynamics.Propagation(H, psi, times)
-        h = np.array([0.3, 0.8])
-        track = dynamics.asymptotic_field_probe(prop, fb.boson, h, fb=fb)
-        assert np.abs(track.values).max() < 1e-9
-
-    def test_dressed_state_is_asymptotic_vacuum(self, fiber_setup):
-        """||a(h_t) psi_t|| stays at the dressed-cloud floor and trends down."""
-        ms, basis, H = fiber_setup
-        psiP = dynamics.dressed_state(ms, [0.25], basis)
-        k = ms.grid.points[:, 0]
-        h = np.exp(-((k - 0.7) ** 2) / 0.05)  # supported away from the soft zone
-        times = dynamics.geometric_times(1.0, 60.0, 1.6)
-        prop = dynamics.Propagation(H, psiP.amps, times)
-        track = dynamics.annihilation_norm_track(prop, basis, h)
-        assert track.values[0] < 0.05  # O(g) cloud
-        assert track.values[-1] <= track.values[0] + 1e-12
-
-    def test_interacting_cauchy_decreasing(self, nonrel, ff):
-        """Full-model run: after the overlap transient, d(t, 2t) halves (at
-        least) per doubling.  The fiber has an electron-recoil term that is
-        not a one-particle phase, so the probe is a full-model statement."""
-        L = 128
-        modes = [m for m in range(-12, 13) if 5 <= abs(m) <= 12]
-        grid = fock.lattice_grid(L, modes, 0.2)
-        ms = model.ModelSpec(nonrel, ff, grid, 0.05)
-        fb = model.full_basis(ms, L, 1)
-        H = model.build_full_H(ms, fb)
-        psi, _ = dynamics.filtered_packet(fb, H, 0.05, 0.08, 0.2, 0.3)
-        k = grid.points[:, 0]
-        h = np.exp(-((k - 0.45) ** 2) / 0.02)
-        times = np.array([4.0, 8.0, 16.0, 32.0, 48.0])
-        prop = dynamics.Propagation(H, psi, times)
-        track = dynamics.asymptotic_field_probe(prop, fb.boson, h, fb=fb)
-        d = track.values
-        assert d[-1] < d[-2] < d[-3]
-        assert d[-2] / d[-1] >= 2.0
-        assert track.verdicts["cauchy_decreasing"]
-
-
-def oracle_probe_values(prop, basis, h, fb=None):
-    """The Cauchy differences and ||a(h_t) psi_t|| with a*(h_t) built by the
-    loop oracle (lifted to 1 x a*(h_t) on the chain) and applied as a matrix."""
-    omega = dynamics._boson_omega(prop, basis)
-    vecs, norms = [], []
-    for t, psi in dynamics.snapshots(prop):
-        c = oracles.creation_op(basis, np.exp(-1j * omega * t) * h)
-        if fb is not None:
-            c = oracles.lift_boson_op(fb, c)
-        vecs.append(dynamics.krylov_expm_apply(prop.H.mat, c @ psi, -t, tol=prop.step_tol))
-        norms.append(np.linalg.norm(c.conj().T @ psi))
-    return np.linalg.norm(np.diff(vecs, axis=0), axis=1), np.array(norms)
-
-
-@pytest.mark.parametrize("where", ["fiber", "chain"])
-def test_field_probes_match_oracle_ladders(where, fiber_setup, nonrel, ff):
-    """asymptotic_field_probe and annihilation_norm_track apply a*(h_t) and
-    a(h_t) by gathers on the ladder table, on the chain to the occupation leg."""
-    rng = np.random.default_rng(21)
-    if where == "fiber":
-        ms, basis, H = fiber_setup
-        fb = None
-    else:
-        grid = fock.lattice_grid(16, [-3, -1, 2], 0.2)
-        ms = model.ModelSpec(nonrel, ff, grid, 0.05)
-        fb = model.full_basis(ms, 16, 2)
-        H = model.build_full_H(ms, fb)
-        basis = fb.boson
-    psi = rng.normal(size=H.shape[0]) + 1j * rng.normal(size=H.shape[0])
-    prop = dynamics.Propagation(H, psi / np.linalg.norm(psi), dynamics.geometric_times(1.0, 8.0, 2.0))
-    h = rng.normal(size=ms.grid.n_modes) + 1j * rng.normal(size=ms.grid.n_modes)
-    diffs, norms = oracle_probe_values(prop, basis, h, fb)
-    for got, want in ((dynamics.asymptotic_field_probe(prop, basis, h, fb=fb).values, diffs),
-                      (dynamics.annihilation_norm_track(prop, basis, h, fb=fb).values, norms)):
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
-
-
 class TestW:
     def test_dressed_packet_w_vanishes(self, fiber_setup):
         ms, basis, H = fiber_setup
@@ -604,6 +384,26 @@ class TestW:
             finals.append(track.final())
         assert min(finals) > 0.0
         assert abs(finals[0] - finals[1]) <= 0.2 * max(finals)
+
+    @pytest.mark.parametrize("t_max", [6.0, 20.0])
+    def test_w_assembles_no_dGamma(self, fiber_setup, monkeypatch, t_max):
+        """W(t) reads <dGamma(b)> from the one-boson density matrix: no sparse
+        dGamma is built, however long the time grid."""
+        calls = []
+        real = fock.dGamma
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fock, "dGamma", counting)
+        monkeypatch.setattr(dynamics, "dGamma", counting)
+        ms, basis, H = fiber_setup
+        psi = dynamics.dressed_state(ms, [0.25], basis).amps
+        prop = dynamics.Propagation(H, psi, dynamics.geometric_times(1.0, t_max, 1.5))
+        track = dynamics.W_estimate(prop, basis, CUTS, dynamics.YCalc(ms.grid))
+        assert len(track.values) == len(prop.times)
+        assert calls == []
 
     def test_positivity_mode_window_enforced(self, fiber_setup):
         ms, basis, H = fiber_setup

@@ -9,8 +9,8 @@ sector recursions behind ``Gamma`` and ``dGamma2`` multiply in another order
 than the oracle, so they get a 1e-13 relative tolerance; against the
 full-row recursion, whose nonzero terms they keep in order, they are equal
 bit for bit.  ``dGamma_expectation``, which sums <psi, dGamma(b) psi>
-through the one-boson density matrix, gets 1e-12; ``apply_creation`` and ``apply_annihilation`` sum
-over slots or modes instead of sparse rows and get 1e-14.
+through the one-boson density matrix, gets 1e-12; ``apply_creation`` sums
+over slots instead of sparse rows and gets 1e-14.
 """
 
 import math
@@ -490,50 +490,32 @@ def test_dGamma_expectation_matches_oracle(expectation_basis):
         assert_rel(fock.dGamma_expectation(basis, b, psi), oracle_expectation(basis, b, psi))
 
 
-def test_dGamma_expectation_weighted_rows(expectation_basis):
-    basis = expectation_basis
-    rng = np.random.default_rng(9)
-    rows = rng.normal(size=(5, basis.size)) + 1j * rng.normal(size=(5, basis.size))
-    wts = rng.normal(size=5)
-    for b in mode_matrices(rng, basis.grid):
-        per_row = [oracle_expectation(basis, b, row) for row in rows]
-        assert_rel(fock.dGamma_expectation(basis, b, rows, wts), np.dot(wts, per_row))
-        assert_rel(fock.dGamma_expectation(basis, b, rows), sum(per_row))
-
-
 def test_dGamma_expectation_rejects_wrong_shapes():
     basis = fock.build_basis(GRIDS[4], 2)
     psi = np.ones(basis.size)
-    bad = [(np.eye(5), psi, None), (np.ones(3), psi, None), (np.eye(4), psi[1:], None),
-           (np.eye(4), np.ones((2, basis.size)), np.ones(3)),
-           (np.eye(4), psi, np.ones(1)), (np.eye(4), np.ones((1, 1, basis.size)), None)]
-    for b, state, wts in bad:
+    bad = [(np.eye(5), psi), (np.ones(3), psi), (np.eye(4), psi[1:]),
+           (np.eye(4), np.ones((2, basis.size))), (np.eye(4), np.ones((1, 1, basis.size)))]
+    for b, state in bad:
         with pytest.raises(fock.DimensionMismatchError):
-            fock.dGamma_expectation(basis, b, state, wts)
+            fock.dGamma_expectation(basis, b, state)
 
 
 def test_apply_ladders_match_oracle(expectation_basis):
-    """a*(h) psi and a(h) psi by gathers, for one state and for rows, against
-    the loop oracle's a*(h) and its adjoint."""
+    """a*(h) psi by gathers, for one state, against the loop oracle's a*(h)."""
     basis = expectation_basis
     rng = np.random.default_rng(10)
     M = basis.grid.n_modes
     h = rng.normal(size=M) + 1j * rng.normal(size=M)
-    c = oracles.creation_op(basis, h)
     psi = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
-    rows = rng.normal(size=(3, basis.size)) + 1j * rng.normal(size=(3, basis.size))
-    for state in (psi, rows):
-        for got, op in ((fock.apply_creation(basis, h, state), c),
-                        (fock.apply_annihilation(basis, h, state), c.conj().T)):
-            want = (op @ state.T).T
-            assert got.shape == want.shape
-            assert np.abs(got - want).max(initial=0.0) <= 1e-14 * max(1.0, np.abs(want).max(initial=0.0))
+    got, want = fock.apply_creation(basis, h, psi), oracles.creation_op(basis, h) @ psi
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= 1e-14 * max(1.0, np.abs(want).max(initial=0.0))
 
 
 def test_apply_ladders_reject_wrong_shapes():
     basis = fock.build_basis(GRIDS[4], 2)
-    for apply in (fock.apply_creation, fock.apply_annihilation):
-        for h, state in ((np.ones(3), np.ones(basis.size)), (np.ones(4), np.ones(basis.size - 1)),
-                         (np.ones(4), np.ones((1, 1, basis.size)))):
-            with pytest.raises(fock.DimensionMismatchError):
-                apply(basis, h, state)
+    for h, state in ((np.ones(3), np.ones(basis.size)), (np.ones(4), np.ones(basis.size - 1)),
+                     (np.ones(4), np.ones((2, basis.size))),
+                     (np.ones(4), np.ones((1, 1, basis.size)))):
+        with pytest.raises(fock.DimensionMismatchError):
+            fock.apply_creation(basis, h, state)

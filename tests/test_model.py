@@ -164,7 +164,7 @@ class TestFiberHamiltonian:
     def test_hermitian_exactly(self, ms_default, basis12):
         H = model.build_fiber_H(ms_default, [0.25], basis12)
         assert (H.mat - H.mat.conj().T).count_nonzero() == 0
-        assert H.basis is basis12 and H.use_modified
+        assert H.basis is basis12
 
     def test_omega_below_h_plus_g2c(self, ms_default, basis12):
         """Omega(P - K) <= H + g^2 C as a matrix inequality on the fiber."""

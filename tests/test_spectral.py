@@ -145,7 +145,7 @@ class TestGroundState:
 
     def test_gap_positive_below_g_beta(self, ms_default, basis12):
         res = spectral.ground_state(fiber(ms_default, 0.25, basis12), k=2, tol=1e-11)
-        assert res.is_simple()
+        assert res.gap > 1e-8 * (1.0 + abs(res.ground_energy))
 
     def test_ground_cloud_scaling_exponent(self, ms_default, basis12):
         """||psi_P - Omega|| against g fits an exponent >= 0.4."""
@@ -163,8 +163,8 @@ class TestGroundState:
 
 class TestCalculus:
     def test_projector_idempotent(self, ms_default, basis12):
-        calc = spectral.SpectralCalculus(fiber(ms_default, 0.25, basis12))
-        E = calc.projector(0.5)
+        V = spectral.SpectralCalculus(fiber(ms_default, 0.25, basis12)).window_vectors(0.5)
+        E = V @ V.conj().T
         assert np.abs(E @ E - E).max() < 1e-12
         assert np.abs(E - E.conj().T).max() < 1e-13
 
@@ -216,7 +216,6 @@ class TestBlockCalculus:
             V = calc.window_vectors(sigma)
             assert V.shape[1] == int(np.sum(dense.vals <= sigma))
             assert np.abs(V @ V.conj().T - dense.projector(sigma)).max() < 1e-12
-            assert np.abs(calc.projector(sigma) - dense.projector(sigma)).max() < 1e-12
 
     def test_chain_components_are_momentum_blocks(self, chain128):
         fb, H = chain128
@@ -263,7 +262,8 @@ class TestBlockCalculus:
         H = fiber(model.ModelSpec(nonrel, ff, grid, 0.05), 0.25, basis)
         calc = spectral.SpectralCalculus(H)
         assert [idx.shape for idx, _, _ in calc.groups] == [(1, basis.size)]
-        E = calc.projector(0.5)
+        V = calc.window_vectors(0.5)
+        E = V @ V.conj().T
         assert np.abs(E @ E - E).max() < 1e-12
         assert np.abs(E - E.conj().T).max() < 1e-13
         Hd = H.mat.toarray()
@@ -338,7 +338,7 @@ class TestScan:
         real = spectral.ground_state
 
         def failing_on_other(H, k=2, **kw):
-            if H.use_modified != ms_default.use_modified:
+            if k == 1:  # the other dispersion's solve
                 raise spectral.ConvergenceError("forced")
             return real(H, k=k, **kw)
 

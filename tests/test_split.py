@@ -189,7 +189,7 @@ def test_dbreve_gamma2_zero_pair(setup, grid4):
 
 
 def test_udgamma_cauchy_schwarz(setup, grid4, rng):
-    from nelsonlab.dynamics import weighted_abs
+    from nelsonlab.fock import weighted_abs
 
     basis, basis_sum, tb, _ = setup
     th = rng.uniform(0.1, 1.4, size=4)
