@@ -5,18 +5,27 @@ draws; creation-type identities are restricted to the guarded sector
 N <= n_max - 1 where the truncated algebra is exact.  The suite is the
 engine behind the ``algebra`` subcommand and the first acceptance criterion.
 
+The draws are evaluated in stacks of ``DRAW_BATCH``.  A stack's random
+inputs are drawn first, draw by draw (``_draw``), with the mode vectors and
+M x M maps each draw forms from them; no evaluation reads the rng, so the
+stream is consumed in the suite's fixed per-draw order whatever the stack
+size, and only one stack's inputs are held.  Then one ``tensordot`` forms a
+stack of ladder, field or dGamma operators from the generator stacks, one
+sector recursion forms a stack of Gamma, dGamma2 or splitting maps (``fock``
+and ``split`` take leading batch axes), and every product is a stacked
+``@``, which runs the same BLAS product on each slice.  Each slice is
+therefore rounded exactly as a single draw would be, and a defect, the
+largest entry over the draws, is independent of the batch size.  Only the
+one-leg lifts of the pair basis (165 x 165 at the defaults) and the
+Schwarz bounds' inner products stay one draw at a time.
+
 What does not depend on the draw is built once per suite: the one-leg
-generator stacks (``Generators``, from ``fock``'s own constructors), the
-nonzeros of a*(e_j) and the diagonals of dGamma(e_j) on the doubled grid,
-the tensor lift as an index gather (``split.TensorLift``), U as its
+generator stacks (``Generators``, from ``fock``'s own constructors), Gamma(1),
+the nonzeros of a*(e_j) and the diagonals of dGamma(e_j) on the doubled
+grid, the tensor lift as an index gather (``split.TensorLift``), U as its
 permutation (``TensorBasis.perm``), the fusion map I, the guards as column
 masks, the support plans of U's identities, and the checks that involve
-none of the draws.  A draw forms each operator that is linear in its
-coefficients with one ``tensordot``; only Gamma, dGamma2 and the splitting
-maps built on them are nonlinear in the draw and go through the sector
-recursion every draw, which reads its slot tables, sector schedule and row
-lookups from the bases, and each Gamma is formed once per draw and mode map
-and read again by the dGamma2 beside it.
+none of the draws.
 
 Identities whose two sides are dense products are evaluated on dense numpy
 arrays, one dense product of the same operands each, so every defect is
@@ -29,6 +38,8 @@ is the one the dense difference gives; a diagonal comparison is one vector.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -58,6 +69,16 @@ def _norm(arr) -> float:
     return float(np.abs(arr).max())
 
 
+def _adjoint(ops) -> np.ndarray:
+    """The conjugate transpose of a matrix, or of each matrix in a stack."""
+    return ops.conj().swapaxes(-1, -2)
+
+
+def _flat(ops) -> np.ndarray:
+    """A matrix, or each matrix in a stack, as its row-major entries."""
+    return ops.reshape(ops.shape[:-2] + (-1,))
+
+
 class Generators:
     """Dense generator stacks on ``basis``, built by ``fock``'s constructors.
 
@@ -65,8 +86,10 @@ class Generators:
     ``fock.field_op`` of e_j over that of i e_j, and ``hopping[i, j]`` is
     ``fock.dGamma(basis, E_ij)`` for the unit mode matrix E_ij.  Each of these
     operators is linear in its mode data (the field real-linear), so the
-    methods form it for any coefficients with one ``tensordot``.  The stacks
-    are stored complex, so the product with complex coefficients casts nothing.
+    methods form it for any coefficients with one ``tensordot``, and for a
+    stack of coefficients (leading batch axes) the stack of operators.  The
+    stacks are stored complex, so the product with complex coefficients
+    casts nothing.  A 1-d ``b`` of ``dGamma`` is a diagonal.
     """
 
     def __init__(self, basis: fock.OccupationBasis):
@@ -84,11 +107,11 @@ class Generators:
         return np.tensordot(h, self.creation, 1)
 
     def annihilation_op(self, h) -> np.ndarray:
-        return self.creation_op(h).conj().T
+        return _adjoint(self.creation_op(h))
 
     def field_op(self, h) -> np.ndarray:
         h = np.asarray(h, dtype=complex)
-        return np.tensordot(np.concatenate([h.real, h.imag]), self.field, 1)
+        return np.tensordot(np.concatenate([h.real, h.imag], axis=-1), self.field, 1)
 
     def dGamma(self, b) -> np.ndarray:
         b = np.asarray(b)
@@ -100,7 +123,8 @@ class _SparseCreation:
 
     For the doubled grid, where a dense 2M x n x n stack would cost megabytes
     per product; every entry belongs to one mode, since it adds one boson.
-    a*(h) holds ``values(h)`` at (``row``, ``col``).
+    a*(h) holds ``values(h)`` at (``row``, ``col``); a stack of ``h``
+    gives a stack of values.
     """
 
     def __init__(self, basis: fock.OccupationBasis):
@@ -112,7 +136,7 @@ class _SparseCreation:
         self.mode = np.repeat(np.arange(len(parts)), [c.nnz for c in parts])
 
     def values(self, h) -> np.ndarray:
-        return self.value * h[self.mode]
+        return self.value * h[..., self.mode]
 
     def __call__(self, h) -> np.ndarray:
         out = np.zeros(self.size * self.size, dtype=complex)
@@ -128,7 +152,8 @@ class _SupportPlan:
     |lhs - rhs| is the largest over the union.  ``gap(lhs, *rhs)`` writes the
     scatters' values in order, the first into the left side and the rest
     into the right, a later one adding into an earlier one where they meet,
-    and returns that largest entry.
+    and returns that largest entry; stacks of values give the largest entry
+    over the stack.
     """
 
     def __init__(self, *puts):
@@ -137,12 +162,12 @@ class _SupportPlan:
         self.at = [np.searchsorted(union, put) for put in puts]
 
     def gap(self, lhs, *rhs) -> float:
-        side = np.zeros((2, self.size), dtype=complex)
-        side[0, self.at[0]] = lhs
-        side[1, self.at[1]] = rhs[0]
+        side = np.zeros(np.shape(lhs)[:-1] + (2, self.size), dtype=complex)
+        side[..., 0, self.at[0]] = lhs
+        side[..., 1, self.at[1]] = rhs[0]
         for at, part in zip(self.at[2:], rhs[1:]):
-            side[1, at] += part
-        return float(np.abs(side[0] - side[1]).max(initial=0.0))
+            side[..., 1, at] += part
+        return float(np.abs(side[..., 0, :] - side[..., 1, :]).max(initial=0.0))
 
 
 class _UIdentities:
@@ -158,6 +183,8 @@ class _UIdentities:
     ``corrupt`` perturbs.  ``ueq3_dgamma`` compares diagonal operators, so
     its support is the diagonal.  The suite's pair space has no energy cap,
     so U is a bijection and ``s``, the inverse of t, applies U to vectors.
+    ``creation``, ``annihilation`` and ``dgamma`` take stacks of draws and
+    return the worst defect over the stack; ``binomial`` takes one draw.
     """
 
     def __init__(self, gen: Generators, tb: split.TensorBasis, lift: split.TensorLift,
@@ -187,20 +214,29 @@ class _UIdentities:
 
     def creation(self, g1, a_dag1) -> float:
         """ueq0: U a*(g1 + 0) U* = a*(g1) x 1 on the guarded pairs."""
-        lhs = self.sum_creation.values(np.concatenate([g1, np.zeros(self.M)]))
-        return self.ueq0.gap(lhs[self.guarded], np.take(a_dag1, self.gather0))
+        lhs = self.sum_creation.values(np.concatenate([g1, np.zeros_like(g1)], axis=-1))
+        return self.ueq0.gap(lhs[..., self.guarded], _flat(a_dag1)[..., self.gather0])
 
     def annihilation(self, g1, g2, ann1, ann2) -> float:
         """ueq1: U a(g1 + g2) U* = a(g1) x 1 + 1 x a(g2)."""
-        lhs = np.conj(self.sum_creation.values(np.concatenate([g1, g2])))
-        return self.ueq1.gap(lhs, np.take(ann1, self.gather_l), np.take(ann2, self.gather_r))
+        lhs = np.conj(self.sum_creation.values(np.concatenate([g1, g2], axis=-1)))
+        return self.ueq1.gap(lhs, _flat(ann1)[..., self.gather_l],
+                             _flat(ann2)[..., self.gather_r])
+
+    def _number_diagonal(self, d) -> np.ndarray:
+        """The diagonal of dGamma(diag(d)) for each d of a stack, from the
+        mode matrix np.diag writes."""
+        b = np.zeros(d.shape + (self.M,))
+        modes = np.arange(self.M)
+        b[..., modes, modes] = d
+        return np.diagonal(self.gen.dGamma(b), axis1=-2, axis2=-1)
 
     def dgamma(self, d0, dinf) -> float:
         """ueq3: U dGamma(d0 + dinf) U* = dGamma(d0) x 1 + 1 x dGamma(dinf)."""
-        lhs = (self.sum_numbers @ np.concatenate([d0, dinf]))[self.s]
-        rhs = (self.gen.dGamma(d0).diagonal()[self.left]
-               + self.gen.dGamma(dinf).diagonal()[self.right])
-        return float(np.abs(lhs - rhs).max())
+        lhs = (self.sum_numbers @ np.concatenate([d0, dinf], axis=-1)[..., None])[..., 0]
+        rhs = (self._number_diagonal(d0)[..., self.left]
+               + self._number_diagonal(dinf)[..., self.right])
+        return float(np.abs(lhs[..., self.s] - rhs).max())
 
     def binomial(self, i, j) -> float:
         """ueq2: the amplitude of a*(v)^2 Omega with v = (e_i, e_j) on the pair
@@ -215,167 +251,249 @@ class _UIdentities:
         return abs(amp - np.sqrt(2.0) * np.sqrt(2.0))
 
 
+DRAW_BATCH = 8
+"""Draws per stack.  Larger stacks mean fewer Python-level steps per suite
+but more memory: at the defaults a pair-basis stack holds DRAW_BATCH x 165
+x 35 complex entries (0.7 MB at 8) and up to six are alive at once.  The
+defects do not depend on it."""
+
+
+def _draw(rng, grid: fock.ModeGrid, n: int, n_pairs: int, binomial: bool) -> dict:
+    """One draw's random inputs, in the suite's rng order, with the mode
+    vectors and M x M maps its identities read, each formed by per-draw code
+    as a single draw forms it (``inner`` is the weighted inner product
+    <g1, g2>)."""
+    M = grid.n_modes
+    adj = functools.partial(fock.weighted_adjoint, grid, grid)
+    g1 = _rand_vec(rng, M)
+    g2 = _rand_vec(rng, M)
+    b = _rand_mat(rng, M)
+    q = _wunitary(rng, grid)
+    bh = _whermitian(grid, _rand_mat(rng, M))
+    b2 = _rand_mat(rng, M)
+    r1 = _rand_mat(rng, M)
+    r2 = _rand_mat(rng, M)
+    qm = _rand_mat(rng, M)
+    qm = qm / max(1.0, fock.weighted_opnorm(grid, grid, qm))
+    r2s = adj(r2)
+    u = _rand_vec(rng, n)
+    v = _rand_vec(rng, n)
+    d0 = rng.normal(size=M)
+    dinf = rng.normal(size=M)
+    # the binomial spot check needs the two-boson sector
+    pair = {"pair": rng.integers(0, M, size=2)} if binomial else {}
+    # splitting map with j0* j0 + jinf* jinf = 1; the pairs are complex so
+    # every product runs in the dtype the pinned reference used
+    th = rng.uniform(0.1, np.pi / 2 - 0.1, size=M)
+    j0_iso, jinf_iso = np.diag(np.cos(th) + 0j), np.diag(np.sin(th) + 0j)
+    # partition pair for ugamma-o and the right inverse
+    um = rng.uniform(0.2, 0.8, size=M)
+    Qs = 0.1 * rng.normal(size=(M, M))
+    j0 = np.diag(um) + (Qs + Qs.T) + 0j
+    jinf = np.eye(M) - j0
+    om = np.diag(grid.omega_mod)
+    k0 = _whermitian(grid, _rand_mat(rng, M))
+    kinf = _whermitian(grid, _rand_mat(rng, M))
+    ut = _rand_vec(rng, n_pairs)
+    vt = _rand_vec(rng, n)
+    return {
+        "g1": g1, "g2": g2, "inner": fock.weighted_inner(grid, g1, g2),
+        "b": b, "b_g1": b @ g1, "bstar_g1": adj(b) @ g1, "q": q, "q_g1": q @ g1,
+        "bh": bh, "i_bh_g1": 1j * (bh @ g1),
+        "b2": b2, "b_b2": b @ b2, "b_comm_b2": b @ b2 - b2 @ b,
+        "qm": qm, "r2s_r1": r2s @ r1, "r2s_r2": r2s @ r2, "r1s_r1": adj(r1) @ r1,
+        "u": u, "v": v, "d0": d0, "dinf": dinf, **pair,
+        "j0_iso": j0_iso, "jinf_iso": jinf_iso, "j0_g1": j0_iso @ g1, "jinf_g1": jinf_iso @ g1,
+        "j0": j0, "jinf": jinf, "c0": om @ j0 - j0 @ om, "cinf": om @ jinf - jinf @ om,
+        "k0": k0, "kinf": kinf,
+        "abs_k0": fock.weighted_abs(grid, k0), "abs_kinf": fock.weighted_abs(grid, kinf),
+        "ut": ut, "vt": vt,
+    }
+
+
+class _Suite:
+    """The builds no draw changes, made once, and every draw-dependent
+    identity evaluated on a stack of draws (``evaluate``), each defect
+    recorded as the worst over all stacks so far.
+
+    Each group of identities is one method, so the stacks it forms, the
+    pair-basis ones among them, are freed when it returns.
+    """
+
+    def __init__(self, basis: fock.OccupationBasis, tb: split.TensorBasis, corrupt: bool):
+        grid = basis.grid
+        M, n = grid.n_modes, basis.size
+        self.basis, self.tb, self.corrupt = basis, tb, corrupt
+        self.eye = np.eye(n)
+        self.guard = np.flatnonzero(basis.total_numbers() <= basis.n_max - 1)
+        N_op = fock.number_op(basis)
+        self.N = N_op.toarray()
+        self.gen = gen = Generators(basis)
+        self.one = np.eye(M)
+        self.gamma_one = fock.Gamma(basis, self.one)
+        self.lift = lift = split.TensorLift(tb)
+        left, right = tb.pairs.T
+        self.u_ids = _UIdentities(gen, tb, lift, corrupt)
+        # diagonal operators and their pair lifts are kept as diagonals
+        self.N_pair = (split.tensor_factor_ops(tb, op_left=N_op)
+                       + split.tensor_factor_ops(tb, op_right=N_op)).diagonal()
+        self.dG_om = gen.dGamma(grid.omega_mod)
+        self.dG_om_pair = self.dG_om.diagonal()[left] + self.dG_om.diagonal()[right]
+        self.I_op = split.scattering_ident(tb).toarray()
+        self.defects: dict[str, float] = {}
+
+    def rec(self, name, value):
+        self.defects[name] = max(self.defects.get(name, 0.0), float(value))
+
+    def evaluate(self, d: dict):
+        """Every draw-dependent identity on the stack of draws ``d``."""
+        gen = self.gen
+        c1 = gen.creation_op(d["g1"])
+        a_dag1 = c1
+        if self.corrupt:
+            a_dag1 = c1.copy()
+            a_dag1[..., 0, min(1, self.basis.size - 1)] += 0.5
+        a_dag2 = gen.creation_op(d["g2"])
+        ann1, ann2 = _adjoint(c1), _adjoint(a_dag2)
+        phi = gen.field_op(d["g1"])
+        self.ccr(d, a_dag1, a_dag2, ann2)
+        self.functors(d, a_dag1, ann1, phi)
+        self.schwarz(d)
+        self.tensor(d, a_dag1, ann1, ann2)
+        self.splitting(d, c1, phi)
+        self.partition(d)
+
+    def ccr(self, d, a_dag1, a_dag2, ann2):
+        a1, guard = _adjoint(a_dag1), self.guard
+        comm = (a1 @ a_dag2) - (a_dag2 @ a1)
+        self.rec("ccr", _norm((comm - d["inner"][:, None, None] * self.eye)[..., guard]))
+        self.rec("ccr_same_type", max(_norm((a_dag1 @ a_dag2) - (a_dag2 @ a_dag1)),
+                                      _norm((a1 @ ann2) - (ann2 @ a1))))
+
+    def functors(self, d, a_dag1, ann1, phi):
+        """Gamma's intertwining, dGamma and the mixed functor."""
+        gen, basis, guard, rec = self.gen, self.basis, self.guard, self.rec
+        G = fock.Gamma(basis, d["b"])
+        rec("geq1", _norm(((G @ a_dag1) - (gen.creation_op(d["b_g1"]) @ G))[..., guard]))
+        rec("geq2", _norm((G @ gen.annihilation_op(d["bstar_g1"])) - (ann1 @ G)))
+        Gq = fock.Gamma(basis, d["q"])
+        rec("geq3", _norm(((Gq @ ann1) - (gen.annihilation_op(d["q_g1"]) @ Gq))[..., guard]))
+        rec("geq4", _norm(((Gq @ phi) - (gen.field_op(d["q_g1"]) @ Gq))[..., guard]))
+        dG = gen.dGamma(d["bh"])
+        lhs = 1j * ((dG @ phi) - (phi @ dG))
+        rec("dgamma_phi", _norm((lhs - gen.field_op(d["i_bh_g1"]))[..., guard]))
+        dG2 = gen.dGamma(d["b2"])
+        rec("dgamma2_collapse",
+            _norm(fock.dGamma2(basis, self.one, d["b2"], gamma_a=self.gamma_one) - dG2))
+        rec("gamma_dgamma", _norm((G @ dG2) - fock.dGamma2(basis, d["b"], d["b_b2"], gamma_a=G)))
+        rec("gamma_dgamma_comm",
+            _norm(((G @ dG2) - (dG2 @ G))
+                  - fock.dGamma2(basis, d["b"], d["b_comm_b2"], gamma_a=G)))
+
+    def schwarz(self, d):
+        """The Schwarz bound for the mixed functor, one draw at a time."""
+        mixed = fock.dGamma2(self.basis, d["qm"], d["r2s_r1"])
+        dG_u, dG_v = self.gen.dGamma(d["r2s_r2"]), self.gen.dGamma(d["r1s_r1"])
+        for k, (u, v) in enumerate(zip(d["u"], d["v"])):
+            lhs = abs(complex(np.vdot(u, mixed[k] @ v)))
+            rhs = (np.sqrt(max(0.0, float(np.vdot(u, dG_u[k] @ u).real)))
+                   * np.sqrt(max(0.0, float(np.vdot(v, dG_v[k] @ v).real))))
+            self.rec("lemma_dgamma_schwarz", max(0.0, lhs - rhs))
+
+    def tensor(self, d, a_dag1, ann1, ann2):
+        """U's identities; the binomial spot check one draw at a time."""
+        u_ids, rec = self.u_ids, self.rec
+        rec("ueq0_creation", u_ids.creation(d["g1"], a_dag1))
+        rec("ueq1_annihilation", u_ids.annihilation(d["g1"], d["g2"], ann1, ann2))
+        rec("ueq3_dgamma", u_ids.dgamma(d["d0"], d["dinf"]))
+        for pair in d.get("pair", ()):
+            rec("ueq2_binomial", u_ids.binomial(*pair))
+
+    def splitting(self, d, c1, phi):
+        """The isometric splitting map, its intertwining of a*, phi and N, and
+        the two-term Cauchy-Schwarz bound of the mixed splitting map."""
+        gen, lift, guard, rec = self.gen, self.lift, self.guard, self.rec
+        BG = split.breve_gamma(d["j0_iso"], d["jinf_iso"], self.tb)
+        rec("breve_isometry", _norm(_adjoint(BG) @ BG - self.eye))
+        rec("breve_number", _norm((BG @ self.N) - (self.N_pair[:, None] * BG)))
+        a0, ainf = gen.creation_op(d["j0_g1"]), gen.creation_op(d["jinf_g1"])
+        f0, finf = gen.field_op(d["j0_g1"]), gen.field_op(d["jinf_g1"])
+        for k in range(len(BG)):
+            rhs = (lift(a0[k]) + lift(None, ainf[k])) @ BG[k]
+            rec("ugamma_a", _norm(((BG[k] @ c1[k]) - rhs)[:, guard]))
+            rhs = (lift(f0[k]) + lift(None, finf[k])) @ BG[k]
+            rec("ugamma_phi", _norm(((BG[k] @ phi[k]) - rhs)[:, guard]))
+        dbg = split.dbreve_gamma2(d["j0_iso"], d["jinf_iso"], d["k0"], d["kinf"], self.tb,
+                                  breve_j=BG)
+        del BG
+        dG_k0, dG_kinf = gen.dGamma(d["abs_k0"]), gen.dGamma(d["abs_kinf"])
+        for k, (ut, vt) in enumerate(zip(d["ut"], d["vt"])):
+            lhs = abs(complex(np.vdot(ut, dbg[k] @ vt)))
+            rhs = (np.sqrt(max(0.0, float(np.vdot(ut, lift(dG_k0[k]) @ ut).real)))
+                   * np.sqrt(max(0.0, float(np.vdot(vt, dG_k0[k] @ vt).real)))
+                   + np.sqrt(max(0.0, float(np.vdot(ut, lift(None, dG_kinf[k]) @ ut).real)))
+                   * np.sqrt(max(0.0, float(np.vdot(vt, dG_kinf[k] @ vt).real))))
+            rec("lemma_udgamma", max(0.0, lhs - rhs))
+
+    def partition(self, d):
+        """ugamma-o and the right inverse I breve_gamma = 1 for a partition pair."""
+        BGP = split.breve_gamma(d["j0"], d["jinf"], self.tb)
+        self.rec("igamma", _norm((self.I_op @ BGP) - self.eye))
+        mixed = split.dbreve_gamma2(d["j0"], d["jinf"], d["c0"], d["cinf"], self.tb,
+                                    breve_j=BGP)
+        # lhs - rhs with rhs = -mixed, formed in place
+        lhs = BGP @ self.dG_om
+        lhs -= self.dG_om_pair[:, None] * BGP
+        lhs += mixed
+        self.rec("ugamma_o", np.abs(lhs).max())
+
+
 def run_algebra_suite(n_modes: int = 4, n_max: int = 3, draws: int = 100,
                       sigma: float = 0.2, seed: int = 2024,
                       corrupt: bool = False) -> dict:
     """Run every algebra identity; returns per-identity worst defects.
 
     With ``corrupt=True`` the creation operator entering the CCR check is
-    deliberately perturbed (test fixture for failure propagation).
+    deliberately perturbed (test fixture for failure propagation).  ``stats``
+    holds the basis and pair-basis sizes, the draws and how they were
+    stacked; the defects do not depend on the stacking.
     """
     rng = np.random.default_rng(seed)
     grid = fock.line_grid(n_modes, 1.0, sigma)
     basis = fock.build_basis(grid, n_max)
-    if n_max == 0:
-        return {"defects": {}, "vacuous": True, "draws": 0,
-                "note": "n_max=0: guarded sector empty, identities hold vacuously"}
-    M, n = grid.n_modes, basis.size
-    eye = np.eye(n)
-    guard = np.flatnonzero(basis.total_numbers() <= n_max - 1)
-    N_op = fock.number_op(basis)
-    N = N_op.toarray()
-    gen = Generators(basis)
-
     tb = split.build_tensor_basis(basis)
-    basis_sum = tb.sum_basis
-    lift = split.TensorLift(tb)
-    left, right = tb.pairs.T
-    u_ids = _UIdentities(gen, tb, lift, corrupt)
-    # diagonal operators and their pair lifts are kept as diagonals
-    N_pair = (split.tensor_factor_ops(tb, op_left=N_op)
-              + split.tensor_factor_ops(tb, op_right=N_op)).diagonal()
-    dG_om = gen.dGamma(grid.omega_mod)
-    dG_om_pair = dG_om.diagonal()[left] + dG_om.diagonal()[right]
-    I_op = split.scattering_ident(tb).toarray()
-
-    defects: dict[str, float] = {}
-
-    def rec(name, value):
-        defects[name] = max(defects.get(name, 0.0), float(value))
+    draws = draws if n_max else 0
+    starts = range(0, draws, DRAW_BATCH)
+    stats = {"basis": basis.size, "pairs": tb.size, "draws": draws,
+             "draw_batch": DRAW_BATCH, "batches": len(starts)}
+    if n_max == 0:
+        return {"defects": {}, "vacuous": True, "draws": 0, "stats": stats,
+                "note": "n_max=0: guarded sector empty, identities hold vacuously"}
+    suite = _Suite(basis, tb, corrupt)
 
     # the checks that involve no draw
     U = split.tensor_iso_U(tb)
-    vac_sum = np.zeros(basis_sum.size)
+    vac_sum = np.zeros(tb.sum_basis.size)
     vac_sum[0] = 1.0
     target = np.zeros(tb.size)
     target[tb.lookup([[0, 0]])] = 1.0
-    rec("ueq0_vacuum", np.abs(U @ vac_sum - target).max())
-    rec("u_isometry", _norm((U.conj().T @ U).toarray() - np.eye(basis_sum.size)))
+    suite.rec("ueq0_vacuum", np.abs(U @ vac_sum - target).max())
+    suite.rec("u_isometry", _norm((U.conj().T @ U).toarray() - np.eye(tb.sum_basis.size)))
 
-    for _ in range(draws):
-        g1 = _rand_vec(rng, M)
-        g2 = _rand_vec(rng, M)
-        c1 = gen.creation_op(g1)
-        a_dag1 = c1
-        if corrupt:
-            a_dag1 = c1.copy()
-            a_dag1[0, min(1, n - 1)] += 0.5
-        a_dag2 = gen.creation_op(g2)
-        a1 = a_dag1.conj().T
-        ann1, ann2 = c1.conj().T, a_dag2.conj().T
-
-        # CCR
-        comm = (a1 @ a_dag2) - (a_dag2 @ a1)
-        rec("ccr", _norm((comm - fock.weighted_inner(grid, g1, g2) * eye)[:, guard]))
-        rec("ccr_same_type", max(_norm((a_dag1 @ a_dag2) - (a_dag2 @ a_dag1)),
-                                 _norm((a1 @ ann2) - (ann2 @ a1))))
-
-        # functor identities
-        b = _rand_mat(rng, M)
-        G = fock.Gamma(basis, b)
-        rec("geq1", _norm(((G @ a_dag1) - (gen.creation_op(b @ g1) @ G))[:, guard]))
-        bstar = fock.weighted_adjoint(grid, grid, b)
-        rec("geq2", _norm((G @ gen.annihilation_op(bstar @ g1)) - (ann1 @ G)))
-        q = _wunitary(rng, grid)
-        Gq = fock.Gamma(basis, q)
-        rec("geq3", _norm(((Gq @ ann1) - (gen.annihilation_op(q @ g1) @ Gq))[:, guard]))
-        phi = gen.field_op(g1)
-        rec("geq4", _norm(((Gq @ phi) - (gen.field_op(q @ g1) @ Gq))[:, guard]))
-
-        # dGamma and the mixed functor
-        bh = _whermitian(grid, _rand_mat(rng, M))
-        dG = gen.dGamma(bh)
-        lhs = 1j * ((dG @ phi) - (phi @ dG))
-        rec("dgamma_phi", _norm((lhs - gen.field_op(1j * (bh @ g1)))[:, guard]))
-        b2 = _rand_mat(rng, M)
-        dG2 = gen.dGamma(b2)
-        rec("dgamma2_collapse", _norm(fock.dGamma2(basis, np.eye(M), b2) - dG2))
-        rec("gamma_dgamma", _norm((G @ dG2) - fock.dGamma2(basis, b, b @ b2, gamma_a=G)))
-        rec("gamma_dgamma_comm",
-            _norm(((G @ dG2) - (dG2 @ G)) - fock.dGamma2(basis, b, b @ b2 - b2 @ b, gamma_a=G)))
-
-        # Schwarz bound for the mixed functor
-        r1 = _rand_mat(rng, M)
-        r2 = _rand_mat(rng, M)
-        qm = _rand_mat(rng, M)
-        qm = qm / max(1.0, fock.weighted_opnorm(grid, grid, qm))
-        r2s = fock.weighted_adjoint(grid, grid, r2)
-        u = _rand_vec(rng, n)
-        v = _rand_vec(rng, n)
-        lhs_s = abs(complex(np.vdot(u, fock.dGamma2(basis, qm, r2s @ r1) @ v)))
-        rhs_s = (np.sqrt(max(0.0, float(np.vdot(u, gen.dGamma(r2s @ r2) @ u).real)))
-                 * np.sqrt(max(0.0, float(np.vdot(v, gen.dGamma(fock.weighted_adjoint(grid, grid, r1) @ r1) @ v).real))))
-        rec("lemma_dgamma_schwarz", max(0.0, lhs_s - rhs_s))
-
-        # tensor isomorphism
-        rec("ueq0_creation", u_ids.creation(g1, a_dag1))
-        rec("ueq1_annihilation", u_ids.annihilation(g1, g2, ann1, ann2))
-        d0 = rng.normal(size=M)
-        dinf = rng.normal(size=M)
-        rec("ueq3_dgamma", u_ids.dgamma(d0, dinf))
-        # binomial spot check (needs the two-boson sector)
-        if n_max >= 2:
-            rec("ueq2_binomial", u_ids.binomial(*rng.integers(0, M, size=2)))
-
-        # splitting map with j0* j0 + jinf* jinf = 1; the pairs are complex so
-        # every product below runs in the dtype the pinned reference used
-        th = rng.uniform(0.1, np.pi / 2 - 0.1, size=M)
-        j0_iso, jinf_iso = np.diag(np.cos(th) + 0j), np.diag(np.sin(th) + 0j)
-        BG = split.breve_gamma(j0_iso, jinf_iso, tb)
-        rec("breve_isometry", _norm(BG.conj().T @ BG - eye))
-        rhs_ag = (lift(gen.creation_op(j0_iso @ g1))
-                  + lift(None, gen.creation_op(jinf_iso @ g1))) @ BG
-        rec("ugamma_a", _norm(((BG @ c1) - rhs_ag)[:, guard]))
-        rhs_p = (lift(gen.field_op(j0_iso @ g1))
-                 + lift(None, gen.field_op(jinf_iso @ g1))) @ BG
-        rec("ugamma_phi", _norm(((BG @ phi) - rhs_p)[:, guard]))
-        rec("breve_number", _norm((BG @ N) - (N_pair[:, None] * BG)))
-
-        # partition pair: ugamma-o and the right inverse
-        um = rng.uniform(0.2, 0.8, size=M)
-        Qs = 0.1 * rng.normal(size=(M, M))
-        j0 = np.diag(um) + (Qs + Qs.T) + 0j
-        jinf = np.eye(M) - j0
-        BGP = split.breve_gamma(j0, jinf, tb)
-        lhs_o = (BGP @ dG_om) - (dG_om_pair[:, None] * BGP)
-        om = np.diag(grid.omega_mod)
-        c0 = om @ j0 - j0 @ om
-        cinf = om @ jinf - jinf @ om
-        rhs_o = -split.dbreve_gamma2(j0, jinf, c0, cinf, tb, breve_j=BGP)
-        rec("ugamma_o", np.abs(lhs_o - rhs_o).max())
-        rec("igamma", _norm((I_op @ BGP) - eye))
-
-        # two-term Cauchy-Schwarz for the mixed splitting map
-        k0 = _whermitian(grid, _rand_mat(rng, M))
-        kinf = _whermitian(grid, _rand_mat(rng, M))
-        ut = _rand_vec(rng, tb.size)
-        vt = _rand_vec(rng, n)
-        dbg = split.dbreve_gamma2(j0_iso, jinf_iso, k0, kinf, tb, breve_j=BG)
-        lhs_u = abs(complex(np.vdot(ut, dbg @ vt)))
-        dG_k0 = gen.dGamma(fock.weighted_abs(grid, k0))
-        dG_kinf = gen.dGamma(fock.weighted_abs(grid, kinf))
-        rhs_u = (np.sqrt(max(0.0, float(np.vdot(ut, lift(dG_k0) @ ut).real)))
-                 * np.sqrt(max(0.0, float(np.vdot(vt, dG_k0 @ vt).real)))
-                 + np.sqrt(max(0.0, float(np.vdot(ut, lift(None, dG_kinf) @ ut).real)))
-                 * np.sqrt(max(0.0, float(np.vdot(vt, dG_kinf @ vt).real))))
-        rec("lemma_udgamma", max(0.0, lhs_u - rhs_u))
+    # no evaluation reads the rng, so drawing each stack just before it is
+    # evaluated consumes the stream in the per-draw order
+    for start in starts:
+        chunk = [_draw(rng, grid, basis.size, tb.size, n_max >= 2)
+                 for _ in range(min(DRAW_BATCH, draws - start))]
+        suite.evaluate({key: np.stack([d[key] for d in chunk]) for key in chunk[0]})
+    defects = suite.defects
 
     # cap-dependent norm diagnostics for the identification map
     i_norms = {}
     Nl, Nr = tb.pair_numbers().T
     for kk in (1, 2):
         wts = np.where(Nr <= kk, (1.0 + Nl) ** (-kk), 0.0)
-        i_norms[f"I_weight_k{kk}"] = float(np.linalg.norm(I_op * wts[None, :], 2))
+        i_norms[f"I_weight_k{kk}"] = float(np.linalg.norm(suite.I_op * wts[None, :], 2))
 
     tol = 1e-12
     failing = sorted(name for name, d in defects.items() if d > tol)
@@ -388,4 +506,5 @@ def run_algebra_suite(n_modes: int = 4, n_max: int = 3, draws: int = 100,
         "draws": draws,
         "i_norm_diagnostics": i_norms,
         "vacuous": False,
+        "stats": stats,
     }

@@ -24,6 +24,8 @@ import argparse
 import hashlib
 import json
 import math
+import os
+import platform
 import sys
 import time
 import traceback
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import dynamics, fock, model, mourre, spectral
 from .algebra import run_algebra_suite
@@ -221,13 +224,25 @@ REPORTS = {"algebra": "algebra_report", "dispersion": "dispersion_verdicts",
            "wplus": "wplus_report"}
 
 
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def environment() -> dict:
+    """The interpreter and library versions and the BLAS/OpenMP thread
+    variables as set (None when unset), which a run's time depends on."""
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "threads": {var: os.environ.get(var) for var in THREAD_VARS}}
+
+
 def finish(cfg: RunConfig, command: str, numbers: dict, verdicts: dict,
            stats: dict | None = None) -> int:
     """Write the command's report and manifest around one verdicts block; exit on it.
 
     The report file is named in ``REPORTS``; ``report`` itself writes ``report.json``.
-    ``stats`` (what the run did, such as solver methods and residuals) goes
-    into the manifest only, so reports stay byte-identical across reruns.
+    ``stats`` (what the run did, such as solver methods and residuals) and
+    the ``environment`` go into the manifest only, so reports stay
+    byte-identical across reruns.
     """
     verdicts = {name: bool(ok) for name, ok in verdicts.items()}
     cfg_hash = cfg.hash()
@@ -240,6 +255,7 @@ def finish(cfg: RunConfig, command: str, numbers: dict, verdicts: dict,
         "seed": cfg.seed,
         "verdicts": verdicts,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "environment": environment(),
         **({"stats": stats} if stats is not None else {}),
     })
     return EXIT_PASS if all(verdicts.values()) else EXIT_VERDICT
@@ -300,9 +316,10 @@ def cmd_algebra(cfg: RunConfig) -> int:
         draws=v["algebra.draws"], sigma=v["ff.sigma"], seed=cfg.seed or 2024,
         corrupt=v["debug.corrupt_algebra"])
     verdicts = {} if rep["vacuous"] else {"identities": rep.pop("passed")}
+    stats = rep.pop("stats")
     if rep.get("failing"):
         sys.stderr.write("failing identities: " + ", ".join(rep["failing"]) + "\n")
-    return finish(cfg, "algebra", rep, verdicts)
+    return finish(cfg, "algebra", rep, verdicts, stats=stats)
 
 
 def cmd_dispersion(cfg: RunConfig) -> int:

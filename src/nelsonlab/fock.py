@@ -609,14 +609,23 @@ def _sector_recursion(basis_in: OccupationBasis, basis_out: OccupationBasis | No
     The sectors and their row ranges are read from the ``sectors`` of both
     bases and a* from the slot tables of ``basis_out``.  A given ``G``,
     Gamma(a) as this recursion returns it, is read instead of rebuilt.
+
+    Mode maps of two or more axes may carry leading batch axes: a stack
+    (..., M_out, M_in) of maps is one recursion over all of them, every
+    slice computed by the same elementwise steps as a single map, so each
+    slice of the result equals, bit for bit, the map of that slice alone.
+    ``a``, ``b`` and ``G`` broadcast against each other on these axes
+    (Gamma(1) can serve a stack of ``b``); the results carry them in front
+    of (basis_out.size, basis_in.size).
     """
     basis_out = basis_out or basis_in
+    shape = (basis_out.size, basis_in.size)
 
     def ortho(m):
         m = np.asarray(m, dtype=complex)
         if m.ndim == 1:
             m = np.diag(m)
-        if m.shape != (basis_out.grid.n_modes, basis_in.grid.n_modes):
+        if m.shape[-2:] != (basis_out.grid.n_modes, basis_in.grid.n_modes):
             raise DimensionMismatchError("mode operator shape does not match the grids")
         return to_ortho(basis_out.grid, basis_in.grid, m)
 
@@ -626,11 +635,14 @@ def _sector_recursion(basis_in: OccupationBasis, basis_out: OccupationBasis | No
 
     build = G is None
     if build:
-        G = np.zeros((basis_out.size, basis_in.size), dtype=complex)
-        G[0, 0] = 1.0
-    elif G.shape != (basis_out.size, basis_in.size):
+        G = np.zeros(ao.shape[:-2] + shape, dtype=complex)
+        G[..., 0, 0] = 1.0
+    elif G.shape[-2:] != shape:
         raise DimensionMismatchError("Gamma(a) does not match the bases")
-    D = np.zeros_like(G) if bo is not None else None
+    D = None
+    if bo is not None:
+        D = np.zeros(np.broadcast_shapes(ao.shape[:-2], bo.shape[:-2], G.shape[:-2]) + shape,
+                     dtype=complex)
     for n, ((c, j, p, scale), (rows, *_)) in enumerate(zip(basis_in.sectors, basis_out.sectors),
                                                       start=1):
         if not (len(c) and len(rows)):
@@ -642,18 +654,20 @@ def _sector_recursion(basis_in: OccupationBasis, basis_out: OccupationBasis | No
                  for s in range(min(n, modes.shape[1]))]
 
         def create(coef, V):
-            # column k is a*(coef[:, k]) V[:, k] on rows lo:hi: row r collects
-            # sqrt(n_i(r)) coef[i, k] V[r - e_i, k] over its occupied-mode slots
-            out = np.zeros((hi - lo, V.shape[1]), dtype=complex)
+            # column k is a*(coef[..., :, k]) V[..., :, k] on rows lo:hi: row r
+            # collects sqrt(n_i(r)) coef[i, k] V[r - e_i, k] over its slots
+            batch = np.broadcast_shapes(coef.shape[:-2], V.shape[:-2])
+            out = np.zeros(batch + (hi - lo, V.shape[-1]), dtype=complex)
             for root, mode, parent in slots:
-                out += root * coef[mode] * V[parent]
+                out += root * coef[..., mode, :] * V[..., parent, :]
             return out
 
-        Gp = G[:lo, p]
+        Gp = G[..., :lo, p]
         if build:
-            G[lo:hi, cols] = create(ao[:, j], Gp) * scale
+            G[..., lo:hi, cols] = create(ao[..., j], Gp) * scale
         if bo is not None:
-            D[lo:hi, cols] = (create(bo[:, j], Gp) + create(ao[:, j], D[:lo, p])) * scale
+            D[..., lo:hi, cols] = (create(bo[..., j], Gp) + create(ao[..., j], D[..., :lo, p])
+                                   ) * scale
     return G, D
 
 
@@ -662,6 +676,8 @@ def Gamma(basis_in: OccupationBasis, b, basis_out: OccupationBasis | None = None
 
     ``b`` maps mode coefficients of basis_in.grid to those of basis_out.grid
     (rectangular allowed).  Sectors that exceed the target caps are projected.
+    A stack (..., M_out, M_in) of maps gives the stack of their Gammas, each
+    slice bit-equal to the Gamma of that map alone; a 1-d ``b`` is diagonal.
     """
     return _sector_recursion(basis_in, basis_out, b)[0]
 
@@ -673,15 +689,12 @@ def dGamma2(basis_in: OccupationBasis, a, b, basis_out: OccupationBasis | None =
     ``gamma_a``, if given, must be ``Gamma(basis_in, a, basis_out)`` for this
     same ``a``, already formed; the recursion reads it instead of building it
     again, with the same result.  Only its shape is checked: a Gamma of
-    another mode map gives a wrong dGamma2 without an error.
+    another mode map gives a wrong dGamma2 without an error.  ``a``, ``b``
+    and ``gamma_a`` may be stacks with leading batch axes that broadcast
+    against each other; each slice of the result is bit-equal to the
+    dGamma2 of that slice alone.
     """
     return _sector_recursion(basis_in, basis_out, a, b, gamma_a)[1]
-
-
-def guarded_projector(basis: OccupationBasis) -> sp.csr_matrix:
-    """Projection onto the guarded sector N <= n_max - 1."""
-    keep = (basis.total_numbers() <= basis.n_max - 1).astype(float)
-    return sp.diags(keep, format="csr")
 
 
 def interacting_projector(basis: OccupationBasis) -> sp.csr_matrix:

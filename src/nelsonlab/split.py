@@ -58,11 +58,12 @@ def doubled_grid(grid: ModeGrid) -> ModeGrid:
 
 
 def stack_pair(j0: np.ndarray, jinf: np.ndarray) -> np.ndarray:
-    """Stack two M x M mode operators into the 2M x M map h -> h + h."""
+    """Stack two M x M mode operators into the 2M x M map h -> h + h; two
+    stacks (..., M, M) of them give the stack (..., 2M, M)."""
     j0, jinf = np.asarray(j0, dtype=complex), np.asarray(jinf, dtype=complex)
-    if j0.ndim != 2 or j0.shape[0] != j0.shape[1] or jinf.shape != j0.shape:
+    if j0.ndim < 2 or j0.shape[-2] != j0.shape[-1] or jinf.shape != j0.shape:
         raise DimensionMismatchError("split operators must be M x M")
-    return np.vstack([j0, jinf])
+    return np.concatenate([j0, jinf], axis=-2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,14 +138,19 @@ def tensor_iso_U(tb: TensorBasis) -> sp.csr_matrix:
 def _placed_by_perm(functor, maps, tb: TensorBasis, **kwargs) -> np.ndarray:
     """U functor(basis, *maps, basis_out=sum_basis): U is a permutation
     isometry, so the functor's rows are placed by ``tb.perm``; the other
-    pairs (leg energies adding up past an energy cap) get zero rows."""
-    out = np.zeros((tb.size, tb.basis.size), dtype=complex)
-    out[tb.perm] = functor(tb.basis, *maps, basis_out=tb.sum_basis, **kwargs)
+    pairs (leg energies adding up past an energy cap) get zero rows.  Leading
+    batch axes of the maps carry through."""
+    placed = functor(tb.basis, *maps, basis_out=tb.sum_basis, **kwargs)
+    out = np.zeros(placed.shape[:-2] + (tb.size, tb.basis.size), dtype=complex)
+    out[..., tb.perm, :] = placed
     return out
 
 
 def breve_gamma(j0: np.ndarray, jinf: np.ndarray, tb: TensorBasis) -> np.ndarray:
-    """Splitting map U Gamma(j): F -> F x F for the pair j = (j0, jinf), dense."""
+    """Splitting map U Gamma(j): F -> F x F for the pair j = (j0, jinf), dense.
+
+    Stacks (..., M, M) of pairs give the stack of their maps, each slice
+    bit-equal to the map of that pair alone."""
     return _placed_by_perm(Gamma, (stack_pair(j0, jinf),), tb)
 
 
@@ -195,10 +201,11 @@ def dbreve_gamma2(j0: np.ndarray, jinf: np.ndarray, b0: np.ndarray, binf: np.nda
     ``breve_j`` must be ``breve_gamma(j0, jinf, tb)`` for this same pair,
     already formed: its rows at ``tb.perm`` are Gamma(j), which the recursion
     reads.  Only its shape is checked: the splitting map of another pair
-    gives a wrong result without an error.
+    gives a wrong result without an error.  Stacks (..., M, M) of the four
+    maps, with the stack of their ``breve_j``, give the stack of the maps.
     """
     return _placed_by_perm(dGamma2, (stack_pair(j0, jinf), stack_pair(b0, binf)), tb,
-                           gamma_a=breve_j[tb.perm])
+                           gamma_a=breve_j[..., tb.perm, :])
 
 
 def scattering_ident(tb: TensorBasis) -> sp.csr_matrix:

@@ -204,6 +204,26 @@ def test_draw_independent_builds_happen_once(monkeypatch):
     assert set(per_draws[2]) == {name for _, name in names}
 
 
+@pytest.mark.parametrize("n_max, corrupt", [(3, False), (1, False), (3, True)],
+                         ids=["default", "no-binomial", "corrupt"])
+def test_report_independent_of_draw_batch(monkeypatch, n_max, corrupt):
+    """Stacks of one draw, of 7 (10 draws are no multiple of it) and of the
+    default size give equal reports: every defect is a maximum over draws,
+    each rounded as alone; only the stacking stats differ."""
+    reports = []
+    for batch in (1, 7, algebra.DRAW_BATCH):
+        monkeypatch.setattr(algebra, "DRAW_BATCH", batch)
+        rep = algebra.run_algebra_suite(n_modes=4, n_max=n_max, draws=10, seed=3,
+                                        corrupt=corrupt)
+        stats = rep.pop("stats")
+        assert stats == {"basis": 35 if n_max == 3 else 5, "pairs": 165 if n_max == 3 else 9,
+                         "draws": 10, "draw_batch": batch, "batches": -(-10 // batch)}
+        reports.append(rep)
+    assert reports[0] == reports[1] == reports[2]
+    assert ("ueq2_binomial" in reports[0]["defects"]) == (n_max >= 2)
+    assert reports[0]["passed"] == (not corrupt)
+
+
 @pytest.mark.parametrize("seed", range(1, 11))
 def test_suite_passes_every_identity(seed):
     rep = algebra.run_algebra_suite(n_modes=4, n_max=3, draws=10, sigma=0.2, seed=seed)

@@ -1,14 +1,16 @@
 import functools
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
-from nelsonlab import cli, dynamics, model, mourre, spectral
+from nelsonlab import algebra, cli, dynamics, model, mourre, spectral
 
 TRACK_HEADER = "t,value,norm_drift,energy_drift,config_hash"
 
@@ -423,6 +425,33 @@ class TestCommands:
             assert 0 <= row["max_residual"] < 1e-9
         rep = json.loads((tmp_path / f"{cli.REPORTS['dispersion']}.json").read_text())
         assert "stats" not in rep and "solver" not in rep
+
+    def test_algebra_manifest_records_suite_stats(self, tmp_path):
+        """The basis and pair-basis sizes, the draws and their stacking go
+        into the manifest, not into the report."""
+        path = write_cfg(tmp_path, "algebra.draws = 10\n")
+        assert run(["algebra", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_PASS
+        man = json.loads((tmp_path / "algebra_manifest.json").read_text())
+        batch = algebra.DRAW_BATCH
+        assert man["stats"] == {"basis": 35, "pairs": 165, "draws": 10, "draw_batch": batch,
+                                "batches": -(-10 // batch)}
+        rep = json.loads((tmp_path / f"{cli.REPORTS['algebra']}.json").read_text())
+        assert "stats" not in rep and "draw_batch" not in json.dumps(rep)
+
+    def test_manifest_records_environment(self, tmp_path, monkeypatch):
+        """The versions and the thread variables as set (null when unset) go
+        into the manifest, not into the report."""
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        path = write_cfg(tmp_path, "algebra.draws = 2\nalgebra.n_max = 1\n")
+        assert run(["algebra", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_PASS
+        env = json.loads((tmp_path / "algebra_manifest.json").read_text())["environment"]
+        assert env == {"python": platform.python_version(), "numpy": np.__version__,
+                       "scipy": scipy.__version__,
+                       "threads": {"OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+                                   "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": None}}
+        rep = json.loads((tmp_path / f"{cli.REPORTS['algebra']}.json").read_text())
+        assert "environment" not in rep
 
     @pytest.mark.parametrize("command", ["evolve", "w"])
     def test_propagation_manifest_records_chebyshev_stats(self, tmp_path, monkeypatch, command):

@@ -146,8 +146,8 @@ class TestCommutator:
                 - mourre.commutator_iHA(ms0, [0.25], basis, conj).toarray())
         num = (mourre.numerical_commutator(H.mat, conj.A).toarray()
                - mourre.numerical_commutator(H0.mat, conj.A).toarray())
-        Pg = fock.guarded_projector(basis).toarray()
-        assert np.abs(Pg @ (expl - num) @ Pg).max() < 1e-12
+        guard = basis.total_numbers() <= basis.n_max - 1
+        assert np.abs((expl - num)[np.ix_(guard, guard)]).max() < 1e-12
 
 
 def test_smooth_test_states_match_oracle_ladders(msetup):

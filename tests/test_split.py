@@ -247,6 +247,35 @@ def test_breve_gamma_refuses_mismatched_pair(setup):
         split.breve_gamma(np.ones((5, 4)), np.ones((3, 4)), tb)
 
 
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("e_cap", [None, 0.9], ids=["square", "energy-capped"])
+def test_stacked_splitting_maps_equal_single_calls(grid4, batch, e_cap):
+    """Stacks (B, M, M) of the pairs give, bit for bit, the splitting maps of
+    B single calls, breve_gamma and dbreve_gamma2 reading the stack's own
+    breve_gamma."""
+    rng = np.random.default_rng(batch)
+    tb = split.build_tensor_basis(fock.build_basis(grid4, 3, e_cap))
+    j0, jinf, b0, binf = (rng.normal(size=(batch, 4, 4)) + 1j * rng.normal(size=(batch, 4, 4))
+                          for _ in range(4))
+    BG = split.breve_gamma(j0, jinf, tb)
+    DBG = split.dbreve_gamma2(j0, jinf, b0, binf, tb, breve_j=BG)
+    assert BG.shape == DBG.shape == (batch, tb.size, tb.basis.size)
+    for k in range(batch):
+        BG_k = split.breve_gamma(j0[k], jinf[k], tb)
+        assert np.array_equal(BG[k], BG_k)
+        assert np.array_equal(DBG[k], split.dbreve_gamma2(j0[k], jinf[k], b0[k], binf[k], tb,
+                                                          breve_j=BG_k))
+
+
+def test_stacked_pairs_must_match(setup):
+    """Two stacks of pairs must have equal shapes with square last axes."""
+    _, _, tb, _ = setup
+    for j0, jinf in ((np.ones((2, 4, 4)), np.ones((3, 4, 4))),
+                     (np.ones((2, 4, 5)), np.ones((2, 4, 5))), (np.ones(4), np.ones(4))):
+        with pytest.raises(fock.DimensionMismatchError):
+            split.breve_gamma(j0, jinf, tb)
+
+
 def test_tensor_basis_csv(setup):
     _, _, tb, _ = setup
     lines = tb.to_csv().strip().split("\n")
