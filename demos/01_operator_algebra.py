@@ -19,8 +19,8 @@ print("modified dispersion:", np.round(grid.omega_mod, 4))
 # All occupation states with at most three bosons: binomial(4+3, 3) = 35.
 basis = fock.build_basis(grid, n_max=3)
 print(f"\nbasis size: {basis.size}")
-print("first rows of the basis dump:")
-print("\n".join(basis.to_csv().splitlines()[:5]))
+print("first occupation rows:")
+print(basis.occ[:5])
 
 # Smeared ladder operators and the canonical commutator, as scipy CSR matrices.
 # Identities that create a boson hold exactly on the guarded sector N <= n_max - 1,
@@ -28,7 +28,7 @@ print("\n".join(basis.to_csv().splitlines()[:5]))
 rng = np.random.default_rng(1)
 g = rng.normal(size=4) + 1j * rng.normal(size=4)
 h = rng.normal(size=4) + 1j * rng.normal(size=4)
-a_g = fock.annihilation_op(basis, g)
+a_g = fock.creation_op(basis, g).conj().T
 c_h = fock.creation_op(basis, h)
 guard = basis.total_numbers() <= basis.n_max - 1
 ccr = ((a_g @ c_h) - (c_h @ a_g)

@@ -36,10 +36,3 @@ for gg in (0.01, 0.02, 0.04, 0.08):
     H = model.build_fiber_H(msg, [0.0], basis)
     eg = spectral.ground_state(H, k=1, tol=1e-12).ground_energy
     print(f"{gg:5.2f}   {abs(eg - spectral.pt_ground_energy(msg, [0.0], basis)):.3e}")
-
-# The Lipschitz property behind the existence of the dressed state.
-eps = float(grid.omega_free.min())
-val = spectral.lipschitz_gap(ms, [0.25], eps, basis)
-print(f"\nLipschitz gap at P=0.25, eps={eps:.3f}: {val:.4f} (positive verdict)")
-print(f"two-particle threshold gap Delta(P): "
-      f"{spectral.delta_gap(ms, [0.25], basis):.4f}")

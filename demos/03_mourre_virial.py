@@ -21,12 +21,6 @@ conj = mourre.build_conjugate(ms, basis)
 print(f"position operator mesh: {conj.mesh}")
 print(f"A Hermitian defect: {abs((conj.A - conj.A.conj().T).toarray()).max():.1e}")
 
-# Explicit three-term commutator vs the raw matrix commutator: a grid y
-# reproduces the continuum identity at O(mesh^2) on smooth states.
-defect = mourre.explicit_vs_numerical_defect(ms, [0.25], basis, conj)
-print(f"explicit vs numerical commutator (smooth-state form): {defect:.2e} "
-      f"~ mesh^2 = {conj.mesh ** 2:.2e}")
-
 # Virial theorem on the dressed state.
 H = model.build_fiber_H(ms, [0.25], basis)
 res = spectral.ground_state(H, k=2, tol=1e-12)
@@ -47,8 +41,3 @@ for g, min_r, c in sweep["rows"]:
     print(f"{g:5.2f}  {min_r:.6f}  {c:.4f}")
 print(f"log-log slope of C(g) = |min_r(g) - min_r(0)|/g: {sweep['loglog_slope']:.3f} "
       "(1 means the shift goes as g^2)")
-
-# Below the two-particle threshold the interacting block holds exactly one
-# eigenvalue: the dressed state is unique.
-probe = mourre.eigencount_probe(model.ModelSpec(disp, ff, grid, 0.002), [0.25], basis)
-print(f"\neigenvalues below the threshold surrogate: {probe['count']} (expect 1)")

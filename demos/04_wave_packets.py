@@ -29,7 +29,3 @@ print("\n   t       <F(|x|/t)>   norm drift")
 for i, t in enumerate(track.times):
     print(f"{t:7.2f}   {track.values[i]:.3e}    {track.norm_drift[i]:.1e}")
 print(f"\nverdicts: {track.verdicts}")
-
-# Total momentum is conserved exactly along the run.
-rep = dynamics.momentum_conservation_track(fb, dynamics.Propagation(H, psi, times[:6]))
-print(f"momentum drift: mean {rep['p_mean_drift']:.1e}, square {rep['p2_drift']:.1e}")

@@ -43,8 +43,8 @@ print("free boson w(t): ", np.round(trackf.values, 4))
 # --- excited interacting state, orthogonal to the dressed state
 res = spectral.ground_state(H, k=2, tol=1e-11)
 rng = np.random.default_rng(5)
-v = fock.interacting_projector(basis) @ (rng.normal(size=basis.size)
-                                         + 1j * rng.normal(size=basis.size))
+v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+v[~fock.interacting_mask(basis)] = 0.0
 gsv = res.ground_vector.amps
 v -= gsv * np.vdot(gsv, v)
 calc = spectral.SpectralCalculus(H)

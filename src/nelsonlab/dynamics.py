@@ -64,7 +64,6 @@ from .model import (
     build_fiber_H,
     chebyshev_operator,
     fiber_diagonal,
-    total_momentum_op,
 )
 from .mourre import build_position_op
 from .spectral import SpectralCalculus, ground_state
@@ -466,18 +465,3 @@ def one_boson_state(basis: OccupationBasis, h) -> np.ndarray:
     """Normalized a*(h) Omega."""
     v = creation_op(basis, h) @ FockVector.vacuum(basis).amps
     return v / np.linalg.norm(v)
-
-
-def momentum_conservation_track(fb: FullBasis, prop: Propagation) -> dict:
-    """Constancy of <P_total> and <P_total^2> along the evolution."""
-    Pt = total_momentum_op(fb)
-    Pt2 = Pt @ Pt
-    m1, m2 = [], []
-    for _, psi in snapshots(prop):
-        m1.append(float(np.vdot(psi, Pt @ psi).real))
-        m2.append(float(np.vdot(psi, Pt2 @ psi).real))
-    m1, m2 = np.array(m1), np.array(m2)
-    return {
-        "p_mean_drift": float(np.abs(m1 - m1[0]).max()),
-        "p2_drift": float(np.abs(m2 - m2[0]).max()),
-    }

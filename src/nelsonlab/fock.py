@@ -38,19 +38,22 @@ each through its slots s < min(n, M) and its parents in sector n - 1.  So is
 ``dGamma_expectation``, which reads <psi, dGamma(b) psi> from the M x M
 one-boson density matrix rho_ij = <a_i psi, a_j psi>, one gather on the
 ``up_rows`` of ``up`` (every other row of a_j psi is zero), without
-assembling dGamma(b); ``apply_creation`` applies a*(h) to a state the
-same way.
+assembling dGamma(b).
 
 The field operator follows the symmetric normalization
 
     phi(h) = (a(h) + a*(h)) / sqrt(2) .
 
-Operators are ``scipy.sparse.csr_matrix`` objects.  Ladder, field, number
+Operators are ``scipy.sparse.csr_matrix`` objects.  Creation, field, number
 and ``dGamma`` operators take the dtype of their coefficients: real mode data
-give float64 matrices, complex data complex ones.  The Gamma-type maps,
-``Gamma`` and ``dGamma2``, fill every sector they map and return the dense
-complex array their recursion builds; ``dGamma2`` reads Gamma(a) when the
-caller has already formed it.  Hamiltonians are ``model.Hamiltonian``.
+give float64 matrices, complex data complex ones; a(h) is the adjoint
+``creation_op(basis, h).conj().T``.  The Gamma-type maps, ``Gamma`` and
+``dGamma2``, fill every sector they map and return the dense complex array
+their recursion builds; ``dGamma2`` reads Gamma(a) when the caller has
+already formed it.  Hamiltonians are ``model.Hamiltonian``.  The states with
+no soft-mode boson, the range of Gamma(chi_i), are one boolean mask over the
+basis, ``interacting_mask``; a caller that needs the projector builds
+``sp.diags(mask)``.
 """
 
 from __future__ import annotations
@@ -324,14 +327,6 @@ class OccupationBasis:
         """(size, d) array of total boson momentum per state."""
         return self.occ @ np.atleast_2d(self.grid.points)
 
-    def to_csv(self) -> str:
-        """Basis dump: index, occupation (semicolon-joined), total N, energy."""
-        en = self.energies()
-        lines = ["index,occupation,total_n,energy"]
-        for i, (s, n) in enumerate(zip(self.occ.tolist(), self.total_numbers().tolist())):
-            lines.append(f"{i},{';'.join(map(str, s))},{n},{en[i]:.17g}")
-        return "\n".join(lines) + "\n"
-
 
 def _row_keys(rows) -> np.ndarray:
     """One raw-byte key per integer row, so that equal keys mean equal rows."""
@@ -484,11 +479,6 @@ def creation_op(basis: OccupationBasis, h) -> sp.csr_matrix:
     return _coo(basis, rows, cols, data)
 
 
-def annihilation_op(basis: OccupationBasis, h) -> sp.csr_matrix:
-    """a(h) = a*(h)^dagger; antilinear in h."""
-    return creation_op(basis, h).conj().T.tocsr()
-
-
 def field_op(basis: OccupationBasis, h) -> sp.csr_matrix:
     """phi(h) = (a(h) + a*(h)) / sqrt(2); exactly Hermitian by construction."""
     c = creation_op(basis, h)
@@ -551,18 +541,6 @@ def _check_state(basis: OccupationBasis, psi) -> np.ndarray:
     if psi.shape != (basis.size,):
         raise DimensionMismatchError("state length != basis size")
     return psi
-
-
-def apply_creation(basis: OccupationBasis, h, psi) -> np.ndarray:
-    """a*(h) psi without assembling a*(h), for one state (n,).
-
-    Row r collects sqrt(n_i(r)) sqrt(w_i) h_i psi[r - e_i] over the occupied
-    modes i of r, read from the slot tables; states pushed past the caps are
-    absent from the basis, which is the projection of ``creation_op``.
-    """
-    amp = np.sqrt(basis.grid.weights) * _check_modes(basis, h)
-    psi = _check_state(basis, psi)
-    return np.sum(basis.slot_root * amp[basis.slot_mode] * psi[basis.slot_parent], axis=-1)
 
 
 def dGamma_expectation(basis: OccupationBasis, b, psi) -> complex:
@@ -697,8 +675,7 @@ def dGamma2(basis_in: OccupationBasis, a, b, basis_out: OccupationBasis | None =
     return _sector_recursion(basis_in, basis_out, a, b, gamma_a)[1]
 
 
-def interacting_projector(basis: OccupationBasis) -> sp.csr_matrix:
-    """Gamma(chi_i): projection onto states with zero soft-mode occupancy."""
-    soft = basis.grid.soft_mask()
-    keep = ~np.any(basis.occ[:, soft] > 0, axis=1)
-    return sp.diags(keep.astype(float), format="csr")
+def interacting_mask(basis: OccupationBasis, sigma: float | None = None) -> np.ndarray:
+    """Ran Gamma(chi_i) as a boolean mask over the basis: the states with no
+    boson in a soft mode |k| <= sigma (default: the grid's sigma)."""
+    return ~np.any(basis.occ[:, basis.grid.soft_mask(sigma)] > 0, axis=1)

@@ -341,13 +341,3 @@ def build_full_H(ms: ModelSpec, fb: FullBasis) -> Hamiltonian:
     data = np.tile(ms.g * (c * (1.0 / math.sqrt(2.0))), L)
     mat = sp.coo_matrix((data, (rows, cols)), shape=(fb.size, fb.size))
     return Hamiltonian((sp.diags(diag) + mat + mat.conj().T).tocsr())
-
-
-def total_momentum_op(fb: FullBasis) -> sp.csr_matrix:
-    """Diagonal total momentum p + dGamma(k), reduced to the zone: the flat
-    index m_e + sum_j n_j m_j per product-basis state, wrapped mod L."""
-    L = fb.n_sites
-    m_e = np.rint(fb.momenta * L / (2 * np.pi)).astype(int)
-    tot = (m_e[:, None] + (fb.boson.occ @ fb.mode_m)[None, :]).ravel()
-    vals = (2.0 * np.pi / L) * ((tot + L // 2) % L - L // 2)
-    return sp.diags(vals, format="csr")

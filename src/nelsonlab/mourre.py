@@ -14,10 +14,14 @@ The explicit commutator is assembled in the three-term form
     [iH(P), A] = dGamma(|v|^2) - grad Omega(P - K) . dGamma(v) - g phi(i a kappa_sigma)
 
 with every one-particle object sampled on the grid.  Because y is a grid
-operator, the explicit form and the direct matrix commutator i(HA - AH)
-differ by O(mesh^2) in the first two terms; tolerances in this module carry
-that scale explicitly (trace([X, Y]) = 0 forbids an exact finite-dimensional
+operator, the explicit form and the direct matrix commutator i(HA - AH) of
+``numerical_commutator`` differ by O(mesh^2) in the first two terms on
+smooth states (trace([X, Y]) = 0 forbids an exact finite-dimensional
 realization of the continuum identity).
+
+The positive-commutator scan samples r(phi) on the spectral window of H
+inside Ran Gamma(chi_i), the states of ``fock.interacting_mask``, on which H
+is diagonalized densely.
 """
 
 from __future__ import annotations
@@ -32,9 +36,9 @@ from .fock import (
     GridError,
     ModeGrid,
     OccupationBasis,
-    apply_creation,
     dGamma,
     field_op,
+    interacting_mask,
     omega_modified_grad,
     weighted_adjoint,
 )
@@ -167,49 +171,6 @@ def numerical_commutator(H: sp.csr_matrix, A: sp.csr_matrix) -> sp.csr_matrix:
     return ((mat + mat.conj().T) / 2.0).tocsr()
 
 
-def smooth_test_states(basis: OccupationBasis, count: int = 8,
-                       seed: int = 23) -> np.ndarray:
-    """(count, size) seeded guarded-sector unit states built from smooth,
-    boundary-tapered mode profiles (Gaussians in k times a bump vanishing at
-    the grid edge): row x is (1 + a*(h1) + a*(h2) a*(h1) / 2) Omega, cut to
-    N <= n_max - 1."""
-    grid = basis.grid
-    k = np.atleast_2d(grid.points)[:, 0]
-    kmax = float(np.abs(k).max())
-    with np.errstate(divide="ignore", over="ignore"):
-        taper = np.where(np.abs(k) < kmax,
-                         np.exp(-1.0 / np.maximum(1.0 - (k / kmax) ** 2, 1e-300)), 0.0)
-    rng = np.random.default_rng(seed)
-    guard = basis.total_numbers() <= basis.n_max - 1
-    vac = np.zeros(basis.size, dtype=complex)
-    vac[0] = 1.0
-    out = np.zeros((count, basis.size), dtype=complex)
-    for x in range(count):
-        c1, c2 = rng.uniform(-0.6 * kmax, 0.6 * kmax, size=2)
-        s = 0.35 * kmax
-        h1 = taper * np.exp(-((k - c1) ** 2) / (2 * s * s))
-        h2 = taper * np.exp(-((k - c2) ** 2) / (2 * s * s))
-        one = apply_creation(basis, h1, vac)
-        v = (vac + one + 0.5 * apply_creation(basis, h2, one)) * guard
-        out[x] = v / np.linalg.norm(v)
-    return out
-
-
-def explicit_vs_numerical_defect(ms: ModelSpec, P, basis: OccupationBasis,
-                                 conj: ConjugateOp) -> float:
-    """Quadratic-form gap between the explicit three-term commutator and
-    i(HA - AH) on smooth guarded-sector states; scales as mesh^2.
-
-    The comparison is stated on smooth tapered states because a grid y cannot
-    reproduce the continuum chain rule on rough vectors at any mesh (and
-    trace([X, Y]) = 0 forbids dGamma(|v|^2) = i[dGamma(omega), A] exactly)."""
-    H = build_fiber_H(ms, P, basis)
-    expl = commutator_iHA(ms, P, basis, conj)
-    num = numerical_commutator(H.mat, conj.A)
-    V = smooth_test_states(basis).T
-    return float(np.abs(np.sum(V.conj() * ((expl - num) @ V), axis=0)).max())
-
-
 def virial_residual(comm: sp.csr_matrix, psi) -> float:
     """|<psi, [iH, A] psi>| / ||psi||^2, for eigenvector candidates psi."""
     v = psi.amps if hasattr(psi, "amps") else np.asarray(psi)
@@ -221,19 +182,13 @@ def virial_residual(comm: sp.csr_matrix, psi) -> float:
 # Positive-commutator scan
 # ---------------------------------------------------------------------------
 
-def _interacting_spectrum(ms: ModelSpec, P, basis: OccupationBasis):
-    """H(P), the states of Ran Gamma(chi_i) (no soft-mode boson) and the
-    dense eigendecomposition of H on them."""
-    H = build_fiber_H(ms, P, basis)
-    idx = np.flatnonzero(~np.any(basis.occ[:, basis.grid.soft_mask()] > 0, axis=1))
-    vals, vecs = np.linalg.eigh(H.mat.toarray()[np.ix_(idx, idx)])
-    return H, idx, vals, vecs
-
-
 def _window_subspace(ms: ModelSpec, P, basis: OccupationBasis, sigma_win: float):
     """Orthonormal frame of Ran E_Sigma(H) within Ran Gamma(chi_i), with the
-    ground state removed; also returns (H, ground energy)."""
-    H, idx, vals, vecs = _interacting_spectrum(ms, P, basis)
+    ground state removed; also returns (H, ground energy).  H is
+    diagonalized densely on the rows of ``interacting_mask``."""
+    H = build_fiber_H(ms, P, basis)
+    idx = np.flatnonzero(interacting_mask(basis))
+    vals, vecs = np.linalg.eigh(H.mat.toarray()[np.ix_(idx, idx)])
     inside = vals <= sigma_win
     if not np.any(inside):
         raise EmptySubspaceError("no spectrum in the requested window")
@@ -318,23 +273,3 @@ def mourre_sweep(ms_factory, g_values, P, basis: OccupationBasis,
         "window_dim": base["window_dim"],
         "mesh": base["mesh"],
     }
-
-
-def eigencount_probe(ms: ModelSpec, P, basis: OccupationBasis) -> dict:
-    """Count eigenvalues of H restricted to Ran Gamma(chi_i) below the
-    continuum edge surrogate E_g + Delta(P)/2 (expected: exactly one).
-
-    On a truncated grid every point of the would-be continuum is a matrix
-    eigenvalue, so the uniqueness statement is probed strictly below the
-    two-particle threshold rather than up to an arbitrary window.
-    """
-    from .spectral import delta_gap
-
-    _, _, vals, _ = _interacting_spectrum(ms, P, basis)
-    dg = delta_gap(ms, P, basis) if ms.use_modified else None
-    if dg is None or not np.isfinite(dg) or dg <= 0:
-        edge = vals[0] + (vals[1] - vals[0]) / 2 if len(vals) > 1 else vals[0] + 1.0
-    else:
-        edge = vals[0] + dg / 2.0
-    return {"count": int(np.sum(vals <= edge)), "edge": float(edge),
-            "ground": float(vals[0])}

@@ -13,6 +13,10 @@ arithmetic.  Functional calculus for energy cutoffs
 f(H) and spectral windows E_Sigma is spectral-projection based throughout,
 one connected component of H's sparsity pattern at a time; f(H) v is applied
 per component without forming the n x n matrix f(H).
+
+The scans are the dispersion curve with its sandwich margins, the
+second-order perturbative energy and the soft-boson mass of a state, read
+off the states outside ``fock.interacting_mask``.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import FockVector, OccupationBasis
+from .fock import FockVector, OccupationBasis, interacting_mask
 from .model import (
     ConfigWindowError,
     Hamiltonian,
@@ -274,12 +278,10 @@ class SpectralCalculus:
 
 def soft_boson_occupancy(psi: FockVector, sigma: float | None = None) -> float:
     """Probability mass on basis states with any soft-mode occupation."""
-    basis = psi.basis
-    soft = basis.grid.soft_mask(sigma)
-    if not np.any(soft):
+    hit = ~interacting_mask(psi.basis, sigma)
+    if not np.any(hit):
         return 0.0
     nrm2 = float(np.vdot(psi.amps, psi.amps).real)
-    hit = np.any(basis.occ[:, soft] > 0, axis=1)
     mass = float(np.sum(np.abs(psi.amps[hit]) ** 2))
     return mass / nrm2 if nrm2 > 0 else 0.0
 
@@ -384,32 +386,6 @@ def dispersion_scan(ms: ModelSpec, momenta, basis: OccupationBasis,
         matvecs=np.array([n for _, (_, n, _) in points], dtype=int),
         max_residuals=np.array([r for _, (_, _, r) in points], dtype=float),
     )
-
-
-def _offset_gap(ms: ModelSpec, P, basis: OccupationBasis,
-                boson_energy: np.ndarray, modes) -> float:
-    """min over the grid offsets k_j, j in ``modes``, of
-    E(P - k_j) + boson_energy[j] - E(P), E the fiber ground energy."""
-    P = np.atleast_1d(np.asarray(P, dtype=float))
-    eg = ground_state(build_fiber_H(ms, P, basis), k=1).ground_energy
-    best = math.inf
-    for j in modes:
-        e = ground_state(build_fiber_H(ms, P - ms.grid.points[j], basis), k=1).ground_energy
-        best = min(best, e + boson_energy[j] - eg)
-    return best
-
-
-def lipschitz_gap(ms: ModelSpec, P, eps: float, basis: OccupationBasis) -> float:
-    """min over grid offsets |k| >= eps of E_g(P - k) + |k| - E_g(P)."""
-    kn = ms.grid.omega_free
-    return _offset_gap(ms, P, basis, kn, np.flatnonzero(kn >= eps))
-
-
-def delta_gap(ms: ModelSpec, P, basis: OccupationBasis) -> float:
-    """min over all grid offsets of E_mod(P - k) + omega(k) - E_mod(P)."""
-    if not ms.use_modified:
-        raise ValueError("delta_gap is defined for the modified dispersion")
-    return _offset_gap(ms, P, basis, ms.grid.omega_mod, range(ms.grid.n_modes))
 
 
 def grad_bound_check(ms: ModelSpec, sigma_win: float, P,

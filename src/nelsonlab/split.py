@@ -103,13 +103,6 @@ class TensorBasis:
     def pair_numbers(self) -> np.ndarray:
         return self.basis.total_numbers()[self.pairs]
 
-    def to_csv(self) -> str:
-        occ = self.basis.occ.tolist()
-        lines = ["index,left_occupation,right_occupation"]
-        for n, (i, j) in enumerate(self.pairs.tolist()):
-            lines.append(f"{n},{';'.join(map(str, occ[i]))},{';'.join(map(str, occ[j]))}")
-        return "\n".join(lines) + "\n"
-
 
 def build_tensor_basis(basis: OccupationBasis) -> TensorBasis:
     """Pairs with total boson number at most ``basis.n_max``, in ascending

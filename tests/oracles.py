@@ -8,7 +8,11 @@ builders look every target state up in that dict one state (or pair) at a
 time and never read ``basis.occ``, ``basis.up`` or the slot tables, so
 ``tests/test_ladder_table.py`` can compare the vectorized builders and the
 basis tables themselves against them.  ``momentum_blocks`` groups the chain's
-product basis by total momentum, one state at a time.  ``lift_boson_op``
+product basis by total momentum, one state at a time, and
+``total_momentum_op`` is its diagonal total momentum, for the exact
+[H, P_tot] = 0 checks.  ``smooth_test_states`` are the smooth guarded-sector
+states on which the explicit and the numerical commutator of ``mourre`` are
+compared.  ``lift_boson_op``
 forms the Kronecker product 1 x op of a boson operator on the chain.
 ``DenseCalculus`` is the one-``eigh`` functional calculus that the
 block-wise ``SpectralCalculus`` replaced, and
@@ -59,26 +63,6 @@ def states_of(basis) -> tuple:
     states = [s for total in range(basis.n_max + 1) for s in _occupations(grid.n_modes, total)
               if e_cap is None or float(np.dot(s, grid.omega_mod)) <= e_cap]
     return states, {s: i for i, s in enumerate(states)}
-
-
-def basis_csv(grid, states) -> str:
-    """``OccupationBasis.to_csv`` written from an enumeration; the energies are
-    the same occupation-array product, so the digits agree."""
-    en = np.array(states, dtype=np.int64).reshape(len(states), grid.n_modes) @ grid.omega_mod
-    lines = ["index,occupation,total_n,energy"]
-    for i, s in enumerate(states):
-        lines.append(f"{i},{';'.join(str(n) for n in s)},{sum(s)},{en[i]:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def tensor_csv(left_states, right_states, pairs) -> str:
-    """``TensorBasis.to_csv`` written from enumerations and a pair list."""
-    lines = ["index,left_occupation,right_occupation"]
-    for n, (i, j) in enumerate(pairs):
-        l = ";".join(str(x) for x in left_states[i])
-        r = ";".join(str(x) for x in right_states[j])
-        lines.append(f"{n},{l},{r}")
-    return "\n".join(lines) + "\n"
 
 
 def line_position_op(grid) -> np.ndarray:
@@ -429,3 +413,38 @@ def tensor_factor_ops(tb, op_left=None, op_right=None) -> sp.csr_matrix:
         vals.append(block[r, c])
     return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                          shape=(tb.size, tb.size), dtype=complex).tocsr()
+
+
+def total_momentum_op(fb) -> sp.csr_matrix:
+    """Diagonal total momentum p + dGamma(k) of the chain, reduced to the
+    zone: the flat index m_e + sum_j n_j m_j per product-basis state, wrapped
+    mod L."""
+    L = fb.n_sites
+    m_e = np.rint(fb.momenta * L / (2 * np.pi)).astype(int)
+    tot = (m_e[:, None] + (fb.boson.occ @ fb.mode_m)[None, :]).ravel()
+    vals = (2.0 * np.pi / L) * ((tot + L // 2) % L - L // 2)
+    return sp.diags(vals, format="csr")
+
+
+def smooth_test_states(basis, count: int = 8, seed: int = 23) -> np.ndarray:
+    """(count, size) seeded guarded-sector unit states built from smooth,
+    boundary-tapered mode profiles (Gaussians in k times a bump vanishing at
+    the grid edge): row x is (1 + a*(h1) + a*(h2) a*(h1) / 2) Omega, cut to
+    N <= n_max - 1, with a* the loop-built ``creation_op``."""
+    k = np.atleast_2d(basis.grid.points)[:, 0]
+    kmax = float(np.abs(k).max())
+    with np.errstate(divide="ignore", over="ignore"):
+        taper = np.where(np.abs(k) < kmax,
+                         np.exp(-1.0 / np.maximum(1.0 - (k / kmax) ** 2, 1e-300)), 0.0)
+    rng = np.random.default_rng(seed)
+    guard = basis.total_numbers() <= basis.n_max - 1
+    vac = np.eye(basis.size, 1, dtype=complex)[:, 0]
+    out = np.zeros((count, basis.size), dtype=complex)
+    for x in range(count):
+        c1, c2 = rng.uniform(-0.6 * kmax, 0.6 * kmax, size=2)
+        s = 0.35 * kmax
+        one = creation_op(basis, taper * np.exp(-((k - c1) ** 2) / (2 * s * s))) @ vac
+        two = creation_op(basis, taper * np.exp(-((k - c2) ** 2) / (2 * s * s))) @ one
+        v = (vac + one + 0.5 * two) * guard
+        out[x] = v / np.linalg.norm(v)
+    return out

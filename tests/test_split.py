@@ -276,13 +276,6 @@ def test_stacked_pairs_must_match(setup):
             split.breve_gamma(j0, jinf, tb)
 
 
-def test_tensor_basis_csv(setup):
-    _, _, tb, _ = setup
-    lines = tb.to_csv().strip().split("\n")
-    assert lines[0] == "index,left_occupation,right_occupation"
-    assert len(lines) == tb.size + 1
-
-
 def test_breve_gamma_at_48_modes_fits_in_2_gib():
     """The pair basis at M=48, n_max=2 has 4753 states; the dense splitting
     map of the isometric pair (j0, jinf), which criterion 1 and the oracle of
