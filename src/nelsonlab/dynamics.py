@@ -13,12 +13,14 @@ thresholds; none claims a proof.
 Every probe walks its time grid through one loop, ``_track_snapshots``, over
 the generator ``snapshots``, which steps ``krylov_expm_apply`` from one grid
 time to the next and yields (t, psi_t).  That propagator sums the Chebyshev
-series of exp(-i dt H) on the Gershgorin interval of the Hermitian H, which
-contains its spectrum, so the truncation error is bounded a priori and there
-is no step control.  The interval and the shifted operator are computed once
-per ``Hamiltonian`` (its cached ``chebyshev`` attribute), so each interval
-of the grid and each further propagation of the same H pay only for their
-matvecs; ``chebyshev_stats`` reports that work for a run's manifest.  The
+series of exp(-i dt H) with each connected block of the Hermitian H shifted
+by the centre of its own Gershgorin interval, which contains the block's
+spectrum, so the series is as long as the widest block needs, its
+truncation error is bounded a priori and there is no step control.  The
+centres and the shifted operator are computed once per ``Hamiltonian`` (its
+cached ``chebyshev`` attribute), so each interval of the grid and each
+further propagation of the same H pay only for their matvecs and one phase
+per state; ``chebyshev_stats`` reports that work for a run's manifest.  The
 loop returns an ``ObservableTrack``: the probe's measured value at each grid
 time and the measured norm and energy drifts of psi_t; whatever else a probe
 derives (W_+'s outer-vacuum norms) sits in the track's extras.
@@ -141,20 +143,29 @@ def geometric_times(t0: float, t_max: float, ratio: float = 1.5) -> np.ndarray:
 
 def krylov_expm_apply(H: Hamiltonian | sp.csr_matrix, v: np.ndarray, dt: float,
                       tol: float = 1e-10) -> np.ndarray:
-    """exp(-i dt H) v for Hermitian H by a Chebyshev series on the Gershgorin
-    interval [a - b, a + b] of H (Tal-Ezer and Kosloff 1984):
+    """exp(-i dt H) v for Hermitian H by a Chebyshev series (Tal-Ezer and
+    Kosloff 1984), each block of H centred on its own Gershgorin interval.
 
-        exp(-i dt H) = exp(-i a dt) sum_k c_k T_k((H - a) / b),
-        c_k = (2 - delta_k0) (-i)^k J_k(b dt).
+    H is the direct sum of the connected components c of its stored pattern.
+    With a_c the centre of c's Gershgorin interval, D = diag(a_c) on the rows
+    of c commutes with H, and b the widest component's half-width,
 
-    The interval contains the spectrum and |T_k| <= 1 on it, so dropping
-    terms whose |c_k| sum to at most ``tol`` errs by at most tol ||v||.  A
-    degree-N sum lies in the Krylov space K_{N+1}(H, v), hence the name.
+        exp(-i dt H) = exp(-i dt D) sum_k c_k T_k((H - D) / b),
+        c_k = (2 - delta_k0) (-i)^k J_k(b dt),
 
-    ``H`` is a ``Hamiltonian``, whose cached ``chebyshev`` operator (a, b
-    and the complex A = 2 (H - a) / b) every call then shares, or a bare
-    Hermitian CSR matrix, whose operator is built for this call alone; both
-    give the same bits.  The recurrence w_{k+1} = A w_k - w_{k-1} writes
+    the first factor a phase per state.  Each component's interval contains
+    its spectrum and lies in [a_c - b, a_c + b], so |T_k| <= 1 on the
+    spectrum of (H - D) / b and dropping terms whose |c_k| sum to at most
+    ``tol`` errs by at most tol ||v||.  b is the widest block's half-width,
+    not the spread of the blocks' centres, so the series is as long as that
+    block needs.  A degree-N sum costs N matvecs and lies in the Krylov
+    space K_{N+1}(H, v), hence the name.  When every component has width 0
+    the result is the phase alone, exact.
+
+    ``H`` is a ``Hamiltonian``, whose cached ``chebyshev`` operator (the
+    centres, b and the complex A = 2 (H - D) / b) every call then shares, or
+    a bare Hermitian CSR matrix, whose operator is built for this call alone;
+    both give the same bits.  The recurrence w_{k+1} = A w_k - w_{k-1} writes
     each new term into the buffer of the one it retires, from a copy of v,
     so ``v`` itself is never written.
 
@@ -164,8 +175,8 @@ def krylov_expm_apply(H: Hamiltonian | sp.csr_matrix, v: np.ndarray, dt: float,
     below about N x 1e-14 is therefore not honoured.
     """
     op = H.chebyshev if isinstance(H, Hamiltonian) else chebyshev_operator(H)
-    a, b, A = op.centre, op.half_width, op.shifted
-    phase = np.exp(-1j * a * dt)
+    b, A = op.half_width, op.shifted
+    phase = np.exp(-1j * op.centres * dt)
     if b == 0.0 or dt == 0:
         return phase * v
     c = _chebyshev_coefficients(b * dt, tol)
@@ -230,16 +241,17 @@ def snapshots(prop: Propagation):
 
 def chebyshev_stats(prop: Propagation) -> dict:
     """What ``snapshots`` does along prop.times, for a run's manifest: H's
-    dimension and stored entries, the centre and half-width of its cached
-    Chebyshev interval, the number of grid intervals, and the series terms
-    summed over them, counted from the coefficients ``krylov_expm_apply``
-    sums (none on an interval it returns as a pure phase)."""
+    dimension and stored entries, the number of connected components its
+    cached Chebyshev operator centres one by one and the widest one's
+    half-width b, the number of grid intervals, and the series terms summed
+    over them, counted from the coefficients ``krylov_expm_apply`` sums (none
+    on an interval it returns as a pure phase)."""
     op = prop.H.chebyshev
     steps = np.diff(prop.times, prepend=0.0)
     terms = sum(len(_chebyshev_coefficients(op.half_width * dt, prop.step_tol))
                 for dt in steps if op.half_width != 0.0 and dt != 0)
     return {"dim": int(prop.H.shape[0]), "nnz": int(prop.H.mat.nnz),
-            "chebyshev_centre": op.centre, "chebyshev_half_width": op.half_width,
+            "chebyshev_components": op.components, "chebyshev_half_width": op.half_width,
             "intervals": len(steps), "series_terms": int(terms)}
 
 

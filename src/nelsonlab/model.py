@@ -15,9 +15,11 @@ product basis, its boson modes on the dual lattice so that total momentum
 Operators are ``scipy.sparse.csr_matrix`` objects; ``Hamiltonian`` holds the
 CSR matrix, refused unless exactly Hermitian, with its occupation basis.  It
 also carries, computed on first use, the ``ChebyshevOperator`` that every
-time step of that Hamiltonian shares: the Gershgorin interval of the matrix
-and the shifted operator 2 (H - a) / b that ``dynamics.krylov_expm_apply``
-recurses with.
+time step of that Hamiltonian shares: the Gershgorin interval of each
+connected component of the matrix's stored pattern (``pattern_components``,
+which ``spectral.SpectralCalculus`` splits by too), and the shifted operator
+2 (H - diag(a_c)) / b that ``dynamics.krylov_expm_apply`` recurses with,
+each component centred on its own a_c and b the widest one's half-width.
 """
 
 from __future__ import annotations
@@ -198,37 +200,72 @@ class ModelSpec:
         return self.ff.kappa_sigma(self.grid.omega_free)
 
 
-def _gershgorin_interval(mat: sp.csr_matrix) -> tuple[float, float]:
-    """Centre and half-width of the union of the Gershgorin discs of a
-    Hermitian CSR matrix, read off its nonzeros: diagonal +- off-diagonal
-    absolute row sums."""
+def _gershgorin_discs(mat: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper ends of each row's Gershgorin disc of a Hermitian CSR
+    matrix, read off its nonzeros: diagonal -+ off-diagonal absolute row sum."""
     n = mat.shape[0]
     rows = np.repeat(np.arange(n), np.diff(mat.indptr))
     d = np.real(mat.diagonal())
     r = np.bincount(rows, weights=np.abs(mat.data), minlength=n) - np.abs(d)
-    lo, hi = float(np.min(d - r)), float(np.max(d + r))
+    return d - r, d + r
+
+
+def _gershgorin_interval(mat: sp.csr_matrix) -> tuple[float, float]:
+    """Centre and half-width of the union of the Gershgorin discs of a
+    Hermitian CSR matrix."""
+    lo, hi = _gershgorin_discs(mat)
+    lo, hi = float(np.min(lo)), float(np.max(hi))
     return 0.5 * (hi + lo), 0.5 * (hi - lo)
+
+
+def pattern_components(mat: sp.csr_matrix) -> np.ndarray:
+    """Component label of each row of a square CSR matrix: the connected
+    components of its stored pattern, where an imaginary or zero value is
+    still an edge.  On a Hermitian matrix they are the blocks of its finest
+    direct-sum splitting along the basis (the chain's total-momentum fibers,
+    a fiber's sets of states linked by the coupling)."""
+    # imported here: only callers that split a matrix pay for scipy.sparse.csgraph
+    from scipy.sparse.csgraph import connected_components
+
+    pattern = sp.csr_matrix((np.ones(len(mat.indices), dtype=np.int8),
+                             mat.indices, mat.indptr), shape=mat.shape)
+    return connected_components(pattern, directed=False)[1]
 
 
 @dataclass(frozen=True, eq=False)
 class ChebyshevOperator:
-    """H on its Gershgorin interval [centre - half_width, centre + half_width]:
-    ``shifted`` is A = 2 (H - centre) / half_width, complex128, whose spectrum
-    lies in [-2, 2]; None when the half-width is 0 (H is a multiple of 1)."""
+    """H centred block by block: each connected component c of H's stored
+    pattern has its own Gershgorin interval [a_c - b_c, a_c + b_c], and
+    ``centres`` holds a_c on every row of c.  ``half_width`` is the widest
+    component's b = max_c b_c, and ``shifted`` is A = 2 (H - diag(centres)) / b,
+    complex128, whose spectrum lies in [-2, 2] since the shift is constant
+    on each block of H's direct sum; None when b is 0, where every block is
+    a multiple of 1 (at g = 0 each fiber state is a block of its own).
+    ``components`` counts the components."""
 
-    centre: float
+    centres: np.ndarray
     half_width: float
+    components: int
     shifted: sp.csr_matrix | None
 
 
 def chebyshev_operator(mat: sp.csr_matrix) -> ChebyshevOperator:
     """The ``ChebyshevOperator`` of a Hermitian CSR matrix, cast to complex
-    once so that no matvec with a complex vector upcasts it again."""
-    a, b = _gershgorin_interval(mat)
+    once so that no matvec with a complex vector upcasts it again.  On a
+    connected matrix it is the global Gershgorin interval, bit for bit."""
+    label = pattern_components(mat)
+    n_comp = int(label.max()) + 1
+    lo_rows, hi_rows = _gershgorin_discs(mat)
+    lo = np.full(n_comp, np.inf)
+    hi = np.full(n_comp, -np.inf)
+    np.minimum.at(lo, label, lo_rows)
+    np.maximum.at(hi, label, hi_rows)
+    centres = (0.5 * (hi + lo))[label]
+    b = float(np.max(0.5 * (hi - lo)))
     if b == 0.0:
-        return ChebyshevOperator(a, b, None)
-    A = (mat - a * sp.identity(mat.shape[0], format="csr")) * (2.0 / b)
-    return ChebyshevOperator(a, b, A.astype(complex, copy=False))
+        return ChebyshevOperator(centres, b, n_comp, None)
+    A = (mat - sp.diags(centres, format="csr")) * (2.0 / b)
+    return ChebyshevOperator(centres, b, n_comp, A.astype(complex, copy=False))
 
 
 @dataclass(frozen=True, eq=False)

@@ -42,7 +42,7 @@ from .fock import (
     omega_modified_grad,
     weighted_adjoint,
 )
-from .model import ModelSpec, build_fiber_H
+from .model import FormFactor, ModelSpec, build_fiber_H
 
 
 class UnsupportedGridError(GridError):
@@ -114,17 +114,35 @@ def group_velocity(grid: ModeGrid, use_modified: bool) -> np.ndarray:
 
 @dataclass
 class ConjugateOp:
-    """Dilation-type conjugate operator dGamma((v y + y v)/2) on a fiber basis."""
+    """Dilation-type conjugate operator dGamma((v y + y v)/2) on a fiber basis,
+    with the commutator's two coupling-independent operators: dGamma(|v|^2)
+    and phi(i a kappa_sigma), the field term before its factor g.  They
+    depend on the grid, the dispersion switch, the form factor and the basis
+    it was built for, and ``commutator_iHA`` refuses any other."""
 
     y: np.ndarray
-    a_op: np.ndarray
     A: sp.csr_matrix
     mesh: float
+    dgamma_v2: sp.csr_matrix
+    field_a: sp.csr_matrix
+    grid: ModeGrid
+    use_modified: bool
+    ff: FormFactor
+    basis: OccupationBasis
+
+    def check(self, ms: ModelSpec, basis: OccupationBasis):
+        """Raise ``ValueError`` unless built for the grid, dispersion switch
+        and form factor of ``ms`` and for ``basis``."""
+        if not (ms.grid is self.grid and ms.use_modified == self.use_modified
+                and ms.ff == self.ff and basis is self.basis):
+            raise ValueError("the conjugate operator was built for another grid, "
+                             "dispersion switch, form factor or basis")
 
 
 def build_conjugate(ms: ModelSpec, basis: OccupationBasis) -> ConjugateOp:
     """Assemble y, a = (v y + y v)/2 and A = dGamma(a), which must come out
-    exactly Hermitian."""
+    exactly Hermitian, and the commutator's dGamma(|v|^2) and
+    phi(i a kappa_sigma); none of them depends on the coupling g."""
     grid = ms.grid
     y = build_position_op(grid)
     vel = group_velocity(grid, ms.use_modified)
@@ -136,7 +154,12 @@ def build_conjugate(ms: ModelSpec, basis: OccupationBasis) -> ConjugateOp:
         raise AssertionError("conjugate operator lost hermiticity")
     mesh = (grid.meta.get("spacing") or grid.meta.get("dr")
             or float(np.min(np.diff(np.sort(grid.points[:, 0])))))
-    return ConjugateOp(y=y, a_op=a, A=A, mesh=float(mesh))
+    # dGamma(|v|^2) equals N for the free dispersion
+    dgamma_v2 = dGamma(basis, np.sum(vel * vel, axis=1))
+    field_a = field_op(basis, 1j * (a @ ms.coupling_samples()))
+    return ConjugateOp(y=y, A=A, mesh=float(mesh), dgamma_v2=dgamma_v2,
+                       field_a=field_a, grid=grid, use_modified=ms.use_modified,
+                       ff=ms.ff, basis=basis)
 
 
 # ---------------------------------------------------------------------------
@@ -145,23 +168,22 @@ def build_conjugate(ms: ModelSpec, basis: OccupationBasis) -> ConjugateOp:
 
 def commutator_iHA(ms: ModelSpec, P, basis: OccupationBasis,
                    conj: ConjugateOp) -> sp.csr_matrix:
-    """Explicit three-term form of [iH(P), A] on the fiber basis."""
+    """Explicit three-term form of [iH(P), A] on the fiber basis; the first
+    and the third term's operator are read off ``conj``, which must have been
+    built for the grid, dispersion switch, form factor and basis of this H."""
+    conj.check(ms, basis)
     P = np.atleast_1d(np.asarray(P, dtype=float))
-    grid = ms.grid
-    vel = group_velocity(grid, ms.use_modified)
-    # term 1: dGamma(|v|^2); equals N for the free dispersion
-    t1 = dGamma(basis, np.sum(vel * vel, axis=1))
+    vel = group_velocity(ms.grid, ms.use_modified)
     # term 2: -grad Omega(P - K(n)) . dGamma(v), diagonal in occupation
     K = basis.boson_momenta()
     gradO = ms.disp.grad(P[None, :] - K)
     dgv = basis.occ @ vel
     diag2 = -np.sum(gradO * dgv, axis=1)
     t2 = sp.diags(diag2, format="csr")
-    # term 3: -g phi(i a kappa_sigma)
-    out = t1 + t2
+    # term 1, dGamma(|v|^2), and term 3, -g phi(i a kappa_sigma)
+    out = conj.dgamma_v2 + t2
     if ms.g != 0.0:
-        t3 = field_op(basis, 1j * (conj.a_op @ ms.coupling_samples()))
-        out = out - (ms.g * t3)
+        out = out - (ms.g * conj.field_a)
     return ((out + out.conj().T) / 2.0).tocsr()
 
 
@@ -185,10 +207,11 @@ def virial_residual(comm: sp.csr_matrix, psi) -> float:
 def _window_subspace(ms: ModelSpec, P, basis: OccupationBasis, sigma_win: float):
     """Orthonormal frame of Ran E_Sigma(H) within Ran Gamma(chi_i), with the
     ground state removed; also returns (H, ground energy).  H is
-    diagonalized densely on the rows of ``interacting_mask``."""
+    diagonalized densely on the rows of ``interacting_mask``, sliced out of
+    the CSR matrix before it is densified."""
     H = build_fiber_H(ms, P, basis)
     idx = np.flatnonzero(interacting_mask(basis))
-    vals, vecs = np.linalg.eigh(H.mat.toarray()[np.ix_(idx, idx)])
+    vals, vecs = np.linalg.eigh(H.mat[idx][:, idx].toarray())
     inside = vals <= sigma_win
     if not np.any(inside):
         raise EmptySubspaceError("no spectrum in the requested window")
@@ -202,15 +225,19 @@ def _window_subspace(ms: ModelSpec, P, basis: OccupationBasis, sigma_win: float)
 
 
 def mourre_scan(ms: ModelSpec, P, basis: OccupationBasis, sigma_win: float,
-                beta: float, sample_count: int = 64, seed: int = 11) -> dict:
+                beta: float, sample_count: int = 64, seed: int = 11,
+                conj: ConjugateOp | None = None) -> dict:
     """Sample r(phi) = <phi,[iH,A]phi> - (1-beta) <phi,N phi> on the window.
 
     phi are seeded random unit vectors in Ran E_Sigma(H) (cap) Ran Gamma(chi_i),
     orthogonal to the computed ground state.  Returns min r, the positivity
-    deficit max(0, -min r), and per-sample values.
+    deficit max(0, -min r), the per-sample values and the commutator's
+    stored entries.  ``conj`` is built here when not given; a given one must
+    fit ``ms`` and ``basis`` (``ConjugateOp.check``).
     """
     H, frame, e0 = _window_subspace(ms, P, basis, sigma_win)
-    conj = build_conjugate(ms, basis)
+    if conj is None:
+        conj = build_conjugate(ms, basis)
     comm = commutator_iHA(ms, P, basis, conj)
     rng = np.random.default_rng(seed)
     m = frame.shape[1]
@@ -225,6 +252,7 @@ def mourre_scan(ms: ModelSpec, P, basis: OccupationBasis, sigma_win: float,
         "deficit": max(0.0, -min_r),
         "per_sample": values.tolist(),
         "window_dim": m,
+        "commutator_nnz": int(comm.nnz),
         "ground_energy": e0,
         "mesh": conj.mesh,
         "beta": beta,
@@ -247,13 +275,22 @@ def mourre_sweep(ms_factory, g_values, P, basis: OccupationBasis,
     not a loss.  ``shift_signs`` gives the sign of min_r(g) - min_r(0) per
     row, and ``soft_modes`` counts the grid's modes with |k| <= sigma, the
     only ones whose omega_mod depends on sigma.
+
+    The conjugate operator and the commutator's coupling-independent terms
+    are built once, from ms_factory(0.0), and every scan reads them, so the
+    factory's models must share one grid, dispersion switch and form factor.
+    ``stats`` records the basis dimension, the stored entries of A and of the
+    g = 0 commutator, the window dimension, and the scans and conjugate
+    builds the sweep ran.
     """
-    base = mourre_scan(ms_factory(0.0), P, basis, sigma_win, beta_fn(0.0),
-                       sample_count=sample_count, seed=seed)
+    ms0 = ms_factory(0.0)
+    conj = build_conjugate(ms0, basis)
+    base = mourre_scan(ms0, P, basis, sigma_win, beta_fn(0.0),
+                       sample_count=sample_count, seed=seed, conj=conj)
     rows = []
     for gg in g_values:
         rep = mourre_scan(ms_factory(gg), P, basis, sigma_win, beta_fn(gg),
-                          sample_count=sample_count, seed=seed)
+                          sample_count=sample_count, seed=seed, conj=conj)
         fitted_c = abs(rep["min_r"] - base["min_r"]) / gg if gg > 0 else 0.0
         rows.append((float(gg), rep["min_r"], fitted_c))
     gs = np.array([r[0] for r in rows])
@@ -272,4 +309,8 @@ def mourre_sweep(ms_factory, g_values, P, basis: OccupationBasis,
         "soft_modes": int(np.count_nonzero(basis.grid.soft_mask())),
         "window_dim": base["window_dim"],
         "mesh": base["mesh"],
+        "stats": {"dim": basis.size, "conjugate_nnz": int(conj.A.nnz),
+                  "commutator_nnz_g0": base["commutator_nnz"],
+                  "window_dim": base["window_dim"], "scans": 1 + len(rows),
+                  "conjugate_builds": 1},
     }

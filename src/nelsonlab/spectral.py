@@ -37,6 +37,7 @@ from .model import (
     build_fiber_H,
     fiber_diagonal,
     o_beta,
+    pattern_components,
     quadrature_C,
     velocity_bound,
 )
@@ -183,8 +184,9 @@ def ground_state(H: Hamiltonian, k: int = 2, tol: float = 1e-10) -> SpectralResu
 class SpectralCalculus:
     """Eigendecomposition of a Hamiltonian block by block, reused for f(H).
 
-    The blocks are the connected components of H's stored sparsity pattern,
-    so the full chain splits into its total-momentum fibers without being
+    The blocks are the connected components of H's stored sparsity pattern
+    (``model.pattern_components``, which H's Chebyshev operator shares), so
+    the full chain splits into its total-momentum fibers without being
     told about them.  Components of equal size are stacked and diagonalized
     by one batched ``eigh``; ``groups`` holds one (index, eigenvalue,
     eigenvector) triple per size, shaped (B, s), (B, s) and (B, s, s), and
@@ -195,15 +197,9 @@ class SpectralCalculus:
     """
 
     def __init__(self, H: Hamiltonian, limit: int = DENSE_CUTOFF):
-        # imported here: only callers of the calculus pay for scipy.sparse.csgraph
-        from scipy.sparse.csgraph import connected_components
-
         n = H.shape[0]
         mat = H.mat.tocsr()
-        # the graph is the stored pattern: an imaginary or zero value is still an edge
-        pattern = sp.csr_matrix((np.ones(len(mat.indices), dtype=np.int8),
-                                 mat.indices, mat.indptr), shape=mat.shape)
-        _, label = connected_components(pattern, directed=False)
+        label = pattern_components(mat)
         sizes = np.bincount(label)
         if sizes.max() > limit:
             raise ConfigWindowError(f"dense functional calculus capped at component size {limit}, "

@@ -25,7 +25,10 @@ was restricted to each sector's block: it reads the basis's slot tables and
 sector schedule like the package, and sums over every row and slot.
 ``chebyshev_expm_apply`` is the Chebyshev propagator with the shifted
 operator left in H's dtype, so that every matvec upcasts it to the complex
-vector's dtype again.
+vector's dtype again, and each block's centre found by a loop over the
+components that ``pattern_labels`` finds by breadth-first search; it also
+runs the series on H's one global interval, as the propagator did before
+it centred each block.
 """
 
 from __future__ import annotations
@@ -305,15 +308,55 @@ def to_position(fb, vec) -> np.ndarray:
     return phase @ vec.reshape(L, fb.boson.size)
 
 
-def chebyshev_expm_apply(mat, v, dt, tol=1e-10) -> np.ndarray:
+def pattern_labels(mat) -> np.ndarray:
+    """Connected-component label of each row of a square sparse matrix's
+    stored pattern, by breadth-first search one row at a time; components
+    are numbered in the order of their first row."""
+    mat = sp.csr_matrix(mat)
+    label = np.full(mat.shape[0], -1)
+    n_comp = 0
+    for start in range(mat.shape[0]):
+        if label[start] >= 0:
+            continue
+        label[start] = n_comp
+        queue = [start]
+        while queue:
+            row = queue.pop()
+            for col in mat.indices[mat.indptr[row]:mat.indptr[row + 1]]:
+                if label[col] < 0:
+                    label[col] = n_comp
+                    queue.append(col)
+        n_comp += 1
+    return label
+
+
+def chebyshev_expm_apply(mat, v, dt, tol=1e-10, per_component=True) -> np.ndarray:
     """exp(-i dt H) v by the Chebyshev series of ``dynamics.krylov_expm_apply``,
-    with A = 2 (H - a) / b kept in H's dtype and upcast by each matvec."""
-    a, b = _gershgorin_interval(mat)
-    phase = np.exp(-1j * a * dt)
+    with A = 2 (H - D) / b kept in H's dtype and upcast by each matvec.
+
+    With ``per_component`` D holds, on each connected component of H's
+    pattern (``pattern_labels``), the centre of the Gershgorin interval of
+    that component's block, found in a loop over the components, and b is
+    the largest of their half-widths; without it D and b are the centre and
+    half-width of H's one global Gershgorin interval."""
+    mat = sp.csr_matrix(mat)
+    n = mat.shape[0]
+    if per_component:
+        label = pattern_labels(mat)
+        centres, b = np.empty(n), 0.0
+        for c in range(label.max() + 1):
+            rows = np.flatnonzero(label == c)
+            a_c, b_c = _gershgorin_interval(mat[rows][:, rows])
+            centres[rows] = a_c
+            b = max(b, b_c)
+    else:
+        a, b = _gershgorin_interval(mat)
+        centres = np.full(n, a)
+    phase = np.exp(-1j * centres * dt)
     if b == 0.0 or dt == 0:
         return phase * v
     c = _chebyshev_coefficients(b * dt, tol)
-    A = (mat - a * sp.identity(mat.shape[0], format="csr")) * (2.0 / b)
+    A = (mat - sp.diags(centres)) * (2.0 / b)
     w_prev = np.asarray(v, dtype=complex)
     w = 0.5 * (A @ w_prev)
     out = c[0] * w_prev

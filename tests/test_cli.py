@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy
 
+import oracles
 from nelsonlab import algebra, cli, dynamics, model, mourre, spectral
 
 TRACK_HEADER = "t,value,norm_drift,energy_drift,config_hash"
@@ -220,6 +221,31 @@ class TestCommands:
         assert len(rep["per_sample_g0"]) == cli.SCHEMA["mourre.samples"][1]
         assert min(rep["per_sample_g0"]) == rep["min_r_g0"]
 
+    def test_mourre_manifest_records_sweep_stats(self, tmp_path, monkeypatch):
+        """The basis dimension, the nnz of A and of the g = 0 commutator, the
+        window and the scans and conjugate builds the sweep ran go into the
+        manifest, not into the report; one conjugate serves the whole sweep."""
+        calls = {"build_conjugate": 0, "mourre_scan": 0}
+        for name in calls:
+            real = getattr(mourre, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(mourre, name, spy)
+        assert run(["mourre", "--out", str(tmp_path)]) == cli.EXIT_PASS
+        assert calls == {"build_conjugate": 1, "mourre_scan": 5}
+        stats = json.loads((tmp_path / "mourre_manifest.json").read_text())["stats"]
+        rep = json.loads((tmp_path / "mourre_report.json").read_text())
+        mk, _, basis, _ = cli._mourre_setup(cli.RunConfig(values=cli.parse_config(None)))
+        conj = mourre.build_conjugate(mk(0.0), basis)
+        comm = mourre.commutator_iHA(mk(0.0), [cli.SCHEMA["mourre.p"][1]], basis, conj)
+        assert stats == {"dim": basis.size, "conjugate_nnz": conj.A.nnz,
+                         "commutator_nnz_g0": comm.nnz, "window_dim": rep["window_dim"],
+                         "scans": 5, "conjugate_builds": 1}
+        assert "stats" not in rep
+
     def test_report_fails_hollow_reports(self, tmp_path):
         # no block, an empty block, a block that is not an object, and no JSON object at all
         for text in ("{}", '{"verdicts": {}}', '{"verdicts": "yes"}', "[]", "not json"):
@@ -280,13 +306,33 @@ class TestCommands:
 
     def test_evolve_fails_all_three_verdicts_at_a_coarse_step_tolerance(self, tmp_path):
         """Negative control: a series cut at 1e-4 misses the dense oracle, the
-        g = 0 phases and the conservation bounds, and evolve exits 1."""
+        coupled ground state's phase and the conservation bounds, and evolve
+        exits 1."""
         path = write_cfg(tmp_path, "dynamics.step_tol = 1e-4\n")
         assert run(["evolve", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_VERDICT
         rep = json.loads((tmp_path / "evolve_report.json").read_text())
         assert rep["verdicts"] == {"conservation": False, "phase_exact": False,
                                    "dense_agrees": False}
-        assert rep["dense_mismatch"] > 1e-8 and rep["phase_defect_g0"] > 1e-8
+        assert rep["dense_mismatch"] > 1e-8 and rep["phase_defect_ground"] > 1e-8
+
+    def test_evolve_phase_check_uses_the_coupled_ground_state(self, tmp_path):
+        """``phase_defect_ground`` is ||exp(-iHt) psi0 - exp(-iE0 t) psi0|| at
+        t = 5 for the ground state psi0 of the coupled fiber H, against dense
+        expm: at g = 0 every fiber state is its own block, so a g = 0 phase
+        would be exact whatever the series does."""
+        from scipy.linalg import expm as dense_expm
+
+        assert run(["evolve", "--out", str(tmp_path)]) == cli.EXIT_PASS
+        rep = json.loads((tmp_path / "evolve_report.json").read_text())
+        ms, basis = cli.build_model(cli.RunConfig(values=cli.parse_config(None)))
+        assert ms.g != 0.0
+        H = model.build_fiber_H(ms, [cli.SCHEMA["mourre.p"][1]], basis)
+        assert H.chebyshev.components > 1
+        vals, vecs = np.linalg.eigh(H.mat.toarray())
+        want = np.linalg.norm(dense_expm(-5j * H.mat.toarray()) @ vecs[:, 0]
+                              - np.exp(-5j * vals[0]) * vecs[:, 0])
+        assert rep["phase_defect_ground"] < 1e-8 and want < 1e-12
+        assert rep["phase_defect_ground"] == pytest.approx(want, abs=1e-9)
 
     def test_evolve_report_is_strict_json_without_dense_oracle(self, tmp_path):
         def no_constant(name):
@@ -455,7 +501,8 @@ class TestCommands:
 
     @pytest.mark.parametrize("command", ["evolve", "w"])
     def test_propagation_manifest_records_chebyshev_stats(self, tmp_path, monkeypatch, command):
-        """H's dimension and nnz, its Chebyshev interval, the grid's interval
+        """H's dimension and nnz, the number of components its Chebyshev
+        operator centres and the widest one's half-width, the grid's interval
         count and the series terms summed over the grid go into the manifest,
         not into the report; the terms are those the propagator summed."""
         lengths = []
@@ -469,11 +516,14 @@ class TestCommands:
         monkeypatch.setattr(dynamics, "_chebyshev_coefficients", spy)
         assert run([command, "--out", str(tmp_path)]) == cli.EXIT_PASS
         stats = json.loads((tmp_path / f"{command}_manifest.json").read_text())["stats"]
-        assert set(stats) == {"dim", "nnz", "chebyshev_centre", "chebyshev_half_width",
+        assert set(stats) == {"dim", "nnz", "chebyshev_components", "chebyshev_half_width",
                               "intervals", "series_terms"}
         n = stats["intervals"]
         assert n == 12 and stats["dim"] == 91 and stats["nnz"] > stats["dim"]
-        assert stats["chebyshev_half_width"] > 0
+        ms, basis = cli.build_model(cli.RunConfig(values=cli.parse_config(None)))
+        H = model.build_fiber_H(ms, [0.25], basis)
+        assert stats["chebyshev_components"] == oracles.pattern_labels(H.mat).max() + 1 > 1
+        assert 0 < stats["chebyshev_half_width"] < model._gershgorin_interval(H.mat)[1]
         # the track's propagation first, the stats' own count last
         assert lengths[:n] == lengths[-n:] and stats["series_terms"] == sum(lengths[:n])
         rep = json.loads((tmp_path / f"{cli.REPORTS[command]}.json").read_text())

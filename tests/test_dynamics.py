@@ -140,31 +140,75 @@ class TestKrylov:
         np.testing.assert_array_equal(dynamics.krylov_expm_apply(H.mat, v, dt, tol=1e-11),
                                       oracles.chebyshev_expm_apply(H.mat, v, dt, tol=1e-11))
 
+    def test_connected_H_reproduces_the_single_interval_bits(self, rng):
+        """On a matrix with one component the block centring is the global
+        Gershgorin interval: the same bits as the single-interval series."""
+        X = rng.normal(size=(60, 60))
+        mat = sp.csr_matrix(X + X.T)
+        assert model.chebyshev_operator(mat).components == 1
+        v = rng.normal(size=60) + 1j * rng.normal(size=60)
+        for dt in (1.0, 12.0, 29.0):
+            np.testing.assert_array_equal(
+                dynamics.krylov_expm_apply(mat, v, dt, tol=1e-11),
+                oracles.chebyshev_expm_apply(mat, v, dt, tol=1e-11, per_component=False))
+
     def test_gershgorin_interval_contains_spectrum(self, fiber_setup, lattice_setup):
+        """Each component c of the pattern has one centre a_c, its block's
+        eigenvalues lie in [a_c - b, a_c + b], b is the widest block's
+        Gershgorin half-width and no wider than the global one."""
         for H in (fiber_setup[2], lattice_setup[2]):
-            a, b = model._gershgorin_interval(H.mat)
-            ev = np.linalg.eigvalsh(H.mat.toarray())
-            assert a - b <= ev[0] and ev[-1] <= a + b
-            assert (H.chebyshev.centre, H.chebyshev.half_width) == (a, b)
+            op = H.chebyshev
+            label = oracles.pattern_labels(H.mat)
+            assert op.components == label.max() + 1 > 1
+            dense = H.mat.toarray()
+            widths = []
+            for c in range(op.components):
+                rows = np.flatnonzero(label == c)
+                assert np.all(op.centres[rows] == op.centres[rows[0]])
+                ev = np.linalg.eigvalsh(dense[np.ix_(rows, rows)])
+                a_c = op.centres[rows[0]]
+                assert a_c - op.half_width <= ev[0] and ev[-1] <= a_c + op.half_width
+                widths.append(model._gershgorin_interval(H.mat[rows][:, rows])[1])
+            assert op.half_width == max(widths)
+            assert op.half_width < model._gershgorin_interval(H.mat)[1]
+            assert np.abs(np.linalg.eigvalsh(op.shifted.toarray())).max() <= 2.0 + 1e-12
+
+    @pytest.mark.parametrize("which", ["line12-n3", "lattice32"])
+    def test_block_centred_series_matches_dense_expm(self, nonrel, ff, which):
+        if which == "line12-n3":
+            grid = fock.line_grid(12, 1.5, 0.2)
+            H = model.build_fiber_H(model.ModelSpec(nonrel, ff, grid, 0.05), [0.25],
+                                    fock.build_basis(grid, 3))
+        else:
+            grid = fock.lattice_grid(32, [-8, -6, -4, 4, 6, 8], 0.2)
+            ms = model.ModelSpec(nonrel, ff, grid, 0.05)
+            H = model.build_full_H(ms, model.full_basis(ms, 32, 1))
+        assert H.chebyshev.components > 1
+        rng = np.random.default_rng(5)
+        v = rng.normal(size=H.shape[0]) + 1j * rng.normal(size=H.shape[0])
+        v /= np.linalg.norm(v)
+        for t in (1.0, 29.0, 100.0):
+            u_d = dense_expm(-1j * t * H.mat.toarray()) @ v
+            assert np.linalg.norm(dynamics.krylov_expm_apply(H, v, t, tol=1e-12) - u_d) < 1e-8
 
     def test_one_chebyshev_operator_per_hamiltonian(self, ms_default, basis12, rng,
                                                     monkeypatch):
         """A 12-interval grid, a second propagation of the same H and a
-        ``replace`` of the first compute the Gershgorin interval and the
+        ``replace`` of the first label the pattern's components and build the
         shifted operator once between them."""
         H = model.build_fiber_H(ms_default, [0.25], basis12)
-        calls = {"interval": 0, "operator": 0}
-        interval, operator = model._gershgorin_interval, model.chebyshev_operator
+        calls = {"components": 0, "operator": 0}
+        components, operator = model.pattern_components, model.chebyshev_operator
 
-        def spy_interval(mat):
-            calls["interval"] += 1
-            return interval(mat)
+        def spy_components(mat):
+            calls["components"] += 1
+            return components(mat)
 
         def spy_operator(mat):
             calls["operator"] += 1
             return operator(mat)
 
-        monkeypatch.setattr(model, "_gershgorin_interval", spy_interval)
+        monkeypatch.setattr(model, "pattern_components", spy_components)
         for module in (model, dynamics):
             monkeypatch.setattr(module, "chebyshev_operator", spy_operator)
         times = dynamics.geometric_times(1.0, 100.0, 1.5)
@@ -175,7 +219,7 @@ class TestKrylov:
         assert dynamics.check_conservation(track)
         list(dynamics.snapshots(dynamics.Propagation(H, v[::-1].copy(), times)))
         list(dynamics.snapshots(replace(prop, state=v)))
-        assert calls == {"interval": 1, "operator": 1}
+        assert calls == {"components": 1, "operator": 1}
 
     @pytest.mark.parametrize("kind", [complex, float])
     def test_input_vector_is_never_written(self, fiber_setup, rng, kind):
@@ -202,6 +246,29 @@ class TestKrylov:
         for t in (3.0, -7.5):
             u = dynamics.krylov_expm_apply(H.mat, v, t, tol=1e-12)
             assert np.abs(u - np.exp(-1j * E * t) * v).max() < 1e-14
+
+    def test_single_state_components_turn_by_their_own_phase(self, ms_default, basis12):
+        """A state that is a component of its own turns by exp(-i H_ii t): to
+        the series tolerance next to wider blocks, and exactly when every
+        component is a single state (g = 0), where no series is summed."""
+        H = model.build_fiber_H(ms_default, [0.25], basis12)
+        label = oracles.pattern_labels(H.mat)
+        single = np.flatnonzero(np.bincount(label)[label] == 1)
+        assert single.size and H.chebyshev.half_width > 0
+        d = H.mat.diagonal()
+        for t in (1.0, 29.0, 100.0):
+            for i in single:
+                e = np.zeros(basis12.size, dtype=complex)
+                e[i] = 1.0
+                u = dynamics.krylov_expm_apply(H, e, t, tol=1e-12)
+                assert abs(u[i] - np.exp(-1j * d[i] * t)) <= 1e-12
+                assert np.count_nonzero(u) == 1
+        ms0 = model.ModelSpec(ms_default.disp, ms_default.ff, ms_default.grid, 0.0)
+        H0 = model.build_fiber_H(ms0, [0.25], basis12)
+        assert H0.chebyshev.components == basis12.size and H0.chebyshev.shifted is None
+        v = np.arange(basis12.size) + 1j
+        assert np.array_equal(dynamics.krylov_expm_apply(H0, v, 5.0),
+                              np.exp(-1j * H0.mat.diagonal() * 5.0) * v)
 
     def test_chebyshev_coefficients_are_bessel(self):
         from scipy.special import jv

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import oracles
 from nelsonlab import fock, model, mourre, spectral
@@ -83,12 +84,18 @@ class TestPositionOp:
         assert np.abs(y - fock.weighted_adjoint(grid, grid, y)).max() < 1e-15 * scale
 
 
+def generator(ms, conj):
+    """The one-boson generator a = (v y + y v)/2 of ``conj`` on a line grid."""
+    v = mourre.group_velocity(ms.grid, ms.use_modified)[:, 0]
+    return (v[:, None] * conj.y + conj.y * v[None, :]) / 2.0
+
+
 class TestCommutator:
     def test_conjugate_hermitian(self, msetup):
-        _, grid, _, conj = msetup
+        ms, grid, _, conj = msetup
         assert (conj.A - conj.A.conj().T).count_nonzero() == 0
-        a_adj = fock.weighted_adjoint(grid, grid, conj.a_op)
-        assert np.abs(conj.a_op - a_adj).max() < 1e-14
+        a = generator(ms, conj)
+        assert np.abs(a - fock.weighted_adjoint(grid, grid, a)).max() < 1e-14
 
     def test_conjugate_refuses_inexact_hermiticity(self, msetup, monkeypatch):
         ms, _, basis, _ = msetup
@@ -101,6 +108,39 @@ class TestCommutator:
         monkeypatch.setattr(mourre, "dGamma", skewed)
         with pytest.raises(AssertionError):
             mourre.build_conjugate(ms, basis)
+
+    @pytest.mark.parametrize("g", [0.05, 0.0])
+    def test_commutator_reads_the_conjugate_bit_for_bit(self, msetup, g):
+        """The hoisted dGamma(|v|^2) and phi(i a kappa_sigma) enter in the
+        order of the three-term form built afresh, so no bit moves."""
+        ms, grid, basis, conj = msetup
+        msg = model.ModelSpec(ms.disp, ms.ff, grid, g)
+        vel = mourre.group_velocity(grid, msg.use_modified)
+        gradO = msg.disp.grad(np.array([[0.25]]) - basis.boson_momenta())
+        out = (fock.dGamma(basis, np.sum(vel * vel, axis=1))
+               + sp.diags(-np.sum(gradO * (basis.occ @ vel), axis=1), format="csr"))
+        if g != 0.0:
+            out = out - g * fock.field_op(basis, 1j * (generator(ms, conj) @ msg.coupling_samples()))
+        want = ((out + out.conj().T) / 2.0).tocsr()
+        got = mourre.commutator_iHA(msg, [0.25], basis, conj)
+        assert np.array_equal(got.toarray(), want.toarray())
+
+    def test_conjugate_refuses_another_model(self, msetup):
+        ms, grid, basis, conj = msetup
+        others = [
+            (model.ModelSpec(ms.disp, ms.ff, fock.line_grid(8, 1.6, SIGMA), ms.g), basis),
+            (model.ModelSpec(ms.disp, ms.ff, grid, ms.g, use_modified=False), basis),
+            (model.ModelSpec(ms.disp, model.FormFactor(2.0, 1.0, SIGMA), grid, ms.g), basis),
+            (ms, fock.build_basis(grid, 2)),
+        ]
+        for other, b in others:
+            with pytest.raises(ValueError, match="built for another"):
+                mourre.commutator_iHA(other, [0.25], b, conj)
+            with pytest.raises(ValueError, match="built for another"):
+                mourre.mourre_scan(other, [0.25], b, 0.32, 0.7, sample_count=4, conj=conj)
+        # another coupling and another electron dispersion share the conjugate
+        rel = model.ModelSpec(model.DispersionLaw("rel", 1.0), ms.ff, grid, 0.2)
+        mourre.commutator_iHA(rel, [0.25], basis, conj)
 
     def test_vacuum_expectation_vanishes(self, msetup):
         ms, _, basis, conj = msetup
@@ -208,6 +248,44 @@ class TestScan:
         N = fock.number_op(basis)
         R = frame.conj().T @ (comm @ frame) - (1 - beta) * (frame.conj().T @ (N @ frame))
         assert np.linalg.eigvalsh((R + R.conj().T) / 2).min() >= -1e-10
+
+    def test_window_sliced_before_densifying(self, msetup):
+        """The interacting rows sliced out of the CSR matrix give the same
+        frame and ground energy, bit for bit, as slicing the dense H."""
+        ms, _, basis, _ = msetup
+        H, frame, e0 = mourre._window_subspace(ms, [0.25], basis, 0.32)
+        idx = np.flatnonzero(fock.interacting_mask(basis))
+        vals, vecs = np.linalg.eigh(H.mat.toarray()[np.ix_(idx, idx)])
+        want = np.zeros_like(frame)
+        want[idx, :] = vecs[:, vals <= 0.32][:, 1:]
+        assert np.array_equal(frame, want) and e0 == vals[0]
+
+    def test_scan_with_given_conjugate_is_bit_identical(self, msetup):
+        ms, _, basis, conj = msetup
+        own = mourre.mourre_scan(ms, [0.25], basis, 0.32, 0.7, sample_count=16, seed=5)
+        given = mourre.mourre_scan(ms, [0.25], basis, 0.32, 0.7, sample_count=16, seed=5,
+                                   conj=conj)
+        assert own == given
+
+    def test_sweep_builds_one_conjugate(self, msetup, nonrel, monkeypatch):
+        """One conjugate serves every scan of a sweep, and ``stats`` says so."""
+        ms, grid, basis, _ = msetup
+        calls = {"build_conjugate": 0, "mourre_scan": 0}
+        for name in calls:
+            real = getattr(mourre, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(mourre, name, spy)
+        sweep = mourre.mourre_sweep(lambda gg: model.ModelSpec(nonrel, ms.ff, grid, gg),
+                                    [0.02, 0.04, 0.08], [0.25], basis, 0.32,
+                                    lambda gg: 0.8)
+        assert calls == {"build_conjugate": 1, "mourre_scan": 4}
+        stats = sweep["stats"]
+        assert (stats["scans"], stats["conjugate_builds"]) == (4, 1)
+        assert stats["dim"] == basis.size and stats["window_dim"] == sweep["window_dim"]
 
     def test_batched_samples_match_per_sample_loop(self, msetup):
         """All samples at once give the per-sample quadratic forms of the
