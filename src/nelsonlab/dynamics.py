@@ -159,8 +159,8 @@ def krylov_expm_apply(H: Hamiltonian | sp.csr_matrix, v: np.ndarray, dt: float,
     ``tol`` errs by at most tol ||v||.  b is the widest block's half-width,
     not the spread of the blocks' centres, so the series is as long as that
     block needs.  A degree-N sum costs N matvecs and lies in the Krylov
-    space K_{N+1}(H, v), hence the name.  When every component has width 0
-    the result is the phase alone, exact.
+    space K_{N+1}(H - D, v), before the phase per state, hence the name.
+    When every component has width 0 the result is the phase alone, exact.
 
     ``H`` is a ``Hamiltonian``, whose cached ``chebyshev`` operator (the
     centres, b and the complex A = 2 (H - D) / b) every call then shares, or

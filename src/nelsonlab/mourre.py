@@ -42,7 +42,7 @@ from .fock import (
     omega_modified_grad,
     weighted_adjoint,
 )
-from .model import FormFactor, ModelSpec, build_fiber_H
+from .model import ModelSpec, build_fiber_H
 
 
 class UnsupportedGridError(GridError):
@@ -117,26 +117,14 @@ class ConjugateOp:
     """Dilation-type conjugate operator dGamma((v y + y v)/2) on a fiber basis,
     with the commutator's two coupling-independent operators: dGamma(|v|^2)
     and phi(i a kappa_sigma), the field term before its factor g.  They
-    depend on the grid, the dispersion switch, the form factor and the basis
-    it was built for, and ``commutator_iHA`` refuses any other."""
+    hold for the grid, dispersion switch, form factor and basis it was built
+    for."""
 
     y: np.ndarray
     A: sp.csr_matrix
     mesh: float
     dgamma_v2: sp.csr_matrix
     field_a: sp.csr_matrix
-    grid: ModeGrid
-    use_modified: bool
-    ff: FormFactor
-    basis: OccupationBasis
-
-    def check(self, ms: ModelSpec, basis: OccupationBasis):
-        """Raise ``ValueError`` unless built for the grid, dispersion switch
-        and form factor of ``ms`` and for ``basis``."""
-        if not (ms.grid is self.grid and ms.use_modified == self.use_modified
-                and ms.ff == self.ff and basis is self.basis):
-            raise ValueError("the conjugate operator was built for another grid, "
-                             "dispersion switch, form factor or basis")
 
 
 def build_conjugate(ms: ModelSpec, basis: OccupationBasis) -> ConjugateOp:
@@ -158,8 +146,7 @@ def build_conjugate(ms: ModelSpec, basis: OccupationBasis) -> ConjugateOp:
     dgamma_v2 = dGamma(basis, np.sum(vel * vel, axis=1))
     field_a = field_op(basis, 1j * (a @ ms.coupling_samples()))
     return ConjugateOp(y=y, A=A, mesh=float(mesh), dgamma_v2=dgamma_v2,
-                       field_a=field_a, grid=grid, use_modified=ms.use_modified,
-                       ff=ms.ff, basis=basis)
+                       field_a=field_a)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +158,6 @@ def commutator_iHA(ms: ModelSpec, P, basis: OccupationBasis,
     """Explicit three-term form of [iH(P), A] on the fiber basis; the first
     and the third term's operator are read off ``conj``, which must have been
     built for the grid, dispersion switch, form factor and basis of this H."""
-    conj.check(ms, basis)
     P = np.atleast_1d(np.asarray(P, dtype=float))
     vel = group_velocity(ms.grid, ms.use_modified)
     # term 2: -grad Omega(P - K(n)) . dGamma(v), diagonal in occupation
@@ -225,19 +211,16 @@ def _window_subspace(ms: ModelSpec, P, basis: OccupationBasis, sigma_win: float)
 
 
 def mourre_scan(ms: ModelSpec, P, basis: OccupationBasis, sigma_win: float,
-                beta: float, sample_count: int = 64, seed: int = 11,
-                conj: ConjugateOp | None = None) -> dict:
+                beta: float, conj: ConjugateOp, sample_count: int = 64,
+                seed: int = 11) -> dict:
     """Sample r(phi) = <phi,[iH,A]phi> - (1-beta) <phi,N phi> on the window.
 
     phi are seeded random unit vectors in Ran E_Sigma(H) (cap) Ran Gamma(chi_i),
     orthogonal to the computed ground state.  Returns min r, the positivity
-    deficit max(0, -min r), the per-sample values and the commutator's
-    stored entries.  ``conj`` is built here when not given; a given one must
-    fit ``ms`` and ``basis`` (``ConjugateOp.check``).
+    deficit max(0, -min r), and per-sample values.  ``conj`` must have been
+    built for the grid, dispersion switch, form factor and basis of ``ms``.
     """
     H, frame, e0 = _window_subspace(ms, P, basis, sigma_win)
-    if conj is None:
-        conj = build_conjugate(ms, basis)
     comm = commutator_iHA(ms, P, basis, conj)
     rng = np.random.default_rng(seed)
     m = frame.shape[1]
@@ -252,7 +235,6 @@ def mourre_scan(ms: ModelSpec, P, basis: OccupationBasis, sigma_win: float,
         "deficit": max(0.0, -min_r),
         "per_sample": values.tolist(),
         "window_dim": m,
-        "commutator_nnz": int(comm.nnz),
         "ground_energy": e0,
         "mesh": conj.mesh,
         "beta": beta,
@@ -278,19 +260,24 @@ def mourre_sweep(ms_factory, g_values, P, basis: OccupationBasis,
 
     The conjugate operator and the commutator's coupling-independent terms
     are built once, from ms_factory(0.0), and every scan reads them, so the
-    factory's models must share one grid, dispersion switch and form factor.
-    ``stats`` records the basis dimension, the stored entries of A and of the
-    g = 0 commutator, the window dimension, and the scans and conjugate
-    builds the sweep ran.
+    factory's models must share one grid, dispersion switch and form factor;
+    a model that does not raises ``ValueError``.  ``stats`` records the
+    basis dimension, the stored entries of A and of the g = 0 commutator,
+    and the window dimension.
     """
     ms0 = ms_factory(0.0)
     conj = build_conjugate(ms0, basis)
-    base = mourre_scan(ms0, P, basis, sigma_win, beta_fn(0.0),
-                       sample_count=sample_count, seed=seed, conj=conj)
+    base = mourre_scan(ms0, P, basis, sigma_win, beta_fn(0.0), conj,
+                       sample_count=sample_count, seed=seed)
     rows = []
     for gg in g_values:
-        rep = mourre_scan(ms_factory(gg), P, basis, sigma_win, beta_fn(gg),
-                          sample_count=sample_count, seed=seed, conj=conj)
+        ms = ms_factory(gg)
+        if not (ms.grid is ms0.grid and ms.use_modified == ms0.use_modified
+                and ms.ff == ms0.ff):
+            raise ValueError("the sweep's models do not share one grid, "
+                             "dispersion switch and form factor")
+        rep = mourre_scan(ms, P, basis, sigma_win, beta_fn(gg), conj,
+                          sample_count=sample_count, seed=seed)
         fitted_c = abs(rep["min_r"] - base["min_r"]) / gg if gg > 0 else 0.0
         rows.append((float(gg), rep["min_r"], fitted_c))
     gs = np.array([r[0] for r in rows])
@@ -310,7 +297,6 @@ def mourre_sweep(ms_factory, g_values, P, basis: OccupationBasis,
         "window_dim": base["window_dim"],
         "mesh": base["mesh"],
         "stats": {"dim": basis.size, "conjugate_nnz": int(conj.A.nnz),
-                  "commutator_nnz_g0": base["commutator_nnz"],
-                  "window_dim": base["window_dim"], "scans": 1 + len(rows),
-                  "conjugate_builds": 1},
+                  "commutator_nnz_g0": int(commutator_iHA(ms0, P, basis, conj).nnz),
+                  "window_dim": base["window_dim"]},
     }

@@ -125,23 +125,6 @@ class TestCommutator:
         got = mourre.commutator_iHA(msg, [0.25], basis, conj)
         assert np.array_equal(got.toarray(), want.toarray())
 
-    def test_conjugate_refuses_another_model(self, msetup):
-        ms, grid, basis, conj = msetup
-        others = [
-            (model.ModelSpec(ms.disp, ms.ff, fock.line_grid(8, 1.6, SIGMA), ms.g), basis),
-            (model.ModelSpec(ms.disp, ms.ff, grid, ms.g, use_modified=False), basis),
-            (model.ModelSpec(ms.disp, model.FormFactor(2.0, 1.0, SIGMA), grid, ms.g), basis),
-            (ms, fock.build_basis(grid, 2)),
-        ]
-        for other, b in others:
-            with pytest.raises(ValueError, match="built for another"):
-                mourre.commutator_iHA(other, [0.25], b, conj)
-            with pytest.raises(ValueError, match="built for another"):
-                mourre.mourre_scan(other, [0.25], b, 0.32, 0.7, sample_count=4, conj=conj)
-        # another coupling and another electron dispersion share the conjugate
-        rel = model.ModelSpec(model.DispersionLaw("rel", 1.0), ms.ff, grid, 0.2)
-        mourre.commutator_iHA(rel, [0.25], basis, conj)
-
     def test_vacuum_expectation_vanishes(self, msetup):
         ms, _, basis, conj = msetup
         comm = mourre.commutator_iHA(ms, [0.25], basis, conj)
@@ -230,10 +213,10 @@ class TestVirial:
 
 class TestScan:
     def test_g_zero_min_r_nonnegative(self, msetup):
-        ms, grid, basis, _ = msetup
+        ms, grid, basis, conj = msetup
         ms0 = model.ModelSpec(ms.disp, ms.ff, grid, 0.0)
         beta = math.sqrt(2 * 0.32)
-        rep = mourre.mourre_scan(ms0, [0.25], basis, 0.32, beta, sample_count=64)
+        rep = mourre.mourre_scan(ms0, [0.25], basis, 0.32, beta, conj, sample_count=64)
         assert rep["min_r"] >= -1e-10
         assert rep["window_dim"] >= 1
 
@@ -260,15 +243,8 @@ class TestScan:
         want[idx, :] = vecs[:, vals <= 0.32][:, 1:]
         assert np.array_equal(frame, want) and e0 == vals[0]
 
-    def test_scan_with_given_conjugate_is_bit_identical(self, msetup):
-        ms, _, basis, conj = msetup
-        own = mourre.mourre_scan(ms, [0.25], basis, 0.32, 0.7, sample_count=16, seed=5)
-        given = mourre.mourre_scan(ms, [0.25], basis, 0.32, 0.7, sample_count=16, seed=5,
-                                   conj=conj)
-        assert own == given
-
     def test_sweep_builds_one_conjugate(self, msetup, nonrel, monkeypatch):
-        """One conjugate serves every scan of a sweep, and ``stats`` says so."""
+        """One conjugate serves every scan of a sweep."""
         ms, grid, basis, _ = msetup
         calls = {"build_conjugate": 0, "mourre_scan": 0}
         for name in calls:
@@ -284,14 +260,31 @@ class TestScan:
                                     lambda gg: 0.8)
         assert calls == {"build_conjugate": 1, "mourre_scan": 4}
         stats = sweep["stats"]
-        assert (stats["scans"], stats["conjugate_builds"]) == (4, 1)
         assert stats["dim"] == basis.size and stats["window_dim"] == sweep["window_dim"]
+
+    def test_sweep_refuses_models_off_its_conjugate(self, msetup):
+        """The sweep's one conjugate holds only for the grid, dispersion
+        switch and form factor of ms_factory(0.0); another coupling and
+        another electron dispersion share it."""
+        ms, grid, basis, _ = msetup
+        others = [
+            lambda gg: model.ModelSpec(ms.disp, ms.ff, fock.line_grid(8, 1.6, SIGMA), gg),
+            lambda gg: model.ModelSpec(ms.disp, ms.ff, grid, gg, use_modified=False),
+            lambda gg: model.ModelSpec(ms.disp, model.FormFactor(2.0, 1.0, SIGMA), grid, gg),
+        ]
+        for other in others:
+            mk = lambda gg, o=other: o(gg) if gg else model.ModelSpec(ms.disp, ms.ff, grid, gg)
+            with pytest.raises(ValueError, match="do not share"):
+                mourre.mourre_sweep(mk, [0.02], [0.25], basis, 0.32, lambda gg: 0.8)
+        rel = model.DispersionLaw("rel", 1.0)
+        mk = lambda gg: model.ModelSpec(rel if gg else ms.disp, ms.ff, grid, gg)
+        mourre.mourre_sweep(mk, [0.02], [0.25], basis, 1.5, lambda gg: 0.8)
 
     def test_batched_samples_match_per_sample_loop(self, msetup):
         """All samples at once give the per-sample quadratic forms of the
         sparse commutator and number operator, up to the order of sums."""
         ms, _, basis, conj = msetup
-        rep = mourre.mourre_scan(ms, [0.25], basis, 0.32, 0.7, sample_count=16, seed=5)
+        rep = mourre.mourre_scan(ms, [0.25], basis, 0.32, 0.7, conj, sample_count=16, seed=5)
         _, frame, _ = mourre._window_subspace(ms, [0.25], basis, 0.32)
         comm = mourre.commutator_iHA(ms, [0.25], basis, conj)
         N = fock.number_op(basis)
@@ -353,6 +346,6 @@ class TestScan:
             assert abs(r1[1] - r2[1]) <= 0.05 * max(abs(r1[1]), 1e-12)
 
     def test_empty_window_raises(self, msetup):
-        ms, grid, basis, _ = msetup
+        ms, grid, basis, conj = msetup
         with pytest.raises(mourre.EmptySubspaceError):
-            mourre.mourre_scan(ms, [0.25], basis, -5.0, 0.5)
+            mourre.mourre_scan(ms, [0.25], basis, -5.0, 0.5, conj)
