@@ -181,8 +181,8 @@ class _UIdentities:
     lands in pair coordinates directly; a lift's support is its leg's
     creation (or annihilation) pattern lifted, plus the entry that
     ``corrupt`` perturbs.  ``ueq3_dgamma`` compares diagonal operators, so
-    its support is the diagonal.  The suite's pair space has no energy cap,
-    so U is a bijection and ``s``, the inverse of t, applies U to vectors.
+    its support is the diagonal.  U is a bijection, so ``s``, the inverse
+    of t, applies U to vectors.
     ``creation``, ``annihilation`` and ``dgamma`` take stacks of draws and
     return the worst defect over the stack; ``binomial`` takes one draw.
     """

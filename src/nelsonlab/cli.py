@@ -59,10 +59,6 @@ def _parse_bool(s: str) -> bool:
     raise ConfigError(f"not a boolean: {s!r}")
 
 
-def _parse_optfloat(s: str):
-    return None if s.lower() in ("none", "") else float(s)
-
-
 def _parse_floatlist(s: str):
     return tuple(float(x) for x in s.split(";") if x.strip())
 
@@ -89,7 +85,6 @@ SCHEMA = {
     "grid.n_modes": (int, 12),
     "grid.kmax": (float, 1.5),
     "basis.n_max": (int, 2),
-    "basis.e_cap": (_parse_optfloat, None),
     "solver.tol": (_above(float), 1e-10),
     "scan.p_min": (float, 0.0),
     "scan.p_max": (float, 0.8),
@@ -141,8 +136,6 @@ class RunConfig:
     def _fmt(v):
         if isinstance(v, tuple):
             return ";".join(str(x) for x in v)
-        if v is None:
-            return "none"
         return str(v)
 
     def hash(self) -> str:
@@ -289,7 +282,7 @@ def build_model(cfg: RunConfig) -> tuple:
     else:
         raise ConfigError("grid.dim must be 1 or 3")
     ms = model.ModelSpec(disp, ff, grid, v["model.g"], v["model.use_modified"])
-    basis = fock.build_basis(grid, v["basis.n_max"], v["basis.e_cap"])
+    basis = fock.build_basis(grid, v["basis.n_max"])
     return ms, basis
 
 
@@ -406,7 +399,7 @@ def cmd_mourre(cfg: RunConfig) -> int:
         "soft_modes": sweep["soft_modes"],
         "shift_signs": sweep["shift_signs"],
         "mesh": sweep["mesh"],
-        "caps": {"n_max": basis.n_max, "e_cap": basis.e_cap},
+        "caps": {"n_max": basis.n_max},
         "rows": sweep["rows"],
     }, {"min_r0_nonnegative": sweep["min_r0"] >= -1e-10}, stats=sweep["stats"])
 

@@ -419,7 +419,7 @@ def W_plus_probe(ms: ModelSpec, P, prop: Propagation, cuts: CutoffFamily,
     Both filters come from one ``SpectralCalculus`` of H_ext, applied block
     by block: H(P) is its block on the outer vacuum, so f(H) psi is f(H_ext)
     on psi placed there.  The splitting is ``split.apply_breve_gamma``, the
-    product (Gamma(j0) x Gamma(jinf)) I* on the vector, exact on the caps
+    product (Gamma(j0) x Gamma(jinf)) I* on the vector, exact on N <= n_max
     since each Gamma conserves its own leg's boson number; no array is
     larger than basis x basis, and the calculus's component limit is the
     one size refusal.  Extras: the outer-vacuum norms, the pair count
@@ -428,10 +428,6 @@ def W_plus_probe(ms: ModelSpec, P, prop: Propagation, cuts: CutoffFamily,
     from .split import apply_breve_gamma, build_tensor_basis, scattering_ident
 
     basis = prop.H.basis
-    if basis.e_cap is not None:
-        raise ConfigWindowError(f"W_plus needs a basis without energy cap: e_cap = {basis.e_cap} "
-                                "cuts the hopping of dGamma(chi_gamma), so j0 chi_gamma = 0 "
-                                "no longer routes exactly")
     tb = build_tensor_basis(basis)
     calc = SpectralCalculus(extended_fiber_H(ms, P, prop.H, tb))
     f = energy_window(f_window)

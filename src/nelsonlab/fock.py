@@ -19,22 +19,22 @@ N <= n_max - 1; number-conserving identities hold on the whole basis.
 A basis is one integer array: ``occ[c, j]`` is the occupation of mode j in
 state c, enumerated sector by sector in numpy, with ``lookup``, the exact
 lookup of occupation rows.  A truncated basis is closed under removing a boson
-(removal lowers both N and the energy), so every state c with n_j(c) > 0 has
-its parent c - e_j in the basis.  ``build_basis`` derives from ``occ`` and
+(removal lowers N), so every state c with n_j(c) > 0 has its parent c - e_j
+in the basis.  ``build_basis`` derives from ``occ`` and
 ``lookup``, once and read-only: the occupied-mode slot tables (per state, its
 at most n_max occupied modes ``slot_mode``, their sqrt(n) ``slot_root`` and
 the parent rows ``slot_parent``, one lookup per slot); the ladder table
 ``up[c, j]``, the index of c + e_j or -1 when that state lies outside
-N <= n_max or the energy cap, scattered from the slot tables, with
-``up_rows``, the states whose row of ``up`` holds an entry >= 0; and
-``sectors``, the per-sector schedule of the sector recursion, read off
-slot 0.  Every second-quantized operator is derived from these tables:
-hopping terms a*_i a_j, the sector recursions behind Gamma and dGamma2, and
-the tensor and fusion maps of ``split`` are index gathers on ``occ``, ``up``
-and the slot tables, exact on capped bases as well.  The sector recursion
-conserves the boson number: the columns of input sector n fill only the
-rows of output sector n (their range read from the target's ``sectors``),
-each through its slots s < min(n, M) and its parents in sector n - 1.  So is
+N <= n_max, scattered from the slot tables, with ``up_rows``, the states
+whose row of ``up`` holds an entry >= 0; and ``sectors``, the per-sector
+schedule of the sector recursion, read off slot 0.  Every second-quantized
+operator is derived from these tables: hopping terms a*_i a_j, the sector
+recursions behind Gamma and dGamma2, and the tensor and fusion maps of
+``split`` are index gathers on ``occ``, ``up`` and the slot tables.  The
+sector recursion conserves the boson number: the columns of input sector n
+fill only the rows of output sector n (their range read from the target's
+``sectors``), each through its slots s < min(n, M) and its parents in
+sector n - 1.  So is
 ``dGamma_expectation``, which reads <psi, dGamma(b) psi> from the M x M
 one-boson density matrix rho_ij = <a_i psi, a_j psi>, one gather on the
 ``up_rows`` of ``up`` (every other row of a_j psi is zero), without
@@ -71,7 +71,7 @@ class GridError(ValueError):
 
 
 class BasisError(ValueError):
-    """Invalid basis configuration (e.g. energy cap excludes the vacuum)."""
+    """Invalid basis configuration (a negative n_max)."""
 
 
 class DimensionMismatchError(ValueError):
@@ -303,7 +303,6 @@ class OccupationBasis:
 
     grid: ModeGrid
     n_max: int
-    e_cap: float | None
     occ: np.ndarray = field(repr=False)
     up: np.ndarray = field(repr=False)
     up_rows: np.ndarray = field(repr=False)
@@ -372,28 +371,22 @@ def _next_sector(rows: np.ndarray, first: np.ndarray):
     return new, mode
 
 
-def build_basis(grid: ModeGrid, n_max: int, e_cap: float | None = None) -> OccupationBasis:
-    """Enumerate occupation states with N <= n_max (and energy <= e_cap if set).
+def build_basis(grid: ModeGrid, n_max: int) -> OccupationBasis:
+    """Enumerate occupation states with N <= n_max.
 
     Sector n is built from sector n - 1 and sorted ascending
-    lexicographically.  A capped basis is closed under removing a boson, so
-    filtering each new sector by its energy caps the whole basis."""
+    lexicographically."""
     if n_max < 0:
         raise BasisError("n_max must be nonnegative")
-    M, omega = grid.n_modes, grid.omega_mod
+    M = grid.n_modes
     rows, first = np.zeros((1, M), dtype=np.int64), np.array([M - 1])
     blocks = []
     for n in range(n_max + 1):
         if n:
             rows, first = _next_sector(rows, first)
-        if e_cap is not None:
-            keep = rows @ omega <= e_cap
-            rows, first = rows[keep], first[keep]
         order = np.lexsort(rows.T[::-1])
         rows, first = rows[order], first[order]
         blocks.append(rows)
-    if not len(blocks[0]):
-        raise BasisError("energy cap excludes even the vacuum")
     occ = np.concatenate(blocks)
     lookup = _row_index(occ)
     # the occupied modes of each state first, padding slots after them
@@ -418,7 +411,7 @@ def build_basis(grid: ModeGrid, n_max: int, e_cap: float | None = None) -> Occup
     for table in (occ, up, up_rows, slot_mode, slot_root, slot_parent,
                   *(t for sector in sectors for t in sector)):
         table.flags.writeable = False
-    return OccupationBasis(grid=grid, n_max=n_max, e_cap=e_cap, occ=occ, up=up, up_rows=up_rows,
+    return OccupationBasis(grid=grid, n_max=n_max, occ=occ, up=up, up_rows=up_rows,
                            slot_mode=slot_mode, slot_root=slot_root, slot_parent=slot_parent,
                            sectors=tuple(sectors), lookup=lookup)
 
@@ -473,7 +466,7 @@ def _creation_entries(basis: OccupationBasis, h):
 def creation_op(basis: OccupationBasis, h) -> sp.csr_matrix:
     """Smeared creation operator a*(h) = sum_j sqrt(w_j) h_j a*_j.
 
-    States pushed past n_max (or the energy cap) are projected out.
+    States pushed past n_max are projected out.
     """
     rows, cols, _, data = _creation_entries(basis, h)
     return _coo(basis, rows, cols, data)
@@ -552,10 +545,9 @@ def dGamma_expectation(basis: OccupationBasis, b, psi) -> complex:
     (a_j psi)[p] = sqrt(n_j(p) + 1) psi[up[p, j]], and rho = A^H A.  A is
     gathered only on ``basis.up_rows``: on any other row p every up[p, j] is
     -1, so p + e_j lies outside the basis for every j and row p of A is
-    exactly zero, adding nothing to rho (the top sector N = n_max and the
-    capped states are such rows; at n_max = 0 there is no other row).
-    Exact on capped bases for the same reason as ``dGamma``; up is -1 on
-    the truncated entries, whose gathered psi[-1] is multiplied by 0.
+    exactly zero, adding nothing to rho (the rows of the top sector
+    N = n_max are such rows; at n_max = 0 there is no other row).  up is -1
+    on the truncated entries, whose gathered psi[-1] is multiplied by 0.
     """
     bo = to_ortho(basis.grid, basis.grid, _as_mode_matrix(basis, b))
     psi = _check_state(basis, psi)
@@ -581,11 +573,11 @@ def _sector_recursion(basis_in: OccupationBasis, basis_out: OccupationBasis | No
     rows from the rows of sector n - 1 through their slots s < min(n, M)
     alone: every other row and slot would add an exact zero.  The recursion
     fills that block only, in the slot order of the full sum, so each
-    nonzero entry is rounded as it would be there.  The projections onto
-    the target caps commute with this recursion because a capped basis is
-    closed under removing a boson: an empty input or output sector ends it.
-    The sectors and their row ranges are read from the ``sectors`` of both
-    bases and a* from the slot tables of ``basis_out``.  A given ``G``,
+    nonzero entry is rounded as it would be there.  A target with a smaller
+    n_max projects out the input sectors above it: the recursion stops at
+    the last sector the two bases share.  The sectors and their row ranges
+    are read from the ``sectors`` of both bases and a* from the slot tables
+    of ``basis_out``.  A given ``G``,
     Gamma(a) as this recursion returns it, is read instead of rebuilt.
 
     Mode maps of two or more axes may carry leading batch axes: a stack
@@ -623,8 +615,6 @@ def _sector_recursion(basis_in: OccupationBasis, basis_out: OccupationBasis | No
                      dtype=complex)
     for n, ((c, j, p, scale), (rows, *_)) in enumerate(zip(basis_in.sectors, basis_out.sectors),
                                                       start=1):
-        if not (len(c) and len(rows)):
-            break
         # output sector n is rows lo:hi; its parents lie in rows :lo, and a
         # padding slot's parent -1 (root 0) reads the finite row lo - 1
         lo, hi, cols = rows[0], rows[-1] + 1, slice(c[0], c[-1] + 1)
@@ -653,7 +643,7 @@ def Gamma(basis_in: OccupationBasis, b, basis_out: OccupationBasis | None = None
     """Multiplicative second quantization b x ... x b per sector, dense.
 
     ``b`` maps mode coefficients of basis_in.grid to those of basis_out.grid
-    (rectangular allowed).  Sectors that exceed the target caps are projected.
+    (rectangular allowed).  Sectors above the target's n_max are projected.
     A stack (..., M_out, M_in) of maps gives the stack of their Gammas, each
     slice bit-equal to the Gamma of that map alone; a 1-d ``b`` is diagonal.
     """

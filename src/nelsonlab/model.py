@@ -344,8 +344,7 @@ class FullBasis:
                                axes=0)
 
 
-def full_basis(ms: ModelSpec, n_sites: int, n_max: int,
-               e_cap: float | None = None) -> FullBasis:
+def full_basis(ms: ModelSpec, n_sites: int, n_max: int) -> FullBasis:
     """Product basis, validating that boson modes sit on the dual lattice."""
     from .fock import build_basis
 
@@ -356,7 +355,7 @@ def full_basis(ms: ModelSpec, n_sites: int, n_max: int,
     if ms.grid.dim != 1 or np.any(np.abs(m - m_int) > 1e-9):
         raise IncompatibleGridError("boson modes must be dual-lattice momenta 2 pi m / L")
     momenta = 2.0 * np.pi * (np.arange(L) - L // 2) / L
-    boson = build_basis(ms.grid, n_max, e_cap)
+    boson = build_basis(ms.grid, n_max)
     return FullBasis(n_sites=L, momenta=momenta, mode_m=m_int, boson=boson)
 
 

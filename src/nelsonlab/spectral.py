@@ -337,7 +337,7 @@ def dispersion_scan(ms: ModelSpec, momenta, basis: OccupationBasis,
     """
     if basis.size < 2:
         raise ConfigWindowError("the dispersion scan needs a basis beyond the vacuum "
-                                f"(n_max = {basis.n_max}, e_cap = {basis.e_cap})")
+                                f"(n_max = {basis.n_max})")
     momenta = [np.atleast_1d(np.asarray(P, dtype=float)) for P in momenta]
     if beta is not None:
         ob = o_beta(ms.disp, beta)

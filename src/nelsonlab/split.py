@@ -3,17 +3,18 @@
 Both legs of the splitting are the same Fock space, so the pair space is one
 basis paired with itself up to its n_max.  The doubled one-boson space h + h
 is a 2M-mode grid (two copies of the base grid); U maps its Fock space, with
-the same caps, onto the pairs.  In occupation coordinates U is a permutation
-isometry, the binomial weights of the sector formula being absorbed by the
+the same n_max, onto the pairs.  In occupation coordinates U is a permutation,
+the binomial weights of the sector formula being absorbed by the
 occupation-state normalization.  The pair space builds the doubled-grid basis
 and U's permutation once, on first use.
 
 breve_gamma(j0, jinf, tb) realizes the splitting map Gamma-breve(j) = U Gamma(j)
 routing each boson through the M x M pair (j0, jinf), and scattering_ident the
-fusion map I = Gamma(iota) U* with iota(h0, hinf) = h0 + hinf.  All maps are
-Galerkin projected onto the caps.  The splitting maps are dense, their rows
-placed by U's permutation, and dbreve_gamma2 reads Gamma(j) from the
-breve_gamma of the same pair, which its caller has formed.  apply_breve_gamma
+fusion map I = Gamma(iota) U* with iota(h0, hinf) = h0 + hinf.  Both
+conserve the boson number, so they are exact on N <= n_max; only the one-leg
+lifts of operators that raise it are Galerkin projected.  The splitting maps
+are dense, their rows placed by U's permutation, and dbreve_gamma2 reads
+Gamma(j) from the breve_gamma of the same pair, which its caller has formed.  apply_breve_gamma
 applies Gamma-breve(j) to one vector as (Gamma(j0) x Gamma(jinf)) I*, one
 product per pair of boson-number sectors, with neither the dense map nor the
 doubled-grid basis.  A one-leg lift
@@ -71,7 +72,7 @@ class TensorBasis:
     """A basis paired with itself: ``pairs`` is an (n_pairs, 2) array of
     (left index, right index) rows with total boson number at most n_max;
     ``lookup`` maps an array of pair rows back to their rows (-1 where absent).
-    ``sum_basis`` (the same caps on the doubled grid) and ``perm`` are built
+    ``sum_basis`` (the same n_max on the doubled grid) and ``perm`` are built
     on first use."""
 
     basis: OccupationBasis
@@ -84,15 +85,16 @@ class TensorBasis:
 
     @cached_property
     def sum_basis(self) -> OccupationBasis:
-        return build_basis(doubled_grid(self.basis.grid), self.basis.n_max, self.basis.e_cap)
+        return build_basis(doubled_grid(self.basis.grid), self.basis.n_max)
 
     @cached_property
     def perm(self) -> np.ndarray:
         """U as its permutation: the pair row of each doubled-grid state.
 
         Every doubled-grid state (n_0 | n_inf) maps to the pair state
-        |n_0> x |n_inf> with unit amplitude.  Each leg of a state inside the
-        caps is inside them too, so every state has its pair.
+        |n_0> x |n_inf> with unit amplitude.  Both sides hold every
+        occupation of total N <= n_max, so ``perm`` is a permutation of the
+        pairs.
         """
         M, occ = self.basis.grid.n_modes, self.sum_basis.occ
         t = self.lookup(np.stack([self.basis.lookup(occ[:, :M]),
@@ -129,12 +131,11 @@ def tensor_iso_U(tb: TensorBasis) -> sp.csr_matrix:
 
 
 def _placed_by_perm(functor, maps, tb: TensorBasis, **kwargs) -> np.ndarray:
-    """U functor(basis, *maps, basis_out=sum_basis): U is a permutation
-    isometry, so the functor's rows are placed by ``tb.perm``; the other
-    pairs (leg energies adding up past an energy cap) get zero rows.  Leading
+    """U functor(basis, *maps, basis_out=sum_basis): U is a permutation, so
+    the functor's rows are placed by ``tb.perm``, one on every pair.  Leading
     batch axes of the maps carry through."""
     placed = functor(tb.basis, *maps, basis_out=tb.sum_basis, **kwargs)
-    out = np.zeros(placed.shape[:-2] + (tb.size, tb.basis.size), dtype=complex)
+    out = np.empty(placed.shape[:-2] + (tb.size, tb.basis.size), dtype=complex)
     out[..., tb.perm, :] = placed
     return out
 
@@ -156,9 +157,8 @@ def apply_breve_gamma(j0: np.ndarray, jinf: np.ndarray, tb: TensorBasis, phi: np
     I* the adjoint of the fusion map ``scattering_ident(tb)`` (pass
     ``fusion_adj`` to reuse it).  I* phi, laid out as the basis x basis
     matrix X with X[pairs] = I* phi, is mapped to Gamma(j0) X Gamma(jinf)^T.
-    This is exact on the caps: each Gamma conserves its own leg's boson
-    number, so it keeps every pair's total.  An energy cap breaks it, since
-    it bounds each leg and not the pair, so a capped basis is refused.
+    This is exact on N <= n_max: each Gamma conserves its own leg's boson
+    number, so it keeps every pair's total.
 
     The same conservation makes both Gammas block diagonal by sector, and
     X is nonzero only on the sector pairs (a, b) with a + b <= n_max, which
@@ -166,8 +166,6 @@ def apply_breve_gamma(j0: np.ndarray, jinf: np.ndarray, tb: TensorBasis, phi: np
     a times sector b, left-major, and maps to G0[a, a] X[a, b] Ginf[b, b]^T.
     """
     basis = tb.basis
-    if basis.e_cap is not None:
-        raise ValueError("the factorized splitting map needs a basis without energy cap")
     if fusion_adj is None:
         fusion_adj = scattering_ident(tb).conj().T
     x = fusion_adj @ phi
@@ -205,25 +203,24 @@ def scattering_ident(tb: TensorBasis) -> sp.csr_matrix:
     """Fusion map I: F x F -> F with I(phi x a*(h_1)..a*(h_n) Omega) = a*(h_1)..a*(h_n) phi.
 
     Matrix elements are products of binomial square roots,
-    prod_m binom(nL_m + nR_m, nL_m)^(1/2).  Pairs whose fused state exceeds
-    the energy cap are projected out: their columns are zero.
+    prod_m binom(nL_m + nR_m, nL_m)^(1/2).  A pair's fused state has the
+    pair's total boson number, so it is in the basis: every column holds one
+    entry.
     """
     nl, nr = tb.basis.occ[tb.pairs[:, 0]], tb.basis.occ[tb.pairs[:, 1]]
     fused = nl + nr
-    t = tb.basis.lookup(fused)
-    keep = np.flatnonzero(t >= 0)
     # Pascal table of exact binomials (fixed-width factorials overflow past 20!)
     top = fused.max(initial=0) + 1
     binom = np.array([[math.comb(n, k) for k in range(top)] for n in range(top)], dtype=float)
     amp = np.prod(binom[fused, nl], axis=1)
-    return sp.coo_matrix((np.sqrt(amp[keep]), (t[keep], keep)),
+    return sp.coo_matrix((np.sqrt(amp), (tb.basis.lookup(fused), np.arange(tb.size))),
                          shape=(tb.basis.size, tb.size), dtype=complex).tocsr()
 
 
 def _one_leg_support(tb: TensorBasis, indptr, indices, right: bool):
     """(p, q, k) of a one-leg lift: for each pair p = (i, j) and stored entry
     k = (i, i') of the leg matrix (CSR ``indptr``/``indices``), the pair
-    q = (i', j), mirrored for the right leg; q outside the caps is dropped."""
+    q = (i', j), mirrored for the right leg; q above n_max is dropped."""
     own, other = tb.pairs[:, ::-1].T if right else tb.pairs.T
     count = np.diff(indptr)[own]
     p = np.repeat(np.arange(tb.size), count)

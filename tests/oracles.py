@@ -3,7 +3,7 @@
 These are the occupation-loop constructions that the package's ladder-table
 builders replaced.  The oracles enumerate their own states: ``states_of`` is
 the per-state recursion that ``fock.build_basis`` replaced, giving a tuple
-list and a dict from tuple to position for a basis's grid and caps.  The
+list and a dict from tuple to position for a basis's grid and n_max.  The
 builders look every target state up in that dict one state (or pair) at a
 time and never read ``basis.occ``, ``basis.up`` or the slot tables, so
 ``tests/test_ladder_table.py`` can compare the vectorized builders and the
@@ -59,12 +59,11 @@ def _occupations(n_modes: int, total: int):
 
 
 def states_of(basis) -> tuple:
-    """The occupation tuples of ``basis``'s grid with N <= n_max (and energy
-    <= e_cap if set), by N and then ascending lexicographically, and the dict
-    from each tuple to its position."""
-    grid, e_cap = basis.grid, basis.e_cap
-    states = [s for total in range(basis.n_max + 1) for s in _occupations(grid.n_modes, total)
-              if e_cap is None or float(np.dot(s, grid.omega_mod)) <= e_cap]
+    """The occupation tuples of ``basis``'s grid with N <= n_max, by N and
+    then ascending lexicographically, and the dict from each tuple to its
+    position."""
+    states = [s for total in range(basis.n_max + 1)
+              for s in _occupations(basis.grid.n_modes, total)]
     return states, {s: i for i, s in enumerate(states)}
 
 
@@ -414,9 +413,7 @@ def scattering_ident(tb) -> sp.csr_matrix:
         nl = states[il]
         nr = states[ir]
         fused = tuple(a + b for a, b in zip(nl, nr))
-        t = index.get(fused)
-        if t is None:
-            continue
+        t = index[fused]
         amp = 1.0
         for a, b in zip(nl, nr):
             if a and b:

@@ -76,10 +76,21 @@ class TestConfig:
     @pytest.mark.parametrize("key", ["solver.k", "dynamics.lattice_sites",
                                      "dynamics.mode_indices", "dynamics.p0", "dynamics.dp",
                                      "dynamics.sigma_top", "dynamics.filter_width",
-                                     "dynamics.krylov_dim", "run.workers", "wplus.joint_cap"])
+                                     "dynamics.krylov_dim", "run.workers", "wplus.joint_cap",
+                                     "basis.e_cap"])
     def test_removed_key_exit_code(self, tmp_path, key):
         path = write_cfg(tmp_path, f"{key} = 2\n")
         assert run(["algebra", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+
+    def test_readme_config_example_parses(self, tmp_path):
+        """The README's ini example is a config the schema accepts, so it
+        shows no key that the schema has dropped."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = readme.split("```ini\n")[1:]
+        assert len(blocks) == 1
+        text = blocks[0].split("```", 1)[0]
+        assert "=" in text
+        cli.parse_config(write_cfg(tmp_path, text))
 
     @pytest.mark.parametrize("key", ["scan.n_points", "mourre.samples", "algebra.draws",
                                      "mourre.sigma_window", "dynamics.t0", "solver.tol"])
@@ -398,12 +409,6 @@ class TestCommands:
         path = write_cfg(tmp_path, text)
         assert run([command, "--config", path, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
-        assert not list(tmp_path.glob("*.csv"))
-
-    def test_wplus_refuses_energy_capped_basis(self, tmp_path, capsys):
-        path = write_cfg(tmp_path, "basis.e_cap = 1.5\n")
-        assert run(["wplus", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
-        assert "energy cap" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("value", ["0", "-0.5"])

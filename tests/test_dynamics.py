@@ -625,14 +625,6 @@ class TestWPlus:
             dense = breve_gamma(j0, jinf, tb) @ phi
             assert np.abs(apply_breve_gamma(j0, jinf, tb, phi) - dense).max() <= 1e-13
 
-    def test_factorized_splitting_refuses_an_energy_cap(self):
-        from nelsonlab.split import apply_breve_gamma, build_tensor_basis
-
-        basis = fock.build_basis(fock.line_grid(4, 1.5, 0.2), 2, e_cap=1.5)
-        eye = np.eye(4)
-        with pytest.raises(ValueError, match="energy cap"):
-            apply_breve_gamma(eye, 0 * eye, build_tensor_basis(basis), np.ones(basis.size))
-
     def test_one_calculus_and_no_dense_splitting(self, small_fiber, monkeypatch):
         """One probe call builds one SpectralCalculus (H_ext's, which also
         filters the initial state), never the dense breve_gamma and never the

@@ -29,18 +29,6 @@ def test_basis_nmax_zero_is_vacuum(grid4):
     assert basis.occ.tolist() == [[0, 0, 0, 0]]
 
 
-def test_energy_cap_prunes_to_vacuum(grid4):
-    cap = 0.5 * float(grid4.omega_mod.min())
-    basis = fock.build_basis(grid4, 2, e_cap=cap)
-    assert basis.size == 1
-
-
-def test_energy_cap_below_vacuum_raises(grid4):
-    for cap in (-1.0, float("nan")):
-        with pytest.raises(fock.BasisError):
-            fock.build_basis(grid4, 2, e_cap=cap)
-
-
 def test_basis_ordering_graded_then_lex(basis4):
     totals = basis4.total_numbers()
     assert np.all(np.diff(totals) >= 0)
@@ -210,15 +198,15 @@ def test_gamma_indicator_is_soft_projector():
 
 
 @pytest.mark.parametrize("batch", [1, 3])
-@pytest.mark.parametrize("target", ["square", "energy-capped", "doubled-grid"])
+@pytest.mark.parametrize("target", ["square", "doubled-grid"])
 def test_stacked_gamma_maps_equal_single_calls(grid4, batch, target):
     """A stack (B, M_out, M_in) of mode maps gives, bit for bit, the maps of
     B single calls: Gamma, and dGamma2 with and without gamma_a, on the
-    basis, on an energy-capped one and for the rectangular map onto the
-    doubled grid; a single map with a stack of b and its own Gamma read as
-    gamma_a broadcasts over the stack."""
+    basis and for the rectangular map onto the doubled grid; a single map
+    with a stack of b and its own Gamma read as gamma_a broadcasts over the
+    stack."""
     rng = np.random.default_rng(batch)
-    source = fock.build_basis(grid4, 3, e_cap=0.9 if target == "energy-capped" else None)
+    source = fock.build_basis(grid4, 3)
     out = (fock.build_basis(split.doubled_grid(grid4), 3) if target == "doubled-grid"
            else None)
     shape = (batch, (out or source).grid.n_modes, grid4.n_modes)

@@ -28,22 +28,18 @@ GRIDS = {
     4: fock.line_grid(4, 1.0, 0.2),
     8: fock.line_grid(8, 1.6, 0.2),
 }
-# energy caps that cut through boson-number sectors (M = 4, 8) or drop the top
-# sectors (M = 1, one state per sector)
-CAPS = {1: 1.2, 4: 0.9, 8: 1.3}
-BASES = ([(M, n, None) for M in (1, 4, 8) for n in range(4)]
-         + [(M, 3, CAPS[M]) for M in (1, 4, 8)])
+BASES = [(M, n) for M in (1, 4, 8) for n in range(4)]
 
 
 def basis_id(spec):
-    M, n, cap = spec
-    return f"M{M}-n{n}" + ("" if cap is None else f"-cap{cap}")
+    M, n = spec
+    return f"M{M}-n{n}"
 
 
 @pytest.fixture(scope="module", params=BASES, ids=basis_id)
 def basis(request):
-    M, n, cap = request.param
-    return fock.build_basis(GRIDS[M], n, cap)
+    M, n = request.param
+    return fock.build_basis(GRIDS[M], n)
 
 
 def assert_exact(a, b):
@@ -114,8 +110,6 @@ def assert_tables_match_oracle(basis):
             assert np.array_equal(g, np.asarray(w, dtype=g.dtype).reshape(g.shape))
     assert np.array_equal(basis.lookup(want["occ"]), np.arange(basis.size))
     assert np.all(basis.lookup(want["occ"] + basis.n_max + 1) == -1)
-    if basis.e_cap is not None:
-        assert np.all(basis.energies() <= basis.e_cap)
 
 
 def assert_enumeration_matches_oracle(basis):
@@ -140,31 +134,21 @@ def test_basis_index_tables_match_states(basis):
     assert_tables_match_oracle(basis)
 
 
-# every kind of grid the package builds, with a cap that cuts inside a sector
+# every kind of grid the package builds
 ORACLE_GRIDS = {
-    "line": (fock.line_grid(6, 1.0, 0.2), 0.9),
-    "lattice": (fock.lattice_grid(12, [-3, -1, 2, 4], 0.2), 3.0),
-    "radial": (fock.radial_grid(2, 1.0, 0.2), 0.8),
-    "doubled": (split.doubled_grid(fock.line_grid(4, 1.0, 0.2)), 0.9),
+    "line": fock.line_grid(6, 1.0, 0.2),
+    "lattice": fock.lattice_grid(12, [-3, -1, 2, 4], 0.2),
+    "radial": fock.radial_grid(2, 1.0, 0.2),
+    "doubled": split.doubled_grid(fock.line_grid(4, 1.0, 0.2)),
 }
 
 
 @pytest.mark.parametrize("kind", list(ORACLE_GRIDS))
 @pytest.mark.parametrize("n_max", range(4))
-@pytest.mark.parametrize("capped", [False, True], ids=["nocap", "cap"])
-def test_basis_tables_equal_oracle_enumeration(kind, n_max, capped):
-    grid, cap = ORACLE_GRIDS[kind]
-    basis = fock.build_basis(grid, n_max, cap if capped else None)
+def test_basis_tables_equal_oracle_enumeration(kind, n_max):
+    basis = fock.build_basis(ORACLE_GRIDS[kind], n_max)
     assert_tables_match_oracle(basis)
     assert_enumeration_matches_oracle(basis)
-
-
-def test_energy_caps_cut_inside_a_sector():
-    """The caps above drop some, not all, states of one sector."""
-    for grid, cap in ORACLE_GRIDS.values():
-        numbers = fock.build_basis(grid, 3).total_numbers()
-        kept = fock.build_basis(grid, 3, cap).total_numbers()
-        assert any(0 < np.sum(kept == n) < np.sum(numbers == n) for n in range(4))
 
 
 def test_build_basis_lookups_do_not_grow_with_modes(monkeypatch):
@@ -216,17 +200,6 @@ def test_dGamma_exact(basis):
         assert_exact(new, old)
 
 
-@pytest.mark.parametrize("M", [1, 4, 8])
-def test_dGamma_capped_is_compressed_uncapped(M):
-    full = fock.build_basis(GRIDS[M], 3)
-    capped = fock.build_basis(GRIDS[M], 3, CAPS[M])
-    assert 0 < capped.size < full.size
-    b = rand_mat(np.random.default_rng(3), M)
-    keep = full.lookup(capped.occ)
-    compressed = fock.dGamma(full, b)[keep][:, keep]
-    assert_exact(fock.dGamma(capped, b), compressed)
-
-
 def test_gamma_and_dgamma2_square(basis):
     rng = np.random.default_rng(4)
     M = basis.grid.n_modes
@@ -235,12 +208,11 @@ def test_gamma_and_dgamma2_square(basis):
     assert_close(fock.dGamma2(basis, a, b), oracles.dGamma2(basis, a, b))
 
 
-@pytest.mark.parametrize("spec", [(1, 3, None), (4, 2, None), (4, 3, None), (4, 3, 0.9)],
-                         ids=basis_id)
+@pytest.mark.parametrize("spec", [(1, 3), (4, 2), (4, 3)], ids=basis_id)
 def test_gamma_and_dgamma2_onto_doubled_grid(spec):
-    M, n, cap = spec
-    source = fock.build_basis(GRIDS[M], n, cap)
-    target = fock.build_basis(split.doubled_grid(GRIDS[M]), n, cap)
+    M, n = spec
+    source = fock.build_basis(GRIDS[M], n)
+    target = fock.build_basis(split.doubled_grid(GRIDS[M]), n)
     rng = np.random.default_rng(5)
     a, b = rand_mat(rng, 2 * M, M), rand_mat(rng, 2 * M, M)
     assert_close(fock.Gamma(source, a, basis_out=target),
@@ -250,8 +222,9 @@ def test_gamma_and_dgamma2_onto_doubled_grid(spec):
 
 
 def test_gamma_projects_onto_smaller_target():
+    """Onto a target with a smaller n_max, the top input sector is projected out."""
     source = fock.build_basis(GRIDS[4], 3)
-    target = fock.build_basis(GRIDS[4], 2, CAPS[4])
+    target = fock.build_basis(GRIDS[4], 2)
     a = rand_mat(np.random.default_rng(6), 4)
     assert_close(fock.Gamma(source, a, basis_out=target),
                  oracles.Gamma(source, a, basis_out=target))
@@ -269,29 +242,27 @@ def assert_equals_full_rows(source, target, a, b):
 
 
 def test_sector_blocks_equal_full_rows_square(basis):
-    """Every square basis, the energy-capped ones among them; at M1-n3-cap1.2
-    the cap empties sectors 2 and 3."""
+    """Every square basis."""
     rng = np.random.default_rng(7)
     M = basis.grid.n_modes
     assert_equals_full_rows(basis, basis, rand_mat(rng, M), rand_mat(rng, M))
 
 
-@pytest.mark.parametrize("spec", [(1, 3, None), (4, 2, None), (4, 3, None), (4, 3, 0.9)],
-                         ids=basis_id)
+@pytest.mark.parametrize("spec", [(1, 3), (4, 2), (4, 3)], ids=basis_id)
 def test_sector_blocks_equal_full_rows_onto_doubled_grid(spec):
-    M, n, cap = spec
-    source = fock.build_basis(GRIDS[M], n, cap)
-    target = fock.build_basis(split.doubled_grid(GRIDS[M]), n, cap)
+    M, n = spec
+    source = fock.build_basis(GRIDS[M], n)
+    target = fock.build_basis(split.doubled_grid(GRIDS[M]), n)
     rng = np.random.default_rng(8)
     assert_equals_full_rows(source, target, rand_mat(rng, 2 * M, M), rand_mat(rng, 2 * M, M))
 
 
 @pytest.mark.parametrize("flip", [False, True], ids=["smaller-target", "larger-target"])
 def test_sector_blocks_equal_full_rows_across_caps(flip):
-    """The target of ``test_gamma_projects_onto_smaller_target`` (fewer
-    sectors, and a cap inside one), and the same pair the other way round."""
+    """The bases of ``test_gamma_projects_onto_smaller_target`` (n_max 3
+    onto 2), and the same pair the other way round."""
     source = fock.build_basis(GRIDS[4], 3)
-    target = fock.build_basis(GRIDS[4], 2, CAPS[4])
+    target = fock.build_basis(GRIDS[4], 2)
     if flip:
         source, target = target, source
     rng = np.random.default_rng(9)
@@ -306,19 +277,18 @@ def test_dgamma2_refuses_gamma_of_other_shape():
 
 
 # (1, 22): fused occupations up to 22, past the int64 range of 22!
-TENSOR_SPECS = [(1, 3, None), (1, 22, None), (4, 2, None), (4, 3, None), (4, 3, 0.9),
-                (8, 2, None)]
+TENSOR_SPECS = [(1, 3), (1, 22), (4, 2), (4, 3), (8, 2)]
 
 
 def tensor_id(spec):
-    M, n, e_cap = spec
-    return f"M{M}-n{n}-joint{n}" + ("" if e_cap is None else f"-cap{e_cap}")
+    M, n = spec
+    return f"M{M}-n{n}-joint{n}"
 
 
 @pytest.fixture(scope="module", params=TENSOR_SPECS, ids=tensor_id)
 def tensor(request):
-    M, n, e_cap = request.param
-    basis = fock.build_basis(GRIDS[M], n, e_cap)
+    M, n = request.param
+    basis = fock.build_basis(GRIDS[M], n)
     return basis, split.build_tensor_basis(basis)
 
 
@@ -331,19 +301,26 @@ def test_tensor_basis_order(tensor):
 
 def test_tensor_iso_U_exact(tensor):
     basis, tb = tensor
-    basis_sum = fock.build_basis(split.doubled_grid(basis.grid), basis.n_max, basis.e_cap)
+    basis_sum = fock.build_basis(split.doubled_grid(basis.grid), basis.n_max)
     assert np.array_equal(tb.sum_basis.occ, basis_sum.occ)
     assert_exact(split.tensor_iso_U(tb), oracles.tensor_iso_U(basis_sum, tb))
 
 
 def test_scattering_ident_exact(tensor):
-    """Under an energy cap the pairs whose fused state overflows it keep
-    their zero columns."""
     basis, tb = tensor
     new, old = split.scattering_ident(tb), oracles.scattering_ident(tb)
     assert new.shape == old.shape == (basis.size, tb.size)
     assert_exact(new, old)
-    assert np.any(new.getnnz(axis=0) == 0) == (basis.e_cap is not None)
+
+
+def test_every_pair_fuses_inside_the_basis(tensor):
+    """Each pair's fused occupation is a state of the basis, so I has one
+    entry in every column and U's ``perm`` is a permutation of all pairs."""
+    basis, tb = tensor
+    fused = basis.occ[tb.pairs[:, 0]] + basis.occ[tb.pairs[:, 1]]
+    assert np.all(basis.lookup(fused) >= 0)
+    assert np.all(split.scattering_ident(tb).getnnz(axis=0) == 1)
+    assert np.array_equal(np.sort(tb.perm), np.arange(tb.size))
 
 
 def test_tensor_factor_ops_exact(tensor):
@@ -414,23 +391,22 @@ def test_build_tensor_basis_stays_small():
     assert np.array_equal(np.lexsort((j, i, total[i] + total[j])), np.arange(tb.size))
 
 
-FULL_H_CONFIGS = pytest.mark.parametrize("L, modes, n_max, e_cap", [
-    (32, [-16, -12, -8, -5, 5, 8, 12, 16], 1, None),
-    (12, [-3, -1, 2, 4], 2, None),
-    (12, [-3, -1, 2, 4], 2, 2.0),
+FULL_H_CONFIGS = pytest.mark.parametrize("L, modes, n_max", [
+    (32, [-16, -12, -8, -5, 5, 8, 12, 16], 1),
+    (12, [-3, -1, 2, 4], 2),
 ])
 
 
-def _chain(L, modes, n_max, e_cap):
+def _chain(L, modes, n_max):
     grid = fock.lattice_grid(L, modes, 0.2)
     ms = model.ModelSpec(model.DispersionLaw("nonrel", 1.0), model.FormFactor(1.0, 1.0, 0.2),
                          grid, 0.05)
-    return ms, model.full_basis(ms, L, n_max, e_cap)
+    return ms, model.full_basis(ms, L, n_max)
 
 
 @FULL_H_CONFIGS
-def test_full_H_exact(L, modes, n_max, e_cap):
-    ms, fb = _chain(L, modes, n_max, e_cap)
+def test_full_H_exact(L, modes, n_max):
+    ms, fb = _chain(L, modes, n_max)
     om_e = ms.disp.omega(fb.momenta[:, None])
     om_b = np.array(oracles.states_of(fb.boson)[0], dtype=float) @ ms.boson_omega()
     diag = (om_e[:, None] + om_b[None, :]).ravel().astype(complex)
@@ -442,10 +418,10 @@ def test_full_H_exact(L, modes, n_max, e_cap):
 
 
 @FULL_H_CONFIGS
-def test_full_H_blocks_are_the_fibers(L, modes, n_max, e_cap):
+def test_full_H_blocks_are_the_fibers(L, modes, n_max):
     """Each total-momentum block of the chain H is the fiber H(2 pi m / L):
     its coupling bit for bit, its diagonal up to the zone wrap's rounding."""
-    ms, fb = _chain(L, modes, n_max, e_cap)
+    ms, fb = _chain(L, modes, n_max)
     H = model.build_full_H(ms, fb).mat.toarray()
     for m, idx in oracles.momentum_blocks(fb).items():
         b = idx % fb.boson.size
@@ -457,12 +433,11 @@ def test_full_H_blocks_are_the_fibers(L, modes, n_max, e_cap):
 
 
 EXPECTATION_BASES = {
-    **{f"line-M{M}-n{n}": (fock.line_grid(M, 1.0, 0.2), n, None)
+    **{f"line-M{M}-n{n}": (fock.line_grid(M, 1.0, 0.2), n)
        for M in (2, 4, 6) for n in range(4)},
-    **{f"one-mode-n{n}": (GRIDS[1], n, None) for n in range(4)},
-    "line-M4-n3-cap0.9": (GRIDS[4], 3, CAPS[4]),
-    "lattice-M4-n2": (fock.lattice_grid(12, [-3, -1, 2, 4], 0.2), 2, None),
-    "radial-M12-n2": (fock.radial_grid(2, 1.0, 0.2), 2, None),
+    **{f"one-mode-n{n}": (GRIDS[1], n) for n in range(4)},
+    "lattice-M4-n2": (fock.lattice_grid(12, [-3, -1, 2, 4], 0.2), 2),
+    "radial-M12-n2": (fock.radial_grid(2, 1.0, 0.2), 2),
 }
 
 

@@ -24,7 +24,7 @@ def test_tensor_basis_dimension(setup):
     count = sum(1 for i in range(basis.size) for j in range(basis.size)
                 if nb[i] + nb[j] <= 3)
     assert tb.size == count == basis_sum.size
-    assert basis_sum.grid.n_modes == 8 and (basis_sum.n_max, basis_sum.e_cap) == (3, None)
+    assert basis_sum.grid.n_modes == 8 and basis_sum.n_max == 3
 
 
 def test_u_is_isometry(setup):
@@ -141,17 +141,6 @@ def test_scattering_ident_product_rule(setup, grid4, rng):
     assert np.abs(I @ vec - rhs).max() < 1e-13
 
 
-def test_scattering_ident_overflow_projection(grid4):
-    basis = fock.build_basis(grid4, 2, e_cap=0.9)
-    tb = split.build_tensor_basis(basis)
-    I = split.scattering_ident(tb)
-    # the pairs whose fused state overflows the energy cap have zero columns
-    projected = I.getnnz(axis=0) == 0
-    assert np.any(projected) and not np.all(projected)
-    fused = basis.occ[tb.pairs[:, 0]] + basis.occ[tb.pairs[:, 1]]
-    assert np.array_equal(projected, fused @ grid4.omega_mod > basis.e_cap)
-
-
 def test_i_norm_reports_finite(setup):
     basis, basis_sum, tb, _ = setup
     I = split.scattering_ident(tb)
@@ -213,15 +202,12 @@ def test_udgamma_cauchy_schwarz(setup, grid4, rng):
         assert lhs <= rhs + 1e-10
 
 
-@pytest.mark.parametrize("n_max, e_cap", [(2, None), (3, 0.9)], ids=["square", "energy-capped"])
-def test_splitting_maps_equal_U_times_functor(grid4, rng, n_max, e_cap):
+def test_splitting_maps_equal_U_times_functor(grid4, rng):
     """breve_gamma and dbreve_gamma2 place the functor's rows by U's
-    permutation; that equals the sparse product U Gamma (U dGamma2) exactly,
-    with zero rows on the pairs outside U's image: under an energy cap the
-    pairs whose leg energies add up past it."""
-    source = fock.build_basis(grid4, n_max, e_cap)
+    permutation; that equals the sparse product U Gamma (U dGamma2) exactly."""
+    source = fock.build_basis(grid4, 2)
     tb = split.build_tensor_basis(source)
-    basis_sum = fock.build_basis(split.doubled_grid(grid4), n_max, e_cap)
+    basis_sum = fock.build_basis(split.doubled_grid(grid4), 2)
     assert np.array_equal(tb.sum_basis.occ, basis_sum.occ)
     U = split.tensor_iso_U(tb)
     j0, jinf, b0, binf = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -229,14 +215,11 @@ def test_splitting_maps_equal_U_times_functor(grid4, rng, n_max, e_cap):
     j = split.stack_pair(j0, jinf)
     G = fock.Gamma(source, j, basis_out=basis_sum)
     D = fock.dGamma2(source, j, split.stack_pair(b0, binf), basis_out=basis_sum)
-    outside = np.setdiff1d(np.arange(tb.size), tb.perm)
-    assert (outside.size == 0) == (e_cap is None)
     BG = split.breve_gamma(j0, jinf, tb)
     DBG = split.dbreve_gamma2(j0, jinf, b0, binf, tb, breve_j=BG)
     for got, want in ((BG, U @ G), (DBG, U @ D)):
         assert isinstance(got, np.ndarray) and got.shape == (tb.size, source.size)
         assert np.array_equal(got, want)
-        assert np.count_nonzero(got[outside]) == 0
 
 
 def test_breve_gamma_refuses_mismatched_pair(setup):
@@ -248,13 +231,12 @@ def test_breve_gamma_refuses_mismatched_pair(setup):
 
 
 @pytest.mark.parametrize("batch", [1, 3])
-@pytest.mark.parametrize("e_cap", [None, 0.9], ids=["square", "energy-capped"])
-def test_stacked_splitting_maps_equal_single_calls(grid4, batch, e_cap):
+def test_stacked_splitting_maps_equal_single_calls(grid4, batch):
     """Stacks (B, M, M) of the pairs give, bit for bit, the splitting maps of
     B single calls, breve_gamma and dbreve_gamma2 reading the stack's own
     breve_gamma."""
     rng = np.random.default_rng(batch)
-    tb = split.build_tensor_basis(fock.build_basis(grid4, 3, e_cap))
+    tb = split.build_tensor_basis(fock.build_basis(grid4, 3))
     j0, jinf, b0, binf = (rng.normal(size=(batch, 4, 4)) + 1j * rng.normal(size=(batch, 4, 4))
                           for _ in range(4))
     BG = split.breve_gamma(j0, jinf, tb)
