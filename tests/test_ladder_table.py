@@ -143,8 +143,13 @@ ORACLE_GRIDS = {
 }
 
 
-@pytest.mark.parametrize("kind", list(ORACLE_GRIDS))
-@pytest.mark.parametrize("n_max", range(4))
+ORACLE_CASES = [(kind, n) for kind in ORACLE_GRIDS for n in range(4)]
+
+
+# the ids keep the "nocap" prefix the cases had while build_basis also took an
+# energy cap, so that each case runs under its old name
+@pytest.mark.parametrize("kind, n_max", ORACLE_CASES,
+                         ids=[f"nocap-{n}-{kind}" for kind, n in ORACLE_CASES])
 def test_basis_tables_equal_oracle_enumeration(kind, n_max):
     basis = fock.build_basis(ORACLE_GRIDS[kind], n_max)
     assert_tables_match_oracle(basis)
@@ -391,10 +396,12 @@ def test_build_tensor_basis_stays_small():
     assert np.array_equal(np.lexsort((j, i, total[i] + total[j])), np.arange(tb.size))
 
 
+# the ids keep the "-None" of the energy-cap column the configs had, so that
+# each case runs under its old name
 FULL_H_CONFIGS = pytest.mark.parametrize("L, modes, n_max", [
     (32, [-16, -12, -8, -5, 5, 8, 12, 16], 1),
     (12, [-3, -1, 2, 4], 2),
-])
+], ids=["32-modes0-1-None", "12-modes1-2-None"])
 
 
 def _chain(L, modes, n_max):
