@@ -67,7 +67,7 @@ import scipy.sparse as sp
 
 
 class GridError(ValueError):
-    """Invalid mode grid (zero mode, bad weights, unsupported structure)."""
+    """Invalid mode grid (no modes, zero mode, bad weights, unsupported structure)."""
 
 
 class BasisError(ValueError):
@@ -114,6 +114,8 @@ class ModeGrid:
         object.__setattr__(self, "omega_mod", np.asarray(self.omega_mod, dtype=float))
         if pts.shape[0] != self.n_modes:
             raise GridError("points/weights length mismatch")
+        if self.n_modes == 0:
+            raise GridError("grid has no modes")
         if np.any(self.weights <= 0):
             raise GridError("quadrature weights must be positive")
         norms = np.linalg.norm(pts, axis=1)

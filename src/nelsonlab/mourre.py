@@ -120,7 +120,6 @@ class ConjugateOp:
     hold for the grid, dispersion switch, form factor and basis it was built
     for."""
 
-    y: np.ndarray
     A: sp.csr_matrix
     mesh: float
     dgamma_v2: sp.csr_matrix
@@ -145,8 +144,7 @@ def build_conjugate(ms: ModelSpec, basis: OccupationBasis) -> ConjugateOp:
     # dGamma(|v|^2) equals N for the free dispersion
     dgamma_v2 = dGamma(basis, np.sum(vel * vel, axis=1))
     field_a = field_op(basis, 1j * (a @ ms.coupling_samples()))
-    return ConjugateOp(y=y, A=A, mesh=float(mesh), dgamma_v2=dgamma_v2,
-                       field_a=field_a)
+    return ConjugateOp(A=A, mesh=float(mesh), dgamma_v2=dgamma_v2, field_a=field_a)
 
 
 # ---------------------------------------------------------------------------

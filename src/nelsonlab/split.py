@@ -149,14 +149,15 @@ def breve_gamma(j0: np.ndarray, jinf: np.ndarray, tb: TensorBasis) -> np.ndarray
 
 
 def apply_breve_gamma(j0: np.ndarray, jinf: np.ndarray, tb: TensorBasis, phi: np.ndarray,
-                      fusion_adj: sp.csr_matrix | None = None) -> np.ndarray:
+                      fusion_adj: sp.csr_matrix) -> np.ndarray:
     """breve_gamma(j0, jinf, tb) @ phi without forming it or the doubled grid:
 
         Gamma-breve(j) = (Gamma(j0) x Gamma(jinf)) I*,
 
-    I* the adjoint of the fusion map ``scattering_ident(tb)`` (pass
-    ``fusion_adj`` to reuse it).  I* phi, laid out as the basis x basis
-    matrix X with X[pairs] = I* phi, is mapped to Gamma(j0) X Gamma(jinf)^T.
+    I* the adjoint of the fusion map ``scattering_ident(tb)``, which the
+    caller forms once and passes as ``fusion_adj``.  I* phi, laid out as
+    the basis x basis matrix X with X[pairs] = I* phi, is mapped to
+    Gamma(j0) X Gamma(jinf)^T.
     This is exact on N <= n_max: each Gamma conserves its own leg's boson
     number, so it keeps every pair's total.
 
@@ -166,8 +167,6 @@ def apply_breve_gamma(j0: np.ndarray, jinf: np.ndarray, tb: TensorBasis, phi: np
     a times sector b, left-major, and maps to G0[a, a] X[a, b] Ginf[b, b]^T.
     """
     basis = tb.basis
-    if fusion_adj is None:
-        fusion_adj = scattering_ident(tb).conj().T
     x = fusion_adj @ phi
     G0, Ginf = Gamma(basis, j0), Gamma(basis, jinf)
     # sector n is the state range edges[n]:edges[n + 1] of the graded basis

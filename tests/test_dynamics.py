@@ -612,18 +612,20 @@ class TestWPlus:
     def test_factorized_splitting_matches_breve_gamma(self, M, n_max, rng):
         """W_+'s splitting (Gamma(j0) x Gamma(jinf)) I* phi equals the dense
         splitting map on phi, with j the position cutoffs at two times."""
-        from nelsonlab.split import apply_breve_gamma, breve_gamma, build_tensor_basis
+        from nelsonlab.split import (apply_breve_gamma, breve_gamma, build_tensor_basis,
+                                     scattering_ident)
 
         grid = fock.line_grid(M, 1.5, 0.2)
         basis = fock.build_basis(grid, n_max)
         tb = build_tensor_basis(basis)
+        fusion_adj = scattering_ident(tb).conj().T
         ycalc = dynamics.YCalc(grid)
         phi = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
         for t in (1.5, 5.0):
             j0 = ycalc.fn(lambda lam: CUTS.j0(np.abs(lam) / t))
             jinf = ycalc.fn(lambda lam: CUTS.jinf(np.abs(lam) / t))
             dense = breve_gamma(j0, jinf, tb) @ phi
-            assert np.abs(apply_breve_gamma(j0, jinf, tb, phi) - dense).max() <= 1e-13
+            assert np.abs(apply_breve_gamma(j0, jinf, tb, phi, fusion_adj) - dense).max() <= 1e-13
 
     def test_one_calculus_and_no_dense_splitting(self, small_fiber, monkeypatch):
         """One probe call builds one SpectralCalculus (H_ext's, which also

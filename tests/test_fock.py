@@ -54,6 +54,13 @@ def test_grid_rejects_zero_mode():
         fock.lattice_grid(8, [0, 1], 0.2)
 
 
+def test_grid_rejects_no_modes():
+    """An empty mode list is refused at the grid, not later inside the basis
+    enumeration."""
+    with pytest.raises(fock.GridError, match="no modes"):
+        fock.lattice_grid(8, [], 0.2)
+
+
 def test_single_mode_ladder_matrix():
     grid = fock.ModeGrid(dim=1, points=np.array([[0.5]]), weights=np.array([1.0]),
                          omega_free=np.array([0.5]), omega_mod=np.array([0.5]),
