@@ -118,32 +118,6 @@ class Generators:
         return np.tensordot(np.diag(b) if b.ndim == 1 else b, self.hopping, 2)
 
 
-class _SparseCreation:
-    """a*(h) on ``basis`` as a scatter of the nonzeros of ``fock.creation_op(basis, e_j)``.
-
-    For the doubled grid, where a dense 2M x n x n stack would cost megabytes
-    per product; every entry belongs to one mode, since it adds one boson.
-    a*(h) holds ``values(h)`` at (``row``, ``col``); a stack of ``h``
-    gives a stack of values.
-    """
-
-    def __init__(self, basis: fock.OccupationBasis):
-        parts = [fock.creation_op(basis, e).tocoo() for e in np.eye(basis.grid.n_modes)]
-        self.size = basis.size
-        self.row = np.concatenate([c.row for c in parts])
-        self.col = np.concatenate([c.col for c in parts])
-        self.value = np.concatenate([c.data for c in parts])
-        self.mode = np.repeat(np.arange(len(parts)), [c.nnz for c in parts])
-
-    def values(self, h) -> np.ndarray:
-        return self.value * h[..., self.mode]
-
-    def __call__(self, h) -> np.ndarray:
-        out = np.zeros(self.size * self.size, dtype=complex)
-        out[self.row * self.size + self.col] = self.values(h)
-        return out.reshape(self.size, self.size)
-
-
 class _SupportPlan:
     """Both sides of an identity on the union of their structural supports.
 
@@ -174,9 +148,10 @@ class _UIdentities:
     """The draw-dependent identities of U, the tensor isomorphism, evaluated
     without forming their pair-basis sides.
 
-    Built once per suite: a*(h) on the doubled grid (``_SparseCreation``),
-    its number diagonals, and the support plans of ``ueq0_creation`` and
-    ``ueq1_annihilation``.  U places the doubled-grid entry (row, col) at the
+    Built once per suite: a*(h) on the doubled grid, which holds
+    ``sum_value * h[sum_mode]`` at (``sum_row``, ``sum_col``), its number
+    diagonals ``sum_numbers`` (the occupations), and the support plans of
+    ``ueq0_creation`` and ``ueq1_annihilation``.  U places the doubled-grid entry (row, col) at the
     pair entry (t[row], t[col]), t = ``tb.perm``, so the creation scatter
     lands in pair coordinates directly; a lift's support is its leg's
     creation (or annihilation) pattern lifted, plus the entry that
@@ -194,15 +169,15 @@ class _UIdentities:
         self.left, self.right = tb.pairs.T
         t, n_pairs = tb.perm, tb.size
         self.s = np.argsort(t)
-        self.sum_creation = _SparseCreation(tb.sum_basis)
-        self.sum_numbers = np.stack([fock.dGamma(tb.sum_basis, e).diagonal()
-                                     for e in np.eye(2 * M)], axis=1)
+        self.sum_row, self.sum_col, self.sum_mode, self.sum_value = fock._creation_entries(
+            tb.sum_basis, np.ones(2 * M))
+        self.sum_numbers = tb.sum_basis.occ.astype(float)
         creates = np.any(gen.creation != 0, axis=0)
         a_dag1 = creates.copy()
         if corrupt:
             a_dag1[0, min(1, basis.size - 1)] = True
         guard = tb.pair_numbers().sum(axis=1) <= basis.n_max - 1
-        row, col = t[self.sum_creation.row], t[self.sum_creation.col]
+        row, col = t[self.sum_row], t[self.sum_col]
         self.guarded = guard[col]
         put, self.gather0 = lift.on(a_dag1)
         keep = guard[put % n_pairs]
@@ -212,14 +187,18 @@ class _UIdentities:
                                                           for right in (False, True))
         self.ueq1 = _SupportPlan(col * n_pairs + row, put_l, put_r)
 
+    def sum_creation(self, h) -> np.ndarray:
+        """The nonzeros of a*(h) on the doubled grid, for a stack of h."""
+        return self.sum_value * h[..., self.sum_mode]
+
     def creation(self, g1, a_dag1) -> float:
         """ueq0: U a*(g1 + 0) U* = a*(g1) x 1 on the guarded pairs."""
-        lhs = self.sum_creation.values(np.concatenate([g1, np.zeros_like(g1)], axis=-1))
+        lhs = self.sum_creation(np.concatenate([g1, np.zeros_like(g1)], axis=-1))
         return self.ueq0.gap(lhs[..., self.guarded], _flat(a_dag1)[..., self.gather0])
 
     def annihilation(self, g1, g2, ann1, ann2) -> float:
         """ueq1: U a(g1 + g2) U* = a(g1) x 1 + 1 x a(g2)."""
-        lhs = np.conj(self.sum_creation.values(np.concatenate([g1, g2], axis=-1)))
+        lhs = np.conj(self.sum_creation(np.concatenate([g1, g2], axis=-1)))
         return self.ueq1.gap(lhs, _flat(ann1)[..., self.gather_l],
                              _flat(ann2)[..., self.gather_r])
 
@@ -244,7 +223,9 @@ class _UIdentities:
         M, basis = self.M, self.tb.basis
         w = basis.grid.weights
         vv = np.concatenate([np.eye(M)[i] / np.sqrt(w[i]), np.eye(M)[j] / np.sqrt(w[j])])
-        lhs = self.sum_creation(vv)
+        n = self.tb.sum_basis.size
+        lhs = np.zeros((n, n), dtype=complex)
+        lhs[self.sum_row, self.sum_col] = self.sum_creation(vv)
         two = (lhs @ lhs[:, 0])[self.s]
         # the one-boson states e_i, e_j and the pair (e_i, e_j)
         amp = two[self.tb.lookup([[basis.up[0, i], basis.up[0, j]]])[0]]

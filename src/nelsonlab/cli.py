@@ -1,10 +1,10 @@
 """Configuration ingestion, subcommand dispatch, and artifact emission.
 
 Configs are flat ``key = value`` text files validated against a schema;
-unknown keys are errors.  Every run writes a manifest echoing the full
-config with its hash, and every CSV row carries the hash so artifacts are
-traceable.  Outputs are byte-identical across reruns with the same config
-and seed (timestamps live only in manifests).
+unknown keys and keys given twice are errors.  Every run writes a manifest
+echoing the full config with its hash, and every CSV row carries the hash so
+artifacts are traceable.  Outputs are byte-identical across reruns with the
+same config and seed (timestamps live only in manifests).
 
 Every verdict-producing subcommand ends in ``finish``: its report JSON holds
 the numbers at the top level and a ``verdicts`` block of booleans, its
@@ -147,6 +147,7 @@ def parse_config(path: str | None) -> dict:
     if path is None:
         return values
     text = Path(path).read_text(encoding="utf-8")
+    seen = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -158,6 +159,9 @@ def parse_config(path: str | None) -> dict:
         val = val.strip()
         if key not in SCHEMA:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"line {lineno}: {key} is already set on line {seen[key]}")
+        seen[key] = lineno
         parser, _ = SCHEMA[key]
         try:
             values[key] = parser(val)

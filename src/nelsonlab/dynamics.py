@@ -13,15 +13,16 @@ thresholds; none claims a proof.
 Every probe walks its time grid through one loop, ``_track_snapshots``, over
 the generator ``snapshots``, which steps ``krylov_expm_apply`` from one grid
 time to the next and yields (t, psi_t).  That propagator sums the Chebyshev
-series of exp(-i dt H) with each connected block of the Hermitian H shifted
-by the centre of its own Gershgorin interval, which contains the block's
-spectrum, so the series is as long as the widest block needs, its
-truncation error is bounded a priori and there is no step control.  The
-centres and the shifted operator are computed once per ``Hamiltonian`` (its
-cached ``chebyshev`` attribute), so each interval of the grid and each
-further propagation of the same H pay only for their matvecs and one phase
-per state; ``chebyshev_stats`` reports that work for a run's manifest.  The
-loop returns an ``ObservableTrack``: the probe's measured value at each grid
+series of exp(-i dt H) with each block of the Hermitian H shifted by the
+centre of its own Gershgorin interval, which contains the block's spectrum,
+so the series is as long as the widest block needs, its truncation error
+is bounded a priori and there is no step control.  The blocks (the split
+the spectral calculus diagonalizes too), their centres and the shifted
+operator are computed once per ``Hamiltonian`` (its cached ``blocks`` and
+``chebyshev``), so each interval of the grid and each further propagation
+of the same H pay only for their matvecs and one phase per state;
+``chebyshev_stats`` reports that work for a run's manifest.  The loop
+returns an ``ObservableTrack``: the probe's measured value at each grid
 time and the measured norm and energy drifts of psi_t; whatever else a probe
 derives (W_+'s outer-vacuum norms) sits in the track's extras.
 
@@ -64,7 +65,6 @@ from .model import (
     Hamiltonian,
     ModelSpec,
     build_fiber_H,
-    chebyshev_operator,
     fiber_diagonal,
 )
 from .mourre import build_position_op
@@ -164,8 +164,9 @@ def krylov_expm_apply(H: Hamiltonian | sp.csr_matrix, v: np.ndarray, dt: float,
 
     ``H`` is a ``Hamiltonian``, whose cached ``chebyshev`` operator (the
     centres, b and the complex A = 2 (H - D) / b) every call then shares, or
-    a bare Hermitian CSR matrix, whose operator is built for this call alone;
-    both give the same bits.  The recurrence w_{k+1} = A w_k - w_{k-1} writes
+    a bare CSR matrix, wrapped in a ``Hamiltonian`` for this call alone, so
+    it must be exactly Hermitian (``ValueError`` otherwise); both give the
+    same bits.  The recurrence w_{k+1} = A w_k - w_{k-1} writes
     each new term into the buffer of the one it retires, from a copy of v,
     so ``v`` itself is never written.
 
@@ -174,7 +175,7 @@ def krylov_expm_apply(H: Hamiltonian | sp.csr_matrix, v: np.ndarray, dt: float,
     1500), summed over the N terms used.  For b dt above about 700 a ``tol``
     below about N x 1e-14 is therefore not honoured.
     """
-    op = H.chebyshev if isinstance(H, Hamiltonian) else chebyshev_operator(H)
+    op = (H if isinstance(H, Hamiltonian) else Hamiltonian(H)).chebyshev
     b, A = op.half_width, op.shifted
     phase = np.exp(-1j * op.centres * dt)
     if b == 0.0 or dt == 0:
@@ -429,7 +430,8 @@ def W_plus_probe(ms: ModelSpec, P, prop: Propagation, cuts: CutoffFamily,
 
     basis = prop.H.basis
     tb = build_tensor_basis(basis)
-    calc = SpectralCalculus(extended_fiber_H(ms, P, prop.H, tb))
+    H_ext = extended_fiber_H(ms, P, prop.H, tb)
+    calc = SpectralCalculus(H_ext)
     f = energy_window(f_window)
     fusion_adj = scattering_ident(tb).conj().T
     outer_vacuum = np.flatnonzero(tb.pair_numbers()[:, 1] == 0)
@@ -452,9 +454,9 @@ def W_plus_probe(ms: ModelSpec, P, prop: Propagation, cuts: CutoffFamily,
         return np.linalg.norm(vec)
 
     track = _track_snapshots(replace(prop, state=psi0 / nrm), measure)
-    blocks = [idx.shape for idx, _, _ in calc.groups]
+    sizes = np.bincount(H_ext.blocks)
     track.extras.update(outer_vacuum_norms=vac_norms, extended_dim=tb.size,
-                        blocks=sum(b for b, _ in blocks), largest_block=max(s for _, s in blocks))
+                        blocks=len(sizes), largest_block=int(sizes.max()))
     track.verdicts["outer_vacuum_small"] = bool(max(vac_norms) <= 1e-8)
     return track
 

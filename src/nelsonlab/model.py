@@ -14,12 +14,12 @@ product basis, its boson modes on the dual lattice so that total momentum
 
 Operators are ``scipy.sparse.csr_matrix`` objects; ``Hamiltonian`` holds the
 CSR matrix, refused unless exactly Hermitian, with its occupation basis.  It
-also carries, computed on first use, the ``ChebyshevOperator`` that every
-time step of that Hamiltonian shares: the Gershgorin interval of each
-connected component of the matrix's stored pattern (``pattern_components``,
-which ``spectral.SpectralCalculus`` splits by too), and the shifted operator
+also carries, each built on first use, its one block split ``blocks`` (the
+blocks of H's finest direct sum along the basis, ``pattern_components``,
+which ``spectral`` diagonalizes one by one) and the ``ChebyshevOperator`` on
+it: the Gershgorin interval of each block and the shifted operator
 2 (H - diag(a_c)) / b that ``dynamics.krylov_expm_apply`` recurses with,
-each component centred on its own a_c and b the widest one's half-width.
+each block centred on its own a_c and b the widest one's half-width.
 """
 
 from __future__ import annotations
@@ -234,14 +234,14 @@ def pattern_components(mat: sp.csr_matrix) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ChebyshevOperator:
-    """H centred block by block: each connected component c of H's stored
-    pattern has its own Gershgorin interval [a_c - b_c, a_c + b_c], and
-    ``centres`` holds a_c on every row of c.  ``half_width`` is the widest
-    component's b = max_c b_c, and ``shifted`` is A = 2 (H - diag(centres)) / b,
+    """H centred block by block: each block c of H (``Hamiltonian.blocks``)
+    has its own Gershgorin interval [a_c - b_c, a_c + b_c], and ``centres``
+    holds a_c on every row of c.  ``half_width`` is the widest block's
+    b = max_c b_c, and ``shifted`` is A = 2 (H - diag(centres)) / b,
     complex128, whose spectrum lies in [-2, 2] since the shift is constant
     on each block of H's direct sum; None when b is 0, where every block is
     a multiple of 1 (at g = 0 each fiber state is a block of its own).
-    ``components`` counts the components."""
+    ``components`` counts the blocks."""
 
     centres: np.ndarray
     half_width: float
@@ -249,34 +249,17 @@ class ChebyshevOperator:
     shifted: sp.csr_matrix | None
 
 
-def chebyshev_operator(mat: sp.csr_matrix) -> ChebyshevOperator:
-    """The ``ChebyshevOperator`` of a Hermitian CSR matrix, cast to complex
-    once so that no matvec with a complex vector upcasts it again.  On a
-    connected matrix it is the global Gershgorin interval, bit for bit."""
-    label = pattern_components(mat)
-    n_comp = int(label.max()) + 1
-    lo_rows, hi_rows = _gershgorin_discs(mat)
-    lo = np.full(n_comp, np.inf)
-    hi = np.full(n_comp, -np.inf)
-    np.minimum.at(lo, label, lo_rows)
-    np.maximum.at(hi, label, hi_rows)
-    centres = (0.5 * (hi + lo))[label]
-    b = float(np.max(0.5 * (hi - lo)))
-    if b == 0.0:
-        return ChebyshevOperator(centres, b, n_comp, None)
-    A = (mat - sp.diags(centres, format="csr")) * (2.0 / b)
-    return ChebyshevOperator(centres, b, n_comp, A.astype(complex, copy=False))
-
-
 @dataclass(frozen=True, eq=False)
 class Hamiltonian:
     """An exactly Hermitian CSR matrix with the occupation basis it acts on
-    (None on the chain and on the pair space)."""
+    (None on the chain and on the pair space); a matrix in another sparse
+    format is stored as CSR."""
 
     mat: sp.csr_matrix
     basis: OccupationBasis | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "mat", self.mat.tocsr())
         if (self.mat - self.mat.conj().T).count_nonzero():
             raise ValueError("a Hamiltonian must be exactly Hermitian")
 
@@ -285,10 +268,31 @@ class Hamiltonian:
         return self.mat.shape
 
     @cached_property
+    def blocks(self) -> np.ndarray:
+        """The block label of each row (``pattern_components``), found on
+        first use and shared by the Chebyshev centring and the spectral
+        calculus of this Hamiltonian."""
+        return pattern_components(self.mat)
+
+    @cached_property
     def chebyshev(self) -> ChebyshevOperator:
-        """The matrix's ``ChebyshevOperator``, built on first use and shared by
-        every propagation of this Hamiltonian."""
-        return chebyshev_operator(self.mat)
+        """The ``ChebyshevOperator``, built on first use and shared by every
+        propagation of this Hamiltonian; cast to complex once, so that no
+        matvec with a complex vector upcasts it again.  On a connected
+        matrix it is the global Gershgorin interval, bit for bit."""
+        label = self.blocks
+        n_comp = int(label.max()) + 1
+        lo_rows, hi_rows = _gershgorin_discs(self.mat)
+        lo = np.full(n_comp, np.inf)
+        hi = np.full(n_comp, -np.inf)
+        np.minimum.at(lo, label, lo_rows)
+        np.maximum.at(hi, label, hi_rows)
+        centres = (0.5 * (hi + lo))[label]
+        b = float(np.max(0.5 * (hi - lo)))
+        if b == 0.0:
+            return ChebyshevOperator(centres, b, n_comp, None)
+        A = (self.mat - sp.diags(centres, format="csr")) * (2.0 / b)
+        return ChebyshevOperator(centres, b, n_comp, A.astype(complex, copy=False))
 
 
 def fiber_diagonal(ms: ModelSpec, P, occ: np.ndarray,

@@ -164,11 +164,12 @@ def commutator_iHA(ms: ModelSpec, P, basis: OccupationBasis,
     dgv = basis.occ @ vel
     diag2 = -np.sum(gradO * dgv, axis=1)
     t2 = sp.diags(diag2, format="csr")
-    # term 1, dGamma(|v|^2), and term 3, -g phi(i a kappa_sigma)
+    # term 1, dGamma(|v|^2), and term 3, -g phi(i a kappa_sigma); real
+    # diagonals plus a field, so the sum is exactly Hermitian
     out = conj.dgamma_v2 + t2
     if ms.g != 0.0:
         out = out - (ms.g * conj.field_a)
-    return ((out + out.conj().T) / 2.0).tocsr()
+    return out.tocsr()
 
 
 def numerical_commutator(H: sp.csr_matrix, A: sp.csr_matrix) -> sp.csr_matrix:

@@ -1,18 +1,19 @@
 """Dressed one-electron states and spectral verification utilities.
 
-Ground states above dimension 2000 are computed by LOBPCG preconditioned
-with the Jacobi diagonal of H, which dominates at small coupling, from a
-fixed, deterministic real start block (the lowest-diagonal unit vectors plus
-a small seeded perturbation); below it a dense eigendecomposition is used
-instead and doubles as the cross-check oracle for the iterative path.  Both
-paths, and the functional calculus, take a ``model.Hamiltonian``, whose
-matrix is exactly Hermitian by construction.
-Operators are real whenever their coefficients are (the default model's
-fiber and chain Hamiltonians are float64), so both paths then run in real
-arithmetic.  Functional calculus for energy cutoffs
-f(H) and spectral windows E_Sigma is spectral-projection based throughout,
-one connected component of H's sparsity pattern at a time; f(H) v is applied
-per component without forming the n x n matrix f(H).
+Every dense eigendecomposition of a Hamiltonian is ``SpectralCalculus``'s:
+one ``eigh`` per block of H's one block split (``model.Hamiltonian.blocks``,
+the connected components of its stored pattern), blocks of equal size
+batched.  Ground states up to dimension 2000 take their lowest pairs from
+it; above it they are computed by LOBPCG preconditioned with the Jacobi
+diagonal of H, which dominates at small coupling, from a fixed,
+deterministic real start block (the lowest-diagonal unit vectors plus a
+small seeded perturbation).  Both paths take a ``model.Hamiltonian``, whose
+matrix is exactly Hermitian by construction.  Operators are real whenever
+their coefficients are (the default model's fiber and chain Hamiltonians
+are float64), so both paths then run in real arithmetic.  Functional
+calculus for energy cutoffs f(H) and spectral windows E_Sigma is
+spectral-projection based throughout; f(H) v is applied block by block
+without forming the n x n matrix f(H).
 
 The scans are the dispersion curve with its sandwich margins, the
 second-order perturbative energy and the soft-boson mass of a state, read
@@ -37,7 +38,6 @@ from .model import (
     build_fiber_H,
     fiber_diagonal,
     o_beta,
-    pattern_components,
     quadrature_C,
     velocity_bound,
 )
@@ -136,19 +136,22 @@ class SpectralResult:
 def ground_state(H: Hamiltonian, k: int = 2, tol: float = 1e-10) -> SpectralResult:
     """k lowest eigenpairs of a Hamiltonian.
 
-    Dense ``eigh`` up to DENSE_CUTOFF; ``lanczos_lowest`` (Jacobi-preconditioned
-    LOBPCG) from the real start block above it, in the operator's own dtype
-    (float64 for a real Hamiltonian), with ``iterations`` counting matvecs.
-    Both paths must pass the same residual check.  The ground-state phase is
-    fixed so that the vacuum amplitude (or, if it vanishes, the largest
-    amplitude) is nonnegative real.  The eigenvectors are ``FockVector``s on
+    Up to DENSE_CUTOFF the k lowest pairs of ``SpectralCalculus(H)``, so each
+    eigenvector is exactly zero off its block (method ``"dense"``);
+    ``lanczos_lowest`` (Jacobi-preconditioned LOBPCG) from the real start
+    block above it, in the operator's own dtype (float64 for a real
+    Hamiltonian), with ``iterations`` counting matvecs.  Both paths must pass
+    the same residual check.  The ground-state phase is fixed so that the
+    vacuum amplitude (or, if it vanishes, the largest amplitude) is
+    nonnegative real.  The eigenvectors are ``FockVector``s on
     ``H.basis``, or plain arrays when H has no basis.
     """
     n = H.shape[0]
     k = min(k, n)
     if n <= DENSE_CUTOFF:
-        vals, vecs = np.linalg.eigh(H.mat.toarray())
-        vals, vecs = vals[:k], vecs[:, :k]
+        calc = SpectralCalculus(H)
+        vals = np.sort(calc.vals)[:k]
+        vecs = calc.window_vectors(vals[-1])[:, :k]
         iters = 0
         method = "dense"
     else:
@@ -184,10 +187,10 @@ def ground_state(H: Hamiltonian, k: int = 2, tol: float = 1e-10) -> SpectralResu
 class SpectralCalculus:
     """Eigendecomposition of a Hamiltonian block by block, reused for f(H).
 
-    The blocks are the connected components of H's stored sparsity pattern
-    (``model.pattern_components``, which H's Chebyshev operator shares), so
-    the full chain splits into its total-momentum fibers without being
-    told about them.  Components of equal size are stacked and diagonalized
+    The blocks are ``H.blocks``, the connected components of H's stored
+    sparsity pattern, which H's Chebyshev operator shares, so the full
+    chain splits into its total-momentum fibers without being told about
+    them.  Components of equal size are stacked and diagonalized
     by one batched ``eigh``; ``groups`` holds one (index, eigenvalue,
     eigenvector) triple per size, shaped (B, s), (B, s) and (B, s, s), and
     ``vals`` all eigenvalues in group order.  ``limit`` caps the size of the
@@ -198,8 +201,7 @@ class SpectralCalculus:
 
     def __init__(self, H: Hamiltonian, limit: int = DENSE_CUTOFF):
         n = H.shape[0]
-        mat = H.mat.tocsr()
-        label = pattern_components(mat)
+        label = H.blocks
         sizes = np.bincount(label)
         if sizes.max() > limit:
             raise ConfigWindowError(f"dense functional calculus capped at component size {limit}, "
@@ -209,7 +211,7 @@ class SpectralCalculus:
         pos = np.empty(n, dtype=np.intp)
         pos[order] = np.arange(n) - starts[label[order]]
         slot = np.empty(len(sizes), dtype=np.intp)
-        coo = mat.tocoo()
+        coo = H.mat.tocoo()
         self.n = n
         self.groups = []
         for s in np.unique(sizes):
@@ -218,7 +220,7 @@ class SpectralCalculus:
             idx = order[(starts[comps][:, None] + np.arange(s)).ravel()].reshape(-1, s)
             hit = sizes[label[coo.row]] == s
             r, c = coo.row[hit], coo.col[hit]
-            stack = np.zeros((len(comps), s, s), dtype=mat.dtype)
+            stack = np.zeros((len(comps), s, s), dtype=H.mat.dtype)
             np.add.at(stack, (slot[label[r]], pos[r], pos[c]), coo.data[hit])
             vals, vecs = np.linalg.eigh(stack)
             self.groups.append((idx, vals, vecs))
@@ -231,29 +233,23 @@ class SpectralCalculus:
                 for part, (_, vals, _) in zip(np.split(values, cuts), self.groups)]
 
     def fn(self, f, v=None) -> np.ndarray:
-        """The n x n matrix f(H), or f(H) v for v of shape (n,) or (n, k).
+        """f(H) v for v of shape (n,) or (n, k), or the n x n matrix f(H) as
+        f(H) applied to the identity when v is omitted.
 
-        With v, each component applies its eigenbasis to its rows of v, so
+        Each block applies its eigenbasis to its rows of v, so with a vector
         no n x n array is formed.
         """
         fvals = self._split(f(self.vals))
-        if v is not None:
-            v = np.asarray(v)
-            if v.ndim not in (1, 2) or v.shape[0] != self.n:
-                raise ValueError(f"f(H) v needs v of shape ({self.n},) or ({self.n}, k)")
-            cols = v.reshape(self.n, -1)
-            out = np.zeros(cols.shape, dtype=np.result_type(
-                cols, *fvals, *(vecs for _, _, vecs in self.groups)))
-            for (idx, _, vecs), fv in zip(self.groups, fvals):
-                coef = vecs.conj().transpose(0, 2, 1) @ cols[idx]
-                out[idx] = vecs @ (fv[:, :, None] * coef)
-            return out.reshape(v.shape)
-        parts = [(idx, (vecs * fv[:, None, :]) @ vecs.conj().transpose(0, 2, 1))
-                 for (idx, _, vecs), fv in zip(self.groups, fvals)]
-        out = np.zeros((self.n, self.n), dtype=np.result_type(*(b for _, b in parts)))
-        for idx, blocks in parts:
-            out[idx[:, :, None], idx[:, None, :]] = blocks
-        return out
+        v = np.eye(self.n) if v is None else np.asarray(v)
+        if v.ndim not in (1, 2) or v.shape[0] != self.n:
+            raise ValueError(f"f(H) v needs v of shape ({self.n},) or ({self.n}, k)")
+        cols = v.reshape(self.n, -1)
+        out = np.zeros(cols.shape, dtype=np.result_type(
+            cols, *fvals, *(vecs for _, _, vecs in self.groups)))
+        for (idx, _, vecs), fv in zip(self.groups, fvals):
+            coef = vecs.conj().transpose(0, 2, 1) @ cols[idx]
+            out[idx] = vecs @ (fv[:, :, None] * coef)
+        return out.reshape(v.shape)
 
     def window_vectors(self, sigma: float) -> np.ndarray:
         """Eigenvectors with eigenvalue <= sigma as columns, in ascending energy."""

@@ -74,13 +74,26 @@ def test_generator_contractions_match_builders(spaces):
     assert_close(gen.dGamma(b[0].real), oracles.dGamma(basis, b[0].real).toarray())
 
 
+def doubled_creation(u_ids, h) -> np.ndarray:
+    """a*(h) on the doubled grid as the dense matrix of ``u_ids``' scatter."""
+    n = u_ids.tb.sum_basis.size
+    out = np.zeros((n, n), dtype=complex)
+    out[u_ids.sum_row, u_ids.sum_col] = u_ids.sum_creation(h)
+    return out
+
+
 def test_doubled_grid_creation_scatter_exact(spaces):
-    _, basis_sum, _ = spaces
-    creation = algebra._SparseCreation(basis_sum)
-    for e in np.eye(basis_sum.grid.n_modes):
-        assert np.array_equal(creation(e), oracles.creation_op(basis_sum, e).toarray())
+    """U's identities read a*(h) on the doubled grid off ``fock``'s creation
+    entries, and dGamma(e_j)'s diagonal off the occupations of mode j."""
+    basis, basis_sum, tb = spaces
+    u_ids = algebra._UIdentities(algebra.Generators(basis), tb, split.TensorLift(tb))
+    for j, e in enumerate(np.eye(basis_sum.grid.n_modes)):
+        assert np.array_equal(doubled_creation(u_ids, e),
+                              oracles.creation_op(basis_sum, e).toarray())
+        assert np.array_equal(u_ids.sum_numbers[:, j],
+                              oracles.dGamma(basis_sum, e).diagonal())
     h = np.random.default_rng(12).normal(size=basis_sum.grid.n_modes) * (1 + 1j)
-    assert_close(creation(h), oracles.creation_op(basis_sum, h).toarray())
+    assert_close(doubled_creation(u_ids, h), oracles.creation_op(basis_sum, h).toarray())
 
 
 def test_tensor_lift_exact(spaces):
@@ -139,7 +152,6 @@ def test_u_identities_on_supports_equal_dense(spaces, corrupt):
     gen = algebra.Generators(basis)
     lift = split.TensorLift(tb)
     u_ids = algebra._UIdentities(gen, tb, lift, corrupt)
-    creation = algebra._SparseCreation(basis_sum)
     t = tb.perm
     s = np.argsort(t)
     guard_pairs = np.flatnonzero(tb.pair_numbers().sum(axis=1) <= n_max - 1)
@@ -151,9 +163,9 @@ def test_u_identities_on_supports_equal_dense(spaces, corrupt):
         if corrupt:
             a_dag1[0, min(1, n - 1)] += 0.5
         ann1, ann2 = gen.annihilation_op(g1), gen.annihilation_op(g2)
-        lhs = creation(np.concatenate([g1, np.zeros(M)]))[np.ix_(s, s)]
+        lhs = doubled_creation(u_ids, np.concatenate([g1, np.zeros(M)]))[np.ix_(s, s)]
         assert u_ids.creation(g1, a_dag1) == np.abs((lhs - lift(a_dag1))[:, guard_pairs]).max()
-        lhs = creation(np.concatenate([g1, g2])).conj().T[s]
+        lhs = doubled_creation(u_ids, np.concatenate([g1, g2])).conj().T[s]
         rhs = (lift(ann1) + lift(None, ann2))[:, t]
         assert u_ids.annihilation(g1, g2, ann1, ann2) == np.abs(lhs - rhs).max()
         lhs = np.diag((u_ids.sum_numbers @ np.concatenate([d0, dinf]))[s])

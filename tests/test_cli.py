@@ -72,6 +72,16 @@ class TestConfig:
         with pytest.raises(cli.ConfigError):
             cli.parse_config(path)
 
+    def test_key_given_twice_rejected(self, tmp_path, capsys):
+        """A repeated key is an error naming both lines, not a silent last
+        value."""
+        path = write_cfg(tmp_path, "model.g = 0.02\n# comment\nbasis.n_max = 3\nmodel.g = 0.03\n")
+        with pytest.raises(cli.ConfigError, match="line 4: model.g is already set on line 1"):
+            cli.parse_config(path)
+        assert run(["algebra", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert "line 1" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.json"))
+
     def test_unknown_key_exit_code(self, tmp_path):
         path = write_cfg(tmp_path, "nope.key = 1\n")
         assert run(["algebra", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
@@ -342,7 +352,7 @@ class TestCommands:
         ms, basis = cli.build_model(cli.RunConfig(values=cli.parse_config(path)))
         assert basis.size == 969
         H = model.build_fiber_H(ms, [cli.SCHEMA["model.p"][1]], basis)
-        label = model.pattern_components(H.mat)
+        label = H.blocks
         ground = label[np.argmax(np.abs(spectral.ground_state(H, k=1).ground_vector.amps))]
         sizes = np.bincount(label)
         block = next(c for c in np.argsort(-sizes, kind="stable") if c != ground)

@@ -145,7 +145,7 @@ class TestKrylov:
         Gershgorin interval: the same bits as the single-interval series."""
         X = rng.normal(size=(60, 60))
         mat = sp.csr_matrix(X + X.T)
-        assert model.chebyshev_operator(mat).components == 1
+        assert model.Hamiltonian(mat).chebyshev.components == 1
         v = rng.normal(size=60) + 1j * rng.normal(size=60)
         for dt in (1.0, 12.0, 29.0):
             np.testing.assert_array_equal(
@@ -193,24 +193,20 @@ class TestKrylov:
 
     def test_one_chebyshev_operator_per_hamiltonian(self, ms_default, basis12, rng,
                                                     monkeypatch):
-        """A 12-interval grid, a second propagation of the same H and a
-        ``replace`` of the first label the pattern's components and build the
-        shifted operator once between them."""
+        """One fiber H that is ground-stated, given a ``SpectralCalculus``,
+        propagated over a 12-interval grid, propagated again and ``replace``d
+        splits into its blocks once: every consumer reads ``H.blocks``."""
         H = model.build_fiber_H(ms_default, [0.25], basis12)
-        calls = {"components": 0, "operator": 0}
-        components, operator = model.pattern_components, model.chebyshev_operator
+        calls = []
+        components = model.pattern_components
 
         def spy_components(mat):
-            calls["components"] += 1
+            calls.append(mat.shape)
             return components(mat)
 
-        def spy_operator(mat):
-            calls["operator"] += 1
-            return operator(mat)
-
         monkeypatch.setattr(model, "pattern_components", spy_components)
-        for module in (model, dynamics):
-            monkeypatch.setattr(module, "chebyshev_operator", spy_operator)
+        assert spectral.ground_state(H, k=2).meta["method"] == "dense"
+        calc = spectral.SpectralCalculus(H)
         times = dynamics.geometric_times(1.0, 100.0, 1.5)
         assert len(times) == 12
         v = rng.normal(size=basis12.size) + 1j * rng.normal(size=basis12.size)
@@ -219,7 +215,18 @@ class TestKrylov:
         assert dynamics.check_conservation(track)
         list(dynamics.snapshots(dynamics.Propagation(H, v[::-1].copy(), times)))
         list(dynamics.snapshots(replace(prop, state=v)))
-        assert calls == {"components": 1, "operator": 1}
+        assert calls == [H.shape]
+        assert sum(len(idx) for idx, _, _ in calc.groups) == H.chebyshev.components > 1
+
+    def test_bare_matrix_must_be_exactly_hermitian(self, fiber_setup, rng):
+        """A bare CSR matrix is wrapped in a ``Hamiltonian``, so one that is
+        not exactly Hermitian is refused rather than propagated."""
+        _, basis, H = fiber_setup
+        skewed = H.mat.tolil()
+        skewed[0, 1] += 1e-15
+        v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+        with pytest.raises(ValueError):
+            dynamics.krylov_expm_apply(skewed.tocsr(), v, 1.0)
 
     @pytest.mark.parametrize("kind", [complex, float])
     def test_input_vector_is_never_written(self, fiber_setup, rng, kind):

@@ -132,6 +132,19 @@ class TestCommutator:
         assert abs(comm.toarray()[0, 0]) == 0.0
         assert (comm - comm.conj().T).count_nonzero() == 0
 
+    @pytest.mark.parametrize("which", ["line", "radial"])
+    def test_commutator_exactly_hermitian_as_summed(self, nonrel, which):
+        """Real diagonals plus g phi(i a kappa_sigma) are exactly Hermitian at
+        g != 0 with no symmetrizing step, on a line grid and a radial grid."""
+        ff = model.FormFactor(1.0, 1.0, SIGMA)
+        grid = (fock.line_grid(8, 1.6, SIGMA) if which == "line"
+                else fock.radial_grid(2, 1.5, SIGMA))
+        basis = fock.build_basis(grid, 2)
+        ms = model.ModelSpec(nonrel, ff, grid, 0.05)
+        C = mourre.commutator_iHA(ms, [0.25], basis, mourre.build_conjugate(ms, basis))
+        assert C.nnz > basis.size and np.iscomplexobj(C.data)
+        assert (C - C.conj().T).count_nonzero() == 0
+
     def test_one_boson_closed_form(self, msetup):
         """g=0 expectation on |1_j>: 1 - grad Omega(P - k_j) . k_j/|k_j|."""
         ms, grid, basis, conj = msetup

@@ -41,6 +41,16 @@ class TestGroundState:
         assert res.eigenvalues[1] == pytest.approx(mean + rad, abs=1e-14)
         assert res.gap == pytest.approx(2 * rad, abs=1e-13)
 
+    def test_any_sparse_format(self):
+        """A Hamiltonian stores CSR, which its block split reads, whatever
+        sparse format it is given."""
+        X = np.random.default_rng(4).normal(size=(6, 6))
+        for mat in (sp.coo_matrix(X + X.T), sp.csc_matrix(X + X.T)):
+            H = model.Hamiltonian(mat)
+            assert H.mat.format == "csr"
+            assert spectral.ground_state(H, k=2).eigenvalues == pytest.approx(
+                np.linalg.eigvalsh(X + X.T)[:2], abs=1e-12)
+
     def test_free_theory_exact_ground_pair(self, nonrel, relativistic, ff, grid12, basis12):
         for disp in (nonrel, relativistic):
             ms = model.ModelSpec(disp, ff, grid12, 0.0)
@@ -79,6 +89,27 @@ class TestGroundState:
         for i in range(k):
             space = V[:, np.abs(ev - ev[i]) < 1e-8]
             overlap = np.linalg.norm(space.conj().T @ vecs[:, i])
+            assert overlap == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("P", [0.0, 0.25, 0.8])
+    @pytest.mark.parametrize("use_modified", [True, False])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_dense_path_matches_whole_matrix_eigh(self, ms_default, basis12, P,
+                                                  use_modified, k):
+        """Below DENSE_CUTOFF the k lowest pairs come from the block-wise
+        calculus; against one ``eigh`` of the whole matrix, each vector is
+        compared with its eigenspace, degenerate at P = 0 for the one-boson
+        states at +-k."""
+        ms = model.ModelSpec(ms_default.disp, ms_default.ff, ms_default.grid, ms_default.g,
+                             use_modified=use_modified)
+        H = fiber(ms, P, basis12)
+        ev, V = np.linalg.eigh(H.mat.toarray())
+        res = spectral.ground_state(H, k=k, tol=1e-11)
+        assert res.meta["method"] == "dense" and res.meta["iterations"] == 0
+        assert np.abs(res.eigenvalues - ev[:k]).max() < 1e-12
+        for i in range(k):
+            space = V[:, np.abs(ev - ev[i]) < 1e-8]
+            overlap = np.linalg.norm(space.conj().T @ res.eigenvectors[i].amps)
             assert overlap == pytest.approx(1.0, abs=1e-8)
 
     def test_lanczos_nonconvergence_reports_matvecs(self, ms_default, basis12, monkeypatch):
@@ -380,6 +411,26 @@ class TestSoftOccupancy:
     def test_dressed_state_has_no_soft_mass(self, ms_default, basis12):
         res = spectral.ground_state(fiber(ms_default, 0.25, basis12), k=1, tol=1e-12)
         assert spectral.soft_boson_occupancy(res.ground_vector, 0.2) < 1e-10
+
+    def test_soft_mass_is_exactly_zero_at_criterion_5(self, ms_default, basis12):
+        """Criterion 5's six (g, P): the coupling never reaches a soft mode, so
+        the ground state's block holds no soft occupation and the block-wise
+        eigenvector is exactly zero there."""
+        gb = model.g_beta(ms_default.disp, ms_default.ff, 0.9, ms_default.grid)
+        for gg in (gb / 2.0, -gb / 2.0):
+            ms = model.ModelSpec(ms_default.disp, ms_default.ff, ms_default.grid, gg)
+            for P in (0.0, 0.25, 0.5):
+                res = spectral.ground_state(fiber(ms, P, basis12), k=1, tol=1e-12)
+                assert spectral.soft_boson_occupancy(res.ground_vector, 0.2) == 0.0
+
+    def test_ground_state_in_a_soft_block(self, nonrel, ff):
+        """At P = 1.2 on 24 modes a soft boson lowers the energy below every
+        state of the interacting block (Delta_soft < 0), so the ground state
+        is all soft mass."""
+        grid = fock.line_grid(24, 1.5, 0.2)
+        ms = model.ModelSpec(nonrel, ff, grid, 0.05)
+        res = spectral.ground_state(fiber(ms, 1.2, fock.build_basis(grid, 2)), k=1, tol=1e-12)
+        assert spectral.soft_boson_occupancy(res.ground_vector, 0.2) >= 1.0 - 1e-12
 
 
 class TestGradBound:
