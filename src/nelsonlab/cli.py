@@ -30,7 +30,7 @@ import sys
 import time
 import traceback
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -340,7 +340,7 @@ def cmd_dispersion(cfg: RunConfig) -> int:
     resid = []
     P0 = np.zeros(ms.grid.dim)
     for gg in gs:
-        msg = model.ModelSpec(ms.disp, ms.ff, ms.grid, gg, ms.use_modified)
+        msg = replace(ms, g=gg)
         H = model.build_fiber_H(msg, P0, basis)
         eg = spectral.ground_state(H, k=1, tol=v["solver.tol"]).ground_energy
         resid.append(abs(eg - spectral.pt_ground_energy(msg, P0, basis)))
@@ -410,13 +410,13 @@ def cmd_mourre(cfg: RunConfig) -> int:
 def cmd_evolve(cfg: RunConfig) -> int:
     v = cfg.values
     ms, basis = build_model(cfg)
+    times = dynamics.geometric_times(v["dynamics.t0"], v["dynamics.t_max"], v["dynamics.ratio"])
     H = model.build_fiber_H(ms, config_momentum(v["model.p"], ms.grid.dim), basis)
     # the exact oracle, block by block; a block above its limit is refused before any artifact
     calc = spectral.SpectralCalculus(H)
     rng = np.random.default_rng(cfg.seed or 3)
     psi = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
     psi /= np.linalg.norm(psi)
-    times = dynamics.geometric_times(v["dynamics.t0"], v["dynamics.t_max"], v["dynamics.ratio"])
     prop = dynamics.Propagation(H, psi, times, step_tol=v["dynamics.step_tol"])
     track = dynamics._track_snapshots(prop, lambda p, t: float(np.vdot(p, H.mat @ p).real))
     t_ref = float(times[min(3, len(times) - 1)])
@@ -436,9 +436,9 @@ def dressed_propagation(cfg: RunConfig, t_max: float) -> tuple:
     v = cfg.values
     ms, basis = build_model(cfg)
     P = config_momentum(v["model.p"], ms.grid.dim)
+    times = dynamics.geometric_times(v["dynamics.t0"], t_max, v["dynamics.ratio"])
     H = model.build_fiber_H(ms, P, basis)
     psiP = spectral.ground_state(H, k=2, tol=v["solver.tol"]).ground_vector
-    times = dynamics.geometric_times(v["dynamics.t0"], t_max, v["dynamics.ratio"])
     prop = dynamics.Propagation(H, psiP.amps, times, step_tol=v["dynamics.step_tol"])
     return ms, P, prop, dynamics.YCalc(ms.grid)
 

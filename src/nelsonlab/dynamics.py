@@ -39,7 +39,8 @@ Gamma(j0) X Gamma(jinf)^T, one product per pair of boson-number sectors.
 On the truncated pair space this is exact, since each Gamma conserves its
 own leg's boson number, and no pairs x basis array or doubled-grid basis is
 built.  Both of its energy filters come from one ``SpectralCalculus`` of the
-extended fiber, whose outer-vacuum block is H(P), real when H(P) is.
+extended fiber ``model.extended_fiber_H``, whose outer-vacuum block is H(P)
+bit for bit.  Every Hamiltonian is assembled in ``model``.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from .model import (
     Hamiltonian,
     ModelSpec,
     build_fiber_H,
-    fiber_diagonal,
+    extended_fiber_H,
 )
 from .mourre import build_position_op
 from .spectral import SpectralCalculus, ground_state
@@ -128,9 +129,11 @@ def energy_window(sigma_top: float, width_frac: float = 0.15):
 
 
 def geometric_times(t0: float, t_max: float, ratio: float = 1.5) -> np.ndarray:
-    if not (ratio > 1 and t0 > 0):
-        # otherwise the grid never passes t_max
-        raise ValueError(f"geometric_times needs ratio > 1 and t0 > 0, got {ratio}, {t0}")
+    """t0, t0 r, t0 r^2, ... up to t_max; every time lies in [t0, t_max]."""
+    if not (ratio > 1 and 0 < t0 <= t_max):
+        # otherwise the grid never passes t_max, or starts past it
+        raise ConfigWindowError("geometric_times needs ratio > 1 and 0 < t0 <= t_max, "
+                                f"got {ratio}, {t0}, {t_max}")
     ts = [t0]
     while ts[-1] * ratio <= t_max * (1 + 1e-12):
         ts.append(ts[-1] * ratio)
@@ -389,33 +392,14 @@ def W_estimate(prop: Propagation, basis: OccupationBasis, cuts: CutoffFamily,
     return _track_snapshots(prop, measure)
 
 
-def extended_fiber_H(ms: ModelSpec, P, H: Hamiltonian, tb) -> Hamiltonian:
-    """H_ext = H x 1 + 1 x dGamma(omega) on the pairs (inner, outer r) of the
-    fiber H = H(P) of ``ms``: the direct sum over r of H(P - K_r) + E_r on
-    N <= n_max - n_r, with the ``fiber_diagonal`` at P of the summed
-    occupations and H's coupling on the inner leg.  Its block on the outer
-    vacuum is H itself, and it is real when H is (the lift's complex cast
-    is dropped), so its calculus runs real ``eigh``.  Refuses any other H."""
-    from .split import tensor_factor_ops
-
-    diag = H.mat.diagonal()
-    if not np.array_equal(diag, fiber_diagonal(ms, P, tb.basis.occ)):
-        raise ValueError("H is not the fiber H(P) of ms on the pairs' basis")
-    coupling = tensor_factor_ops(tb, op_left=H.mat - sp.diags(diag))
-    if not np.iscomplexobj(H.mat):
-        coupling = coupling.real
-    return Hamiltonian(sp.diags(fiber_diagonal(ms, P, tb.basis.occ[tb.pairs].sum(axis=1)))
-                       + coupling)
-
-
 def W_plus_probe(ms: ModelSpec, P, prop: Propagation, cuts: CutoffFamily,
                  ycalc: YCalc, f_window: float) -> ObservableTrack:
     """Track ||W_+(t) phi|| and its outer-vacuum component on the fiber H(P)
     of ``ms`` that ``prop`` evolves with: W_+(t) = f(H_ext) breve_Gamma(j_t)
     dGamma(chi_gamma,t) psi_t, psi_0 = f(H) psi / ||f(H) psi||, H_ext the
-    ``extended_fiber_H``; the unitary prefactor is dropped since only norms
-    are tracked.  Verdict: the outer-vacuum component is small (exact
-    j0 chi_gamma = 0 routing).
+    ``model.extended_fiber_H``, refused unless its outer-vacuum block is
+    prop.H; the unitary prefactor is dropped since only norms are tracked.
+    Verdict: the outer-vacuum component is small (j0 chi_gamma = 0 routing).
 
     Both filters come from one ``SpectralCalculus`` of H_ext, applied block
     by block: H(P) is its block on the outer vacuum, so f(H) psi is f(H_ext)
@@ -430,12 +414,14 @@ def W_plus_probe(ms: ModelSpec, P, prop: Propagation, cuts: CutoffFamily,
 
     basis = prop.H.basis
     tb = build_tensor_basis(basis)
-    H_ext = extended_fiber_H(ms, P, prop.H, tb)
+    H_ext = extended_fiber_H(ms, P, tb)
+    outer_vacuum = np.flatnonzero(tb.pair_numbers()[:, 1] == 0)
+    inner = tb.pairs[outer_vacuum, 0]
+    if (H_ext.mat[outer_vacuum][:, outer_vacuum] != prop.H.mat[inner][:, inner]).nnz:
+        raise ValueError("prop.H is not the fiber H(P) of ms on its basis")
     calc = SpectralCalculus(H_ext)
     f = energy_window(f_window)
     fusion_adj = scattering_ident(tb).conj().T
-    outer_vacuum = np.flatnonzero(tb.pair_numbers()[:, 1] == 0)
-    inner = tb.pairs[outer_vacuum, 0]
     lifted = np.zeros(tb.size, dtype=complex)
     lifted[outer_vacuum] = prop.state[inner]
     psi0 = np.zeros_like(prop.state)

@@ -95,7 +95,7 @@ class ModeGrid:
     omega_mod:  (M,) samples of the modified dispersion (>= |k|, >= sigma/2,
                 equal to |k| beyond sigma).
     sigma:      infrared scale used to build omega_mod.
-    meta:       structural info used by finite differences and lattices.
+    meta:       ``kind``, finite-difference mesh, doubled-grid ``copy_labels``.
     """
 
     dim: int
@@ -253,7 +253,7 @@ def lattice_grid(n_sites: int, mode_indices: Sequence[int], sigma: float) -> Mod
     return ModeGrid(
         dim=1, points=pts, weights=w,
         omega_free=kn, omega_mod=omega_modified(kn, sigma), sigma=sigma,
-        meta={"kind": "lattice", "n_sites": L, "mode_indices": m},
+        meta={"kind": "lattice"},
     )
 
 

@@ -5,12 +5,13 @@ The fiber Hamiltonian at total momentum P is
     H(P) = Omega(P - sum_j n_j k_j) + dGamma(omega) + g phi(kappa_sigma)
 
 on an occupation basis; omega is |k| or the modified dispersion depending on
-``use_modified``.  Its diagonal ``fiber_diagonal`` reads any occupation array,
-so W_+'s extended fiber (``dynamics.extended_fiber_H``) shares it.  The full
-d = 1 model lives on an L-site chain in the electron-momentum x occupation
-product basis, its boson modes on the dual lattice so that total momentum
-(mod 2 pi) is conserved exactly; its coupling is the fiber's, gathered from
-``fock``'s creation entries and rounded as g phi(kappa_sigma) stores it.
+``use_modified``.  One assembly ``_assemble`` builds every Hamiltonian as a
+diagonal plus g phi(kappa_sigma) from ``fock``'s creation entries: the fiber;
+W_+'s extended fiber H x 1 + 1 x dGamma(omega), the entries on the inner
+leg; and the full d = 1 model on an L-site chain in the electron-momentum x
+occupation product basis, the entries tiled over the electron momenta, its
+boson modes on the dual lattice so that total momentum (mod 2 pi) is
+conserved exactly.
 
 Operators are ``scipy.sparse.csr_matrix`` objects; ``Hamiltonian`` holds the
 CSR matrix, refused unless exactly Hermitian, with its occupation basis.  It
@@ -34,10 +35,11 @@ import scipy.sparse as sp
 from .fock import (
     ModeGrid,
     OccupationBasis,
+    _coo,
     _creation_entries,
     _switch,
-    field_op,
 )
+from .split import TensorBasis, _one_leg_support
 
 
 class IncompatibleGridError(ValueError):
@@ -295,23 +297,37 @@ class Hamiltonian:
         return ChebyshevOperator(centres, b, n_comp, A.astype(complex, copy=False))
 
 
-def fiber_diagonal(ms: ModelSpec, P, occ: np.ndarray,
-                   bz_width: float | None = None) -> np.ndarray:
-    """Omega(P - K(n)) + sum_j n_j omega_j per occupation row n of ``occ``, the
-    electron momentum wrapped into a zone of width ``bz_width`` if given."""
+def fiber_diagonal(ms: ModelSpec, P, occ: np.ndarray) -> np.ndarray:
+    """Omega(P - K(n)) + sum_j n_j omega_j per occupation row n of ``occ``."""
     pe = np.atleast_1d(np.asarray(P, dtype=float))[None, :] - occ @ ms.grid.points
-    if bz_width is not None:
-        pe = (pe + bz_width / 2.0) % bz_width - bz_width / 2.0
     return ms.disp.omega(pe) + occ @ ms.boson_omega()
 
 
-def build_fiber_H(ms: ModelSpec, P, basis: OccupationBasis,
-                  bz_width: float | None = None) -> Hamiltonian:
+def _assemble(ms: ModelSpec, diag: np.ndarray, rows, cols, c,
+              basis: OccupationBasis | None = None) -> Hamiltonian:
+    """diag(diag) plus g / sqrt(2) times the creation entries ``c`` at
+    (rows, cols) and their adjoint, rounded as g * field_op would be."""
+    n = len(diag)
+    up = sp.coo_matrix((ms.g * (c * (1.0 / math.sqrt(2.0))), (rows, cols)), shape=(n, n))
+    return Hamiltonian((sp.diags(diag) + up + up.conj().T).tocsr(), basis)
+
+
+def build_fiber_H(ms: ModelSpec, P, basis: OccupationBasis) -> Hamiltonian:
     """Fiber Hamiltonian at total momentum P on the occupation basis."""
-    H = sp.diags(fiber_diagonal(ms, P, basis.occ, bz_width), format="csr")
-    if ms.g != 0.0:
-        H = H + ms.g * field_op(basis, ms.coupling_samples())
-    return Hamiltonian(H.tocsr(), basis)
+    rows, cols, _, c = _creation_entries(basis, ms.coupling_samples())
+    return _assemble(ms, fiber_diagonal(ms, P, basis.occ), rows, cols, c, basis)
+
+
+def extended_fiber_H(ms: ModelSpec, P, tb: TensorBasis) -> Hamiltonian:
+    """H_ext = H(P) x 1 + 1 x dGamma(omega) on the pairs (inner, outer r):
+    the direct sum over r of H(P - K_r) + E_r on N <= n_max - n_r.  Its
+    outer-vacuum block is ``build_fiber_H(ms, P, tb.basis)`` bit for bit."""
+    basis = tb.basis
+    up, src, _, c = _creation_entries(basis, ms.coupling_samples())
+    a_dag = _coo(basis, up, src, c)
+    rows, cols, k = _one_leg_support(tb, a_dag.indptr, a_dag.indices, right=False)
+    return _assemble(ms, fiber_diagonal(ms, P, basis.occ[tb.pairs].sum(axis=1)),
+                     rows, cols, a_dag.data[k])
 
 
 # ---------------------------------------------------------------------------
@@ -372,12 +388,9 @@ def build_full_H(ms: ModelSpec, fb: FullBasis) -> Hamiltonian:
     L, nb = fb.n_sites, fb.boson.size
     om_e = ms.disp.omega(fb.momenta[:, None])
     diag = (om_e[:, None] + (fb.boson.occ @ ms.boson_omega())[None, :]).ravel()
-    # the fiber's coupling g phi(kappa_sigma), rounded as g * field_op stores it
     up, b, j, c = _creation_entries(fb.boson, ms.coupling_samples())
     e = np.arange(L)[:, None]
     # e^{-i k_j x}: electron momentum index e -> e - m_j (mod L), see FullBasis
     rows = ((e - fb.mode_m[j]) % L * nb + up).ravel()
     cols = (e * nb + b).ravel()
-    data = np.tile(ms.g * (c * (1.0 / math.sqrt(2.0))), L)
-    mat = sp.coo_matrix((data, (rows, cols)), shape=(fb.size, fb.size))
-    return Hamiltonian((sp.diags(diag) + mat + mat.conj().T).tocsr())
+    return _assemble(ms, diag, rows, cols, np.tile(c, L))

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -342,10 +342,8 @@ def dispersion_scan(ms: ModelSpec, momenta, basis: OccupationBasis,
                 raise ConfigWindowError(f"scan momentum {P} violates Omega(P) <= O_beta")
     C = quadrature_C(ms.ff, ms.grid)
     alphas = tuple(a for a in (abs(ms.g), 0.5, 1.0) if a > 0)
-    ms_free = ModelSpec(ms.disp, ms.ff, ms.grid,
-                        0.0, use_modified=ms.use_modified)
-    ms_other = ModelSpec(ms.disp, ms.ff, ms.grid,
-                         ms.g, use_modified=not ms.use_modified)
+    ms_free = replace(ms, g=0.0)
+    ms_other = replace(ms, use_modified=not ms.use_modified)
 
     def solve_point(P):
         try:

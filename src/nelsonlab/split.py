@@ -54,7 +54,7 @@ def doubled_grid(grid: ModeGrid) -> ModeGrid:
         omega_free=np.concatenate([grid.omega_free, grid.omega_free]),
         omega_mod=np.concatenate([grid.omega_mod, grid.omega_mod]),
         sigma=grid.sigma,
-        meta={"kind": "doubled", "base": grid, "copy_labels": labels},
+        meta={"kind": "doubled", "copy_labels": labels},
     )
 
 

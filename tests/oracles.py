@@ -13,7 +13,9 @@ product basis by total momentum, one state at a time, and
 [H, P_tot] = 0 checks.  ``smooth_test_states`` are the smooth guarded-sector
 states on which the explicit and the numerical commutator of ``mourre`` are
 compared.  ``lift_boson_op``
-forms the Kronecker product 1 x op of a boson operator on the chain.
+forms the Kronecker product 1 x op of a boson operator on the chain, and
+``wrapped_fiber_H`` the fiber H(P) with its electron momentum wrapped into
+the zone, which the chain's total-momentum blocks are compared with.
 ``DenseCalculus`` is the one-``eigh`` functional calculus that the
 block-wise ``SpectralCalculus`` replaced, and
 ``to_position`` the phase-matrix DFT that ``FullBasis.to_position`` computes
@@ -45,6 +47,7 @@ from nelsonlab.fock import (
     _coo,
     to_ortho,
 )
+from nelsonlab import model
 from nelsonlab.model import _gershgorin_interval
 
 
@@ -279,6 +282,17 @@ def full_H_coupling(ms, fb) -> sp.coo_matrix:
                 cols.append(e_idx * nb + b_idx)
                 data.append(val)
     return sp.coo_matrix((data, (rows, cols)), shape=(fb.size, fb.size), dtype=complex)
+
+
+def wrapped_fiber_H(ms, P, basis):
+    """The fiber H(P) with its electron momentum P - K(n) wrapped into the
+    zone [-pi, pi), as the chain's total-momentum block 2 pi m / L sees it:
+    ``model.build_fiber_H``'s coupling, bit for bit, on the wrapped diagonal."""
+    H = model.build_fiber_H(ms, P, basis).mat
+    pe = np.atleast_1d(np.asarray(P, dtype=float))[None, :] - basis.occ @ ms.grid.points
+    pe = (pe + np.pi) % (2 * np.pi) - np.pi
+    diag = ms.disp.omega(pe) + basis.occ @ ms.boson_omega()
+    return model.Hamiltonian(H - sp.diags(H.diagonal()) + sp.diags(diag), basis)
 
 
 def momentum_blocks(fb) -> dict:

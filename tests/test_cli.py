@@ -428,10 +428,14 @@ class TestCommands:
         ("evolve", "grid.n_modes = 0\n"),
         ("mourre", "mourre.grid_n_modes = 0\n"),
         ("algebra", "algebra.n_modes = 0\n"),
-        ("dispersion", "basis.n_max = 0\n")],
+        ("dispersion", "basis.n_max = 0\n"),
+        ("evolve", "dynamics.t0 = 20\ndynamics.t_max = 10\n"),
+        ("w", "dynamics.t0 = 20\ndynamics.t_max = 10\n"),
+        ("wplus", "dynamics.t0 = 20\nw.t_max = 10\n")],
         ids=["dispersion-kind", "scan-beta", "scan-momentum", "mourre-window", "cutoff-order",
              "dynamics-ratio", "dispersion-zero-modes", "evolve-zero-modes", "mourre-zero-modes",
-             "algebra-zero-modes", "dispersion-vacuum-basis"])
+             "algebra-zero-modes", "dispersion-vacuum-basis", "evolve-t0-past-t-max",
+             "w-t0-past-t-max", "wplus-t0-past-t-max"])
     def test_config_value_exit_code(self, tmp_path, capsys, command, text):
         path = write_cfg(tmp_path, text)
         assert run([command, "--config", path, "--out", str(tmp_path)]) == cli.EXIT_CONFIG

@@ -309,7 +309,8 @@ class TestGeometricTimes:
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from nelsonlab.dynamics import geometric_times
-for args in [(1.0, 100.0, 1.0), (1.0, 100.0, 0.5), (0.0, 100.0, 1.5), (-1.0, 100.0, 1.5)]:
+for args in [(1.0, 100.0, 1.0), (1.0, 100.0, 0.5), (0.0, 100.0, 1.5), (-1.0, 100.0, 1.5),
+             (20.0, 10.0, 1.5)]:
     try:
         geometric_times(*args)
     except ValueError:
@@ -550,7 +551,7 @@ class TestWPlus:
         basis = fock.build_basis(grid, 2)
         H = model.build_fiber_H(ms, [0.25], basis)
         tb = build_tensor_basis(basis)
-        Hext = dynamics.extended_fiber_H(ms, [0.25], H, tb).mat.toarray()
+        Hext = model.extended_fiber_H(ms, [0.25], tb).mat.toarray()
         eye, zero = np.eye(grid.n_modes), np.zeros((grid.n_modes,) * 2)
         for j in ((eye, zero), (zero, eye)):
             BG = breve_gamma(*j, tb)
@@ -569,7 +570,7 @@ class TestWPlus:
         basis = fock.build_basis(grid, n_max)
         P = np.array([0.25])
         tb = build_tensor_basis(basis)
-        Hext = dynamics.extended_fiber_H(ms, P, model.build_fiber_H(ms, P, basis), tb).mat
+        Hext = model.extended_fiber_H(ms, P, tb).mat
         inner, outer = tb.pairs.T
         rows, cols = Hext.nonzero()
         assert np.array_equal(outer[rows], outer[cols])
@@ -584,14 +585,14 @@ class TestWPlus:
             assert np.abs(block - (shifted + E_r * np.eye(len(keep)))).max() <= 1e-14
 
     def test_extended_fiber_of_a_real_fiber_is_real(self, small_fiber):
-        """The lift's complex cast is dropped: H_ext is float64 when H(P) is,
-        with the same entries as the complex lift."""
+        """H_ext is float64 when H(P) is, and its coupling is H(P)'s lifted
+        onto the inner leg by ``tensor_factor_ops``, entry for entry."""
         from nelsonlab.split import build_tensor_basis, tensor_factor_ops
 
         ms, basis, H = small_fiber
         assert H.mat.dtype == np.float64
         tb = build_tensor_basis(basis)
-        Hext = dynamics.extended_fiber_H(ms, [0.25], H, tb).mat
+        Hext = model.extended_fiber_H(ms, [0.25], tb).mat
         assert Hext.dtype == np.float64
         lift = tensor_factor_ops(tb, op_left=H.mat - sp.diags(H.mat.diagonal()))
         assert lift.dtype == complex and not lift.imag.count_nonzero()
@@ -718,7 +719,7 @@ class TestFiberFullConsistency:
         amps = rng.normal(size=len(idx)) + 1j * rng.normal(size=len(idx))
         psi_full = np.zeros(fb.size, dtype=complex)
         psi_full[idx] = amps / np.linalg.norm(amps)
-        Hfib = model.build_fiber_H(ms, [P], fb.boson, bz_width=2 * np.pi)
+        Hfib = oracles.wrapped_fiber_H(ms, [P], fb.boson)
         # match the block state to the fiber by boson content
         psi_fib = np.zeros(fb.boson.size, dtype=complex)
         for pos, i in enumerate(idx):

@@ -233,7 +233,7 @@ class TestFullModel:
             idx = blocks[m_tot]
             ev_block = np.linalg.eigvalsh(Hd[np.ix_(idx, idx)])
             P = 2 * np.pi * m_tot / fb.n_sites
-            Hf = model.build_fiber_H(ms, [P], fb.boson, bz_width=2 * np.pi)
+            Hf = oracles.wrapped_fiber_H(ms, [P], fb.boson)
             ev_fiber = np.linalg.eigvalsh(Hf.mat.toarray())
             assert np.abs(ev_block - ev_fiber).max() < 1e-10
 
@@ -251,7 +251,7 @@ class TestFullModel:
         blocks = oracles.momentum_blocks(fb)
         assert sorted(blocks) == list(range(-(L // 2), L // 2 + 1))
         for m_tot, idx in blocks.items():
-            Hf = model.build_fiber_H(ms, [2 * np.pi * m_tot / L], fb.boson, bz_width=2 * np.pi)
+            Hf = oracles.wrapped_fiber_H(ms, [2 * np.pi * m_tot / L], fb.boson)
             assert np.abs(np.linalg.eigvalsh(Hd[np.ix_(idx, idx)])
                           - np.linalg.eigvalsh(Hf.mat.toarray())).max() < 1e-12
 
