@@ -18,27 +18,25 @@ N <= n_max - 1; number-conserving identities hold on the whole basis.
 
 A basis is one integer array: ``occ[c, j]`` is the occupation of mode j in
 state c, enumerated sector by sector in numpy, with ``lookup``, the exact
-lookup of occupation rows.  A truncated basis is closed under removing a boson
-(removal lowers N), so every state c with n_j(c) > 0 has its parent c - e_j
-in the basis.  ``build_basis`` derives from ``occ`` and
-``lookup``, once and read-only: the occupied-mode slot tables (per state, its
-at most n_max occupied modes ``slot_mode``, their sqrt(n) ``slot_root`` and
-the parent rows ``slot_parent``, one lookup per slot); the ladder table
-``up[c, j]``, the index of c + e_j or -1 when that state lies outside
-N <= n_max, scattered from the slot tables, with ``up_rows``, the states
-whose row of ``up`` holds an entry >= 0; and ``sectors``, the per-sector
-schedule of the sector recursion, read off slot 0.  Every second-quantized
-operator is derived from these tables: hopping terms a*_i a_j, the sector
-recursions behind Gamma and dGamma2, and the tensor and fusion maps of
-``split`` are index gathers on ``occ``, ``up`` and the slot tables.  The
-sector recursion conserves the boson number: the columns of input sector n
-fill only the rows of output sector n (their range read from the target's
-``sectors``), each through its slots s < min(n, M) and its parents in
-sector n - 1.  So is
-``dGamma_expectation``, which reads <psi, dGamma(b) psi> from the M x M
-one-boson density matrix rho_ij = <a_i psi, a_j psi>, one gather on the
-``up_rows`` of ``up`` (every other row of a_j psi is zero), without
-assembling dGamma(b).
+lookup of occupation rows.  The layout is graded: sector n (total occupation
+N = n) is the row range ``edges[n]:edges[n + 1]``.  Every state c with
+n_j(c) > 0 has its parent c - e_j in the basis, every state below the top
+sector has all its children c + e_j, and no state of the top sector has
+any.  ``build_basis`` derives from ``occ`` and ``lookup``, once and
+read-only: the occupied-mode slot tables (per state, its at most n_max
+occupied modes ``slot_mode``, their sqrt(n) ``slot_root`` and the parent
+rows ``slot_parent``, one lookup per slot) and the ladder table
+``up[c, j]``, the index of c + e_j for the states c below the top sector,
+scattered from the slot tables.  Every second-quantized operator is derived
+from these tables: hopping terms a*_i a_j, the sector recursions behind
+Gamma and dGamma2, and the tensor and fusion maps of ``split`` are index
+gathers on ``occ``, ``up`` and the slot tables.  The sector recursion
+conserves the boson number: the columns of input sector n fill only the
+rows of output sector n (both ranges read from ``edges``), each through its
+slots s < min(n, M) and its parents in sector n - 1.
+``dGamma_expectation`` reads <psi, dGamma(b) psi> from the M x M
+one-boson density matrix rho_ij = <a_i psi, a_j psi>, one gather on ``up``
+(a_j psi vanishes on the top sector), without assembling dGamma(b).
 
 The field operator follows the symmetric normalization
 
@@ -140,10 +138,9 @@ class ModeGrid:
     def n_modes(self) -> int:
         return len(self.weights)
 
-    def soft_mask(self, sigma: float | None = None) -> np.ndarray:
+    def soft_mask(self) -> np.ndarray:
         """Boolean mask of soft modes, |k| <= sigma."""
-        s = self.sigma if sigma is None else sigma
-        return self.omega_free <= s
+        return self.omega_free <= self.sigma
 
 
 def weighted_inner(grid: ModeGrid, g, h) -> complex:
@@ -290,28 +287,24 @@ class OccupationBasis:
 
     ``occ`` (size x M) holds the occupation numbers, row c being state c;
     ``lookup`` maps occupation rows to their state index (-1 if absent).
-    Everything else is derived from these two:
+    Sector n is rows ``edges[n]:edges[n + 1]``.  Everything else is derived
+    from these:
 
     Slot s < min(n_max, M) of state r holds one of its occupied modes,
     ``slot_mode[r, s]`` (ascending), with ``slot_root[r, s]`` = sqrt(n_i(r))
     and ``slot_parent[r, s]`` = r - e_i; a padding slot has root 0 and
-    parent -1.  ``up`` (size x M) is the ladder table: ``up[c, j]`` is the
-    index of c + e_j, or -1 if truncated; ``up_rows`` lists, ascending, the
-    states c whose row of ``up`` holds an entry >= 0, the only rows on which
-    some a_j psi can be nonzero.  ``sectors[n - 1]`` =
-    (c, j, p, 1 / sqrt(n_j(c))) lists the states c of sector n, their first
-    occupied mode j (slot 0) and their parent p = c - e_j.
+    parent -1.  ``up`` (edges[n_max] x M) is the ladder table of the states
+    below the top sector: ``up[c, j]`` is the index of c + e_j.
     """
 
     grid: ModeGrid
     n_max: int
     occ: np.ndarray = field(repr=False)
+    edges: np.ndarray = field(repr=False)
     up: np.ndarray = field(repr=False)
-    up_rows: np.ndarray = field(repr=False)
     slot_mode: np.ndarray = field(repr=False)
     slot_root: np.ndarray = field(repr=False)
     slot_parent: np.ndarray = field(repr=False)
-    sectors: tuple = field(repr=False)
     lookup: RowIndex = field(repr=False)
 
     @property
@@ -390,6 +383,7 @@ def build_basis(grid: ModeGrid, n_max: int) -> OccupationBasis:
         rows, first = rows[order], first[order]
         blocks.append(rows)
     occ = np.concatenate(blocks)
+    edges = np.cumsum([0] + [len(block) for block in blocks])
     lookup = _row_index(occ)
     # the occupied modes of each state first, padding slots after them
     n_slots = min(n_max, M)
@@ -401,21 +395,17 @@ def build_basis(grid: ModeGrid, n_max: int) -> OccupationBasis:
         parent = occ[c]
         parent[np.arange(len(c)), slot_mode[c, s]] -= 1
         slot_parent[c, s] = lookup(parent)
-    # every state c is p + e_j for each of its filled slots (j, p)
-    up = np.full(occ.shape, -1)
+    # every state c is p + e_j for each of its filled slots (j, p), which
+    # writes every entry: each state below the top sector has all its children
+    up = np.empty((edges[n_max], M), dtype=np.int64)
     c, s = np.nonzero(slot_parent >= 0)
     up[slot_parent[c, s], slot_mode[c, s]] = c
-    up_rows = np.flatnonzero(np.any(up >= 0, axis=1))
-    starts = np.cumsum([len(block) for block in blocks])
-    sectors = [(c, slot_mode[c, 0], slot_parent[c, 0], 1.0 / slot_root[c, 0])
-               for c in (np.arange(starts[n - 1], starts[n]) for n in range(1, n_max + 1))]
     # shared by every operator built on this basis
-    for table in (occ, up, up_rows, slot_mode, slot_root, slot_parent,
-                  *(t for sector in sectors for t in sector)):
+    for table in (occ, edges, up, slot_mode, slot_root, slot_parent):
         table.flags.writeable = False
-    return OccupationBasis(grid=grid, n_max=n_max, occ=occ, up=up, up_rows=up_rows,
+    return OccupationBasis(grid=grid, n_max=n_max, occ=occ, edges=edges, up=up,
                            slot_mode=slot_mode, slot_root=slot_root, slot_parent=slot_parent,
-                           sectors=tuple(sectors), lookup=lookup)
+                           lookup=lookup)
 
 
 @dataclass
@@ -456,13 +446,13 @@ def _check_modes(basis: OccupationBasis, h) -> np.ndarray:
 
 def _creation_entries(basis: OccupationBasis, h):
     """(rows, cols, modes, values) of a*(h)'s entries: c -> c + e_j with
-    sqrt(n_j(c) + 1) sqrt(w_j) h_j, for nonzero amplitudes and kept c + e_j."""
+    sqrt(n_j(c) + 1) sqrt(w_j) h_j, for nonzero amplitudes and c below the
+    top sector."""
     amp = np.sqrt(basis.grid.weights) * _check_modes(basis, h)
     modes = np.flatnonzero(amp)
-    up = basis.up[:, modes]
-    src, k = np.nonzero(up >= 0)
-    j = modes[k]
-    return up[src, k], src, j, np.sqrt(basis.occ[src, j] + 1) * amp[j]
+    src = np.repeat(np.arange(len(basis.up)), len(modes))
+    j = np.tile(modes, len(basis.up))
+    return basis.up[src, j], src, j, np.sqrt(basis.occ[src, j] + 1) * amp[j]
 
 
 def creation_op(basis: OccupationBasis, h) -> sp.csr_matrix:
@@ -520,12 +510,10 @@ def dGamma(basis: OccupationBasis, b) -> sp.csr_matrix:
     for j in range(bo.shape[1]):
         i = np.flatnonzero(bo[:, j])
         i = i[i != j]
-        p = np.flatnonzero(up[:, j] >= 0)
-        t = up[p[:, None], i[None, :]]
-        pk, ik = np.nonzero(t >= 0)
-        p, i = p[pk], i[ik]
+        p = np.repeat(np.arange(len(up)), len(i))
+        i = np.tile(i, len(up))
         c = up[p, j]
-        rows.append(t[pk, ik])
+        rows.append(up[p, i])
         cols.append(c)
         data.append(bo[i, j] * np.sqrt(occ[c, j] * (occ[p, i] + 1)))
     return _coo(basis, np.concatenate(rows), np.concatenate(cols), np.concatenate(data))
@@ -544,18 +532,14 @@ def dGamma_expectation(basis: OccupationBasis, b, psi) -> complex:
     With the one-boson density matrix rho_ij = <a_i psi, a_j psi> the value
     is sum_ij bo_ij rho_ij, bo the orthonormal-gauge b.  Column j of
     A = [a_j psi] is one gather on the ladder table,
-    (a_j psi)[p] = sqrt(n_j(p) + 1) psi[up[p, j]], and rho = A^H A.  A is
-    gathered only on ``basis.up_rows``: on any other row p every up[p, j] is
-    -1, so p + e_j lies outside the basis for every j and row p of A is
-    exactly zero, adding nothing to rho (the rows of the top sector
-    N = n_max are such rows; at n_max = 0 there is no other row).  up is -1
-    on the truncated entries, whose gathered psi[-1] is multiplied by 0.
+    (a_j psi)[p] = sqrt(n_j(p) + 1) psi[up[p, j]], and rho = A^H A.  The
+    rows of ``up`` are the states below the top sector; on the top sector
+    every a_j psi is zero (at n_max = 0, A has no rows).
     """
     bo = to_ortho(basis.grid, basis.grid, _as_mode_matrix(basis, b))
     psi = _check_state(basis, psi)
-    rows = basis.up_rows
-    up = basis.up[rows]
-    A = psi[up] * np.where(up >= 0, np.sqrt(basis.occ[rows] + 1), 0.0)
+    up = basis.up
+    A = psi[up] * np.sqrt(basis.occ[:len(up)] + 1)
     return complex(np.sum(bo * (A.conj().T @ A)))
 
 
@@ -577,9 +561,10 @@ def _sector_recursion(basis_in: OccupationBasis, basis_out: OccupationBasis | No
     fills that block only, in the slot order of the full sum, so each
     nonzero entry is rounded as it would be there.  A target with a smaller
     n_max projects out the input sectors above it: the recursion stops at
-    the last sector the two bases share.  The sectors and their row ranges
-    are read from the ``sectors`` of both bases and a* from the slot tables
-    of ``basis_out``.  A given ``G``,
+    the last sector the two bases share.  The row and column ranges of the
+    sectors are read from the ``edges`` of both bases, each input column's
+    j, p and 1 / sqrt(n_j(c)) from slot 0 of ``basis_in`` and a* from the
+    slot tables of ``basis_out``.  A given ``G``,
     Gamma(a) as this recursion returns it, is read instead of rebuilt.
 
     Mode maps of two or more axes may carry leading batch axes: a stack
@@ -615,11 +600,13 @@ def _sector_recursion(basis_in: OccupationBasis, basis_out: OccupationBasis | No
     if bo is not None:
         D = np.zeros(np.broadcast_shapes(ao.shape[:-2], bo.shape[:-2], G.shape[:-2]) + shape,
                      dtype=complex)
-    for n, ((c, j, p, scale), (rows, *_)) in enumerate(zip(basis_in.sectors, basis_out.sectors),
-                                                      start=1):
+    for n in range(1, min(basis_in.n_max, basis_out.n_max) + 1):
         # output sector n is rows lo:hi; its parents lie in rows :lo, and a
         # padding slot's parent -1 (root 0) reads the finite row lo - 1
-        lo, hi, cols = rows[0], rows[-1] + 1, slice(c[0], c[-1] + 1)
+        lo, hi = basis_out.edges[n:n + 2]
+        cols = slice(*basis_in.edges[n:n + 2])
+        j, p = basis_in.slot_mode[cols, 0], basis_in.slot_parent[cols, 0]
+        scale = 1.0 / basis_in.slot_root[cols, 0]
         slots = [(roots[lo:hi, s, None], modes[lo:hi, s], parents[lo:hi, s])
                  for s in range(min(n, modes.shape[1]))]
 
@@ -667,7 +654,7 @@ def dGamma2(basis_in: OccupationBasis, a, b, basis_out: OccupationBasis | None =
     return _sector_recursion(basis_in, basis_out, a, b, gamma_a)[1]
 
 
-def interacting_mask(basis: OccupationBasis, sigma: float | None = None) -> np.ndarray:
+def interacting_mask(basis: OccupationBasis) -> np.ndarray:
     """Ran Gamma(chi_i) as a boolean mask over the basis: the states with no
-    boson in a soft mode |k| <= sigma (default: the grid's sigma)."""
-    return ~np.any(basis.occ[:, basis.grid.soft_mask(sigma)] > 0, axis=1)
+    boson in a soft mode |k| <= sigma, the grid's sigma."""
+    return ~np.any(basis.occ[:, basis.grid.soft_mask()] > 0, axis=1)

@@ -268,9 +268,9 @@ class SpectralCalculus:
 # Scans and bounds
 # ---------------------------------------------------------------------------
 
-def soft_boson_occupancy(psi: FockVector, sigma: float | None = None) -> float:
+def soft_boson_occupancy(psi: FockVector) -> float:
     """Probability mass on basis states with any soft-mode occupation."""
-    hit = ~interacting_mask(psi.basis, sigma)
+    hit = ~interacting_mask(psi.basis)
     if not np.any(hit):
         return 0.0
     nrm2 = float(np.vdot(psi.amps, psi.amps).real)
@@ -358,7 +358,7 @@ def dispersion_scan(ms: ModelSpec, momenta, basis: OccupationBasis,
         upper = float(ms.disp.omega(P)) - eg
         lower = min(eg - ((1 - a) * e0 - (ms.g ** 2 / a) * C) for a in alphas) \
             if alphas else math.inf
-        soft = soft_boson_occupancy(res.ground_vector, ms.ff.sigma)
+        soft = soft_boson_occupancy(res.ground_vector)
         solver = (res.meta["method"], res.meta["iterations"] + other.meta["iterations"],
                   float(max(res.residuals.max(), other.residuals.max())))
         return (eg, e0, upper, lower, res.gap, soft, abs(eg - other.ground_energy)), solver

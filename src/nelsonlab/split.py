@@ -106,18 +106,23 @@ class TensorBasis:
         return self.basis.total_numbers()[self.pairs]
 
 
-def build_tensor_basis(basis: OccupationBasis) -> TensorBasis:
-    """Pairs with total boson number at most ``basis.n_max``, in ascending
-    (total N, left index, right index) order.
-
-    The basis is graded by boson number, so total T is the blocks of sector
-    a times sector T - a for ascending a, each left-major."""
-    nb = basis.total_numbers()
-    blocks = []
+def _sector_blocks(basis: OccupationBasis):
+    """The (left, right) row slices of the pair blocks, in pair order: for
+    ascending total T, sector a times sector T - a for ascending a."""
+    edges = basis.edges
     for T in range(basis.n_max + 1):
         for a in range(T + 1):
-            i, j = np.flatnonzero(nb == a), np.flatnonzero(nb == T - a)
-            blocks.append(np.stack([np.repeat(i, len(j)), np.tile(j, len(i))], axis=1))
+            yield slice(*edges[a:a + 2]), slice(*edges[T - a:T - a + 2])
+
+
+def build_tensor_basis(basis: OccupationBasis) -> TensorBasis:
+    """Pairs with total boson number at most ``basis.n_max``, in ascending
+    (total N, left index, right index) order: the ``_sector_blocks`` of the
+    graded basis, each left-major."""
+    blocks = []
+    for left, right in _sector_blocks(basis):
+        i, j = np.arange(left.start, left.stop), np.arange(right.start, right.stop)
+        blocks.append(np.stack([np.repeat(i, len(j)), np.tile(j, len(i))], axis=1))
     pairs = np.concatenate(blocks)
     return TensorBasis(basis=basis, pairs=pairs, lookup=_row_index(pairs))
 
@@ -163,24 +168,20 @@ def apply_breve_gamma(j0: np.ndarray, jinf: np.ndarray, tb: TensorBasis, phi: np
 
     The same conservation makes both Gammas block diagonal by sector, and
     X is nonzero only on the sector pairs (a, b) with a + b <= n_max, which
-    are the blocks of ``build_tensor_basis``: each block of pairs is sector
-    a times sector b, left-major, and maps to G0[a, a] X[a, b] Ginf[b, b]^T.
+    are the ``_sector_blocks`` of the pair basis: each block of pairs is
+    sector a times sector b, left-major, and maps to
+    G0[a, a] X[a, b] Ginf[b, b]^T.
     """
-    basis = tb.basis
     x = fusion_adj @ phi
-    G0, Ginf = Gamma(basis, j0), Gamma(basis, jinf)
-    # sector n is the state range edges[n]:edges[n + 1] of the graded basis
-    edges = np.searchsorted(basis.total_numbers(), np.arange(basis.n_max + 2))
+    G0, Ginf = Gamma(tb.basis, j0), Gamma(tb.basis, jinf)
     out = np.empty(tb.size, dtype=np.result_type(x, G0, Ginf))
     start = 0
-    for T in range(basis.n_max + 1):
-        for a in range(T + 1):
-            left, right = (slice(edges[n], edges[n + 1]) for n in (a, T - a))
-            shape = (left.stop - left.start, right.stop - right.start)
-            stop = start + shape[0] * shape[1]
-            block = x[start:stop].reshape(shape)
-            out[start:stop] = (G0[left, left] @ block @ Ginf[right, right].T).ravel()
-            start = stop
+    for left, right in _sector_blocks(tb.basis):
+        shape = (left.stop - left.start, right.stop - right.start)
+        stop = start + shape[0] * shape[1]
+        block = x[start:stop].reshape(shape)
+        out[start:stop] = (G0[left, left] @ block @ Ginf[right, right].T).ravel()
+        start = stop
     return out
 
 

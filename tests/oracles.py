@@ -24,7 +24,7 @@ plain Hermitian part of i times central differences in sorted order, which
 ``mourre.build_position_op`` builds through the weighted adjoint on every
 grid.  ``full_row_recursion`` is the sector recursion as it was before it
 was restricted to each sector's block: it reads the basis's slot tables and
-sector schedule like the package, and sums over every row and slot.
+sector edges like the package, and sums over every row and slot.
 ``chebyshev_expm_apply`` is the Chebyshev propagator with the shifted
 operator left in H's dtype, so that every matvec upcasts it to the complex
 vector's dtype again, and each block's centre found by a loop over the
@@ -248,7 +248,10 @@ def full_row_recursion(basis_in, basis_out, a, b=None):
     G = np.zeros((basis_out.size, basis_in.size), dtype=complex)
     G[0, 0] = 1.0
     D = np.zeros_like(G) if bo is not None else None
-    for c, j, p, scale in basis_in.sectors:
+    for n in range(1, basis_in.n_max + 1):
+        c = np.arange(basis_in.edges[n], basis_in.edges[n + 1])
+        j, p = basis_in.slot_mode[c, 0], basis_in.slot_parent[c, 0]
+        scale = 1.0 / basis_in.slot_root[c, 0]
         G[:, c] = create(ao[:, j], G[:, p]) * scale
         if bo is not None:
             D[:, c] = (create(bo[:, j], G[:, p]) + create(ao[:, j], D[:, p])) * scale

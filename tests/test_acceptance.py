@@ -113,7 +113,7 @@ def test_criterion_5_soft_boson_absence(default_fiber):
         for P in (0.0, 0.25, 0.5):
             res = spectral.ground_state(model.build_fiber_H(msg, [P], basis),
                                         k=1, tol=1e-12)
-            worst = max(worst, spectral.soft_boson_occupancy(res.ground_vector, SIGMA))
+            worst = max(worst, spectral.soft_boson_occupancy(res.ground_vector))
     ok = worst < 1e-10
     verdict(5, ok, f"soft occupancy of psi_P at |g| = g_beta/2 = {gb / 2:.2e}: "
                    f"max {worst:.2e} (< 1e-10)")

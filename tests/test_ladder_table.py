@@ -1,6 +1,6 @@
 """Ladder-table builders against the per-state loop oracles in ``oracles.py``.
 
-The basis tables themselves (``occ``, ``up``, the slot tables, ``sectors``
+The basis tables themselves (``occ``, ``edges``, ``up``, the slot tables
 and ``lookup``) must equal, element for element, the tables read off the
 oracle's own enumeration, and so must the occupations, energies and tensor
 pairs it enumerates.  Every builder that does no floating-point rounding
@@ -67,11 +67,16 @@ def rand_mat(rng, M, N=None):
 
 
 def oracle_tables(basis):
-    """``occ``, ``up``, ``up_rows``, the slot tables and ``sectors`` of
-    ``basis``, read off the oracle's enumeration one state at a time."""
+    """``occ``, ``edges``, ``up`` and the slot tables of ``basis``, read off
+    the oracle's enumeration one state at a time.  ``up`` has a row for each
+    state below the top sector, and each of its entries is in the basis."""
     states, index = oracles.states_of(basis)
     M, n_slots = basis.grid.n_modes, min(basis.n_max, basis.grid.n_modes)
-    up = [[index.get(s[:j] + (s[j] + 1,) + s[j + 1:], -1) for j in range(M)] for s in states]
+    edges = [0]
+    for n in range(basis.n_max + 1):
+        edges.append(edges[-1] + sum(1 for s in states if sum(s) == n))
+    up = [[index[s[:j] + (s[j] + 1,) + s[j + 1:]] for j in range(M)]
+          for s in states if sum(s) < basis.n_max]
     slot_mode, slot_root, slot_parent = [], [], []
     for s in states:
         occupied = [j for j in range(M) if s[j]]
@@ -80,34 +85,23 @@ def oracle_tables(basis):
         slot_root.append([math.sqrt(s[j]) for j in modes])
         slot_parent.append([index[s[:j] + (s[j] - 1,) + s[j + 1:]] if s[j] else -1
                             for j in modes])
-    sectors = []
-    for n in range(1, basis.n_max + 1):
-        cols = [c for c, s in enumerate(states) if sum(s) == n]
-        first = [next(j for j in range(M) if states[c][j]) for c in cols]
-        sectors.append((cols, first,
-                        [index[states[c][:j] + (states[c][j] - 1,) + states[c][j + 1:]]
-                         for c, j in zip(cols, first)],
-                        [1.0 / math.sqrt(states[c][j]) for c, j in zip(cols, first)]))
     shape = (len(states), n_slots)
     return {"occ": np.array(states, dtype=np.int64).reshape(len(states), M),
-            "up": np.array(up, dtype=np.int64).reshape(len(states), M),
-            "up_rows": np.array([c for c, row in enumerate(up) if max(row, default=-1) >= 0],
-                                dtype=np.int64),
+            "edges": np.array(edges, dtype=np.int64),
+            "up": np.array(up, dtype=np.int64).reshape(len(up), M),
             "slot_mode": np.array(slot_mode, dtype=np.int64).reshape(shape),
             "slot_root": np.array(slot_root, dtype=float).reshape(shape),
-            "slot_parent": np.array(slot_parent, dtype=np.int64).reshape(shape),
-            "sectors": sectors}
+            "slot_parent": np.array(slot_parent, dtype=np.int64).reshape(shape)}
 
 
 def assert_tables_match_oracle(basis):
     want = oracle_tables(basis)
-    for name in ("occ", "up", "up_rows", "slot_mode", "slot_root", "slot_parent"):
+    for name in ("occ", "edges", "up", "slot_mode", "slot_root", "slot_parent"):
         got = getattr(basis, name)
         assert got.shape == want[name].shape and np.array_equal(got, want[name]), name
-    assert len(basis.sectors) == len(want["sectors"])
-    for got, expect in zip(basis.sectors, want["sectors"]):
-        for g, w in zip(got, expect):
-            assert np.array_equal(g, np.asarray(w, dtype=g.dtype).reshape(g.shape))
+    M = basis.grid.n_modes
+    assert [basis.edges[n + 1] - basis.edges[n] for n in range(basis.n_max + 1)] == \
+        [math.comb(M + n - 1, n) for n in range(basis.n_max + 1)]
     assert np.array_equal(basis.lookup(want["occ"]), np.arange(basis.size))
     assert np.all(basis.lookup(want["occ"] + basis.n_max + 1) == -1)
 
@@ -177,8 +171,8 @@ def test_build_basis_lookups_do_not_grow_with_modes(monkeypatch):
 def test_basis_index_tables_are_read_only(basis):
     """Every operator built on a basis shares its tables, so none may be written."""
     tb = split.build_tensor_basis(basis)
-    tables = [basis.occ, basis.up, basis.up_rows, basis.slot_mode, basis.slot_root,
-              basis.slot_parent, *(t for sector in basis.sectors for t in sector)]
+    tables = [basis.occ, basis.edges, basis.up, basis.slot_mode, basis.slot_root,
+              basis.slot_parent]
     tables += [lookup.order for lookup in (basis.lookup, tb.lookup)]
     tables += [lookup.sorted_keys for lookup in (basis.lookup, tb.lookup)]
     tables.append(tb.perm)

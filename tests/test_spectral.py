@@ -402,15 +402,15 @@ class TestGaps:
 class TestSoftOccupancy:
     def test_vacuum_zero_and_soft_state_one(self, basis12):
         vac = fock.FockVector.vacuum(basis12)
-        assert spectral.soft_boson_occupancy(vac, 0.2) == 0.0
+        assert spectral.soft_boson_occupancy(vac) == 0.0
         soft_mode = int(np.argmin(basis12.grid.omega_free))
         amps = np.zeros(basis12.size, dtype=complex)
         amps[basis12.lookup(np.eye(1, basis12.grid.n_modes, soft_mode, dtype=int))] = 1.0
-        assert spectral.soft_boson_occupancy(fock.FockVector(basis12, amps), 0.2) == 1.0
+        assert spectral.soft_boson_occupancy(fock.FockVector(basis12, amps)) == 1.0
 
     def test_dressed_state_has_no_soft_mass(self, ms_default, basis12):
         res = spectral.ground_state(fiber(ms_default, 0.25, basis12), k=1, tol=1e-12)
-        assert spectral.soft_boson_occupancy(res.ground_vector, 0.2) < 1e-10
+        assert spectral.soft_boson_occupancy(res.ground_vector) < 1e-10
 
     def test_soft_mass_is_exactly_zero_at_criterion_5(self, ms_default, basis12):
         """Criterion 5's six (g, P): the coupling never reaches a soft mode, so
@@ -421,7 +421,7 @@ class TestSoftOccupancy:
             ms = model.ModelSpec(ms_default.disp, ms_default.ff, ms_default.grid, gg)
             for P in (0.0, 0.25, 0.5):
                 res = spectral.ground_state(fiber(ms, P, basis12), k=1, tol=1e-12)
-                assert spectral.soft_boson_occupancy(res.ground_vector, 0.2) == 0.0
+                assert spectral.soft_boson_occupancy(res.ground_vector) == 0.0
 
     def test_ground_state_in_a_soft_block(self, nonrel, ff):
         """At P = 1.2 on 24 modes a soft boson lowers the energy below every
@@ -430,7 +430,7 @@ class TestSoftOccupancy:
         grid = fock.line_grid(24, 1.5, 0.2)
         ms = model.ModelSpec(nonrel, ff, grid, 0.05)
         res = spectral.ground_state(fiber(ms, 1.2, fock.build_basis(grid, 2)), k=1, tol=1e-12)
-        assert spectral.soft_boson_occupancy(res.ground_vector, 0.2) >= 1.0 - 1e-12
+        assert spectral.soft_boson_occupancy(res.ground_vector) >= 1.0 - 1e-12
 
 
 class TestGradBound:
