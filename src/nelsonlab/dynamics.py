@@ -15,16 +15,21 @@ the generator ``snapshots``, which steps ``krylov_expm_apply`` from one grid
 time to the next and yields (t, psi_t).  That propagator sums the Chebyshev
 series of exp(-i dt H) with each block of the Hermitian H shifted by the
 centre of its own Gershgorin interval, which contains the block's spectrum,
-so the series is as long as the widest block needs, its truncation error
-is bounded a priori and there is no step control.  The blocks (the split
-the spectral calculus diagonalizes too), their centres and the shifted
-operator are computed once per ``Hamiltonian`` (its cached ``blocks`` and
-``chebyshev``), so each interval of the grid and each further propagation
-of the same H pay only for their matvecs and one phase per state;
-``chebyshev_stats`` reports that work for a run's manifest.  The loop
-returns an ``ObservableTrack``: the probe's measured value at each grid
-time and the measured norm and energy drifts of psi_t; whatever else a probe
-derives (W_+'s outer-vacuum norms) sits in the track's extras.
+so its truncation error is bounded a priori and there is no step control.
+Each block is invariant, so the series runs only on the blocks the state
+lives on (those where it is not exactly 0, which stay the same along a
+propagation) and is as long as the widest of them needs; the chain's
+energy-filtered packet lives on 13 of its 128 total-momentum blocks at
+L = 128.  The blocks (the split the spectral calculus diagonalizes too),
+their centres and the shifted operator are computed once per
+``Hamiltonian`` (its cached ``blocks`` and ``chebyshev``, and the operator
+on the last support, ``chebyshev_for``), so each interval of the grid and
+each further propagation of the same H pay only for their matvecs and one
+phase per state; ``chebyshev_stats`` reports that work for a run's
+manifest.  The loop returns an ``ObservableTrack``: the probe's measured
+value at each grid time and the measured norm and energy drifts of psi_t;
+whatever else a probe derives (W_+'s outer-vacuum norms) sits in the
+track's extras.
 
 w(t) needs only <dGamma(b)> at each snapshot, which
 ``fock.dGamma_expectation`` reads from the one-boson density matrix, so no
@@ -163,34 +168,52 @@ def krylov_expm_apply(H: Hamiltonian | sp.csr_matrix, v: np.ndarray, dt: float,
     not the spread of the blocks' centres, so the series is as long as that
     block needs.  A degree-N sum costs N matvecs and lies in the Krylov
     space K_{N+1}(H - D, v), before the phase per state, hence the name.
-    When every component has width 0 the result is the phase alone, exact.
 
-    ``H`` is a ``Hamiltonian``, whose cached ``chebyshev`` operator (the
-    centres, b and the complex A = 2 (H - D) / b) every call then shares, or
-    a bare CSR matrix, wrapped in a ``Hamiltonian`` for this call alone, so
-    it must be exactly Hermitian (``ValueError`` otherwise); both give the
-    same bits.  The recurrence w_{k+1} = A w_k - w_{k-1} writes
-    each new term into the buffer of the one it retires, from a copy of v,
-    so ``v`` itself is never written.
+    Each block is invariant, so the series runs on the live blocks of v
+    alone, those holding an entry of v that is not exactly 0: A, the
+    centres and b are those of ``H.chebyshev_for(v)``, b the widest live
+    block's half-width, and every other row of the result is exactly 0.
+    Each live block's spectrum still lies in its own interval, so the bound
+    holds unchanged.  When every live block has width 0 the result is the
+    phase alone, exact.  When every block is live it is the whole-matrix
+    operator ``H.chebyshev``, bit for bit; a v that is 0 gives exact zeros.
+
+    ``H`` is a ``Hamiltonian``, whose cached operators (the centres, b and
+    the complex A = 2 (H - D) / b, on every row and on the last support)
+    every call then shares, or a bare CSR matrix, wrapped in a
+    ``Hamiltonian`` for this call alone, so it must be exactly Hermitian
+    (``ValueError`` otherwise); both give the same bits.  The recurrence
+    w_{k+1} = A w_k - w_{k-1} writes each new term into the buffer of the
+    one it retires, from a copy of v, so ``v`` itself is never written.
 
     The bound holds down to the coefficients' rounding floor: each computed
     c_k carries noise of about |b dt| eps (4e-15 at b dt = 750, 7e-15 at
     1500), summed over the N terms used.  For b dt above about 700 a ``tol``
     below about N x 1e-14 is therefore not honoured.
     """
-    op = (H if isinstance(H, Hamiltonian) else Hamiltonian(H)).chebyshev
+    H = H if isinstance(H, Hamiltonian) else Hamiltonian(H)
+    op = H.chebyshev_for(v)
+    if op is None:
+        return np.zeros(H.shape[0], dtype=complex)
     b, A = op.half_width, op.shifted
+    x = v if op.rows is None else np.asarray(v)[op.rows]
     phase = np.exp(-1j * op.centres * dt)
     if b == 0.0 or dt == 0:
-        return phase * v
-    c = _chebyshev_coefficients(b * dt, tol)
-    w_prev = np.array(v, dtype=complex)
-    w = 0.5 * (A @ w_prev)
-    out = c[0] * w_prev
-    for ck in c[1:]:
-        out += ck * w
-        w_prev, w = w, np.subtract(A @ w, w_prev, out=w_prev)
-    return phase * out
+        out = phase * x
+    else:
+        c = _chebyshev_coefficients(b * dt, tol)
+        w_prev = np.array(x, dtype=complex)
+        w = 0.5 * (A @ w_prev)
+        out = c[0] * w_prev
+        for ck in c[1:]:
+            out += ck * w
+            w_prev, w = w, np.subtract(A @ w, w_prev, out=w_prev)
+        out = phase * out
+    if op.rows is None:
+        return out
+    full = np.zeros(H.shape[0], dtype=complex)
+    full[op.rows] = out
+    return full
 
 
 def _chebyshev_coefficients(x: float, tol: float) -> np.ndarray:
@@ -245,17 +268,22 @@ def snapshots(prop: Propagation):
 
 def chebyshev_stats(prop: Propagation) -> dict:
     """What ``snapshots`` does along prop.times, for a run's manifest: H's
-    dimension and stored entries, the number of connected components its
-    cached Chebyshev operator centres one by one and the widest one's
-    half-width b, the number of grid intervals, and the series terms summed
-    over them, counted from the coefficients ``krylov_expm_apply`` sums (none
+    dimension, stored entries and number of blocks; the blocks and rows the
+    initial state lives on, which the propagator restricts itself to, and
+    the widest of those blocks' half-width b, which sets the series length;
+    the number of grid intervals, and the series terms summed over them,
+    counted from the coefficients ``krylov_expm_apply`` sums at that b (none
     on an interval it returns as a pure phase)."""
-    op = prop.H.chebyshev
+    H = prop.H
+    op = H.chebyshev_for(prop.state)
+    blocks, rows, b = (0, 0, 0.0) if op is None else (op.components, len(op.centres),
+                                                       op.half_width)
     steps = np.diff(prop.times, prepend=0.0)
-    terms = sum(len(_chebyshev_coefficients(op.half_width * dt, prop.step_tol))
-                for dt in steps if op.half_width != 0.0 and dt != 0)
-    return {"dim": int(prop.H.shape[0]), "nnz": int(prop.H.mat.nnz),
-            "chebyshev_components": op.components, "chebyshev_half_width": op.half_width,
+    terms = sum(len(_chebyshev_coefficients(b * dt, prop.step_tol))
+                for dt in steps if b != 0.0 and dt != 0)
+    return {"dim": int(H.shape[0]), "nnz": int(H.mat.nnz),
+            "chebyshev_components": int(H.blocks.max()) + 1,
+            "live_blocks": blocks, "live_rows": rows, "chebyshev_half_width": b,
             "intervals": len(steps), "series_terms": int(terms)}
 
 

@@ -20,7 +20,9 @@ blocks of H's finest direct sum along the basis, ``pattern_components``,
 which ``spectral`` diagonalizes one by one) and the ``ChebyshevOperator`` on
 it: the Gershgorin interval of each block and the shifted operator
 2 (H - diag(a_c)) / b that ``dynamics.krylov_expm_apply`` recurses with,
-each block centred on its own a_c and b the widest one's half-width.
+each block centred on its own a_c and b the widest one's half-width, on
+every row (``chebyshev``) or on the blocks a vector lives on
+(``chebyshev_for``, kept for the last such support).
 """
 
 from __future__ import annotations
@@ -237,18 +239,21 @@ def pattern_components(mat: sp.csr_matrix) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class ChebyshevOperator:
     """H centred block by block: each block c of H (``Hamiltonian.blocks``)
-    has its own Gershgorin interval [a_c - b_c, a_c + b_c], and ``centres``
-    holds a_c on every row of c.  ``half_width`` is the widest block's
-    b = max_c b_c, and ``shifted`` is A = 2 (H - diag(centres)) / b,
+    has its own Gershgorin interval [a_c - b_c, a_c + b_c].  The operator
+    acts on ``rows``, the rows of some of H's blocks in ascending order, or
+    on every row when ``rows`` is None.  ``centres`` holds a_c on each of
+    those rows, ``half_width`` is the widest of those blocks' b = max_c b_c,
+    and ``shifted`` is A = 2 (H - diag(centres)) / b on those rows,
     complex128, whose spectrum lies in [-2, 2] since the shift is constant
-    on each block of H's direct sum; None when b is 0, where every block is
-    a multiple of 1 (at g = 0 each fiber state is a block of its own).
-    ``components`` counts the blocks."""
+    on each block of H's direct sum; None when b is 0, where every such
+    block is a multiple of 1 (at g = 0 each fiber state is a block of its
+    own).  ``components`` counts those blocks."""
 
     centres: np.ndarray
     half_width: float
     components: int
     shifted: sp.csr_matrix | None
+    rows: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,11 +282,9 @@ class Hamiltonian:
         return pattern_components(self.mat)
 
     @cached_property
-    def chebyshev(self) -> ChebyshevOperator:
-        """The ``ChebyshevOperator``, built on first use and shared by every
-        propagation of this Hamiltonian; cast to complex once, so that no
-        matvec with a complex vector upcasts it again.  On a connected
-        matrix it is the global Gershgorin interval, bit for bit."""
+    def _block_intervals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Centre and half-width of each block's Gershgorin interval, the
+        union of its rows' discs."""
         label = self.blocks
         n_comp = int(label.max()) + 1
         lo_rows, hi_rows = _gershgorin_discs(self.mat)
@@ -289,12 +292,51 @@ class Hamiltonian:
         hi = np.full(n_comp, -np.inf)
         np.minimum.at(lo, label, lo_rows)
         np.maximum.at(hi, label, hi_rows)
-        centres = (0.5 * (hi + lo))[label]
-        b = float(np.max(0.5 * (hi - lo)))
+        return 0.5 * (hi + lo), 0.5 * (hi - lo)
+
+    @cached_property
+    def chebyshev(self) -> ChebyshevOperator:
+        """The ``ChebyshevOperator`` on every row, built on first use and
+        shared by every propagation of this Hamiltonian; cast to complex
+        once, so that no matvec with a complex vector upcasts it again.  On
+        a connected matrix it is the global Gershgorin interval, bit for
+        bit."""
+        return self._chebyshev_operator(None)
+
+    def chebyshev_for(self, v: np.ndarray) -> ChebyshevOperator | None:
+        """The ``ChebyshevOperator`` on the live blocks of v, those holding
+        an entry of v that is not exactly 0; None when v is 0.  Every block
+        is invariant under exp(-i t H), so the other rows of v stay 0.  With
+        every block live it is ``chebyshev``; otherwise it is built from the
+        same split and the same per-block intervals, and kept for the last
+        support only, which is the support of a propagation all along its
+        grid."""
+        live = np.zeros(len(self._block_intervals[0]), dtype=bool)
+        live[self.blocks[np.asarray(v) != 0]] = True
+        if live.all():
+            return self.chebyshev
+        if not live.any():
+            return None
+        # kept in the instance dict, as ``cached_property`` keeps its values
+        last = self.__dict__.get("_chebyshev_last")
+        if last is None or not np.array_equal(last[0], live):
+            last = self.__dict__["_chebyshev_last"] = (live, self._chebyshev_operator(live))
+        return last[1]
+
+    def _chebyshev_operator(self, live: np.ndarray | None) -> ChebyshevOperator:
+        """The operator on the blocks where ``live`` is true, or on all."""
+        centre, width = self._block_intervals
+        label, mat, rows = self.blocks, self.mat, None
+        if live is not None:
+            rows = np.flatnonzero(live[label])
+            label, mat, width = label[rows], mat[rows][:, rows], width[live]
+        centres = centre[label]
+        b = float(np.max(width))
+        n_comp = len(width)
         if b == 0.0:
-            return ChebyshevOperator(centres, b, n_comp, None)
-        A = (self.mat - sp.diags(centres, format="csr")) * (2.0 / b)
-        return ChebyshevOperator(centres, b, n_comp, A.astype(complex, copy=False))
+            return ChebyshevOperator(centres, b, n_comp, None, rows)
+        A = (mat - sp.diags(centres, format="csr")) * (2.0 / b)
+        return ChebyshevOperator(centres, b, n_comp, A.astype(complex, copy=False), rows)
 
 
 def fiber_diagonal(ms: ModelSpec, P, occ: np.ndarray) -> np.ndarray:
@@ -306,10 +348,17 @@ def fiber_diagonal(ms: ModelSpec, P, occ: np.ndarray) -> np.ndarray:
 def _assemble(ms: ModelSpec, diag: np.ndarray, rows, cols, c,
               basis: OccupationBasis | None = None) -> Hamiltonian:
     """diag(diag) plus g / sqrt(2) times the creation entries ``c`` at
-    (rows, cols) and their adjoint, rounded as g * field_op would be."""
+    (rows, cols) and their adjoint, rounded as g * field_op would be,
+    written as one COO; its zeros (a zero diagonal entry, every coupling
+    entry at g = 0) are not stored."""
     n = len(diag)
-    up = sp.coo_matrix((ms.g * (c * (1.0 / math.sqrt(2.0))), (rows, cols)), shape=(n, n))
-    return Hamiltonian((sp.diags(diag) + up + up.conj().T).tocsr(), basis)
+    up = ms.g * (c * (1.0 / math.sqrt(2.0)))
+    on = np.arange(n)
+    mat = sp.coo_matrix((np.concatenate([diag, up, up.conj()]),
+                         (np.concatenate([on, rows, cols]), np.concatenate([on, cols, rows]))),
+                        shape=(n, n)).tocsr()
+    mat.eliminate_zeros()
+    return Hamiltonian(mat, basis)
 
 
 def build_fiber_H(ms: ModelSpec, P, basis: OccupationBasis) -> Hamiltonian:

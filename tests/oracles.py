@@ -16,6 +16,8 @@ compared.  ``lift_boson_op``
 forms the Kronecker product 1 x op of a boson operator on the chain, and
 ``wrapped_fiber_H`` the fiber H(P) with its electron momentum wrapped into
 the zone, which the chain's total-momentum blocks are compared with.
+``three_sum_assembly`` is ``model._assemble``'s matrix summed from three
+sparse matrices, the diagonal, the creation entries and their adjoint.
 ``DenseCalculus`` is the one-``eigh`` functional calculus that the
 block-wise ``SpectralCalculus`` replaced, and
 ``to_position`` the phase-matrix DFT that ``FullBasis.to_position`` computes
@@ -285,6 +287,15 @@ def full_H_coupling(ms, fb) -> sp.coo_matrix:
                 cols.append(e_idx * nb + b_idx)
                 data.append(val)
     return sp.coo_matrix((data, (rows, cols)), shape=(fb.size, fb.size), dtype=complex)
+
+
+def three_sum_assembly(ms, diag, rows, cols, c) -> sp.csr_matrix:
+    """``model._assemble``'s matrix as the sum of three sparse matrices,
+    diag(diag) + up + up^*, up the creation entries g ((c) (1 / sqrt 2)) at
+    (rows, cols), as the assembly formed it before it wrote one COO."""
+    n = len(diag)
+    up = sp.coo_matrix((ms.g * (c * (1.0 / math.sqrt(2.0))), (rows, cols)), shape=(n, n))
+    return (sp.diags(diag) + up + up.conj().T).tocsr()
 
 
 def wrapped_fiber_H(ms, P, basis):

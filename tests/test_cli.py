@@ -548,10 +548,12 @@ class TestCommands:
 
     @pytest.mark.parametrize("command", ["evolve", "w"])
     def test_propagation_manifest_records_chebyshev_stats(self, tmp_path, monkeypatch, command):
-        """H's dimension and nnz, the number of components its Chebyshev
-        operator centres and the widest one's half-width, the grid's interval
-        count and the series terms summed over the grid go into the manifest,
-        not into the report; the terms are those the propagator summed."""
+        """H's dimension, nnz and number of blocks, the blocks and rows the
+        state lives on and the widest live block's half-width, the grid's
+        interval count and the series terms summed over the grid go into the
+        manifest, not into the report; the terms are those the propagator
+        summed.  evolve's random state lives on every block, w's dense
+        ground state on one."""
         lengths = []
         coefficients = dynamics._chebyshev_coefficients
 
@@ -563,13 +565,23 @@ class TestCommands:
         monkeypatch.setattr(dynamics, "_chebyshev_coefficients", spy)
         assert run([command, "--out", str(tmp_path)]) == cli.EXIT_PASS
         stats = json.loads((tmp_path / f"{command}_manifest.json").read_text())["stats"]
-        assert set(stats) == {"dim", "nnz", "chebyshev_components", "chebyshev_half_width",
-                              "intervals", "series_terms"}
+        assert set(stats) == {"dim", "nnz", "chebyshev_components", "live_blocks", "live_rows",
+                              "chebyshev_half_width", "intervals", "series_terms"}
         n = stats["intervals"]
         assert n == 12 and stats["dim"] == 91 and stats["nnz"] > stats["dim"]
         ms, basis = cli.build_model(cli.RunConfig(values=cli.parse_config(None)))
         H = model.build_fiber_H(ms, [0.25], basis)
-        assert stats["chebyshev_components"] == oracles.pattern_labels(H.mat).max() + 1 > 1
+        label = oracles.pattern_labels(H.mat)
+        assert stats["chebyshev_components"] == label.max() + 1 > 1
+        if command == "evolve":
+            assert stats["live_blocks"] == stats["chebyshev_components"]
+            assert stats["live_rows"] == stats["dim"]
+            assert stats["chebyshev_half_width"] == H.chebyshev.half_width
+        else:
+            ground = label[np.argmax(np.abs(spectral.ground_state(H, k=2).ground_vector.amps))]
+            assert stats["live_blocks"] == 1
+            assert stats["live_rows"] == np.count_nonzero(label == ground) > 1
+            assert stats["chebyshev_half_width"] <= H.chebyshev.half_width
         assert 0 < stats["chebyshev_half_width"] < model._gershgorin_interval(H.mat)[1]
         # the track's propagation first, the stats' own count last
         assert lengths[:n] == lengths[-n:] and stats["series_terms"] == sum(lengths[:n])

@@ -32,6 +32,33 @@ def lattice_setup(nonrel, ff):
     return ms, fb, H
 
 
+@pytest.fixture(scope="module")
+def chain_packet(nonrel, ff):
+    """Criterion 9's energy-filtered packet on the L-site chain, by L:
+    (H, psi, the calculus that filtered it)."""
+    made = {}
+
+    def make(L):
+        if L not in made:
+            grid = fock.lattice_grid(L, [-16, -12, -8, -5, 5, 8, 12, 16], 0.2)
+            ms = model.ModelSpec(nonrel, ff, grid, 0.05)
+            fb = model.full_basis(ms, L, 1)
+            H = model.build_full_H(ms, fb)
+            psi, calc = dynamics.filtered_packet(fb, H, p0=0.05, dp=0.06, sigma_top=0.045,
+                                                 width_frac=0.6)
+            made[L] = H, psi, calc
+        return made[L]
+
+    return make
+
+
+def live_rows(mat, v) -> np.ndarray:
+    """Rows of the pattern components (found by breadth-first search) that
+    hold an entry of v that is not exactly 0."""
+    label = oracles.pattern_labels(mat)
+    return np.isin(label, label[v != 0])
+
+
 class TestKrylov:
     def test_matches_dense_expm(self, fiber_setup, rng):
         _, basis, H = fiber_setup
@@ -220,13 +247,16 @@ class TestKrylov:
 
     def test_bare_matrix_must_be_exactly_hermitian(self, fiber_setup, rng):
         """A bare CSR matrix is wrapped in a ``Hamiltonian``, so one that is
-        not exactly Hermitian is refused rather than propagated."""
+        not exactly Hermitian is refused rather than propagated, whatever
+        blocks the vector lives on, none included."""
         _, basis, H = fiber_setup
         skewed = H.mat.tolil()
         skewed[0, 1] += 1e-15
         v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
-        with pytest.raises(ValueError):
-            dynamics.krylov_expm_apply(skewed.tocsr(), v, 1.0)
+        on_first = np.where(live_rows(H.mat, np.eye(basis.size)[0]), v, 0)
+        for u in (v, on_first, np.zeros(basis.size)):
+            with pytest.raises(ValueError):
+                dynamics.krylov_expm_apply(skewed.tocsr(), u, 1.0)
 
     @pytest.mark.parametrize("kind", [complex, float])
     def test_input_vector_is_never_written(self, fiber_setup, rng, kind):
@@ -299,6 +329,142 @@ class TestKrylov:
             exact = (2 - (k == 0)) * np.abs(jv(k, x))
             needed = max(int(np.count_nonzero(np.cumsum(exact[::-1])[::-1] > tol)), 1)
             assert needed <= len(dynamics._chebyshev_coefficients(x, tol)) <= needed + 2, x
+
+
+class TestSupport:
+    """The series on the blocks a state lives on, against the exact
+    block-wise calculus."""
+
+    @pytest.mark.parametrize("which", ["chain64", "chain128", "fiber-ground", "two-blocks"])
+    def test_restricted_series_matches_the_calculus(self, chain_packet, ms_default, basis12,
+                                                    which):
+        if which.startswith("chain"):
+            H, v, calc = chain_packet(int(which[5:]))
+        else:
+            H = model.build_fiber_H(ms_default, [0.25], basis12)
+            calc = spectral.SpectralCalculus(H)
+            if which == "fiber-ground":
+                res = spectral.ground_state(H, k=2)
+                assert res.meta["method"] == "dense"
+                v = res.ground_vector.amps
+            else:
+                label = oracles.pattern_labels(H.mat)
+                sizes = np.bincount(label)
+                pick = np.argsort(-sizes, kind="stable")[[0, 1]]
+                widths = [model._gershgorin_interval(H.mat[label == c][:, label == c])[1]
+                          for c in pick]
+                assert widths[0] != widths[1]
+                rng = np.random.default_rng(34)
+                v = np.where(np.isin(label, pick), rng.normal(size=H.shape[0]), 0.0) + 0j
+        live = live_rows(H.mat, v)
+        op = H.chebyshev_for(v)
+        assert not live.all() and np.array_equal(op.rows, np.flatnonzero(live))
+        assert op.components == {"chain64": 7, "chain128": 13, "fiber-ground": 1,
+                                 "two-blocks": 2}[which]
+        for t in (1.0, 29.0, 100.0):
+            u = dynamics.krylov_expm_apply(H, v, t, tol=1e-10)
+            exact = calc.fn(lambda lam: np.exp(-1j * lam * t), v)
+            assert np.linalg.norm(u - exact) <= 1e-9 * np.linalg.norm(v)
+            assert np.all(u[~live] == 0)
+
+    def test_half_width_is_the_widest_live_blocks(self, chain_packet):
+        """At L = 128 the packet lives on 13 of the 128 total-momentum
+        blocks, 117 of 1152 rows; the widest of them sets b, and the grid's
+        series is 229 terms against 390 for the whole matrix."""
+        H, psi, _ = chain_packet(128)
+        prop = dynamics.Propagation(H, psi, dynamics.geometric_times(1.0, 100.0, 1.5))
+        stats = dynamics.chebyshev_stats(prop)
+        label = oracles.pattern_labels(H.mat)
+        live = np.unique(label[psi != 0])
+        widths = [model._gershgorin_interval(H.mat[label == c][:, label == c])[1] for c in live]
+        assert stats["chebyshev_half_width"] == max(widths) < H.chebyshev.half_width
+        assert (stats["chebyshev_components"], stats["live_blocks"], stats["live_rows"]) == \
+            (128, len(live), np.count_nonzero(np.isin(label, live))) == (128, 13, 117)
+        whole = sum(len(dynamics._chebyshev_coefficients(H.chebyshev.half_width * dt, 1e-11))
+                    for dt in np.diff(prop.times, prepend=0.0))
+        assert stats["series_terms"] == 229 < whole == 390
+
+    @pytest.mark.parametrize("which", ["fiber", "chain"])
+    def test_full_support_is_the_whole_matrix_operator(self, fiber_setup, chain_packet, which):
+        H = fiber_setup[2] if which == "fiber" else chain_packet(64)[0]
+        rng = np.random.default_rng(35)
+        v = rng.normal(size=H.shape[0]) + 1j * rng.normal(size=H.shape[0])
+        assert H.chebyshev_for(v) is H.chebyshev and H.chebyshev.rows is None
+        for dt in (1.0, 29.0):
+            np.testing.assert_array_equal(dynamics.krylov_expm_apply(H, v, dt, tol=1e-11),
+                                          oracles.chebyshev_expm_apply(H.mat, v, dt, tol=1e-11))
+
+    def test_zero_vector_gives_exact_zeros_and_builds_nothing(self, ms_default, basis12,
+                                                              monkeypatch):
+        H = model.build_fiber_H(ms_default, [0.25], basis12)
+        built = []
+        operator = model.Hamiltonian._chebyshev_operator
+
+        def spy(self, live):
+            built.append(live)
+            return operator(self, live)
+
+        monkeypatch.setattr(model.Hamiltonian, "_chebyshev_operator", spy)
+        for v in (np.zeros(basis12.size), np.zeros(basis12.size, dtype=complex)):
+            for dt in (0.0, 3.0):
+                u = dynamics.krylov_expm_apply(H, v, dt)
+                assert u.dtype == complex and u.shape == v.shape and not np.any(u)
+        stats = dynamics.chebyshev_stats(dynamics.Propagation(H, np.zeros(basis12.size),
+                                                              np.array([1.0, 2.0])))
+        assert (stats["live_blocks"], stats["live_rows"], stats["series_terms"]) == (0, 0, 0)
+        assert built == []
+
+    def test_phase_shortcuts_on_a_support(self, ms_default, basis12, monkeypatch):
+        """dt = 0 returns v on its support, and a support of single-state
+        blocks (b = 0) next to wider blocks turns by exact phases: no series
+        is summed."""
+        H = model.build_fiber_H(ms_default, [0.25], basis12)
+        label = oracles.pattern_labels(H.mat)
+        single = np.bincount(label)[label] == 1
+        assert single.any() and H.chebyshev.half_width > 0
+        summed = []
+        coefficients = dynamics._chebyshev_coefficients
+        monkeypatch.setattr(dynamics, "_chebyshev_coefficients",
+                            lambda x, tol: summed.append(x) or coefficients(x, tol))
+        v = np.where(single, np.arange(basis12.size) + 1j, 0)
+        op = H.chebyshev_for(v)
+        assert op.half_width == 0.0 and op.shifted is None and op.components == single.sum()
+        d = H.mat.diagonal()
+        assert np.array_equal(dynamics.krylov_expm_apply(H, v, 5.0),
+                              np.where(single, np.exp(-1j * d * 5.0) * v, 0))
+        ground = spectral.ground_state(H, k=2).ground_vector.amps
+        assert np.array_equal(dynamics.krylov_expm_apply(H, ground, 0.0), ground + 0j)
+        assert summed == []
+
+    def test_one_restricted_operator_per_support(self, chain_packet, monkeypatch):
+        """A propagation over a 12-interval grid builds the operator on its
+        support once and never the whole-matrix one; only the last support is
+        kept, and H is split once."""
+        H0, psi, _ = chain_packet(64)
+        H = model.Hamiltonian(H0.mat)
+        built, split = [], []
+        operator, components = model.Hamiltonian._chebyshev_operator, model.pattern_components
+
+        def spy(self, live):
+            built.append(int(np.count_nonzero(live)))
+            return operator(self, live)
+
+        monkeypatch.setattr(model.Hamiltonian, "_chebyshev_operator", spy)
+        monkeypatch.setattr(model, "pattern_components",
+                            lambda mat: split.append(mat.shape) or components(mat))
+        times = dynamics.geometric_times(1.0, 100.0, 1.5)
+        assert len(times) == 12
+        snaps = list(dynamics.snapshots(dynamics.Propagation(H, psi, times)))
+        live = live_rows(H.mat, psi)
+        assert all(np.all(u[~live] == 0) and np.all(u[live] != 0) for _, u in snaps)
+        label = oracles.pattern_labels(H.mat)
+        n = len(np.unique(label[live]))
+        assert built == [n] and "chebyshev" not in H.__dict__
+        other = np.where(live, 0, 1.0)
+        dynamics.krylov_expm_apply(H, other, 1.0)
+        dynamics.krylov_expm_apply(H, other, 2.0)
+        dynamics.krylov_expm_apply(H, psi, 1.0)
+        assert built == [n, label.max() + 1 - n, n] and split == [H.shape]
 
 
 class TestGeometricTimes:

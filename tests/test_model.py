@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 import oracles
 from nelsonlab import fock, model
+from nelsonlab.split import build_tensor_basis
 
 
 def numeric_o_beta(disp, beta, p_max=6.0, n=200001):
@@ -202,6 +203,44 @@ def lattice_setup(nonrel, ff):
     fb = model.full_basis(ms, L, 2)
     H = model.build_full_H(ms, fb)
     return ms, fb, H
+
+
+class TestAssembly:
+    @pytest.mark.parametrize("which", ["fiber", "extended", "chain"])
+    def test_one_coo_equals_the_three_sums(self, nonrel, relativistic, ff, which, monkeypatch):
+        """``_assemble`` writes the diagonal, the entries and their adjoint as
+        one COO: the same indptr, indices, data and dtype as the sum of three
+        sparse matrices, at g = 0 (no coupling entry stored) and g = 0.05."""
+        seen = []
+        assemble = model._assemble
+
+        def spy(ms, diag, rows, cols, c, basis=None):
+            H = assemble(ms, diag, rows, cols, c, basis)
+            seen.append((H.mat, oracles.three_sum_assembly(ms, diag, rows, cols, c)))
+            return H
+
+        monkeypatch.setattr(model, "_assemble", spy)
+        for g in (0.0, 0.05):
+            if which == "chain":
+                grid = fock.lattice_grid(128, [-16, -12, -8, -5, 5, 8, 12, 16], 0.2)
+                ms = model.ModelSpec(nonrel, ff, grid, g)
+                model.build_full_H(ms, model.full_basis(ms, 128, 1))
+                continue
+            for disp in (nonrel, relativistic):
+                for M, n_max in ((8, 3), (12, 2), (24, 1)):
+                    grid = fock.line_grid(M, 1.5, 0.2)
+                    ms = model.ModelSpec(disp, ff, grid, g)
+                    basis = fock.build_basis(grid, n_max)
+                    if which == "fiber":
+                        model.build_fiber_H(ms, [0.25], basis)
+                    else:
+                        model.extended_fiber_H(ms, [0.25], build_tensor_basis(basis))
+        assert len(seen) == (2 if which == "chain" else 12)
+        for mat, ref in seen:
+            assert mat.dtype == ref.dtype and mat.has_canonical_format
+            for part in ("indptr", "indices", "data"):
+                got, want = getattr(mat, part), getattr(ref, part)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), part
 
 
 class TestFullModel:
