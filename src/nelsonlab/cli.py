@@ -354,9 +354,9 @@ def cmd_dispersion(cfg: RunConfig) -> int:
         "g_beta": g_beta,
         "o_beta": o_beta,
     }
-    solver = [{"P": P, "method": method, "matvecs": n, "max_residual": _number(r)}
-              for P, method, n, r in zip(curve.momenta, curve.methods, curve.matvecs,
-                                         curve.max_residuals)]
+    solver = [{"P": P, "method": method, "matvecs": n, "rows": m, "max_residual": _number(r)}
+              for P, method, n, m, r in zip(curve.momenta, curve.methods, curve.matvecs,
+                                            curve.rows, curve.max_residuals)]
     converged = np.all(curve.converged)
     code = finish(cfg, "dispersion", numbers, {
         "sandwich_ok": (np.nanmin(curve.lower_margins) >= -1e-10

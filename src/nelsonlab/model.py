@@ -17,12 +17,14 @@ Operators are ``scipy.sparse.csr_matrix`` objects; ``Hamiltonian`` holds the
 CSR matrix, refused unless exactly Hermitian, with its occupation basis.  It
 also carries, each built on first use, its one block split ``blocks`` (the
 blocks of H's finest direct sum along the basis, ``pattern_components``,
-which ``spectral`` diagonalizes one by one) and the ``ChebyshevOperator`` on
-it: the Gershgorin interval of each block and the shifted operator
-2 (H - diag(a_c)) / b that ``dynamics.krylov_expm_apply`` recurses with,
-each block centred on its own a_c and b the widest one's half-width, on
-every row (``chebyshev``) or on the blocks a vector lives on
-(``chebyshev_for``, kept for the last such support).
+which ``spectral`` diagonalizes one by one), the Gershgorin interval of
+each block, by which ``spectral.ground_state`` drops blocks that cannot
+hold its lowest eigenvalues, and the ``ChebyshevOperator`` on the split:
+the shifted operator 2 (H - diag(a_c)) / b that
+``dynamics.krylov_expm_apply`` recurses with, each block centred on its
+own a_c and b the widest one's half-width, on every row (``chebyshev``) or
+on the blocks a vector lives on (``chebyshev_for``, kept for the last such
+support).
 """
 
 from __future__ import annotations
@@ -283,8 +285,8 @@ class Hamiltonian:
 
     @cached_property
     def _block_intervals(self) -> tuple[np.ndarray, np.ndarray]:
-        """Centre and half-width of each block's Gershgorin interval, the
-        union of its rows' discs."""
+        """Lower and upper ends of each block's Gershgorin interval, the
+        union of its rows' discs: every eigenvalue of the block lies in it."""
         label = self.blocks
         n_comp = int(label.max()) + 1
         lo_rows, hi_rows = _gershgorin_discs(self.mat)
@@ -292,7 +294,7 @@ class Hamiltonian:
         hi = np.full(n_comp, -np.inf)
         np.minimum.at(lo, label, lo_rows)
         np.maximum.at(hi, label, hi_rows)
-        return 0.5 * (hi + lo), 0.5 * (hi - lo)
+        return lo, hi
 
     @cached_property
     def chebyshev(self) -> ChebyshevOperator:
@@ -325,7 +327,8 @@ class Hamiltonian:
 
     def _chebyshev_operator(self, live: np.ndarray | None) -> ChebyshevOperator:
         """The operator on the blocks where ``live`` is true, or on all."""
-        centre, width = self._block_intervals
+        lo, hi = self._block_intervals
+        centre, width = 0.5 * (hi + lo), 0.5 * (hi - lo)
         label, mat, rows = self.blocks, self.mat, None
         if live is not None:
             rows = np.flatnonzero(live[label])

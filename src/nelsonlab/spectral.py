@@ -7,7 +7,10 @@ batched.  Ground states up to dimension 2000 take their lowest pairs from
 it; above it they are computed by LOBPCG preconditioned with the Jacobi
 diagonal of H, which dominates at small coupling, from a fixed,
 deterministic real start block (the lowest-diagonal unit vectors plus a
-small seeded perturbation).  Both paths take a ``model.Hamiltonian``, whose
+small seeded perturbation), on the blocks of that split that can hold one
+of the k lowest eigenvalues: a Gershgorin bound on lambda_k, with no
+solve, drops the others, and the eigenvectors are exactly zero on their
+rows.  Both paths take a ``model.Hamiltonian``, whose
 matrix is exactly Hermitian by construction.  Operators are real whenever
 their coefficients are (the default model's fiber and chain Hamiltonians
 are float64), so both paths then run in real arithmetic.  Functional
@@ -34,6 +37,7 @@ from .model import (
     ConfigWindowError,
     Hamiltonian,
     ModelSpec,
+    _gershgorin_discs,
     _gershgorin_interval,
     build_fiber_H,
     fiber_diagonal,
@@ -81,10 +85,15 @@ def lanczos_lowest(mat: sp.csr_matrix, k: int, tol: float):
     being the number of columns H was applied to.  Raises ``ConvergenceError``
     when a residual exceeds tol (1 + |lambda|) or ``LOBPCG_MAX_ITER``
     iterations did not converge; lobpcg's own warnings are not passed on.
+    Raises ``ValueError`` on fewer than 5k rows, where lobpcg would switch to
+    a dense solve of its own.
     """
     # imported here: only the iterative path pays for scipy.sparse.linalg
     from scipy.sparse.linalg import lobpcg
 
+    if mat.shape[0] < 5 * k:
+        raise ValueError(f"LOBPCG needs at least 5k = {5 * k} rows for k = {k}, "
+                         f"got {mat.shape[0]}")
     d = np.real(mat.diagonal())
     centre, half = _gershgorin_interval(mat)
     jacobi = 1.0 / (d - (centre - half) + JACOBI_SHIFT * 2.0 * half)
@@ -133,18 +142,43 @@ class SpectralResult:
         return self.eigenvectors[0]
 
 
+def _lowest_blocks(H: Hamiltonian, k: int) -> tuple[np.ndarray, int]:
+    """The rows, ascending, of the blocks of H that can hold one of its k
+    lowest eigenvalues, and the number of those blocks.
+
+    By Cauchy interlacing on the principal submatrix of the k lowest-diagonal
+    rows, lambda_k(H) <= mu, the largest upper end of those rows' Gershgorin
+    discs.  A block whose Gershgorin interval starts above mu holds no
+    eigenvalue <= lambda_k and is dropped.  The others, taken in ascending
+    lower end, are topped up by the next ones until they hold 5k rows, the
+    least ``lanczos_lowest`` accepts; an extra block loses no eigenvalue.
+    """
+    d = np.real(H.mat.diagonal())
+    mu = np.max(_gershgorin_discs(H.mat)[1][np.argsort(d, kind="stable")[:k]])
+    lo = H._block_intervals[0]
+    order = np.argsort(lo, kind="stable")
+    held = np.cumsum(np.bincount(H.blocks)[order])
+    count = max(np.count_nonzero(lo <= mu), int(np.searchsorted(held, 5 * k)) + 1)
+    keep = np.zeros(len(lo), dtype=bool)
+    keep[order[:count]] = True
+    return np.flatnonzero(keep[H.blocks]), int(np.count_nonzero(keep))
+
+
 def ground_state(H: Hamiltonian, k: int = 2, tol: float = 1e-10) -> SpectralResult:
     """k lowest eigenpairs of a Hamiltonian.
 
     Up to DENSE_CUTOFF the k lowest pairs of ``SpectralCalculus(H)``, so each
-    eigenvector is exactly zero off its block (method ``"dense"``);
-    ``lanczos_lowest`` (Jacobi-preconditioned LOBPCG) from the real start
-    block above it, in the operator's own dtype (float64 for a real
-    Hamiltonian), with ``iterations`` counting matvecs.  Both paths must pass
-    the same residual check.  The ground-state phase is fixed so that the
-    vacuum amplitude (or, if it vanishes, the largest amplitude) is
-    nonnegative real.  The eigenvectors are ``FockVector``s on
-    ``H.basis``, or plain arrays when H has no basis.
+    eigenvector is exactly zero off its block (method ``"dense"``).  Above
+    it ``lanczos_lowest`` (Jacobi-preconditioned LOBPCG) from the real start
+    block, in the operator's own dtype (float64 for a real Hamiltonian), on
+    the bare submatrix of the blocks that can hold one of the k lowest
+    eigenvalues (``_lowest_blocks``), each eigenvector exactly zero on every
+    other row, with ``iterations`` counting matvecs.  ``meta`` records the
+    ``rows`` and ``blocks`` solved, all of them on the dense path.  Both
+    paths must pass the same residual check on the whole of H.  The
+    ground-state phase is fixed so that the vacuum amplitude (or, if it
+    vanishes, the largest amplitude) is nonnegative real.  The eigenvectors
+    are ``FockVector``s on ``H.basis``, or plain arrays when H has no basis.
     """
     n = H.shape[0]
     k = min(k, n)
@@ -154,8 +188,17 @@ def ground_state(H: Hamiltonian, k: int = 2, tol: float = 1e-10) -> SpectralResu
         vecs = calc.window_vectors(vals[-1])[:, :k]
         iters = 0
         method = "dense"
+        rows, blocks = n, int(H.blocks.max()) + 1
     else:
-        vals, vecs, iters = lanczos_lowest(H.mat, k, tol)
+        solved, blocks = _lowest_blocks(H, k)
+        rows = len(solved)
+        try:
+            vals, sub, iters = lanczos_lowest(H.mat[solved][:, solved], k, tol)
+        except ConvergenceError as exc:
+            exc.diagnostics["rows"] = rows
+            raise
+        vecs = np.zeros((n, k), dtype=sub.dtype)
+        vecs[solved] = sub
         method = "lobpcg"
     resid = np.array([
         float(np.linalg.norm(H.mat @ vecs[:, i] - vals[i] * vecs[:, i]))
@@ -164,7 +207,8 @@ def ground_state(H: Hamiltonian, k: int = 2, tol: float = 1e-10) -> SpectralResu
     if np.any(resid > max(tol, 1e-9) * (1.0 + np.abs(vals))):
         raise ConvergenceError(
             "eigen residuals above tolerance",
-            {"residuals": resid.tolist(), "iterations": iters, "method": method})
+            {"residuals": resid.tolist(), "iterations": iters, "method": method,
+             "rows": rows})
     for i in range(k):
         a = vecs[0, i]
         ref = a if abs(a) > 1e-12 else vecs[np.argmax(np.abs(vecs[:, i])), i]
@@ -176,7 +220,8 @@ def ground_state(H: Hamiltonian, k: int = 2, tol: float = 1e-10) -> SpectralResu
            for i in range(k)]
     return SpectralResult(
         eigenvalues=vals, eigenvectors=fvs, residuals=resid, gap=gap,
-        meta={"method": method, "iterations": iters, "tol": tol, "dim": n},
+        meta={"method": method, "iterations": iters, "tol": tol, "dim": n,
+              "rows": rows, "blocks": blocks},
     )
 
 
@@ -300,10 +345,10 @@ def pt_ground_energy(ms: ModelSpec, P, basis: OccupationBasis) -> float:
 class DispersionCurve:
     """Per-momentum ground data with sandwich margins and convergence flags.
 
-    ``methods``, ``matvecs`` and ``max_residuals`` record the two solves at
-    each momentum (this dispersion and the other): the solver path, their
-    matvecs together and their largest eigen-residual.  ``methods`` holds None
-    where a solve did not converge.
+    ``methods``, ``matvecs``, ``rows`` and ``max_residuals`` record the two
+    solves at each momentum (this dispersion and the other): the solver path,
+    their matvecs together, the most rows either solved and their largest
+    eigen-residual.  ``methods`` holds None where a solve did not converge.
     """
 
     momenta: list
@@ -317,6 +362,7 @@ class DispersionCurve:
     converged: np.ndarray
     methods: list
     matvecs: np.ndarray
+    rows: np.ndarray
     max_residuals: np.ndarray
 
 
@@ -351,7 +397,7 @@ def dispersion_scan(ms: ModelSpec, momenta, basis: OccupationBasis,
             other = ground_state(build_fiber_H(ms_other, P, basis), k=1, tol=tol)
         except ConvergenceError as exc:
             diag = exc.diagnostics
-            return None, (None, diag.get("iterations", 0),
+            return None, (None, diag.get("iterations", 0), diag.get("rows", 0),
                           float(np.max(diag.get("residuals", math.nan))))
         e0 = float(np.min(fiber_diagonal(ms_free, P, basis.occ)))
         eg = res.ground_energy
@@ -360,11 +406,13 @@ def dispersion_scan(ms: ModelSpec, momenta, basis: OccupationBasis,
             if alphas else math.inf
         soft = soft_boson_occupancy(res.ground_vector)
         solver = (res.meta["method"], res.meta["iterations"] + other.meta["iterations"],
+                  max(res.meta["rows"], other.meta["rows"]),
                   float(max(res.residuals.max(), other.residuals.max())))
         return (eg, e0, upper, lower, res.gap, soft, abs(eg - other.ground_energy)), solver
 
     points = [solve_point(P) for P in momenta]
     arr = np.array([r if r is not None else (math.nan,) * 7 for r, _ in points], dtype=float)
+    methods, matvecs, rows, residuals = zip(*(solver for _, solver in points))
     return DispersionCurve(
         momenta=momenta,
         energies=arr[:, 0], free_energies=arr[:, 1],
@@ -372,9 +420,10 @@ def dispersion_scan(ms: ModelSpec, momenta, basis: OccupationBasis,
         gaps=arr[:, 4], soft_occupancies=arr[:, 5],
         free_mod_agree=arr[:, 6],
         converged=np.array([r is not None for r, _ in points]),
-        methods=[method for _, (method, _, _) in points],
-        matvecs=np.array([n for _, (_, n, _) in points], dtype=int),
-        max_residuals=np.array([r for _, (_, _, r) in points], dtype=float),
+        methods=list(methods),
+        matvecs=np.array(matvecs, dtype=int),
+        rows=np.array(rows, dtype=int),
+        max_residuals=np.array(residuals, dtype=float),
     )
 
 

@@ -25,6 +25,12 @@ def basis12(grid12):
 
 
 @pytest.fixture(scope="session")
+def basis2925():
+    """The fiber benchmark's basis: 24 modes, n_max = 3, above DENSE_CUTOFF."""
+    return fock.build_basis(fock.line_grid(24, 1.5, 0.2), 3)
+
+
+@pytest.fixture(scope="session")
 def nonrel():
     return model.DispersionLaw("nonrel", 1.0)
 

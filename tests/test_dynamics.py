@@ -367,6 +367,24 @@ class TestSupport:
             assert np.linalg.norm(u - exact) <= 1e-9 * np.linalg.norm(v)
             assert np.all(u[~live] == 0)
 
+    def test_dressed_state_lives_on_its_solved_blocks(self, ms_default, basis2925):
+        """At the fiber benchmark's inputs (M = 24, n_max = 3, P = 0.25, dim
+        2925) the LOBPCG ground vector is exactly 0 off the blocks its k = 2
+        solve ran on, at most 637 rows, so ``W_estimate`` propagates those
+        rows alone; its track is that of the dense ground-block vector."""
+        ms = model.ModelSpec(ms_default.disp, ms_default.ff, basis2925.grid, ms_default.g)
+        H = model.build_fiber_H(ms, [0.25], basis2925)
+        psi = dynamics.dressed_state(ms, [0.25], basis2925).amps
+        times = dynamics.geometric_times(1.0, 100.0, 1.5)
+        stats = dynamics.chebyshev_stats(dynamics.Propagation(H, psi, times))
+        assert stats["live_rows"] <= 637 < stats["dim"] == 2925
+        calc = spectral.SpectralCalculus(H)
+        exact = calc.window_vectors(calc.vals.min())[:, 0]
+        ycalc = dynamics.YCalc(basis2925.grid)
+        track, oracle = (dynamics.W_estimate(dynamics.Propagation(H, v, times), basis2925,
+                                             CUTS, ycalc).values for v in (psi, exact))
+        assert np.abs(track - oracle).max() <= 1e-12
+
     def test_half_width_is_the_widest_live_blocks(self, chain_packet):
         """At L = 128 the packet lives on 13 of the 128 total-momentum
         blocks, 117 of 1152 rows; the widest of them sets b, and the grid's

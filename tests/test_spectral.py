@@ -136,16 +136,89 @@ class TestGroundState:
             overlap = abs(np.vdot(vecs[:, i], res.eigenvectors[i].amps))
             assert overlap == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("size", [2300, 2925])
+    @pytest.mark.parametrize("P", [0.0, 0.25, 0.8])
+    @pytest.mark.parametrize("use_modified", [True, False])
+    def test_restricted_path_matches_block_calculus(self, ms_default, basis2300, basis2925,
+                                                    size, P, use_modified):
+        """Above DENSE_CUTOFF LOBPCG runs on the blocks that can hold one of
+        the k lowest eigenvalues only.  Against ``SpectralCalculus``, dense on
+        every block (the largest has 455 rows), and the breadth-first block
+        labels of the oracle: the k lowest eigenvalues and their eigenspaces
+        agree, each vector is exactly 0 off the solved blocks, and every
+        dropped block's lowest eigenvalue lies above lambda_k."""
+        basis = {2300: basis2300, 2925: basis2925}[size]
+        assert basis.size == size
+        ms = model.ModelSpec(ms_default.disp, ms_default.ff, basis.grid, ms_default.g,
+                             use_modified=use_modified)
+        H = fiber(ms, P, basis)
+        calc = spectral.SpectralCalculus(H)
+        ev = np.sort(calc.vals)
+        label = oracles.pattern_labels(H.mat)
+        lowest = np.full(label.max() + 1, np.inf)
+        for idx, vals, _ in calc.groups:
+            lowest[label[idx[:, 0]]] = vals[:, 0]
+        for k in (1, 2, 3):
+            res = spectral.ground_state(H, k=k, tol=1e-11)
+            solved = np.unique(label[spectral._lowest_blocks(H, k)[0]])
+            on = np.isin(label, solved)
+            assert res.meta["method"] == "lobpcg"
+            assert (res.meta["rows"], res.meta["blocks"]) == (on.sum(), len(solved))
+            assert on.sum() < size
+            assert np.abs(res.eigenvalues - ev[:k]).max() <= 1e-10
+            window = calc.window_vectors(ev[k - 1] + 1e-8)
+            for i in range(k):
+                amps = res.eigenvectors[i].amps
+                assert np.all(amps[~on] == 0)
+                space = window[:, np.abs(ev[:window.shape[1]] - ev[i]) < 1e-8]
+                assert np.linalg.norm(space.conj().T @ amps) >= 1.0 - 1e-8
+            assert np.all(np.delete(lowest, solved) > ev[k - 1])
+
+    def test_pruning_keeps_a_coupled_block_off_the_lowest_diagonal(self):
+        """Negative control: 2048 rows, of which 50 scattered ones form one
+        strongly coupled block on the diagonal 1 and the rest are one-state
+        blocks on the diagonal 0 .. 10.  The lowest diagonal entries sit on
+        one-state blocks, yet the coupled block holds the lowest eigenvalues;
+        pruning by the diagonal alone would lose them."""
+        n, s = 2048, 50
+        rng = np.random.default_rng(35)
+        coupled = np.sort(rng.choice(n, s, replace=False))
+        d = np.empty(n)
+        d[np.setdiff1d(np.arange(n), coupled)] = np.linspace(0.0, 10.0, n - s)
+        d[coupled] = 1.0
+        X = rng.normal(size=(s, s)) * 0.3
+        dense = np.diag(d)
+        dense[np.ix_(coupled, coupled)] += np.triu(X + X.T, 1) + np.triu(X + X.T, 1).T
+        H = model.Hamiltonian(sp.csr_matrix(dense))
+        ev, V = np.linalg.eigh(dense)
+        assert ev[2] < 0.0 == d.min()
+        for k in (1, 2, 3):
+            res = spectral.ground_state(H, k=k, tol=1e-11)
+            assert res.meta["method"] == "lobpcg" and res.meta["rows"] < n
+            assert np.abs(res.eigenvalues - ev[:k]).max() <= 1e-10
+            for i in range(k):
+                assert abs(np.vdot(V[:, i], res.eigenvectors[i])) >= 1.0 - 1e-8
+
+    def test_lanczos_refuses_fewer_than_five_k_rows(self):
+        """Below 5k rows scipy's lobpcg runs a dense solve of its own and
+        returns no residual history; the iterative path refuses the matrix."""
+        mat = sp.csr_matrix(np.diag([0.0, 1.0, 2.0, 3.0]))
+        with pytest.raises(ValueError, match="5k = 5 rows"):
+            spectral.lanczos_lowest(mat, 1, 1e-10)
+
     @pytest.mark.parametrize("P", [0.0, 0.25])
     def test_iterative_free_ground_energy_is_the_lowest_diagonal(self, ms_default,
                                                                  basis2300, P):
         """At g = 0 H is diagonal, so no row has an off-diagonal entry; the
         Jacobi shift keeps the preconditioner finite there.  At P = 0 the
-        ground energy is exactly 0, which restarted ARPACK missed (0.123)."""
+        ground energy is exactly 0, which restarted ARPACK missed (0.123).
+        Every state is a block of its own, so the bound leaves k rows and the
+        solve is topped up to 5k rows, the least LOBPCG accepts."""
         ms = model.ModelSpec(ms_default.disp, ms_default.ff, basis2300.grid, 0.0)
         H = fiber(ms, P, basis2300)
         res = spectral.ground_state(H, k=2, tol=1e-11)
         assert res.meta["method"] == "lobpcg"
+        assert (res.meta["rows"], res.meta["blocks"]) == (10, 10)
         assert abs(res.ground_energy - H.mat.diagonal().min()) < 1e-12
 
     def test_residuals_and_orthonormality(self, ms_default, basis12):
