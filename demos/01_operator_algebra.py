@@ -19,8 +19,8 @@ print("modified dispersion:", np.round(grid.omega_mod, 4))
 # All occupation states with at most three bosons: binomial(4+3, 3) = 35.
 basis = fock.build_basis(grid, n_max=3)
 print(f"\nbasis size: {basis.size}")
-print("first occupation rows:")
-print(basis.occ[:5])
+print("first mode tuples, padded with M = 4:")
+print(basis.modes[:5])
 
 # Smeared ladder operators and the canonical commutator, as scipy CSR matrices.
 # Identities that create a boson hold exactly on the guarded sector N <= n_max - 1,

@@ -171,7 +171,7 @@ class _UIdentities:
         self.s = np.argsort(t)
         self.sum_row, self.sum_col, self.sum_mode, self.sum_value = fock._creation_entries(
             tb.sum_basis, np.ones(2 * M))
-        self.sum_numbers = tb.sum_basis.occ.astype(float)
+        self.sum_numbers = tb.sum_basis.occupations().astype(float)
         creates = np.any(gen.creation != 0, axis=0)
         a_dag1 = creates.copy()
         if corrupt:

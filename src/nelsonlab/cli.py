@@ -438,7 +438,7 @@ def dressed_propagation(cfg: RunConfig, t_max: float) -> tuple:
     P = config_momentum(v["model.p"], ms.grid.dim)
     times = dynamics.geometric_times(v["dynamics.t0"], t_max, v["dynamics.ratio"])
     H = model.build_fiber_H(ms, P, basis)
-    psiP = spectral.ground_state(H, k=2, tol=v["solver.tol"]).ground_vector
+    psiP = spectral.ground_state(H, k=1, tol=v["solver.tol"]).ground_vector
     prop = dynamics.Propagation(H, psiP.amps, times, step_tol=v["dynamics.step_tol"])
     return ms, P, prop, dynamics.YCalc(ms.grid)
 

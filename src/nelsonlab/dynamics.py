@@ -482,7 +482,7 @@ def W_plus_probe(ms: ModelSpec, P, prop: Propagation, cuts: CutoffFamily,
 def dressed_state(ms: ModelSpec, P, basis: OccupationBasis) -> FockVector:
     """Fiber ground state psi_P, to eigensolver tolerance 1e-11."""
     H = build_fiber_H(ms, P, basis)
-    return ground_state(H, k=2, tol=1e-11).ground_vector
+    return ground_state(H, k=1, tol=1e-11).ground_vector
 
 
 def one_boson_state(basis: OccupationBasis, h) -> np.ndarray:

@@ -16,24 +16,20 @@ projects out of the top shell (Galerkin truncation).  Operator identities that
 involve a creation operator therefore hold exactly only on the guarded sector
 N <= n_max - 1; number-conserving identities hold on the whole basis.
 
-A basis is one integer array: ``occ[c, j]`` is the occupation of mode j in
-state c, enumerated sector by sector in numpy, with ``lookup``, the exact
-lookup of occupation rows.  The layout is graded: sector n (total occupation
-N = n) is the row range ``edges[n]:edges[n + 1]``.  Every state c with
-n_j(c) > 0 has its parent c - e_j in the basis, every state below the top
-sector has all its children c + e_j, and no state of the top sector has
-any.  ``build_basis`` derives from ``occ`` and ``lookup``, once and
-read-only: the occupied-mode slot tables (per state, its at most n_max
-occupied modes ``slot_mode``, their sqrt(n) ``slot_root`` and the parent
-rows ``slot_parent``, one lookup per slot) and the ladder table
-``up[c, j]``, the index of c + e_j for the states c below the top sector,
-scattered from the slot tables.  Every second-quantized operator is derived
-from these tables: hopping terms a*_i a_j, the sector recursions behind
-Gamma and dGamma2, and the tensor and fusion maps of ``split`` are index
-gathers on ``occ``, ``up`` and the slot tables.  The sector recursion
-conserves the boson number: the columns of input sector n fill only the
-rows of output sector n (both ranges read from ``edges``), each through its
-slots s < min(n, M) and its parents in sector n - 1.
+A basis is one table of mode tuples, ``modes``: row c lists the occupied
+modes of state c ascending, one entry per boson, padded with M.  Sector n
+(N = n) is the rows ``edges[n]:edges[n + 1]``, in ascending lexicographic
+order of the occupation vectors, whose closed-form rank (the multiset
+combinatorial number system) is ``OccupationBasis.index``.  Every parent
+c - e_j of a state is in the basis, and so is every child c + e_j of a state
+below the top sector.  ``build_basis`` derives from the tuples, once and
+read-only, the slot tables (per state, its runs of equal modes: mode
+``slot_mode``, sqrt(length) ``slot_root`` and parent row ``slot_parent``)
+and the ladder table ``up[c, j]`` = c + e_j below the top sector.  Every
+operator is an index gather on these tables; sums sum_j n_j x_j are
+``mode_sum(x)``, and occupation numbers are formed only on the rows that
+read them (``occupations``).  The sector recursion maps input sector n to
+output sector n only, through the slots s < min(n, M) and sector n - 1.
 ``dGamma_expectation`` reads <psi, dGamma(b) psi> from the M x M
 one-boson density matrix rho_ij = <a_i psi, a_j psi>, one gather on ``up``
 (a_j psi vanishes on the top sector), without assembling dGamma(b).
@@ -283,129 +279,117 @@ def radial_grid(n_r: int, kmax: float, sigma: float) -> ModeGrid:
 
 @dataclass(frozen=True, eq=False)
 class OccupationBasis:
-    """Graded-lexicographic occupation basis, held as one occupation array.
+    """Graded-lexicographic occupation basis: row c of ``modes``
+    (size x n_max) is state c's ascending mode tuple, padded with M.
 
-    ``occ`` (size x M) holds the occupation numbers, row c being state c;
-    ``lookup`` maps occupation rows to their state index (-1 if absent).
-    Sector n is rows ``edges[n]:edges[n + 1]``.  Everything else is derived
-    from these:
-
-    Slot s < min(n_max, M) of state r holds one of its occupied modes,
-    ``slot_mode[r, s]`` (ascending), with ``slot_root[r, s]`` = sqrt(n_i(r))
-    and ``slot_parent[r, s]`` = r - e_i; a padding slot has root 0 and
-    parent -1.  ``up`` (edges[n_max] x M) is the ladder table of the states
-    below the top sector: ``up[c, j]`` is the index of c + e_j.
+    Slot s < min(n_max, M) of state r is its s-th run of equal modes i:
+    ``slot_mode[r, s]`` = i, ``slot_root[r, s]`` = sqrt(n_i(r)) and
+    ``slot_parent[r, s]`` = r - e_i; a padding slot has mode 0, root 0 and
+    parent -1.  ``up[c, j]`` (edges[n_max] x M) is the row of c + e_j.
     """
 
     grid: ModeGrid
     n_max: int
-    occ: np.ndarray = field(repr=False)
+    modes: np.ndarray = field(repr=False)
     edges: np.ndarray = field(repr=False)
     up: np.ndarray = field(repr=False)
     slot_mode: np.ndarray = field(repr=False)
     slot_root: np.ndarray = field(repr=False)
     slot_parent: np.ndarray = field(repr=False)
-    lookup: RowIndex = field(repr=False)
 
     @property
     def size(self) -> int:
-        return len(self.occ)
+        return len(self.modes)
 
     def total_numbers(self) -> np.ndarray:
-        return self.occ.sum(axis=1)
+        return np.repeat(np.arange(self.n_max + 1), np.diff(self.edges))
+
+    def index(self, tuples) -> np.ndarray:
+        """The row of each ascending mode tuple, one per row of an integer
+        array padded with M, of at most n_max modes."""
+        return _rank(tuples, self.grid.n_modes, self.edges)
+
+    def occupations(self, rows=slice(None)) -> np.ndarray:
+        """The occupation numbers n_j of ``rows`` (all rows by default), one
+        row of M integers per state."""
+        tuples = self.modes[rows]
+        out = np.zeros((len(tuples), self.grid.n_modes + 1), dtype=np.int64)
+        for column in tuples.T:
+            out[np.arange(len(tuples)), column] += 1
+        return out[:, :-1]
+
+    def mode_sum(self, x) -> np.ndarray:
+        """sum_j n_j x_j per state for mode data x of shape (M, ...): x over
+        each state's mode tuple, added in ascending mode order."""
+        x = np.asarray(x)
+        padded = np.concatenate([x, np.zeros_like(x[:1])])
+        out = np.zeros((self.size,) + x.shape[1:], dtype=x.dtype)
+        for column in self.modes.T:
+            out += padded[column]
+        return out
 
     def energies(self) -> np.ndarray:
-        return self.occ @ self.grid.omega_mod
+        return self.mode_sum(self.grid.omega_mod)
 
     def boson_momenta(self) -> np.ndarray:
         """(size, d) array of total boson momentum per state."""
-        return self.occ @ np.atleast_2d(self.grid.points)
+        return self.mode_sum(self.grid.points)
 
 
-def _row_keys(rows) -> np.ndarray:
-    """One raw-byte key per integer row, so that equal keys mean equal rows."""
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
-
-
-@dataclass(frozen=True, eq=False)
-class RowIndex:
-    """Exact lookup of integer rows in a table: calling it on an (n, k)
-    integer array returns the table index of each row, or -1 where the row is
-    absent.  Rows are compared as raw bytes, so the match is exact."""
-
-    order: np.ndarray
-    sorted_keys: np.ndarray
-
-    def __call__(self, rows) -> np.ndarray:
-        q = _row_keys(rows)
-        pos = np.minimum(np.searchsorted(self.sorted_keys, q), len(self.sorted_keys) - 1)
-        return np.where(self.sorted_keys[pos] == q, self.order[pos], -1)
-
-
-def _row_index(table: np.ndarray) -> RowIndex:
-    """The ``RowIndex`` of the rows of ``table``, sorted once and read-only."""
-    table_keys = _row_keys(table)
-    order = np.argsort(table_keys)
-    sorted_keys = table_keys[order]
-    order.flags.writeable = False
-    sorted_keys.flags.writeable = False
-    return RowIndex(order, sorted_keys)
-
-
-def _next_sector(rows: np.ndarray, first: np.ndarray):
-    """Each row plus one boson in a mode at or before its first occupied mode
-    ``first`` (any mode for the vacuum, whose ``first`` is M - 1), which
-    makes every state of the next sector exactly once; returns the new rows
-    and their first occupied modes."""
-    count = first + 1
-    parent = np.repeat(np.arange(len(rows)), count)
-    mode = np.arange(len(parent)) - np.repeat(np.cumsum(count) - count, count)
-    new = rows[parent]
-    new[np.arange(len(parent)), mode] += 1
-    return new, mode
+def _rank(tuples, M: int, edges: np.ndarray) -> np.ndarray:
+    """Closed-form rows of ascending mode tuples over M modes: the tuple
+    i_0 <= ... <= i_{n-1} is row edges[n] + sum_s C(M - 2 - i_s + n - s, n - s)."""
+    t = np.asarray(tuples, dtype=np.int64)
+    n_max = len(edges) - 2
+    binom = np.array([[math.comb(a, b) for b in range(n_max + 2)] for a in range(M + n_max)],
+                     dtype=np.int64)
+    n = np.count_nonzero(t < M, axis=1)
+    rest = n[:, None] - np.arange(t.shape[1])
+    # a padding entry (rest <= 0) reads C(0, 1) = 0
+    inside = rest > 0
+    return edges[n] + binom[np.where(inside, M - 2 - t + rest, 0),
+                            np.where(inside, rest, 1)].sum(axis=1)
 
 
 def build_basis(grid: ModeGrid, n_max: int) -> OccupationBasis:
-    """Enumerate occupation states with N <= n_max.
-
-    Sector n is built from sector n - 1 and sorted ascending
-    lexicographically."""
+    """Enumerate occupation states with N <= n_max: sector n appends to each
+    tuple of sector n - 1 every mode from its last one on, which makes every
+    state once, and scatters each new tuple to its rank."""
     if n_max < 0:
         raise BasisError("n_max must be nonnegative")
     M = grid.n_modes
-    rows, first = np.zeros((1, M), dtype=np.int64), np.array([M - 1])
-    blocks = []
-    for n in range(n_max + 1):
-        if n:
-            rows, first = _next_sector(rows, first)
-        order = np.lexsort(rows.T[::-1])
-        rows, first = rows[order], first[order]
-        blocks.append(rows)
-    occ = np.concatenate(blocks)
-    edges = np.cumsum([0] + [len(block) for block in blocks])
-    lookup = _row_index(occ)
-    # the occupied modes of each state first, padding slots after them
-    n_slots = min(n_max, M)
-    slot_mode = np.argsort(occ == 0, axis=1, kind="stable")[:, :n_slots]
-    slot_root = np.sqrt(np.take_along_axis(occ, slot_mode, axis=1))
-    slot_parent = np.full(slot_mode.shape, -1)
-    for s in range(n_slots):
-        c = np.flatnonzero(slot_root[:, s])
-        parent = occ[c]
-        parent[np.arange(len(c)), slot_mode[c, s]] -= 1
-        slot_parent[c, s] = lookup(parent)
+    edges = np.cumsum([0] + [math.comb(M + n - 1, n) for n in range(n_max + 1)])
+    modes = np.full((edges[-1], n_max), M, dtype=np.int64)
+    tuples = np.zeros((1, 0), dtype=np.int64)
+    for n in range(1, n_max + 1):
+        last = tuples[:, -1] if n > 1 else np.zeros(1, dtype=np.int64)
+        count = M - last
+        parent = np.repeat(np.arange(len(tuples)), count)
+        mode = np.arange(len(parent)) - np.repeat(np.cumsum(count) - count, count) + last[parent]
+        tuples = np.column_stack([tuples[parent], mode])
+        modes[_rank(tuples, M, edges), :n] = tuples
+    shape = (edges[-1], min(n_max, M))
+    slot_mode, slot_root = np.zeros(shape, dtype=np.int64), np.zeros(shape)
+    slot_parent = np.full(shape, -1, dtype=np.int64)
+    # the run number of each entry, and the entries that end a run
+    run = np.cumsum(np.diff(modes, axis=1, prepend=-1) != 0, axis=1) - 1
+    ends = (modes < M) & (np.diff(modes, axis=1, append=M + 1) != 0)
+    for e in range(n_max):
+        c = np.flatnonzero(ends[:, e])
+        s, mode = run[c, e], modes[c, e]
+        slot_mode[c, s] = mode
+        slot_root[c, s] = np.sqrt(np.count_nonzero(modes[c] == mode[:, None], axis=1))
+        slot_parent[c, s] = _rank(np.delete(modes[c], e, axis=1), M, edges)
     # every state c is p + e_j for each of its filled slots (j, p), which
     # writes every entry: each state below the top sector has all its children
     up = np.empty((edges[n_max], M), dtype=np.int64)
     c, s = np.nonzero(slot_parent >= 0)
     up[slot_parent[c, s], slot_mode[c, s]] = c
     # shared by every operator built on this basis
-    for table in (occ, edges, up, slot_mode, slot_root, slot_parent):
+    for table in (modes, edges, up, slot_mode, slot_root, slot_parent):
         table.flags.writeable = False
-    return OccupationBasis(grid=grid, n_max=n_max, occ=occ, edges=edges, up=up,
-                           slot_mode=slot_mode, slot_root=slot_root, slot_parent=slot_parent,
-                           lookup=lookup)
+    return OccupationBasis(grid=grid, n_max=n_max, modes=modes, edges=edges, up=up,
+                           slot_mode=slot_mode, slot_root=slot_root, slot_parent=slot_parent)
 
 
 @dataclass
@@ -450,9 +434,10 @@ def _creation_entries(basis: OccupationBasis, h):
     top sector."""
     amp = np.sqrt(basis.grid.weights) * _check_modes(basis, h)
     modes = np.flatnonzero(amp)
-    src = np.repeat(np.arange(len(basis.up)), len(modes))
-    j = np.tile(modes, len(basis.up))
-    return basis.up[src, j], src, j, np.sqrt(basis.occ[src, j] + 1) * amp[j]
+    up = basis.up
+    src = np.repeat(np.arange(len(up)), len(modes))
+    j = np.tile(modes, len(up))
+    return up[src, j], src, j, np.sqrt(basis.occupations(slice(len(up)))[src, j] + 1) * amp[j]
 
 
 def creation_op(basis: OccupationBasis, h) -> sp.csr_matrix:
@@ -500,10 +485,12 @@ def dGamma(basis: OccupationBasis, b) -> sp.csr_matrix:
     scale = float(np.abs(bo).max()) if bo.size else 0.0
     if 0.0 < defect <= 1e-13 * max(scale, 1.0):
         bo = (bo + bo.conj().T) / 2.0
-    occ, up = basis.occ, basis.up
+    up = basis.up
+    below = basis.occupations(slice(len(up)))
+    # sum_j n_j b_jj in ascending modes, one integer count n_j per slot
     diag = np.zeros(basis.size, dtype=bo.dtype)
-    for j in range(bo.shape[0]):
-        diag += occ[:, j] * bo[j, j]
+    for mode, root in zip(basis.slot_mode.T, basis.slot_root.T):
+        diag += np.rint(root * root) * bo[mode, mode]
     c = np.flatnonzero(diag)
     rows, cols, data = [c], [c], [diag[c]]
     # b_ij a*_i a_j maps the child c = up[p, j] to up[p, i]
@@ -515,7 +502,7 @@ def dGamma(basis: OccupationBasis, b) -> sp.csr_matrix:
         c = up[p, j]
         rows.append(up[p, i])
         cols.append(c)
-        data.append(bo[i, j] * np.sqrt(occ[c, j] * (occ[p, i] + 1)))
+        data.append(bo[i, j] * np.sqrt((below[p, j] + 1) * (below[p, i] + 1)))
     return _coo(basis, np.concatenate(rows), np.concatenate(cols), np.concatenate(data))
 
 
@@ -539,7 +526,7 @@ def dGamma_expectation(basis: OccupationBasis, b, psi) -> complex:
     bo = to_ortho(basis.grid, basis.grid, _as_mode_matrix(basis, b))
     psi = _check_state(basis, psi)
     up = basis.up
-    A = psi[up] * np.sqrt(basis.occ[:len(up)] + 1)
+    A = psi[up] * np.sqrt(basis.occupations(slice(len(up))) + 1)
     return complex(np.sum(bo * (A.conj().T @ A)))
 
 
@@ -657,4 +644,4 @@ def dGamma2(basis_in: OccupationBasis, a, b, basis_out: OccupationBasis | None =
 def interacting_mask(basis: OccupationBasis) -> np.ndarray:
     """Ran Gamma(chi_i) as a boolean mask over the basis: the states with no
     boson in a soft mode |k| <= sigma, the grid's sigma."""
-    return ~np.any(basis.occ[:, basis.grid.soft_mask()] > 0, axis=1)
+    return ~np.any(np.append(basis.grid.soft_mask(), False)[basis.modes], axis=1)

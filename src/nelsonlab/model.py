@@ -342,10 +342,13 @@ class Hamiltonian:
         return ChebyshevOperator(centres, b, n_comp, A.astype(complex, copy=False), rows)
 
 
-def fiber_diagonal(ms: ModelSpec, P, occ: np.ndarray) -> np.ndarray:
-    """Omega(P - K(n)) + sum_j n_j omega_j per occupation row n of ``occ``."""
-    pe = np.atleast_1d(np.asarray(P, dtype=float))[None, :] - occ @ ms.grid.points
-    return ms.disp.omega(pe) + occ @ ms.boson_omega()
+def fiber_diagonal(ms: ModelSpec, P, basis: OccupationBasis, pairs=None) -> np.ndarray:
+    """Omega(P - K) + E per state, or per (left, right) row of ``pairs``,
+    with K and E the boson momentum and energy read off one mode sum."""
+    KE = basis.mode_sum(np.column_stack([ms.grid.points, ms.boson_omega()]))
+    KE = KE if pairs is None else KE[pairs[:, 0]] + KE[pairs[:, 1]]
+    pe = np.atleast_1d(np.asarray(P, dtype=float))[None, :] - KE[:, :-1]
+    return ms.disp.omega(pe) + KE[:, -1]
 
 
 def _assemble(ms: ModelSpec, diag: np.ndarray, rows, cols, c,
@@ -367,7 +370,7 @@ def _assemble(ms: ModelSpec, diag: np.ndarray, rows, cols, c,
 def build_fiber_H(ms: ModelSpec, P, basis: OccupationBasis) -> Hamiltonian:
     """Fiber Hamiltonian at total momentum P on the occupation basis."""
     rows, cols, _, c = _creation_entries(basis, ms.coupling_samples())
-    return _assemble(ms, fiber_diagonal(ms, P, basis.occ), rows, cols, c, basis)
+    return _assemble(ms, fiber_diagonal(ms, P, basis), rows, cols, c, basis)
 
 
 def extended_fiber_H(ms: ModelSpec, P, tb: TensorBasis) -> Hamiltonian:
@@ -378,8 +381,7 @@ def extended_fiber_H(ms: ModelSpec, P, tb: TensorBasis) -> Hamiltonian:
     up, src, _, c = _creation_entries(basis, ms.coupling_samples())
     a_dag = _coo(basis, up, src, c)
     rows, cols, k = _one_leg_support(tb, a_dag.indptr, a_dag.indices, right=False)
-    return _assemble(ms, fiber_diagonal(ms, P, basis.occ[tb.pairs].sum(axis=1)),
-                     rows, cols, a_dag.data[k])
+    return _assemble(ms, fiber_diagonal(ms, P, basis, tb.pairs), rows, cols, a_dag.data[k])
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +441,7 @@ def build_full_H(ms: ModelSpec, fb: FullBasis) -> Hamiltonian:
     """
     L, nb = fb.n_sites, fb.boson.size
     om_e = ms.disp.omega(fb.momenta[:, None])
-    diag = (om_e[:, None] + (fb.boson.occ @ ms.boson_omega())[None, :]).ravel()
+    diag = (om_e[:, None] + fb.boson.mode_sum(ms.boson_omega())[None, :]).ravel()
     up, b, j, c = _creation_entries(fb.boson, ms.coupling_samples())
     e = np.arange(L)[:, None]
     # e^{-i k_j x}: electron momentum index e -> e - m_j (mod L), see FullBasis

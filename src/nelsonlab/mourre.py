@@ -161,7 +161,7 @@ def commutator_iHA(ms: ModelSpec, P, basis: OccupationBasis,
     # term 2: -grad Omega(P - K(n)) . dGamma(v), diagonal in occupation
     K = basis.boson_momenta()
     gradO = ms.disp.grad(P[None, :] - K)
-    dgv = basis.occ @ vel
+    dgv = basis.mode_sum(vel)
     diag2 = -np.sum(gradO * dgv, axis=1)
     t2 = sp.diags(diag2, format="csr")
     # term 1, dGamma(|v|^2), and term 3, -g phi(i a kappa_sigma); real

@@ -399,7 +399,7 @@ def dispersion_scan(ms: ModelSpec, momenta, basis: OccupationBasis,
             diag = exc.diagnostics
             return None, (None, diag.get("iterations", 0), diag.get("rows", 0),
                           float(np.max(diag.get("residuals", math.nan))))
-        e0 = float(np.min(fiber_diagonal(ms_free, P, basis.occ)))
+        e0 = float(np.min(fiber_diagonal(ms_free, P, basis)))
         eg = res.ground_energy
         upper = float(ms.disp.omega(P)) - eg
         lower = min(eg - ((1 - a) * e0 - (ms.g ** 2 / a) * C) for a in alphas) \

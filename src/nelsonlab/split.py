@@ -1,31 +1,29 @@
 """Fock tensor isomorphism, boson splitting, and the scattering identification.
 
 Both legs of the splitting are the same Fock space, so the pair space is one
-basis paired with itself up to its n_max.  The doubled one-boson space h + h
-is a 2M-mode grid (two copies of the base grid); U maps its Fock space, with
-the same n_max, onto the pairs.  In occupation coordinates U is a permutation,
-the binomial weights of the sector formula being absorbed by the
-occupation-state normalization.  The pair space builds the doubled-grid basis
-and U's permutation once, on first use.
+basis paired with itself up to its n_max, laid out in sector blocks, and a
+pair's row is arithmetic on the leg's sector edges.  The doubled one-boson
+space h + h is a 2M-mode grid; U maps its Fock space, with the same n_max,
+onto the pairs, and in occupation coordinates it is a permutation: a
+doubled-grid tuple splits into its modes below M and the rest, each ranked
+on the leg.  The doubled-grid basis and U are built once, on first use.
 
-breve_gamma(j0, jinf, tb) realizes the splitting map Gamma-breve(j) = U Gamma(j)
-routing each boson through the M x M pair (j0, jinf), and scattering_ident the
-fusion map I = Gamma(iota) U* with iota(h0, hinf) = h0 + hinf.  Both
+breve_gamma(j0, jinf, tb) is the splitting map Gamma-breve(j) = U Gamma(j),
+routing each boson through the M x M pair (j0, jinf), and scattering_ident
+the fusion map I = Gamma(iota) U* with iota(h0, hinf) = h0 + hinf.  Both
 conserve the boson number, so they are exact on N <= n_max; only the one-leg
 lifts of operators that raise it are Galerkin projected.  The splitting maps
-are dense, their rows placed by U's permutation, and dbreve_gamma2 reads
-Gamma(j) from the breve_gamma of the same pair, which its caller has formed.  apply_breve_gamma
-applies Gamma-breve(j) to one vector as (Gamma(j0) x Gamma(jinf)) I*, one
-product per pair of boson-number sectors, with neither the dense map nor the
-doubled-grid basis.  A one-leg lift
-gathers the leg matrix's entries; ``TensorLift`` also restricts a leg's
-support to a pattern of its entries.
+are dense, their rows placed by U's permutation; dbreve_gamma2 reads Gamma(j)
+from the caller's breve_gamma of the same pair.  apply_breve_gamma applies
+Gamma-breve(j) to one vector as (Gamma(j0) x Gamma(jinf)) I*, one product per
+pair of sectors.  A one-leg lift gathers the leg matrix's entries;
+``TensorLift`` also restricts a leg's support to a pattern of its entries.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -36,8 +34,6 @@ from .fock import (
     Gamma,
     ModeGrid,
     OccupationBasis,
-    RowIndex,
-    _row_index,
     build_basis,
     dGamma2,
 )
@@ -70,18 +66,30 @@ def stack_pair(j0: np.ndarray, jinf: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class TensorBasis:
     """A basis paired with itself: ``pairs`` is an (n_pairs, 2) array of
-    (left index, right index) rows with total boson number at most n_max;
-    ``lookup`` maps an array of pair rows back to their rows (-1 where absent).
+    (left index, right index) rows with total boson number at most n_max,
+    laid out as the ``_sector_blocks`` of the graded basis, each left-major.
     ``sum_basis`` (the same n_max on the doubled grid) and ``perm`` are built
     on first use."""
 
     basis: OccupationBasis
     pairs: np.ndarray
-    lookup: RowIndex = field(repr=False)
 
     @property
     def size(self) -> int:
         return len(self.pairs)
+
+    def lookup(self, pairs) -> np.ndarray:
+        """The row of each (left, right) pair of an (n, 2) array, the start
+        of its sector block plus its left-major place there; -1 where an
+        index is outside the basis or the pair is above n_max."""
+        edges, n_max, n = self.basis.edges, self.basis.n_max, self.basis.size
+        sizes, start, row = np.diff(edges), np.zeros((n_max + 1, n_max + 1), dtype=np.int64), 0
+        for a, b in _sector_blocks(n_max):
+            start[a, b], row = row, row + sizes[a] * sizes[b]
+        i, j = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+        a, b = (np.searchsorted(edges, np.clip(k, 0, n - 1), side="right") - 1 for k in (i, j))
+        row = start[a, b] + (i - edges[a]) * sizes[b] + j - edges[b]
+        return np.where((i >= 0) & (i < n) & (j >= 0) & (j < n) & (a + b <= n_max), row, -1)
 
     @cached_property
     def sum_basis(self) -> OccupationBasis:
@@ -96,9 +104,10 @@ class TensorBasis:
         occupation of total N <= n_max, so ``perm`` is a permutation of the
         pairs.
         """
-        M, occ = self.basis.grid.n_modes, self.sum_basis.occ
-        t = self.lookup(np.stack([self.basis.lookup(occ[:, :M]),
-                                  self.basis.lookup(occ[:, M:])], axis=1))
+        M, modes = self.basis.grid.n_modes, self.sum_basis.modes
+        left = np.where(modes < M, modes, M)
+        right = np.sort(np.where(modes >= M, modes - M, M), axis=1)
+        t = self.lookup(np.stack([self.basis.index(left), self.basis.index(right)], axis=1))
         t.flags.writeable = False
         return t
 
@@ -106,25 +115,21 @@ class TensorBasis:
         return self.basis.total_numbers()[self.pairs]
 
 
-def _sector_blocks(basis: OccupationBasis):
-    """The (left, right) row slices of the pair blocks, in pair order: for
+def _sector_blocks(n_max: int) -> list:
+    """The (left, right) sectors of the pair blocks, in pair order: for
     ascending total T, sector a times sector T - a for ascending a."""
-    edges = basis.edges
-    for T in range(basis.n_max + 1):
-        for a in range(T + 1):
-            yield slice(*edges[a:a + 2]), slice(*edges[T - a:T - a + 2])
+    return [(a, T - a) for T in range(n_max + 1) for a in range(T + 1)]
 
 
 def build_tensor_basis(basis: OccupationBasis) -> TensorBasis:
     """Pairs with total boson number at most ``basis.n_max``, in ascending
     (total N, left index, right index) order: the ``_sector_blocks`` of the
     graded basis, each left-major."""
-    blocks = []
-    for left, right in _sector_blocks(basis):
-        i, j = np.arange(left.start, left.stop), np.arange(right.start, right.stop)
+    edges, blocks = basis.edges, []
+    for a, b in _sector_blocks(basis.n_max):
+        i, j = np.arange(*edges[a:a + 2]), np.arange(*edges[b:b + 2])
         blocks.append(np.stack([np.repeat(i, len(j)), np.tile(j, len(i))], axis=1))
-    pairs = np.concatenate(blocks)
-    return TensorBasis(basis=basis, pairs=pairs, lookup=_row_index(pairs))
+    return TensorBasis(basis=basis, pairs=np.concatenate(blocks))
 
 
 def tensor_iso_U(tb: TensorBasis) -> sp.csr_matrix:
@@ -175,9 +180,10 @@ def apply_breve_gamma(j0: np.ndarray, jinf: np.ndarray, tb: TensorBasis, phi: np
     x = fusion_adj @ phi
     G0, Ginf = Gamma(tb.basis, j0), Gamma(tb.basis, jinf)
     out = np.empty(tb.size, dtype=np.result_type(x, G0, Ginf))
-    start = 0
-    for left, right in _sector_blocks(tb.basis):
-        shape = (left.stop - left.start, right.stop - right.start)
+    edges, start = tb.basis.edges, 0
+    for a, b in _sector_blocks(tb.basis.n_max):
+        left, right = slice(*edges[a:a + 2]), slice(*edges[b:b + 2])
+        shape = (edges[a + 1] - edges[a], edges[b + 1] - edges[b])
         stop = start + shape[0] * shape[1]
         block = x[start:stop].reshape(shape)
         out[start:stop] = (G0[left, left] @ block @ Ginf[right, right].T).ravel()
@@ -207,14 +213,17 @@ def scattering_ident(tb: TensorBasis) -> sp.csr_matrix:
     pair's total boson number, so it is in the basis: every column holds one
     entry.
     """
-    nl, nr = tb.basis.occ[tb.pairs[:, 0]], tb.basis.occ[tb.pairs[:, 1]]
-    fused = nl + nr
+    basis, top = tb.basis, tb.basis.n_max + 1
+    left, right = basis.modes[tb.pairs.T]
+    fused = basis.index(np.sort(np.concatenate([left, right], axis=1), axis=1)[:, :top - 1])
+    # per slot of the fused state: its n_m, and the left leg's n_m
+    n = np.rint(np.square(basis.slot_root[fused])).astype(np.int64)
+    nl = np.count_nonzero(left[:, None, :] == basis.slot_mode[fused][:, :, None], axis=2)
     # Pascal table of exact binomials (fixed-width factorials overflow past 20!)
-    top = fused.max(initial=0) + 1
-    binom = np.array([[math.comb(n, k) for k in range(top)] for n in range(top)], dtype=float)
-    amp = np.prod(binom[fused, nl], axis=1)
-    return sp.coo_matrix((np.sqrt(amp), (tb.basis.lookup(fused), np.arange(tb.size))),
-                         shape=(tb.basis.size, tb.size), dtype=complex).tocsr()
+    binom = np.array([[math.comb(m, k) for k in range(top)] for m in range(top)], dtype=float)
+    amp = np.prod(binom[n, np.minimum(nl, n)], axis=1)
+    return sp.coo_matrix((np.sqrt(amp), (fused, np.arange(tb.size))),
+                         shape=(basis.size, tb.size), dtype=complex).tocsr()
 
 
 def _one_leg_support(tb: TensorBasis, indptr, indices, right: bool):

@@ -3,9 +3,10 @@
 These are the occupation-loop constructions that the package's ladder-table
 builders replaced.  The oracles enumerate their own states: ``states_of`` is
 the per-state recursion that ``fock.build_basis`` replaced, giving a tuple
-list and a dict from tuple to position for a basis's grid and n_max.  The
-builders look every target state up in that dict one state (or pair) at a
-time and never read ``basis.occ``, ``basis.up`` or the slot tables, so
+list and a dict from tuple to position for a basis's grid and n_max, and
+``rows_of`` looks occupation vectors up in that dict.  The builders look
+every target state up in that dict one state (or pair) at a time and never
+read ``basis.modes``, ``basis.up``, the slot tables or the ranks, so
 ``tests/test_ladder_table.py`` can compare the vectorized builders and the
 basis tables themselves against them.  ``momentum_blocks`` groups the chain's
 product basis by total momentum, one state at a time, and
@@ -70,6 +71,18 @@ def states_of(basis) -> tuple:
     states = [s for total in range(basis.n_max + 1)
               for s in _occupations(basis.grid.n_modes, total)]
     return states, {s: i for i, s in enumerate(states)}
+
+
+def rows_of(basis, occupations) -> np.ndarray:
+    """The row of each occupation vector (one per row) in ``basis``, read
+    off the index dict of ``states_of``."""
+    index = states_of(basis)[1]
+    return np.array([index[tuple(o)] for o in np.asarray(occupations).tolist()], dtype=int)
+
+
+def occupation_table(basis) -> np.ndarray:
+    """The (size, M) occupation numbers of ``states_of``'s states."""
+    return np.array(states_of(basis)[0], dtype=np.int64).reshape(-1, basis.grid.n_modes)
 
 
 def line_position_op(grid) -> np.ndarray:
@@ -303,9 +316,10 @@ def wrapped_fiber_H(ms, P, basis):
     zone [-pi, pi), as the chain's total-momentum block 2 pi m / L sees it:
     ``model.build_fiber_H``'s coupling, bit for bit, on the wrapped diagonal."""
     H = model.build_fiber_H(ms, P, basis).mat
-    pe = np.atleast_1d(np.asarray(P, dtype=float))[None, :] - basis.occ @ ms.grid.points
+    occ = occupation_table(basis)
+    pe = np.atleast_1d(np.asarray(P, dtype=float))[None, :] - occ @ ms.grid.points
     pe = (pe + np.pi) % (2 * np.pi) - np.pi
-    diag = ms.disp.omega(pe) + basis.occ @ ms.boson_omega()
+    diag = ms.disp.omega(pe) + occ @ ms.boson_omega()
     return model.Hamiltonian(H - sp.diags(H.diagonal()) + sp.diags(diag), basis)
 
 
@@ -489,7 +503,7 @@ def total_momentum_op(fb) -> sp.csr_matrix:
     mod L."""
     L = fb.n_sites
     m_e = np.rint(fb.momenta * L / (2 * np.pi)).astype(int)
-    tot = (m_e[:, None] + (fb.boson.occ @ fb.mode_m)[None, :]).ravel()
+    tot = (m_e[:, None] + (occupation_table(fb.boson) @ fb.mode_m)[None, :]).ravel()
     vals = (2.0 * np.pi / L) * ((tot + L // 2) % L - L // 2)
     return sp.diags(vals, format="csr")
 

@@ -136,7 +136,7 @@ def test_tensor_iso_perm_exact(spaces):
     """U's permutation, built once on the pair space over the same n_max."""
     _, basis_sum, tb = spaces
     t = tb.perm
-    assert t is tb.perm and np.array_equal(tb.sum_basis.occ, basis_sum.occ)
+    assert t is tb.perm and np.array_equal(tb.sum_basis.modes, basis_sum.modes)
     U = np.zeros((tb.size, basis_sum.size), dtype=complex)
     U[t, np.arange(basis_sum.size)] = 1.0
     assert np.array_equal(U, oracles.tensor_iso_U(basis_sum, tb).toarray())
@@ -184,11 +184,12 @@ def test_u_identities_on_supports_equal_dense(spaces, corrupt):
 
 def test_draw_independent_builds_happen_once(monkeypatch):
     """Operators and index tables that no draw changes are built per suite:
-    ``_row_index`` builds the bases' lookups, so a draw that rebuilt them (in
-    the sector recursion or U's row lookups) would show."""
+    ``build_basis`` builds the bases' tables and ``_rank`` ranks their tuples
+    (also for U's permutation), so a draw that rebuilt a basis or U's rows
+    would show."""
     names = {(fock, "creation_op"), (fock, "field_op"), (fock, "dGamma"),
              (split, "tensor_factor_ops"), (split, "tensor_iso_U"),
-             (fock, "_row_index"), (split, "_row_index")}
+             (fock, "build_basis"), (split, "build_basis"), (fock, "_rank")}
     counts = {}
 
     def counting(mod, name):

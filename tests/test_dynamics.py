@@ -369,15 +369,16 @@ class TestSupport:
 
     def test_dressed_state_lives_on_its_solved_blocks(self, ms_default, basis2925):
         """At the fiber benchmark's inputs (M = 24, n_max = 3, P = 0.25, dim
-        2925) the LOBPCG ground vector is exactly 0 off the blocks its k = 2
-        solve ran on, at most 637 rows, so ``W_estimate`` propagates those
-        rows alone; its track is that of the dense ground-block vector."""
+        2925) the LOBPCG ground vector is exactly 0 off the ground block, the
+        455 rows its k = 1 solve ran on (its k = 2 solve would run on 3
+        blocks, 637 rows), so ``W_estimate`` propagates those rows alone; its
+        track is that of the dense ground-block vector."""
         ms = model.ModelSpec(ms_default.disp, ms_default.ff, basis2925.grid, ms_default.g)
         H = model.build_fiber_H(ms, [0.25], basis2925)
         psi = dynamics.dressed_state(ms, [0.25], basis2925).amps
         times = dynamics.geometric_times(1.0, 100.0, 1.5)
         stats = dynamics.chebyshev_stats(dynamics.Propagation(H, psi, times))
-        assert stats["live_rows"] <= 637 < stats["dim"] == 2925
+        assert (stats["live_blocks"], stats["live_rows"], stats["dim"]) == (1, 455, 2925)
         calc = spectral.SpectralCalculus(H)
         exact = calc.window_vectors(calc.vals.min())[:, 0]
         ycalc = dynamics.YCalc(basis2925.grid)
@@ -764,7 +765,7 @@ class TestWPlus:
             keep = np.flatnonzero(N <= n_max - N[r])
             assert np.array_equal(inner[pairs], keep)
             shifted = model.build_fiber_H(ms, P - K[r], basis).mat.toarray()[np.ix_(keep, keep)]
-            E_r = basis.occ[r] @ ms.boson_omega()
+            E_r = basis.occupations([r])[0] @ ms.boson_omega()
             block = Hext[pairs][:, pairs].toarray()
             assert np.abs(block - (shifted + E_r * np.eye(len(keep)))).max() <= 1e-14
 

@@ -1,11 +1,12 @@
 """Ladder-table builders against the per-state loop oracles in ``oracles.py``.
 
-The basis tables themselves (``occ``, ``edges``, ``up``, the slot tables
-and ``lookup``) must equal, element for element, the tables read off the
-oracle's own enumeration, and so must the occupations, energies and tensor
-pairs it enumerates.  Every builder that does no floating-point rounding
-beyond the loop version's must agree exactly: equal values, equal sparsity
-and no stored zeros.  The
+The basis tables themselves (the occupations of ``modes``, ``edges``,
+``up`` and the filled slots) must equal, element for element, the tables
+read off the oracle's own enumeration, ``index`` must rank each of the
+oracle's states at its position, and the occupations, energies and tensor
+pairs must equal those it enumerates.  Every builder that does no
+floating-point rounding beyond the loop version's must agree exactly: equal
+values, equal sparsity and no stored zeros.  The
 sector recursions behind ``Gamma`` and ``dGamma2`` multiply in another order
 than the oracle, so they get a 1e-13 relative tolerance; against the
 full-row recursion, whose nonzero terms they keep in order, they are equal
@@ -67,9 +68,12 @@ def rand_mat(rng, M, N=None):
 
 
 def oracle_tables(basis):
-    """``occ``, ``edges``, ``up`` and the slot tables of ``basis``, read off
-    the oracle's enumeration one state at a time.  ``up`` has a row for each
-    state below the top sector, and each of its entries is in the basis."""
+    """The occupations, ``edges``, ``up`` and the slot tables of ``basis``,
+    read off the oracle's enumeration one state at a time.  ``up`` has a row
+    for each state below the top sector, and each of its entries is in the
+    basis.  A state's slots are its occupied modes, ascending; the padding
+    slots after them hold root 0 and parent -1 and mode -1, which no filled
+    slot has."""
     states, index = oracles.states_of(basis)
     M, n_slots = basis.grid.n_modes, min(basis.n_max, basis.grid.n_modes)
     edges = [0]
@@ -80,11 +84,10 @@ def oracle_tables(basis):
     slot_mode, slot_root, slot_parent = [], [], []
     for s in states:
         occupied = [j for j in range(M) if s[j]]
-        modes = (occupied + [j for j in range(M) if not s[j]])[:n_slots]
-        slot_mode.append(modes)
-        slot_root.append([math.sqrt(s[j]) for j in modes])
-        slot_parent.append([index[s[:j] + (s[j] - 1,) + s[j + 1:]] if s[j] else -1
-                            for j in modes])
+        pad = [-1] * (n_slots - len(occupied))
+        slot_mode.append(occupied + pad)
+        slot_root.append([math.sqrt(s[j]) for j in occupied] + [0.0] * len(pad))
+        slot_parent.append([index[s[:j] + (s[j] - 1,) + s[j + 1:]] for j in occupied] + pad)
     shape = (len(states), n_slots)
     return {"occ": np.array(states, dtype=np.int64).reshape(len(states), M),
             "edges": np.array(edges, dtype=np.int64),
@@ -96,24 +99,43 @@ def oracle_tables(basis):
 
 def assert_tables_match_oracle(basis):
     want = oracle_tables(basis)
-    for name in ("occ", "edges", "up", "slot_mode", "slot_root", "slot_parent"):
-        got = getattr(basis, name)
-        assert got.shape == want[name].shape and np.array_equal(got, want[name]), name
+    got = {"occ": basis.occupations(), "edges": basis.edges, "up": basis.up,
+           "slot_mode": np.where(basis.slot_root > 0, basis.slot_mode, -1),
+           "slot_root": basis.slot_root, "slot_parent": basis.slot_parent}
+    for name, table in got.items():
+        assert table.shape == want[name].shape and np.array_equal(table, want[name]), name
     M = basis.grid.n_modes
     assert [basis.edges[n + 1] - basis.edges[n] for n in range(basis.n_max + 1)] == \
         [math.comb(M + n - 1, n) for n in range(basis.n_max + 1)]
-    assert np.array_equal(basis.lookup(want["occ"]), np.arange(basis.size))
-    assert np.all(basis.lookup(want["occ"] + basis.n_max + 1) == -1)
+
+
+def assert_rank_matches_oracle(basis):
+    """``index`` ranks every tuple of the basis at its own row, and each of
+    the oracle's states, written as its ascending mode tuple padded with M,
+    at its position in the oracle's enumeration."""
+    M = basis.grid.n_modes
+    tuples = [sorted(np.repeat(np.arange(M), s).tolist()) for s in oracles.states_of(basis)[0]]
+    tuples = np.array([t + [M] * (basis.n_max - len(t)) for t in tuples], dtype=np.int64)
+    assert np.array_equal(basis.index(basis.modes), np.arange(basis.size))
+    assert np.array_equal(basis.index(tuples), np.arange(basis.size))
+    assert np.array_equal(basis.modes, tuples)
 
 
 def assert_enumeration_matches_oracle(basis):
     """The occupations, boson numbers and energies of the basis, and the
     pairs of its tensor basis, equal to the oracle's enumeration."""
     states, _ = oracles.states_of(basis)
-    occ = np.array(states, dtype=np.int64).reshape(len(states), basis.grid.n_modes)
-    assert np.array_equal(basis.occ, occ)
+    occ = oracles.occupation_table(basis)
+    assert np.array_equal(basis.occupations(), occ)
     assert np.array_equal(basis.total_numbers(), [sum(s) for s in states])
-    assert np.array_equal(basis.energies(), occ @ basis.grid.omega_mod)
+    # each state's omega over its tuple, one boson at a time in ascending modes
+    energies = []
+    for s in states:
+        e = 0.0
+        for j in np.repeat(np.arange(basis.grid.n_modes), s):
+            e += basis.grid.omega_mod[j]
+        energies.append(e)
+    assert np.array_equal(basis.energies(), np.array(energies).reshape(basis.size))
     pairs = np.array(oracles.build_tensor_basis(basis), dtype=np.int64).reshape(-1, 2)
     assert np.array_equal(split.build_tensor_basis(basis).pairs, pairs)
 
@@ -123,9 +145,10 @@ def test_ladder_table_matches_states(basis):
 
 
 def test_basis_index_tables_match_states(basis):
-    """Every table and the row lookup, against the oracle's states looked up
-    one at a time."""
+    """Every table and the rank, against the oracle's states looked up one
+    at a time."""
     assert_tables_match_oracle(basis)
+    assert_rank_matches_oracle(basis)
 
 
 # every kind of grid the package builds
@@ -147,35 +170,34 @@ ORACLE_CASES = [(kind, n) for kind in ORACLE_GRIDS for n in range(4)]
 def test_basis_tables_equal_oracle_enumeration(kind, n_max):
     basis = fock.build_basis(ORACLE_GRIDS[kind], n_max)
     assert_tables_match_oracle(basis)
+    assert_rank_matches_oracle(basis)
     assert_enumeration_matches_oracle(basis)
 
 
 def test_build_basis_lookups_do_not_grow_with_modes(monkeypatch):
-    """After ``lookup`` is built, ``build_basis`` makes one row lookup per
-    slot, at most n_max, whatever the mode count."""
+    """``build_basis`` ranks one batch of tuples per sector and one per
+    tuple position (the slot parents), at most 2 n_max, whatever the mode
+    count."""
     calls = []
-    original = fock.RowIndex.__call__
+    original = fock._rank
 
-    def spy(self, rows):
-        calls.append(len(rows))
-        return original(self, rows)
+    def spy(tuples, M, edges):
+        calls.append(len(tuples))
+        return original(tuples, M, edges)
 
-    monkeypatch.setattr(fock.RowIndex, "__call__", spy)
+    monkeypatch.setattr(fock, "_rank", spy)
     for M in (4, 16, 48):
         for n_max in range(4):
             calls.clear()
             fock.build_basis(fock.line_grid(M, 1.5, 0.2), n_max)
-            assert len(calls) <= n_max
+            assert len(calls) <= 2 * n_max
 
 
 def test_basis_index_tables_are_read_only(basis):
     """Every operator built on a basis shares its tables, so none may be written."""
     tb = split.build_tensor_basis(basis)
-    tables = [basis.occ, basis.edges, basis.up, basis.slot_mode, basis.slot_root,
-              basis.slot_parent]
-    tables += [lookup.order for lookup in (basis.lookup, tb.lookup)]
-    tables += [lookup.sorted_keys for lookup in (basis.lookup, tb.lookup)]
-    tables.append(tb.perm)
+    tables = [basis.modes, basis.edges, basis.up, basis.slot_mode, basis.slot_root,
+              basis.slot_parent, tb.perm]
     for table in tables:
         assert not table.flags.writeable
 
@@ -298,10 +320,19 @@ def test_tensor_basis_order(tensor):
     assert np.array_equal(tb.lookup(np.array(pairs).reshape(-1, 2)), np.arange(len(pairs)))
 
 
+def test_tensor_lookup_refuses_pairs_outside(tensor):
+    """``lookup`` gives -1 for a pair above n_max, which the Galerkin drop
+    of ``_one_leg_support`` relies on, and for an index outside the basis."""
+    basis, tb = tensor
+    top, n = basis.edges[basis.n_max], basis.size
+    outside = [[top, 1], [1, top], [top, top], [-1, 0], [0, -1], [n, 0], [0, n], [n, n]]
+    assert np.array_equal(tb.lookup(outside), [-1] * len(outside))
+
+
 def test_tensor_iso_U_exact(tensor):
     basis, tb = tensor
     basis_sum = fock.build_basis(split.doubled_grid(basis.grid), basis.n_max)
-    assert np.array_equal(tb.sum_basis.occ, basis_sum.occ)
+    assert np.array_equal(tb.sum_basis.modes, basis_sum.modes)
     assert_exact(split.tensor_iso_U(tb), oracles.tensor_iso_U(basis_sum, tb))
 
 
@@ -316,9 +347,11 @@ def test_every_pair_fuses_inside_the_basis(tensor):
     """Each pair's fused occupation is a state of the basis, so I has one
     entry in every column and U's ``perm`` is a permutation of all pairs."""
     basis, tb = tensor
-    fused = basis.occ[tb.pairs[:, 0]] + basis.occ[tb.pairs[:, 1]]
-    assert np.all(basis.lookup(fused) >= 0)
-    assert np.all(split.scattering_ident(tb).getnnz(axis=0) == 1)
+    occ = basis.occupations()
+    fused = oracles.rows_of(basis, occ[tb.pairs[:, 0]] + occ[tb.pairs[:, 1]])
+    I = split.scattering_ident(tb).tocsc()
+    assert np.all(I.getnnz(axis=0) == 1)
+    assert np.array_equal(I.indices, fused)
     assert np.array_equal(np.sort(tb.perm), np.arange(tb.size))
 
 
@@ -388,6 +421,20 @@ def test_build_tensor_basis_stays_small():
     i, j = tb.pairs.T
     total = basis.total_numbers()
     assert np.array_equal(np.lexsort((j, i, total[i] + total[j])), np.arange(tb.size))
+
+
+def test_build_basis_stays_small():
+    """156849 states of 96 modes up to three bosons are held as mode tuples,
+    without a (size x M) occupation table (120 MB of int64) or a byte-key
+    index of it."""
+    grid = fock.line_grid(96, 1.5, 0.2)
+    tracemalloc.start()
+    try:
+        basis = fock.build_basis(grid, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis.size == 156849 and peak < 150e6
 
 
 # the ids keep the "-None" of the energy-cap column the configs had, so that

@@ -181,7 +181,7 @@ class TestFiberHamiltonian:
     def test_number_bounded_by_modified_energy(self, ms_default, basis12):
         """N <= (2/sigma) dGamma(omega) as diagonal matrices."""
         N = basis12.total_numbers()
-        dgo = basis12.occ @ ms_default.grid.omega_mod
+        dgo = basis12.energies()
         assert np.all(N <= (2.0 / ms_default.ff.sigma) * dgo + 1e-12)
 
     def test_d3_radial_fiber_smoke(self, nonrel):
@@ -253,7 +253,7 @@ class TestFullModel:
         evals = np.sort(np.linalg.eigvalsh(H))
         expect = []
         for p in fb.momenta:
-            for state in fb.boson.occ.tolist():
+            for state in fb.boson.occupations().tolist():
                 expect.append(float(nonrel.omega(np.array([p])))
                               + float(np.dot(state, ms.boson_omega())))
         assert np.abs(evals - np.sort(expect)).max() < 1e-12

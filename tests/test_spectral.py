@@ -24,7 +24,7 @@ class TestRealHamiltonians:
         H = fiber(ms_default, 0.25, basis12).mat
         assert H.dtype == np.float64
         c = oracles.creation_op(basis12, ms_default.coupling_samples())
-        ref = (sp.diags(model.fiber_diagonal(ms_default, [0.25], basis12.occ))
+        ref = (sp.diags(model.fiber_diagonal(ms_default, [0.25], basis12))
                + ms_default.g * ((c + c.conj().T) / math.sqrt(2.0)))
         assert np.array_equal(H.toarray(), ref.toarray())
 
@@ -478,7 +478,7 @@ class TestSoftOccupancy:
         assert spectral.soft_boson_occupancy(vac) == 0.0
         soft_mode = int(np.argmin(basis12.grid.omega_free))
         amps = np.zeros(basis12.size, dtype=complex)
-        amps[basis12.lookup(np.eye(1, basis12.grid.n_modes, soft_mode, dtype=int))] = 1.0
+        amps[oracles.rows_of(basis12, np.eye(1, basis12.grid.n_modes, soft_mode, dtype=int))] = 1.0
         assert spectral.soft_boson_occupancy(fock.FockVector(basis12, amps)) == 1.0
 
     def test_dressed_state_has_no_soft_mass(self, ms_default, basis12):
