@@ -15,9 +15,10 @@ sector recursion forms a stack of Gamma, dGamma2 or splitting maps (``fock``
 and ``split`` take leading batch axes), and every product is a stacked
 ``@``, which runs the same BLAS product on each slice.  Each slice is
 therefore rounded exactly as a single draw would be, and a defect, the
-largest entry over the draws, is independent of the batch size.  Only the
-one-leg lifts of the pair basis (165 x 165 at the defaults) and the
-Schwarz bounds' inner products stay one draw at a time.
+largest entry over the draws, is independent of the batch size.  One-leg
+lifts of the pair basis are never formed but applied to a stack block by
+block (``split.one_leg_product``), and the Schwarz bounds are stacked
+quadratic forms; only the binomial spot check runs one draw at a time.
 
 What does not depend on the draw is built once per suite: the one-leg
 generator stacks (``Generators``, from ``fock``'s own constructors), Gamma(1),
@@ -77,6 +78,16 @@ def _adjoint(ops) -> np.ndarray:
 def _flat(ops) -> np.ndarray:
     """A matrix, or each matrix in a stack, as its row-major entries."""
     return ops.reshape(ops.shape[:-2] + (-1,))
+
+
+def _form(u, a_v) -> np.ndarray:
+    """<u, A v> for each draw of a stack, from the columns u and A v."""
+    return (_adjoint(u) @ a_v)[..., 0, 0]
+
+
+def _root_form(u, a_u) -> np.ndarray:
+    """sqrt(max(0, Re <u, A u>)) for each draw of a stack."""
+    return np.sqrt(np.maximum(0.0, _form(u, a_u).real))
 
 
 class Generators:
@@ -312,9 +323,8 @@ class _Suite:
         self.gen = gen = Generators(basis)
         self.one = np.eye(M)
         self.gamma_one = fock.Gamma(basis, self.one)
-        self.lift = lift = split.TensorLift(tb)
         left, right = tb.pairs.T
-        self.u_ids = _UIdentities(gen, tb, lift, corrupt)
+        self.u_ids = _UIdentities(gen, tb, split.TensorLift(tb), corrupt)
         # diagonal operators and their pair lifts are kept as diagonals
         self.N_pair = (split.tensor_factor_ops(tb, op_left=N_op)
                        + split.tensor_factor_ops(tb, op_right=N_op)).diagonal()
@@ -372,14 +382,12 @@ class _Suite:
                   - fock.dGamma2(basis, d["b"], d["b_comm_b2"], gamma_a=G)))
 
     def schwarz(self, d):
-        """The Schwarz bound for the mixed functor, one draw at a time."""
-        mixed = fock.dGamma2(self.basis, d["qm"], d["r2s_r1"])
-        dG_u, dG_v = self.gen.dGamma(d["r2s_r2"]), self.gen.dGamma(d["r1s_r1"])
-        for k, (u, v) in enumerate(zip(d["u"], d["v"])):
-            lhs = abs(complex(np.vdot(u, mixed[k] @ v)))
-            rhs = (np.sqrt(max(0.0, float(np.vdot(u, dG_u[k] @ u).real)))
-                   * np.sqrt(max(0.0, float(np.vdot(v, dG_v[k] @ v).real))))
-            self.rec("lemma_dgamma_schwarz", max(0.0, lhs - rhs))
+        """The Schwarz bound for the mixed functor, as stacked quadratic forms."""
+        u, v = d["u"][..., None], d["v"][..., None]
+        lhs = np.abs(_form(u, fock.dGamma2(self.basis, d["qm"], d["r2s_r1"]) @ v))
+        rhs = (_root_form(u, self.gen.dGamma(d["r2s_r2"]) @ u)
+               * _root_form(v, self.gen.dGamma(d["r1s_r1"]) @ v))
+        self.rec("lemma_dgamma_schwarz", np.maximum(0.0, lhs - rhs).max())
 
     def tensor(self, d, a_dag1, ann1, ann2):
         """U's identities; the binomial spot check one draw at a time."""
@@ -392,29 +400,29 @@ class _Suite:
 
     def splitting(self, d, c1, phi):
         """The isometric splitting map, its intertwining of a*, phi and N, and
-        the two-term Cauchy-Schwarz bound of the mixed splitting map."""
-        gen, lift, guard, rec = self.gen, self.lift, self.guard, self.rec
-        BG = split.breve_gamma(d["j0_iso"], d["jinf_iso"], self.tb)
+        the two-term Cauchy-Schwarz bound of the mixed splitting map, with
+        the one-leg lifts applied; each pair-basis stack is freed once read."""
+        gen, tb, guard, rec = self.gen, self.tb, self.guard, self.rec
+        lift = functools.partial(split.one_leg_product, tb)
+        BG = split.breve_gamma(d["j0_iso"], d["jinf_iso"], tb)
         rec("breve_isometry", _norm(_adjoint(BG) @ BG - self.eye))
         rec("breve_number", _norm((BG @ self.N) - (self.N_pair[:, None] * BG)))
-        a0, ainf = gen.creation_op(d["j0_g1"]), gen.creation_op(d["jinf_g1"])
-        f0, finf = gen.field_op(d["j0_g1"]), gen.field_op(d["jinf_g1"])
-        for k in range(len(BG)):
-            rhs = (lift(a0[k]) + lift(None, ainf[k])) @ BG[k]
-            rec("ugamma_a", _norm(((BG[k] @ c1[k]) - rhs)[:, guard]))
-            rhs = (lift(f0[k]) + lift(None, finf[k])) @ BG[k]
-            rec("ugamma_phi", _norm(((BG[k] @ phi[k]) - rhs)[:, guard]))
-        dbg = split.dbreve_gamma2(d["j0_iso"], d["jinf_iso"], d["k0"], d["kinf"], self.tb,
-                                  breve_j=BG)
+        BGg = BG[..., guard]
+        rhs = (lift(gen.creation_op(d["j0_g1"]), BGg, (1,))
+               + lift(gen.creation_op(d["jinf_g1"]), BGg, (1,), right=True))
+        rec("ugamma_a", _norm(BG @ c1[..., guard] - rhs))
+        rhs = (lift(gen.field_op(d["j0_g1"]), BGg, (-1, 1))
+               + lift(gen.field_op(d["jinf_g1"]), BGg, (-1, 1), right=True))
+        rec("ugamma_phi", _norm(BG @ phi[..., guard] - rhs))
+        del BGg, rhs
+        ut, vt = d["ut"][..., None], d["vt"][..., None]
+        lhs = np.abs(_form(ut, split.dbreve_gamma2(d["j0_iso"], d["jinf_iso"], d["k0"],
+                                                   d["kinf"], tb, breve_j=BG) @ vt))
         del BG
-        dG_k0, dG_kinf = gen.dGamma(d["abs_k0"]), gen.dGamma(d["abs_kinf"])
-        for k, (ut, vt) in enumerate(zip(d["ut"], d["vt"])):
-            lhs = abs(complex(np.vdot(ut, dbg[k] @ vt)))
-            rhs = (np.sqrt(max(0.0, float(np.vdot(ut, lift(dG_k0[k]) @ ut).real)))
-                   * np.sqrt(max(0.0, float(np.vdot(vt, dG_k0[k] @ vt).real)))
-                   + np.sqrt(max(0.0, float(np.vdot(ut, lift(None, dG_kinf[k]) @ ut).real)))
-                   * np.sqrt(max(0.0, float(np.vdot(vt, dG_kinf[k] @ vt).real))))
-            rec("lemma_udgamma", max(0.0, lhs - rhs))
+        rhs = sum(_root_form(ut, lift(dG, ut, (0,), right=right)) * _root_form(vt, dG @ vt)
+                  for dG, right in ((gen.dGamma(d["abs_k0"]), False),
+                                    (gen.dGamma(d["abs_kinf"]), True)))
+        rec("lemma_udgamma", np.maximum(0.0, lhs - rhs).max())
 
     def partition(self, d):
         """ugamma-o and the right inverse I breve_gamma = 1 for a partition pair."""

@@ -16,8 +16,10 @@ lifts of operators that raise it are Galerkin projected.  The splitting maps
 are dense, their rows placed by U's permutation; dbreve_gamma2 reads Gamma(j)
 from the caller's breve_gamma of the same pair.  apply_breve_gamma applies
 Gamma-breve(j) to one vector as (Gamma(j0) x Gamma(jinf)) I*, one product per
-pair of sectors.  A one-leg lift gathers the leg matrix's entries;
-``TensorLift`` also restricts a leg's support to a pattern of its entries.
+pair of sectors of ``TensorBasis.blocks``.  A one-leg lift is a sparse
+matrix of the leg's entries (``tensor_factor_ops``), or a product taken
+block by block along op's sector shifts (``one_leg_product``), never
+formed; ``TensorLift`` gathers a leg's support on a pattern of entries.
 """
 
 from __future__ import annotations
@@ -67,12 +69,14 @@ def stack_pair(j0: np.ndarray, jinf: np.ndarray) -> np.ndarray:
 class TensorBasis:
     """A basis paired with itself: ``pairs`` is an (n_pairs, 2) array of
     (left index, right index) rows with total boson number at most n_max,
-    laid out as the ``_sector_blocks`` of the graded basis, each left-major.
-    ``sum_basis`` (the same n_max on the doubled grid) and ``perm`` are built
-    on first use."""
+    laid out in sector blocks, each left-major.  ``blocks`` is that layout,
+    one (a, b, rows) per block in pair order, ``rows`` the slice of the
+    pairs of left sector a and right sector b.  ``sum_basis`` (the same
+    n_max on the doubled grid) and ``perm`` are built on first use."""
 
     basis: OccupationBasis
     pairs: np.ndarray
+    blocks: tuple
 
     @property
     def size(self) -> int:
@@ -83,9 +87,9 @@ class TensorBasis:
         of its sector block plus its left-major place there; -1 where an
         index is outside the basis or the pair is above n_max."""
         edges, n_max, n = self.basis.edges, self.basis.n_max, self.basis.size
-        sizes, start, row = np.diff(edges), np.zeros((n_max + 1, n_max + 1), dtype=np.int64), 0
-        for a, b in _sector_blocks(n_max):
-            start[a, b], row = row, row + sizes[a] * sizes[b]
+        sizes, start = np.diff(edges), np.zeros((n_max + 1, n_max + 1), dtype=np.int64)
+        for a, b, rows in self.blocks:
+            start[a, b] = rows.start
         i, j = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
         a, b = (np.searchsorted(edges, np.clip(k, 0, n - 1), side="right") - 1 for k in (i, j))
         row = start[a, b] + (i - edges[a]) * sizes[b] + j - edges[b]
@@ -115,21 +119,17 @@ class TensorBasis:
         return self.basis.total_numbers()[self.pairs]
 
 
-def _sector_blocks(n_max: int) -> list:
-    """The (left, right) sectors of the pair blocks, in pair order: for
-    ascending total T, sector a times sector T - a for ascending a."""
-    return [(a, T - a) for T in range(n_max + 1) for a in range(T + 1)]
-
-
 def build_tensor_basis(basis: OccupationBasis) -> TensorBasis:
     """Pairs with total boson number at most ``basis.n_max``, in ascending
-    (total N, left index, right index) order: the ``_sector_blocks`` of the
-    graded basis, each left-major."""
-    edges, blocks = basis.edges, []
-    for a, b in _sector_blocks(basis.n_max):
+    (total N, left index, right index) order: for ascending total T, sector
+    a times sector T - a for ascending a, each block left-major."""
+    edges, pairs, blocks, start = basis.edges, [], [], 0
+    for a, b in ((a, T - a) for T in range(basis.n_max + 1) for a in range(T + 1)):
         i, j = np.arange(*edges[a:a + 2]), np.arange(*edges[b:b + 2])
-        blocks.append(np.stack([np.repeat(i, len(j)), np.tile(j, len(i))], axis=1))
-    return TensorBasis(basis=basis, pairs=np.concatenate(blocks))
+        pairs.append(np.stack([np.repeat(i, len(j)), np.tile(j, len(i))], axis=1))
+        blocks.append((a, b, slice(start, start + len(pairs[-1]))))
+        start = blocks[-1][2].stop
+    return TensorBasis(basis=basis, pairs=np.concatenate(pairs), blocks=tuple(blocks))
 
 
 def tensor_iso_U(tb: TensorBasis) -> sp.csr_matrix:
@@ -173,21 +173,18 @@ def apply_breve_gamma(j0: np.ndarray, jinf: np.ndarray, tb: TensorBasis, phi: np
 
     The same conservation makes both Gammas block diagonal by sector, and
     X is nonzero only on the sector pairs (a, b) with a + b <= n_max, which
-    are the ``_sector_blocks`` of the pair basis: each block of pairs is
+    are the ``blocks`` of the pair basis: each block of pairs is
     sector a times sector b, left-major, and maps to
     G0[a, a] X[a, b] Ginf[b, b]^T.
     """
     x = fusion_adj @ phi
     G0, Ginf = Gamma(tb.basis, j0), Gamma(tb.basis, jinf)
     out = np.empty(tb.size, dtype=np.result_type(x, G0, Ginf))
-    edges, start = tb.basis.edges, 0
-    for a, b in _sector_blocks(tb.basis.n_max):
+    edges = tb.basis.edges
+    for a, b, rows in tb.blocks:
         left, right = slice(*edges[a:a + 2]), slice(*edges[b:b + 2])
-        shape = (edges[a + 1] - edges[a], edges[b + 1] - edges[b])
-        stop = start + shape[0] * shape[1]
-        block = x[start:stop].reshape(shape)
-        out[start:stop] = (G0[left, left] @ block @ Ginf[right, right].T).ravel()
-        start = stop
+        block = x[rows].reshape(edges[a + 1] - edges[a], edges[b + 1] - edges[b])
+        out[rows] = (G0[left, left] @ block @ Ginf[right, right].T).ravel()
     return out
 
 
@@ -241,32 +238,20 @@ def _one_leg_support(tb: TensorBasis, indptr, indices, right: bool):
 
 
 class TensorLift:
-    """Lifts of dense leg matrices onto the pair basis, as index gathers.
+    """One-leg lifts of leg matrices as index gathers.
 
     ``support[right]`` holds, for the left (0) or right (1) leg, the flat
     pair positions p * n + q that ``_one_leg_support`` gives for the full
     leg pattern and the flat leg entries gathered there, computed once.
-    ``lift(op_left)`` or ``lift(None, op_right)`` writes one leg's entries
-    into zeros of its dtype.  ``on(pattern, right)`` restricts a leg's
-    support to the entries a boolean leg pattern marks, for the caller that
-    evaluates lifts on their structural support.
+    ``on(pattern, right)`` restricts a leg's support to the entries a
+    boolean leg pattern marks.
     """
 
     def __init__(self, tb: TensorBasis):
         n, m = tb.size, tb.basis.size
         full = (np.arange(m + 1) * m, np.tile(np.arange(m), m))
-        self.size = n
         self.support = tuple((p * n + q, k) for p, q, k in
                              (_one_leg_support(tb, *full, right) for right in (False, True)))
-
-    def __call__(self, op_left=None, op_right=None) -> np.ndarray:
-        if (op_left is None) == (op_right is None):
-            raise ValueError("a tensor lift takes exactly one leg")
-        op = np.asarray(op_right if op_left is None else op_left)
-        put, gather = self.support[op_left is None]
-        out = np.zeros(self.size * self.size, dtype=op.dtype)
-        out[put] = np.take(op, gather)
-        return out.reshape(self.size, self.size)
 
     def on(self, pattern, right: bool = False):
         """(pair positions, leg entries) of one leg's lift where ``pattern``
@@ -274,6 +259,32 @@ class TensorLift:
         put, gather = self.support[right]
         keep = np.asarray(pattern).ravel()[gather]
         return put[keep], gather[keep]
+
+
+def one_leg_product(tb: TensorBasis, op: np.ndarray, x: np.ndarray, shifts,
+                    right: bool = False) -> np.ndarray:
+    """(op x 1) x, or with ``right`` (1 x op) x, for dense leg matrices op
+    and x of shape (..., pairs, c), leading axes broadcast.  op maps sector
+    a into a + s only for s in ``shifts`` (+1 for a*, +-1 for phi, 0 for
+    dGamma).  Pair block (a, b) adds op[sector a, sector a - s] times block
+    (a - s, b), one stacked matmul each (the right leg likewise in b); a
+    source block above n_max is outside the basis: the Galerkin drop."""
+    edges, n_max, sizes = tb.basis.edges, tb.basis.n_max, np.diff(tb.basis.edges)
+    rows_of = {(a, b): rows for a, b, rows in tb.blocks}
+    lead, c = x.shape[:-2], x.shape[-1]
+    out = np.zeros(np.broadcast_shapes(op.shape[:-2], lead) + x.shape[-2:],
+                   dtype=np.result_type(op, x))
+    for a, b, rows in tb.blocks:
+        own, other = (b, a) if right else (a, b)
+        for src in (own - s for s in shifts if 0 <= own - s <= n_max - other):
+            block = op[..., edges[own]:edges[own + 1], edges[src]:edges[src + 1]]
+            if right:
+                xs = x[..., rows_of[a, src], :].reshape(lead + (sizes[a], -1, c))
+                part = block[..., None, :, :] @ xs
+            else:
+                part = block @ x[..., rows_of[src, b], :].reshape(lead + (sizes[src], -1))
+            out[..., rows, :] += part.reshape(out.shape[:-2] + (-1, c))
+    return out
 
 
 def tensor_factor_ops(tb: TensorBasis, op_left: sp.csr_matrix | None = None,

@@ -25,7 +25,9 @@ block-wise ``SpectralCalculus`` replaced, and
 by FFT.  ``line_position_op`` is the 1-d position matrix y built as the
 plain Hermitian part of i times central differences in sorted order, which
 ``mourre.build_position_op`` builds through the weighted adjoint on every
-grid.  ``full_row_recursion`` is the sector recursion as it was before it
+grid.  ``dense_lift`` is the dense one-leg lift of a dense leg matrix, which
+the algebra suite applies block by block without forming it.
+``full_row_recursion`` is the sector recursion as it was before it
 was restricted to each sector's block: it reads the basis's slot tables and
 sector edges like the package, and sums over every row and slot.
 ``chebyshev_expm_apply`` is the Chebyshev propagator with the shifted
@@ -495,6 +497,17 @@ def tensor_factor_ops(tb, op_left=None, op_right=None) -> sp.csr_matrix:
         vals.append(block[r, c])
     return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                          shape=(tb.size, tb.size), dtype=complex).tocsr()
+
+
+def dense_lift(tb, op, right=False) -> np.ndarray:
+    """op x 1 (or 1 x op with ``right``) on the pair basis as a dense matrix
+    in op's dtype: on the pairs that share the other leg's state, the block
+    of the dense leg matrix ``op``, one group at a time."""
+    by_right, by_left = _leg_groups(tb)
+    out = np.zeros((tb.size, tb.size), dtype=op.dtype)
+    for pidx, idx in (by_left if right else by_right).values():
+        out[np.ix_(pidx, pidx)] = op[np.ix_(idx, idx)]
+    return out
 
 
 def total_momentum_op(fb) -> sp.csr_matrix:

@@ -8,7 +8,10 @@ and get a 1e-14 relative tolerance.  The suite's defects themselves are
 pinned, bit for bit, to values recorded in ``criterion1_reference.json``.
 """
 
+import functools
+import importlib.util
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -97,7 +100,9 @@ def test_doubled_grid_creation_scatter_exact(spaces):
 
 
 def test_tensor_lift_exact(spaces):
-    """Either leg; the lift keeps the op's dtype and takes exactly one leg."""
+    """Either leg: the lift's full support, written with a leg matrix's
+    entries in its dtype, is the oracle's dense lift, which holds exactly
+    the entries of the oracle's sparse lift."""
     basis, _, tb = spaces
     M = basis.grid.n_modes
     rng = np.random.default_rng(13)
@@ -105,14 +110,15 @@ def test_tensor_lift_exact(spaces):
     real_op = fock.dGamma(basis, rng.normal(size=(M, M)))
     assert (complex_op.dtype, real_op.dtype) == (np.complex128, np.float64)
     lift = split.TensorLift(tb)
-    for l, r in ((complex_op, None), (None, complex_op), (real_op, None), (None, real_op)):
-        old = oracles.tensor_factor_ops(tb, op_left=l, op_right=r).toarray()
-        new = lift(None if l is None else l.toarray(), None if r is None else r.toarray())
-        assert np.array_equal(new, old)
-        assert new.dtype == (r if l is None else l).dtype
-    for ops in ((complex_op.toarray(), real_op.toarray()), ()):
-        with pytest.raises(ValueError):
-            lift(*ops)
+    for op in (complex_op, real_op):
+        for right in (False, True):
+            want = oracles.dense_lift(tb, op.toarray(), right)
+            put, gather = lift.support[right]
+            new = np.zeros(tb.size * tb.size, dtype=op.dtype)
+            new[put] = np.take(op.toarray(), gather)
+            assert new.dtype == want.dtype and np.array_equal(new.reshape(want.shape), want)
+            legs = (None, op) if right else (op, None)
+            assert np.array_equal(oracles.tensor_factor_ops(tb, *legs).toarray(), want)
 
 
 def test_tensor_lift_patterns_exact(spaces):
@@ -126,10 +132,85 @@ def test_tensor_lift_patterns_exact(spaces):
     real = fock.dGamma(basis, rng.normal(size=(M, M))).toarray()
     for op in (cplx, real):
         for right in (False, True):
-            full = (lift(None, op) if right else lift(op)).ravel()
+            full = oracles.dense_lift(tb, op, right).ravel()
             put, gather = lift.on(op != 0, right)
             assert np.array_equal(full[put], np.take(op, gather))
             assert np.count_nonzero(np.delete(full, put)) == 0
+
+
+PRODUCT_SPECS = [(M, n) for M in (2, 4, 6) for n in (1, 2, 3)]
+
+
+@pytest.fixture(scope="module", params=PRODUCT_SPECS,
+                ids=[f"M{M}-n{n}" for M, n in PRODUCT_SPECS])
+def product_space(request):
+    M, n = request.param
+    basis = fock.build_basis(fock.line_grid(M, 1.0, 0.2), n)
+    return algebra.Generators(basis), split.build_tensor_basis(basis)
+
+
+def leg_stacks(gen, n_max, rng, count=3) -> list:
+    """(ops, shifts): stacks of ``count`` a*, phi and dGamma leg operators
+    along their shifts, and one random dense leg matrix along every shift."""
+    M, n = gen.creation.shape[:2]
+    h = rng.normal(size=(count, M)) + 1j * rng.normal(size=(count, M))
+    b = rng.normal(size=(count, M, M)) + 1j * rng.normal(size=(count, M, M))
+    dense = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return [(gen.creation_op(h), (1,)), (gen.field_op(h), (-1, 1)), (gen.dGamma(b), (0,)),
+            (dense, tuple(range(-n_max, n_max + 1)))]
+
+
+def product_defect(tb, ops, x, shifts, right) -> float:
+    """The worst |one_leg_product - dense lift @ X| over the slices of x,
+    each relative to ||op|| ||X|| (Frobenius)."""
+    got = split.one_leg_product(tb, ops, x, shifts, right)
+    worst = 0.0
+    for k in range(len(x)):
+        op = ops[k] if ops.ndim == 3 else ops
+        want = oracles.dense_lift(tb, op, right) @ x[k]
+        err = np.abs(got[k] - want).max() / (np.linalg.norm(op) * np.linalg.norm(x[k]))
+        worst = max(worst, err)
+    return worst
+
+
+def test_one_leg_product_matches_dense_lift(product_space):
+    """(op x 1) X and (1 x op) X, one sector block at a time, equal the
+    dense lift times X: stacks of a*, phi and dGamma along their shifts and a
+    dense leg matrix (broadcast over the stack of X) along every shift."""
+    gen, tb = product_space
+    rng = np.random.default_rng(16)
+    x = rng.normal(size=(3, tb.size, 5)) + 1j * rng.normal(size=(3, tb.size, 5))
+    for ops, shifts in leg_stacks(gen, tb.basis.n_max, rng):
+        for right in (False, True):
+            assert product_defect(tb, ops, x, shifts, right) <= 1e-15
+
+
+def test_one_leg_product_missing_shift_is_caught(product_space):
+    """A shift set that leaves out one of the operator's shifts drops terms
+    the dense lift holds."""
+    gen, tb = product_space
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=(3, tb.size, 2)) + 1j * rng.normal(size=(3, tb.size, 2))
+    for ops, shifts in leg_stacks(gen, tb.basis.n_max, rng):
+        for right in (False, True):
+            for s in shifts:
+                fewer = tuple(t for t in shifts if t != s)
+                assert product_defect(tb, ops, x, fewer, right) > 1e-8
+
+
+def test_one_leg_product_slices_bit_equal(product_space):
+    """Each slice of a stacked product equals that slice's own product, bit
+    for bit, for several columns and for one (a stack of vectors)."""
+    gen, tb = product_space
+    rng = np.random.default_rng(18)
+    x = rng.normal(size=(3, tb.size, 5)) + 1j * rng.normal(size=(3, tb.size, 5))
+    for ops, shifts in leg_stacks(gen, tb.basis.n_max, rng)[:3]:
+        for right in (False, True):
+            for cols in (x, x[..., :1]):
+                got = split.one_leg_product(tb, ops, cols, shifts, right)
+                for k in range(len(ops)):
+                    alone = split.one_leg_product(tb, ops[k], cols[k], shifts, right)
+                    assert np.array_equal(got[k], alone)
 
 
 def test_tensor_iso_perm_exact(spaces):
@@ -150,8 +231,8 @@ def test_u_identities_on_supports_equal_dense(spaces, corrupt):
     basis, basis_sum, tb = spaces
     M, n, n_max = basis.grid.n_modes, basis.size, basis.n_max
     gen = algebra.Generators(basis)
-    lift = split.TensorLift(tb)
-    u_ids = algebra._UIdentities(gen, tb, lift, corrupt)
+    u_ids = algebra._UIdentities(gen, tb, split.TensorLift(tb), corrupt)
+    lift = functools.partial(oracles.dense_lift, tb)
     t = tb.perm
     s = np.argsort(t)
     guard_pairs = np.flatnonzero(tb.pair_numbers().sum(axis=1) <= n_max - 1)
@@ -166,10 +247,10 @@ def test_u_identities_on_supports_equal_dense(spaces, corrupt):
         lhs = doubled_creation(u_ids, np.concatenate([g1, np.zeros(M)]))[np.ix_(s, s)]
         assert u_ids.creation(g1, a_dag1) == np.abs((lhs - lift(a_dag1))[:, guard_pairs]).max()
         lhs = doubled_creation(u_ids, np.concatenate([g1, g2])).conj().T[s]
-        rhs = (lift(ann1) + lift(None, ann2))[:, t]
+        rhs = (lift(ann1) + lift(ann2, True))[:, t]
         assert u_ids.annihilation(g1, g2, ann1, ann2) == np.abs(lhs - rhs).max()
         lhs = np.diag((u_ids.sum_numbers @ np.concatenate([d0, dinf]))[s])
-        rhs = lift(gen.dGamma(d0)) + lift(None, gen.dGamma(dinf))
+        rhs = lift(gen.dGamma(d0)) + lift(gen.dGamma(dinf), True)
         assert u_ids.dgamma(d0, dinf) == np.abs(lhs - rhs).max()
         i, j = rng.integers(0, M, size=2)
         if n_max >= 2:
@@ -256,3 +337,70 @@ def test_suite_defects_match_reference(seed):
 def test_corrupt_fixture_fails_ccr():
     rep = algebra.run_algebra_suite(n_modes=4, n_max=2, draws=2, seed=5, corrupt=True)
     assert not rep["passed"] and "ccr" in rep["failing"]
+
+
+def test_schwarz_lemmas_can_fail():
+    """lemma_udgamma and lemma_dgamma_schwarz read 0 at every pinned seed.
+    With the bounds' operators (|k0|, |kinf| and r2* r2, r1* r1) scaled by
+    1e-4, the same stack of draws records both above the 1e-12 threshold."""
+    rng = np.random.default_rng(2024)
+    grid = fock.line_grid(4, 1.0, 0.2)
+    basis = fock.build_basis(grid, 3)
+    tb = split.build_tensor_basis(basis)
+    draws = [algebra._draw(rng, grid, basis.size, tb.size, True)
+             for _ in range(algebra.DRAW_BATCH)]
+    stack = {key: np.stack([d[key] for d in draws]) for key in draws[0]}
+    lemmas = ("lemma_udgamma", "lemma_dgamma_schwarz")
+    for scale in (1.0, 1e-4):
+        suite = algebra._Suite(basis, tb, False)
+        d = dict(stack, **{key: scale * stack[key]
+                           for key in ("abs_k0", "abs_kinf", "r2s_r2", "r1s_r1")})
+        suite.splitting(d, suite.gen.creation_op(d["g1"]), suite.gen.field_op(d["g1"]))
+        suite.schwarz(d)
+        if scale == 1.0:
+            assert all(suite.defects[name] == 0.0 for name in lemmas)
+        else:
+            assert all(suite.defects[name] > 1e-12 for name in lemmas)
+
+
+def test_suite_traced_peak_stays_low():
+    """At its defaults the suite's traced peak is 5.70 MB, reached while the
+    mixed splitting maps are formed; with the one-leg lifts formed per draw
+    and their leg operators held over that step it was 6.46 MB.  A bound of
+    6.1 MB keeps a pairs x pairs array (0.44 MB) from being held there."""
+    tracemalloc.start()
+    try:
+        algebra.run_algebra_suite()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.1e6
+
+
+def test_pin_diff_lists_moves_and_refuses_fixed_ones():
+    """``tools/criterion1_pins.py`` lists each moved float and refuses a move
+    of max_defect or an I-norm, a move above the tolerance, or a lost
+    identity; it compares reports it is handed and writes nothing."""
+    spec = importlib.util.spec_from_file_location(
+        "criterion1_pins", Path(__file__).parents[1] / "tools" / "criterion1_pins.py")
+    pins = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pins)
+    seed = next(iter(REFERENCE["seeds"]))
+    ref = {"seeds": {seed: REFERENCE["seeds"][seed]}}
+    same = json.loads(json.dumps(ref["seeds"]))
+    assert pins.compare(ref, same, 1e-14) == ([], [])
+    moved = json.loads(json.dumps(same))
+    old = moved[seed]["defects"]["ugamma_a"]
+    moved[seed]["defects"]["ugamma_a"] = old + 1e-16
+    rows, refused = pins.compare(ref, moved, 1e-14)
+    assert [row[:3] for row in rows] == [(seed, "ugamma_a", old)] and refused == []
+    assert pins.compare(ref, moved, 1e-17)[1]
+    bad = json.loads(json.dumps(same))
+    bad[seed]["max_defect"] = float(np.nextafter(bad[seed]["max_defect"], 1.0))
+    assert pins.compare(ref, bad, 1e-14)[1]
+    bad = json.loads(json.dumps(same))
+    norms = bad[seed]["i_norm_diagnostics"]
+    norms["I_weight_k1"] = float(np.nextafter(norms["I_weight_k1"], 2.0))
+    assert pins.compare(ref, bad, 1e-14)[1]
+    del moved[seed]["defects"]["ugamma_a"]
+    assert pins.compare(ref, moved, 1e-14)[1]

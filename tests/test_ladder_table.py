@@ -320,6 +320,20 @@ def test_tensor_basis_order(tensor):
     assert np.array_equal(tb.lookup(np.array(pairs).reshape(-1, 2)), np.arange(len(pairs)))
 
 
+def test_tensor_blocks_tile_the_pairs(tensor):
+    """``blocks``, built once, tiles the pairs in order: each row slice holds
+    all pairs of left sector a and right sector b."""
+    basis, tb = tensor
+    assert tb.blocks is tb.blocks
+    numbers, sizes, stop = basis.total_numbers(), np.diff(basis.edges), 0
+    for a, b, rows in tb.blocks:
+        assert rows.start == stop and rows.stop - rows.start == sizes[a] * sizes[b]
+        left, right = tb.pairs[rows].T
+        assert np.all(numbers[left] == a) and np.all(numbers[right] == b)
+        stop = rows.stop
+    assert stop == tb.size
+
+
 def test_tensor_lookup_refuses_pairs_outside(tensor):
     """``lookup`` gives -1 for a pair above n_max, which the Galerkin drop
     of ``_one_leg_support`` relies on, and for an index outside the basis."""
