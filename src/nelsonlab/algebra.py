@@ -408,18 +408,18 @@ class _Suite:
         rec("breve_isometry", _norm(_adjoint(BG) @ BG - self.eye))
         rec("breve_number", _norm((BG @ self.N) - (self.N_pair[:, None] * BG)))
         BGg = BG[..., guard]
-        rhs = (lift(gen.creation_op(d["j0_g1"]), BGg, (1,))
-               + lift(gen.creation_op(d["jinf_g1"]), BGg, (1,), right=True))
+        rhs = (lift(gen.creation_op(d["j0_g1"]), BGg)
+               + lift(gen.creation_op(d["jinf_g1"]), BGg, right=True))
         rec("ugamma_a", _norm(BG @ c1[..., guard] - rhs))
-        rhs = (lift(gen.field_op(d["j0_g1"]), BGg, (-1, 1))
-               + lift(gen.field_op(d["jinf_g1"]), BGg, (-1, 1), right=True))
+        rhs = (lift(gen.field_op(d["j0_g1"]), BGg)
+               + lift(gen.field_op(d["jinf_g1"]), BGg, right=True))
         rec("ugamma_phi", _norm(BG @ phi[..., guard] - rhs))
         del BGg, rhs
         ut, vt = d["ut"][..., None], d["vt"][..., None]
         lhs = np.abs(_form(ut, split.dbreve_gamma2(d["j0_iso"], d["jinf_iso"], d["k0"],
                                                    d["kinf"], tb, breve_j=BG) @ vt))
         del BG
-        rhs = sum(_root_form(ut, lift(dG, ut, (0,), right=right)) * _root_form(vt, dG @ vt)
+        rhs = sum(_root_form(ut, lift(dG, ut, right=right)) * _root_form(vt, dG @ vt)
                   for dG, right in ((gen.dGamma(d["abs_k0"]), False),
                                     (gen.dGamma(d["abs_kinf"]), True)))
         rec("lemma_udgamma", np.maximum(0.0, lhs - rhs).max())

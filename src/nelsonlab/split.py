@@ -18,7 +18,7 @@ from the caller's breve_gamma of the same pair.  apply_breve_gamma applies
 Gamma-breve(j) to one vector as (Gamma(j0) x Gamma(jinf)) I*, one product per
 pair of sectors of ``TensorBasis.blocks``.  A one-leg lift is a sparse
 matrix of the leg's entries (``tensor_factor_ops``), or a product taken
-block by block along op's sector shifts (``one_leg_product``), never
+block by block over op's nonzero sector blocks (``one_leg_product``), never
 formed; ``TensorLift`` gathers a leg's support on a pattern of entries.
 """
 
@@ -70,13 +70,13 @@ class TensorBasis:
     """A basis paired with itself: ``pairs`` is an (n_pairs, 2) array of
     (left index, right index) rows with total boson number at most n_max,
     laid out in sector blocks, each left-major.  ``blocks`` is that layout,
-    one (a, b, rows) per block in pair order, ``rows`` the slice of the
-    pairs of left sector a and right sector b.  ``sum_basis`` (the same
-    n_max on the doubled grid) and ``perm`` are built on first use."""
+    (a, b) -> rows in pair order, ``rows`` the slice of the pairs of left
+    sector a and right sector b.  ``sum_basis`` (the same n_max on the
+    doubled grid) and ``perm`` are built on first use."""
 
     basis: OccupationBasis
     pairs: np.ndarray
-    blocks: tuple
+    blocks: dict
 
     @property
     def size(self) -> int:
@@ -87,12 +87,11 @@ class TensorBasis:
         of its sector block plus its left-major place there; -1 where an
         index is outside the basis or the pair is above n_max."""
         edges, n_max, n = self.basis.edges, self.basis.n_max, self.basis.size
-        sizes, start = np.diff(edges), np.zeros((n_max + 1, n_max + 1), dtype=np.int64)
-        for a, b, rows in self.blocks:
-            start[a, b] = rows.start
         i, j = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
         a, b = (np.searchsorted(edges, np.clip(k, 0, n - 1), side="right") - 1 for k in (i, j))
-        row = start[a, b] + (i - edges[a]) * sizes[b] + j - edges[b]
+        start = np.zeros((n_max + 1, n_max + 1), dtype=np.int64)
+        start[tuple(zip(*self.blocks))] = [rows.start for rows in self.blocks.values()]
+        row = start[a, b] + (i - edges[a]) * np.diff(edges)[b] + j - edges[b]
         return np.where((i >= 0) & (i < n) & (j >= 0) & (j < n) & (a + b <= n_max), row, -1)
 
     @cached_property
@@ -123,13 +122,13 @@ def build_tensor_basis(basis: OccupationBasis) -> TensorBasis:
     """Pairs with total boson number at most ``basis.n_max``, in ascending
     (total N, left index, right index) order: for ascending total T, sector
     a times sector T - a for ascending a, each block left-major."""
-    edges, pairs, blocks, start = basis.edges, [], [], 0
+    edges, pairs, blocks, start = basis.edges, [], {}, 0
     for a, b in ((a, T - a) for T in range(basis.n_max + 1) for a in range(T + 1)):
         i, j = np.arange(*edges[a:a + 2]), np.arange(*edges[b:b + 2])
         pairs.append(np.stack([np.repeat(i, len(j)), np.tile(j, len(i))], axis=1))
-        blocks.append((a, b, slice(start, start + len(pairs[-1]))))
-        start = blocks[-1][2].stop
-    return TensorBasis(basis=basis, pairs=np.concatenate(pairs), blocks=tuple(blocks))
+        blocks[a, b] = slice(start, start + len(pairs[-1]))
+        start = blocks[a, b].stop
+    return TensorBasis(basis=basis, pairs=np.concatenate(pairs), blocks=blocks)
 
 
 def tensor_iso_U(tb: TensorBasis) -> sp.csr_matrix:
@@ -181,7 +180,7 @@ def apply_breve_gamma(j0: np.ndarray, jinf: np.ndarray, tb: TensorBasis, phi: np
     G0, Ginf = Gamma(tb.basis, j0), Gamma(tb.basis, jinf)
     out = np.empty(tb.size, dtype=np.result_type(x, G0, Ginf))
     edges = tb.basis.edges
-    for a, b, rows in tb.blocks:
+    for (a, b), rows in tb.blocks.items():
         left, right = slice(*edges[a:a + 2]), slice(*edges[b:b + 2])
         block = x[rows].reshape(edges[a + 1] - edges[a], edges[b + 1] - edges[b])
         out[rows] = (G0[left, left] @ block @ Ginf[right, right].T).ravel()
@@ -261,28 +260,30 @@ class TensorLift:
         return put[keep], gather[keep]
 
 
-def one_leg_product(tb: TensorBasis, op: np.ndarray, x: np.ndarray, shifts,
+def one_leg_product(tb: TensorBasis, op: np.ndarray, x: np.ndarray,
                     right: bool = False) -> np.ndarray:
     """(op x 1) x, or with ``right`` (1 x op) x, for dense leg matrices op
-    and x of shape (..., pairs, c), leading axes broadcast.  op maps sector
-    a into a + s only for s in ``shifts`` (+1 for a*, +-1 for phi, 0 for
-    dGamma).  Pair block (a, b) adds op[sector a, sector a - s] times block
-    (a - s, b), one stacked matmul each (the right leg likewise in b); a
-    source block above n_max is outside the basis: the Galerkin drop."""
+    and x of shape (..., pairs, c), leading axes broadcast.  Pair block
+    (a, b) adds op[sector a, sector a'] times block (a', b), one stacked
+    matmul for each sector a' whose block of op is nonzero somewhere in the
+    stack (a* has them at a' = a - 1, phi at a -+ 1, dGamma at a; the right
+    leg likewise in b); a source block above n_max is outside the basis:
+    the Galerkin drop."""
     edges, n_max, sizes = tb.basis.edges, tb.basis.n_max, np.diff(tb.basis.edges)
-    rows_of = {(a, b): rows for a, b, rows in tb.blocks}
+    live = op.reshape((-1,) + op.shape[-2:]).any(axis=0)
+    live = np.logical_or.reduceat(np.logical_or.reduceat(live, edges[:-1], 0), edges[:-1], 1)
     lead, c = x.shape[:-2], x.shape[-1]
     out = np.zeros(np.broadcast_shapes(op.shape[:-2], lead) + x.shape[-2:],
                    dtype=np.result_type(op, x))
-    for a, b, rows in tb.blocks:
+    for (a, b), rows in tb.blocks.items():
         own, other = (b, a) if right else (a, b)
-        for src in (own - s for s in shifts if 0 <= own - s <= n_max - other):
+        for src in (s for s in range(n_max - other + 1) if live[own, s]):
             block = op[..., edges[own]:edges[own + 1], edges[src]:edges[src + 1]]
             if right:
-                xs = x[..., rows_of[a, src], :].reshape(lead + (sizes[a], -1, c))
+                xs = x[..., tb.blocks[a, src], :].reshape(lead + (sizes[a], -1, c))
                 part = block[..., None, :, :] @ xs
             else:
-                part = block @ x[..., rows_of[src, b], :].reshape(lead + (sizes[src], -1))
+                part = block @ x[..., tb.blocks[src, b], :].reshape(lead + (sizes[src], -1))
             out[..., rows, :] += part.reshape(out.shape[:-2] + (-1, c))
     return out
 

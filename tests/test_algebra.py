@@ -10,6 +10,7 @@ pinned, bit for bit, to values recorded in ``criterion1_reference.json``.
 
 import functools
 import importlib.util
+import itertools
 import json
 import tracemalloc
 from pathlib import Path
@@ -149,21 +150,20 @@ def product_space(request):
     return algebra.Generators(basis), split.build_tensor_basis(basis)
 
 
-def leg_stacks(gen, n_max, rng, count=3) -> list:
-    """(ops, shifts): stacks of ``count`` a*, phi and dGamma leg operators
-    along their shifts, and one random dense leg matrix along every shift."""
+def leg_stacks(gen, rng, count=3) -> list:
+    """Stacks of ``count`` a*, phi and dGamma leg operators, and one random
+    dense leg matrix, which has every sector block."""
     M, n = gen.creation.shape[:2]
     h = rng.normal(size=(count, M)) + 1j * rng.normal(size=(count, M))
     b = rng.normal(size=(count, M, M)) + 1j * rng.normal(size=(count, M, M))
     dense = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return [(gen.creation_op(h), (1,)), (gen.field_op(h), (-1, 1)), (gen.dGamma(b), (0,)),
-            (dense, tuple(range(-n_max, n_max + 1)))]
+    return [gen.creation_op(h), gen.field_op(h), gen.dGamma(b), dense]
 
 
-def product_defect(tb, ops, x, shifts, right) -> float:
+def product_defect(tb, ops, x, right) -> float:
     """The worst |one_leg_product - dense lift @ X| over the slices of x,
     each relative to ||op|| ||X|| (Frobenius)."""
-    got = split.one_leg_product(tb, ops, x, shifts, right)
+    got = split.one_leg_product(tb, ops, x, right)
     worst = 0.0
     for k in range(len(x)):
         op = ops[k] if ops.ndim == 3 else ops
@@ -175,27 +175,34 @@ def product_defect(tb, ops, x, shifts, right) -> float:
 
 def test_one_leg_product_matches_dense_lift(product_space):
     """(op x 1) X and (1 x op) X, one sector block at a time, equal the
-    dense lift times X: stacks of a*, phi and dGamma along their shifts and a
-    dense leg matrix (broadcast over the stack of X) along every shift."""
+    dense lift times X: stacks of a*, phi and dGamma and a dense leg matrix
+    (broadcast over the stack of X)."""
     gen, tb = product_space
     rng = np.random.default_rng(16)
     x = rng.normal(size=(3, tb.size, 5)) + 1j * rng.normal(size=(3, tb.size, 5))
-    for ops, shifts in leg_stacks(gen, tb.basis.n_max, rng):
+    for ops in leg_stacks(gen, rng):
         for right in (False, True):
-            assert product_defect(tb, ops, x, shifts, right) <= 1e-15
+            assert product_defect(tb, ops, x, right) <= 1e-15
 
 
-def test_one_leg_product_missing_shift_is_caught(product_space):
-    """A shift set that leaves out one of the operator's shifts drops terms
-    the dense lift holds."""
+def test_one_leg_product_finds_every_block(product_space):
+    """The product reads which sector blocks of op are nonzero from op
+    itself: a stack whose one slice is nonzero on one sector block only is
+    lifted as the dense lift, for every block and both legs."""
     gen, tb = product_space
     rng = np.random.default_rng(17)
+    edges, n = tb.basis.edges, tb.basis.size
     x = rng.normal(size=(3, tb.size, 2)) + 1j * rng.normal(size=(3, tb.size, 2))
-    for ops, shifts in leg_stacks(gen, tb.basis.n_max, rng):
+    for to, src in itertools.product(range(tb.basis.n_max + 1), repeat=2):
+        ops = np.zeros((3, n, n), dtype=complex)
+        rows, cols = slice(*edges[to:to + 2]), slice(*edges[src:src + 2])
+        ops[1, rows, cols] = rng.normal(size=ops[1, rows, cols].shape)
         for right in (False, True):
-            for s in shifts:
-                fewer = tuple(t for t in shifts if t != s)
-                assert product_defect(tb, ops, x, fewer, right) > 1e-8
+            got = split.one_leg_product(tb, ops, x, right)
+            want = oracles.dense_lift(tb, ops[1], right) @ x[1]
+            scale = np.linalg.norm(ops[1]) * np.linalg.norm(x[1])
+            assert np.abs(got[1] - want).max() <= 1e-15 * scale
+            assert not got[[0, 2]].any()
 
 
 def test_one_leg_product_slices_bit_equal(product_space):
@@ -204,12 +211,12 @@ def test_one_leg_product_slices_bit_equal(product_space):
     gen, tb = product_space
     rng = np.random.default_rng(18)
     x = rng.normal(size=(3, tb.size, 5)) + 1j * rng.normal(size=(3, tb.size, 5))
-    for ops, shifts in leg_stacks(gen, tb.basis.n_max, rng)[:3]:
+    for ops in leg_stacks(gen, rng)[:3]:
         for right in (False, True):
             for cols in (x, x[..., :1]):
-                got = split.one_leg_product(tb, ops, cols, shifts, right)
+                got = split.one_leg_product(tb, ops, cols, right)
                 for k in range(len(ops)):
-                    alone = split.one_leg_product(tb, ops[k], cols[k], shifts, right)
+                    alone = split.one_leg_product(tb, ops[k], cols[k], right)
                     assert np.array_equal(got[k], alone)
 
 
@@ -388,19 +395,22 @@ def test_pin_diff_lists_moves_and_refuses_fixed_ones():
     seed = next(iter(REFERENCE["seeds"]))
     ref = {"seeds": {seed: REFERENCE["seeds"][seed]}}
     same = json.loads(json.dumps(ref["seeds"]))
-    assert pins.compare(ref, same, 1e-14) == ([], [])
+    assert pins.compare(ref, same) == ([], [])
     moved = json.loads(json.dumps(same))
     old = moved[seed]["defects"]["ugamma_a"]
     moved[seed]["defects"]["ugamma_a"] = old + 1e-16
-    rows, refused = pins.compare(ref, moved, 1e-14)
+    rows, refused = pins.compare(ref, moved)
     assert [row[:3] for row in rows] == [(seed, "ugamma_a", old)] and refused == []
     assert pins.compare(ref, moved, 1e-17)[1]
+    far = json.loads(json.dumps(same))
+    far[seed]["defects"]["ugamma_a"] = old + 2 * pins.TOLERANCE
+    assert pins.compare(ref, far)[1]
     bad = json.loads(json.dumps(same))
     bad[seed]["max_defect"] = float(np.nextafter(bad[seed]["max_defect"], 1.0))
-    assert pins.compare(ref, bad, 1e-14)[1]
+    assert pins.compare(ref, bad)[1]
     bad = json.loads(json.dumps(same))
     norms = bad[seed]["i_norm_diagnostics"]
     norms["I_weight_k1"] = float(np.nextafter(norms["I_weight_k1"], 2.0))
-    assert pins.compare(ref, bad, 1e-14)[1]
+    assert pins.compare(ref, bad)[1]
     del moved[seed]["defects"]["ugamma_a"]
-    assert pins.compare(ref, moved, 1e-14)[1]
+    assert pins.compare(ref, moved)[1]

@@ -326,7 +326,7 @@ def test_tensor_blocks_tile_the_pairs(tensor):
     basis, tb = tensor
     assert tb.blocks is tb.blocks
     numbers, sizes, stop = basis.total_numbers(), np.diff(basis.edges), 0
-    for a, b, rows in tb.blocks:
+    for (a, b), rows in tb.blocks.items():
         assert rows.start == stop and rows.stop - rows.start == sizes[a] * sizes[b]
         left, right = tb.pairs[rows].T
         assert np.all(numbers[left] == a) and np.all(numbers[right] == b)

@@ -1,20 +1,19 @@
 """Rerun criterion 1's pinned seeds and list every float that moved.
 
-    python3 tools/criterion1_pins.py [--tolerance 1e-14]
+    python3 tools/criterion1_pins.py
 
 The package is imported from this checkout's ``src/``.  Each seed of
 ``tests/criterion1_reference.json`` runs ``run_algebra_suite`` with the
 reference's inputs (n_modes=4, n_max=3, draws=100, sigma=0.2).
 Every recorded float that differs from the rerun is printed as one row:
 seed, identity, old, new, |delta|.  The exit code is 1 if a ``max_defect``
-or an ``i_norm_diagnostics`` entry moved, if any |delta| exceeds the
-tolerance, or if an identity is missing or new; otherwise 0.  The JSON is
-never written: re-recording a pin stays a decision made by hand.
+or an ``i_norm_diagnostics`` entry moved, if any |delta| exceeds
+``TOLERANCE`` (1e-14), or if an identity is missing or new; otherwise 0.
+The JSON is never written: re-recording a pin stays a decision made by hand.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from pathlib import Path
@@ -23,6 +22,8 @@ ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = ROOT / "tests" / "criterion1_reference.json"
 # a move here fails whatever its size
 FIXED = ("max_defect", "i_norm_diagnostics")
+# the largest roundoff move of any other float that may be re-recorded
+TOLERANCE = 1e-14
 
 
 def _floats(record: dict) -> dict:
@@ -33,7 +34,7 @@ def _floats(record: dict) -> dict:
     return out
 
 
-def compare(reference: dict, reruns: dict, tolerance: float) -> tuple[list, list]:
+def compare(reference: dict, reruns: dict, tolerance: float = TOLERANCE) -> tuple[list, list]:
     """The rows (seed, name, old, new, |delta|) of every float that differs
     between the reference's seeds and ``reruns`` (seed -> suite report), and
     the reasons the difference is refused."""
@@ -54,17 +55,14 @@ def compare(reference: dict, reruns: dict, tolerance: float) -> tuple[list, list
     return rows, refused
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--tolerance", type=float, default=1e-14)
-    args = parser.parse_args(argv)
+def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
     from nelsonlab.algebra import run_algebra_suite
 
     reference = json.loads(REFERENCE.read_text())
     reruns = {seed: run_algebra_suite(n_modes=4, n_max=3, draws=100, sigma=0.2, seed=int(seed))
               for seed in reference["seeds"]}
-    rows, refused = compare(reference, reruns, args.tolerance)
+    rows, refused = compare(reference, reruns)
     print(f"{'seed':>6}  {'identity':<22} {'old':>24} {'new':>24} {'|delta|':>9}")
     for seed, name, old, new, delta in rows:
         print(f"{seed:>6}  {name:<22} {old!r:>24} {new!r:>24} {delta:9.2e}")
