@@ -5,20 +5,20 @@ draws; creation-type identities are restricted to the guarded sector
 N <= n_max - 1 where the truncated algebra is exact.  The suite is the
 engine behind the ``algebra`` subcommand and the first acceptance criterion.
 
-The draws are evaluated in stacks of ``DRAW_BATCH``.  A stack's random
-inputs are drawn first, draw by draw (``_draw``), with the mode vectors and
-M x M maps each draw forms from them; no evaluation reads the rng, so the
-stream is consumed in the suite's fixed per-draw order whatever the stack
-size, and only one stack's inputs are held.  Then one ``tensordot`` forms a
-stack of ladder, field or dGamma operators from the generator stacks, one
-sector recursion forms a stack of Gamma, dGamma2 or splitting maps (``fock``
-and ``split`` take leading batch axes), and every product is a stacked
-``@``, which runs the same BLAS product on each slice.  Each slice is
-therefore rounded exactly as a single draw would be, and a defect, the
-largest entry over the draws, is independent of the batch size.  One-leg
-lifts of the pair basis are never formed but applied to a stack block by
-block (``split.one_leg_product``), and the Schwarz bounds are stacked
-quadratic forms; only the binomial spot check runs one draw at a time.
+The draws are evaluated in stacks of ``DRAW_BATCH``.  Only the rng reads
+run draw by draw (``_draw``), in the suite's fixed order; no evaluation
+reads the rng, so the stream is the same whatever the stack size.  The mode
+vectors and M x M maps formed from the reads are derived once per stack
+(``_derive``: stacked QR, norms, ``eigh`` and products), one ``tensordot``
+forms a stack of ladder, field or dGamma operators, one sector recursion a
+stack of Gamma, dGamma2 or splitting maps (``fock`` and ``split`` take
+leading batch axes), and every product is a stacked ``@``.  A stacked
+``np.linalg`` call or ``@`` runs the same LAPACK or BLAS routine on each
+slice, so each slice is rounded exactly as a single draw would be, and a
+defect, the largest entry over the draws, is independent of the batch
+size.  One-leg lifts are applied block by block (``split.one_leg_product``),
+the Schwarz bounds are stacked quadratic forms, and the binomial spot check
+reads the doubled-grid creation entries for the whole stack of pairs.
 
 What does not depend on the draw is built once per suite: the one-leg
 generator stacks (``Generators``, from ``fock``'s own constructors), Gamma(1),
@@ -47,23 +47,17 @@ import numpy as np
 from . import fock, split
 
 
-def _rand_vec(rng, n):
-    return rng.normal(size=n) + 1j * rng.normal(size=n)
+def _diag(x) -> np.ndarray:
+    """np.diag of a vector, or of each vector in a stack."""
+    out = np.zeros(x.shape + x.shape[-1:], dtype=x.dtype)
+    modes = np.arange(x.shape[-1])
+    out[..., modes, modes] = x
+    return out
 
 
-def _rand_mat(rng, n):
-    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-
-
-def _whermitian(grid, A):
-    return (A + fock.weighted_adjoint(grid, grid, A)) / 2.0
-
-
-def _wunitary(rng, grid):
-    M = grid.n_modes
-    Q, _ = np.linalg.qr(_rand_mat(rng, M))
-    w = np.sqrt(grid.weights)
-    return Q / w[:, None] * w[None, :]
+def _mv(m, x) -> np.ndarray:
+    """m @ x for each matrix m and vector x of a stack."""
+    return (m @ x[..., None])[..., 0]
 
 
 def _norm(arr) -> float:
@@ -170,7 +164,7 @@ class _UIdentities:
     its support is the diagonal.  U is a bijection, so ``s``, the inverse
     of t, applies U to vectors.
     ``creation``, ``annihilation`` and ``dgamma`` take stacks of draws and
-    return the worst defect over the stack; ``binomial`` takes one draw.
+    return the worst defect over the stack; ``binomial`` takes a stack of pairs.
     """
 
     def __init__(self, gen: Generators, tb: split.TensorBasis, lift: split.TensorLift,
@@ -183,6 +177,10 @@ class _UIdentities:
         self.sum_row, self.sum_col, self.sum_mode, self.sum_value = fock._creation_entries(
             tb.sum_basis, np.ones(2 * M))
         self.sum_numbers = tb.sum_basis.occupations().astype(float)
+        # a*(v) at (up[c, m], c) for any v with v_m = 1 / sqrt(w_m)
+        self.unit = np.empty(tb.sum_basis.up.shape)
+        self.unit[self.sum_col, self.sum_mode] = self.sum_creation(
+            1.0 / np.sqrt(tb.sum_basis.grid.weights))
         creates = np.any(gen.creation != 0, axis=0)
         a_dag1 = creates.copy()
         if corrupt:
@@ -214,12 +212,8 @@ class _UIdentities:
                              _flat(ann2)[..., self.gather_r])
 
     def _number_diagonal(self, d) -> np.ndarray:
-        """The diagonal of dGamma(diag(d)) for each d of a stack, from the
-        mode matrix np.diag writes."""
-        b = np.zeros(d.shape + (self.M,))
-        modes = np.arange(self.M)
-        b[..., modes, modes] = d
-        return np.diagonal(self.gen.dGamma(b), axis1=-2, axis2=-1)
+        """The diagonal of dGamma(diag(d)) for each d of a stack."""
+        return np.diagonal(self.gen.dGamma(_diag(d)), axis1=-2, axis2=-1)
 
     def dgamma(self, d0, dinf) -> float:
         """ueq3: U dGamma(d0 + dinf) U* = dGamma(d0) x 1 + 1 x dGamma(dinf)."""
@@ -228,19 +222,14 @@ class _UIdentities:
                + self._number_diagonal(dinf)[..., self.right])
         return float(np.abs(lhs[..., self.s] - rhs).max())
 
-    def binomial(self, i, j) -> float:
+    def binomial(self, pairs) -> float:
         """ueq2: the amplitude of a*(v)^2 Omega with v = (e_i, e_j) on the pair
-        (e_i, e_j) is sqrt(2) sqrt(2)."""
-        M, basis = self.M, self.tb.basis
-        w = basis.grid.weights
-        vv = np.concatenate([np.eye(M)[i] / np.sqrt(w[i]), np.eye(M)[j] / np.sqrt(w[j])])
-        n = self.tb.sum_basis.size
-        lhs = np.zeros((n, n), dtype=complex)
-        lhs[self.sum_row, self.sum_col] = self.sum_creation(vv)
-        two = (lhs @ lhs[:, 0])[self.s]
-        # the one-boson states e_i, e_j and the pair (e_i, e_j)
-        amp = two[self.tb.lookup([[basis.up[0, i], basis.up[0, j]]])[0]]
-        return abs(amp - np.sqrt(2.0) * np.sqrt(2.0))
+        (e_i, e_j) is sqrt(2) sqrt(2), for a stack of pairs (i, j): two paths,
+        through the one-boson state of either mode of v, i and M + j."""
+        up, a = self.tb.sum_basis.up, self.unit
+        i, j = pairs[:, 0], self.M + pairs[:, 1]
+        amp = a[up[0, i], j] * a[0, i] + a[up[0, j], i] * a[0, j]
+        return float(np.abs(amp - np.sqrt(2.0) * np.sqrt(2.0)).max())
 
 
 DRAW_BATCH = 8
@@ -250,52 +239,70 @@ x 35 complex entries (0.7 MB at 8) and up to six are alive at once.  The
 defects do not depend on it."""
 
 
-def _draw(rng, grid: fock.ModeGrid, n: int, n_pairs: int, binomial: bool) -> dict:
-    """One draw's random inputs, in the suite's rng order, with the mode
-    vectors and M x M maps its identities read, each formed by per-draw code
-    as a single draw forms it (``inner`` is the weighted inner product
-    <g1, g2>)."""
+def _draw(rng, M: int, n: int, n_pairs: int, binomial: bool) -> dict:
+    """One draw's rng reads, in the suite's fixed order; consecutive ``normal``
+    reads are one call (the same variates), cut up in order by ``_derive``."""
+    draw = {"head": rng.normal(size=6 * M + 14 * M * M + 4 * n)}
+    if binomial:  # the binomial spot check needs the two-boson sector
+        draw["pair"] = rng.integers(0, M, size=2)
+    draw["th"] = rng.uniform(0.1, np.pi / 2 - 0.1, size=M)
+    draw["um"] = rng.uniform(0.2, 0.8, size=M)
+    draw["tail"] = rng.normal(size=5 * M * M + 2 * n_pairs + 2 * n)
+    return draw
+
+
+class _Variates:
+    """A stack of variates (draws x count), read in order: ``real(*shape)``
+    is the next piece, of shape (draws, *shape), and ``cplx(*shape)`` is
+    ``real(*shape) + 1j * real(*shape)``, the next real, then imaginary parts."""
+
+    def __init__(self, block):
+        self.block, self.at = block, 0
+
+    def real(self, *shape) -> np.ndarray:
+        start, self.at = self.at, self.at + int(np.prod(shape))
+        return self.block[:, start:self.at].reshape(-1, *shape)
+
+    def cplx(self, *shape) -> np.ndarray:
+        return self.real(*shape) + 1j * self.real(*shape)
+
+
+def _derive(grid: fock.ModeGrid, n: int, n_pairs: int, reads: list) -> dict:
+    """The inputs of a stack of draws (a list of ``_draw``'s reads): the
+    variates, and the mode vectors and M x M maps formed from them once per
+    stack, each slice rounded as that draw alone would be."""
     M = grid.n_modes
+    draws = {key: np.stack([r[key] for r in reads]) for key in reads[0]}
     adj = functools.partial(fock.weighted_adjoint, grid, grid)
-    g1 = _rand_vec(rng, M)
-    g2 = _rand_vec(rng, M)
-    b = _rand_mat(rng, M)
-    q = _wunitary(rng, grid)
-    bh = _whermitian(grid, _rand_mat(rng, M))
-    b2 = _rand_mat(rng, M)
-    r1 = _rand_mat(rng, M)
-    r2 = _rand_mat(rng, M)
-    qm = _rand_mat(rng, M)
-    qm = qm / max(1.0, fock.weighted_opnorm(grid, grid, qm))
-    r2s = adj(r2)
-    u = _rand_vec(rng, n)
-    v = _rand_vec(rng, n)
-    d0 = rng.normal(size=M)
-    dinf = rng.normal(size=M)
-    # the binomial spot check needs the two-boson sector
-    pair = {"pair": rng.integers(0, M, size=2)} if binomial else {}
+    def herm(A):
+        return (A + adj(A)) / 2.0
+    head, tail = _Variates(draws["head"]), _Variates(draws["tail"])
+    g1, g2, b = head.cplx(M), head.cplx(M), head.cplx(M, M)
+    w = np.sqrt(grid.weights)
+    q = np.linalg.qr(head.cplx(M, M))[0] / w[:, None] * w[None, :]
+    bh = herm(head.cplx(M, M))
+    b2, r1, r2, qm = (head.cplx(M, M) for _ in range(4))
+    qm = qm / np.maximum(1.0, fock.weighted_opnorm(grid, grid, qm))[:, None, None]
+    u, v, d0, dinf = head.cplx(n), head.cplx(n), head.real(M), head.real(M)
+    pair = {"pair": draws["pair"]} if "pair" in draws else {}
     # splitting map with j0* j0 + jinf* jinf = 1; the pairs are complex so
     # every product runs in the dtype the pinned reference used
-    th = rng.uniform(0.1, np.pi / 2 - 0.1, size=M)
-    j0_iso, jinf_iso = np.diag(np.cos(th) + 0j), np.diag(np.sin(th) + 0j)
+    j0_iso, jinf_iso = _diag(np.cos(draws["th"]) + 0j), _diag(np.sin(draws["th"]) + 0j)
     # partition pair for ugamma-o and the right inverse
-    um = rng.uniform(0.2, 0.8, size=M)
-    Qs = 0.1 * rng.normal(size=(M, M))
-    j0 = np.diag(um) + (Qs + Qs.T) + 0j
-    jinf = np.eye(M) - j0
-    om = np.diag(grid.omega_mod)
-    k0 = _whermitian(grid, _rand_mat(rng, M))
-    kinf = _whermitian(grid, _rand_mat(rng, M))
-    ut = _rand_vec(rng, n_pairs)
-    vt = _rand_vec(rng, n)
+    Qs = 0.1 * tail.real(M, M)
+    j0 = _diag(draws["um"]) + (Qs + Qs.swapaxes(-1, -2)) + 0j
+    jinf, om = np.eye(M) - j0, np.diag(grid.omega_mod)
+    k0, kinf = herm(tail.cplx(M, M)), herm(tail.cplx(M, M))
+    ut, vt = tail.cplx(n_pairs), tail.cplx(n)
     return {
         "g1": g1, "g2": g2, "inner": fock.weighted_inner(grid, g1, g2),
-        "b": b, "b_g1": b @ g1, "bstar_g1": adj(b) @ g1, "q": q, "q_g1": q @ g1,
-        "bh": bh, "i_bh_g1": 1j * (bh @ g1),
+        "b": b, "b_g1": _mv(b, g1), "bstar_g1": _mv(adj(b), g1), "q": q, "q_g1": _mv(q, g1),
+        "bh": bh, "i_bh_g1": 1j * _mv(bh, g1),
         "b2": b2, "b_b2": b @ b2, "b_comm_b2": b @ b2 - b2 @ b,
-        "qm": qm, "r2s_r1": r2s @ r1, "r2s_r2": r2s @ r2, "r1s_r1": adj(r1) @ r1,
+        "qm": qm, "r2s_r1": adj(r2) @ r1, "r2s_r2": adj(r2) @ r2, "r1s_r1": adj(r1) @ r1,
         "u": u, "v": v, "d0": d0, "dinf": dinf, **pair,
-        "j0_iso": j0_iso, "jinf_iso": jinf_iso, "j0_g1": j0_iso @ g1, "jinf_g1": jinf_iso @ g1,
+        "j0_iso": j0_iso, "jinf_iso": jinf_iso,
+        "j0_g1": _mv(j0_iso, g1), "jinf_g1": _mv(jinf_iso, g1),
         "j0": j0, "jinf": jinf, "c0": om @ j0 - j0 @ om, "cinf": om @ jinf - jinf @ om,
         "k0": k0, "kinf": kinf,
         "abs_k0": fock.weighted_abs(grid, k0), "abs_kinf": fock.weighted_abs(grid, kinf),
@@ -319,17 +326,18 @@ class _Suite:
         self.eye = np.eye(n)
         self.guard = np.arange(basis.edges[basis.n_max])
         N_op = fock.number_op(basis)
-        self.N = N_op.toarray()
+        self.N = N_op.diagonal()
         self.gen = gen = Generators(basis)
         self.one = np.eye(M)
         self.gamma_one = fock.Gamma(basis, self.one)
         left, right = tb.pairs.T
         self.u_ids = _UIdentities(gen, tb, split.TensorLift(tb), corrupt)
         # diagonal operators and their pair lifts are kept as diagonals
+        # (a product with one is a scaling, without the dense one's zeros)
         self.N_pair = (split.tensor_factor_ops(tb, op_left=N_op)
                        + split.tensor_factor_ops(tb, op_right=N_op)).diagonal()
-        self.dG_om = gen.dGamma(grid.omega_mod)
-        self.dG_om_pair = self.dG_om.diagonal()[left] + self.dG_om.diagonal()[right]
+        self.dG_om = gen.dGamma(grid.omega_mod).diagonal()
+        self.dG_om_pair = self.dG_om[left] + self.dG_om[right]
         self.I_op = split.scattering_ident(tb).toarray()
         self.defects: dict[str, float] = {}
 
@@ -390,13 +398,13 @@ class _Suite:
         self.rec("lemma_dgamma_schwarz", np.maximum(0.0, lhs - rhs).max())
 
     def tensor(self, d, a_dag1, ann1, ann2):
-        """U's identities; the binomial spot check one draw at a time."""
+        """U's identities."""
         u_ids, rec = self.u_ids, self.rec
         rec("ueq0_creation", u_ids.creation(d["g1"], a_dag1))
         rec("ueq1_annihilation", u_ids.annihilation(d["g1"], d["g2"], ann1, ann2))
         rec("ueq3_dgamma", u_ids.dgamma(d["d0"], d["dinf"]))
-        for pair in d.get("pair", ()):
-            rec("ueq2_binomial", u_ids.binomial(*pair))
+        if "pair" in d:
+            rec("ueq2_binomial", u_ids.binomial(d["pair"]))
 
     def splitting(self, d, c1, phi):
         """The isometric splitting map, its intertwining of a*, phi and N, and
@@ -406,7 +414,7 @@ class _Suite:
         lift = functools.partial(split.one_leg_product, tb)
         BG = split.breve_gamma(d["j0_iso"], d["jinf_iso"], tb)
         rec("breve_isometry", _norm(_adjoint(BG) @ BG - self.eye))
-        rec("breve_number", _norm((BG @ self.N) - (self.N_pair[:, None] * BG)))
+        rec("breve_number", _norm((BG * self.N) - (self.N_pair[:, None] * BG)))
         BGg = BG[..., guard]
         rhs = (lift(gen.creation_op(d["j0_g1"]), BGg)
                + lift(gen.creation_op(d["jinf_g1"]), BGg, right=True))
@@ -431,7 +439,7 @@ class _Suite:
         mixed = split.dbreve_gamma2(d["j0"], d["jinf"], d["c0"], d["cinf"], self.tb,
                                     breve_j=BGP)
         # lhs - rhs with rhs = -mixed, formed in place
-        lhs = BGP @ self.dG_om
+        lhs = BGP * self.dG_om
         lhs -= self.dG_om_pair[:, None] * BGP
         lhs += mixed
         self.rec("ugamma_o", np.abs(lhs).max())
@@ -472,9 +480,9 @@ def run_algebra_suite(n_modes: int = 4, n_max: int = 3, draws: int = 100,
     # no evaluation reads the rng, so drawing each stack just before it is
     # evaluated consumes the stream in the per-draw order
     for start in starts:
-        chunk = [_draw(rng, grid, basis.size, tb.size, n_max >= 2)
+        reads = [_draw(rng, grid.n_modes, basis.size, tb.size, n_max >= 2)
                  for _ in range(min(DRAW_BATCH, draws - start))]
-        suite.evaluate({key: np.stack([d[key] for d in chunk]) for key in chunk[0]})
+        suite.evaluate(_derive(grid, basis.size, tb.size, reads))
     defects = suite.defects
 
     # cap-dependent norm diagnostics for the identification map

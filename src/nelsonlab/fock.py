@@ -139,46 +139,51 @@ class ModeGrid:
         return self.omega_free <= self.sigma
 
 
-def weighted_inner(grid: ModeGrid, g, h) -> complex:
-    return complex(np.sum(grid.weights * np.conj(g) * np.asarray(h)))
+def weighted_inner(grid: ModeGrid, g, h):
+    """<g, h>_w, a complex; stacks of g and h give the array of them."""
+    out = np.sum(grid.weights * np.conj(g) * np.asarray(h), axis=-1)
+    return complex(out) if out.ndim == 0 else out
 
 def weighted_adjoint(grid_out: ModeGrid, grid_in: ModeGrid, r: np.ndarray) -> np.ndarray:
-    """Adjoint of a mode matrix r: h_in -> h_out w.r.t. the weighted inner products.
+    """Adjoint of a mode matrix r: h_in -> h_out (or of each of a stack of them)
+    w.r.t. the weighted inner products.
 
     The weight ratio is formed first so that equal weights contribute an
     exact factor 1 (the adjoint of a symmetrized matrix is then bit-equal)."""
     ratio = grid_out.weights[None, :] / grid_in.weights[:, None]
-    return r.conj().T * ratio
+    return r.conj().swapaxes(-1, -2) * ratio
 
 def to_ortho(grid_out: ModeGrid, grid_in: ModeGrid, b: np.ndarray) -> np.ndarray:
     """Convert a coefficient-gauge mode matrix to the orthonormal gauge."""
     ratio = np.sqrt(grid_out.weights)[:, None] / np.sqrt(grid_in.weights)[None, :]
     return b * ratio
 
-def weighted_opnorm(grid_out: ModeGrid, grid_in: ModeGrid, b: np.ndarray) -> float:
-    return float(np.linalg.norm(to_ortho(grid_out, grid_in, b), 2))
+def weighted_opnorm(grid_out: ModeGrid, grid_in: ModeGrid, b: np.ndarray):
+    """||b|| in the orthonormal gauge, a float; a stack gives the array of them."""
+    norms = np.linalg.norm(to_ortho(grid_out, grid_in, b), 2, axis=(-2, -1))
+    return float(norms) if norms.ndim == 0 else norms
 
 
 class WeightedSpectrum:
     """Functions of a weighted-Hermitian coefficient-gauge mode matrix X,
-    through one eigendecomposition of X symmetrized in the orthonormal gauge."""
+    through one eigendecomposition of X symmetrized in the orthonormal gauge
+    (one stacked ``eigh`` for a stack of X)."""
 
     def __init__(self, grid: ModeGrid, X: np.ndarray):
         w = np.sqrt(grid.weights)
         Xo = w[:, None] * X / w[None, :]
-        Xo = (Xo + Xo.conj().T) / 2.0
+        Xo = (Xo + Xo.conj().swapaxes(-1, -2)) / 2.0
         self.evals, self.evecs = np.linalg.eigh(Xo)
         self.w = w
-        self.grid = grid
 
     def fn(self, f) -> np.ndarray:
-        """Coefficient-gauge matrix of f(X)."""
-        core = (self.evecs * f(self.evals)[None, :]) @ self.evecs.conj().T
+        """Coefficient-gauge matrix of f(X), or the stack of them."""
+        core = (self.evecs * f(self.evals)[..., None, :]) @ self.evecs.conj().swapaxes(-1, -2)
         return core / self.w[:, None] * self.w[None, :]
 
 
 def weighted_abs(grid: ModeGrid, X: np.ndarray) -> np.ndarray:
-    """|X| for a weighted-Hermitian coefficient-gauge matrix."""
+    """|X| for a weighted-Hermitian coefficient-gauge matrix, or a stack of them."""
     return WeightedSpectrum(grid, X).fn(np.abs)
 
 
@@ -336,13 +341,20 @@ class OccupationBasis:
         return self.mode_sum(self.grid.points)
 
 
+def _binomials(count: int, top: int) -> np.ndarray:
+    """C(a, b) for a < count, b <= top: C(a, b - 1) (a - b + 1) / b, exact in int64."""
+    binom = np.ones((count, top + 1), dtype=np.int64)
+    for b in range(1, top + 1):
+        binom[:, b] = binom[:, b - 1] * (np.arange(count, dtype=np.int64) - b + 1) // b
+    return binom
+
+
 def _rank(tuples, M: int, edges: np.ndarray) -> np.ndarray:
     """Closed-form rows of ascending mode tuples over M modes: the tuple
     i_0 <= ... <= i_{n-1} is row edges[n] + sum_s C(M - 2 - i_s + n - s, n - s)."""
     t = np.asarray(tuples, dtype=np.int64)
     n_max = len(edges) - 2
-    binom = np.array([[math.comb(a, b) for b in range(n_max + 2)] for a in range(M + n_max)],
-                     dtype=np.int64)
+    binom = _binomials(M + n_max, n_max + 1)
     n = np.count_nonzero(t < M, axis=1)
     rest = n[:, None] - np.arange(t.shape[1])
     # a padding entry (rest <= 0) reads C(0, 1) = 0

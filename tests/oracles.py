@@ -27,7 +27,10 @@ plain Hermitian part of i times central differences in sorted order, which
 ``mourre.build_position_op`` builds through the weighted adjoint on every
 grid.  ``dense_lift`` is the dense one-leg lift of a dense leg matrix, which
 the algebra suite applies block by block without forming it.
-``full_row_recursion`` is the sector recursion as it was before it
+``draw`` is one draw of the algebra suite read and derived one call at a
+time, with the 2-d weighted helpers (``weighted_inner``,
+``weighted_adjoint``, ``weighted_fn``) that ``fock`` had before they took
+stacks.  ``full_row_recursion`` is the sector recursion as it was before it
 was restricted to each sector's block: it reads the basis's slot tables and
 sector edges like the package, and sums over every row and slot.
 ``chebyshev_expm_apply`` is the Chebyshev propagator with the shifted
@@ -543,3 +546,73 @@ def smooth_test_states(basis, count: int = 8, seed: int = 23) -> np.ndarray:
         v = (vac + one + 0.5 * two) * guard
         out[x] = v / np.linalg.norm(v)
     return out
+
+
+def weighted_inner(grid, g, h) -> complex:
+    """<g, h>_w of two vectors, as ``fock`` formed it before it took stacks."""
+    return complex(np.sum(grid.weights * np.conj(g) * np.asarray(h)))
+
+
+def weighted_adjoint(grid, r) -> np.ndarray:
+    """The weighted adjoint of one mode matrix on one grid, with ``.T``."""
+    return r.conj().T * (grid.weights[None, :] / grid.weights[:, None])
+
+
+def weighted_fn(grid, X, f) -> np.ndarray:
+    """f(X) of one weighted-Hermitian mode matrix, by one 2-d ``eigh``."""
+    w = np.sqrt(grid.weights)
+    Xo = w[:, None] * X / w[None, :]
+    Xo = (Xo + Xo.conj().T) / 2.0
+    evals, evecs = np.linalg.eigh(Xo)
+    core = (evecs * f(evals)[None, :]) @ evecs.conj().T
+    return core / w[:, None] * w[None, :]
+
+
+def draw(rng, grid, n: int, n_pairs: int, binomial: bool) -> dict:
+    """One draw of the algebra suite as it was formed one draw at a time:
+    the rng read call by call in the suite's order, and every mode vector
+    and M x M map formed from them by 2-d code."""
+    M = grid.n_modes
+    w = np.sqrt(grid.weights)
+
+    def vec(size):
+        return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+    def mat():
+        return rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M))
+
+    def herm(A):
+        return (A + weighted_adjoint(grid, A)) / 2.0
+
+    g1, g2, b = vec(M), vec(M), mat()
+    q = np.linalg.qr(mat())[0] / w[:, None] * w[None, :]
+    bh = herm(mat())
+    b2, r1, r2, qm = mat(), mat(), mat(), mat()
+    qm = qm / max(1.0, float(np.linalg.norm(to_ortho(grid, grid, qm), 2)))
+    r2s = weighted_adjoint(grid, r2)
+    u, v = vec(n), vec(n)
+    d0, dinf = rng.normal(size=M), rng.normal(size=M)
+    pair = {"pair": rng.integers(0, M, size=2)} if binomial else {}
+    th = rng.uniform(0.1, np.pi / 2 - 0.1, size=M)
+    j0_iso, jinf_iso = np.diag(np.cos(th) + 0j), np.diag(np.sin(th) + 0j)
+    um = rng.uniform(0.2, 0.8, size=M)
+    Qs = 0.1 * rng.normal(size=(M, M))
+    j0 = np.diag(um) + (Qs + Qs.T) + 0j
+    jinf = np.eye(M) - j0
+    om = np.diag(grid.omega_mod)
+    k0, kinf = herm(mat()), herm(mat())
+    ut, vt = vec(n_pairs), vec(n)
+    return {
+        "g1": g1, "g2": g2, "inner": weighted_inner(grid, g1, g2),
+        "b": b, "b_g1": b @ g1, "bstar_g1": weighted_adjoint(grid, b) @ g1,
+        "q": q, "q_g1": q @ g1, "bh": bh, "i_bh_g1": 1j * (bh @ g1),
+        "b2": b2, "b_b2": b @ b2, "b_comm_b2": b @ b2 - b2 @ b,
+        "qm": qm, "r2s_r1": r2s @ r1, "r2s_r2": r2s @ r2,
+        "r1s_r1": weighted_adjoint(grid, r1) @ r1,
+        "u": u, "v": v, "d0": d0, "dinf": dinf, **pair,
+        "j0_iso": j0_iso, "jinf_iso": jinf_iso, "j0_g1": j0_iso @ g1, "jinf_g1": jinf_iso @ g1,
+        "j0": j0, "jinf": jinf, "c0": om @ j0 - j0 @ om, "cinf": om @ jinf - jinf @ om,
+        "k0": k0, "kinf": kinf,
+        "abs_k0": weighted_fn(grid, k0, np.abs), "abs_kinf": weighted_fn(grid, kinf, np.abs),
+        "ut": ut, "vt": vt,
+    }

@@ -4,8 +4,10 @@ The generator stacks, the doubled-grid creation scatter, the tensor-lift
 gather and the permutation of U are built by the same arithmetic as the
 per-state loop builders in ``oracles.py``, so they must agree exactly.
 The operators a draw forms from them by ``tensordot`` sum in another order
-and get a 1e-14 relative tolerance.  The suite's defects themselves are
-pinned, bit for bit, to values recorded in ``criterion1_reference.json``.
+and get a 1e-14 relative tolerance.  The inputs derived once per stack of
+draws, and the binomial spot check on a stack of pairs, equal the per-draw
+oracles bit for bit.  The suite's defects themselves are pinned, bit for
+bit, to values recorded in ``criterion1_reference.json``.
 """
 
 import functools
@@ -267,7 +269,76 @@ def test_u_identities_on_supports_equal_dense(spaces, corrupt):
             two = U @ oracles.creation_op(basis_sum, vv).toarray() @ U.conj().T
             amp = (two @ two[:, tb.lookup([[0, 0]])[0]])[tb.lookup([[basis.up[0, i],
                                                                   basis.up[0, j]]])[0]]
-            assert abs(u_ids.binomial(i, j) - abs(amp - 2.0)) <= 1e-14
+            assert abs(u_ids.binomial(np.array([[i, j]])) - abs(amp - 2.0)) <= 1e-14
+
+
+@pytest.mark.parametrize("seed", [1, 2024])
+@pytest.mark.parametrize("size", [1, 3, 8])
+def test_stacked_draws_equal_per_draw_oracle(seed, size):
+    """The reads of a stack of draws consume the rng as the per-draw
+    oracle's calls do, and every input derived from them once per stack is,
+    slice by slice, the oracle's draw bit for bit: dtype, shape and bytes."""
+    grid = fock.line_grid(4, 1.0, 0.2)
+    basis = fock.build_basis(grid, 3)
+    n, n_pairs = basis.size, split.build_tensor_basis(basis).size
+    rng_one, rng_stack = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = [oracles.draw(rng_one, grid, n, n_pairs, True) for _ in range(size)]
+    got = algebra._derive(grid, n, n_pairs,
+                          [algebra._draw(rng_stack, 4, n, n_pairs, True) for _ in range(size)])
+    assert rng_one.bit_generator.state == rng_stack.bit_generator.state
+    assert got.keys() == want[0].keys()
+    for key, stack in got.items():
+        assert len(stack) == size
+        for k in range(size):
+            one = np.asarray(want[k][key])
+            assert stack[k].dtype == one.dtype and np.array_equal(stack[k], one), key
+            assert np.ascontiguousarray(stack[k]).tobytes() == one.tobytes(), key
+
+
+@pytest.mark.parametrize("n_max", [2, 3])
+def test_stacked_binomial_equals_dense_product(n_max):
+    """ueq2 for a stack of pairs, from two products of scatter entries each,
+    equals the per-pair dense a*(v) @ a*(v)[:, 0] read at the pair, for
+    every pair i = j and i != j, one at a time and as one stack."""
+    grid = fock.line_grid(4, 1.0, 0.2)
+    basis = fock.build_basis(grid, n_max)
+    tb = split.build_tensor_basis(basis)
+    u_ids = algebra._UIdentities(algebra.Generators(basis), tb, split.TensorLift(tb))
+    w = grid.weights
+    pairs = np.array(list(itertools.product(range(4), repeat=2)))
+    dense = []
+    for i, j in pairs:
+        vv = np.concatenate([np.eye(4)[i] / np.sqrt(w[i]), np.eye(4)[j] / np.sqrt(w[j])])
+        lhs = doubled_creation(u_ids, vv)
+        two = (lhs @ lhs[:, 0])[u_ids.s]
+        amp = two[tb.lookup([[basis.up[0, i], basis.up[0, j]]])[0]]
+        dense.append(abs(amp - np.sqrt(2.0) * np.sqrt(2.0)))
+        assert u_ids.binomial(np.array([[i, j]])) == dense[-1]
+    assert u_ids.binomial(pairs) == max(dense)
+
+
+def test_suite_derives_each_stack_once(monkeypatch):
+    """The QR and eigendecompositions of the draws run once per stack, not
+    once per draw: a suite of 16 draws (two stacks of 8) makes exactly twice
+    the ``qr`` and ``eigh`` calls of a suite of 8 draws, and a suite of one
+    draw as many as a suite of 8."""
+    counts = {}
+    for name in ("qr", "eigh"):
+        original = getattr(np.linalg, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    monkeypatch.setattr(algebra, "DRAW_BATCH", 8)
+    per_draws = {}
+    for draws in (1, 8, 16):
+        counts.clear()
+        algebra.run_algebra_suite(n_modes=4, n_max=3, draws=draws, seed=3)
+        per_draws[draws] = dict(counts)
+    assert per_draws[8]["qr"] >= 1 and per_draws[8]["eigh"] >= 1
+    assert per_draws[1] == per_draws[8]
+    assert per_draws[16] == {name: 2 * count for name, count in per_draws[8].items()}
 
 
 def test_draw_independent_builds_happen_once(monkeypatch):
@@ -354,9 +425,9 @@ def test_schwarz_lemmas_can_fail():
     grid = fock.line_grid(4, 1.0, 0.2)
     basis = fock.build_basis(grid, 3)
     tb = split.build_tensor_basis(basis)
-    draws = [algebra._draw(rng, grid, basis.size, tb.size, True)
-             for _ in range(algebra.DRAW_BATCH)]
-    stack = {key: np.stack([d[key] for d in draws]) for key in draws[0]}
+    stack = algebra._derive(grid, basis.size, tb.size,
+                            [algebra._draw(rng, 4, basis.size, tb.size, True)
+                             for _ in range(algebra.DRAW_BATCH)])
     lemmas = ("lemma_udgamma", "lemma_dgamma_schwarz")
     for scale in (1.0, 1e-4):
         suite = algebra._Suite(basis, tb, False)

@@ -183,6 +183,57 @@ def test_dgamma_number_bound(grid4, basis4, rng):
         assert lhs <= fock.weighted_opnorm(grid4, grid4, b) + 1e-10
 
 
+WEIGHTED_GRIDS = [fock.line_grid(4, 1.0, 0.2), fock.lattice_grid(16, [1, 2, -3], 0.2),
+                  fock.radial_grid(2, 1.0, 0.2)]
+
+
+@pytest.mark.parametrize("grid", WEIGHTED_GRIDS, ids=["line", "lattice", "radial"])
+def test_weighted_helpers_take_stacks(grid):
+    """The weighted inner product, adjoint, operator norm and |X| of one
+    mode vector or matrix equal, bit for bit, the 2-d oracles; a stack
+    (leading batch axes) gives each slice's result alone."""
+    M = grid.n_modes
+    rng = np.random.default_rng(31)
+    g, h = rng.normal(size=(2, 3, M)) + 1j * rng.normal(size=(2, 3, M))
+    b = rng.normal(size=(3, M, M)) + 1j * rng.normal(size=(3, M, M))
+    herm = (b + fock.weighted_adjoint(grid, grid, b)) / 2.0
+    inner, adj = fock.weighted_inner(grid, g, h), fock.weighted_adjoint(grid, grid, b)
+    norms, absolute = fock.weighted_opnorm(grid, grid, b), fock.weighted_abs(grid, herm)
+    for k in range(3):
+        one = fock.weighted_inner(grid, g[k], h[k])
+        assert type(one) is complex and one == oracles.weighted_inner(grid, g[k], h[k])
+        assert inner[k] == one
+        assert np.array_equal(fock.weighted_adjoint(grid, grid, b[k]),
+                              oracles.weighted_adjoint(grid, b[k]))
+        assert np.array_equal(adj[k], oracles.weighted_adjoint(grid, b[k]))
+        norm = fock.weighted_opnorm(grid, grid, b[k])
+        assert type(norm) is float and norms[k] == norm
+        assert norm == float(np.linalg.norm(fock.to_ortho(grid, grid, b[k]), 2))
+        assert np.array_equal(fock.weighted_abs(grid, herm[k]),
+                              oracles.weighted_fn(grid, herm[k], np.abs))
+        assert np.array_equal(absolute[k], fock.weighted_abs(grid, herm[k]))
+
+
+def test_position_calculus_unmoved_by_stacks():
+    """``dynamics.YCalc`` is a ``WeightedSpectrum`` of the real position
+    matrix; its spectrum and f(y) equal the 2-d oracle bit for bit."""
+    from nelsonlab import dynamics, mourre
+    for grid in (fock.line_grid(12, 1.5, 0.2), fock.radial_grid(2, 1.0, 0.2)):
+        assert np.array_equal(dynamics.YCalc(grid).fn(np.cos),
+                              oracles.weighted_fn(grid, mourre.build_position_op(grid), np.cos))
+
+
+@pytest.mark.parametrize("n_max", range(5))
+def test_rank_binomial_table_exact(n_max):
+    """``_rank``'s table C(a, b), a < M + n_max and b <= n_max + 1, equals
+    ``math.comb`` (zero for b > a) up to M = 200."""
+    for M in (1, 2, 7, 200):
+        table = fock._binomials(M + n_max, n_max + 1)
+        assert table.dtype == np.int64
+        assert table.tolist() == [[math.comb(a, b) for b in range(n_max + 2)]
+                                  for a in range(M + n_max)]
+
+
 def test_dgamma_positivity(grid4, basis4):
     evals = np.linalg.eigvalsh(fock.dGamma(basis4, grid4.omega_free).toarray())
     assert evals.min() >= -1e-14
