@@ -339,9 +339,10 @@ def cmd_dispersion(cfg: RunConfig) -> int:
     gs = (0.01, 0.02, 0.04, 0.08)
     resid = []
     P0 = np.zeros(ms.grid.dim)
+    layout = model.fiber_layout(ms, basis)
     for gg in gs:
         msg = replace(ms, g=gg)
-        H = model.build_fiber_H(msg, P0, basis)
+        H = model.build_fiber_H(msg, P0, basis, layout=layout)
         eg = spectral.ground_state(H, k=1, tol=v["solver.tol"]).ground_energy
         resid.append(abs(eg - spectral.pt_ground_energy(msg, P0, basis)))
     pt_exponent = float(np.polyfit(np.log(gs), np.log(resid), 1)[0]) \

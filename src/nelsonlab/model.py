@@ -11,7 +11,12 @@ W_+'s extended fiber H x 1 + 1 x dGamma(omega), the entries on the inner
 leg; and the full d = 1 model on an L-site chain in the electron-momentum x
 occupation product basis, the entries tiled over the electron momenta, its
 boson modes on the dual lattice so that total momentum (mod 2 pi) is
-conserved exactly.
+conserved exactly.  The entries sit in a ``CouplingLayout``, built once per
+basis and kappa_sigma: the entries, the CSR pattern of diagonal plus
+coupling plus adjoint, and the order COO -> CSR writes them in.  Each
+assembly only writes its diagonal and g c / sqrt(2) into that pattern, so a
+family of fibers (over P, g or the dispersion switch) shares one layout
+(``fiber_layout``), and with every coupling entry stored one block split.
 
 Operators are ``scipy.sparse.csr_matrix`` objects; ``Hamiltonian`` holds the
 CSR matrix, refused unless exactly Hermitian, with its occupation basis.  It
@@ -30,7 +35,7 @@ support).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -262,10 +267,12 @@ class ChebyshevOperator:
 class Hamiltonian:
     """An exactly Hermitian CSR matrix with the occupation basis it acts on
     (None on the chain and on the pair space); a matrix in another sparse
-    format is stored as CSR."""
+    format is stored as CSR.  ``layout`` is the ``CouplingLayout`` whose
+    every coupling entry the matrix stores, or None."""
 
     mat: sp.csr_matrix
     basis: OccupationBasis | None = None
+    layout: CouplingLayout | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "mat", self.mat.tocsr())
@@ -280,8 +287,22 @@ class Hamiltonian:
     def blocks(self) -> np.ndarray:
         """The block label of each row (``pattern_components``), found on
         first use and shared by the Chebyshev centring and the spectral
-        calculus of this Hamiltonian."""
-        return pattern_components(self.mat)
+        calculus of this Hamiltonian.  With a ``layout`` they are the
+        layout's, found once for every Hamiltonian that stores its whole
+        coupling pattern: a zero diagonal entry joins no two blocks."""
+        shared = self.layout
+        if shared is not None and shared.labels is not None:
+            return shared.labels
+        label = pattern_components(self.mat)
+        if shared is not None:
+            label.flags.writeable = False
+            shared.labels = label
+        return label
+
+    @cached_property
+    def _discs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's Gershgorin disc (``_gershgorin_discs``), found once."""
+        return _gershgorin_discs(self.mat)
 
     @cached_property
     def _block_intervals(self) -> tuple[np.ndarray, np.ndarray]:
@@ -289,7 +310,7 @@ class Hamiltonian:
         union of its rows' discs: every eigenvalue of the block lies in it."""
         label = self.blocks
         n_comp = int(label.max()) + 1
-        lo_rows, hi_rows = _gershgorin_discs(self.mat)
+        lo_rows, hi_rows = self._discs
         lo = np.full(n_comp, np.inf)
         hi = np.full(n_comp, -np.inf)
         np.minimum.at(lo, label, lo_rows)
@@ -342,35 +363,114 @@ class Hamiltonian:
         return ChebyshevOperator(centres, b, n_comp, A.astype(complex, copy=False), rows)
 
 
-def fiber_diagonal(ms: ModelSpec, P, basis: OccupationBasis, pairs=None) -> np.ndarray:
+def fiber_mode_sums(ms: ModelSpec, basis: OccupationBasis) -> np.ndarray:
+    """(size, d + 1) boson momentum K and energy E per state, one mode sum;
+    the same at every P and coupling."""
+    return basis.mode_sum(np.column_stack([ms.grid.points, ms.boson_omega()]))
+
+
+def fiber_diagonal(ms: ModelSpec, P, basis: OccupationBasis, pairs=None, *,
+                   mode_sums: np.ndarray | None = None) -> np.ndarray:
     """Omega(P - K) + E per state, or per (left, right) row of ``pairs``,
-    with K and E the boson momentum and energy read off one mode sum."""
-    KE = basis.mode_sum(np.column_stack([ms.grid.points, ms.boson_omega()]))
+    with K and E read off ``mode_sums`` (``fiber_mode_sums``, formed here
+    when None)."""
+    KE = fiber_mode_sums(ms, basis) if mode_sums is None else mode_sums
+    if KE.shape != (basis.size, ms.grid.points.shape[1] + 1):
+        raise ValueError("mode sums of another basis or grid")
     KE = KE if pairs is None else KE[pairs[:, 0]] + KE[pairs[:, 1]]
     pe = np.atleast_1d(np.asarray(P, dtype=float))[None, :] - KE[:, :-1]
     return ms.disp.omega(pe) + KE[:, -1]
 
 
-def _assemble(ms: ModelSpec, diag: np.ndarray, rows, cols, c,
-              basis: OccupationBasis | None = None) -> Hamiltonian:
-    """diag(diag) plus g / sqrt(2) times the creation entries ``c`` at
-    (rows, cols) and their adjoint, rounded as g * field_op would be,
-    written as one COO; its zeros (a zero diagonal entry, every coupling
-    entry at g = 0) are not stored."""
-    n = len(diag)
-    up = ms.g * (c * (1.0 / math.sqrt(2.0)))
+@dataclass(eq=False)
+class CouplingLayout:
+    """Where the coupling of a family of n x n Hamiltonians sits, built once.
+
+    ``rows``, ``cols`` and ``c`` are the creation entries of phi(kappa_sigma)
+    (``fock._creation_entries``, or their lift to the pair space or the
+    chain) and ``half`` is c / sqrt(2).  ``order`` is the permutation that
+    COO -> CSR applies to the values [diagonal, coupling, adjoint] of
+    ``_assemble``, and ``indices``/``indptr`` are that whole pattern in CSR,
+    in the index dtype scipy gives it; no position repeats, so COO -> CSR
+    sums nothing.  A fiber layout (``fiber_layout``) also keeps the
+    ``basis`` and the samples ``kappa`` it was built for.  ``labels`` are the
+    block labels of the whole pattern, filled by the first Hamiltonian that
+    stores every coupling entry and shared by every later one
+    (``Hamiltonian.blocks``).
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    c: np.ndarray
+    half: np.ndarray
+    order: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    basis: OccupationBasis | None = None
+    kappa: np.ndarray | None = None
+    labels: np.ndarray | None = field(default=None, repr=False)
+
+
+def _layout(rows, cols, c, n: int, basis: OccupationBasis | None = None,
+            kappa: np.ndarray | None = None) -> CouplingLayout:
+    """The ``CouplingLayout`` of the creation entries c at (rows, cols) of
+    an n x n matrix.  COO -> CSR orders the entries by (row, column), which
+    one stable sort of row * n + column gives when no position repeats."""
     on = np.arange(n)
-    mat = sp.coo_matrix((np.concatenate([diag, up, up.conj()]),
-                         (np.concatenate([on, rows, cols]), np.concatenate([on, cols, rows]))),
-                        shape=(n, n)).tocsr()
+    r = np.concatenate([on, rows, cols])
+    q = np.concatenate([on, cols, rows])
+    key = r * n + q
+    order = np.argsort(key, kind="stable")
+    if np.any(np.diff(key[order]) == 0):
+        raise ValueError("the coupling entries repeat a position")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(r, minlength=n))])
+    # the CSR constructor picks the index dtype COO -> CSR would
+    pattern = sp.csr_matrix((np.ones(len(key)), q[order], indptr), shape=(n, n))
+    return CouplingLayout(rows, cols, c, c * (1.0 / math.sqrt(2.0)), order,
+                          pattern.indices, pattern.indptr, basis, kappa)
+
+
+def _assemble(ms: ModelSpec, diag: np.ndarray, layout: CouplingLayout,
+              basis: OccupationBasis | None = None) -> Hamiltonian:
+    """diag(diag) plus g / sqrt(2) times the layout's creation entries and
+    their adjoint, rounded as g * field_op would be, written into the
+    layout's CSR pattern as COO -> CSR would write them; its zeros (a zero
+    diagonal entry, every coupling entry at g = 0) are not stored.  With
+    every coupling entry stored, H shares the layout's block labels."""
+    n = len(diag)
+    up = ms.g * layout.half
+    data = np.concatenate([diag, up, up.conj()])[layout.order]
+    mat = sp.csr_matrix((data, layout.indices.copy(), layout.indptr.copy()), shape=(n, n))
     mat.eliminate_zeros()
-    return Hamiltonian(mat, basis)
+    return Hamiltonian(mat, basis, layout if np.all(up != 0) else None)
 
 
-def build_fiber_H(ms: ModelSpec, P, basis: OccupationBasis) -> Hamiltonian:
-    """Fiber Hamiltonian at total momentum P on the occupation basis."""
-    rows, cols, _, c = _creation_entries(basis, ms.coupling_samples())
-    return _assemble(ms, fiber_diagonal(ms, P, basis), rows, cols, c, basis)
+def fiber_layout(ms: ModelSpec, basis: OccupationBasis) -> CouplingLayout:
+    """The ``CouplingLayout`` of the fiber Hamiltonians on ``basis`` with the
+    form factor and grid of ``ms``: the same at every P, coupling and
+    dispersion switch."""
+    kappa = ms.coupling_samples()
+    rows, cols, _, c = _creation_entries(basis, kappa)
+    return _layout(rows, cols, c, basis.size, basis, kappa)
+
+
+def build_fiber_H(ms: ModelSpec, P, basis: OccupationBasis, *,
+                  layout: CouplingLayout | None = None,
+                  mode_sums: np.ndarray | None = None) -> Hamiltonian:
+    """Fiber Hamiltonian at total momentum P on the occupation basis.
+
+    ``layout`` is ``fiber_layout`` for this basis and kappa_sigma, already
+    formed, or None to build it here; one built for another basis or
+    kappa_sigma raises ``ValueError``.  ``mode_sums`` is
+    ``fiber_mode_sums(ms, basis)``, already formed, or None; only its shape
+    is checked, so the sums of another dispersion switch give a wrong H
+    without an error.
+    """
+    if layout is None:
+        layout = fiber_layout(ms, basis)
+    elif layout.basis is not basis or not np.array_equal(layout.kappa, ms.coupling_samples()):
+        raise ValueError("the coupling layout was built for another basis or kappa_sigma")
+    return _assemble(ms, fiber_diagonal(ms, P, basis, mode_sums=mode_sums), layout, basis)
 
 
 def extended_fiber_H(ms: ModelSpec, P, tb: TensorBasis) -> Hamiltonian:
@@ -381,7 +481,8 @@ def extended_fiber_H(ms: ModelSpec, P, tb: TensorBasis) -> Hamiltonian:
     up, src, _, c = _creation_entries(basis, ms.coupling_samples())
     a_dag = _coo(basis, up, src, c)
     rows, cols, k = _one_leg_support(tb, a_dag.indptr, a_dag.indices, right=False)
-    return _assemble(ms, fiber_diagonal(ms, P, basis, tb.pairs), rows, cols, a_dag.data[k])
+    return _assemble(ms, fiber_diagonal(ms, P, basis, tb.pairs),
+                     _layout(rows, cols, a_dag.data[k], tb.size))
 
 
 # ---------------------------------------------------------------------------
@@ -447,4 +548,4 @@ def build_full_H(ms: ModelSpec, fb: FullBasis) -> Hamiltonian:
     # e^{-i k_j x}: electron momentum index e -> e - m_j (mod L), see FullBasis
     rows = ((e - fb.mode_m[j]) % L * nb + up).ravel()
     cols = (e * nb + b).ravel()
-    return _assemble(ms, diag, rows, cols, np.tile(c, L))
+    return _assemble(ms, diag, _layout(rows, cols, np.tile(c, L), fb.size))

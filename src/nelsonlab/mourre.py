@@ -21,13 +21,17 @@ realization of the continuum identity).
 
 The positive-commutator scan samples r(phi) on the spectral window of H
 inside Ran Gamma(chi_i), the states of ``fock.interacting_mask``, on which H
-is diagonalized densely.
+is diagonalized densely.  A coupling sweep assembles no H per coupling: H's
+interacting rows are densified once, with the coupling at g = 1, and the
+g = 0 commutator is formed once, so that each coupling's window matrix is
+diag + g V and its commutator base - g phi(i a kappa_sigma), bit for bit
+what assembling H(g) and the commutator at g gives.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,7 +46,7 @@ from .fock import (
     omega_modified_grad,
     weighted_adjoint,
 )
-from .model import ModelSpec, build_fiber_H
+from .model import CouplingLayout, ModelSpec, build_fiber_H, fiber_layout
 
 
 class UnsupportedGridError(GridError):
@@ -152,24 +156,28 @@ def build_conjugate(ms: ModelSpec, basis: OccupationBasis) -> ConjugateOp:
 # ---------------------------------------------------------------------------
 
 def commutator_iHA(ms: ModelSpec, P, basis: OccupationBasis,
-                   conj: ConjugateOp) -> sp.csr_matrix:
+                   conj: ConjugateOp, *, base: sp.csr_matrix | None = None) -> sp.csr_matrix:
     """Explicit three-term form of [iH(P), A] on the fiber basis; the first
     and the third term's operator are read off ``conj``, which must have been
-    built for the grid, dispersion switch, form factor and basis of this H."""
-    P = np.atleast_1d(np.asarray(P, dtype=float))
-    vel = group_velocity(ms.grid, ms.use_modified)
-    # term 2: -grad Omega(P - K(n)) . dGamma(v), diagonal in occupation
-    K = basis.boson_momenta()
-    gradO = ms.disp.grad(P[None, :] - K)
-    dgv = basis.mode_sum(vel)
-    diag2 = -np.sum(gradO * dgv, axis=1)
-    t2 = sp.diags(diag2, format="csr")
-    # term 1, dGamma(|v|^2), and term 3, -g phi(i a kappa_sigma); real
-    # diagonals plus a field, so the sum is exactly Hermitian
-    out = conj.dgamma_v2 + t2
-    if ms.g != 0.0:
-        out = out - (ms.g * conj.field_a)
-    return out.tocsr()
+    built for the grid, dispersion switch, form factor and basis of this H.
+    ``base`` is this commutator at g = 0 for the same P and dispersion,
+    already formed, or None to form it here; the commutator at g is then
+    base - g phi(i a kappa_sigma)."""
+    if base is None:
+        P = np.atleast_1d(np.asarray(P, dtype=float))
+        vel = group_velocity(ms.grid, ms.use_modified)
+        # term 2: -grad Omega(P - K(n)) . dGamma(v), diagonal in occupation
+        K = basis.boson_momenta()
+        gradO = ms.disp.grad(P[None, :] - K)
+        dgv = basis.mode_sum(vel)
+        diag2 = -np.sum(gradO * dgv, axis=1)
+        t2 = sp.diags(diag2, format="csr")
+        # term 1, dGamma(|v|^2), plus term 2: real diagonals
+        base = (conj.dgamma_v2 + t2).tocsr()
+    if ms.g == 0.0:
+        return base
+    # term 3, -g phi(i a kappa_sigma), a field, so the sum is exactly Hermitian
+    return (base - (ms.g * conj.field_a)).tocsr()
 
 
 def numerical_commutator(H: sp.csr_matrix, A: sp.csr_matrix) -> sp.csr_matrix:
@@ -189,38 +197,69 @@ def virial_residual(comm: sp.csr_matrix, psi) -> float:
 # Positive-commutator scan
 # ---------------------------------------------------------------------------
 
-def _window_subspace(ms: ModelSpec, P, basis: OccupationBasis, sigma_win: float):
-    """Orthonormal frame of Ran E_Sigma(H) within Ran Gamma(chi_i), with the
-    ground state removed; also returns (H, ground energy).  H is
-    diagonalized densely on the rows of ``interacting_mask``, sliced out of
-    the CSR matrix before it is densified."""
-    H = build_fiber_H(ms, P, basis)
+@dataclass(frozen=True, eq=False)
+class _FiberParts:
+    """The coupling-free parts of criterion 7's scans on one fiber at P for
+    one electron dispersion.  ``idx`` are the rows of ``interacting_mask``;
+    ``diag`` and ``coupling`` are H's diagonal and g = 1 coupling on them,
+    dense, so that the window matrix at g is diag + g coupling, the entries
+    of H(g) sliced out bit for bit (each entry is one term plus an exact
+    zero, and g c / sqrt(2) is ``_assemble``'s product).  ``base`` is the
+    g = 0 commutator."""
+
+    idx: np.ndarray
+    diag: np.ndarray
+    coupling: np.ndarray
+    base: sp.csr_matrix
+
+
+def _fiber_parts(ms: ModelSpec, P, basis: OccupationBasis, conj: ConjugateOp,
+                 layout: CouplingLayout | None = None) -> _FiberParts:
+    """H(P) at g = 1, whose coupling entries are c / sqrt(2) exactly, with
+    its interacting rows densified once, and the g = 0 commutator."""
+    H = build_fiber_H(replace(ms, g=1.0), P, basis, layout=layout)
     idx = np.flatnonzero(interacting_mask(basis))
-    vals, vecs = np.linalg.eigh(H.mat[idx][:, idx].toarray())
+    window = H.mat[idx][:, idx].toarray()
+    diag = np.diag(np.diag(window))
+    return _FiberParts(idx, diag, window - diag,
+                       commutator_iHA(replace(ms, g=0.0), P, basis, conj))
+
+
+def _window_subspace(parts: _FiberParts, g: float, size: int, sigma_win: float):
+    """Orthonormal frame of Ran E_Sigma(H) within Ran Gamma(chi_i), with the
+    ground state removed, of H at coupling g on a basis of ``size`` states;
+    also returns the window matrix, H on the rows of ``interacting_mask``,
+    which is diagonalized densely, and the ground energy."""
+    window = parts.diag + g * parts.coupling
+    vals, vecs = np.linalg.eigh(window)
     inside = vals <= sigma_win
     if not np.any(inside):
         raise EmptySubspaceError("no spectrum in the requested window")
-    frame = np.zeros((basis.size, int(np.sum(inside))), dtype=complex)
-    frame[idx, :] = vecs[:, inside]
+    frame = np.zeros((size, int(np.sum(inside))), dtype=complex)
+    frame[parts.idx, :] = vecs[:, inside]
     # drop the ground state (first column)
     frame = frame[:, 1:]
     if frame.shape[1] == 0:
         raise EmptySubspaceError("window contains only the ground state")
-    return H, frame, float(vals[0])
+    return window, frame, float(vals[0])
 
 
 def mourre_scan(ms: ModelSpec, P, basis: OccupationBasis, sigma_win: float,
                 beta: float, conj: ConjugateOp, sample_count: int = 64,
-                seed: int = 11) -> dict:
+                seed: int = 11, *, parts: _FiberParts | None = None) -> dict:
     """Sample r(phi) = <phi,[iH,A]phi> - (1-beta) <phi,N phi> on the window.
 
     phi are seeded random unit vectors in Ran E_Sigma(H) (cap) Ran Gamma(chi_i),
     orthogonal to the computed ground state.  Returns min r, the positivity
     deficit max(0, -min r), and per-sample values.  ``conj`` must have been
-    built for the grid, dispersion switch, form factor and basis of ``ms``.
+    built for the grid, dispersion switch, form factor and basis of ``ms``;
+    ``parts`` are ``_fiber_parts`` for them, P and the dispersion of ``ms``,
+    already formed, or None to form them here.
     """
-    H, frame, e0 = _window_subspace(ms, P, basis, sigma_win)
-    comm = commutator_iHA(ms, P, basis, conj)
+    if parts is None:
+        parts = _fiber_parts(ms, P, basis, conj)
+    _, frame, e0 = _window_subspace(parts, ms.g, basis.size, sigma_win)
+    comm = commutator_iHA(ms, P, basis, conj, base=parts.base)
     rng = np.random.default_rng(seed)
     m = frame.shape[1]
     coeffs = rng.normal(size=(sample_count, m)) + 1j * rng.normal(size=(sample_count, m))
@@ -260,14 +299,21 @@ def mourre_sweep(ms_factory, g_values, P, basis: OccupationBasis,
     The conjugate operator and the commutator's coupling-independent terms
     are built once, from ms_factory(0.0), and every scan reads them, so the
     factory's models must share one grid, dispersion switch and form factor;
-    a model that does not raises ``ValueError``.  ``stats`` records the
+    a model that does not raises ``ValueError``.  They share one
+    ``fiber_layout`` too, and each electron dispersion among them one
+    ``_fiber_parts``: H's interacting rows densified once and the g = 0
+    commutator formed once, from which each coupling's window matrix and
+    commutator follow bit for bit, with no H assembled per coupling.  The
+    ``eigh`` of each window stays per coupling.  ``stats`` records the
     basis dimension, the stored entries of A and of the g = 0 commutator,
     and the window dimension.
     """
     ms0 = ms_factory(0.0)
     conj = build_conjugate(ms0, basis)
+    layout = fiber_layout(ms0, basis)
+    parts = {ms0.disp: _fiber_parts(ms0, P, basis, conj, layout)}
     base = mourre_scan(ms0, P, basis, sigma_win, beta_fn(0.0), conj,
-                       sample_count=sample_count, seed=seed)
+                       sample_count=sample_count, seed=seed, parts=parts[ms0.disp])
     rows = []
     for gg in g_values:
         ms = ms_factory(gg)
@@ -275,8 +321,10 @@ def mourre_sweep(ms_factory, g_values, P, basis: OccupationBasis,
                 and ms.ff == ms0.ff):
             raise ValueError("the sweep's models do not share one grid, "
                              "dispersion switch and form factor")
+        if ms.disp not in parts:
+            parts[ms.disp] = _fiber_parts(ms, P, basis, conj, layout)
         rep = mourre_scan(ms, P, basis, sigma_win, beta_fn(gg), conj,
-                          sample_count=sample_count, seed=seed)
+                          sample_count=sample_count, seed=seed, parts=parts[ms.disp])
         fitted_c = abs(rep["min_r"] - base["min_r"]) / gg if gg > 0 else 0.0
         rows.append((float(gg), rep["min_r"], fitted_c))
     gs = np.array([r[0] for r in rows])
@@ -296,6 +344,6 @@ def mourre_sweep(ms_factory, g_values, P, basis: OccupationBasis,
         "window_dim": base["window_dim"],
         "mesh": base["mesh"],
         "stats": {"dim": basis.size, "conjugate_nnz": int(conj.A.nnz),
-                  "commutator_nnz_g0": int(commutator_iHA(ms0, P, basis, conj).nnz),
+                  "commutator_nnz_g0": int(parts[ms0.disp].base.nnz),
                   "window_dim": base["window_dim"]},
     }

@@ -37,10 +37,11 @@ from .model import (
     ConfigWindowError,
     Hamiltonian,
     ModelSpec,
-    _gershgorin_discs,
     _gershgorin_interval,
     build_fiber_H,
     fiber_diagonal,
+    fiber_layout,
+    fiber_mode_sums,
     o_beta,
     quadrature_C,
     velocity_bound,
@@ -154,7 +155,7 @@ def _lowest_blocks(H: Hamiltonian, k: int) -> tuple[np.ndarray, int]:
     least ``lanczos_lowest`` accepts; an extra block loses no eigenvalue.
     """
     d = np.real(H.mat.diagonal())
-    mu = np.max(_gershgorin_discs(H.mat)[1][np.argsort(d, kind="stable")[:k]])
+    mu = np.max(H._discs[1][np.argsort(d, kind="stable")[:k]])
     lo = H._block_intervals[0]
     order = np.argsort(lo, kind="stable")
     held = np.cumsum(np.bincount(H.blocks)[order])
@@ -376,6 +377,11 @@ def dispersion_scan(ms: ModelSpec, momenta, basis: OccupationBasis,
     eigensolver noise.  Scan momenta must satisfy Omega(P) <= O_beta, and
     the basis must hold a state besides the vacuum: on the vacuum alone the
     coupling acts on nothing and no gap exists.
+
+    The 2 x len(momenta) Hamiltonians (this dispersion and the other) share
+    one ``fiber_layout`` and, at g != 0, its block split; each writes only
+    its diagonal, and the diagonals and the free energies read one K and E
+    mode sum per dispersion.
     """
     if basis.size < 2:
         raise ConfigWindowError("the dispersion scan needs a basis beyond the vacuum "
@@ -388,18 +394,23 @@ def dispersion_scan(ms: ModelSpec, momenta, basis: OccupationBasis,
                 raise ConfigWindowError(f"scan momentum {P} violates Omega(P) <= O_beta")
     C = quadrature_C(ms.ff, ms.grid)
     alphas = tuple(a for a in (abs(ms.g), 0.5, 1.0) if a > 0)
-    ms_free = replace(ms, g=0.0)
     ms_other = replace(ms, use_modified=not ms.use_modified)
+    # both dispersions share the coupling, so one layout serves every H
+    layout = fiber_layout(ms, basis)
+    sums, sums_other = fiber_mode_sums(ms, basis), fiber_mode_sums(ms_other, basis)
 
     def solve_point(P):
         try:
-            res = ground_state(build_fiber_H(ms, P, basis), k=2, tol=tol)
-            other = ground_state(build_fiber_H(ms_other, P, basis), k=1, tol=tol)
+            res = ground_state(build_fiber_H(ms, P, basis, layout=layout, mode_sums=sums),
+                               k=2, tol=tol)
+            other = ground_state(build_fiber_H(ms_other, P, basis, layout=layout,
+                                               mode_sums=sums_other), k=1, tol=tol)
         except ConvergenceError as exc:
             diag = exc.diagnostics
             return None, (None, diag.get("iterations", 0), diag.get("rows", 0),
                           float(np.max(diag.get("residuals", math.nan))))
-        e0 = float(np.min(fiber_diagonal(ms_free, P, basis)))
+        # the free (g = 0) fiber's H is its diagonal, the same as at g
+        e0 = float(np.min(fiber_diagonal(ms, P, basis, mode_sums=sums)))
         eg = res.ground_energy
         upper = float(ms.disp.omega(P)) - eg
         lower = min(eg - ((1 - a) * e0 - (ms.g ** 2 / a) * C) for a in alphas) \

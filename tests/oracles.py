@@ -19,6 +19,12 @@ forms the Kronecker product 1 x op of a boson operator on the chain, and
 the zone, which the chain's total-momentum blocks are compared with.
 ``three_sum_assembly`` is ``model._assemble``'s matrix summed from three
 sparse matrices, the diagonal, the creation entries and their adjoint.
+``one_shot_fiber_H`` is the fiber H(P) as it was assembled before the
+coupling layout: fresh creation entries and one COO -> CSR per call.
+``one_shot_window_subspace``, ``one_shot_commutator`` and ``one_shot_scan``
+are criterion 7's scan at one coupling as it was before the sweep shared
+one window and one g = 0 commutator: each builds its H and its commutator
+from scratch.
 ``DenseCalculus`` is the one-``eigh`` functional calculus that the
 block-wise ``SpectralCalculus`` replaced, and
 ``to_position`` the phase-matrix DFT that ``FullBasis.to_position`` computes
@@ -53,9 +59,12 @@ from nelsonlab.fock import (
     _as_mode_matrix,
     _check_modes,
     _coo,
+    _creation_entries,
+    interacting_mask,
     to_ortho,
 )
 from nelsonlab import model
+from nelsonlab.mourre import group_velocity
 from nelsonlab.model import _gershgorin_interval
 
 
@@ -314,6 +323,65 @@ def three_sum_assembly(ms, diag, rows, cols, c) -> sp.csr_matrix:
     n = len(diag)
     up = sp.coo_matrix((ms.g * (c * (1.0 / math.sqrt(2.0))), (rows, cols)), shape=(n, n))
     return (sp.diags(diag) + up + up.conj().T).tocsr()
+
+
+def one_shot_fiber_H(ms, P, basis, **_):
+    """``model.build_fiber_H`` with no layout: the creation entries found
+    again, the diagonal and both coupling halves written as one COO and
+    converted to CSR, zeros dropped.  Sharing arguments are ignored."""
+    rows, cols, _, c = _creation_entries(basis, ms.coupling_samples())
+    n = basis.size
+    KE = basis.mode_sum(np.column_stack([ms.grid.points, ms.boson_omega()]))
+    diag = ms.disp.omega(np.atleast_1d(np.asarray(P, dtype=float))[None, :] - KE[:, :-1]) \
+        + KE[:, -1]
+    up = ms.g * (c * (1.0 / math.sqrt(2.0)))
+    on = np.arange(n)
+    mat = sp.coo_matrix((np.concatenate([diag, up, up.conj()]),
+                         (np.concatenate([on, rows, cols]), np.concatenate([on, cols, rows]))),
+                        shape=(n, n)).tocsr()
+    mat.eliminate_zeros()
+    return model.Hamiltonian(mat, basis)
+
+
+def one_shot_window_subspace(ms, P, basis, sigma_win):
+    """Criterion 7's window at the coupling of ``ms``: H built from scratch,
+    its interacting rows sliced and densified, one ``eigh``; the frame
+    without the ground state, and the ground energy."""
+    H = one_shot_fiber_H(ms, P, basis)
+    idx = np.flatnonzero(interacting_mask(basis))
+    vals, vecs = np.linalg.eigh(H.mat[idx][:, idx].toarray())
+    inside = vals <= sigma_win
+    frame = np.zeros((basis.size, int(np.sum(inside))), dtype=complex)
+    frame[idx, :] = vecs[:, inside]
+    return frame[:, 1:], float(vals[0])
+
+
+def one_shot_commutator(ms, P, basis, conj) -> sp.csr_matrix:
+    """The three-term [iH(P), A] with its g = 0 part formed again."""
+    P = np.atleast_1d(np.asarray(P, dtype=float))
+    vel = group_velocity(ms.grid, ms.use_modified)
+    gradO = ms.disp.grad(P[None, :] - basis.boson_momenta())
+    out = conj.dgamma_v2 + sp.diags(-np.sum(gradO * basis.mode_sum(vel), axis=1), format="csr")
+    if ms.g != 0.0:
+        out = out - (ms.g * conj.field_a)
+    return out.tocsr()
+
+
+def one_shot_scan(ms, P, basis, sigma_win, beta, conj, sample_count=64, seed=11, **_) -> dict:
+    """``mourre.mourre_scan`` from ``one_shot_window_subspace`` and
+    ``one_shot_commutator``; sharing arguments are ignored."""
+    frame, e0 = one_shot_window_subspace(ms, P, basis, sigma_win)
+    comm = one_shot_commutator(ms, P, basis, conj)
+    rng = np.random.default_rng(seed)
+    m = frame.shape[1]
+    coeffs = rng.normal(size=(sample_count, m)) + 1j * rng.normal(size=(sample_count, m))
+    Phi = frame @ (coeffs / np.linalg.norm(coeffs, axis=1, keepdims=True)).T
+    n = basis.total_numbers()[:, None]
+    values = np.sum(Phi.conj() * (comm @ Phi - (1.0 - beta) * n * Phi), axis=0).real
+    min_r = float(values.min())
+    return {"min_r": min_r, "deficit": max(0.0, -min_r), "per_sample": values.tolist(),
+            "window_dim": m, "ground_energy": e0, "mesh": conj.mesh, "beta": beta,
+            "sigma_window": sigma_win}
 
 
 def wrapped_fiber_H(ms, P, basis):

@@ -218,6 +218,25 @@ class TestCommands:
         assert run(["report", "--out", str(tmp_path)]) == cli.EXIT_VERDICT
         assert json.loads((tmp_path / "report.json").read_text())["missing"] == [name]
 
+    def test_dispersion_sandwich_fails_without_the_coupling_constant(self, tmp_path,
+                                                                      monkeypatch):
+        """Negative control: with C = 0 the lower sandwich bound
+        (1 - a) E_0 - (g^2 / a) C rises above the ground energy, and the
+        dispersion verdict fails with exit 1."""
+        monkeypatch.setattr(spectral, "quadrature_C", lambda ff, grid: 0.0)
+        assert run(["dispersion", "--out", str(tmp_path)]) == cli.EXIT_VERDICT
+        verdicts = json.loads((tmp_path / "dispersion_verdicts.json").read_text())["verdicts"]
+        assert verdicts == {"sandwich_ok": False, "all_converged": True}
+
+    def test_mourre_verdict_fails_on_a_negative_velocity_bound(self, tmp_path, monkeypatch):
+        """Negative control: with beta = -10 the form r subtracts 11 N on
+        the window, min r(g = 0) turns negative and the verdict fails with
+        exit 1."""
+        monkeypatch.setattr(model, "velocity_bound", lambda disp, energy: -10.0)
+        assert run(["mourre", "--out", str(tmp_path)]) == cli.EXIT_VERDICT
+        rep = json.loads((tmp_path / "mourre_report.json").read_text())
+        assert rep["verdicts"] == {"min_r0_nonnegative": False} and rep["min_r_g0"] < 0
+
     def test_report_ands_mourre_verdict(self, tmp_path):
         path = write_cfg(tmp_path, "mourre.samples = 4\nmourre.g_sweep = 0.01;0.02\n")
         assert run(["mourre", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_PASS

@@ -214,9 +214,10 @@ class TestAssembly:
         seen = []
         assemble = model._assemble
 
-        def spy(ms, diag, rows, cols, c, basis=None):
-            H = assemble(ms, diag, rows, cols, c, basis)
-            seen.append((H.mat, oracles.three_sum_assembly(ms, diag, rows, cols, c)))
+        def spy(ms, diag, layout, basis=None):
+            H = assemble(ms, diag, layout, basis)
+            seen.append((H.mat, oracles.three_sum_assembly(ms, diag, layout.rows, layout.cols,
+                                                           layout.c)))
             return H
 
         monkeypatch.setattr(model, "_assemble", spy)

@@ -240,7 +240,8 @@ class TestScan:
         ms, grid, basis, conj = msetup
         ms0 = model.ModelSpec(ms.disp, ms.ff, grid, 0.0)
         beta = math.sqrt(2 * 0.32)
-        H, frame, _ = mourre._window_subspace(ms0, [0.25], basis, 0.32)
+        parts = mourre._fiber_parts(ms0, [0.25], basis, conj)
+        _, frame, _ = mourre._window_subspace(parts, ms0.g, basis.size, 0.32)
         comm = mourre.commutator_iHA(ms0, [0.25], basis, conj)
         N = fock.number_op(basis)
         R = frame.conj().T @ (comm @ frame) - (1 - beta) * (frame.conj().T @ (N @ frame))
@@ -248,10 +249,13 @@ class TestScan:
 
     def test_window_sliced_before_densifying(self, msetup):
         """The interacting rows sliced out of the CSR matrix give the same
-        frame and ground energy, bit for bit, as slicing the dense H."""
-        ms, _, basis, _ = msetup
-        H, frame, e0 = mourre._window_subspace(ms, [0.25], basis, 0.32)
+        window, frame and ground energy, bit for bit, as slicing the dense H."""
+        ms, _, basis, conj = msetup
+        parts = mourre._fiber_parts(ms, [0.25], basis, conj)
+        window, frame, e0 = mourre._window_subspace(parts, ms.g, basis.size, 0.32)
+        H = model.build_fiber_H(ms, [0.25], basis)
         idx = np.flatnonzero(fock.interacting_mask(basis))
+        assert window.tobytes() == H.mat.toarray()[np.ix_(idx, idx)].tobytes()
         vals, vecs = np.linalg.eigh(H.mat.toarray()[np.ix_(idx, idx)])
         want = np.zeros_like(frame)
         want[idx, :] = vecs[:, vals <= 0.32][:, 1:]
@@ -299,7 +303,7 @@ class TestScan:
         sparse commutator and number operator, up to the order of sums."""
         ms, _, basis, conj = msetup
         rep = mourre.mourre_scan(ms, [0.25], basis, 0.32, 0.7, conj, sample_count=16, seed=5)
-        _, frame, _ = mourre._window_subspace(ms, [0.25], basis, 0.32)
+        frame, _ = oracles.one_shot_window_subspace(ms, [0.25], basis, 0.32)
         comm = mourre.commutator_iHA(ms, [0.25], basis, conj)
         N = fock.number_op(basis)
         rng = np.random.default_rng(5)
